@@ -31,11 +31,7 @@ fn steady_state(c: &mut Criterion) {
                 stack.tiers()[0].floorplan(),
                 Length::from_millimeters(cell_mm),
             );
-            for kind in [
-                PreconditionerKind::Identity,
-                PreconditionerKind::Ilu0,
-                PreconditionerKind::MulticolorGs,
-            ] {
+            for kind in [PreconditionerKind::Identity, PreconditionerKind::Ilu0] {
                 let mut cfg = ThermalConfig::default();
                 cfg.solver.preconditioner = kind;
                 let builder = StackThermalBuilder::new(&stack, grid, cfg);

@@ -9,8 +9,7 @@
 //!   healthy plant, and drains fault events into telemetry;
 //! * the faulted scenario honours the same determinism contract as the
 //!   healthy one: an identical seed and timeline lands an **identical**
-//!   `SimReport` at 1-, 2- and 4-thread kernel pools on both the
-//!   stencil and CSR operator backends;
+//!   `SimReport` at 1-, 2- and 4-thread kernel pools;
 //! * fault timelines are configuration, not execution knobs: a faulted
 //!   config's cache key differs from the healthy key, while an *empty*
 //!   timeline (any seed) leaves the key byte-identical — healthy
@@ -24,7 +23,7 @@
 //! so the same gates also prove telemetry does not perturb a faulted
 //! run.
 
-use vfc::num::{KernelPool, OperatorBackend};
+use vfc::num::KernelPool;
 use vfc::obs;
 use vfc::prelude::*;
 use vfc::sim::{ChannelClog, FaultTimeline, PumpFault, SensorFault};
@@ -49,17 +48,15 @@ fn pump_failure_timeline() -> FaultTimeline {
         .with_sensor(SensorFault::Noise { sigma: 0.3 })
 }
 
-fn config(cell_mm: f64, backend: OperatorBackend) -> SimConfig {
-    let mut cfg = SimConfig::new(
+fn config(cell_mm: f64) -> SimConfig {
+    SimConfig::new(
         SystemKind::TwoLayer,
         CoolingKind::LiquidVariable,
         PolicyKind::Talb,
         Benchmark::by_name("Web-med").expect("table II"),
     )
     .with_duration(Seconds::new(3.0))
-    .with_grid_cell(Length::from_millimeters(cell_mm));
-    cfg.thermal.solver.backend = backend;
-    cfg
+    .with_grid_cell(Length::from_millimeters(cell_mm))
 }
 
 fn run(cfg: SimConfig, threads: usize) -> SimReport {
@@ -69,10 +66,6 @@ fn run(cfg: SimConfig, threads: usize) -> SimReport {
 }
 
 fn main() {
-    assert!(
-        OperatorBackend::env_override().is_none(),
-        "unset VFC_OPERATOR_BACKEND when running the fault smoke"
-    );
     println!(
         "fault smoke: pump failure to 30% flow + channel clog + sensor noise (telemetry {:?})",
         obs::level()
@@ -82,11 +75,8 @@ fn main() {
     // — completes end to end. The counter snapshot is diffed, not
     // reset, so the gate also works with spans enabled.
     let before = obs::snapshot();
-    let healthy = run(config(0.5, OperatorBackend::Stencil), 2);
-    let faulted = run(
-        config(0.5, OperatorBackend::Stencil).with_faults(pump_failure_timeline()),
-        2,
-    );
+    let healthy = run(config(0.5), 2);
+    let faulted = run(config(0.5).with_faults(pump_failure_timeline()), 2);
     assert_eq!(healthy.samples, faulted.samples, "faulted run ended early");
     assert_ne!(healthy, faulted, "the fault trace must perturb the run");
     assert!(
@@ -123,30 +113,23 @@ fn main() {
     }
 
     // Gate 3: determinism. The seeded timeline is plain configuration,
-    // so the faulted report is identical across thread counts and
-    // operator backends — same contract the healthy engine honours.
-    // Coarser 2 mm grid: six full runs.
-    let faulted_cfg = |backend| config(2.0, backend).with_faults(pump_failure_timeline());
-    let reference = run(faulted_cfg(OperatorBackend::Stencil), 1);
-    for backend in [OperatorBackend::Stencil, OperatorBackend::Csr] {
-        for threads in [1usize, 2, 4] {
-            let got = run(faulted_cfg(backend), threads);
-            assert_eq!(
-                got, reference,
-                "faulted run diverged on {backend:?}/{threads} threads"
-            );
-        }
+    // so the faulted report is identical across thread counts — same
+    // contract the healthy engine honours. Coarser 2 mm grid: three full
+    // runs.
+    let faulted_cfg = || config(2.0).with_faults(pump_failure_timeline());
+    let reference = run(faulted_cfg(), 1);
+    for threads in [2usize, 4] {
+        let got = run(faulted_cfg(), threads);
+        assert_eq!(got, reference, "faulted run diverged on {threads} threads");
     }
-    println!("determinism: faulted SimReport identical across 1/2/4 threads x stencil/CSR");
+    println!("determinism: faulted SimReport identical across 1/2/4 threads");
 
     // Gate 4: cache-key discipline. A fault timeline invalidates cached
     // results; an empty one (whatever its seed) does not — healthy keys
     // predate the fault subsystem and must stay byte-identical.
-    let healthy_key = config(2.0, OperatorBackend::Stencil).cache_key();
-    let faulted_key = faulted_cfg(OperatorBackend::Stencil).cache_key();
-    let empty_key = config(2.0, OperatorBackend::Stencil)
-        .with_faults(FaultTimeline::new(7))
-        .cache_key();
+    let healthy_key = config(2.0).cache_key();
+    let faulted_key = faulted_cfg().cache_key();
+    let empty_key = config(2.0).with_faults(FaultTimeline::new(7)).cache_key();
     assert_ne!(
         healthy_key, faulted_key,
         "fault timeline must enter the cache key"
@@ -156,5 +139,5 @@ fn main() {
         "an empty timeline must leave healthy cache keys untouched"
     );
     println!("cache keys: faulted {faulted_key:#018x} != healthy {healthy_key:#018x}, empty timeline is free");
-    println!("ok: pump failure completes, deterministic across threads/backends, keys honest");
+    println!("ok: pump failure completes, deterministic across threads, keys honest");
 }

@@ -22,9 +22,7 @@ use vfc::num::{KernelPool, PreconditionerKind};
 use vfc::prelude::*;
 use vfc::thermal::{StackThermalBuilder, ThermalConfig};
 use vfc::units::{Length, VolumetricFlow, Watts};
-use vfc_bench::perf::{
-    backend_label, cpu_count, host_label, precond_label, report_bench_records, PerfRecord,
-};
+use vfc_bench::perf::{cpu_count, host_label, precond_label, report_bench_records, PerfRecord};
 
 /// Median steady-solve time over `reps` repeats (cold start each solve;
 /// preconditioner factored once and cached inside the model).
@@ -116,7 +114,6 @@ fn main() {
                 // The steady scenario does not track Krylov iterations
                 // (solver_smoke gates those); 0 = "not recorded".
                 iters: 0,
-                backend: backend_label(model.operator_backend()).into(),
                 host: host_label(),
                 cpus: cpu_count(),
             });

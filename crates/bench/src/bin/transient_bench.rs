@@ -1,53 +1,50 @@
 //! Transient-path benchmark: the cost of one 100 ms sample (5
-//! backward-Euler sub-steps) versus grid resolution, kernel-pool thread
-//! count and **operator backend** — the workload behind the paper's
-//! Fig. 6/7 runs, which take 3000 such samples per configuration.
+//! backward-Euler sub-steps) versus grid resolution and kernel-pool
+//! thread count — the workload behind the paper's Fig. 6/7 runs, which
+//! take 3000 such samples per configuration.
 //!
 //! Alternates two power maps between samples so the warm-seed
 //! short-circuit cannot trivialize the solve (the steady tail of a real
 //! workload *is* trivialized by it — that case is reported separately),
-//! and cross-checks that every thread count **and every backend** lands
-//! bit-identical temperatures before reporting its timing. Reports the
-//! pool's broadcast/barrier counters per sample plus the ILU(0) sweep
-//! barrier plan (merged vs one-per-level), so level-merging gains are
-//! measurable without wall-clock.
+//! and cross-checks that every thread count lands bit-identical
+//! temperatures before reporting its timing. Reports the pool's
+//! broadcast/barrier counters per sample plus the ILU(0) sweep barrier
+//! plan (merged vs one-per-level), so level-merging gains are measurable
+//! without wall-clock.
 //!
 //! Usage: `transient_bench [--fine] [--threads 1,2,8] [--no-seed]
-//!                         [--backend stencil|csr|both] [--gate-iters]
-//!                         [--telemetry <path>]`
+//!                         [--gate-iters] [--telemetry <path>]`
 //!   `--fine`       adds the paper-native 100 µm grid (~58k nodes)
 //!   `--threads`    comma-separated pool sizes (default: 1 and the
 //!                  machine's available parallelism, when that is > 1)
 //!   `--no-seed`    disable the M⁻¹r warm seed (the PR 3 stepping path;
 //!                  ablation baseline for the seed's iteration savings)
-//!   `--backend`    operator backend(s) to measure (default: both)
 //!   `--gate-iters` fail unless every measured Krylov iteration count
 //!                  equals the committed repo-root `BENCH_transient.json`
 //!                  record for the same case/grid — iteration counts are
-//!                  bit-deterministic, so any machine can gate exactly
+//!                  bit-deterministic, so any machine can gate exactly.
+//!                  A gate run is read-only: it writes only the
+//!                  `target/bench/` copy
 //!   `--telemetry`  write a `vfc_obs` JSON snapshot to the given path
 //!                  (raises `VFC_TELEMETRY` to `spans` unless the env
 //!                  var already chose a level)
 //!
-//! Writes repo-root `BENCH_transient.json` plus a `target/bench/` copy
-//! (see `vfc_bench::perf`).
+//! A plain run rewrites repo-root `BENCH_transient.json` and writes a
+//! `target/bench/` copy (see `vfc_bench::perf`).
 
 use std::time::Instant;
 
 use vfc::floorplan::{ultrasparc, GridSpec};
-use vfc::num::{
-    Ilu0Preconditioner, KernelPool, MgCycleConfig, OperatorBackend, Preconditioner,
-    PreconditionerKind,
-};
+use vfc::num::{Ilu0Preconditioner, KernelPool, MgCycleConfig, Preconditioner, PreconditionerKind};
 use vfc::thermal::{StackThermalBuilder, ThermalConfig, ThermalModel};
 use vfc::units::{Length, Seconds, VolumetricFlow, Watts};
 use vfc_bench::perf::{
-    backend_label, cpu_count, host_label, read_bench_records, report_bench_records,
-    root_record_path, PerfRecord,
+    cpu_count, host_label, read_bench_records, report_bench_records, root_record_path,
+    write_scratch_records, PerfRecord,
 };
 use vfc_bench::telemetry::{enable_for_export, export_snapshot, parse_telemetry_flag};
 
-/// Samples timed per (grid, backend, threads) cell.
+/// Samples timed per (grid, threads) cell.
 const SAMPLES: usize = 10;
 
 fn parse_threads() -> Vec<usize> {
@@ -73,22 +70,6 @@ fn parse_threads() -> Vec<usize> {
         vec![1, hw]
     } else {
         vec![1]
-    }
-}
-
-fn parse_backends() -> Vec<OperatorBackend> {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(i) = args.iter().position(|a| a == "--backend") else {
-        return vec![OperatorBackend::Stencil, OperatorBackend::Csr];
-    };
-    match args.get(i + 1).map(String::as_str) {
-        Some("stencil") => vec![OperatorBackend::Stencil],
-        Some("csr") => vec![OperatorBackend::Csr],
-        Some("both") => vec![OperatorBackend::Stencil, OperatorBackend::Csr],
-        _ => {
-            eprintln!("--backend expects stencil, csr or both");
-            std::process::exit(2);
-        }
     }
 }
 
@@ -136,12 +117,10 @@ fn main() {
     let no_seed = std::env::args().any(|a| a == "--no-seed");
     let gate = std::env::args().any(|a| a == "--gate-iters");
     let threads = parse_threads();
-    let backends = parse_backends();
     let telemetry = parse_telemetry_flag();
     if telemetry.is_some() {
         enable_for_export();
     }
-    // Read the committed record BEFORE this run overwrites it.
     let committed = if gate {
         let path = root_record_path("transient");
         match read_bench_records(&path) {
@@ -154,10 +133,6 @@ fn main() {
     } else {
         Vec::new()
     };
-    if OperatorBackend::env_override().is_some() {
-        eprintln!("warning: VFC_OPERATOR_BACKEND overrides --backend; results are still exact");
-    }
-
     let stack = ultrasparc::two_layer_liquid();
     let flow = VolumetricFlow::from_ml_per_minute(600.0);
     let mut cells = vec![1.0, 0.5, 0.25];
@@ -167,11 +142,10 @@ fn main() {
 
     println!("Transient 100 ms sample (5 backward-Euler sub-steps), 2-layer liquid stack");
     println!(
-        "{:>9} {:>9} {:>8} {:>8} {:>8} {:>11} {:>7} {:>8} {:>11} {:>10}",
+        "{:>9} {:>9} {:>8} {:>8} {:>11} {:>7} {:>8} {:>11} {:>10}",
         "cell mm",
         "nodes",
         "precond",
-        "backend",
         "threads",
         "sample ms",
         "iters",
@@ -180,37 +154,29 @@ fn main() {
         "barriers"
     );
     // Solver variants per grid: the ILU(0) and V(1,1)-multigrid
-    // baselines, plus `mgfast` — the cheap asymmetric V(0,1) cycle
-    // with 2 deflation vectors recycled across sub-steps, the
-    // configuration the asymmetric-cycle work targets. Ablations that
-    // informed the shape (same-run, 100 µm, 1 thread): V(0,1) trades
-    // +27% iterations for −35% cycle cost (net ~1.2–1.3× over V(1,1));
-    // weakening the *coarse* chain to Jacobi/none guts the coarse-grid
-    // correction (470/1159 iterations vs 280); recycling k=2 saves ~10
-    // iterations per 10 samples at roughly break-even cost, and deeper
-    // rings (k=4: −40 iterations) lose the savings to the k fresh
-    // matvecs each projection pays.
+    // baselines, plus `mgfast` — the cheap asymmetric V(0,1) cycle.
+    // Ablations that informed the shape (same-run, 100 µm, 1 thread):
+    // V(0,1) trades +27% iterations for −35% cycle cost (net ~1.2–1.3×
+    // over V(1,1)); weakening the *coarse* chain to Jacobi/none gutted
+    // the coarse-grid correction (470/1159 iterations vs 280).
     let variants = [
         (
             "",
             "ilu0",
             PreconditionerKind::Ilu0,
             MgCycleConfig::default(),
-            0usize,
         ),
         (
             "-mg",
             "mg",
             PreconditionerKind::Multigrid,
             MgCycleConfig::default(),
-            0,
         ),
         (
             "-mgfast",
             "mgfast",
             PreconditionerKind::Multigrid,
             MgCycleConfig::cheap(),
-            2,
         ),
     ];
     let mut records = Vec::new();
@@ -219,111 +185,90 @@ fn main() {
     for &cell in &cells {
         let grid =
             GridSpec::from_cell_size(stack.tiers()[0].floorplan(), Length::from_millimeters(cell));
-        for &(tag, label, kind, cycle, recycle) in &variants {
+        for &(tag, label, kind, cycle) in &variants {
             let mut base_ms = None;
-            // Determinism reference shared across backends AND thread
-            // counts: everything must land the same bits and iterations.
+            // Determinism reference shared across thread counts: every
+            // count must land the same bits and iterations.
             let mut reference: Option<(usize, Vec<f64>)> = None;
-            for &backend in &backends {
-                for &t in &threads {
-                    let mut cfg = ThermalConfig::default();
-                    cfg.solver.backend = backend;
-                    cfg.solver.preconditioner = kind;
-                    cfg.solver.mg_cycle = cycle;
-                    cfg.solver.recycle = recycle;
-                    let builder = StackThermalBuilder::new(&stack, grid, cfg);
-                    let mut model = builder.build(Some(flow)).expect("build");
-                    let pool = KernelPool::new(t);
-                    model.set_kernel_pool(std::sync::Arc::clone(&pool));
-                    model.set_transient_warm_seed(!no_seed);
-                    let p_low = model.uniform_block_power(&stack, |b| {
-                        if b.is_core() {
-                            Watts::new(1.5)
-                        } else {
-                            Watts::new(0.4)
-                        }
-                    });
-                    let p_high = model.uniform_block_power(&stack, |b| {
-                        if b.is_core() {
-                            Watts::new(3.5)
-                        } else {
-                            Watts::new(0.6)
-                        }
-                    });
-                    let (ms, iters, temps, broadcasts, barriers) =
-                        time_transient(&mut model, &pool, &p_low, &p_high);
-                    match &reference {
-                        None => reference = Some((iters, temps)),
-                        Some((ref_iters, ref_temps)) => {
-                            assert_eq!(
-                                iters,
-                                *ref_iters,
-                                "iteration count changed ({} backend, {t} threads)",
-                                backend_label(backend)
-                            );
-                            assert!(
-                                temps
-                                    .iter()
-                                    .zip(ref_temps)
-                                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                                "temperatures diverged ({} backend, {t} threads)",
-                                backend_label(backend)
-                            );
-                        }
+            for &t in &threads {
+                let mut cfg = ThermalConfig::default();
+                cfg.solver.preconditioner = kind;
+                cfg.solver.mg_cycle = cycle;
+                let builder = StackThermalBuilder::new(&stack, grid, cfg);
+                let mut model = builder.build(Some(flow)).expect("build");
+                let pool = KernelPool::new(t);
+                model.set_kernel_pool(std::sync::Arc::clone(&pool));
+                model.set_transient_warm_seed(!no_seed);
+                let p_low = model.uniform_block_power(&stack, |b| {
+                    if b.is_core() {
+                        Watts::new(1.5)
+                    } else {
+                        Watts::new(0.4)
                     }
-                    let speedup = base_ms.get_or_insert(ms);
-                    println!(
-                        "{:>9.2} {:>9} {:>8} {:>8} {:>8} {:>11.2} {:>7} {:>7.2}x {:>11} {:>10}",
-                        cell,
-                        model.node_count(),
-                        label,
-                        backend_label(model.operator_backend()),
-                        t,
-                        ms,
-                        iters,
-                        *speedup / ms.max(1e-9),
-                        broadcasts / SAMPLES as u64,
-                        barriers / SAMPLES as u64,
-                    );
-                    let case = format!(
-                        "transient{}{}{}",
-                        if no_seed { "-noseed" } else { "" },
-                        tag,
-                        if backend == OperatorBackend::Csr {
-                            "-csr"
-                        } else {
-                            ""
-                        }
-                    );
-                    if gate {
-                        if let Some(c) = committed
-                            .iter()
-                            .find(|c| c.case == case && c.grid_mm == cell && c.iters > 0)
-                        {
-                            gate_matches += 1;
-                            if c.iters != iters {
-                                eprintln!(
-                                    "ITERATION GATE: {case} at {cell} mm measured {iters}, \
-                                 committed {}",
-                                    c.iters
-                                );
-                                gate_failures += 1;
-                            }
-                        }
+                });
+                let p_high = model.uniform_block_power(&stack, |b| {
+                    if b.is_core() {
+                        Watts::new(3.5)
+                    } else {
+                        Watts::new(0.6)
                     }
-                    records.push(PerfRecord {
-                        case,
-                        grid_mm: cell,
-                        nodes: model.node_count(),
-                        precond: label.into(),
-                        threads: t,
-                        ms,
-                        iters,
-                        backend: backend_label(model.operator_backend()).into(),
-                        host: host_label(),
-                        cpus: cpu_count(),
-                    });
+                });
+                let (ms, iters, temps, broadcasts, barriers) =
+                    time_transient(&mut model, &pool, &p_low, &p_high);
+                match &reference {
+                    None => reference = Some((iters, temps)),
+                    Some((ref_iters, ref_temps)) => {
+                        assert_eq!(iters, *ref_iters, "iteration count changed ({t} threads)");
+                        assert!(
+                            temps
+                                .iter()
+                                .zip(ref_temps)
+                                .all(|(a, b)| a.to_bits() == b.to_bits()),
+                            "temperatures diverged ({t} threads)"
+                        );
+                    }
                 }
+                let speedup = base_ms.get_or_insert(ms);
+                println!(
+                    "{:>9.2} {:>9} {:>8} {:>8} {:>11.2} {:>7} {:>7.2}x {:>11} {:>10}",
+                    cell,
+                    model.node_count(),
+                    label,
+                    t,
+                    ms,
+                    iters,
+                    *speedup / ms.max(1e-9),
+                    broadcasts / SAMPLES as u64,
+                    barriers / SAMPLES as u64,
+                );
+                let case = format!("transient{}{}", if no_seed { "-noseed" } else { "" }, tag);
+                if gate {
+                    if let Some(c) = committed
+                        .iter()
+                        .find(|c| c.case == case && c.grid_mm == cell && c.iters > 0)
+                    {
+                        gate_matches += 1;
+                        if c.iters != iters {
+                            eprintln!(
+                                "ITERATION GATE: {case} at {cell} mm measured {iters}, \
+                                 committed {}",
+                                c.iters
+                            );
+                            gate_failures += 1;
+                        }
+                    }
+                }
+                records.push(PerfRecord {
+                    case,
+                    grid_mm: cell,
+                    nodes: model.node_count(),
+                    precond: label.into(),
+                    threads: t,
+                    ms,
+                    iters,
+                    host: host_label(),
+                    cpus: cpu_count(),
+                });
             }
         }
         // Barrier plan on this grid: merged phases vs one-per-level
@@ -347,9 +292,18 @@ fn main() {
     }
     println!("\n(sample = 100 ms of simulated time; power alternates between samples so");
     println!(" the warm-seed short-circuit cannot skip sub-steps — on a steady workload");
-    println!(" a converged sample costs one matvec and two norms instead; backends and");
-    println!(" thread counts are cross-checked bit-identical before timings are reported)");
-    report_bench_records("transient", &records);
+    println!(" a converged sample costs one matvec and two norms instead; thread counts");
+    println!(" are cross-checked bit-identical before timings are reported)");
+    if gate {
+        // The gate compares against the committed record; it must not
+        // rewrite it.
+        match write_scratch_records("transient", &records) {
+            Ok(path) => println!("\nperf records: {}", path.display()),
+            Err(e) => println!("\nperf records not written: {e}"),
+        }
+    } else {
+        report_bench_records("transient", &records);
+    }
     if let Some(path) = &telemetry {
         export_snapshot(path);
     }

@@ -16,24 +16,20 @@
 //!   start, and saves some over the run;
 //! * stepping from a converged state short-circuits at zero iterations
 //!   without touching a single bit of the state;
-//! * the index-free stencil backend reproduces the CSR reference **bit
-//!   for bit** over the full scenario (the operator-parity gate);
-//! * the multigrid-preconditioned scenario honours the same thread and
-//!   backend parity contracts, beats ILU(0) on total Krylov iterations
-//!   and stays inside its own fixed budget;
-//! * the cheap asymmetric V(0,1) cycle with sub-step Krylov recycling
-//!   (`transient_bench`'s `mgfast` configuration) honours the same
-//!   parity contracts, stays inside its own budget, and converges to
-//!   the symmetric cycle's temperatures within solver tolerance — the
-//!   observable fact behind keeping cycle shape and recycling depth
-//!   out of simulation cache keys;
+//! * the multigrid-preconditioned scenario honours the same thread
+//!   parity contract, beats ILU(0) on total Krylov iterations and stays
+//!   inside its own fixed budget;
+//! * the cheap asymmetric V(0,1) cycle (`transient_bench`'s `mgfast`
+//!   configuration) honours the same parity contract, stays inside its
+//!   own budget, and converges to the symmetric cycle's temperatures
+//!   within solver tolerance — the observable fact behind keeping the
+//!   cycle shape out of simulation cache keys;
 //! * ILU(0) level merging strictly reduces the sweep barrier count
 //!   versus the one-barrier-per-level plan.
 
 use vfc::floorplan::{ultrasparc, GridSpec};
 use vfc::num::{
-    Ilu0Preconditioner, KernelPool, MgCycleConfig, OperatorBackend, Preconditioner,
-    PreconditionerKind, PAR_MIN_LEN,
+    Ilu0Preconditioner, KernelPool, MgCycleConfig, Preconditioner, PreconditionerKind, PAR_MIN_LEN,
 };
 use vfc::thermal::{StackThermalBuilder, ThermalConfig, ThermalModel};
 use vfc::units::{Length, Seconds, VolumetricFlow, Watts};
@@ -74,20 +70,20 @@ fn run_scenario(model: &mut ThermalModel) -> (Vec<usize>, Vec<f64>) {
 }
 
 fn build_model(threads: usize) -> ThermalModel {
-    build_model_with(threads, OperatorBackend::Stencil, PreconditionerKind::Ilu0)
+    build_model_with(threads, PreconditionerKind::Ilu0, MgCycleConfig::default())
 }
 
 fn build_model_with(
     threads: usize,
-    backend: OperatorBackend,
     preconditioner: PreconditionerKind,
+    mg_cycle: MgCycleConfig,
 ) -> ThermalModel {
     let stack = ultrasparc::two_layer_liquid();
     let grid =
         GridSpec::from_cell_size(stack.tiers()[0].floorplan(), Length::from_millimeters(0.25));
     let mut cfg = ThermalConfig::default();
-    cfg.solver.backend = backend;
     cfg.solver.preconditioner = preconditioner;
+    cfg.solver.mg_cycle = mg_cycle;
     let mut model = StackThermalBuilder::new(&stack, grid, cfg)
         .build(Some(VolumetricFlow::from_ml_per_minute(600.0)))
         .expect("build");
@@ -95,239 +91,113 @@ fn build_model_with(
     model
 }
 
-fn main() {
+/// Runs the scenario on 1-, 2- and 4-thread kernel pools, asserts the
+/// three runs are bit-identical (iteration counts and temperatures) and
+/// returns the shared result.
+fn thread_parity(
+    label: &str,
+    preconditioner: PreconditionerKind,
+    mg_cycle: MgCycleConfig,
+) -> (Vec<usize>, Vec<f64>) {
     let mut reference: Option<(Vec<usize>, Vec<f64>)> = None;
-    println!("transient smoke: liquid 0.25 mm grid, {SAMPLES} samples x {SUBSTEPS} sub-steps");
     for threads in [1usize, 2, 4] {
-        let mut model = build_model(threads);
-        let n = model.node_count();
-        // The parallel kernels only engage at PAR_MIN_LEN and above; a
-        // smaller grid would compare serial runs against serial runs
-        // and gate nothing.
-        assert!(
-            n >= PAR_MIN_LEN,
-            "smoke grid must engage the parallel paths, got {n} nodes"
-        );
-        let (iters, temps) = run_scenario(&mut model);
-        let total: usize = iters.iter().sum();
-        println!(
-            "{threads} thread(s): {total:>4} Krylov iterations, per-sample {:?}",
-            &iters[..6.min(iters.len())]
-        );
+        let (iters, temps) = run_scenario(&mut build_model_with(threads, preconditioner, mg_cycle));
         match &reference {
-            None => {
-                // Deterministic budget: the scenario measures 560
-                // iterations with ILU(0) + warm seed; the headroom
-                // only lets a real regression (lost preconditioner,
-                // broken warm start) trip it.
-                assert!(
-                    total <= 900,
-                    "transient iteration budget regressed: {total} > 900"
-                );
-                assert!(total > 0, "scenario must exercise the solver");
-                reference = Some((iters, temps));
-            }
+            None => reference = Some((iters, temps)),
             Some((ref_iters, ref_temps)) => {
                 assert_eq!(
                     &iters, ref_iters,
-                    "iteration counts changed at {threads} threads"
+                    "{label}: iteration counts changed at {threads} threads"
                 );
-                let identical = temps
-                    .iter()
-                    .zip(ref_temps)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(identical, "temperatures diverged at {threads} threads");
-            }
-        }
-    }
-
-    // Operator-backend parity: the CSR reference must reproduce the
-    // stencil run bit for bit (same scenario, 2-thread pool).
-    {
-        let mut csr = build_model_with(2, OperatorBackend::Csr, PreconditionerKind::Ilu0);
-        if OperatorBackend::env_override().is_none() {
-            assert_eq!(csr.operator_backend(), OperatorBackend::Csr);
-            assert_eq!(
-                build_model(2).operator_backend(),
-                OperatorBackend::Stencil,
-                "the 0.25 mm stacked grid must decompose into a stencil"
-            );
-        }
-        let (csr_iters, csr_temps) = run_scenario(&mut csr);
-        let (ref_iters, ref_temps) = reference.as_ref().expect("reference recorded");
-        assert_eq!(&csr_iters, ref_iters, "backends disagree on iterations");
-        assert!(
-            csr_temps
-                .iter()
-                .zip(ref_temps)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "stencil and CSR backends diverged"
-        );
-        println!("backend parity: stencil and CSR bit-identical over the scenario");
-    }
-
-    // Multigrid transient gates: the V-cycle-preconditioned scenario is
-    // bit-identical at 1, 2 and 4 threads and on both operator
-    // backends, saves iterations over ILU(0), and stays inside its own
-    // fixed budget.
-    {
-        let mut mg_ref: Option<(Vec<usize>, Vec<f64>)> = None;
-        for threads in [1usize, 2, 4] {
-            let mut model = build_model_with(
-                threads,
-                OperatorBackend::Stencil,
-                PreconditionerKind::Multigrid,
-            );
-            let (iters, temps) = run_scenario(&mut model);
-            let total: usize = iters.iter().sum();
-            match &mg_ref {
-                None => {
-                    println!(
-                        "multigrid: {total:>4} Krylov iterations, per-sample {:?}",
-                        &iters[..6.min(iters.len())]
-                    );
-                    // The scenario measures far fewer iterations than
-                    // the 560 ILU(0) takes; the budget only lets a real
-                    // regression (lost hierarchy, broken Galerkin
-                    // re-fold) trip it.
-                    assert!(
-                        total <= 300,
-                        "multigrid transient iteration budget regressed: {total} > 300"
-                    );
-                    assert!(total > 0, "scenario must exercise the solver");
-                    let (ilu_iters, _) = reference.as_ref().expect("reference recorded");
-                    let ilu_total: usize = ilu_iters.iter().sum();
-                    assert!(
-                        total < ilu_total,
-                        "multigrid saved nothing over ILU(0): {total} vs {ilu_total}"
-                    );
-                    mg_ref = Some((iters, temps));
-                }
-                Some((ref_iters, ref_temps)) => {
-                    assert_eq!(
-                        &iters, ref_iters,
-                        "multigrid iteration counts changed at {threads} threads"
-                    );
-                    assert!(
-                        temps
-                            .iter()
-                            .zip(ref_temps)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "multigrid temperatures diverged at {threads} threads"
-                    );
-                }
-            }
-        }
-        let mut csr = build_model_with(2, OperatorBackend::Csr, PreconditionerKind::Multigrid);
-        let (csr_iters, csr_temps) = run_scenario(&mut csr);
-        let (ref_iters, ref_temps) = mg_ref.as_ref().expect("multigrid reference recorded");
-        assert_eq!(
-            &csr_iters, ref_iters,
-            "backends disagree on multigrid iterations"
-        );
-        assert!(
-            csr_temps
-                .iter()
-                .zip(ref_temps)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "stencil and CSR backends diverged under multigrid"
-        );
-        println!("multigrid parity: thread counts and backends bit-identical");
-
-        // The cheap-cycle + recycling configuration `transient_bench`
-        // gates as `mgfast`: asymmetric V(0,1) cycles with a 2-vector
-        // deflation ring recycled across sub-steps. Same contracts as
-        // the symmetric cycle — bit-identical across 1/2/4 threads and
-        // both backends, a fixed iteration budget — plus the
-        // solver-tolerance equivalence that justifies keeping the cycle
-        // shape and recycling depth out of simulation cache keys: the
-        // converged temperatures match the V(1,1) run to well under a
-        // millikelvin.
-        let build_fast = |threads: usize, backend: OperatorBackend| {
-            let stack = ultrasparc::two_layer_liquid();
-            let grid = GridSpec::from_cell_size(
-                stack.tiers()[0].floorplan(),
-                Length::from_millimeters(0.25),
-            );
-            let mut cfg = ThermalConfig::default();
-            cfg.solver.backend = backend;
-            cfg.solver.preconditioner = PreconditionerKind::Multigrid;
-            cfg.solver.mg_cycle = MgCycleConfig::cheap();
-            cfg.solver.recycle = 2;
-            let mut model = StackThermalBuilder::new(&stack, grid, cfg)
-                .build(Some(VolumetricFlow::from_ml_per_minute(600.0)))
-                .expect("build");
-            model.set_kernel_pool(KernelPool::new(threads));
-            model
-        };
-        let mut fast_ref: Option<(Vec<usize>, Vec<f64>)> = None;
-        for threads in [1usize, 2, 4] {
-            let (iters, temps) = run_scenario(&mut build_fast(threads, OperatorBackend::Stencil));
-            let total: usize = iters.iter().sum();
-            match &fast_ref {
-                None => {
-                    println!(
-                        "mg cheap cycle + recycling: {total:>4} Krylov iterations, \
-                         per-sample {:?}",
-                        &iters[..6.min(iters.len())]
-                    );
-                    // The V(0,1) cycle trades iterations for cheaper
-                    // applies; the budget holds the premium over the
-                    // symmetric cycle to what a healthy solver measures
-                    // (headroom included), so a broken coarse chain or
-                    // recycling projection trips it.
-                    assert!(
-                        total <= 300,
-                        "cheap-cycle iteration budget regressed: {total} > 300"
-                    );
-                    assert!(total > 0, "scenario must exercise the solver");
-                    let (mg_iters, mg_temps) = mg_ref.as_ref().expect("multigrid reference");
-                    let mg_total: usize = mg_iters.iter().sum();
-                    let max_dev = temps
+                assert!(
+                    temps
                         .iter()
-                        .zip(mg_temps)
-                        .map(|(a, b)| (a - b).abs())
-                        .fold(0.0f64, f64::max);
-                    assert!(
-                        max_dev < 1e-6,
-                        "cycle shape moved converged temperatures by {max_dev} K"
-                    );
-                    println!(
-                        "  vs symmetric V(1,1): {total} vs {mg_total} iterations, \
-                         max |dT| {max_dev:.2e} K"
-                    );
-                    fast_ref = Some((iters, temps));
-                }
-                Some((ref_iters, ref_temps)) => {
-                    assert_eq!(
-                        &iters, ref_iters,
-                        "cheap-cycle iteration counts changed at {threads} threads"
-                    );
-                    assert!(
-                        temps
-                            .iter()
-                            .zip(ref_temps)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "cheap-cycle temperatures diverged at {threads} threads"
-                    );
-                }
+                        .zip(ref_temps)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{label}: temperatures diverged at {threads} threads"
+                );
             }
         }
-        let (csr_iters, csr_temps) = run_scenario(&mut build_fast(2, OperatorBackend::Csr));
-        let (ref_iters, ref_temps) = fast_ref.as_ref().expect("cheap-cycle reference recorded");
-        assert_eq!(
-            &csr_iters, ref_iters,
-            "backends disagree on cheap-cycle iterations"
-        );
-        assert!(
-            csr_temps
-                .iter()
-                .zip(ref_temps)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "stencil and CSR backends diverged under the cheap cycle"
-        );
-        println!("cheap-cycle parity: thread counts and backends bit-identical");
     }
+    let (iters, temps) = reference.expect("three runs");
+    let total: usize = iters.iter().sum();
+    println!(
+        "{label}: {total:>4} Krylov iterations, per-sample {:?}, bit-identical at 1/2/4 threads",
+        &iters[..6.min(iters.len())]
+    );
+    assert!(total > 0, "{label}: scenario must exercise the solver");
+    (iters, temps)
+}
+
+fn main() {
+    println!("transient smoke: liquid 0.25 mm grid, {SAMPLES} samples x {SUBSTEPS} sub-steps");
+    // The parallel kernels only engage at PAR_MIN_LEN and above; a
+    // smaller grid would compare serial runs against serial runs and
+    // gate nothing.
+    let n = build_model(1).node_count();
+    assert!(
+        n >= PAR_MIN_LEN,
+        "smoke grid must engage the parallel paths, got {n} nodes"
+    );
+
+    // Deterministic budget: the scenario measures 560 iterations with
+    // ILU(0) + warm seed; the headroom only lets a real regression (lost
+    // preconditioner, broken warm start) trip it.
+    let reference = thread_parity("ilu0", PreconditionerKind::Ilu0, MgCycleConfig::default());
+    let ilu_total: usize = reference.0.iter().sum();
+    assert!(
+        ilu_total <= 900,
+        "transient iteration budget regressed: {ilu_total} > 900"
+    );
+
+    // Multigrid: saves iterations over ILU(0) and stays inside its own
+    // fixed budget. The scenario measures far fewer iterations than
+    // ILU(0) takes; the budget only lets a real regression (lost
+    // hierarchy, broken Galerkin re-fold) trip it.
+    let (mg_iters, mg_temps) = thread_parity(
+        "multigrid",
+        PreconditionerKind::Multigrid,
+        MgCycleConfig::default(),
+    );
+    let mg_total: usize = mg_iters.iter().sum();
+    assert!(
+        mg_total <= 300,
+        "multigrid transient iteration budget regressed: {mg_total} > 300"
+    );
+    assert!(
+        mg_total < ilu_total,
+        "multigrid saved nothing over ILU(0): {mg_total} vs {ilu_total}"
+    );
+
+    // The cheap V(0,1) cycle `transient_bench` gates as `mgfast` trades
+    // iterations for cheaper applies; the budget holds the premium over
+    // the symmetric cycle to what a healthy solver measures (headroom
+    // included), so a broken coarse chain trips it. Its converged
+    // temperatures match the V(1,1) run to well under a millikelvin —
+    // the solver-tolerance equivalence that justifies keeping the cycle
+    // shape out of simulation cache keys.
+    let (fast_iters, fast_temps) = thread_parity(
+        "mg cheap cycle",
+        PreconditionerKind::Multigrid,
+        MgCycleConfig::cheap(),
+    );
+    let fast_total: usize = fast_iters.iter().sum();
+    assert!(
+        fast_total <= 300,
+        "cheap-cycle iteration budget regressed: {fast_total} > 300"
+    );
+    let max_dev = fast_temps
+        .iter()
+        .zip(&mg_temps)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0f64, f64::max);
+    assert!(
+        max_dev < 1e-6,
+        "cycle shape moved converged temperatures by {max_dev} K"
+    );
+    println!(
+        "  vs symmetric V(1,1): {fast_total} vs {mg_total} iterations, max |dT| {max_dev:.2e} K"
+    );
 
     // Level merging: a parallel ILU(0) apply must cross strictly fewer
     // barriers than the one-per-level PR 4 plan.
@@ -351,7 +221,7 @@ fn main() {
     let mut plain = build_model(2);
     plain.set_transient_warm_seed(false);
     let (plain_iters, plain_temps) = run_scenario(&mut plain);
-    let (seeded_iters, seeded_temps) = reference.expect("reference recorded");
+    let (seeded_iters, seeded_temps) = reference;
     assert!(
         seeded_iters.iter().zip(&plain_iters).all(|(s, p)| s <= p),
         "warm seed cost iterations somewhere: {seeded_iters:?} vs {plain_iters:?}"

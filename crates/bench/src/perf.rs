@@ -41,9 +41,6 @@ pub struct PerfRecord {
     /// require exact equality. `0` when the scenario does not track
     /// iterations.
     pub iters: usize,
-    /// Operator backend the measurement ran with (`stencil` / `csr`,
-    /// empty when the scenario has no operator).
-    pub backend: String,
     /// Hostname the measurement was taken on, best effort
     /// ([`host_label`]) — provenance only, never compared by gates.
     pub host: String,
@@ -62,7 +59,6 @@ impl PerfRecord {
             ("threads".into(), JsonValue::Number(self.threads as f64)),
             ("ms".into(), JsonValue::Number(self.ms)),
             ("iters".into(), JsonValue::Number(self.iters as f64)),
-            ("backend".into(), JsonValue::String(self.backend.clone())),
             ("host".into(), JsonValue::String(self.host.clone())),
             ("cpus".into(), JsonValue::Number(self.cpus as f64)),
         ])
@@ -87,7 +83,6 @@ impl PerfRecord {
             // Absent in pre-PR 5 records: treat as "not tracked".
             iters: n("iters").unwrap_or(0.0) as usize,
             // Provenance fields are absent in pre-PR 7 records.
-            backend: s("backend").unwrap_or_default(),
             host: s("host").unwrap_or_default(),
             cpus: n("cpus").unwrap_or(0.0) as usize,
         })
@@ -103,17 +98,7 @@ pub fn precond_label(kind: vfc::num::PreconditionerKind) -> &'static str {
         PreconditionerKind::Identity => "none",
         PreconditionerKind::Jacobi => "jacobi",
         PreconditionerKind::Ilu0 => "ilu0",
-        PreconditionerKind::MulticolorGs => "mcgs",
         PreconditionerKind::Multigrid => "mg",
-    }
-}
-
-/// The canonical short label for an operator backend in perf records
-/// and bench tables.
-pub fn backend_label(b: vfc::num::OperatorBackend) -> &'static str {
-    match b {
-        vfc::num::OperatorBackend::Stencil => "stencil",
-        vfc::num::OperatorBackend::Csr => "csr",
     }
 }
 
@@ -193,12 +178,7 @@ fn encode(name: &str, records: &[PerfRecord]) -> String {
 ///
 /// Any I/O failure creating the directory or writing either file.
 pub fn write_bench_records(name: &str, records: &[PerfRecord]) -> std::io::Result<PathBuf> {
-    let dir = bench_record_dir();
-    std::fs::create_dir_all(&dir)?;
-    std::fs::write(
-        dir.join(format!("BENCH_{name}.json")),
-        encode(name, records),
-    )?;
+    write_scratch_records(name, records)?;
     let root = root_record_path(name);
     let mut merged: Vec<PerfRecord> = records.to_vec();
     if let Ok(committed) = read_bench_records(&root) {
@@ -211,6 +191,22 @@ pub fn write_bench_records(name: &str, records: &[PerfRecord]) -> std::io::Resul
     }
     std::fs::write(&root, encode(name, &merged))?;
     Ok(root)
+}
+
+/// Writes `BENCH_<name>.json` under `target/bench/` only (created as
+/// needed) and returns its path — the output of a gate run, which
+/// compares against the committed repo-root record and must never
+/// rewrite it.
+///
+/// # Errors
+///
+/// Any I/O failure creating the directory or writing the file.
+pub fn write_scratch_records(name: &str, records: &[PerfRecord]) -> std::io::Result<PathBuf> {
+    let dir = bench_record_dir();
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(format!("BENCH_{name}.json"));
+    std::fs::write(&path, encode(name, records))?;
+    Ok(path)
 }
 
 /// Reads a `BENCH_*.json` file back into records.
@@ -258,7 +254,6 @@ mod tests {
             threads: 4,
             ms,
             iters,
-            backend: "stencil".into(),
             host: host_label(),
             cpus: cpu_count(),
         }
@@ -286,7 +281,7 @@ mod tests {
         let r = PerfRecord::from_json(&v).unwrap();
         assert_eq!(r.iters, 0);
         assert_eq!(r.nodes, 2300);
-        assert!(r.backend.is_empty() && r.host.is_empty() && r.cpus == 0);
+        assert!(r.host.is_empty() && r.cpus == 0);
     }
 
     #[test]

@@ -142,14 +142,12 @@ pub fn balanced_core_powers(
         Arc::new(KernelSchedules::for_grid_matrix(&reduced, &coords))
     });
     // The reduced system keeps most of the grid's structure (only core
-    // cells drop out), so the index-free stencil backend usually still
+    // cells drop out), so the index-free stencil operator usually still
     // decomposes it; bit-identical to CSR, so the recovered balanced
     // powers — and therefore the TALB figure rows — are unchanged.
-    let backend = vfc_num::OperatorBackend::env_override().unwrap_or(scfg.backend);
-    let stencil: Option<Arc<StencilPattern>> = match (&schedules, backend) {
-        (_, vfc_num::OperatorBackend::Csr) => None,
-        (Some(s), _) => s.stencil().cloned(),
-        (None, _) => (m >= STENCIL_MIN_ORDER)
+    let stencil: Option<Arc<StencilPattern>> = match &schedules {
+        Some(s) => s.stencil().cloned(),
+        None => (m >= STENCIL_MIN_ORDER)
             .then(|| StencilPattern::for_matrix(&reduced).map(Arc::new))
             .flatten(),
     };

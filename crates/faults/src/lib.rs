@@ -15,8 +15,8 @@
 //! per run and consults it once per control sample. Everything it
 //! produces is a pure function of the timeline, the seed and the sample
 //! times — there is no wall-clock or thread dependence — so a faulted
-//! run is exactly as bit-reproducible across kernel-pool sizes and
-//! operator backends as a healthy one.
+//! run is exactly as bit-reproducible across kernel-pool sizes as a
+//! healthy one.
 //!
 //! Two invariants matter for that determinism:
 //!

@@ -3,10 +3,9 @@
 use std::sync::Arc;
 
 use crate::pool::{par_range, SharedMut};
-use crate::workspace::RecycleSpace;
 use crate::{
-    dot2_on, dot_on, norm2_on, CsrMatrix, JacobiPreconditioner, KernelPool, LinearOperator,
-    NumError, Preconditioner, SolveInfo, SolverWorkspace,
+    dot2_on, dot_on, norm2_on, CsrMatrix, JacobiPreconditioner, LinearOperator, NumError,
+    Preconditioner, SolveInfo, SolverWorkspace,
 };
 
 /// Stabilized bi-conjugate gradient solver.
@@ -26,22 +25,6 @@ pub struct BiCgStab {
     pub tolerance: f64,
     /// Iteration cap.
     pub max_iterations: usize,
-    /// Number of deflation vectors recycled across solves through the
-    /// same workspace (0 disables recycling — the default).
-    ///
-    /// When positive, each successful solve harvests its net solution
-    /// direction `x − x₀` into the workspace's
-    /// [`RecycleSpace`](SolverWorkspace::recycle_len), and the next
-    /// solve projects those directions out of the initial residual
-    /// before the Krylov iteration starts. Back-to-back solves against
-    /// (nearly) the same operator — the backward-Euler sub-steps of one
-    /// transient step — then skip re-discovering the smooth error
-    /// components every sub-step. The projection recomputes `A·u`
-    /// fresh, so correctness never depends on the operator being
-    /// unchanged; callers should still
-    /// [`clear_recycle`](SolverWorkspace::clear_recycle) on qualitative
-    /// operator changes to keep the directions useful.
-    pub recycle: usize,
 }
 
 impl Default for BiCgStab {
@@ -49,7 +32,6 @@ impl Default for BiCgStab {
         Self {
             tolerance: 1e-10,
             max_iterations: 10_000,
-            recycle: 0,
         }
     }
 }
@@ -76,9 +58,9 @@ impl BiCgStab {
     /// caller-owned workspace; allocation-free when the workspace has
     /// already reached the matrix order.
     ///
-    /// `a` is any [`LinearOperator`] — the CSR reference backend or the
-    /// index-free stencil backend, plain or diagonally shifted; all
-    /// backends produce bit-identical iterates. The matvecs, reductions
+    /// `a` is any [`LinearOperator`] — the index-free stencil operator
+    /// or the CSR matrix itself; both produce bit-identical iterates.
+    /// The matvecs, reductions
     /// and fused vector updates run on the workspace's
     /// [`KernelPool`](crate::KernelPool); thread count never changes
     /// the iterates (determinism by partitioning).
@@ -130,7 +112,6 @@ impl BiCgStab {
             t,
             best,
             partials,
-            recycle,
             ..
         } = ws;
         let (r, r0) = (&mut r[..n], &mut r0[..n]);
@@ -150,15 +131,6 @@ impl BiCgStab {
         // Fused initial residual r = b − A·x: one pass over the rows,
         // bit-identical to a matvec followed by the subtraction.
         a.residual_into_on(&pool, b, x, r);
-        if self.recycle > 0 {
-            // Project the recycled deflation space out of x and r before
-            // the Krylov iteration starts, then snapshot x so the
-            // harvest captures only this solve's *new* direction (the
-            // recycled ones stay alive as their own ring entries).
-            project_recycle(a, &pool, recycle, x, r, partials);
-            recycle.x0.resize(n, 0.0);
-            recycle.x0[..n].copy_from_slice(x);
-        }
         r0.copy_from_slice(r);
         let mut rho = 1.0f64;
         let mut alpha = 1.0f64;
@@ -285,7 +257,7 @@ impl BiCgStab {
         // a breakdown can leave x mid-iteration. This is the contract
         // documented on `NumError::Breakdown`; successful solves never
         // touch x here.
-        let result = match result {
+        match result {
             Err(NumError::NoConvergence {
                 iterations,
                 residual,
@@ -303,158 +275,8 @@ impl BiCgStab {
                 Err(err)
             }
             other => other,
-        };
-
-        if self.recycle > 0 && result.is_ok() {
-            harvest_recycle(&pool, recycle, x, partials, self.recycle);
         }
-        result
     }
-}
-
-/// Projects the workspace's recycled deflation space out of `x`/`r`.
-///
-/// For each stored direction `u_j` (oldest first) the operator image
-/// `A·u_j` is recomputed fresh, the pair is modified-Gram-Schmidt
-/// orthonormalized against the already-kept pairs (in image space), and
-/// the component `c = ⟨w_j, r⟩` is removed: `x += c·u_j`, `r −= c·w_j`.
-/// Degenerate directions (image collapsing under orthogonalization) are
-/// skipped. Every reduction and update runs on `pool` with the
-/// fixed-block fold order, so the projected iterates stay bit-identical
-/// across thread counts.
-fn project_recycle<A: LinearOperator + ?Sized>(
-    a: &A,
-    pool: &Arc<KernelPool>,
-    rs: &mut RecycleSpace,
-    x: &mut [f64],
-    r: &mut [f64],
-    partials: &mut Vec<f64>,
-) {
-    let n = r.len();
-    // Vectors harvested from a different-order system are meaningless
-    // here; drop them rather than project garbage.
-    rs.u.retain(|u| u.len() == n);
-    if rs.u.is_empty() {
-        return;
-    }
-    while rs.su.len() < rs.u.len() {
-        rs.su.push(Vec::new());
-        rs.sw.push(Vec::new());
-    }
-    for s in rs.su.iter_mut().chain(rs.sw.iter_mut()) {
-        s.resize(n, 0.0);
-    }
-    let mut kept = 0usize;
-    for j in 0..rs.u.len() {
-        // Fresh image w = A·u: k extra matvecs per solve, but correct
-        // under any operator drift between solves.
-        rs.su[kept][..n].copy_from_slice(&rs.u[j]);
-        {
-            let (su, sw) = (&rs.su, &mut rs.sw);
-            a.matvec_into_on(pool, &su[kept][..n], &mut sw[kept][..n]);
-        }
-        // MGS in image space against the kept pairs.
-        let (su_head, su_tail) = rs.su.split_at_mut(kept);
-        let (sw_head, sw_tail) = rs.sw.split_at_mut(kept);
-        let suk = SharedMut(su_tail[0].as_mut_ptr());
-        let swk = SharedMut(sw_tail[0].as_mut_ptr());
-        for i in 0..kept {
-            let c = dot_on(pool, &sw_head[i][..n], &sw_tail[0][..n], partials);
-            let (sui, swi): (&[f64], &[f64]) = (&su_head[i][..n], &sw_head[i][..n]);
-            par_range(pool, n, &|s, e| {
-                // SAFETY: the tail pair is written only through its
-                // SharedMut pointers; the head pair is read-only and a
-                // distinct allocation.
-                for idx in s..e {
-                    unsafe {
-                        *suk.ptr().add(idx) -= c * sui[idx];
-                        *swk.ptr().add(idx) -= c * swi[idx];
-                    }
-                }
-            });
-        }
-        let norm = norm2_on(pool, &sw_tail[0][..n], partials);
-        if !(norm > 1e-150) {
-            continue;
-        }
-        let inv = 1.0 / norm;
-        par_range(pool, n, &|s, e| {
-            // SAFETY: as above; pure scaling of the tail pair.
-            for idx in s..e {
-                unsafe {
-                    *suk.ptr().add(idx) *= inv;
-                    *swk.ptr().add(idx) *= inv;
-                }
-            }
-        });
-        // Remove this direction's component from the residual.
-        let c = dot_on(pool, &sw_tail[0][..n], r, partials);
-        {
-            let xw = SharedMut(x.as_mut_ptr());
-            let rw = SharedMut(r.as_mut_ptr());
-            let (sui, swi): (&[f64], &[f64]) = (&su_tail[0][..n], &sw_tail[0][..n]);
-            par_range(pool, n, &|s, e| {
-                // SAFETY: x and r are written only through their
-                // SharedMut pointers; su/sw are read-only here.
-                for idx in s..e {
-                    unsafe {
-                        *xw.ptr().add(idx) += c * sui[idx];
-                        *rw.ptr().add(idx) -= c * swi[idx];
-                    }
-                }
-            });
-        }
-        kept += 1;
-    }
-    vfc_obs::counter_add("solver.recycle_projected", kept as u64);
-}
-
-/// Harvests a successful solve's net direction `x − x₀` into the
-/// workspace ring (unit-norm, oldest evicted at capacity `k`). A
-/// negligible direction — warm start already converged — harvests
-/// nothing, and never evicts an existing vector.
-fn harvest_recycle(
-    pool: &Arc<KernelPool>,
-    rs: &mut RecycleSpace,
-    x: &[f64],
-    partials: &mut Vec<f64>,
-    k: usize,
-) {
-    let n = x.len();
-    if rs.x0.len() < n {
-        return;
-    }
-    // Form the direction in place over the snapshot.
-    {
-        let dw = SharedMut(rs.x0.as_mut_ptr());
-        par_range(pool, n, &|s, e| {
-            // SAFETY: x0 written only through `dw`; x is read-only.
-            for idx in s..e {
-                unsafe { *dw.ptr().add(idx) = x[idx] - *dw.ptr().add(idx) };
-            }
-        });
-    }
-    let norm = norm2_on(pool, &rs.x0[..n], partials);
-    if !(norm > 1e-150) {
-        return;
-    }
-    // Oldest-first eviction keeps the ring order deterministic; the
-    // evicted slot's allocation is reused for the new vector.
-    let mut slot = if rs.u.len() >= k {
-        rs.u.remove(0)
-    } else {
-        Vec::new()
-    };
-    while rs.u.len() + 1 > k {
-        rs.u.remove(0);
-    }
-    slot.resize(n, 0.0);
-    let inv = 1.0 / norm;
-    for (d, &s) in slot.iter_mut().zip(&rs.x0[..n]) {
-        *d = s * inv;
-    }
-    rs.u.push(slot);
-    vfc_obs::counter_add("solver.recycle_harvested", 1);
 }
 
 #[cfg(test)]
@@ -675,164 +497,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn recycling_cuts_iterations_on_repeated_solves() {
-        // A fixed operator solved against a drifting rhs — the shape of
-        // the backward-Euler sub-step sequence. From the second solve on
-        // the recycled directions deflate the smooth error components,
-        // so the recycled run may not need more total iterations, and
-        // every solution still meets the tolerance of a fresh solve.
-        let n = 400;
-        let a = advection_diffusion(n, 3.0);
-        let m = Ilu0Preconditioner::new(&a).unwrap();
-        let runs = |recycle: usize| {
-            let solver = BiCgStab {
-                recycle,
-                ..BiCgStab::default()
-            };
-            let mut ws = SolverWorkspace::new();
-            let mut iters = 0;
-            let mut solutions = Vec::new();
-            for k in 0..6 {
-                let rhs: Vec<f64> = (0..n)
-                    .map(|i| 1.0 + 0.05 * k as f64 + (i as f64 * 0.01).sin())
-                    .collect();
-                let mut x = vec![0.0; n];
-                let info = solver.solve_with(&a, &rhs, &mut x, &m, &mut ws).unwrap();
-                iters += info.iterations;
-                assert!(info.residual <= solver.tolerance);
-                solutions.push(x);
-            }
-            (iters, solutions, ws.recycle_len())
-        };
-        let (iters_plain, sols_plain, held_plain) = runs(0);
-        let (iters_rec, sols_rec, held_rec) = runs(2);
-        assert_eq!(held_plain, 0, "recycle: 0 must never touch the ring");
-        assert!(held_rec >= 1, "successful solves must harvest");
-        assert!(held_rec <= 2, "ring capacity is the recycle knob");
-        assert!(
-            iters_rec <= iters_plain,
-            "recycled {iters_rec} vs plain {iters_plain}"
-        );
-        let scale = sols_plain
-            .iter()
-            .flatten()
-            .fold(1.0f64, |mx, v| mx.max(v.abs()));
-        for (xp, xr) in sols_plain.iter().zip(&sols_rec) {
-            for (p, r) in xp.iter().zip(xr) {
-                assert!((p - r).abs() <= 1e-7 * scale, "{p} vs {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn recycling_survives_operator_drift() {
-        // The projection recomputes A·u fresh each solve, so harvested
-        // directions from one operator stay *correct* under another —
-        // here each solve shifts the diagonal like a sub-step-length
-        // change would, and the solutions must still match plain solves.
-        let n = 200;
-        let solver = BiCgStab {
-            recycle: 2,
-            ..BiCgStab::default()
-        };
-        let mut ws = SolverWorkspace::new();
-        let rhs: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.03).cos()).collect();
-        for k in 0..4 {
-            let a = {
-                let base = advection_diffusion(n, 4.0);
-                let mut b = CsrBuilder::new(n);
-                for row in 0..n {
-                    for (col, val) in base.row(row) {
-                        b.add(
-                            row,
-                            col,
-                            if row == col {
-                                val + 0.2 * k as f64
-                            } else {
-                                val
-                            },
-                        );
-                    }
-                }
-                b.build()
-            };
-            let m = Ilu0Preconditioner::new(&a).unwrap();
-            let mut x = vec![0.0; n];
-            let info = solver.solve_with(&a, &rhs, &mut x, &m, &mut ws).unwrap();
-            assert!(info.residual <= solver.tolerance);
-            let reference = a.to_dense().lu_solve(&rhs).unwrap();
-            for (got, want) in x.iter().zip(&reference) {
-                assert!((got - want).abs() < 1e-6, "k={k}: {got} vs {want}");
-            }
-        }
-    }
-
-    #[test]
-    fn stale_recycle_vectors_of_wrong_order_are_dropped() {
-        let solver = BiCgStab {
-            recycle: 2,
-            ..BiCgStab::default()
-        };
-        let mut ws = SolverWorkspace::new();
-        let a_big = advection_diffusion(120, 2.0);
-        let rhs_big: Vec<f64> = (0..120).map(|i| (i as f64 * 0.1).sin()).collect();
-        let mut x = vec![0.0; 120];
-        let m_big = Ilu0Preconditioner::new(&a_big).unwrap();
-        solver
-            .solve_with(&a_big, &rhs_big, &mut x, &m_big, &mut ws)
-            .unwrap();
-        assert!(ws.recycle_len() >= 1);
-        // Re-solving a smaller system through the same workspace must
-        // silently discard the incompatible vectors, not project them.
-        let a_small = advection_diffusion(50, 2.0);
-        let rhs_small = vec![1.0; 50];
-        let m_small = Ilu0Preconditioner::new(&a_small).unwrap();
-        let mut y = vec![0.0; 50];
-        let info = solver
-            .solve_with(&a_small, &rhs_small, &mut y, &m_small, &mut ws)
-            .unwrap();
-        assert!(info.residual <= solver.tolerance);
-        let reference = a_small.to_dense().lu_solve(&rhs_small).unwrap();
-        for (got, want) in y.iter().zip(&reference) {
-            assert!((got - want).abs() < 1e-7);
-        }
-        // And clearing empties the ring explicitly.
-        ws.clear_recycle();
-        assert_eq!(ws.recycle_len(), 0);
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// Recycled solves keep the pool-independence contract: the
-        /// projection and harvest run on the same fixed-block fold
-        /// order as every other reduction.
-        #[test]
-        fn recycled_solver_is_bit_identical_across_pools(
-            seed in 0u64..60,
-            n in 8usize..60,
-            adv in 0.0f64..6.0,
-        ) {
-            let a = advection_diffusion(n, adv);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let solver = BiCgStab { recycle: 2, ..BiCgStab::default() };
-            let m = Ilu0Preconditioner::new(&a).unwrap();
-            let mut xs: Vec<Vec<f64>> = Vec::new();
-            let rhs0: Vec<f64> = (0..n).map(|_| rng.random_range(-10.0..10.0)).collect();
-            let rhs1: Vec<f64> = rhs0.iter().map(|v| v * 1.1 + 0.3).collect();
-            for threads in [1usize, 3] {
-                let mut ws = SolverWorkspace::with_pool(crate::KernelPool::new(threads));
-                let mut x = vec![0.0; n];
-                // Two chained solves: the second exercises projection.
-                solver.solve_with(&a, &rhs0, &mut x, &m, &mut ws).unwrap();
-                solver.solve_with(&a, &rhs1, &mut x, &m, &mut ws).unwrap();
-                xs.push(x);
-            }
-            for (a1, a3) in xs[0].iter().zip(&xs[1]) {
-                prop_assert_eq!(a1.to_bits(), a3.to_bits());
-            }
-        }
 
         /// Workspace pool choice must not change a single bit of the
         /// solution or the iteration count (the `VFC_NUM_THREADS`

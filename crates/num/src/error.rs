@@ -41,7 +41,7 @@ pub enum NumError {
     },
     /// Pattern-derived execution state (kernel schedules, a multigrid
     /// hierarchy) was offered to a matrix with a different sparsity
-    /// pattern. Running parallel sweeps against foreign levels/colors —
+    /// pattern. Running parallel sweeps against foreign levels —
     /// or Galerkin scatter maps against foreign entries — would be a
     /// data race or silent corruption, so builders refuse up front.
     PatternMismatch {

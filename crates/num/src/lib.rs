@@ -10,24 +10,23 @@
 //! * [`CsrMatrix`] (compressed sparse row) assembled from triplets, with
 //!   reference-counted index arrays (and copy-on-write value arrays) so
 //!   same-pattern matrix families share one structure;
-//! * the [`LinearOperator`] abstraction the solvers iterate on, with the
-//!   CSR reference backend ([`CsrOp`], optionally diagonally shifted for
-//!   backward-Euler operators) and the index-free [`stencil`] backend
-//!   ([`StencilPattern`]/[`StencilOp`]) — **bit-identical** to CSR at
-//!   every thread count, selected by [`OperatorBackend`];
-//! * [`ConjugateGradient`] for symmetric positive-definite systems;
+//! * the [`LinearOperator`] abstraction the solver iterates on: the
+//!   index-free [`stencil`] operator ([`StencilPattern`]/[`StencilOp`])
+//!   wherever a pattern decomposes into one, and [`CsrMatrix`] itself as
+//!   the fallback and the reference — **bit-identical** to each other at
+//!   every thread count;
 //! * [`BiCgStab`] for the nonsymmetric systems produced by advection;
 //! * the [`Preconditioner`] trait with [`JacobiPreconditioner`],
-//!   [`Ilu0Preconditioner`] (level-scheduled parallel triangular sweeps),
-//!   [`MulticolorGsPreconditioner`] and [`MultigridPreconditioner`]
-//!   (geometric V-cycles on the semi-coarsened grid hierarchy,
-//!   [`MgStructure`]) implementations ([`PreconditionerKind`] is the
-//!   config-level selection knob), threaded through both Krylov solvers;
+//!   [`Ilu0Preconditioner`] (level-scheduled parallel triangular sweeps)
+//!   and [`MultigridPreconditioner`] (geometric V-cycles on the
+//!   semi-coarsened grid hierarchy, [`MgStructure`]) implementations
+//!   ([`PreconditionerKind`] is the config-level selection knob);
 //! * [`KernelPool`], a persistent worker pool running the matvecs,
 //!   reductions and sweeps with **bit-identical results at every thread
 //!   count** (`VFC_NUM_THREADS`; determinism by partitioning), plus
-//!   [`KernelSchedules`] — per-pattern triangular level sets and
-//!   multicolorings shared across same-pattern matrix families;
+//!   [`KernelSchedules`] — per-pattern triangular level sets, stencil
+//!   decomposition and multigrid hierarchy shared across same-pattern
+//!   matrix families;
 //! * [`SolverWorkspace`], reusable Krylov scratch space (and the pool
 //!   handle) so repeated solves on a model allocate nothing;
 //! * [`lstsq`](lstsq::solve) ordinary least squares, used by the
@@ -55,7 +54,6 @@
 #![warn(missing_debug_implementations)]
 
 mod bicgstab;
-mod cg;
 mod dense;
 mod error;
 pub mod lstsq;
@@ -70,17 +68,16 @@ pub mod stencil;
 mod workspace;
 
 pub use self::bicgstab::BiCgStab;
-pub use self::cg::ConjugateGradient;
 pub use self::dense::{DenseMatrix, LuFactors};
 pub use self::error::NumError;
 pub use self::multigrid::{MgCycleConfig, MgSmoother, MgStructure, MultigridPreconditioner};
-pub use self::operator::{CsrOp, LinearOperator, OperatorBackend, BACKEND_ENV};
+pub use self::operator::LinearOperator;
 pub use self::pool::{KernelPool, PoolCounters, PAR_MIN_LEN, THREADS_ENV};
 pub use self::precond::{
-    IdentityPreconditioner, Ilu0Preconditioner, JacobiPreconditioner, MulticolorGsPreconditioner,
-    Preconditioner, PreconditionerKind,
+    IdentityPreconditioner, Ilu0Preconditioner, JacobiPreconditioner, Preconditioner,
+    PreconditionerKind,
 };
-pub use self::schedule::{ColorSchedule, KernelSchedules, TriangularLevels};
+pub use self::schedule::{KernelSchedules, TriangularLevels};
 pub use self::sparse::{CsrBuilder, CsrMatrix};
 pub use self::stencil::{GridCoord, StencilOp, StencilPattern};
 pub use self::workspace::SolverWorkspace;

@@ -34,9 +34,7 @@ use std::sync::{Arc, Mutex};
 use crate::dense::LuFactors;
 use crate::operator::LinearOperator;
 use crate::pool::{par_range, SharedMut};
-use crate::precond::{
-    Ilu0Preconditioner, JacobiPreconditioner, MulticolorGsPreconditioner, Preconditioner,
-};
+use crate::precond::{Ilu0Preconditioner, Preconditioner};
 use crate::stencil::{semicoarsen, GridCoord, StencilOp, StencilPattern};
 use crate::workspace::MgScratch;
 use crate::{CsrBuilder, CsrMatrix, KernelPool, KernelSchedules, NumError};
@@ -54,21 +52,14 @@ const MAX_LEVELS: usize = 24;
 ///
 /// The default symmetric V(1,1) smooths both legs with level-scheduled
 /// ILU(0) — the strongest but most expensive choice (~2 ILU applies +
-/// 2 residuals per level per cycle). An asymmetric cycle replaces the
-/// down-leg smoother with a cheaper one: the down leg only needs to
-/// knock out enough high-frequency error for the restricted residual to
-/// be meaningful, while the up leg does the final polish — so a
-/// [`Jacobi`](Self::Jacobi) (or even [`None`](Self::None)) pre-smooth
-/// with an [`Ilu0`](Self::Ilu0) post-smooth cuts the cycle from ~5
-/// toward ~3 ILU-apply-equivalents at a modest iteration-count cost.
+/// 2 residuals per level per cycle). The asymmetric V(0,1) cycle
+/// ([`MgCycleConfig::cheap`]) skips the down leg: the up leg does the
+/// polish, which cuts the cycle from ~5 toward ~3 ILU-apply-equivalents
+/// at a modest iteration-count cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum MgSmoother {
     /// Skip the leg entirely (the residual transfers unsmoothed).
     None,
-    /// Diagonal (Jacobi) scaling — one cheap O(n) pass, no barriers.
-    Jacobi,
-    /// Symmetric Gauss–Seidel in multicolor order.
-    MulticolorGs,
     /// Level-scheduled ILU(0) sweeps (the symmetric-cycle default).
     #[default]
     Ilu0,
@@ -77,11 +68,11 @@ pub enum MgSmoother {
 /// Per-leg smoother configuration of the multigrid V-cycle — the
 /// "cheaper cycle" execution knob on `vfc_thermal`'s `SolverConfig`.
 ///
-/// Like the operator backend and the thread count, this never enters
-/// simulation cache keys: it changes how fast the preconditioner
-/// converges the solve, not what the solve converges to (iterates move
-/// within solver tolerance only). The default is the symmetric V(1,1)
-/// cycle, bit-identical to the pre-knob behavior.
+/// Like the thread count, this never enters simulation cache keys: it
+/// changes how fast the preconditioner converges the solve, not what the
+/// solve converges to (iterates move within solver tolerance only). The
+/// default is the symmetric V(1,1) cycle, bit-identical to the pre-knob
+/// behavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct MgCycleConfig {
     /// Down-leg (pre-)smoother of the finest level, applied before
@@ -94,8 +85,7 @@ pub struct MgCycleConfig {
     /// shape `pre`/`post` select (an unsmoothed leg stays unsmoothed on
     /// every level) but swap the smoother for this kind on the legs
     /// that do smooth. The coarse chain is ~a third of a V(0,1) cycle's
-    /// cost at 100 µm (see `kernel_probe`'s `mg.coarse` row), so cheap
-    /// cycles thin it independently of the fine legs; the
+    /// cost at 100 µm (see `kernel_probe`'s `mg.coarse` row); the
     /// coarsest-level dense LU always runs regardless.
     #[serde(default)]
     pub coarse: MgSmoother,
@@ -119,9 +109,9 @@ impl MgCycleConfig {
     /// counts rise ~25% on the 100 µm transient systems but each cycle
     /// costs ~35% less wall-clock, a measured net win
     /// (`transient_bench`'s `mgfast` rows). Keeping ILU on the coarse
-    /// chain is essential: swapping it for Jacobi (or dropping it)
-    /// guts the coarse-grid correction and blows iteration counts up
-    /// 2–5× — measured, not hypothetical.
+    /// chain is essential: weakening it to Jacobi or dropping it gutted
+    /// the coarse-grid correction and blew iteration counts up 2–5×
+    /// when it was measured.
     pub fn cheap() -> Self {
         Self {
             pre: MgSmoother::None,
@@ -352,8 +342,7 @@ pub struct MultigridPreconditioner {
     /// Index-free stencil decomposition of the fine pattern, when the
     /// schedules carry one: the two fine-level residuals dominate the
     /// V-cycle's matvec cost, and the fused stencil kernel lands the
-    /// same bits as the CSR row kernel (the backend-parity contract)
-    /// faster.
+    /// same bits as the CSR row kernel, faster.
     fine_stencil: Option<Arc<StencilPattern>>,
     scratch: Mutex<MgScratch>,
     cycles: AtomicU64,
@@ -370,12 +359,6 @@ fn build_leg(
 ) -> Result<Option<Arc<dyn Preconditioner>>, NumError> {
     Ok(match kind {
         MgSmoother::None => None,
-        MgSmoother::Jacobi => Some(Arc::new(JacobiPreconditioner::new(a))),
-        MgSmoother::MulticolorGs => Some(Arc::new(MulticolorGsPreconditioner::new_on(
-            a,
-            Arc::clone(pool),
-            schedules,
-        )?)),
         MgSmoother::Ilu0 => Some(Arc::new(Ilu0Preconditioner::new_on(
             a,
             Arc::clone(pool),
@@ -456,7 +439,7 @@ impl MultigridPreconditioner {
                 )
             };
             // Coarse levels keep the fine cycle's leg shape but smooth
-            // with the (usually cheaper) `coarse` kind.
+            // with the `coarse` kind.
             let on_coarse = |kind: MgSmoother| {
                 if kind == MgSmoother::None {
                     MgSmoother::None
@@ -509,7 +492,7 @@ impl MultigridPreconditioner {
     /// Fine-level residual `r = b - A·x` through the fastest available
     /// kernel: the fused index-free stencil when the pattern decomposed
     /// into one, the fused CSR row kernel otherwise. Bit-identical
-    /// either way (the operator backend-parity contract).
+    /// either way.
     fn fine_residual(&self, b: &[f64], x: &[f64], r: &mut [f64]) {
         match &self.fine_stencil {
             Some(p) => {
@@ -677,7 +660,7 @@ impl Preconditioner for MultigridPreconditioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BiCgStab, ConjugateGradient, PreconditionerKind, SolverWorkspace};
+    use crate::{BiCgStab, PreconditionerKind, SolverWorkspace};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -801,7 +784,7 @@ mod tests {
     }
 
     #[test]
-    fn mg_preconditioned_cg_matches_dense_reference() {
+    fn mg_preconditioned_bicgstab_matches_dense_reference() {
         let (layers, rows, cols) = (3, 14, 14);
         let a = grid_matrix(layers, rows, cols, 7, 0.0);
         let n = a.order();
@@ -815,7 +798,7 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
         let mut x = vec![0.0; n];
         let mut ws = SolverWorkspace::with_pool(pool);
-        let info = ConjugateGradient {
+        let info = BiCgStab {
             tolerance: 1e-12,
             max_iterations: 200,
         }
@@ -845,7 +828,6 @@ mod tests {
         BiCgStab {
             tolerance: 1e-11,
             max_iterations: 200,
-            ..BiCgStab::default()
         }
         .solve_with(&a, &b, &mut x, m.as_ref(), &mut ws)
         .unwrap();
@@ -927,7 +909,7 @@ mod tests {
 
     #[test]
     fn cheap_cycle_solves_the_advective_system() {
-        // The Jacobi-pre / ILU-post asymmetric cycle is a weaker
+        // The unsmoothed-pre / ILU-post asymmetric cycle is a weaker
         // preconditioner per application but must still drive BiCGStab
         // to the dense reference, within a modest iteration premium.
         let (layers, rows, cols) = (3, 12, 12);
@@ -939,7 +921,6 @@ mod tests {
         let solver = BiCgStab {
             tolerance: 1e-11,
             max_iterations: 200,
-            ..BiCgStab::default()
         };
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.07).sin()).collect();
         let reference = a.to_dense().lu_solve(&b).unwrap();
@@ -979,9 +960,14 @@ mod tests {
                 ..MgCycleConfig::default()
             },
             MgCycleConfig {
-                pre: MgSmoother::MulticolorGs,
+                pre: MgSmoother::Ilu0,
                 post: MgSmoother::None,
-                coarse: MgSmoother::MulticolorGs,
+                coarse: MgSmoother::Ilu0,
+            },
+            MgCycleConfig {
+                pre: MgSmoother::Ilu0,
+                post: MgSmoother::Ilu0,
+                coarse: MgSmoother::None,
             },
         ] {
             let mut reference: Option<Vec<f64>> = None;

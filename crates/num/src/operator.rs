@@ -1,61 +1,25 @@
-//! The linear-operator abstraction behind the Krylov solvers.
+//! The linear-operator abstraction behind the Krylov solver.
 //!
-//! The solvers only ever need four things from the system matrix: its
+//! The solver only ever needs four things from the system matrix: its
 //! order, `y = A·x`, the fused residual `r = b − A·x`, and (for setup
 //! and diagnostics) its diagonal. [`LinearOperator`] captures exactly
 //! that, which lets the same solver loop run on
 //!
-//! * a plain [`CsrMatrix`] (the reference backend),
-//! * a [`CsrOp`] view — a CSR matrix with an optional **diagonal
-//!   shift** applied on the fly (the backward-Euler operator `C/h + G`
-//!   without materializing a second value array), or
 //! * a [`StencilOp`](crate::StencilOp) view — the index-free structured
-//!   backend of [`stencil`](crate::stencil), which walks the same
+//!   operator of [`stencil`](crate::stencil), which walks the same
 //!   entries in the same order without loading per-entry column
-//!   indices.
+//!   indices; it runs wherever a pattern decomposes into one, or
+//! * a plain [`CsrMatrix`], the fallback for patterns that do not
+//!   decompose and the reference the stencil kernels are tested against.
 //!
-//! Every implementation enumerates each row's entries **in CSR column
-//! order with the CSR kernel's exact accumulation pattern** (two
-//! alternating accumulators, odd tail into the first), so all backends
-//! produce bit-identical results — backend choice, like thread count,
-//! is a pure execution knob that can never change a simulation.
+//! Both enumerate each row's entries **in CSR column order with the CSR
+//! kernel's exact accumulation pattern** (two alternating accumulators,
+//! odd tail into the first), so they produce bit-identical results —
+//! which operator runs, like the thread count, can never change a
+//! simulation.
 
 use crate::pool::{SharedMut, PAR_MIN_LEN, ROW_CHUNK};
 use crate::{CsrMatrix, KernelPool};
-
-/// Selects which matvec backend a solve runs on.
-///
-/// Both backends are bit-identical by construction (gated by parity
-/// proptests at kernel, model and full-report level), so the knob is an
-/// execution detail like `VFC_NUM_THREADS`: it never changes results,
-/// figures or cache keys — only wall-clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum OperatorBackend {
-    /// Compressed sparse row: per-entry column-index loads; the
-    /// reference implementation.
-    Csr,
-    /// Structured-stencil backend: per-run constant column offsets,
-    /// no per-entry index loads. Falls back to CSR automatically on
-    /// patterns too irregular to pay off.
-    Stencil,
-}
-
-/// Environment variable overriding the configured operator backend
-/// (`csr` or `stencil`); an execution knob like `VFC_NUM_THREADS`.
-pub const BACKEND_ENV: &str = "VFC_OPERATOR_BACKEND";
-
-impl OperatorBackend {
-    /// The process-wide backend override from [`BACKEND_ENV`], if set
-    /// to a recognized value (read once, cached).
-    pub fn env_override() -> Option<OperatorBackend> {
-        static OVERRIDE: std::sync::OnceLock<Option<OperatorBackend>> = std::sync::OnceLock::new();
-        *OVERRIDE.get_or_init(|| match std::env::var(BACKEND_ENV) {
-            Ok(v) if v.eq_ignore_ascii_case("csr") => Some(OperatorBackend::Csr),
-            Ok(v) if v.eq_ignore_ascii_case("stencil") => Some(OperatorBackend::Stencil),
-            _ => None,
-        })
-    }
-}
 
 /// A square linear operator the Krylov solvers can iterate on.
 ///
@@ -103,7 +67,7 @@ pub trait LinearOperator: Sync {
         r: &mut [f64],
     );
 
-    /// Writes the operator's diagonal (including any shift) into `d`.
+    /// Writes the operator's diagonal into `d`.
     ///
     /// # Panics
     ///
@@ -160,45 +124,22 @@ impl RowMode<'_> {
 /// the row start, odd tail into `acc0`, result `acc0 + acc1` — exactly
 /// [`CsrMatrix::matvec_into`]'s kernel.
 ///
-/// With `shift`, the value at absolute entry index `di` (the row's
-/// diagonal) is used as `value + shift` — the same bits as reading a
-/// pre-shifted value array, since the sum is formed before the multiply.
-///
 /// # Safety
 ///
 /// `start..end` must be valid for `vals`/`cols`, every column < `x.len()`.
 #[inline(always)]
-unsafe fn csr_row_sum(
-    vals: &[f64],
-    cols: &[u32],
-    x: &[f64],
-    start: usize,
-    end: usize,
-    shift: f64,
-    di: usize,
-) -> f64 {
+unsafe fn csr_row_sum(vals: &[f64], cols: &[u32], x: &[f64], start: usize, end: usize) -> f64 {
     unsafe {
         let (mut acc0, mut acc1) = (0.0f64, 0.0f64);
         let mut k = start;
         while k + 1 < end {
-            let mut v0 = *vals.get_unchecked(k);
-            if k == di {
-                v0 += shift;
-            }
-            let mut v1 = *vals.get_unchecked(k + 1);
-            if k + 1 == di {
-                v1 += shift;
-            }
-            acc0 += v0 * *x.get_unchecked(*cols.get_unchecked(k) as usize);
-            acc1 += v1 * *x.get_unchecked(*cols.get_unchecked(k + 1) as usize);
+            acc0 += *vals.get_unchecked(k) * *x.get_unchecked(*cols.get_unchecked(k) as usize);
+            acc1 +=
+                *vals.get_unchecked(k + 1) * *x.get_unchecked(*cols.get_unchecked(k + 1) as usize);
             k += 2;
         }
         if k < end {
-            let mut v = *vals.get_unchecked(k);
-            if k == di {
-                v += shift;
-            }
-            acc0 += v * *x.get_unchecked(*cols.get_unchecked(k) as usize);
+            acc0 += *vals.get_unchecked(k) * *x.get_unchecked(*cols.get_unchecked(k) as usize);
         }
         acc0 + acc1
     }
@@ -210,14 +151,7 @@ unsafe fn csr_row_sum(
 ///
 /// As [`csr_row_sum`], plus the mode's output pointers must cover `n`
 /// elements with `[r0, r1)` not concurrently written by anyone else.
-unsafe fn csr_rows(
-    m: &CsrMatrix,
-    shift: Option<(&[f64], &[u32])>,
-    x: &[f64],
-    mode: RowMode<'_>,
-    r0: usize,
-    r1: usize,
-) {
+unsafe fn csr_rows(m: &CsrMatrix, x: &[f64], mode: RowMode<'_>, r0: usize, r1: usize) {
     let rp = m.row_ptr();
     let cols = m.col_indices();
     let vals = m.values();
@@ -225,11 +159,7 @@ unsafe fn csr_rows(
         let mut start = *rp.get_unchecked(r0) as usize;
         for i in r0..r1 {
             let end = *rp.get_unchecked(i + 1) as usize;
-            let (s_val, di) = match shift {
-                Some((s, diag_idx)) => (*s.get_unchecked(i), *diag_idx.get_unchecked(i) as usize),
-                None => (0.0, usize::MAX),
-            };
-            let s = csr_row_sum(vals, cols, x, start, end, s_val, di);
+            let s = csr_row_sum(vals, cols, x, start, end);
             mode.finish(i, x, s);
             start = end;
         }
@@ -250,140 +180,18 @@ pub(crate) fn run_rows_on(pool: &KernelPool, n: usize, body: &(dyn Fn(usize, usi
     });
 }
 
-/// A CSR matrix viewed as a [`LinearOperator`], optionally with a
-/// per-row **diagonal shift** applied on the fly.
-///
-/// The shifted view is how the transient stepper represents the
-/// backward-Euler operator `C/h + G` without materializing a second
-/// value array per model: the kernel adds `shift[i]` to the diagonal
-/// entry before the multiply, which produces the same bits as reading a
-/// pre-shifted array (the sum rounds identically wherever it happens).
-#[derive(Debug, Clone, Copy)]
-pub struct CsrOp<'a> {
-    matrix: &'a CsrMatrix,
-    /// `(shift, diag_idx)`: per-row diagonal addend and the absolute
-    /// CSR value index of each row's diagonal entry.
-    shift: Option<(&'a [f64], &'a [u32])>,
+/// Runs a fused CSR row kernel over the whole matrix on `pool`.
+fn csr_run(m: &CsrMatrix, pool: &KernelPool, x: &[f64], mode: RowMode<'_>) {
+    run_rows_on(pool, m.order(), &|r0, r1| {
+        // SAFETY: chunks cover disjoint row ranges; slice lengths are
+        // checked by the trait methods; CSR invariants bound every index.
+        unsafe { csr_rows(m, x, mode, r0, r1) };
+    });
 }
 
-impl<'a> CsrOp<'a> {
-    /// A plain view of `matrix` (no shift).
-    pub fn new(matrix: &'a CsrMatrix) -> Self {
-        Self {
-            matrix,
-            shift: None,
-        }
-    }
-
-    /// A view of `matrix + diag(shift)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shift`/`diag_idx` lengths differ from the order, or a
-    /// diagonal index is out of the value range.
-    pub fn with_shift(matrix: &'a CsrMatrix, shift: &'a [f64], diag_idx: &'a [u32]) -> Self {
-        let n = matrix.order();
-        assert_eq!(shift.len(), n, "csr-op: shift length");
-        assert_eq!(diag_idx.len(), n, "csr-op: diag index length");
-        let nnz = matrix.nnz() as u32;
-        assert!(
-            diag_idx.iter().all(|&d| d < nnz),
-            "csr-op: diagonal index out of range"
-        );
-        Self {
-            matrix,
-            shift: Some((shift, diag_idx)),
-        }
-    }
-
-    fn check(&self, len: usize, what: &str) {
-        assert_eq!(len, self.matrix.order(), "csr-op: {what} length");
-    }
-
-    fn run(&self, pool: &KernelPool, x: &[f64], mode: RowMode<'_>) {
-        let shift = self.shift;
-        run_rows_on(pool, self.matrix.order(), &|r0, r1| {
-            // SAFETY: chunks cover disjoint row ranges; slice lengths
-            // are checked by the public entry points; CSR invariants
-            // bound every index.
-            unsafe { csr_rows(self.matrix, shift, x, mode, r0, r1) };
-        });
-    }
-}
-
-impl LinearOperator for CsrOp<'_> {
-    fn order(&self) -> usize {
-        self.matrix.order()
-    }
-
-    fn matvec_into_on(&self, pool: &KernelPool, x: &[f64], y: &mut [f64]) {
-        self.check(x.len(), "x");
-        self.check(y.len(), "y");
-        self.run(
-            pool,
-            x,
-            RowMode::Mv {
-                y: SharedMut(y.as_mut_ptr()),
-            },
-        );
-    }
-
-    fn residual_into_on(&self, pool: &KernelPool, b: &[f64], x: &[f64], r: &mut [f64]) {
-        self.check(b.len(), "b");
-        self.check(x.len(), "x");
-        self.check(r.len(), "r");
-        self.run(
-            pool,
-            x,
-            RowMode::Res {
-                b,
-                r: SharedMut(r.as_mut_ptr()),
-            },
-        );
-    }
-
-    fn be_prologue_on(
-        &self,
-        pool: &KernelPool,
-        c: &[f64],
-        base: &[f64],
-        x: &[f64],
-        rhs: &mut [f64],
-        r: &mut [f64],
-    ) {
-        for (len, what) in [
-            (c.len(), "c"),
-            (base.len(), "base"),
-            (x.len(), "x"),
-            (rhs.len(), "rhs"),
-            (r.len(), "r"),
-        ] {
-            self.check(len, what);
-        }
-        self.run(
-            pool,
-            x,
-            RowMode::Be {
-                c,
-                base,
-                rhs: SharedMut(rhs.as_mut_ptr()),
-                r: SharedMut(r.as_mut_ptr()),
-            },
-        );
-    }
-
-    fn diagonal_into(&self, d: &mut [f64]) {
-        self.check(d.len(), "d");
-        let diag = self.matrix.diagonal();
-        d.copy_from_slice(&diag);
-        if let Some((shift, _)) = self.shift {
-            for (di, si) in d.iter_mut().zip(shift) {
-                *di += si;
-            }
-        }
-    }
-}
-
+/// The CSR reference operator: the fallback for patterns that do not
+/// decompose into a stencil, and the oracle the stencil kernels are
+/// tested against.
 impl LinearOperator for CsrMatrix {
     fn order(&self) -> usize {
         CsrMatrix::order(self)
@@ -394,7 +202,12 @@ impl LinearOperator for CsrMatrix {
     }
 
     fn residual_into_on(&self, pool: &KernelPool, b: &[f64], x: &[f64], r: &mut [f64]) {
-        CsrOp::new(self).residual_into_on(pool, b, x, r);
+        let n = CsrMatrix::order(self);
+        for (len, what) in [(b.len(), "b"), (x.len(), "x"), (r.len(), "r")] {
+            assert_eq!(len, n, "csr: {what} length");
+        }
+        let r = SharedMut(r.as_mut_ptr());
+        csr_run(self, pool, x, RowMode::Res { b, r });
     }
 
     fn be_prologue_on(
@@ -406,7 +219,23 @@ impl LinearOperator for CsrMatrix {
         rhs: &mut [f64],
         r: &mut [f64],
     ) {
-        CsrOp::new(self).be_prologue_on(pool, c, base, x, rhs, r);
+        let n = CsrMatrix::order(self);
+        for (len, what) in [
+            (c.len(), "c"),
+            (base.len(), "base"),
+            (x.len(), "x"),
+            (rhs.len(), "rhs"),
+            (r.len(), "r"),
+        ] {
+            assert_eq!(len, n, "csr: {what} length");
+        }
+        let mode = RowMode::Be {
+            c,
+            base,
+            rhs: SharedMut(rhs.as_mut_ptr()),
+            r: SharedMut(r.as_mut_ptr()),
+        };
+        csr_run(self, pool, x, mode);
     }
 
     fn diagonal_into(&self, d: &mut [f64]) {
@@ -438,12 +267,6 @@ mod tests {
         b.build()
     }
 
-    fn diag_indices(m: &CsrMatrix) -> Vec<u32> {
-        (0..m.order())
-            .map(|i| m.pattern_index(i, i).expect("diag present") as u32)
-            .collect()
-    }
-
     #[test]
     fn fused_residual_matches_matvec_then_subtract_bitwise() {
         for seed in 0..20u64 {
@@ -464,71 +287,22 @@ mod tests {
     }
 
     #[test]
-    fn shifted_view_matches_materialized_shift_bitwise() {
-        for seed in 0..20u64 {
-            let n = 3 + (seed as usize * 5) % 70;
-            let m = random_matrix(seed, n);
-            let di = diag_indices(&m);
-            let shift: Vec<f64> = (0..n).map(|i| 0.5 + (i as f64 * 0.13).cos()).collect();
-            // Materialized reference: values with the shift folded in.
-            let mut shifted = m.clone();
-            {
-                let vals = shifted.values_mut();
-                for (i, &d) in di.iter().enumerate() {
-                    vals[d as usize] += shift[i];
-                }
-            }
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() - 0.2).collect();
-            let pool = KernelPool::new(1);
-            let mut y_ref = vec![0.0; n];
-            shifted.matvec_into(&x, &mut y_ref);
-            let op = CsrOp::with_shift(&m, &shift, &di);
-            let mut y = vec![f64::NAN; n];
-            op.matvec_into_on(&pool, &x, &mut y);
-            for (a, w) in y.iter().zip(&y_ref) {
-                assert_eq!(a.to_bits(), w.to_bits());
-            }
-            // Diagonal access includes the shift.
-            let mut d = vec![0.0; n];
-            op.diagonal_into(&mut d);
-            let mut d_ref = vec![0.0; n];
-            LinearOperator::diagonal_into(&shifted, &mut d_ref);
-            for (a, w) in d.iter().zip(&d_ref) {
-                assert!((a - w).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn be_prologue_matches_unfused_sequence_bitwise() {
         let n = 60;
         let m = random_matrix(7, n);
-        let di = diag_indices(&m);
-        let shift: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 * 0.01).collect();
+        let c: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 * 0.01).collect();
         let base: Vec<f64> = (0..n).map(|i| (i as f64 * 0.4).sin()).collect();
         let x: Vec<f64> = (0..n).map(|i| 40.0 + (i as f64 * 0.2).cos()).collect();
         let pool = KernelPool::new(1);
 
-        // Unfused reference on the materialized shifted matrix.
-        let mut shifted = m.clone();
-        {
-            let vals = shifted.values_mut();
-            for (i, &d) in di.iter().enumerate() {
-                vals[d as usize] += shift[i];
-            }
-        }
-        let mut rhs_ref = vec![0.0; n];
-        for i in 0..n {
-            rhs_ref[i] = shift[i] * x[i] + base[i];
-        }
+        let rhs_ref: Vec<f64> = (0..n).map(|i| c[i] * x[i] + base[i]).collect();
         let mut y = vec![0.0; n];
-        shifted.matvec_into(&x, &mut y);
+        m.matvec_into(&x, &mut y);
         let r_ref: Vec<f64> = rhs_ref.iter().zip(&y).map(|(a, b)| a - b).collect();
 
-        let op = CsrOp::with_shift(&m, &shift, &di);
         let mut rhs = vec![f64::NAN; n];
         let mut r = vec![f64::NAN; n];
-        op.be_prologue_on(&pool, &shift, &base, &x, &mut rhs, &mut r);
+        m.be_prologue_on(&pool, &c, &base, &x, &mut rhs, &mut r);
         for (a, w) in rhs.iter().zip(&rhs_ref) {
             assert_eq!(a.to_bits(), w.to_bits());
         }
@@ -567,15 +341,5 @@ mod tests {
                 "threads {threads}"
             );
         }
-    }
-
-    #[test]
-    fn backend_env_parse_is_cached_and_total() {
-        // Whatever the environment says, the call must not panic and
-        // must be stable across calls.
-        assert_eq!(
-            OperatorBackend::env_override(),
-            OperatorBackend::env_override()
-        );
     }
 }

@@ -3,7 +3,7 @@
 //! The thermal RC networks are assembled once per grid and re-solved
 //! thousands of times (every 100 ms sample, every characterization point),
 //! so it pays to spend setup time on a preconditioner that is then applied
-//! on every iteration. Four levels are provided:
+//! on every iteration. Three single-level kinds are provided here:
 //!
 //! * [`IdentityPreconditioner`] — no preconditioning (reference/ablation);
 //! * [`JacobiPreconditioner`] — diagonal scaling, free to build, helps the
@@ -13,14 +13,11 @@
 //!   BiCGSTAB iteration counts grow superlinearly. Given the pattern's
 //!   [`TriangularLevels`](crate::TriangularLevels) (via
 //!   [`KernelSchedules`]), the triangular sweeps run level-parallel on a
-//!   [`KernelPool`] with bit-identical results at every thread count;
-//! * [`MulticolorGsPreconditioner`] — a symmetric Gauss–Seidel sweep in
-//!   multicolor order: fewer sweep barriers than level scheduling (one
-//!   per color instead of one per wavefront), at the cost of a weaker
-//!   preconditioner than ILU(0).
+//!   [`KernelPool`] with bit-identical results at every thread count.
 //!
 //! [`PreconditionerKind`] is the serializable selection knob threaded
-//! through `vfc_thermal::SolverConfig`.
+//! through `vfc_thermal::SolverConfig`; it also selects the geometric
+//! [`MultigridPreconditioner`](crate::MultigridPreconditioner).
 
 use std::sync::{Arc, Mutex};
 
@@ -939,248 +936,6 @@ impl Preconditioner for Ilu0Preconditioner {
     }
 }
 
-/// Symmetric Gauss–Seidel in multicolor order.
-///
-/// One forward sweep (colors ascending, starting from `z = 0`) followed
-/// by one backward sweep (colors descending): rows of a color share no
-/// unknowns, so each color updates in parallel between two barriers —
-/// a handful of barriers per apply versus one per wavefront level for
-/// the triangular solves. Weaker than ILU(0) per iteration, but cheaper
-/// to build (no elimination; reuses the matrix values) and friendlier
-/// to wide machines on patterns with long wavefronts.
-///
-/// The sweep order is fixed by the [`ColorSchedule`](crate::ColorSchedule)
-/// alone, so results are bit-identical at every thread count.
-#[derive(Debug)]
-pub struct MulticolorGsPreconditioner {
-    n: usize,
-    /// Row index per color-major position (copy of the schedule's rows).
-    order: Vec<u32>,
-    /// Off-diagonal entries per position: `cols/vals[row_start[q]..row_start[q+1]]`.
-    row_start: Vec<u32>,
-    cols: Vec<u32>,
-    vals: Vec<f64>,
-    /// Reciprocal diagonal per position.
-    inv_diag: Vec<f64>,
-    /// Color boundaries over positions.
-    color_ptr: Vec<u32>,
-    pool: Arc<KernelPool>,
-    /// Barriers: one per color per sweep direction.
-    sync: SweepSync,
-    par_gate: Mutex<()>,
-}
-
-impl Clone for MulticolorGsPreconditioner {
-    fn clone(&self) -> Self {
-        Self {
-            n: self.n,
-            order: self.order.clone(),
-            row_start: self.row_start.clone(),
-            cols: self.cols.clone(),
-            vals: self.vals.clone(),
-            inv_diag: self.inv_diag.clone(),
-            color_ptr: self.color_ptr.clone(),
-            pool: Arc::clone(&self.pool),
-            sync: self.sync.clone(),
-            par_gate: Mutex::new(()),
-        }
-    }
-}
-
-impl MulticolorGsPreconditioner {
-    /// Builds the multicolor sweep for `a`, computing a fresh coloring.
-    ///
-    /// # Errors
-    ///
-    /// [`NumError::SingularMatrix`] if a row lacks a usable diagonal.
-    pub fn new(a: &CsrMatrix) -> Result<Self, NumError> {
-        Self::new_on(
-            a,
-            Arc::clone(KernelPool::global()),
-            Some(Arc::new(KernelSchedules::for_matrix(a))),
-        )
-    }
-
-    /// Builds the multicolor sweep for `a` on `pool`, reusing shared
-    /// `schedules` when given (computed once per pattern).
-    ///
-    /// # Errors
-    ///
-    /// As [`new`](Self::new); additionally
-    /// [`NumError::PatternMismatch`] if `schedules` was computed for a
-    /// different sparsity pattern than `a`'s — a foreign coloring would
-    /// let same-phase rows share unknowns, turning the parallel sweep
-    /// into a data race, so the mismatch is rejected up front.
-    pub fn new_on(
-        a: &CsrMatrix,
-        pool: Arc<KernelPool>,
-        schedules: Option<Arc<KernelSchedules>>,
-    ) -> Result<Self, NumError> {
-        let n = a.order();
-        let colors = match &schedules {
-            Some(s) => {
-                if !s.matches_pattern(a) {
-                    return Err(NumError::PatternMismatch {
-                        context: "multicolor-gs",
-                    });
-                }
-                s.colors.clone()
-            }
-            None => crate::ColorSchedule::for_matrix(a),
-        };
-        let order = colors.rows.clone();
-        let mut row_start = Vec::with_capacity(n + 1);
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
-        let mut inv_diag = Vec::with_capacity(n);
-        row_start.push(0u32);
-        for &i in &order {
-            let i = i as usize;
-            let mut diag = 0.0;
-            for (j, v) in a.row(i) {
-                if j == i {
-                    diag += v;
-                } else {
-                    cols.push(j as u32);
-                    vals.push(v);
-                }
-            }
-            if diag.abs() < 1e-300 {
-                return Err(NumError::SingularMatrix { pivot: i });
-            }
-            inv_diag.push(1.0 / diag);
-            row_start.push(cols.len() as u32);
-        }
-        let sweeps = 2 * (colors.color_ptr.len() - 1);
-        Ok(Self {
-            n,
-            order,
-            row_start,
-            cols,
-            vals,
-            inv_diag,
-            color_ptr: colors.color_ptr,
-            pool,
-            sync: SweepSync::with_phases(sweeps),
-            par_gate: Mutex::new(()),
-        })
-    }
-
-    /// Number of colors in the sweep schedule.
-    pub fn color_count(&self) -> usize {
-        self.color_ptr.len() - 1
-    }
-
-    /// One Gauss–Seidel update at color-major position `q`:
-    /// `z[i] = (r[i] − Σ_{j≠i} A[i,j]·z[j]) / A[i,i]`.
-    ///
-    /// # Safety
-    ///
-    /// `q < n`; `z` points at `n` elements; no concurrent writer may
-    /// touch `z[order[q]]` (guaranteed within a color by the coloring).
-    #[inline]
-    unsafe fn update_position(&self, q: usize, r: &[f64], z: *mut f64) {
-        unsafe {
-            let i = *self.order.get_unchecked(q) as usize;
-            let start = *self.row_start.get_unchecked(q) as usize;
-            let end = *self.row_start.get_unchecked(q + 1) as usize;
-            let mut acc = *r.get_unchecked(i);
-            for k in start..end {
-                acc -= *self.vals.get_unchecked(k) * *z.add(*self.cols.get_unchecked(k) as usize);
-            }
-            *z.add(i) = acc * *self.inv_diag.get_unchecked(q);
-        }
-    }
-
-    fn positions(&self, c: usize) -> std::ops::Range<usize> {
-        self.color_ptr[c] as usize..self.color_ptr[c + 1] as usize
-    }
-
-    fn apply_sequential(&self, r: &[f64], z: &mut [f64]) {
-        let zp = z.as_mut_ptr();
-        let nc = self.color_count();
-        // SAFETY: positions are a permutation of 0..n; sequential sweeps
-        // have no concurrent writers.
-        unsafe {
-            for c in 0..nc {
-                for q in self.positions(c) {
-                    self.update_position(q, r, zp);
-                }
-            }
-            for c in (0..nc).rev() {
-                for q in self.positions(c) {
-                    self.update_position(q, r, zp);
-                }
-            }
-        }
-    }
-
-    fn apply_parallel(&self, r: &[f64], z: &mut [f64]) {
-        let nc = self.color_count();
-        // One barrier per color boundary; the final color's writes are
-        // published by the broadcast's completion join, so the trailing
-        // barrier is gone.
-        let barriers = 2 * nc - 1;
-        self.sync.reset(barriers);
-        let zp = SharedMut(z.as_mut_ptr());
-        self.pool.broadcast(&|me, total| {
-            let participants = total as u32;
-            for c in 0..nc {
-                let range = self.positions(c);
-                let (s, e) = participant_slice(range.len(), me, total);
-                for q in range.start + s..range.start + e {
-                    // SAFETY: same-color rows are mutually independent
-                    // (coloring invariant); earlier colors' writes are
-                    // published by the barrier below.
-                    unsafe { self.update_position(q, r, zp.ptr()) };
-                }
-                self.sync.arrive_and_wait(c, participants);
-            }
-            for c in (0..nc).rev() {
-                let range = self.positions(c);
-                let (s, e) = participant_slice(range.len(), me, total);
-                for q in range.start + s..range.start + e {
-                    // SAFETY: as above, in descending color order.
-                    unsafe { self.update_position(q, r, zp.ptr()) };
-                }
-                if c > 0 {
-                    self.sync.arrive_and_wait(nc + (nc - 1 - c), participants);
-                }
-            }
-        });
-        self.pool.note_barriers(barriers as u64);
-    }
-}
-
-impl Preconditioner for MulticolorGsPreconditioner {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        assert_eq!(r.len(), self.n, "multicolor-gs: r length");
-        assert_eq!(z.len(), self.n, "multicolor-gs: z length");
-        // Forward sweep starts from z = 0 (not-yet-visited colors must
-        // contribute nothing).
-        z.fill(0.0);
-        if self.pool.threads() > 1 && self.n >= PAR_MIN_LEN {
-            if let Ok(_gate) = self.par_gate.try_lock() {
-                self.apply_parallel(r, z);
-                return;
-            }
-        }
-        self.apply_sequential(r, z);
-    }
-
-    fn order(&self) -> usize {
-        self.n
-    }
-
-    fn barriers_per_apply(&self) -> usize {
-        if self.pool.threads() > 1 {
-            2 * self.color_count() - 1
-        } else {
-            0
-        }
-    }
-}
-
 /// Serializable preconditioner selection knob.
 ///
 /// `vfc_thermal::SolverConfig` threads this through the model builders;
@@ -1196,8 +951,6 @@ pub enum PreconditionerKind {
     Jacobi,
     /// Incomplete LU with zero fill-in.
     Ilu0,
-    /// Symmetric Gauss–Seidel in multicolor order.
-    MulticolorGs,
     /// Geometric multigrid V-cycle on the semi-coarsened grid hierarchy,
     /// with ILU(0) smoothing and a dense-LU coarsest solve. Requires
     /// schedules built with grid coordinates
@@ -1259,11 +1012,6 @@ impl PreconditionerKind {
             PreconditionerKind::Ilu0 => {
                 Box::new(Ilu0Preconditioner::new_on(a, pool, schedules.cloned())?)
             }
-            PreconditionerKind::MulticolorGs => Box::new(MulticolorGsPreconditioner::new_on(
-                a,
-                pool,
-                schedules.cloned(),
-            )?),
             PreconditionerKind::Multigrid => {
                 match schedules.and_then(|s| s.multigrid().cloned()) {
                     Some(structure) => Box::new(crate::MultigridPreconditioner::with_cycle_on(
@@ -1378,7 +1126,7 @@ mod tests {
             PreconditionerKind::Identity,
             PreconditionerKind::Jacobi,
             PreconditionerKind::Ilu0,
-            PreconditionerKind::MulticolorGs,
+            PreconditionerKind::Multigrid,
         ] {
             let m = kind.build(&a).unwrap();
             assert_eq!(m.order(), 5);
@@ -1389,7 +1137,7 @@ mod tests {
     }
 
     /// Random diagonally dominant ("SPD-ish") matrix on a random sparse
-    /// pattern — every row keeps a strong diagonal so ILU(0) and GS are
+    /// pattern — every row keeps a strong diagonal so ILU(0) is
     /// well-defined.
     fn random_dd(seed: u64, n: usize) -> CsrMatrix {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1404,28 +1152,6 @@ mod tests {
             }
         }
         b.build()
-    }
-
-    #[test]
-    fn multicolor_gs_approximates_the_inverse() {
-        // On a strongly diagonally dominant system a symmetric GS sweep
-        // must shrink the error: ‖z − A⁻¹r‖ well below ‖A⁻¹r‖.
-        let a = random_dd(7, 60);
-        let dense = a.to_dense();
-        let m = MulticolorGsPreconditioner::new(&a).unwrap();
-        assert!(m.color_count() >= 2);
-        let r: Vec<f64> = (0..60).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
-        let x_true = dense.lu_solve(&r).unwrap();
-        let mut z = vec![0.0; 60];
-        m.apply(&r, &mut z);
-        let err: f64 = z
-            .iter()
-            .zip(&x_true)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
-        let scale: f64 = x_true.iter().map(|v| v * v).sum::<f64>().sqrt();
-        assert!(err < 0.5 * scale, "err {err} vs scale {scale}");
     }
 
     /// Structured 2-D grid (5-point stencil) — regular enough for the
@@ -1605,26 +1331,11 @@ mod tests {
     }
 
     #[test]
-    fn multicolor_gs_rejects_foreign_schedules() {
-        let a = tridiag(6);
-        assert!(matches!(
-            MulticolorGsPreconditioner::new_on(&a, KernelPool::new(1), Some(foreign_schedules())),
-            Err(NumError::PatternMismatch {
-                context: "multicolor-gs"
-            })
-        ));
-    }
-
-    #[test]
     fn build_on_surfaces_the_mismatch_error_for_every_kind() {
         // The config-level path must propagate the same error (the
         // thermal model calls build_on, never the builders directly).
         let a = tridiag(6);
-        for kind in [
-            PreconditionerKind::Ilu0,
-            PreconditionerKind::MulticolorGs,
-            PreconditionerKind::Multigrid,
-        ] {
+        for kind in [PreconditionerKind::Ilu0, PreconditionerKind::Multigrid] {
             assert!(
                 matches!(
                     kind.build_on(&a, KernelPool::new(1), Some(&foreign_schedules())),
@@ -1633,17 +1344,6 @@ mod tests {
                 "{kind:?} must reject foreign schedules with an error"
             );
         }
-    }
-
-    #[test]
-    fn multicolor_gs_rejects_missing_diagonal() {
-        let mut b = CsrBuilder::new(2);
-        b.add(0, 1, 1.0);
-        b.add(1, 0, 1.0);
-        assert!(matches!(
-            MulticolorGsPreconditioner::new(&b.build()),
-            Err(NumError::SingularMatrix { .. })
-        ));
     }
 
     proptest! {
@@ -1677,26 +1377,6 @@ mod tests {
                         "threads {}: {} vs {}", threads, got, want
                     );
                 }
-            }
-        }
-
-        /// The multicolor sweep is equally partition-independent.
-        #[test]
-        fn multicolor_gs_is_bit_identical_across_pools(seed in 0u64..120, n in 2usize..80) {
-            let a = random_dd(seed, n);
-            let schedules = Arc::new(KernelSchedules::for_matrix(&a));
-            let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-            let reference = MulticolorGsPreconditioner::new_on(
-                &a, KernelPool::new(1), Some(Arc::clone(&schedules))).unwrap();
-            let mut z_ref = vec![0.0; n];
-            reference.apply(&r, &mut z_ref);
-            let m = MulticolorGsPreconditioner::new_on(
-                &a, KernelPool::new(3), Some(Arc::clone(&schedules))).unwrap();
-            let mut z = vec![0.0; n];
-            z.fill(0.0);
-            m.apply_parallel(&r, &mut z);
-            for (got, want) in z.iter().zip(&z_ref) {
-                prop_assert_eq!(got.to_bits(), want.to_bits());
             }
         }
 

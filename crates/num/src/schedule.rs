@@ -1,19 +1,16 @@
-//! Pattern-derived execution schedules for the parallel preconditioners.
+//! Pattern-derived execution schedules for the parallel kernels.
 //!
-//! Both schedules depend only on a matrix's **sparsity pattern**, never
+//! Every schedule depends only on a matrix's **sparsity pattern**, never
 //! its values, so same-pattern matrix families (one thermal network per
 //! pump setting, or a backward-Euler operator sharing its model's
 //! structure) compute them once and share them behind an `Arc` — the
 //! thermal `StackSkeleton` stores a [`KernelSchedules`] per grid.
 //!
-//! * [`TriangularLevels`] — wavefront level sets for the ILU(0)
-//!   triangular solves: rows within a level have no dependencies among
-//!   themselves, so a level's rows can run on any thread in any order
-//!   and still produce bit-identical results (each row's accumulation
-//!   sequence is fixed by the CSR entry order).
-//! * [`ColorSchedule`] — greedy multicoloring of the (symmetrized)
-//!   adjacency: rows of one color touch no common unknowns, which makes
-//!   Gauss–Seidel sweeps parallel per color with a fixed color order.
+//! [`TriangularLevels`] are the wavefront level sets for the ILU(0)
+//! triangular solves: rows within a level have no dependencies among
+//! themselves, so a level's rows can run on any thread in any order and
+//! still produce bit-identical results (each row's accumulation sequence
+//! is fixed by the CSR entry order).
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -125,101 +122,9 @@ impl TriangularLevels {
     }
 }
 
-/// Rows grouped by color: rows of one color share no matrix entry with
-/// each other (over the symmetrized pattern), so a Gauss–Seidel update
-/// of a whole color is order-independent — and therefore parallel and
-/// bit-deterministic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColorSchedule {
-    /// `rows[color_ptr[c] .. color_ptr[c+1]]` are the rows of color `c`,
-    /// ascending within each color.
-    pub(crate) color_ptr: Vec<u32>,
-    pub(crate) rows: Vec<u32>,
-}
-
-impl ColorSchedule {
-    /// Greedy first-fit coloring of `a`'s symmetrized adjacency in
-    /// natural row order (`O(nnz)` expected; deterministic).
-    pub fn for_matrix(a: &CsrMatrix) -> Self {
-        let n = a.order();
-        let rp = a.row_ptr();
-        let cols = a.col_indices();
-
-        // Transpose adjacency (column-wise neighbor lists) so directed
-        // patterns — advection couples upstream only — still color both
-        // endpoints apart.
-        let mut t_counts = vec![0u32; n + 1];
-        for &c in cols {
-            t_counts[c as usize + 1] += 1;
-        }
-        for i in 0..n {
-            t_counts[i + 1] += t_counts[i];
-        }
-        let mut t_rows = vec![0u32; cols.len()];
-        let mut cursor = t_counts.clone();
-        for i in 0..n {
-            for k in rp[i] as usize..rp[i + 1] as usize {
-                let c = cols[k] as usize;
-                t_rows[cursor[c] as usize] = i as u32;
-                cursor[c] += 1;
-            }
-        }
-
-        let mut color_of = vec![u32::MAX; n];
-        // Scratch marking which colors neighbors use; grown as needed.
-        let mut used: Vec<u32> = Vec::new();
-        let mut stamp = 0u32;
-        for i in 0..n {
-            stamp += 1;
-            let mark = |used: &mut Vec<u32>, j: usize, color_of: &[u32], stamp: u32| {
-                let cj = color_of[j];
-                if cj != u32::MAX {
-                    if used.len() <= cj as usize {
-                        used.resize(cj as usize + 1, 0);
-                    }
-                    used[cj as usize] = stamp;
-                }
-            };
-            for k in rp[i] as usize..rp[i + 1] as usize {
-                let j = cols[k] as usize;
-                if j != i {
-                    mark(&mut used, j, &color_of, stamp);
-                }
-            }
-            for k in t_counts[i] as usize..t_counts[i + 1] as usize {
-                let j = t_rows[k] as usize;
-                if j != i {
-                    mark(&mut used, j, &color_of, stamp);
-                }
-            }
-            let mut c = 0u32;
-            while (c as usize) < used.len() && used[c as usize] == stamp {
-                c += 1;
-            }
-            color_of[i] = c;
-        }
-
-        let set = LevelSet::from_assignment(&color_of);
-        Self {
-            color_ptr: set.level_ptr,
-            rows: set.rows,
-        }
-    }
-
-    /// Number of colors.
-    pub fn count(&self) -> usize {
-        self.color_ptr.len() - 1
-    }
-
-    /// The rows of one color.
-    #[cfg(test)]
-    pub(crate) fn color(&self, c: usize) -> &[u32] {
-        &self.rows[self.color_ptr[c] as usize..self.color_ptr[c + 1] as usize]
-    }
-}
-
 /// The pattern-derived schedules a matrix family shares: triangular
-/// level sets (ILU(0)) and a multicoloring (Gauss–Seidel).
+/// level sets (ILU(0)), the stencil decomposition and, for grid
+/// patterns, the multigrid hierarchy.
 ///
 /// `vfc_thermal` computes one per `StackSkeleton` and hands it to every
 /// preconditioner build on that pattern via
@@ -227,17 +132,15 @@ impl ColorSchedule {
 /// The schedules remember the pattern they were computed from (shared
 /// `Arc`s, no copy); the preconditioner builders call
 /// [`matches_pattern`](Self::matches_pattern) and refuse a mismatched
-/// matrix — running a parallel sweep against foreign levels/colors
-/// would violate the dependency structure (a data race, not merely a
-/// wrong answer).
+/// matrix — running a parallel sweep against foreign levels would
+/// violate the dependency structure (a data race, not merely a wrong
+/// answer).
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelSchedules {
     /// Level sets for the split triangular factors.
     pub levels: TriangularLevels,
-    /// Multicoloring of the symmetrized adjacency.
-    pub colors: ColorSchedule,
     /// The run/class decomposition of the pattern for the index-free
-    /// stencil backend (`None` on patterns too irregular to pay off).
+    /// stencil operator (`None` on patterns too irregular to pay off).
     stencil: Option<std::sync::Arc<crate::StencilPattern>>,
     /// The geometric multigrid hierarchy of the pattern (`None` unless
     /// built via [`for_grid_matrix`](Self::for_grid_matrix) with grid
@@ -249,13 +152,12 @@ pub struct KernelSchedules {
 }
 
 impl KernelSchedules {
-    /// Computes the schedules (level sets, coloring, stencil
-    /// decomposition) for `a`'s pattern.
+    /// Computes the schedules (level sets, stencil decomposition) for
+    /// `a`'s pattern.
     pub fn for_matrix(a: &CsrMatrix) -> Self {
         let (row_ptr, col_idx) = a.pattern_arcs();
         Self {
             levels: TriangularLevels::for_matrix(a),
-            colors: ColorSchedule::for_matrix(a),
             stencil: crate::StencilPattern::for_matrix(a).map(std::sync::Arc::new),
             multigrid: None,
             row_ptr,
@@ -279,7 +181,9 @@ impl KernelSchedules {
     }
 
     /// The pattern's stencil decomposition, when the structure is
-    /// regular enough for the index-free backend to pay off.
+    /// regular enough for the index-free operator to pay off. Solvers
+    /// run the stencil operator whenever this is `Some` and the CSR
+    /// operator otherwise.
     pub fn stencil(&self) -> Option<&std::sync::Arc<crate::StencilPattern>> {
         self.stencil.as_ref()
     }
@@ -301,7 +205,7 @@ impl KernelSchedules {
     }
 }
 
-/// Spin barriers for the phased sweeps (one atomic per level/color),
+/// Spin barriers for the phased sweeps (one atomic per level phase),
 /// preallocated at preconditioner build time so `apply` stays
 /// allocation-free.
 #[derive(Debug)]
@@ -385,7 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_matrix_is_one_level_and_one_color() {
+    fn diagonal_matrix_is_one_level() {
         let mut b = CsrBuilder::new(5);
         for i in 0..5 {
             b.add(i, i, 1.0);
@@ -395,30 +299,6 @@ mod tests {
         assert_eq!(tl.lower_level_count(), 1);
         assert_eq!(tl.upper_level_count(), 1);
         assert_eq!(tl.lower.level(0), &[0, 1, 2, 3, 4]);
-        let cs = ColorSchedule::for_matrix(&a);
-        assert_eq!(cs.count(), 1);
-    }
-
-    #[test]
-    fn tridiagonal_coloring_is_red_black() {
-        let a = tridiag(7);
-        let cs = ColorSchedule::for_matrix(&a);
-        assert_eq!(cs.count(), 2);
-        assert_eq!(cs.color(0), &[0, 2, 4, 6]);
-        assert_eq!(cs.color(1), &[1, 3, 5]);
-    }
-
-    #[test]
-    fn directed_pattern_still_separates_endpoints() {
-        // Advection-like: only (1,0) stored, never (0,1); 0 and 1 must
-        // still get different colors via the transpose pass.
-        let mut b = CsrBuilder::new(2);
-        b.add(0, 0, 1.0);
-        b.add(1, 1, 1.0);
-        b.add(1, 0, -0.5);
-        let a = b.build();
-        let cs = ColorSchedule::for_matrix(&a);
-        assert_eq!(cs.count(), 2);
     }
 
     /// Random sparse pattern with a full diagonal.
@@ -461,30 +341,6 @@ mod tests {
                 }
             }
             prop_assert!(seen.iter().all(|&s| s));
-        }
-
-        #[test]
-        fn coloring_is_valid(seed in 0u64..200, n in 1usize..40) {
-            let a = random_matrix(seed, n, n * 2);
-            let cs = ColorSchedule::for_matrix(&a);
-            let mut color_of = vec![u32::MAX; n];
-            for c in 0..cs.count() {
-                for &i in cs.color(c) {
-                    prop_assert_eq!(color_of[i as usize], u32::MAX);
-                    color_of[i as usize] = c as u32;
-                }
-            }
-            for i in 0..n {
-                prop_assert!(color_of[i] != u32::MAX);
-                for (j, _) in a.row(i) {
-                    if j != i {
-                        prop_assert!(
-                            color_of[i] != color_of[j],
-                            "adjacent rows {} and {} share color {}", i, j, color_of[i]
-                        );
-                    }
-                }
-            }
         }
     }
 }

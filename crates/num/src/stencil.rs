@@ -1,4 +1,4 @@
-//! Index-free structured-stencil operator backend.
+//! Index-free structured-stencil operator.
 //!
 //! The thermal RC networks live on a regular 3D stacked grid, so almost
 //! every matrix row has the same *shape* as its neighbours: the column
@@ -15,7 +15,7 @@
 //! per-entry index loads, fully unrolled bodies for the common small
 //! entry counts — while enumerating entries in the exact CSR column
 //! order with the CSR kernels' accumulation pattern, so every result is
-//! **bit-identical** to the CSR backend at every thread count (rows are
+//! **bit-identical** to the CSR operator at every thread count (rows are
 //! distributed in the same fixed chunks as the CSR kernels).
 //!
 //! (`Ilu0Preconditioner` applies the same run idea to its triangular
@@ -23,7 +23,8 @@
 //!
 //! Patterns too irregular to pay off (mean run length below
 //! [`MIN_MEAN_RUN`]) are rejected at construction; callers fall back to
-//! CSR — backend choice never changes results, only wall-clock.
+//! the CSR operator, which lands the same bits — which operator runs
+//! never changes results, only wall-clock.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -167,9 +168,6 @@ pub struct StencilPattern {
     nnz: usize,
     runs: Vec<Run>,
     classes: ClassTable,
-    /// Whether every row has a diagonal entry (required by the
-    /// diagonally shifted views).
-    full_diag: bool,
     /// The source pattern (shared index arrays, not a copy) for
     /// [`matches_pattern`](Self::matches_pattern).
     row_ptr: Arc<[u32]>,
@@ -190,7 +188,6 @@ impl StencilPattern {
         let mut runs: Vec<Run> = Vec::new();
 
         let mut sig = Vec::new();
-        let mut full_diag = true;
         for i in 0..n {
             sig.clear();
             for k in rp[i] as usize..rp[i + 1] as usize {
@@ -199,9 +196,6 @@ impl StencilPattern {
                     return None;
                 }
                 sig.push(off as i32);
-            }
-            if !sig.contains(&0) {
-                full_diag = false;
             }
             let c = classes.intern(&mut class_map, &sig);
             extend_runs(&mut runs, i, rp[i], c);
@@ -216,7 +210,6 @@ impl StencilPattern {
             nnz: cols.len(),
             runs,
             classes,
-            full_diag,
             row_ptr,
             col_idx,
         })
@@ -243,12 +236,6 @@ impl StencilPattern {
         self.classes.diag.len()
     }
 
-    /// Whether every row carries a diagonal entry (required for the
-    /// diagonally shifted backward-Euler views).
-    pub fn has_full_diagonal(&self) -> bool {
-        self.full_diag
-    }
-
     /// Whether this pattern was computed for `a`'s sparsity pattern
     /// (pointer-equality fast path, content fallback — the same
     /// contract as [`KernelSchedules`](crate::KernelSchedules)).
@@ -260,21 +247,14 @@ impl StencilPattern {
 
     /// Runs a fused row kernel over the pool (same chunking as the CSR
     /// kernels).
-    fn run_fused(
-        &self,
-        pool: &KernelPool,
-        values: &[f64],
-        shift: Option<&[f64]>,
-        x: &[f64],
-        mode: RowMode<'_>,
-    ) {
+    fn run_fused(&self, pool: &KernelPool, values: &[f64], x: &[f64], mode: RowMode<'_>) {
         assert_eq!(values.len(), self.nnz, "stencil: values length");
         assert_eq!(x.len(), self.n, "stencil: x length");
         run_rows_on(pool, self.n, &|r0, r1| {
             // SAFETY: chunks cover disjoint row ranges; every offset was
             // derived from an in-range CSR column at construction, and
             // value cursors mirror the CSR row pointer.
-            unsafe { self.rows(values, shift, x, mode, r0, r1) };
+            unsafe { self.rows(values, x, mode, r0, r1) };
         });
     }
 
@@ -285,15 +265,7 @@ impl StencilPattern {
     /// `values` must hold `nnz` entries in CSR order for this pattern,
     /// `x` must hold `n` entries, and the mode's outputs must cover `n`
     /// elements with `[r0, r1)` not concurrently written elsewhere.
-    unsafe fn rows(
-        &self,
-        values: &[f64],
-        shift: Option<&[f64]>,
-        x: &[f64],
-        mode: RowMode<'_>,
-        r0: usize,
-        r1: usize,
-    ) {
+    unsafe fn rows(&self, values: &[f64], x: &[f64], mode: RowMode<'_>, r0: usize, r1: usize) {
         let mut ri = self.runs.partition_point(|r| (r.row1 as usize) <= r0);
         while ri < self.runs.len() {
             let run = self.runs[ri];
@@ -303,11 +275,10 @@ impl StencilPattern {
                 break;
             }
             let off = self.classes.offsets(run.class);
-            let dp = self.classes.diag[run.class as usize] as usize;
             let val0 = run.val0 as usize + (a - run.row0 as usize) * off.len();
             // SAFETY: forwarded from the caller; per-run cursors stay
             // inside `values` by construction.
-            unsafe { dispatch_fused(off, dp, values, val0, shift, x, mode, a, b) };
+            unsafe { dispatch_fused(off, values, val0, x, mode, a, b) };
             ri += 1;
         }
     }
@@ -339,38 +310,21 @@ fn extend_runs(runs: &mut Vec<Run>, i: usize, val: u32, c: u32) {
 ///
 /// `vb + off.len()` must be within `vals`; `i + off[p]` within `x`.
 #[inline(always)]
-unsafe fn stencil_row_sum<const SHIFT: bool>(
-    off: &[i32],
-    dp: usize,
-    vals: &[f64],
-    vb: usize,
-    x: *const f64,
-    i: usize,
-    s: f64,
-) -> f64 {
+unsafe fn stencil_row_sum(off: &[i32], vals: &[f64], vb: usize, x: *const f64, i: usize) -> f64 {
     unsafe {
         let k = off.len();
         let (mut acc0, mut acc1) = (0.0f64, 0.0f64);
         let mut p = 0usize;
         while p + 1 < k {
-            let mut v0 = *vals.get_unchecked(vb + p);
-            if SHIFT && p == dp {
-                v0 += s;
-            }
-            let mut v1 = *vals.get_unchecked(vb + p + 1);
-            if SHIFT && p + 1 == dp {
-                v1 += s;
-            }
-            acc0 += v0 * *x.offset(i as isize + *off.get_unchecked(p) as isize);
-            acc1 += v1 * *x.offset(i as isize + *off.get_unchecked(p + 1) as isize);
+            acc0 += *vals.get_unchecked(vb + p)
+                * *x.offset(i as isize + *off.get_unchecked(p) as isize);
+            acc1 += *vals.get_unchecked(vb + p + 1)
+                * *x.offset(i as isize + *off.get_unchecked(p + 1) as isize);
             p += 2;
         }
         if p < k {
-            let mut v = *vals.get_unchecked(vb + p);
-            if SHIFT && p == dp {
-                v += s;
-            }
-            acc0 += v * *x.offset(i as isize + *off.get_unchecked(p) as isize);
+            acc0 += *vals.get_unchecked(vb + p)
+                * *x.offset(i as isize + *off.get_unchecked(p) as isize);
         }
         acc0 + acc1
     }
@@ -384,12 +338,10 @@ unsafe fn stencil_row_sum<const SHIFT: bool>(
 ///
 /// As [`stencil_row_sum`], plus the mode's outputs as in
 /// [`StencilPattern::rows`].
-unsafe fn fused_rows_k<const K: usize, const SHIFT: bool>(
+unsafe fn fused_rows_k<const K: usize>(
     off: &[i32],
-    dp: usize,
     vals: &[f64],
     mut vb: usize,
-    shift: &[f64],
     x: &[f64],
     mode: RowMode<'_>,
     a: usize,
@@ -401,8 +353,7 @@ unsafe fn fused_rows_k<const K: usize, const SHIFT: bool>(
     for i in a..b {
         // SAFETY: forwarded from the caller.
         unsafe {
-            let s = if SHIFT { *shift.get_unchecked(i) } else { 0.0 };
-            let sum = stencil_row_sum::<SHIFT>(&o, dp, vals, vb, xp, i, s);
+            let sum = stencil_row_sum(&o, vals, vb, xp, i);
             mode.finish(i, x, sum);
         }
         vb += K;
@@ -414,12 +365,10 @@ unsafe fn fused_rows_k<const K: usize, const SHIFT: bool>(
 /// # Safety
 ///
 /// As [`fused_rows_k`].
-unsafe fn fused_rows_generic<const SHIFT: bool>(
+unsafe fn fused_rows_generic(
     off: &[i32],
-    dp: usize,
     vals: &[f64],
     mut vb: usize,
-    shift: &[f64],
     x: &[f64],
     mode: RowMode<'_>,
     a: usize,
@@ -430,8 +379,7 @@ unsafe fn fused_rows_generic<const SHIFT: bool>(
     for i in a..b {
         // SAFETY: forwarded from the caller.
         unsafe {
-            let s = if SHIFT { *shift.get_unchecked(i) } else { 0.0 };
-            let sum = stencil_row_sum::<SHIFT>(off, dp, vals, vb, xp, i, s);
+            let sum = stencil_row_sum(off, vals, vb, xp, i);
             mode.finish(i, x, sum);
         }
         vb += k;
@@ -443,37 +391,10 @@ unsafe fn fused_rows_generic<const SHIFT: bool>(
 /// # Safety
 ///
 /// As [`fused_rows_k`].
-#[allow(clippy::too_many_arguments)]
 unsafe fn dispatch_fused(
     off: &[i32],
-    dp: usize,
     vals: &[f64],
     vb: usize,
-    shift: Option<&[f64]>,
-    x: &[f64],
-    mode: RowMode<'_>,
-    a: usize,
-    b: usize,
-) {
-    // SAFETY (both arms): forwarded from the caller.
-    match shift {
-        Some(s) => unsafe { dispatch_inner::<true>(off, dp, vals, vb, s, x, mode, a, b) },
-        None => unsafe { dispatch_inner::<false>(off, dp, vals, vb, &[], x, mode, a, b) },
-    }
-}
-
-/// Entry-count dispatch at a fixed shift mode.
-///
-/// # Safety
-///
-/// As [`fused_rows_k`].
-#[allow(clippy::too_many_arguments)]
-unsafe fn dispatch_inner<const SHIFT: bool>(
-    off: &[i32],
-    dp: usize,
-    vals: &[f64],
-    vb: usize,
-    shift: &[f64],
     x: &[f64],
     mode: RowMode<'_>,
     a: usize,
@@ -482,7 +403,7 @@ unsafe fn dispatch_inner<const SHIFT: bool>(
     macro_rules! k_arm {
         ($K:literal) => {
             // SAFETY: forwarded from the caller.
-            unsafe { fused_rows_k::<$K, SHIFT>(off, dp, vals, vb, shift, x, mode, a, b) }
+            unsafe { fused_rows_k::<$K>(off, vals, vb, x, mode, a, b) }
         };
     }
     debug_assert!(MAX_UNROLL == 16, "dispatch arms must cover MAX_UNROLL");
@@ -504,19 +425,16 @@ unsafe fn dispatch_inner<const SHIFT: bool>(
         15 => k_arm!(15),
         16 => k_arm!(16),
         // SAFETY: forwarded from the caller.
-        _ => unsafe { fused_rows_generic::<SHIFT>(off, dp, vals, vb, shift, x, mode, a, b) },
+        _ => unsafe { fused_rows_generic(off, vals, vb, x, mode, a, b) },
     }
 }
 
 /// A stencil-backed [`LinearOperator`] view: one shared
-/// [`StencilPattern`] plus a borrowed CSR-ordered value array, with an
-/// optional on-the-fly diagonal shift (the backward-Euler `C/h + G`
-/// without a second value array).
+/// [`StencilPattern`] plus a borrowed CSR-ordered value array.
 #[derive(Debug, Clone, Copy)]
 pub struct StencilOp<'a> {
     pattern: &'a StencilPattern,
     values: &'a [f64],
-    shift: Option<&'a [f64]>,
 }
 
 impl<'a> StencilOp<'a> {
@@ -527,31 +445,7 @@ impl<'a> StencilOp<'a> {
     /// Panics if `values` does not hold exactly `pattern.nnz()` entries.
     pub fn new(pattern: &'a StencilPattern, values: &'a [f64]) -> Self {
         assert_eq!(values.len(), pattern.nnz(), "stencil-op: values length");
-        Self {
-            pattern,
-            values,
-            shift: None,
-        }
-    }
-
-    /// A view of `A + diag(shift)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatches or when the pattern lacks a diagonal
-    /// entry in some row (the shift would be silently dropped there).
-    pub fn with_shift(pattern: &'a StencilPattern, values: &'a [f64], shift: &'a [f64]) -> Self {
-        assert_eq!(values.len(), pattern.nnz(), "stencil-op: values length");
-        assert_eq!(shift.len(), pattern.order(), "stencil-op: shift length");
-        assert!(
-            pattern.has_full_diagonal(),
-            "stencil-op: shift requires a diagonal entry in every row"
-        );
-        Self {
-            pattern,
-            values,
-            shift: Some(shift),
-        }
+        Self { pattern, values }
     }
 }
 
@@ -565,7 +459,6 @@ impl LinearOperator for StencilOp<'_> {
         self.pattern.run_fused(
             pool,
             self.values,
-            self.shift,
             x,
             RowMode::Mv {
                 y: SharedMut(y.as_mut_ptr()),
@@ -579,7 +472,6 @@ impl LinearOperator for StencilOp<'_> {
         self.pattern.run_fused(
             pool,
             self.values,
-            self.shift,
             x,
             RowMode::Res {
                 b,
@@ -605,7 +497,6 @@ impl LinearOperator for StencilOp<'_> {
         self.pattern.run_fused(
             pool,
             self.values,
-            self.shift,
             x,
             RowMode::Be {
                 c,
@@ -628,9 +519,6 @@ impl LinearOperator for StencilOp<'_> {
                     let vb = run.val0 as usize + (i - run.row0 as usize) * k;
                     self.values[vb + dp as usize]
                 };
-                if let Some(s) = self.shift {
-                    d[i] += s[i];
-                }
             }
         }
     }
@@ -639,7 +527,7 @@ impl LinearOperator for StencilOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CsrBuilder, CsrOp};
+    use crate::CsrBuilder;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -680,7 +568,6 @@ mod tests {
         let p = StencilPattern::for_matrix(&a).expect("grid patterns are regular");
         assert_eq!(p.order(), 600);
         assert_eq!(p.nnz(), a.nnz());
-        assert!(p.has_full_diagonal());
         // Interior rows of one grid row share a class: runs are long.
         assert!(
             p.order() / p.run_count() >= MIN_MEAN_RUN,
@@ -737,18 +624,13 @@ mod tests {
             .zip(&r_ref)
             .all(|(g, w)| g.to_bits() == w.to_bits()));
 
-        // Shifted prologue vs the CSR shifted view.
-        let di: Vec<u32> = (0..n)
-            .map(|i| a.pattern_index(i, i).unwrap() as u32)
-            .collect();
+        // Backward-Euler prologue and diagonal vs the CSR reference.
         let c: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
         let base: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
-        let csr_op = CsrOp::with_shift(&a, &c, &di);
-        let st_op = StencilOp::with_shift(&p, a.values(), &c);
         let (mut rhs1, mut r1) = (vec![0.0; n], vec![0.0; n]);
         let (mut rhs2, mut r2) = (vec![0.0; n], vec![0.0; n]);
-        csr_op.be_prologue_on(&pool, &c, &base, &x, &mut rhs1, &mut r1);
-        st_op.be_prologue_on(&pool, &c, &base, &x, &mut rhs2, &mut r2);
+        a.be_prologue_on(&pool, &c, &base, &x, &mut rhs1, &mut r1);
+        op.be_prologue_on(&pool, &c, &base, &x, &mut rhs2, &mut r2);
         assert!(rhs1
             .iter()
             .zip(&rhs2)
@@ -757,8 +639,8 @@ mod tests {
 
         let mut d1 = vec![0.0; n];
         let mut d2 = vec![0.0; n];
-        csr_op.diagonal_into(&mut d1);
-        st_op.diagonal_into(&mut d2);
+        LinearOperator::diagonal_into(&a, &mut d1);
+        op.diagonal_into(&mut d2);
         assert!(d1.iter().zip(&d2).all(|(g, w)| g.to_bits() == w.to_bits()));
     }
 
@@ -798,7 +680,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
         /// Parity gate: on random structured grids, every stencil kernel
-        /// is bit-identical to the CSR backend.
+        /// is bit-identical to the CSR operator.
         #[test]
         fn stencil_kernels_match_csr_bitwise(
             seed in 0u64..200,

@@ -6,9 +6,8 @@ use crate::KernelPool;
 
 /// Krylov scratch vectors reused across repeated solves.
 ///
-/// [`BiCgStab::solve_with`](crate::BiCgStab::solve_with) and
-/// [`ConjugateGradient::solve_with`](crate::ConjugateGradient::solve_with)
-/// draw every intermediate vector from here, so a caller that keeps one
+/// [`BiCgStab::solve_with`](crate::BiCgStab::solve_with) draws every
+/// intermediate vector from here, so a caller that keeps one
 /// workspace per model allocates nothing on the solve hot path (the
 /// engine re-solves the same matrices every 100 ms sample). The buffers
 /// grow to the largest order seen and are retained.
@@ -32,8 +31,6 @@ pub struct SolverWorkspace {
     pub(crate) best: Vec<f64>,
     /// Per-block partial sums for the pooled reductions.
     pub(crate) partials: Vec<f64>,
-    /// Deflation vectors recycled across back-to-back solves.
-    pub(crate) recycle: RecycleSpace,
     pub(crate) pool: Arc<KernelPool>,
 }
 
@@ -62,7 +59,6 @@ impl SolverWorkspace {
             t: Vec::new(),
             best: Vec::new(),
             partials: Vec::new(),
-            recycle: RecycleSpace::default(),
             pool,
         }
     }
@@ -113,49 +109,6 @@ impl SolverWorkspace {
     pub fn order(&self) -> usize {
         self.r.len()
     }
-
-    /// Drops every recycled deflation vector.
-    ///
-    /// The recycle space is only useful while consecutive solves share
-    /// (approximately) the same operator — the backward-Euler sub-steps
-    /// of one transient step. Callers must clear it whenever the
-    /// operator changes qualitatively (a flow update rebuilds the
-    /// conductance network; see `ThermalModel::set_flow`). Stale vectors
-    /// are never *incorrect* — projection recomputes `A·u` fresh each
-    /// solve — but they waste matvecs on unhelpful directions.
-    pub fn clear_recycle(&mut self) {
-        self.recycle.u.clear();
-    }
-
-    /// Number of deflation vectors currently held for recycling.
-    pub fn recycle_len(&self) -> usize {
-        self.recycle.u.len()
-    }
-}
-
-/// Deflation space recycled across back-to-back [`BiCgStab`] solves
-/// (GCRO-style, but rebuilt cheaply each solve).
-///
-/// `u` holds up to `BiCgStab::recycle` unit-norm solution directions
-/// harvested from previous solves, oldest first. At the start of a
-/// recycled solve their operator images `A·u` are recomputed fresh (so
-/// a drifting operator — the per-sub-step diagonal shift — never makes
-/// the projection wrong, only less effective), orthonormalized into the
-/// `su`/`sw` scratch pairs, and projected out of the initial residual.
-/// Everything runs on the workspace pool with fixed-block reductions,
-/// so recycling preserves the thread-count determinism contract.
-///
-/// [`BiCgStab`]: crate::BiCgStab
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RecycleSpace {
-    /// Harvested unit-norm solution directions, oldest first.
-    pub u: Vec<Vec<f64>>,
-    /// Snapshot of the initial guess, for harvesting `x − x₀`.
-    pub x0: Vec<f64>,
-    /// Orthonormalized search directions (per-solve scratch).
-    pub su: Vec<Vec<f64>>,
-    /// Their orthonormalized operator images (per-solve scratch).
-    pub sw: Vec<Vec<f64>>,
 }
 
 /// Per-level scratch for the multigrid V-cycle, preallocated at

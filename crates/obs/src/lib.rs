@@ -25,8 +25,8 @@
 //!
 //! Telemetry is an **execution knob**: it never feeds back into any
 //! computation, never enters `SimConfig::cache_key()`, and must not
-//! perturb iteration counts or bit-identity at any thread count or
-//! backend. Nothing in this crate returns recorded values to the code
+//! perturb iteration counts or bit-identity at any thread count.
+//! Nothing in this crate returns recorded values to the code
 //! being measured — the only read path is [`snapshot`].
 
 use std::cell::RefCell;

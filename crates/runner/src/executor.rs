@@ -118,8 +118,13 @@ impl Executor {
                 scope.spawn(move || loop {
                     // Own deque front first; steal from neighbours' backs
                     // once it drains. No new jobs appear mid-run, so a
-                    // worker that sees every deque empty can retire.
-                    let next = deques[me].lock().pop_front().or_else(|| {
+                    // worker that sees every deque empty can retire. The
+                    // own-deque pop is its own statement so its guard is
+                    // released before any neighbour's lock is taken: two
+                    // workers running dry together would otherwise each
+                    // hold their own lock while waiting for the other's.
+                    let own = deques[me].lock().pop_front();
+                    let next = own.or_else(|| {
                         (1..workers)
                             .find_map(|offset| deques[(me + offset) % workers].lock().pop_back())
                     });

@@ -869,7 +869,11 @@ mod tests {
         let keys = |cells: &[vfc_sim::SimConfig]| -> Vec<u64> {
             cells.iter().map(vfc_sim::SimConfig::cache_key).collect()
         };
-        assert_eq!(keys(&wire), keys(&local), "defaults must mirror SweepSpec::new");
+        assert_eq!(
+            keys(&wire),
+            keys(&local),
+            "defaults must mirror SweepSpec::new"
+        );
     }
 
     #[test]

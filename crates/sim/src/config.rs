@@ -456,6 +456,23 @@ mod tests {
     }
 
     #[test]
+    fn cache_keys_match_their_golden_values() {
+        // Keys address results already on disk; any change to the
+        // hashed encoding (a renamed field, a reworded `Debug`) would
+        // silently orphan every cached report, so the values are pinned.
+        let talb = SimConfig::new(
+            SystemKind::TwoLayer,
+            CoolingKind::LiquidVariable,
+            PolicyKind::Talb,
+            Benchmark::by_name("gzip").unwrap(),
+        );
+        assert_eq!(talb.cache_key(), 0x3768_bad0_3b0b_47c0);
+        let mut multigrid = talb.clone();
+        multigrid.thermal.solver.preconditioner = vfc_num::PreconditionerKind::Multigrid;
+        assert_eq!(multigrid.cache_key(), 0x147a_d5d4_a932_8d88);
+    }
+
+    #[test]
     fn cache_key_distinguishes_fixed_flow_settings() {
         let mk = |s: usize| {
             SimConfig::new(

@@ -197,16 +197,6 @@ impl Simulation {
         self.family.set_kernel_pool(pool);
     }
 
-    /// The operator backend the thermal solves of this simulation run
-    /// on — `Stencil` when configured (`SimConfig::thermal.solver.backend`,
-    /// overridable via [`vfc_num::BACKEND_ENV`]) *and* the grid pattern
-    /// decomposed, `Csr` otherwise. Like the kernel pool, a pure
-    /// execution knob: reports are bit-identical either way, which is
-    /// why the backend does not enter [`SimConfig::cache_key`].
-    pub fn operator_backend(&self) -> vfc_num::OperatorBackend {
-        self.family.model(self.active).operator_backend()
-    }
-
     /// The TALB weight table in effect (uniform for other policies).
     pub fn weight_table(&self) -> &ThermalWeightTable {
         &self.weight_table
@@ -858,7 +848,7 @@ mod tests {
 
     #[test]
     fn kernel_pool_choice_never_changes_a_report() {
-        // End-to-end determinism gate for the parallel backend: a full
+        // End-to-end determinism gate for the parallel kernels: a full
         // variable-flow TALB run (characterization, balanced-power
         // solve, 40 transient samples, controller feedback) must produce
         // an identical report at every thread count.

@@ -198,7 +198,7 @@ impl<'a> StackThermalBuilder<'a> {
             .collect();
 
         // Pattern-derived schedules (level sets for the parallel ILU(0)
-        // sweeps, the Gauss–Seidel coloring, the semi-coarsened multigrid
+        // sweeps, the stencil decomposition, the semi-coarsened multigrid
         // hierarchy): one computation per grid, shared by every pump
         // setting and backward-Euler operator.
         let schedules = Arc::new(vfc_num::KernelSchedules::for_grid_matrix(

@@ -1,7 +1,7 @@
 //! Configuration of the thermal network builder.
 
 use vfc_liquid::{ChannelGeometry, ConvectionModel, Coolant};
-use vfc_num::{MgCycleConfig, OperatorBackend, PreconditionerKind};
+use vfc_num::{MgCycleConfig, PreconditionerKind};
 use vfc_units::{Celsius, HeatCapacity, Length, ThermalResistance};
 
 /// Linear-solver settings for the assembled networks.
@@ -10,10 +10,10 @@ use vfc_units::{Celsius, HeatCapacity, Length, ThermalResistance};
 /// cost at 0.5 mm cells drops several-fold from `Identity` to `Ilu0`
 /// (see `cargo bench -p vfc_bench --bench thermal_solver`); factorization
 /// state is cached per model and invalidated only on flow changes, so its
-/// setup cost amortizes across every 100 ms sample. The operator
-/// `backend` picks the matvec implementation (index-free stencil by
-/// default, CSR as the reference) — backends are bit-identical, so this
-/// knob only moves wall-clock.
+/// setup cost amortizes across every 100 ms sample. The operator is not
+/// a setting: solves run the index-free stencil operator whenever the
+/// grid's pattern decomposes into one and the CSR matrix otherwise, and
+/// the two are bit-identical.
 #[derive(Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SolverConfig {
     /// Relative residual tolerance `‖b−Ax‖/‖b‖`.
@@ -26,14 +26,6 @@ pub struct SolverConfig {
     /// skeleton carries and keeps iteration counts nearly
     /// resolution-independent — the pick for 100 µm grids and below.
     pub preconditioner: PreconditionerKind,
-    /// Operator backend the Krylov matvecs run on (default:
-    /// [`OperatorBackend::Stencil`], falling back to CSR on patterns too
-    /// irregular to decompose). Overridable per process via
-    /// [`vfc_num::BACKEND_ENV`]. Excluded from `Debug` (and therefore
-    /// from simulation cache keys) on purpose: backends are bit-identical
-    /// by construction, so like `VFC_NUM_THREADS` this is an execution
-    /// knob that must never invalidate cached results.
-    pub backend: OperatorBackend,
     /// V-cycle shape when `preconditioner` is
     /// [`PreconditionerKind::Multigrid`]; ignored otherwise. The default
     /// symmetric V(1,1) ILU cycle is the robust choice;
@@ -44,24 +36,14 @@ pub struct SolverConfig {
     /// `Debug` / cache keys: results agree to solver tolerance, and the
     /// cached quantities (temperatures at 1e-10 relative residual) are
     /// treated as cycle-shape-invariant the same way they are
-    /// backend-invariant.
+    /// thread-count-invariant.
     #[serde(default)]
     pub mg_cycle: MgCycleConfig,
-    /// Deflation vectors recycled across the backward-Euler sub-steps of
-    /// one transient step (0 disables). Recycling projects the previous
-    /// sub-steps' dominant solution directions out of the next initial
-    /// residual, typically saving ~1 Krylov iteration per sub-step at
-    /// the cost of `recycle` matvecs. Reset on flow changes
-    /// (`ThermalModel::set_flow`). Excluded from `Debug` / cache keys
-    /// for the same reason as `mg_cycle`.
-    #[serde(default)]
-    pub recycle: usize,
 }
 
-/// Matches the pre-backend derive output so `SimConfig::cache_key`,
-/// which hashes configs through their `Debug` representation, is
-/// unaffected by the (result-invariant) backend, cycle-shape and
-/// recycling choices.
+/// Matches the original derive output so `SimConfig::cache_key`, which
+/// hashes configs through their `Debug` representation, is unaffected by
+/// the (result-invariant) cycle-shape choice.
 impl std::fmt::Debug for SolverConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SolverConfig")
@@ -78,9 +60,7 @@ impl Default for SolverConfig {
             tolerance: 1e-10,
             max_iterations: 10_000,
             preconditioner: PreconditionerKind::Ilu0,
-            backend: OperatorBackend::Stencil,
             mg_cycle: MgCycleConfig::default(),
-            recycle: 0,
         }
     }
 }
@@ -88,15 +68,11 @@ impl Default for SolverConfig {
 impl SolverConfig {
     /// The BiCGSTAB instance carrying these tolerances — the single
     /// place config fields map onto the solver, so every consumer (model
-    /// solves, the TALB reduced system) stays in sync. Recycling is
-    /// carried along; callers that must not recycle (the steady-state
-    /// solve, whose operator differs from the transient ones) override
-    /// `recycle` to 0 on their copy.
+    /// solves, the TALB reduced system) stays in sync.
     pub fn bicgstab(&self) -> vfc_num::BiCgStab {
         vfc_num::BiCgStab {
             tolerance: self.tolerance,
             max_iterations: self.max_iterations,
-            recycle: self.recycle,
         }
     }
 }
@@ -217,22 +193,21 @@ mod tests {
         assert_eq!(s.tolerance, 1e-10);
         assert_eq!(s.max_iterations, 10_000);
         assert_eq!(s.preconditioner, PreconditionerKind::Ilu0);
-        assert_eq!(s.backend, OperatorBackend::Stencil);
+        assert_eq!(s.mg_cycle, MgCycleConfig::default());
     }
 
     #[test]
-    fn solver_debug_excludes_the_backend() {
-        // Cache keys hash configs through Debug; the backend is
-        // bit-identical by construction and must not shift keys.
-        let mut a = SolverConfig::default();
-        let mut b = SolverConfig::default();
-        a.backend = OperatorBackend::Stencil;
-        b.backend = OperatorBackend::Csr;
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert_eq!(
-            format!("{a:?}"),
-            "SolverConfig { tolerance: 1e-10, max_iterations: 10000, \
-             preconditioner: Ilu0 }"
-        );
+    fn solver_debug_excludes_the_cycle_shape() {
+        // Cache keys hash configs through Debug; the V-cycle shape moves
+        // results only within solver tolerance and must not shift keys.
+        let default = SolverConfig::default();
+        let cheap = SolverConfig {
+            mg_cycle: MgCycleConfig::cheap(),
+            ..default
+        };
+        let expected = "SolverConfig { tolerance: 1e-10, max_iterations: 10000, \
+                        preconditioner: Ilu0 }";
+        assert_eq!(format!("{default:?}"), expected);
+        assert_eq!(format!("{cheap:?}"), expected);
     }
 }

@@ -93,8 +93,8 @@ pub struct StackSkeleton {
     /// always includes the diagonal; backward-Euler and ILU need it).
     pub(crate) diag_idx: Vec<u32>,
     /// Pattern-derived kernel schedules (triangular level sets for the
-    /// parallel ILU(0) sweeps, multicoloring for Gauss–Seidel), computed
-    /// once per grid and shared by every pump setting's preconditioner —
+    /// parallel ILU(0) sweeps, the stencil decomposition, the multigrid
+    /// hierarchy), computed once per grid and shared by every pump setting's preconditioner —
     /// including the backward-Euler operators, which share this pattern.
     pub(crate) schedules: Arc<KernelSchedules>,
     /// Per-node heat capacities (flow-independent: cavity geometry fixes
@@ -161,8 +161,8 @@ impl StackSkeleton {
         self.cavity_faces.len()
     }
 
-    /// The pattern-derived kernel schedules (level sets, coloring,
-    /// stencil decomposition) every model of this family — and every
+    /// The pattern-derived kernel schedules (level sets, stencil
+    /// decomposition, multigrid hierarchy) every model of this family — and every
     /// backward-Euler operator derived from one — builds its
     /// preconditioner and operator views with.
     pub fn schedules(&self) -> &Arc<KernelSchedules> {
@@ -170,7 +170,7 @@ impl StackSkeleton {
     }
 
     /// The grid pattern's stencil decomposition, when regular enough
-    /// for the index-free backend (computed once per grid alongside the
+    /// for the index-free operator (computed once per grid alongside the
     /// CSR pattern; shared by every pump setting and backward-Euler
     /// operator).
     pub fn stencil(&self) -> Option<&Arc<vfc_num::StencilPattern>> {
@@ -468,7 +468,7 @@ mod tests {
             "5 members + family"
         );
 
-        // The kernel schedules (level sets + coloring) live on the
+        // The kernel schedules (level sets, stencil, hierarchy) live on the
         // skeleton: one computation per grid, shared by every member's
         // preconditioner via the same Arc.
         assert!(family.skeleton().schedules().levels.lower_level_count() > 1);

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use vfc_num::{
-    norm2_on, BiCgStab, CsrMatrix, KernelPool, LinearOperator, NumError, OperatorBackend,
-    Preconditioner, PreconditionerKind, SolverWorkspace, StencilOp, StencilPattern,
+    norm2_on, BiCgStab, CsrMatrix, KernelPool, LinearOperator, NumError, Preconditioner,
+    PreconditionerKind, SolverWorkspace, StencilOp, StencilPattern,
 };
 use vfc_units::{Celsius, Seconds, VolumetricFlow, Watts};
 
@@ -162,11 +162,10 @@ impl NodeLayout {
 /// Cached backward-Euler operator for one sub-step length.
 ///
 /// The shifted values are materialized (the branch-free inner loops pay
-/// for themselves on every Krylov iteration; the on-the-fly
-/// [`vfc_num::CsrOp::with_shift`]/[`StencilOp::with_shift`] views cost a
-/// per-entry diagonal test that measures ~25% on the 100 µm transient),
-/// but the matrix shares the skeleton's index structure — the stencil
-/// backend reads `matrix.values()` through the one shared
+/// for themselves on every Krylov iteration; an on-the-fly diagonal shift
+/// costs a per-entry diagonal test that measured ~25% on the 100 µm
+/// transient), but the matrix shares the skeleton's index structure —
+/// the stencil operator reads `matrix.values()` through the one shared
 /// [`StencilPattern`].
 #[derive(Debug)]
 struct BeCache {
@@ -233,10 +232,6 @@ pub struct ThermalModel {
     /// converged sub-steps (default on; see
     /// [`set_transient_warm_seed`](Self::set_transient_warm_seed)).
     transient_warm_seed: bool,
-    /// Recycle deflation vectors across transient sub-steps when the
-    /// config's `recycle` knob is positive (default on; see
-    /// [`set_transient_recycle`](Self::set_transient_recycle)).
-    transient_recycle: bool,
     /// Krylov iterations spent by the most recent [`step`](Self::step).
     last_step_iterations: usize,
     /// Recovery-ladder override: once a solve fails and escalates, the
@@ -249,6 +244,11 @@ pub struct ThermalModel {
     last_retries: u64,
     /// Preconditioner escalations spent by the most recent solve call.
     last_escalations: u64,
+    /// Test seam: run every solve on the CSR operator even where the
+    /// pattern decomposes, so tests can hold the stencil operator to
+    /// bit-identity with its reference.
+    #[cfg(test)]
+    csr_only: bool,
 }
 
 impl Clone for ThermalModel {
@@ -273,12 +273,13 @@ impl Clone for ThermalModel {
             steady_precond: None,
             be_cache: None,
             transient_warm_seed: self.transient_warm_seed,
-            transient_recycle: self.transient_recycle,
             last_step_iterations: 0,
             escalated_precond: self.escalated_precond,
             snapshot_buf: Vec::new(),
             last_retries: 0,
             last_escalations: 0,
+            #[cfg(test)]
+            csr_only: self.csr_only,
         }
     }
 }
@@ -328,12 +329,13 @@ impl ThermalModel {
             steady_precond: None,
             be_cache: None,
             transient_warm_seed: true,
-            transient_recycle: true,
             last_step_iterations: 0,
             escalated_precond: None,
             snapshot_buf: Vec::new(),
             last_retries: 0,
             last_escalations: 0,
+            #[cfg(test)]
+            csr_only: false,
         }
     }
 
@@ -371,20 +373,6 @@ impl ThermalModel {
         self.transient_warm_seed = on;
     }
 
-    /// Ablation/diagnostic knob: recycle deflation vectors across
-    /// transient sub-steps when the config's
-    /// [`recycle`](crate::SolverConfig::recycle) knob is positive
-    /// (default **on**). Turning it off runs every sub-step as an
-    /// independent Krylov solve and drops any held vectors; converged
-    /// temperatures agree within the solver tolerance either way, only
-    /// iteration counts change.
-    pub fn set_transient_recycle(&mut self, on: bool) {
-        self.transient_recycle = on;
-        if !on {
-            self.workspace.clear_recycle();
-        }
-    }
-
     /// Krylov iterations spent by the most recent [`step`](Self::step)
     /// call, summed over its sub-steps (0 when every sub-step
     /// short-circuited).
@@ -392,28 +380,15 @@ impl ThermalModel {
         self.last_step_iterations
     }
 
-    /// The stencil pattern this model's solves run on, when the
-    /// configured (or [`vfc_num::BACKEND_ENV`]-overridden) backend is
-    /// `Stencil` and the grid's pattern decomposed into one.
+    /// The stencil pattern this model's solves run on, when the grid's
+    /// pattern decomposed into one; `None` sends them to the CSR
+    /// operator, which lands the same bits.
     fn stencil_pattern(&self) -> Option<&Arc<StencilPattern>> {
-        let configured =
-            OperatorBackend::env_override().unwrap_or(self.skeleton.config.solver.backend);
-        match configured {
-            OperatorBackend::Stencil => self.skeleton.schedules.stencil(),
-            OperatorBackend::Csr => None,
+        #[cfg(test)]
+        if self.csr_only {
+            return None;
         }
-    }
-
-    /// The operator backend this model's solves effectively run on:
-    /// `Stencil` when configured *and* the pattern decomposed, `Csr`
-    /// otherwise. Purely an execution property — both backends are
-    /// bit-identical.
-    pub fn operator_backend(&self) -> OperatorBackend {
-        if self.stencil_pattern().is_some() {
-            OperatorBackend::Stencil
-        } else {
-            OperatorBackend::Csr
-        }
+        self.skeleton.schedules.stencil()
     }
 
     /// The current coolant flow (`None` for air-cooled models).
@@ -480,12 +455,6 @@ impl ThermalModel {
         };
         self.steady_precond = None;
         self.be_cache = None;
-        // The recycled deflation directions were harvested against the
-        // old flow's operator; projection against the new one would
-        // waste its matvecs (it is never incorrect — see
-        // `SolverWorkspace::clear_recycle` — but a flow change is the
-        // qualitative operator change that makes them useless).
-        self.workspace.clear_recycle();
         Ok(())
     }
 
@@ -639,7 +608,6 @@ impl ThermalModel {
             self.note_retry(true);
             self.escalated_precond = Some(rung);
             self.steady_precond = None;
-            self.workspace.clear_recycle();
             self.ensure_steady_precond()?;
             outcome = self.steady_solve(&mut x);
         }
@@ -669,24 +637,18 @@ impl ThermalModel {
             .steady_precond
             .as_deref()
             .expect("ensure_steady_precond ran");
-        // The steady operator G is not the transient C/h + G the recycle
-        // space was harvested against; recycling here would spend matvecs
-        // on directions from the wrong system (and pollute the ring), so
-        // the steady solve always runs with recycling off.
-        let solver = BiCgStab {
-            recycle: 0,
-            ..self.solver
-        };
-        // Backend dispatch: the stencil view walks the same entries in
+        // Operator dispatch: the stencil view walks the same entries in
         // the same order as CSR, so the iterates are bit-identical —
         // only the per-entry index loads are gone.
         match self.stencil_pattern().cloned() {
             Some(pat) => {
                 let op = StencilOp::new(&pat, self.g.values());
-                solver.solve_with(&op, &self.rhs_buf, x, precond, &mut self.workspace)?;
+                self.solver
+                    .solve_with(&op, &self.rhs_buf, x, precond, &mut self.workspace)?;
             }
             None => {
-                solver.solve_with(&self.g, &self.rhs_buf, x, precond, &mut self.workspace)?;
+                self.solver
+                    .solve_with(&self.g, &self.rhs_buf, x, precond, &mut self.workspace)?;
             }
         }
         Ok(())
@@ -781,7 +743,6 @@ impl ThermalModel {
                     } else {
                         return Err(err);
                     }
-                    self.workspace.clear_recycle();
                     temps.copy_from_slice(&self.snapshot_buf);
                 }
                 Err(err) => return Err(err),
@@ -790,24 +751,16 @@ impl ThermalModel {
     }
 
     /// One full-interval transient attempt: dispatches `run_substeps`
-    /// over the cached backward-Euler operator on the effective backend.
+    /// over the cached backward-Euler operator, on the stencil operator
+    /// when the pattern decomposed and on CSR otherwise.
     fn run_substeps_dispatch(
         &mut self,
         temps: &mut [f64],
         substeps: usize,
     ) -> Result<usize, ThermalError> {
-        // Backend dispatch for the backward-Euler solve; both backends
-        // walk the same entries in the same order, so the iterates are
-        // bit-identical.
+        // Both operators walk the same entries in the same order, so the
+        // iterates are bit-identical.
         let pat = self.stencil_pattern().cloned();
-        let solver = BiCgStab {
-            recycle: if self.transient_recycle {
-                self.solver.recycle
-            } else {
-                0
-            },
-            ..self.solver
-        };
         let be = self
             .be_cache
             .as_ref()
@@ -817,7 +770,7 @@ impl ThermalModel {
                 let op = StencilOp::new(pat, be.matrix.values());
                 run_substeps(
                     &op,
-                    &solver,
+                    &self.solver,
                     be.precond.as_ref(),
                     &self.pool,
                     self.transient_warm_seed,
@@ -834,7 +787,7 @@ impl ThermalModel {
             }
             None => run_substeps(
                 &be.matrix,
-                &solver,
+                &self.solver,
                 be.precond.as_ref(),
                 &self.pool,
                 self.transient_warm_seed,
@@ -938,9 +891,6 @@ impl ThermalModel {
             Some(&self.skeleton.schedules),
             self.skeleton.config.solver.mg_cycle,
         )?;
-        // A different sub-step length shifts the operator diagonal; the
-        // recycled directions from the old one are no longer useful.
-        self.workspace.clear_recycle();
         self.be_cache = Some(BeCache {
             key,
             matrix,
@@ -968,9 +918,8 @@ fn precond_rank(kind: PreconditionerKind) -> u8 {
     match kind {
         PreconditionerKind::Identity => 0,
         PreconditionerKind::Jacobi => 1,
-        PreconditionerKind::MulticolorGs => 2,
-        PreconditionerKind::Ilu0 => 3,
-        PreconditionerKind::Multigrid => 4,
+        PreconditionerKind::Ilu0 => 2,
+        PreconditionerKind::Multigrid => 3,
     }
 }
 
@@ -989,8 +938,8 @@ fn escalation_rungs(current: PreconditionerKind) -> impl Iterator<Item = Precond
 }
 
 /// The per-sub-step backward-Euler loop, generic over the operator
-/// backend (both backends are bit-identical, so this monomorphizes the
-/// hot loop per backend without duplicating its logic).
+/// (stencil and CSR are bit-identical, so this monomorphizes the hot
+/// loop per operator without duplicating its logic).
 ///
 /// Per sub-step: the fused prologue builds `rhs = (C/h)∘T + (P + b₀)`
 /// and the warm-start residual `r = rhs − A·T` in **one pass over the
@@ -1194,142 +1143,26 @@ mod tests {
         );
     }
 
-    /// `liquid_model` with the Krylov recycling knob switched on.
-    fn recycled_model(cell_mm: f64, flow_ml: f64, recycle: usize) -> ThermalModel {
-        let stack = ultrasparc::two_layer_liquid();
-        let grid = GridSpec::from_cell_size(
-            stack.tiers()[0].floorplan(),
-            Length::from_millimeters(cell_mm),
-        );
-        let mut cfg = ThermalConfig::default();
-        cfg.solver.recycle = recycle;
-        StackThermalBuilder::new(&stack, grid, cfg)
-            .build(Some(VolumetricFlow::from_ml_per_minute(flow_ml)))
-            .unwrap()
-    }
-
-    #[test]
-    fn recycling_changes_iterations_but_not_temperatures() {
-        // Satellite gate, mirroring the warm-seed ablation: deflating
-        // previous sub-steps' directions changes how the solver gets
-        // there, never where it lands.
-        let mut recycled = recycled_model(1.0, 400.0, 2);
-        let mut plain = recycled_model(1.0, 400.0, 2);
-        plain.set_transient_recycle(false);
-        let p_cold = core_power(&recycled, 1.0);
-        let p_hot = core_power(&recycled, 3.5);
-        let start = recycled.steady_state(&p_cold, None).unwrap();
-
-        let mut t_rec = start.clone();
-        let mut t_plain = start.clone();
-        let (mut total_rec, mut total_plain) = (0, 0);
-        for _ in 0..4 {
-            recycled
-                .step(&mut t_rec, &p_hot, Seconds::from_millis(100.0), 5)
-                .unwrap();
-            plain
-                .step(&mut t_plain, &p_hot, Seconds::from_millis(100.0), 5)
-                .unwrap();
-            total_rec += recycled.last_step_iterations();
-            total_plain += plain.last_step_iterations();
-            for (a, b) in t_rec.iter().zip(&t_plain) {
-                assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-            }
-        }
-        // Iteration economics are config-dependent (deflation is partly
-        // redundant with the warm seed at coarse grids) and gated where
-        // they matter, in BENCH_transient.json; here the contract is
-        // that recycling stays in the same cost regime and never changes
-        // where the solver lands.
-        assert!(
-            total_rec <= total_plain + total_plain / 5,
-            "recycling left the iteration regime: {total_rec} vs {total_plain}"
-        );
-        assert!(
-            recycled.workspace.recycle_len() > 0,
-            "transient solves must harvest deflation vectors"
-        );
-        assert_eq!(
-            plain.workspace.recycle_len(),
-            0,
-            "the ablation path must leave the ring empty"
-        );
-    }
-
-    #[test]
-    fn flow_changes_drop_the_recycle_space() {
-        // Regression gate for the invalidation contract: set_flow is the
-        // operator change that makes held deflation vectors useless, and
-        // must clear them; post-change results agree with a fresh model
-        // that never recycled across the change.
-        let mut model = recycled_model(1.0, 400.0, 2);
-        let p_cold = core_power(&model, 1.0);
-        // Step against a hotter power map than the starting steady state
-        // so the sub-steps actually solve (and therefore harvest).
-        let p = core_power(&model, 3.0);
-        let start = model.steady_state(&p_cold, None).unwrap();
-        let mut temps = start.clone();
-        model
-            .step(&mut temps, &p, Seconds::from_millis(100.0), 5)
-            .unwrap();
-        assert!(model.workspace.recycle_len() > 0, "steps must harvest");
-
-        model
-            .set_flow(VolumetricFlow::from_ml_per_minute(700.0))
-            .unwrap();
-        assert_eq!(
-            model.workspace.recycle_len(),
-            0,
-            "set_flow must drop recycled vectors"
-        );
-
-        let mut temps_fresh = temps.clone();
-        model
-            .step(&mut temps, &p, Seconds::from_millis(100.0), 5)
-            .unwrap();
-        let mut fresh = recycled_model(1.0, 700.0, 2);
-        fresh
-            .step(&mut temps_fresh, &p, Seconds::from_millis(100.0), 5)
-            .unwrap();
-        // The fresh model never saw the 400 ml/min operator, so any
-        // divergence beyond tolerance would mean stale directions leaked
-        // through the flow change.
-        for (a, b) in temps.iter().zip(&temps_fresh) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        }
-    }
-
-    /// Builds the same model twice, once per operator backend.
-    fn backend_pair(cell_mm: f64, flow_ml: f64) -> (ThermalModel, ThermalModel) {
-        let stack = ultrasparc::two_layer_liquid();
-        let grid = GridSpec::from_cell_size(
-            stack.tiers()[0].floorplan(),
-            Length::from_millimeters(cell_mm),
-        );
-        let build = |backend| {
-            let mut cfg = ThermalConfig::default();
-            cfg.solver.backend = backend;
-            StackThermalBuilder::new(&stack, grid, cfg)
-                .build(Some(VolumetricFlow::from_ml_per_minute(flow_ml)))
-                .unwrap()
-        };
-        (
-            build(vfc_num::OperatorBackend::Stencil),
-            build(vfc_num::OperatorBackend::Csr),
-        )
+    /// Builds the same model twice: one solving on the stencil operator
+    /// (the grid decomposes), one held to the CSR reference.
+    fn operator_pair(cell_mm: f64, flow_ml: f64) -> (ThermalModel, ThermalModel) {
+        let stencil = liquid_model(cell_mm, flow_ml);
+        let mut csr = liquid_model(cell_mm, flow_ml);
+        csr.csr_only = true;
+        (stencil, csr)
     }
 
     #[test]
     fn stencil_and_csr_backends_are_bit_identical() {
         // Tentpole parity gate at model level: steady state, transient
         // stepping and iteration counts must agree bit for bit between
-        // the index-free stencil backend and the CSR reference, at 1
+        // the index-free stencil operator and the CSR reference, at 1
         // and 4 threads.
-        let (mut stencil, mut csr) = backend_pair(1.0, 500.0);
-        if OperatorBackend::env_override().is_none() {
-            assert_eq!(stencil.operator_backend(), OperatorBackend::Stencil);
-            assert_eq!(csr.operator_backend(), OperatorBackend::Csr);
-        }
+        let (mut stencil, mut csr) = operator_pair(1.0, 500.0);
+        // The 1 mm stacked grid is regular: the stencil decomposition
+        // must engage, or this test compares CSR with itself.
+        assert!(stencil.stencil_pattern().is_some());
+        assert!(csr.stencil_pattern().is_none());
         let p_cold = core_power(&stencil, 1.5);
         let p_hot = core_power(&stencil, 3.5);
         for threads in [1usize, 4] {
@@ -1340,7 +1173,7 @@ mod tests {
             let s2 = csr.steady_state(&p_cold, None).unwrap();
             assert!(
                 s1.iter().zip(&s2).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "steady state diverged between backends at {threads} threads"
+                "steady state diverged between operators at {threads} threads"
             );
             let mut t1 = s1;
             let mut t2 = s2;
@@ -1357,7 +1190,7 @@ mod tests {
                 );
                 assert!(
                     t1.iter().zip(&t2).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "transient diverged between backends at {threads} threads"
+                    "transient diverged between operators at {threads} threads"
                 );
             }
         }
@@ -1367,7 +1200,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         /// Satellite parity property: full `ThermalModel::step` is
-        /// bit-identical between backends across random grids, flows
+        /// bit-identical between operators across random grids, flows
         /// and thread counts (the `VFC_NUM_THREADS` axis of the parity
         /// suite).
         #[test]
@@ -1379,7 +1212,7 @@ mod tests {
         ) {
             let cell = [1.0, 1.5, 2.0][cell_idx];
             let threads = [1usize, 4][threads_idx];
-            let (mut stencil, mut csr) = backend_pair(cell, flow_ml);
+            let (mut stencil, mut csr) = operator_pair(cell, flow_ml);
             stencil.set_kernel_pool(KernelPool::new(threads));
             csr.set_kernel_pool(KernelPool::new(threads));
             let p0 = core_power(&stencil, 1.5);

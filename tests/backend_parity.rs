@@ -1,70 +1,35 @@
-//! Operator-backend parity at the outermost observable surface: a full
-//! simulation must produce an **identical** `SimReport` on the
-//! index-free stencil backend and the CSR reference — across every
-//! preconditioner (ILU(0), multicolor-GS, geometric multigrid) and
-//! thread count — and the backend must not perturb cache keys, since
-//! bit-identical results make it a pure execution knob.
+//! Parity at the outermost observable surface: a full simulation must
+//! produce an **identical** `SimReport` at every kernel-pool thread
+//! count — across every preconditioner (ILU(0), geometric multigrid) and
+//! with faults injected — and fault timelines must enter cache keys only
+//! when they carry faults.
+//!
+//! The operator is not a setting: solves run the stencil operator
+//! wherever the grid's pattern decomposes and the CSR matrix otherwise.
+//! The two are held to bit-identity at model level, in `vfc_thermal`, so
+//! the axis the tests below vary is the thread count.
 
 use proptest::prelude::*;
-use vfc::num::{KernelPool, OperatorBackend, PreconditionerKind};
+use vfc::num::{KernelPool, PreconditionerKind};
 use vfc::prelude::*;
 use vfc::workload::Benchmark;
 
-fn config(backend: OperatorBackend, policy: PolicyKind, cooling: CoolingKind) -> SimConfig {
+fn config(policy: PolicyKind, cooling: CoolingKind) -> SimConfig {
     let mut cfg = SimConfig::new(
         SystemKind::TwoLayer,
         cooling,
         policy,
         Benchmark::by_name("Web-med").expect("table II"),
     );
-    cfg.duration = Seconds::new(3.0);
-    cfg.grid_cell = Length::from_millimeters(1.0);
-    cfg.thermal.solver.backend = backend;
+    cfg.duration = Seconds::new(2.0);
+    cfg.grid_cell = Length::from_millimeters(2.0);
     cfg
 }
 
-#[test]
-fn full_reports_are_identical_across_backends() {
-    // VFC_OPERATOR_BACKEND would force both runs onto one backend and
-    // make this test vacuous; it is an escape hatch for operators, not
-    // for CI.
-    assert!(
-        OperatorBackend::env_override().is_none(),
-        "unset VFC_OPERATOR_BACKEND when running the parity suite"
-    );
-    for (policy, cooling) in [
-        (PolicyKind::Talb, CoolingKind::LiquidVariable),
-        (
-            PolicyKind::LoadBalancing,
-            CoolingKind::LiquidFixed(FlowSetting::from_index(2)),
-        ),
-    ] {
-        let stencil = Simulation::new(config(OperatorBackend::Stencil, policy, cooling))
-            .expect("build")
-            .run()
-            .expect("run");
-        let csr = Simulation::new(config(OperatorBackend::Csr, policy, cooling))
-            .expect("build")
-            .run()
-            .expect("run");
-        assert_eq!(
-            stencil, csr,
-            "{policy:?}/{cooling:?}: backends must agree on every report field"
-        );
-    }
-}
-
-/// One cell of the parity matrix: a full run with an explicit
-/// preconditioner, backend and kernel-pool thread count.
-fn run_matrix_cell(
-    kind: PreconditionerKind,
-    backend: OperatorBackend,
-    threads: usize,
-    cooling: CoolingKind,
-) -> SimReport {
-    let mut cfg = config(backend, PolicyKind::Talb, cooling);
-    cfg.duration = Seconds::new(2.0);
-    cfg.grid_cell = Length::from_millimeters(2.0);
+/// One cell of the determinism matrix: a full TALB run with an explicit
+/// preconditioner and kernel-pool thread count.
+fn run_matrix_cell(kind: PreconditionerKind, threads: usize, cooling: CoolingKind) -> SimReport {
+    let mut cfg = config(PolicyKind::Talb, cooling);
     cfg.thermal.solver.preconditioner = kind;
     let mut sim = Simulation::new(cfg).expect("build");
     sim.set_kernel_pool(&KernelPool::new(threads));
@@ -73,26 +38,16 @@ fn run_matrix_cell(
 
 #[test]
 fn multigrid_reports_match_across_backends_and_thread_counts() {
-    // The new preconditioner joins the same contract the backends
-    // already honour: every (backend, threads) cell of the matrix is
-    // bit-identical, so Multigrid is an execution-quality knob, not a
-    // result knob.
-    assert!(OperatorBackend::env_override().is_none());
+    // Every thread count is bit-identical, so Multigrid is an
+    // execution-quality knob, not a result knob.
     let cooling = CoolingKind::LiquidVariable;
-    let reference = run_matrix_cell(
-        PreconditionerKind::Multigrid,
-        OperatorBackend::Stencil,
-        1,
-        cooling,
-    );
-    for backend in [OperatorBackend::Stencil, OperatorBackend::Csr] {
-        for threads in [1usize, 2, 4] {
-            let got = run_matrix_cell(PreconditionerKind::Multigrid, backend, threads, cooling);
-            assert_eq!(
-                got, reference,
-                "multigrid/{backend:?}/{threads} threads diverged from stencil/1"
-            );
-        }
+    let reference = run_matrix_cell(PreconditionerKind::Multigrid, 1, cooling);
+    for threads in [2usize, 4] {
+        let got = run_matrix_cell(PreconditionerKind::Multigrid, threads, cooling);
+        assert_eq!(
+            got, reference,
+            "multigrid at {threads} threads diverged from 1 thread"
+        );
     }
 }
 
@@ -118,14 +73,10 @@ fn fault_timeline() -> vfc::sim::FaultTimeline {
 #[test]
 fn faulted_reports_match_across_backends_and_thread_counts() {
     // Injected faults join the determinism contract: the seeded
-    // timeline is configuration, so every (backend, threads) cell of
-    // the matrix replays the identical degraded run bit for bit.
-    assert!(OperatorBackend::env_override().is_none());
-    let cooling = CoolingKind::LiquidVariable;
-    let cell = |backend, threads, faulted: bool| {
-        let mut cfg = config(backend, PolicyKind::Talb, cooling);
-        cfg.duration = Seconds::new(2.0);
-        cfg.grid_cell = Length::from_millimeters(2.0);
+    // timeline is configuration, so every thread count replays the
+    // identical degraded run bit for bit.
+    let cell = |threads, faulted: bool| {
+        let mut cfg = config(PolicyKind::Talb, CoolingKind::LiquidVariable);
         if faulted {
             cfg.faults = fault_timeline();
         }
@@ -133,27 +84,21 @@ fn faulted_reports_match_across_backends_and_thread_counts() {
         sim.set_kernel_pool(&KernelPool::new(threads));
         sim.run().expect("run")
     };
-    let reference = cell(OperatorBackend::Stencil, 1, true);
-    let healthy = cell(OperatorBackend::Stencil, 1, false);
+    let reference = cell(1, true);
+    let healthy = cell(1, false);
     assert_ne!(reference, healthy, "the fault trace must perturb the run");
-    for backend in [OperatorBackend::Stencil, OperatorBackend::Csr] {
-        for threads in [1usize, 2, 4] {
-            let got = cell(backend, threads, true);
-            assert_eq!(
-                got, reference,
-                "faulted {backend:?}/{threads} threads diverged from stencil/1"
-            );
-        }
+    for threads in [2usize, 4] {
+        let got = cell(threads, true);
+        assert_eq!(
+            got, reference,
+            "faulted run at {threads} threads diverged from 1 thread"
+        );
     }
 }
 
 #[test]
 fn fault_timelines_enter_cache_keys_but_empty_ones_are_free() {
-    let healthy = config(
-        OperatorBackend::Stencil,
-        PolicyKind::Talb,
-        CoolingKind::LiquidVariable,
-    );
+    let healthy = config(PolicyKind::Talb, CoolingKind::LiquidVariable);
     let mut faulted = healthy.clone();
     faulted.faults = fault_timeline();
     let mut empty = healthy.clone();
@@ -176,66 +121,22 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// The full preconditioner × backend × thread-count matrix, sampled:
-    /// whichever preconditioner and flow regime come up, Stencil and CSR
-    /// must agree bit-for-bit at 1, 2 and 4 threads.
+    /// The full preconditioner × thread-count matrix, sampled: whichever
+    /// preconditioner and flow regime come up, 1, 2 and 4 threads must
+    /// agree bit for bit.
     #[test]
     fn preconditioner_backend_thread_matrix(
         kind in prop_oneof![
             Just(PreconditionerKind::Ilu0),
-            Just(PreconditionerKind::MulticolorGs),
             Just(PreconditionerKind::Multigrid),
         ],
         flow_idx in 0usize..5,
     ) {
         let cooling = CoolingKind::LiquidFixed(FlowSetting::from_index(flow_idx));
-        let reference = run_matrix_cell(kind, OperatorBackend::Stencil, 1, cooling);
-        for backend in [OperatorBackend::Stencil, OperatorBackend::Csr] {
-            for threads in [1usize, 2, 4] {
-                let got = run_matrix_cell(kind, backend, threads, cooling);
-                prop_assert_eq!(
-                    &got,
-                    &reference,
-                    "{:?}/{:?}/{} threads diverged",
-                    kind,
-                    backend,
-                    threads
-                );
-            }
+        let reference = run_matrix_cell(kind, 1, cooling);
+        for threads in [2usize, 4] {
+            let got = run_matrix_cell(kind, threads, cooling);
+            prop_assert_eq!(&got, &reference, "{:?}/{} threads diverged", kind, threads);
         }
-    }
-}
-
-#[test]
-fn backend_choice_does_not_shift_cache_keys() {
-    let a = config(
-        OperatorBackend::Stencil,
-        PolicyKind::Talb,
-        CoolingKind::LiquidVariable,
-    );
-    let b = config(
-        OperatorBackend::Csr,
-        PolicyKind::Talb,
-        CoolingKind::LiquidVariable,
-    );
-    assert_eq!(
-        a.cache_key(),
-        b.cache_key(),
-        "a bit-identical execution knob must not invalidate cached results"
-    );
-}
-
-#[test]
-fn engine_reports_the_effective_backend() {
-    let sim = Simulation::new(config(
-        OperatorBackend::Stencil,
-        PolicyKind::LoadBalancing,
-        CoolingKind::LiquidFixed(FlowSetting::from_index(2)),
-    ))
-    .expect("build");
-    if OperatorBackend::env_override().is_none() {
-        // The 1 mm stacked grid is regular: the stencil decomposition
-        // must engage.
-        assert_eq!(sim.operator_backend(), OperatorBackend::Stencil);
     }
 }

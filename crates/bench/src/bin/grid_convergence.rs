@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use vfc::floorplan::{ultrasparc, BlockKind, GridSpec};
-use vfc::num::{KernelPool, PreconditionerKind};
+use vfc::num::PreconditionerKind;
 use vfc::prelude::*;
 use vfc::thermal::{StackThermalBuilder, ThermalConfig};
 use vfc::units::{Length, VolumetricFlow, Watts};
@@ -46,7 +46,6 @@ fn main() {
     let stack = ultrasparc::two_layer_liquid();
     let pump = Pump::laing_ddc();
     let flow: VolumetricFlow = pump.per_cavity_flow(pump.setting(2).unwrap(), 3);
-    let threads = KernelPool::global().threads();
     let mut records: Vec<PerfRecord> = Vec::new();
 
     let mut cells = vec![2.0, 1.0, 0.5, 0.25];
@@ -55,7 +54,7 @@ fn main() {
         cells.push(0.05); // embedded-channel studies
     }
     println!(
-        "Grid convergence, 2-layer liquid stack, setting 3 ({:.0} ml/min/cavity), {threads} solver thread(s):",
+        "Grid convergence, 2-layer liquid stack, setting 3 ({:.0} ml/min/cavity):",
         flow.to_ml_per_minute()
     );
     println!(
@@ -109,7 +108,6 @@ fn main() {
                 grid_mm: cell,
                 nodes,
                 precond: precond_label(kind).into(),
-                threads,
                 ms,
                 // The steady scenario does not track Krylov iterations
                 // (solver_smoke gates those); 0 = "not recorded".

@@ -15,8 +15,8 @@
 
 use vfc::floorplan::{ultrasparc, GridSpec};
 use vfc::num::{
-    dot2_on, dot_on, norm2_on, Ilu0Preconditioner, KernelPool, LinearOperator, MgCycleConfig,
-    Preconditioner, PreconditionerKind, StencilOp,
+    dot, dot2, norm2, Ilu0Preconditioner, LinearOperator, MgCycleConfig, Preconditioner,
+    PreconditionerKind, StencilOp,
 };
 use vfc::thermal::{StackThermalBuilder, ThermalConfig};
 use vfc::units::{Length, VolumetricFlow, Watts};
@@ -64,7 +64,6 @@ fn main() {
         .stencil()
         .expect("stencil decomposes")
         .clone();
-    let pool = KernelPool::new(1);
     let reps = if n > 20_000 { 50 } else { 500 };
 
     println!(
@@ -83,18 +82,15 @@ fn main() {
     let mut y = vec![0.0; n];
     probe("kernel.csr_matvec", reps, || a.matvec_into(&x, &mut y));
     let op = StencilOp::new(&pat, a.values());
-    probe("kernel.stencil_matvec", reps, || {
-        op.matvec_into_on(&pool, &x, &mut y)
-    });
+    probe("kernel.stencil_matvec", reps, || op.matvec_into(&x, &mut y));
     let mut r = vec![0.0; n];
     probe("kernel.stencil_residual", reps, || {
-        op.residual_into_on(&pool, &p, &x, &mut r)
+        op.residual_into(&p, &x, &mut r)
     });
 
-    let seq = Ilu0Preconditioner::new_on(&a, KernelPool::new(1), None).expect("ilu");
-    let sch = Ilu0Preconditioner::new_on(
+    let seq = Ilu0Preconditioner::new(&a, None).expect("ilu");
+    let sch = Ilu0Preconditioner::new(
         &a,
-        KernelPool::new(1),
         Some(std::sync::Arc::clone(model.skeleton().schedules())),
     )
     .expect("ilu");
@@ -102,21 +98,20 @@ fn main() {
     probe("kernel.ilu0_apply_indexed", reps, || seq.apply(&r, &mut z));
     probe("kernel.ilu0_apply_stencil", reps, || sch.apply(&r, &mut z));
 
-    let mut partials = Vec::new();
     probe("kernel.norm2", reps, || {
-        std::hint::black_box(norm2_on(&pool, &r, &mut partials));
+        std::hint::black_box(norm2(&r));
     });
     // The two reduction pairs BiCGStab co-locates: ‖r‖² with r₀·r as
     // two separate blocked passes vs one fused dot2 pass (bit-identical
     // per product — the fusion only saves the second sweep's memory
-    // traffic and barrier).
+    // traffic).
     probe("kernel.dot_pair_separate", reps, || {
-        let rr = dot_on(&pool, &r, &r, &mut partials);
-        let rho = dot_on(&pool, &x, &r, &mut partials);
+        let rr = dot(&r, &r);
+        let rho = dot(&x, &r);
         std::hint::black_box((rr, rho));
     });
     probe("kernel.dot_pair_fused", reps, || {
-        std::hint::black_box(dot2_on(&pool, &r, &r, &x, &r, &mut partials));
+        std::hint::black_box(dot2(&r, &r, &x, &r));
     });
     let mut w = vec![0.0; n];
     probe("kernel.axpy", reps, || {
@@ -172,12 +167,7 @@ fn main() {
     let mut columns = Vec::new();
     for cycle in [MgCycleConfig::default(), MgCycleConfig::cheap()] {
         let mg = PreconditionerKind::Multigrid
-            .build_with_cycle_on(
-                &a,
-                KernelPool::new(1),
-                Some(model.skeleton().schedules()),
-                cycle,
-            )
+            .build_with_cycle(&a, Some(model.skeleton().schedules()), cycle)
             .expect("multigrid hierarchy");
         vfc::obs::reset();
         mg.apply(&r, &mut z); // warm-up

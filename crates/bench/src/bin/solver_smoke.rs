@@ -16,141 +16,15 @@
 //!
 //! Exits nonzero (assert) on any violation; prints the measured numbers
 //! so CI logs double as a coarse performance record.
-//!
-//! The binary also gates the `VFC_NUM_THREADS` determinism contract end
-//! to end: it re-executes itself with the variable set to 1 and to 4
-//! (`--determinism-child` mode) and asserts the children report
-//! bit-identical iterates — iteration counts and a bit-exact hash of
-//! the solution vectors.
 
 use std::time::Instant;
 
 use vfc::floorplan::{ultrasparc, GridSpec};
 use vfc::num::{BiCgStab, PreconditionerKind, SolverWorkspace};
 use vfc::thermal::{StackThermalBuilder, ThermalConfig};
-use vfc::units::{Length, Seconds, VolumetricFlow, Watts};
-
-/// FNV-1a over the exact bit patterns of a vector — any single-bit
-/// difference between runs changes the digest.
-fn bit_hash(v: &[f64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for x in v {
-        for b in x.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// Child mode: solve the smoke system on the global pool (sized by the
-/// parent's `VFC_NUM_THREADS`) and print a one-line iterate fingerprint.
-/// Runs on the 0.25 mm grid (9200 nodes) — above `PAR_MIN_LEN`, so the
-/// pooled matvecs, reductions and level-scheduled sweeps really execute
-/// multi-threaded in the 4-thread child.
-fn determinism_child() {
-    let stack = ultrasparc::two_layer_liquid();
-    let grid =
-        GridSpec::from_cell_size(stack.tiers()[0].floorplan(), Length::from_millimeters(0.25));
-    let mut model = StackThermalBuilder::new(&stack, grid, ThermalConfig::default())
-        .build(Some(VolumetricFlow::from_ml_per_minute(600.0)))
-        .expect("build");
-    assert!(
-        model.node_count() >= vfc::num::PAR_MIN_LEN,
-        "determinism child must exercise the parallel paths"
-    );
-    let p = model.uniform_block_power(&stack, |b| {
-        if b.is_core() {
-            Watts::new(3.0)
-        } else {
-            Watts::new(0.5)
-        }
-    });
-    let steady = model.steady_state(&p, None).expect("steady");
-    let mut temps = steady.clone();
-    let p_hot = model.uniform_block_power(&stack, |b| {
-        if b.is_core() {
-            Watts::new(3.8)
-        } else {
-            Watts::new(0.6)
-        }
-    });
-    let mut step_iters = Vec::new();
-    for _ in 0..3 {
-        model
-            .step(&mut temps, &p_hot, Seconds::from_millis(100.0), 5)
-            .expect("step");
-        step_iters.push(model.last_step_iterations());
-    }
-
-    // The same scenario multigrid-preconditioned: the hierarchy's
-    // partitioned transfers and Galerkin sweeps join the fingerprint.
-    let mut mg_cfg = ThermalConfig::default();
-    mg_cfg.solver.preconditioner = PreconditionerKind::Multigrid;
-    let mut mg_model = StackThermalBuilder::new(&stack, grid, mg_cfg)
-        .build(Some(VolumetricFlow::from_ml_per_minute(600.0)))
-        .expect("build");
-    let mg_steady = mg_model.steady_state(&p, None).expect("steady");
-    let mut mg_temps = mg_steady.clone();
-    let mut mg_step_iters = Vec::new();
-    for _ in 0..3 {
-        mg_model
-            .step(&mut mg_temps, &p_hot, Seconds::from_millis(100.0), 5)
-            .expect("step");
-        mg_step_iters.push(mg_model.last_step_iterations());
-    }
-
-    println!(
-        "threads={} steady_hash={:016x} step_iters={:?} transient_hash={:016x} \
-         mg_steady_hash={:016x} mg_step_iters={:?} mg_transient_hash={:016x}",
-        vfc::num::KernelPool::global().threads(),
-        bit_hash(&steady),
-        step_iters,
-        bit_hash(&temps),
-        bit_hash(&mg_steady),
-        mg_step_iters,
-        bit_hash(&mg_temps),
-    );
-}
-
-/// Parent side: run the child under `VFC_NUM_THREADS` 1 and 4, strip the
-/// thread count off each fingerprint, and require the rest to match.
-fn gate_thread_determinism() {
-    let exe = std::env::current_exe().expect("own path");
-    let fingerprints: Vec<String> = ["1", "4"]
-        .iter()
-        .map(|threads| {
-            let out = std::process::Command::new(&exe)
-                .arg("--determinism-child")
-                .env(vfc::num::THREADS_ENV, threads)
-                .output()
-                .expect("spawning determinism child");
-            assert!(
-                out.status.success(),
-                "determinism child (VFC_NUM_THREADS={threads}) failed:\n{}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            let text = String::from_utf8(out.stdout).expect("child output is utf-8");
-            let line = text.trim();
-            println!("  child {line}");
-            assert!(
-                line.starts_with(&format!("threads={threads} ")),
-                "child did not honour VFC_NUM_THREADS={threads}: {line}"
-            );
-            line.split_once(' ').expect("fingerprint payload").1.into()
-        })
-        .collect();
-    assert_eq!(
-        fingerprints[0], fingerprints[1],
-        "VFC_NUM_THREADS changed the iterates"
-    );
-}
+use vfc::units::{Length, VolumetricFlow, Watts};
 
 fn main() {
-    if std::env::args().any(|a| a == "--determinism-child") {
-        determinism_child();
-        return;
-    }
     let stack = ultrasparc::two_layer_liquid();
     let grid =
         GridSpec::from_cell_size(stack.tiers()[0].floorplan(), Length::from_millimeters(0.5));
@@ -181,7 +55,6 @@ fn main() {
         "{:>12} {:>7} {:>8} {:>12} {:>10}",
         "precond", "iters", "vcycles", "residual", "solve ms"
     );
-    let pool = std::sync::Arc::clone(model.kernel_pool());
     let schedules = model.skeleton().schedules();
     let mut iters = Vec::new();
     let mut vcycles = Vec::new();
@@ -192,9 +65,7 @@ fn main() {
         PreconditionerKind::Ilu0,
         PreconditionerKind::Multigrid,
     ] {
-        let precond = kind
-            .build_on(a, std::sync::Arc::clone(&pool), Some(schedules))
-            .expect("factorization");
+        let precond = kind.build(a, Some(schedules)).expect("factorization");
         let mut x = model.initial_state();
         let t0 = Instant::now();
         let info = solver
@@ -275,10 +146,5 @@ fn main() {
         "flow patch must reproduce a from-scratch build exactly"
     );
 
-    // Thread-count determinism, through the environment variable the
-    // deployment knobs actually use.
-    println!("VFC_NUM_THREADS determinism (1 vs 4):");
-    gate_thread_determinism();
-    println!("ok: iteration ordering, budgets, agreement, patch identity");
-    println!("    and thread-count determinism hold");
+    println!("ok: iteration ordering, budgets, agreement, patch identity hold");
 }

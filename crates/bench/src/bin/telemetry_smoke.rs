@@ -9,14 +9,13 @@
 //! * the transient stepping scenario lands bit-identical temperatures
 //!   and iteration counts at every level;
 //! * at `spans`, one sweep + one transient run populates the standard
-//!   counter and span families (solver iterations, V-cycles, pool
-//!   broadcasts/barriers, engine phases, cache hits/misses/evictions
-//!   all present; the hot ones non-zero);
+//!   counter and span families (solver iterations, V-cycles, engine
+//!   phases, cache hits/misses/evictions all present; the hot ones
+//!   non-zero);
 //! * the snapshot round-trips through the `vfc_runner::telemetry` JSON
 //!   codec byte-identically and the Prometheus exposition carries every
 //!   family.
 
-use vfc::num::{KernelPool, PAR_MIN_LEN};
 use vfc::obs::{self, TelemetryLevel};
 use vfc::prelude::*;
 use vfc::thermal::{StackThermalBuilder, ThermalConfig, ThermalModel};
@@ -49,21 +48,15 @@ fn build_transient_model() -> ThermalModel {
         stack.tiers()[0].floorplan(),
         Length::from_millimeters(0.25),
     );
-    let mut model = StackThermalBuilder::new(&stack, grid, ThermalConfig::default())
+    StackThermalBuilder::new(&stack, grid, ThermalConfig::default())
         .build(Some(VolumetricFlow::from_ml_per_minute(600.0)))
-        .expect("build");
-    model.set_kernel_pool(KernelPool::new(2));
-    model
+        .expect("build")
 }
 
 /// The power-step transient fingerprint: per-sample Krylov iteration
 /// counts plus the final temperature field.
 fn transient_fingerprint() -> (Vec<usize>, Vec<f64>) {
     let mut model = build_transient_model();
-    assert!(
-        model.node_count() >= PAR_MIN_LEN,
-        "scenario must engage the parallel kernels"
-    );
     let stack = vfc::floorplan::ultrasparc::two_layer_liquid();
     let p_low = model.uniform_block_power(&stack, |b| {
         if b.is_core() {

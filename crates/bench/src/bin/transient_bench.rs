@@ -1,22 +1,15 @@
 //! Transient-path benchmark: the cost of one 100 ms sample (5
-//! backward-Euler sub-steps) versus grid resolution and kernel-pool
-//! thread count — the workload behind the paper's Fig. 6/7 runs, which
-//! take 3000 such samples per configuration.
+//! backward-Euler sub-steps) versus grid resolution and preconditioner
+//! — the workload behind the paper's Fig. 6/7 runs, which take 3000
+//! such samples per configuration.
 //!
 //! Alternates two power maps between samples so the warm-seed
 //! short-circuit cannot trivialize the solve (the steady tail of a real
-//! workload *is* trivialized by it — that case is reported separately),
-//! and cross-checks that every thread count lands bit-identical
-//! temperatures before reporting its timing. Reports the pool's
-//! broadcast/barrier counters per sample plus the ILU(0) sweep barrier
-//! plan (merged vs one-per-level), so level-merging gains are measurable
-//! without wall-clock.
+//! workload *is* trivialized by it — that case is reported separately).
 //!
-//! Usage: `transient_bench [--fine] [--threads 1,2,8] [--no-seed]
-//!                         [--gate-iters] [--telemetry <path>]`
+//! Usage: `transient_bench [--fine] [--no-seed] [--gate-iters]
+//!                         [--telemetry <path>]`
 //!   `--fine`       adds the paper-native 100 µm grid (~58k nodes)
-//!   `--threads`    comma-separated pool sizes (default: 1 and the
-//!                  machine's available parallelism, when that is > 1)
 //!   `--no-seed`    disable the M⁻¹r warm seed (the PR 3 stepping path;
 //!                  ablation baseline for the seed's iteration savings)
 //!   `--gate-iters` fail unless every measured Krylov iteration count
@@ -35,7 +28,7 @@
 use std::time::Instant;
 
 use vfc::floorplan::{ultrasparc, GridSpec};
-use vfc::num::{Ilu0Preconditioner, KernelPool, MgCycleConfig, Preconditioner, PreconditionerKind};
+use vfc::num::{MgCycleConfig, PreconditionerKind};
 use vfc::thermal::{StackThermalBuilder, ThermalConfig, ThermalModel};
 use vfc::units::{Length, Seconds, VolumetricFlow, Watts};
 use vfc_bench::perf::{
@@ -44,46 +37,13 @@ use vfc_bench::perf::{
 };
 use vfc_bench::telemetry::{enable_for_export, export_snapshot, parse_telemetry_flag};
 
-/// Samples timed per (grid, threads) cell.
+/// Samples timed per (grid, preconditioner) cell.
 const SAMPLES: usize = 10;
 
-fn parse_threads() -> Vec<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        if let Some(list) = args.get(i + 1) {
-            let parsed: Vec<usize> = list
-                .split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&t| t > 0)
-                .collect();
-            if !parsed.is_empty() {
-                return parsed;
-            }
-        }
-        eprintln!("--threads expects a comma-separated list of positive integers");
-        std::process::exit(2);
-    }
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if hw > 1 {
-        vec![1, hw]
-    } else {
-        vec![1]
-    }
-}
-
 /// Median wall-clock ms of one 100 ms sample (5 sub-steps), alternating
-/// power maps; returns (median ms, total Krylov iterations, final
-/// temps, pool broadcasts and barriers over the timed samples only —
-/// the steady start and warm-up sample are excluded, so the per-sample
-/// counter averages measure exactly what the timings measure).
-fn time_transient(
-    model: &mut ThermalModel,
-    pool: &KernelPool,
-    p_low: &[f64],
-    p_high: &[f64],
-) -> (f64, usize, Vec<f64>, u64, u64) {
+/// power maps, and the total Krylov iterations over the timed samples
+/// (the steady start and warm-up sample are excluded).
+fn time_transient(model: &mut ThermalModel, p_low: &[f64], p_high: &[f64]) -> (f64, usize) {
     let mut temps = model.steady_state(p_low, None).expect("steady start");
     // Warm-up sample: factors the BE operator, sizes the scratch.
     model
@@ -91,7 +51,6 @@ fn time_transient(
         .expect("warm-up step");
     let mut times = Vec::with_capacity(SAMPLES);
     let mut iterations = 0usize;
-    let before = pool.counters();
     for s in 0..SAMPLES {
         let p = if s % 2 == 0 { p_low } else { p_high };
         let t0 = Instant::now();
@@ -101,22 +60,14 @@ fn time_transient(
         times.push(t0.elapsed().as_secs_f64() * 1e3);
         iterations += model.last_step_iterations();
     }
-    let after = pool.counters();
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (
-        times[times.len() / 2],
-        iterations,
-        temps,
-        after.broadcasts - before.broadcasts,
-        after.barriers - before.barriers,
-    )
+    (times[times.len() / 2], iterations)
 }
 
 fn main() {
     let fine = std::env::args().any(|a| a == "--fine");
     let no_seed = std::env::args().any(|a| a == "--no-seed");
     let gate = std::env::args().any(|a| a == "--gate-iters");
-    let threads = parse_threads();
     let telemetry = parse_telemetry_flag();
     if telemetry.is_some() {
         enable_for_export();
@@ -142,20 +93,12 @@ fn main() {
 
     println!("Transient 100 ms sample (5 backward-Euler sub-steps), 2-layer liquid stack");
     println!(
-        "{:>9} {:>9} {:>8} {:>8} {:>11} {:>7} {:>8} {:>11} {:>10}",
-        "cell mm",
-        "nodes",
-        "precond",
-        "threads",
-        "sample ms",
-        "iters",
-        "speedup",
-        "broadcasts",
-        "barriers"
+        "{:>9} {:>9} {:>8} {:>11} {:>7}",
+        "cell mm", "nodes", "precond", "sample ms", "iters"
     );
     // Solver variants per grid: the ILU(0) and V(1,1)-multigrid
     // baselines, plus `mgfast` — the cheap asymmetric V(0,1) cycle.
-    // Ablations that informed the shape (same-run, 100 µm, 1 thread):
+    // Ablations that informed the shape (same-run, 100 µm):
     // V(0,1) trades +27% iterations for −35% cycle cost (net ~1.2–1.3×
     // over V(1,1)); weakening the *coarse* chain to Jacobi/none gutted
     // the coarse-grid correction (470/1159 iterations vs 280).
@@ -186,114 +129,67 @@ fn main() {
         let grid =
             GridSpec::from_cell_size(stack.tiers()[0].floorplan(), Length::from_millimeters(cell));
         for &(tag, label, kind, cycle) in &variants {
-            let mut base_ms = None;
-            // Determinism reference shared across thread counts: every
-            // count must land the same bits and iterations.
-            let mut reference: Option<(usize, Vec<f64>)> = None;
-            for &t in &threads {
-                let mut cfg = ThermalConfig::default();
-                cfg.solver.preconditioner = kind;
-                cfg.solver.mg_cycle = cycle;
-                let builder = StackThermalBuilder::new(&stack, grid, cfg);
-                let mut model = builder.build(Some(flow)).expect("build");
-                let pool = KernelPool::new(t);
-                model.set_kernel_pool(std::sync::Arc::clone(&pool));
-                model.set_transient_warm_seed(!no_seed);
-                let p_low = model.uniform_block_power(&stack, |b| {
-                    if b.is_core() {
-                        Watts::new(1.5)
-                    } else {
-                        Watts::new(0.4)
-                    }
-                });
-                let p_high = model.uniform_block_power(&stack, |b| {
-                    if b.is_core() {
-                        Watts::new(3.5)
-                    } else {
-                        Watts::new(0.6)
-                    }
-                });
-                let (ms, iters, temps, broadcasts, barriers) =
-                    time_transient(&mut model, &pool, &p_low, &p_high);
-                match &reference {
-                    None => reference = Some((iters, temps)),
-                    Some((ref_iters, ref_temps)) => {
-                        assert_eq!(iters, *ref_iters, "iteration count changed ({t} threads)");
-                        assert!(
-                            temps
-                                .iter()
-                                .zip(ref_temps)
-                                .all(|(a, b)| a.to_bits() == b.to_bits()),
-                            "temperatures diverged ({t} threads)"
+            let mut cfg = ThermalConfig::default();
+            cfg.solver.preconditioner = kind;
+            cfg.solver.mg_cycle = cycle;
+            let builder = StackThermalBuilder::new(&stack, grid, cfg);
+            let mut model = builder.build(Some(flow)).expect("build");
+            model.set_transient_warm_seed(!no_seed);
+            let p_low = model.uniform_block_power(&stack, |b| {
+                if b.is_core() {
+                    Watts::new(1.5)
+                } else {
+                    Watts::new(0.4)
+                }
+            });
+            let p_high = model.uniform_block_power(&stack, |b| {
+                if b.is_core() {
+                    Watts::new(3.5)
+                } else {
+                    Watts::new(0.6)
+                }
+            });
+            let (ms, iters) = time_transient(&mut model, &p_low, &p_high);
+            println!(
+                "{:>9.2} {:>9} {:>8} {:>11.2} {:>7}",
+                cell,
+                model.node_count(),
+                label,
+                ms,
+                iters,
+            );
+            let case = format!("transient{}{}", if no_seed { "-noseed" } else { "" }, tag);
+            if gate {
+                if let Some(c) = committed
+                    .iter()
+                    .find(|c| c.case == case && c.grid_mm == cell && c.iters > 0)
+                {
+                    gate_matches += 1;
+                    if c.iters != iters {
+                        eprintln!(
+                            "ITERATION GATE: {case} at {cell} mm measured {iters}, \
+                             committed {}",
+                            c.iters
                         );
+                        gate_failures += 1;
                     }
                 }
-                let speedup = base_ms.get_or_insert(ms);
-                println!(
-                    "{:>9.2} {:>9} {:>8} {:>8} {:>11.2} {:>7} {:>7.2}x {:>11} {:>10}",
-                    cell,
-                    model.node_count(),
-                    label,
-                    t,
-                    ms,
-                    iters,
-                    *speedup / ms.max(1e-9),
-                    broadcasts / SAMPLES as u64,
-                    barriers / SAMPLES as u64,
-                );
-                let case = format!("transient{}{}", if no_seed { "-noseed" } else { "" }, tag);
-                if gate {
-                    if let Some(c) = committed
-                        .iter()
-                        .find(|c| c.case == case && c.grid_mm == cell && c.iters > 0)
-                    {
-                        gate_matches += 1;
-                        if c.iters != iters {
-                            eprintln!(
-                                "ITERATION GATE: {case} at {cell} mm measured {iters}, \
-                                 committed {}",
-                                c.iters
-                            );
-                            gate_failures += 1;
-                        }
-                    }
-                }
-                records.push(PerfRecord {
-                    case,
-                    grid_mm: cell,
-                    nodes: model.node_count(),
-                    precond: label.into(),
-                    threads: t,
-                    ms,
-                    iters,
-                    host: host_label(),
-                    cpus: cpu_count(),
-                });
             }
+            records.push(PerfRecord {
+                case,
+                grid_mm: cell,
+                nodes: model.node_count(),
+                precond: label.into(),
+                ms,
+                iters,
+                host: host_label(),
+                cpus: cpu_count(),
+            });
         }
-        // Barrier plan on this grid: merged phases vs one-per-level
-        // (computed on a ≥2-thread pool, where the plan is live).
-        let plan_threads = threads.iter().copied().max().unwrap_or(2).max(2);
-        let builder = StackThermalBuilder::new(&stack, grid, ThermalConfig::default());
-        let model = builder.build(Some(flow)).expect("build");
-        let ilu = Ilu0Preconditioner::new_on(
-            model.conductance_matrix(),
-            KernelPool::new(plan_threads),
-            Some(std::sync::Arc::clone(model.skeleton().schedules())),
-        )
-        .expect("factorization");
-        println!(
-            "{:>9.2} ILU(0) sweep barriers/apply: {} merged vs {} per-level ({} threads)",
-            cell,
-            ilu.barriers_per_apply(),
-            ilu.unmerged_barriers_per_apply(),
-            plan_threads,
-        );
     }
     println!("\n(sample = 100 ms of simulated time; power alternates between samples so");
     println!(" the warm-seed short-circuit cannot skip sub-steps — on a steady workload");
-    println!(" a converged sample costs one matvec and two norms instead; thread counts");
-    println!(" are cross-checked bit-identical before timings are reported)");
+    println!(" a converged sample costs one matvec and two norms instead)");
     if gate {
         // The gate compares against the committed record; it must not
         // rewrite it.

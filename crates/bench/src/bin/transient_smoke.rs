@@ -1,36 +1,27 @@
 //! Transient-path regression smoke for CI: deterministic gates on the
-//! warm-seeded, pool-parallel backward-Euler stepping (mirrors
-//! `solver_smoke`, which gates the steady path).
+//! warm-seeded backward-Euler stepping (mirrors `solver_smoke`, which
+//! gates the steady path).
 //!
 //! Timing is useless on shared runners, so everything asserted here is
 //! exact for a given matrix and solver:
 //!
-//! * a power-step transient on the 0.25 mm liquid grid (9200 nodes —
-//!   above `PAR_MIN_LEN`, so the pooled matvecs, reductions and
-//!   level-scheduled sweeps genuinely run multi-threaded) lands
-//!   bit-identical temperatures and iteration counts on 1-, 2- and
-//!   4-thread kernel pools (the determinism-by-partitioning contract);
-//! * the per-sample Krylov iteration total stays inside a budget a
-//!   regressed solver or preconditioner would blow through;
+//! * a power-step transient on the 0.25 mm liquid grid (9200 nodes)
+//!   stays inside a per-run Krylov iteration budget a regressed solver
+//!   or preconditioner would blow through;
 //! * the `M⁻¹r` warm seed never costs iterations versus the plain warm
 //!   start, and saves some over the run;
 //! * stepping from a converged state short-circuits at zero iterations
 //!   without touching a single bit of the state;
-//! * the multigrid-preconditioned scenario honours the same thread
-//!   parity contract, beats ILU(0) on total Krylov iterations and stays
-//!   inside its own fixed budget;
+//! * the multigrid-preconditioned scenario beats ILU(0) on total
+//!   Krylov iterations and stays inside its own fixed budget;
 //! * the cheap asymmetric V(0,1) cycle (`transient_bench`'s `mgfast`
-//!   configuration) honours the same parity contract, stays inside its
-//!   own budget, and converges to the symmetric cycle's temperatures
-//!   within solver tolerance — the observable fact behind keeping the
-//!   cycle shape out of simulation cache keys;
-//! * ILU(0) level merging strictly reduces the sweep barrier count
-//!   versus the one-barrier-per-level plan.
+//!   configuration) stays inside its own budget and converges to the
+//!   symmetric cycle's temperatures within solver tolerance — the
+//!   observable fact behind keeping the cycle shape out of simulation
+//!   cache keys.
 
 use vfc::floorplan::{ultrasparc, GridSpec};
-use vfc::num::{
-    Ilu0Preconditioner, KernelPool, MgCycleConfig, Preconditioner, PreconditionerKind, PAR_MIN_LEN,
-};
+use vfc::num::{MgCycleConfig, PreconditionerKind};
 use vfc::thermal::{StackThermalBuilder, ThermalConfig, ThermalModel};
 use vfc::units::{Length, Seconds, VolumetricFlow, Watts};
 
@@ -69,60 +60,33 @@ fn run_scenario(model: &mut ThermalModel) -> (Vec<usize>, Vec<f64>) {
     (iters, temps)
 }
 
-fn build_model(threads: usize) -> ThermalModel {
-    build_model_with(threads, PreconditionerKind::Ilu0, MgCycleConfig::default())
+fn build_model() -> ThermalModel {
+    build_model_with(PreconditionerKind::Ilu0, MgCycleConfig::default())
 }
 
-fn build_model_with(
-    threads: usize,
-    preconditioner: PreconditionerKind,
-    mg_cycle: MgCycleConfig,
-) -> ThermalModel {
+fn build_model_with(preconditioner: PreconditionerKind, mg_cycle: MgCycleConfig) -> ThermalModel {
     let stack = ultrasparc::two_layer_liquid();
     let grid =
         GridSpec::from_cell_size(stack.tiers()[0].floorplan(), Length::from_millimeters(0.25));
     let mut cfg = ThermalConfig::default();
     cfg.solver.preconditioner = preconditioner;
     cfg.solver.mg_cycle = mg_cycle;
-    let mut model = StackThermalBuilder::new(&stack, grid, cfg)
+    StackThermalBuilder::new(&stack, grid, cfg)
         .build(Some(VolumetricFlow::from_ml_per_minute(600.0)))
-        .expect("build");
-    model.set_kernel_pool(KernelPool::new(threads));
-    model
+        .expect("build")
 }
 
-/// Runs the scenario on 1-, 2- and 4-thread kernel pools, asserts the
-/// three runs are bit-identical (iteration counts and temperatures) and
-/// returns the shared result.
-fn thread_parity(
+/// Runs the scenario for one solver configuration and prints its
+/// iteration profile.
+fn scenario(
     label: &str,
     preconditioner: PreconditionerKind,
     mg_cycle: MgCycleConfig,
 ) -> (Vec<usize>, Vec<f64>) {
-    let mut reference: Option<(Vec<usize>, Vec<f64>)> = None;
-    for threads in [1usize, 2, 4] {
-        let (iters, temps) = run_scenario(&mut build_model_with(threads, preconditioner, mg_cycle));
-        match &reference {
-            None => reference = Some((iters, temps)),
-            Some((ref_iters, ref_temps)) => {
-                assert_eq!(
-                    &iters, ref_iters,
-                    "{label}: iteration counts changed at {threads} threads"
-                );
-                assert!(
-                    temps
-                        .iter()
-                        .zip(ref_temps)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{label}: temperatures diverged at {threads} threads"
-                );
-            }
-        }
-    }
-    let (iters, temps) = reference.expect("three runs");
+    let (iters, temps) = run_scenario(&mut build_model_with(preconditioner, mg_cycle));
     let total: usize = iters.iter().sum();
     println!(
-        "{label}: {total:>4} Krylov iterations, per-sample {:?}, bit-identical at 1/2/4 threads",
+        "{label}: {total:>4} Krylov iterations, per-sample {:?}",
         &iters[..6.min(iters.len())]
     );
     assert!(total > 0, "{label}: scenario must exercise the solver");
@@ -131,19 +95,11 @@ fn thread_parity(
 
 fn main() {
     println!("transient smoke: liquid 0.25 mm grid, {SAMPLES} samples x {SUBSTEPS} sub-steps");
-    // The parallel kernels only engage at PAR_MIN_LEN and above; a
-    // smaller grid would compare serial runs against serial runs and
-    // gate nothing.
-    let n = build_model(1).node_count();
-    assert!(
-        n >= PAR_MIN_LEN,
-        "smoke grid must engage the parallel paths, got {n} nodes"
-    );
 
     // Deterministic budget: the scenario measures 560 iterations with
     // ILU(0) + warm seed; the headroom only lets a real regression (lost
     // preconditioner, broken warm start) trip it.
-    let reference = thread_parity("ilu0", PreconditionerKind::Ilu0, MgCycleConfig::default());
+    let reference = scenario("ilu0", PreconditionerKind::Ilu0, MgCycleConfig::default());
     let ilu_total: usize = reference.0.iter().sum();
     assert!(
         ilu_total <= 900,
@@ -154,7 +110,7 @@ fn main() {
     // fixed budget. The scenario measures far fewer iterations than
     // ILU(0) takes; the budget only lets a real regression (lost
     // hierarchy, broken Galerkin re-fold) trip it.
-    let (mg_iters, mg_temps) = thread_parity(
+    let (mg_iters, mg_temps) = scenario(
         "multigrid",
         PreconditionerKind::Multigrid,
         MgCycleConfig::default(),
@@ -176,7 +132,7 @@ fn main() {
     // temperatures match the V(1,1) run to well under a millikelvin —
     // the solver-tolerance equivalence that justifies keeping the cycle
     // shape out of simulation cache keys.
-    let (fast_iters, fast_temps) = thread_parity(
+    let (fast_iters, fast_temps) = scenario(
         "mg cheap cycle",
         PreconditionerKind::Multigrid,
         MgCycleConfig::cheap(),
@@ -199,26 +155,8 @@ fn main() {
         "  vs symmetric V(1,1): {fast_total} vs {mg_total} iterations, max |dT| {max_dev:.2e} K"
     );
 
-    // Level merging: a parallel ILU(0) apply must cross strictly fewer
-    // barriers than the one-per-level PR 4 plan.
-    {
-        let model = build_model(1);
-        let ilu = Ilu0Preconditioner::new_on(
-            model.conductance_matrix(),
-            KernelPool::new(2),
-            Some(std::sync::Arc::clone(model.skeleton().schedules())),
-        )
-        .expect("factorization");
-        let (merged, unmerged) = (ilu.barriers_per_apply(), ilu.unmerged_barriers_per_apply());
-        assert!(
-            merged < unmerged,
-            "level merging must strictly reduce barriers: {merged} vs {unmerged}"
-        );
-        println!("barrier plan: {merged} merged vs {unmerged} per-level barriers per apply");
-    }
-
     // Warm seed: never worse per sample, strictly better over the run.
-    let mut plain = build_model(2);
+    let mut plain = build_model();
     plain.set_transient_warm_seed(false);
     let (plain_iters, plain_temps) = run_scenario(&mut plain);
     let (seeded_iters, seeded_temps) = reference;
@@ -248,7 +186,7 @@ fn main() {
 
     // Short-circuit: stepping from the converged state is a bit-exact
     // no-op at zero iterations.
-    let mut model = build_model(2);
+    let mut model = build_model();
     let stack = ultrasparc::two_layer_liquid();
     let p = model.uniform_block_power(&stack, |b| {
         if b.is_core() {
@@ -274,5 +212,5 @@ fn main() {
             .all(|(a, b)| a.to_bits() == b.to_bits()),
         "short-circuit touched the state"
     );
-    println!("ok: thread determinism, iteration budget, warm-seed savings and short-circuit hold");
+    println!("ok: iteration budgets, cycle agreement, warm-seed savings and short-circuit hold");
 }

@@ -5,7 +5,7 @@
 //! tracking the perf trajectory across PRs, so the solver benches also
 //! emit one JSON file per run — a flat list of measurements tagged with
 //! everything needed to compare like against like (grid, node count,
-//! preconditioner, thread count), including the **deterministic Krylov
+//! preconditioner), including the **deterministic Krylov
 //! iteration count** where the scenario has one. Records are written to
 //! two places:
 //!
@@ -32,12 +32,10 @@ pub struct PerfRecord {
     pub nodes: usize,
     /// Preconditioner label (see [`precond_label`]).
     pub precond: String,
-    /// Kernel-pool thread count the measurement ran with.
-    pub threads: usize,
     /// Measured wall-clock milliseconds (median unless noted by `case`).
     pub ms: f64,
     /// Total Krylov iterations of the scenario — bit-deterministic
-    /// (machine- and thread-count-independent), so regression gates can
+    /// (machine-independent), so regression gates can
     /// require exact equality. `0` when the scenario does not track
     /// iterations.
     pub iters: usize,
@@ -56,7 +54,6 @@ impl PerfRecord {
             ("grid_mm".into(), JsonValue::Number(self.grid_mm)),
             ("nodes".into(), JsonValue::Number(self.nodes as f64)),
             ("precond".into(), JsonValue::String(self.precond.clone())),
-            ("threads".into(), JsonValue::Number(self.threads as f64)),
             ("ms".into(), JsonValue::Number(self.ms)),
             ("iters".into(), JsonValue::Number(self.iters as f64)),
             ("host".into(), JsonValue::String(self.host.clone())),
@@ -78,7 +75,6 @@ impl PerfRecord {
             grid_mm: n("grid_mm")?,
             nodes: n("nodes")? as usize,
             precond: s("precond")?,
-            threads: n("threads")? as usize,
             ms: n("ms")?,
             // Absent in pre-PR 5 records: treat as "not tracked".
             iters: n("iters").unwrap_or(0.0) as usize,
@@ -168,7 +164,7 @@ fn encode(name: &str, records: &[PerfRecord]) -> String {
 ///
 /// The `target/bench/` copy holds exactly this run. The repo-root copy
 /// is **merged**: this run's records replace committed records with the
-/// same `(case, grid_mm, threads)` key, and committed records this run
+/// same `(case, grid_mm)` key, and committed records this run
 /// did not measure are kept — so a coarse-grid run never truncates the
 /// committed 100 µm trajectory rows. Failures are returned, not
 /// panicked — a read-only checkout should not fail a bench run, so
@@ -182,7 +178,7 @@ pub fn write_bench_records(name: &str, records: &[PerfRecord]) -> std::io::Resul
     let root = root_record_path(name);
     let mut merged: Vec<PerfRecord> = records.to_vec();
     if let Ok(committed) = read_bench_records(&root) {
-        let key = |r: &PerfRecord| (r.case.clone(), r.grid_mm.to_bits(), r.threads);
+        let key = |r: &PerfRecord| (r.case.clone(), r.grid_mm.to_bits());
         for old in committed {
             if !merged.iter().any(|new| key(new) == key(&old)) {
                 merged.push(old);
@@ -251,7 +247,6 @@ mod tests {
             grid_mm: 0.5,
             nodes: 2300,
             precond: "ilu0".into(),
-            threads: 4,
             ms,
             iters,
             host: host_label(),

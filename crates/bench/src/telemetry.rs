@@ -2,22 +2,19 @@
 //!
 //! Every binary that exports a snapshot does the same three things:
 //! parse the flag, pre-declare the standard metric families (so the
-//! exported schema is stable even when a counter never fired — a
-//! 1-CPU container has zero pool broadcasts, but the snapshot still
-//! carries `pool.broadcasts: 0`), and write the snapshot when the run
-//! ends. This module is that shared tail.
+//! exported schema is stable even when a counter never fired — a run
+//! without faults still carries `engine.fault_events: 0`), and write
+//! the snapshot when the run ends. This module is that shared tail.
 
 use std::path::{Path, PathBuf};
 
 /// Counter families every exported snapshot carries, even at zero.
 /// One name per instrumented subsystem — solver, preconditioner,
-/// kernel pool, thermal model, engine, sweep runner, result cache and
-/// the sweep service.
+/// thermal model, engine, sweep runner, result cache and the sweep
+/// service.
 pub const STANDARD_COUNTERS: &[&str] = &[
     "engine.fault_events",
     "engine.samples",
-    "pool.barriers",
-    "pool.broadcasts",
     "precond.applies",
     "precond.vcycles",
     "runner.cache.corrupt_evictions",

@@ -123,20 +123,18 @@ pub fn balanced_core_powers(
     let reduced = builder.build();
     let mut t_u = vec![tb; m];
     // The reduced system inherits the model's solver settings — same
-    // preconditioner family (ILU(0) by default), tolerances — *and* its
-    // kernel pool. Pattern schedules only pay off when the parallel
-    // sweep path can actually engage (multi-thread pool, system at
-    // least `PAR_MIN_LEN`); below that the one-shot solve skips the
-    // construction — the sweeps run sequentially either way.
+    // preconditioner family (ILU(0) by default), tolerances. Pattern
+    // schedules are built only for a multigrid run on a large reduced
+    // system: they carry the coarsening hierarchy (built over the
+    // free-node subset of the grid coordinates — core cells dropping
+    // out just shrinks their aggregates). Below that size, or for
+    // single-level kinds, the one-shot solve skips the construction;
+    // ILU(0) lands the same bits with or without them.
+    const SCHEDULE_MIN_ORDER: usize = 8_192;
     let scfg = model.skeleton().config().solver;
     let solver = scfg.bicgstab();
-    let pool = Arc::clone(model.kernel_pool());
-    // A multigrid run also needs schedules regardless of thread count:
-    // they carry the coarsening hierarchy (built over the free-node
-    // subset of the grid coordinates — core cells dropping out just
-    // shrinks their aggregates).
     let wants_mg = scfg.preconditioner == vfc_num::PreconditionerKind::Multigrid;
-    let schedules = ((pool.threads() > 1 || wants_mg) && m >= vfc_num::PAR_MIN_LEN).then(|| {
+    let schedules = (wants_mg && m >= SCHEDULE_MIN_ORDER).then(|| {
         let full_coords = layout.grid_coords();
         let coords: Vec<vfc_num::GridCoord> = free_nodes.iter().map(|&i| full_coords[i]).collect();
         Arc::new(KernelSchedules::for_grid_matrix(&reduced, &coords))
@@ -153,9 +151,9 @@ pub fn balanced_core_powers(
     };
     let precond = scfg
         .preconditioner
-        .build_on(&reduced, Arc::clone(&pool), schedules.as_ref())
+        .build(&reduced, schedules.as_ref())
         .map_err(vfc_thermal::ThermalError::from)?;
-    let mut ws = SolverWorkspace::with_pool(pool);
+    let mut ws = SolverWorkspace::new();
     match &stencil {
         Some(p) => solver.solve_with(
             &StencilOp::new(p, reduced.values()),

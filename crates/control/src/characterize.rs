@@ -54,9 +54,8 @@ pub fn characterize(
 /// [`characterize`] against an already-assembled skeleton, so callers
 /// that hold one (e.g. the engine's `ThermalModelFamily`) don't pay
 /// assembly twice. Each setting is a cheap value patch on shared CSR
-/// structure, not a reassembly, and every per-setting model solves on
-/// the process-wide kernel pool (`VFC_NUM_THREADS`) with the skeleton's
-/// shared sweep schedules — thread count never changes the LUT.
+/// structure, not a reassembly, and every per-setting model solves with
+/// the skeleton's shared sweep schedules.
 ///
 /// # Errors
 ///

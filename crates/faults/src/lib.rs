@@ -15,7 +15,7 @@
 //! per run and consults it once per control sample. Everything it
 //! produces is a pure function of the timeline, the seed and the sample
 //! times — there is no wall-clock or thread dependence — so a faulted
-//! run is exactly as bit-reproducible across kernel-pool sizes as a
+//! run is exactly as bit-reproducible across runner thread counts as a
 //! healthy one.
 //!
 //! Two invariants matter for that determinism:

@@ -1,11 +1,8 @@
 //! Preconditioned BiCGSTAB for nonsymmetric systems.
 
-use std::sync::Arc;
-
-use crate::pool::{par_range, SharedMut};
 use crate::{
-    dot2_on, dot_on, norm2_on, CsrMatrix, JacobiPreconditioner, LinearOperator, NumError,
-    Preconditioner, SolveInfo, SolverWorkspace,
+    dot, dot2, norm2, CsrMatrix, JacobiPreconditioner, LinearOperator, NumError, Preconditioner,
+    SolveInfo, SolverWorkspace,
 };
 
 /// Stabilized bi-conjugate gradient solver.
@@ -60,10 +57,6 @@ impl BiCgStab {
     ///
     /// `a` is any [`LinearOperator`] — the index-free stencil operator
     /// or the CSR matrix itself; both produce bit-identical iterates.
-    /// The matvecs, reductions
-    /// and fused vector updates run on the workspace's
-    /// [`KernelPool`](crate::KernelPool); thread count never changes
-    /// the iterates (determinism by partitioning).
     ///
     /// # Errors
     ///
@@ -101,7 +94,6 @@ impl BiCgStab {
             });
         }
         ws.ensure(n);
-        let pool = Arc::clone(&ws.pool);
         let SolverWorkspace {
             r,
             r0,
@@ -111,15 +103,13 @@ impl BiCgStab {
             shat,
             t,
             best,
-            partials,
-            ..
         } = ws;
         let (r, r0) = (&mut r[..n], &mut r0[..n]);
         let (v, p) = (&mut v[..n], &mut p[..n]);
         let (phat, shat, t) = (&mut phat[..n], &mut shat[..n], &mut t[..n]);
         let best = &mut best[..n];
 
-        let b_norm = norm2_on(&pool, b, partials);
+        let b_norm = norm2(b);
         if b_norm == 0.0 {
             x.fill(0.0);
             return Ok(SolveInfo {
@@ -130,7 +120,7 @@ impl BiCgStab {
 
         // Fused initial residual r = b − A·x: one pass over the rows,
         // bit-identical to a matvec followed by the subtraction.
-        a.residual_into_on(&pool, b, x, r);
+        a.residual_into(b, x, r);
         r0.copy_from_slice(r);
         let mut rho = 1.0f64;
         let mut alpha = 1.0f64;
@@ -149,7 +139,7 @@ impl BiCgStab {
                 // ‖r‖ and r₀·r are co-located (same r, same point in the
                 // iteration): one fused pass, each product bit-identical to
                 // its separate reduction.
-                let (rr, rho_new) = dot2_on(&pool, r, r, r0, r, partials);
+                let (rr, rho_new) = dot2(r, r, r0, r);
                 let res = rr.sqrt() / b_norm;
                 if res < best_res {
                     best_res = res;
@@ -166,50 +156,25 @@ impl BiCgStab {
                 }
                 let beta = (rho_new / rho) * (alpha / omega);
                 rho = rho_new;
-                {
-                    let pw = SharedMut(p.as_mut_ptr());
-                    let (rr, vr): (&[f64], &[f64]) = (r, v);
-                    par_range(&pool, n, &|s, e| {
-                        // SAFETY: p is written only through `pw`; r and v are
-                        // read-only here and distinct from p.
-                        for i in s..e {
-                            unsafe {
-                                *pw.ptr().add(i) = rr[i] + beta * (*pw.ptr().add(i) - omega * vr[i])
-                            };
-                        }
-                    });
+                for ((pi, &ri), &vi) in p.iter_mut().zip(&*r).zip(&*v) {
+                    *pi = ri + beta * (*pi - omega * vi);
                 }
                 vfc_obs::counter_add("precond.applies", 1);
                 m.apply(p, phat);
-                a.matvec_into_on(&pool, phat, v);
-                let r0v = dot_on(&pool, r0, v, partials);
+                a.matvec_into(phat, v);
+                let r0v = dot(r0, v);
                 if r0v.abs() < 1e-300 {
                     break 'solve Err(NumError::Breakdown { iterations: it });
                 }
                 alpha = rho / r0v;
                 // s = r - alpha*v (reuse r as s)
-                {
-                    let rw = SharedMut(r.as_mut_ptr());
-                    let vr: &[f64] = v;
-                    par_range(&pool, n, &|s, e| {
-                        // SAFETY: r is touched only through `rw`; v is
-                        // read-only and distinct.
-                        for i in s..e {
-                            unsafe { *rw.ptr().add(i) -= alpha * vr[i] };
-                        }
-                    });
+                for (ri, &vi) in r.iter_mut().zip(&*v) {
+                    *ri -= alpha * vi;
                 }
-                let s_res = norm2_on(&pool, r, partials) / b_norm;
+                let s_res = norm2(r) / b_norm;
                 if s_res <= self.tolerance {
-                    {
-                        let xw = SharedMut(x.as_mut_ptr());
-                        let ph: &[f64] = phat;
-                        par_range(&pool, n, &|s, e| {
-                            // SAFETY: x written only through `xw`.
-                            for i in s..e {
-                                unsafe { *xw.ptr().add(i) += alpha * ph[i] };
-                            }
-                        });
+                    for (xi, &hi) in x.iter_mut().zip(&*phat) {
+                        *xi += alpha * hi;
                     }
                     break 'solve Ok(SolveInfo {
                         iterations: it + 1,
@@ -218,29 +183,22 @@ impl BiCgStab {
                 }
                 vfc_obs::counter_add("precond.applies", 1);
                 m.apply(r, shat);
-                a.matvec_into_on(&pool, shat, t);
+                a.matvec_into(shat, t);
                 // t·t and t·s (s lives in r) are co-located: one fused pass.
-                let (tt, tr) = dot2_on(&pool, t, t, t, r, partials);
+                let (tt, tr) = dot2(t, t, t, r);
                 if tt.abs() < 1e-300 {
                     break 'solve Err(NumError::Breakdown { iterations: it });
                 }
                 omega = tr / tt;
+                // Fused update: one pass refreshes both x and r.
+                for (((xi, ri), (&hi, &si)), &ti) in x
+                    .iter_mut()
+                    .zip(r.iter_mut())
+                    .zip(phat.iter().zip(&*shat))
+                    .zip(&*t)
                 {
-                    // Fused update: one pass refreshes both x and r.
-                    let xw = SharedMut(x.as_mut_ptr());
-                    let rw = SharedMut(r.as_mut_ptr());
-                    let (ph, sh, tr): (&[f64], &[f64], &[f64]) = (phat, shat, t);
-                    par_range(&pool, n, &|s, e| {
-                        // SAFETY: x and r are written only through their
-                        // SharedMut pointers; phat/shat/t are read-only and
-                        // distinct arrays.
-                        for i in s..e {
-                            unsafe {
-                                *xw.ptr().add(i) += alpha * ph[i] + omega * sh[i];
-                                *rw.ptr().add(i) -= omega * tr[i];
-                            }
-                        }
-                    });
+                    *xi += alpha * hi + omega * si;
+                    *ri -= omega * ti;
                 }
                 if omega.abs() < 1e-300 {
                     break 'solve Err(NumError::Breakdown { iterations: it });
@@ -248,7 +206,7 @@ impl BiCgStab {
             }
             Err(NumError::NoConvergence {
                 iterations: self.max_iterations,
-                residual: norm2_on(&pool, r, partials) / b_norm,
+                residual: norm2(r) / b_norm,
             })
         };
 
@@ -401,7 +359,7 @@ mod tests {
             .unwrap();
 
         let mut x_ilu = vec![0.0; n];
-        let ilu = Ilu0Preconditioner::new(&a).unwrap();
+        let ilu = Ilu0Preconditioner::new(&a, None).unwrap();
         let info_ilu = solver
             .solve_with(&a, &rhs, &mut x_ilu, &ilu, &mut ws)
             .unwrap();
@@ -500,36 +458,6 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Workspace pool choice must not change a single bit of the
-        /// solution or the iteration count (the `VFC_NUM_THREADS`
-        /// determinism contract, gated at solver level).
-        #[test]
-        fn solver_is_bit_identical_across_pools(
-            seed in 0u64..100,
-            n in 2usize..60,
-            adv in 0.0f64..8.0,
-        ) {
-            let a = advection_diffusion(n, adv);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let rhs: Vec<f64> = (0..n).map(|_| rng.random_range(-10.0..10.0)).collect();
-            let solver = BiCgStab::default();
-            let m = Ilu0Preconditioner::new(&a).unwrap();
-
-            let mut ws1 = SolverWorkspace::with_pool(crate::KernelPool::new(1));
-            let mut x1 = vec![0.0; n];
-            let info1 = solver.solve_with(&a, &rhs, &mut x1, &m, &mut ws1).unwrap();
-
-            let mut ws3 = SolverWorkspace::with_pool(crate::KernelPool::new(3));
-            let mut x3 = vec![0.0; n];
-            let info3 = solver.solve_with(&a, &rhs, &mut x3, &m, &mut ws3).unwrap();
-
-            prop_assert_eq!(info1.iterations, info3.iterations);
-            prop_assert_eq!(info1.residual.to_bits(), info3.residual.to_bits());
-            for (a1, a3) in x1.iter().zip(&x3) {
-                prop_assert_eq!(a1.to_bits(), a3.to_bits());
-            }
-        }
-
         #[test]
         fn residual_below_tolerance(seed in 0u64..200, n in 2usize..40, adv in 0.0f64..10.0) {
             let a = advection_diffusion(n, adv);
@@ -561,7 +489,7 @@ mod tests {
 
             let scale = x_ref.iter().fold(1.0f64, |m, v| m.max(v.abs()));
             for kind in [PreconditionerKind::Jacobi, PreconditionerKind::Ilu0] {
-                let m = kind.build(&a).unwrap();
+                let m = kind.build(&a, None).unwrap();
                 let mut x = vec![0.0; n];
                 let info = solver.solve_with(&a, &rhs, &mut x, m.as_ref(), &mut ws).unwrap();
                 prop_assert!(info.residual <= 1e-10);

@@ -13,25 +13,24 @@
 //! * the [`LinearOperator`] abstraction the solver iterates on: the
 //!   index-free [`stencil`] operator ([`StencilPattern`]/[`StencilOp`])
 //!   wherever a pattern decomposes into one, and [`CsrMatrix`] itself as
-//!   the fallback and the reference — **bit-identical** to each other at
-//!   every thread count;
+//!   the fallback and the reference — **bit-identical** to each other;
 //! * [`BiCgStab`] for the nonsymmetric systems produced by advection;
 //! * the [`Preconditioner`] trait with [`JacobiPreconditioner`],
-//!   [`Ilu0Preconditioner`] (level-scheduled parallel triangular sweeps)
-//!   and [`MultigridPreconditioner`] (geometric V-cycles on the
+//!   [`Ilu0Preconditioner`] (level-major triangular sweeps) and
+//!   [`MultigridPreconditioner`] (geometric V-cycles on the
 //!   semi-coarsened grid hierarchy, [`MgStructure`]) implementations
 //!   ([`PreconditionerKind`] is the config-level selection knob);
-//! * [`KernelPool`], a persistent worker pool running the matvecs,
-//!   reductions and sweeps with **bit-identical results at every thread
-//!   count** (`VFC_NUM_THREADS`; determinism by partitioning), plus
-//!   [`KernelSchedules`] — per-pattern triangular level sets, stencil
+//! * [`KernelSchedules`] — per-pattern triangular level sets, stencil
 //!   decomposition and multigrid hierarchy shared across same-pattern
 //!   matrix families;
-//! * [`SolverWorkspace`], reusable Krylov scratch space (and the pool
-//!   handle) so repeated solves on a model allocate nothing;
+//! * [`SolverWorkspace`], reusable Krylov scratch space so repeated
+//!   solves on a model allocate nothing;
 //! * [`lstsq`](lstsq::solve) ordinary least squares, used by the
 //!   Hannan–Rissanen ARMA fit;
 //! * light statistics helpers in [`stats`].
+//!
+//! Every kernel runs on the calling thread. Parallelism lives one level
+//! up, where the sweep runner simulates independent cells side by side.
 //!
 //! # Example
 //!
@@ -59,7 +58,6 @@ mod error;
 pub mod lstsq;
 mod multigrid;
 mod operator;
-mod pool;
 mod precond;
 mod schedule;
 mod sparse;
@@ -72,7 +70,6 @@ pub use self::dense::{DenseMatrix, LuFactors};
 pub use self::error::NumError;
 pub use self::multigrid::{MgCycleConfig, MgSmoother, MgStructure, MultigridPreconditioner};
 pub use self::operator::LinearOperator;
-pub use self::pool::{KernelPool, PoolCounters, PAR_MIN_LEN, THREADS_ENV};
 pub use self::precond::{
     IdentityPreconditioner, Ilu0Preconditioner, JacobiPreconditioner, Preconditioner,
     PreconditionerKind,
@@ -97,11 +94,11 @@ pub fn norm2(v: &[f64]) -> f64 {
     dot(v, v).sqrt()
 }
 
-/// Reduction block length for [`dot`]/[`norm2`]: partial sums are formed
-/// per `REDUCE_BLOCK`-sized block and folded in block order, so the
-/// floating-point association depends only on the vector length — the
-/// parallel variants ([`dot_on`]) distribute whole blocks and are
-/// bit-identical to the serial fold at every thread count.
+/// Reduction block length for [`dot`]/[`dot2`]/[`norm2`]: partial sums
+/// are formed per `REDUCE_BLOCK`-sized block and folded in block order,
+/// so the floating-point association depends only on the vector length.
+/// Every recorded iteration count and figure bit was computed with this
+/// fold; changing the block length or the fold order moves them.
 pub const REDUCE_BLOCK: usize = 4096;
 
 /// One reduction block: four independent accumulators break the
@@ -179,86 +176,27 @@ pub fn dot2(a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> (f64, f64) {
     (s1, s2)
 }
 
-/// [`dot`] distributed over a [`KernelPool`]: each fixed block's partial
-/// sum may be computed by any worker, but partials are folded in block
-/// order on the caller, so the result is bit-identical to [`dot`] for
-/// every thread count. `partials` is caller-owned scratch (grown as
-/// needed; a [`SolverWorkspace`] carries one).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn dot_on(pool: &KernelPool, a: &[f64], b: &[f64], partials: &mut Vec<f64>) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    let n = a.len();
-    if pool.threads() == 1 || n < pool::PAR_MIN_LEN {
-        return dot(a, b);
+/// Provenance shim: every solve runs on the calling thread, so the one
+/// kernel "pool" has exactly one thread. Kept so callers that print the
+/// kernel thread count keep compiling.
+#[derive(Debug)]
+pub struct KernelPool;
+
+impl KernelPool {
+    /// The process-wide instance.
+    pub fn global() -> &'static KernelPool {
+        &KernelPool
     }
-    let blocks = n.div_ceil(REDUCE_BLOCK);
-    if partials.len() < blocks {
-        partials.resize(blocks, 0.0);
+
+    /// Threads a solve runs on: always 1.
+    pub fn threads(&self) -> usize {
+        1
     }
-    let out = pool::SharedMut(partials.as_mut_ptr());
-    pool.run_chunks(blocks, &|blk| {
-        let s = blk * REDUCE_BLOCK;
-        let e = (s + REDUCE_BLOCK).min(n);
-        // SAFETY: each chunk writes only its own partial slot.
-        unsafe { *out.ptr().add(blk) = dot_block(&a[s..e], &b[s..e]) };
-    });
-    partials[..blocks].iter().sum()
 }
 
-/// [`norm2`] distributed over a [`KernelPool`]; bit-identical to the
-/// serial [`norm2`] at every thread count (see [`dot_on`]).
-pub fn norm2_on(pool: &KernelPool, v: &[f64], partials: &mut Vec<f64>) -> f64 {
-    dot_on(pool, v, v, partials).sqrt()
-}
-
-/// [`dot2`] distributed over a [`KernelPool`]: each block's two partial
-/// sums are computed together by whichever worker claims the block (one
-/// broadcast instead of two, one pass over the block's data), then each
-/// product's partials are folded in block order on the caller — so both
-/// results are bit-identical to separate [`dot_on`] calls at every
-/// thread count. `partials` is caller-owned scratch, grown to two slots
-/// per block.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn dot2_on(
-    pool: &KernelPool,
-    a: &[f64],
-    b: &[f64],
-    c: &[f64],
-    d: &[f64],
-    partials: &mut Vec<f64>,
-) -> (f64, f64) {
-    assert_eq!(a.len(), b.len(), "dot2: length mismatch");
-    assert_eq!(c.len(), d.len(), "dot2: length mismatch");
-    assert_eq!(a.len(), c.len(), "dot2: length mismatch");
-    let n = a.len();
-    if pool.threads() == 1 || n < pool::PAR_MIN_LEN {
-        return dot2(a, b, c, d);
-    }
-    let blocks = n.div_ceil(REDUCE_BLOCK);
-    if partials.len() < 2 * blocks {
-        partials.resize(2 * blocks, 0.0);
-    }
-    let out = pool::SharedMut(partials.as_mut_ptr());
-    pool.run_chunks(blocks, &|blk| {
-        let s = blk * REDUCE_BLOCK;
-        let e = (s + REDUCE_BLOCK).min(n);
-        // SAFETY: each chunk writes only its own two partial slots.
-        unsafe {
-            *out.ptr().add(blk) = dot_block(&a[s..e], &b[s..e]);
-            *out.ptr().add(blocks + blk) = dot_block(&c[s..e], &d[s..e]);
-        }
-    });
-    (
-        partials[..blocks].iter().sum(),
-        partials[blocks..2 * blocks].iter().sum(),
-    )
-}
+/// The environment variable that once sized the kernel pool. Read by
+/// nothing; kept so callers that still set it keep compiling.
+pub const THREADS_ENV: &str = "VFC_NUM_THREADS";
 
 #[cfg(test)]
 mod tests {
@@ -277,34 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_dot_is_bit_identical_across_thread_counts() {
-        // Cross the block boundary so the multi-block fold and the
-        // distributed partials both engage.
-        let n = 3 * REDUCE_BLOCK + 517;
-        let a: Vec<f64> = (0..n)
-            .map(|i| ((i * 37 % 251) as f64) / 13.0 - 9.0)
-            .collect();
-        let b: Vec<f64> = (0..n)
-            .map(|i| ((i * 53 % 113) as f64) / 7.0 - 8.0)
-            .collect();
-        let reference = dot(&a, &b);
-        for threads in [1usize, 2, 4] {
-            let pool = KernelPool::new(threads);
-            let mut partials = Vec::new();
-            let got = dot_on(&pool, &a, &b, &mut partials);
-            assert_eq!(
-                got.to_bits(),
-                reference.to_bits(),
-                "threads {threads}: {got} vs {reference}"
-            );
-            assert_eq!(
-                norm2_on(&pool, &a, &mut partials).to_bits(),
-                norm2(&a).to_bits()
-            );
-        }
-    }
-
-    #[test]
     fn blocked_dot_matches_naive_summation() {
         let n = 2 * REDUCE_BLOCK + 99;
         let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
@@ -317,17 +227,16 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
         /// The fused two-product reduction must land the exact bits of
-        /// the separate `dot`/`dot_on` calls at every thread count —
-        /// the contract that makes it a pure execution optimization in
-        /// the solvers (iteration counts cannot move).
+        /// the separate `dot` calls — the contract that makes it a pure
+        /// execution optimization in the solvers (iteration counts
+        /// cannot move).
         #[test]
         fn fused_dot2_is_bit_identical_to_separate_reductions(
             len_seed in 0usize..4 * REDUCE_BLOCK,
             scale in 0.125f64..8.0,
         ) {
             use proptest::prelude::prop_assert_eq;
-            // Span the serial single-block, serial multi-block and
-            // pooled regimes (PAR_MIN_LEN < 4 blocks).
+            // Span the single-block and multi-block regimes.
             let n = len_seed + 3;
             let a: Vec<f64> = (0..n)
                 .map(|i| ((i * 37 % 251) as f64) / 13.0 - 9.0)
@@ -342,23 +251,10 @@ mod tests {
             let got = dot2(&a, &b, &c, &a);
             prop_assert_eq!(got.0.to_bits(), want.0.to_bits());
             prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
-            for threads in [1usize, 2, 4] {
-                let pool = KernelPool::new(threads);
-                let mut partials = Vec::new();
-                let separate = (
-                    dot_on(&pool, &a, &b, &mut partials),
-                    dot_on(&pool, &c, &a, &mut partials),
-                );
-                let fused = dot2_on(&pool, &a, &b, &c, &a, &mut partials);
-                prop_assert_eq!(fused.0.to_bits(), want.0.to_bits(), "threads {}", threads);
-                prop_assert_eq!(fused.1.to_bits(), want.1.to_bits(), "threads {}", threads);
-                prop_assert_eq!(separate.0.to_bits(), want.0.to_bits());
-                prop_assert_eq!(separate.1.to_bits(), want.1.to_bits());
-                // The aliased self-product form the solvers use (‖r‖
-                // fused with r₀·r) must match norm2 too.
-                let (rr, _) = dot2_on(&pool, &a, &a, &c, &a, &mut partials);
-                prop_assert_eq!(rr.sqrt().to_bits(), norm2(&a).to_bits());
-            }
+            // The aliased self-product form the solvers use (‖r‖ fused
+            // with r₀·r) must match norm2 too.
+            let (rr, _) = dot2(&a, &a, &c, &a);
+            prop_assert_eq!(rr.sqrt().to_bits(), norm2(&a).to_bits());
         }
     }
 }

@@ -20,24 +20,20 @@
 //! from-scratch build at the same values.
 //!
 //! [`MultigridPreconditioner`] runs a V(1,1) cycle per application:
-//! ILU(0) pre/post-smoothing on every level (the existing
-//! level-scheduled parallel sweeps), a prefactored dense-LU solve on the
-//! coarsest. All inter-level transfers partition their **output** ranges
-//! (restriction by coarse aggregate with a fixed ascending child order,
-//! prolongation elementwise over fine nodes), so every result is
-//! bit-identical at every thread count — the same
-//! determinism-by-partitioning contract as the rest of the crate.
+//! ILU(0) pre/post-smoothing on every level (the level-major sweeps), a
+//! prefactored dense-LU solve on the coarsest. Restriction sums each
+//! coarse aggregate's children in a fixed ascending order, so every
+//! result is a pure function of the inputs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::dense::LuFactors;
 use crate::operator::LinearOperator;
-use crate::pool::{par_range, SharedMut};
 use crate::precond::{Ilu0Preconditioner, Preconditioner};
 use crate::stencil::{semicoarsen, GridCoord, StencilOp, StencilPattern};
 use crate::workspace::MgScratch;
-use crate::{CsrBuilder, CsrMatrix, KernelPool, KernelSchedules, NumError};
+use crate::{CsrBuilder, CsrMatrix, KernelSchedules, NumError};
 
 /// Coarsening stops once a level's order is at most this: a dense LU of
 /// the coarsest level costs `O(n³)` once per preconditioner build and
@@ -60,7 +56,7 @@ const MAX_LEVELS: usize = 24;
 pub enum MgSmoother {
     /// Skip the leg entirely (the residual transfers unsmoothed).
     None,
-    /// Level-scheduled ILU(0) sweeps (the symmetric-cycle default).
+    /// Level-major ILU(0) sweeps (the symmetric-cycle default).
     #[default]
     Ilu0,
 }
@@ -68,7 +64,7 @@ pub enum MgSmoother {
 /// Per-leg smoother configuration of the multigrid V-cycle — the
 /// "cheaper cycle" execution knob on `vfc_thermal`'s `SolverConfig`.
 ///
-/// Like the thread count, this never enters simulation cache keys: it
+/// Like every execution knob, this never enters simulation cache keys: it
 /// changes how fast the preconditioner converges the solve, not what the
 /// solve converges to (iterates move within solver tolerance only). The
 /// default is the symmetric V(1,1) cycle, bit-identical to the pre-knob
@@ -146,7 +142,7 @@ pub(crate) struct MgLevel {
 impl MgLevel {
     /// Galerkin values of the coarse operator: zero, then scatter-add
     /// every fine entry in fine nnz order — a pure function of the fine
-    /// values, independent of traversal and thread count.
+    /// values.
     fn galerkin_values(&self, fine_values: &[f64]) -> Vec<f64> {
         let mut cv = vec![0.0; self.pattern.nnz()];
         for (k, &v) in fine_values.iter().enumerate() {
@@ -298,19 +294,11 @@ impl MgStructure {
     }
 }
 
-/// `z += inc` elementwise, partitioned over disjoint output ranges
-/// (deterministic at every thread count).
-fn add_into(pool: &KernelPool, z: &mut [f64], inc: &[f64]) {
-    let n = z.len();
-    let zp = SharedMut(z.as_mut_ptr());
-    par_range(pool, n, &|s, e| {
-        // SAFETY: chunks write disjoint ranges of `z`.
-        unsafe {
-            for i in s..e {
-                *zp.ptr().add(i) += inc[i];
-            }
-        }
-    });
+/// `z += inc` elementwise.
+fn add_into(z: &mut [f64], inc: &[f64]) {
+    for (zi, &d) in z.iter_mut().zip(inc) {
+        *zi += d;
+    }
 }
 
 /// Geometric multigrid V-cycle preconditioner.
@@ -320,8 +308,7 @@ fn add_into(pool: &KernelPool, z: &mut [f64], inc: &[f64]) {
 /// dense-LU coarsest solve, prolongation of the correction,
 /// post-smoothing. The smoother of each leg is picked by
 /// [`MgCycleConfig`] (symmetric ILU(0)/ILU(0) by default — the
-/// V(1,1) cycle). Built per matrix from a shared [`MgStructure`];
-/// bit-identical at every thread count.
+/// V(1,1) cycle). Built per matrix from a shared [`MgStructure`].
 #[derive(Debug)]
 pub struct MultigridPreconditioner {
     structure: Arc<MgStructure>,
@@ -346,7 +333,6 @@ pub struct MultigridPreconditioner {
     fine_stencil: Option<Arc<StencilPattern>>,
     scratch: Mutex<MgScratch>,
     cycles: AtomicU64,
-    pool: Arc<KernelPool>,
 }
 
 /// Builds the smoother of one leg on one level, or `None` for an
@@ -354,36 +340,30 @@ pub struct MultigridPreconditioner {
 fn build_leg(
     kind: MgSmoother,
     a: &CsrMatrix,
-    pool: &Arc<KernelPool>,
     schedules: Option<Arc<KernelSchedules>>,
 ) -> Result<Option<Arc<dyn Preconditioner>>, NumError> {
     Ok(match kind {
         MgSmoother::None => None,
-        MgSmoother::Ilu0 => Some(Arc::new(Ilu0Preconditioner::new_on(
-            a,
-            Arc::clone(pool),
-            schedules,
-        )?)),
+        MgSmoother::Ilu0 => Some(Arc::new(Ilu0Preconditioner::new(a, schedules)?)),
     })
 }
 
 impl MultigridPreconditioner {
     /// Builds the symmetric V(1,1) cycle (ILU(0) on both legs) — see
-    /// [`with_cycle_on`](Self::with_cycle_on).
+    /// [`with_cycle`](Self::with_cycle).
     ///
     /// # Errors
     ///
-    /// As [`with_cycle_on`](Self::with_cycle_on).
-    pub fn new_on(
+    /// As [`with_cycle`](Self::with_cycle).
+    pub fn new(
         a: &CsrMatrix,
-        pool: Arc<KernelPool>,
         schedules: Option<Arc<KernelSchedules>>,
         structure: Arc<MgStructure>,
     ) -> Result<Self, NumError> {
-        Self::with_cycle_on(a, pool, schedules, structure, MgCycleConfig::default())
+        Self::with_cycle(a, schedules, structure, MgCycleConfig::default())
     }
 
-    /// Builds the V-cycle for `a` on `pool`: Galerkin coarse operators
+    /// Builds the V-cycle for `a`: Galerkin coarse operators
     /// from `a`'s values through the shared `structure`, the
     /// `cycle`-selected smoother per leg per level (the fine level
     /// reuses `schedules`' level sets when given; pre and post legs of
@@ -395,9 +375,8 @@ impl MultigridPreconditioner {
     /// built for a different sparsity pattern than `a`'s;
     /// [`NumError::SingularMatrix`] if a smoother factorization or the
     /// coarsest LU breaks down.
-    pub fn with_cycle_on(
+    pub fn with_cycle(
         a: &CsrMatrix,
-        pool: Arc<KernelPool>,
         schedules: Option<Arc<KernelSchedules>>,
         structure: Arc<MgStructure>,
         cycle: MgCycleConfig,
@@ -452,11 +431,11 @@ impl MultigridPreconditioner {
             } else {
                 (on_coarse(cycle.pre), on_coarse(cycle.post))
             };
-            let pre = build_leg(pre_kind, matrix, &pool, sched.clone())?;
+            let pre = build_leg(pre_kind, matrix, sched.clone())?;
             let post = if post_kind == pre_kind {
                 pre.clone()
             } else {
-                build_leg(post_kind, matrix, &pool, sched)?
+                build_leg(post_kind, matrix, sched)?
             };
             pre_smooth.push(pre);
             post_smooth.push(post);
@@ -475,7 +454,6 @@ impl MultigridPreconditioner {
             fine_stencil,
             scratch: Mutex::new(MgScratch::for_orders(&orders)),
             cycles: AtomicU64::new(0),
-            pool,
         })
     }
 
@@ -495,10 +473,8 @@ impl MultigridPreconditioner {
     /// either way.
     fn fine_residual(&self, b: &[f64], x: &[f64], r: &mut [f64]) {
         match &self.fine_stencil {
-            Some(p) => {
-                StencilOp::new(p, self.fine.values()).residual_into_on(&self.pool, b, x, r);
-            }
-            None => self.fine.residual_into_on(&self.pool, b, x, r),
+            Some(p) => StencilOp::new(p, self.fine.values()).residual_into(b, x, r),
+            None => self.fine.residual_into(b, x, r),
         }
     }
 
@@ -511,42 +487,26 @@ impl MultigridPreconditioner {
         }
     }
 
-    /// Restriction `r_c = Pᵀ·t`: per-aggregate sums of `t`, partitioned
-    /// by coarse node (disjoint outputs, fixed ascending child order).
+    /// Restriction `r_c = Pᵀ·t`: per-aggregate sums of `t`, each in the
+    /// fixed ascending child order.
     fn restrict(&self, level: usize, t: &[f64], rc: &mut [f64]) {
         let lvl = &self.structure.levels[level];
-        let nc = rc.len();
-        let out = SharedMut(rc.as_mut_ptr());
-        par_range(&self.pool, nc, &|s, e| {
-            // SAFETY: chunks write disjoint coarse ranges.
-            unsafe {
-                for i in s..e {
-                    let lo = lvl.children_ptr[i] as usize;
-                    let hi = lvl.children_ptr[i + 1] as usize;
-                    let mut acc = 0.0;
-                    for &f in &lvl.children[lo..hi] {
-                        acc += t[f as usize];
-                    }
-                    *out.ptr().add(i) = acc;
-                }
+        for (out, bounds) in rc.iter_mut().zip(lvl.children_ptr.windows(2)) {
+            let mut acc = 0.0;
+            for &f in &lvl.children[bounds[0] as usize..bounds[1] as usize] {
+                acc += t[f as usize];
             }
-        });
+            *out = acc;
+        }
     }
 
     /// Prolongation `z += P·e_c`: each fine node adds its aggregate's
-    /// correction, partitioned elementwise over fine nodes.
+    /// correction.
     fn prolong_add(&self, level: usize, ec: &[f64], z: &mut [f64]) {
         let lvl = &self.structure.levels[level];
-        let n = z.len();
-        let zp = SharedMut(z.as_mut_ptr());
-        par_range(&self.pool, n, &|s, e| {
-            // SAFETY: chunks write disjoint fine ranges.
-            unsafe {
-                for i in s..e {
-                    *zp.ptr().add(i) += ec[lvl.agg[i] as usize];
-                }
-            }
-        });
+        for (zi, &g) in z.iter_mut().zip(&lvl.agg) {
+            *zi += ec[g as usize];
+        }
     }
 }
 
@@ -596,8 +556,7 @@ impl Preconditioner for MultigridPreconditioner {
                 let zl = &mut ws.z[l - 1];
                 if let Some(sm) = &self.pre_smooth[l] {
                     sm.apply(rl, zl);
-                    self.matrix(l)
-                        .residual_into_on(&self.pool, rl, zl, &mut ws.t[l]);
+                    self.matrix(l).residual_into(rl, zl, &mut ws.t[l]);
                     self.restrict(l, &ws.t[l], &mut rcoarse[0]);
                 } else {
                     zl.fill(0.0);
@@ -616,10 +575,9 @@ impl Preconditioner for MultigridPreconditioner {
                 self.prolong_add(l, &zcoarse[0], zl);
                 if let Some(sm) = &self.post_smooth[l] {
                     let rl = &ws.r[l - 1];
-                    self.matrix(l)
-                        .residual_into_on(&self.pool, rl, zl, &mut ws.t[l]);
+                    self.matrix(l).residual_into(rl, zl, &mut ws.t[l]);
                     sm.apply(&ws.t[l], &mut ws.s[l]);
-                    add_into(&self.pool, zl, &ws.s[l]);
+                    add_into(zl, &ws.s[l]);
                 }
             }
         }
@@ -634,22 +592,13 @@ impl Preconditioner for MultigridPreconditioner {
             if let Some(sm) = &self.post_smooth[0] {
                 self.fine_residual(r, z, &mut ws.t[0]);
                 sm.apply(&ws.t[0], &mut ws.s[0]);
-                add_into(&self.pool, z, &ws.s[0]);
+                add_into(z, &ws.s[0]);
             }
         }
     }
 
     fn order(&self) -> usize {
         self.fine.order()
-    }
-
-    fn barriers_per_apply(&self) -> usize {
-        self.pre_smooth
-            .iter()
-            .chain(&self.post_smooth)
-            .filter_map(|s| s.as_deref())
-            .map(Preconditioner::barriers_per_apply)
-            .sum()
     }
 
     fn cycles(&self) -> Option<u64> {
@@ -742,7 +691,7 @@ mod tests {
         let other = grid_matrix(3, 12, 8, 2, 0.0);
         assert!(!mg.matches_pattern(&other));
         assert!(matches!(
-            MultigridPreconditioner::new_on(&other, KernelPool::new(1), None, mg),
+            MultigridPreconditioner::new(&other, None, mg),
             Err(NumError::PatternMismatch {
                 context: "multigrid hierarchy"
             })
@@ -758,7 +707,7 @@ mod tests {
         let twin = grid_matrix(2, 12, 12, 4, 0.0);
         let mg = Arc::new(MgStructure::build(&a, &grid_coords(2, 12, 12)).unwrap());
         assert!(mg.matches_pattern(&twin));
-        assert!(MultigridPreconditioner::new_on(&twin, KernelPool::new(1), None, mg).is_ok());
+        assert!(MultigridPreconditioner::new(&twin, None, mg).is_ok());
     }
 
     #[test]
@@ -766,10 +715,10 @@ mod tests {
         let a = grid_matrix(1, 5, 5, 5, 0.0);
         let schedules = Arc::new(KernelSchedules::for_matrix(&a));
         let mg = PreconditionerKind::Multigrid
-            .build_on(&a, KernelPool::new(1), Some(&schedules))
+            .build(&a, Some(&schedules))
             .unwrap();
         let ilu = PreconditionerKind::Ilu0
-            .build_on(&a, KernelPool::new(1), Some(&schedules))
+            .build(&a, Some(&schedules))
             .unwrap();
         let r: Vec<f64> = (0..a.order()).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut z_mg = vec![0.0; a.order()];
@@ -791,13 +740,12 @@ mod tests {
         let coords = grid_coords(layers, rows, cols);
         let schedules = Arc::new(KernelSchedules::for_grid_matrix(&a, &coords));
         assert!(schedules.multigrid().is_some());
-        let pool = KernelPool::new(1);
         let m = PreconditionerKind::Multigrid
-            .build_on(&a, Arc::clone(&pool), Some(&schedules))
+            .build(&a, Some(&schedules))
             .unwrap();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
         let mut x = vec![0.0; n];
-        let mut ws = SolverWorkspace::with_pool(pool);
+        let mut ws = SolverWorkspace::new();
         let info = BiCgStab {
             tolerance: 1e-12,
             max_iterations: 200,
@@ -818,13 +766,12 @@ mod tests {
         let n = a.order();
         let coords = grid_coords(layers, rows, cols);
         let schedules = Arc::new(KernelSchedules::for_grid_matrix(&a, &coords));
-        let pool = KernelPool::new(1);
         let m = PreconditionerKind::Multigrid
-            .build_on(&a, Arc::clone(&pool), Some(&schedules))
+            .build(&a, Some(&schedules))
             .unwrap();
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.07).sin()).collect();
         let mut x = vec![0.0; n];
-        let mut ws = SolverWorkspace::with_pool(pool);
+        let mut ws = SolverWorkspace::new();
         BiCgStab {
             tolerance: 1e-11,
             max_iterations: 200,
@@ -837,44 +784,57 @@ mod tests {
         }
     }
 
+    /// Applies `m` to `r` from `threads` threads at once (one shared
+    /// preconditioner, `Sync` through its scratch lock) and returns every
+    /// thread's output.
+    fn apply_concurrently(m: &dyn Preconditioner, r: &[f64], threads: usize) -> Vec<Vec<f64>> {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut z = vec![0.0; r.len()];
+                        m.apply(r, &mut z);
+                        z
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
     #[test]
     fn vcycle_apply_is_bit_identical_across_thread_counts() {
-        // Large enough that the fine level crosses PAR_MIN_LEN, so the
-        // parallel smoother sweeps, transfers and vector updates all
-        // engage on the multi-thread pools.
+        // One preconditioner shared by 1, 2 and 4 threads applying it
+        // at once: the scratch lock must serialize the cycles, so every
+        // caller gets the single-threaded bits.
         let (layers, rows, cols) = (8, 40, 40);
         let a = grid_matrix(layers, rows, cols, 13, 1.5);
         let coords = grid_coords(layers, rows, cols);
         let schedules = Arc::new(KernelSchedules::for_grid_matrix(&a, &coords));
         let r: Vec<f64> = (0..a.order()).map(|i| (i as f64 * 0.013).sin()).collect();
-        let mut reference: Option<Vec<f64>> = None;
+        let m = PreconditionerKind::Multigrid
+            .build(&a, Some(&schedules))
+            .unwrap();
+        let mut reference = vec![0.0; a.order()];
+        m.apply(&r, &mut reference);
+        let mut applies = 1;
         for threads in [1usize, 2, 4] {
-            let pool = KernelPool::new(threads);
-            let m = PreconditionerKind::Multigrid
-                .build_on(&a, pool, Some(&schedules))
-                .unwrap();
-            let mut z = vec![0.0; a.order()];
-            m.apply(&r, &mut z);
-            // A second apply from the same state must reproduce itself.
-            let mut z2 = vec![0.0; a.order()];
-            m.apply(&r, &mut z2);
-            assert!(z.iter().zip(&z2).all(|(p, q)| p.to_bits() == q.to_bits()));
-            assert_eq!(m.cycles(), Some(2));
-            match &reference {
-                None => reference = Some(z),
-                Some(want) => {
-                    assert!(
-                        z.iter().zip(want).all(|(p, q)| p.to_bits() == q.to_bits()),
-                        "threads {threads} diverged"
-                    );
-                }
+            for z in apply_concurrently(m.as_ref(), &r, threads) {
+                assert!(
+                    z.iter()
+                        .zip(&reference)
+                        .all(|(p, q)| p.to_bits() == q.to_bits()),
+                    "{threads} threads diverged"
+                );
             }
+            applies += threads as u64;
+            assert_eq!(m.cycles(), Some(applies), "one V-cycle per apply");
         }
     }
 
     #[test]
-    fn default_cycle_matches_new_on_bitwise() {
-        // `new_on` is defined as `with_cycle_on(.., default)`; a default
+    fn default_cycle_matches_new_bitwise() {
+        // `new` is defined as `with_cycle(.., default)`; a default
         // MgCycleConfig must reproduce the historical V(1,1) ILU cycle
         // exactly, so the cache-replay and BENCH baselines stay valid.
         let (layers, rows, cols) = (3, 14, 14);
@@ -882,17 +842,11 @@ mod tests {
         let coords = grid_coords(layers, rows, cols);
         let schedules = Arc::new(KernelSchedules::for_grid_matrix(&a, &coords));
         let structure = schedules.multigrid().cloned().unwrap();
-        let pool = KernelPool::new(1);
-        let legacy = MultigridPreconditioner::new_on(
+        let legacy =
+            MultigridPreconditioner::new(&a, Some(Arc::clone(&schedules)), Arc::clone(&structure))
+                .unwrap();
+        let explicit = MultigridPreconditioner::with_cycle(
             &a,
-            Arc::clone(&pool),
-            Some(Arc::clone(&schedules)),
-            Arc::clone(&structure),
-        )
-        .unwrap();
-        let explicit = MultigridPreconditioner::with_cycle_on(
-            &a,
-            pool,
             Some(schedules),
             structure,
             MgCycleConfig::default(),
@@ -917,7 +871,6 @@ mod tests {
         let n = a.order();
         let coords = grid_coords(layers, rows, cols);
         let schedules = Arc::new(KernelSchedules::for_grid_matrix(&a, &coords));
-        let pool = KernelPool::new(1);
         let solver = BiCgStab {
             tolerance: 1e-11,
             max_iterations: 200,
@@ -927,10 +880,10 @@ mod tests {
         let mut iters = Vec::new();
         for cycle in [MgCycleConfig::default(), MgCycleConfig::cheap()] {
             let m = PreconditionerKind::Multigrid
-                .build_with_cycle_on(&a, Arc::clone(&pool), Some(&schedules), cycle)
+                .build_with_cycle(&a, Some(&schedules), cycle)
                 .unwrap();
             let mut x = vec![0.0; n];
-            let mut ws = SolverWorkspace::with_pool(Arc::clone(&pool));
+            let mut ws = SolverWorkspace::new();
             let info = solver
                 .solve_with(&a, &b, &mut x, m.as_ref(), &mut ws)
                 .unwrap();
@@ -947,6 +900,8 @@ mod tests {
 
     #[test]
     fn asymmetric_cycles_are_bit_identical_across_thread_counts() {
+        // Every cycle shape, shared by 2 and 4 concurrently applying
+        // threads, reproduces its own single-threaded bits.
         let (layers, rows, cols) = (8, 40, 40);
         let a = grid_matrix(layers, rows, cols, 13, 1.5);
         let coords = grid_coords(layers, rows, cols);
@@ -970,55 +925,22 @@ mod tests {
                 coarse: MgSmoother::None,
             },
         ] {
-            let mut reference: Option<Vec<f64>> = None;
-            for threads in [1usize, 2, 4] {
-                let pool = KernelPool::new(threads);
-                let m = PreconditionerKind::Multigrid
-                    .build_with_cycle_on(&a, pool, Some(&schedules), cycle)
-                    .unwrap();
-                let mut z = vec![0.0; a.order()];
-                m.apply(&r, &mut z);
-                match &reference {
-                    None => reference = Some(z),
-                    Some(want) => {
-                        assert!(
-                            z.iter().zip(want).all(|(p, q)| p.to_bits() == q.to_bits()),
-                            "{cycle:?} threads {threads} diverged"
-                        );
-                    }
+            let m = PreconditionerKind::Multigrid
+                .build_with_cycle(&a, Some(&schedules), cycle)
+                .unwrap();
+            let mut reference = vec![0.0; a.order()];
+            m.apply(&r, &mut reference);
+            for threads in [2usize, 4] {
+                for z in apply_concurrently(m.as_ref(), &r, threads) {
+                    assert!(
+                        z.iter()
+                            .zip(&reference)
+                            .all(|(p, q)| p.to_bits() == q.to_bits()),
+                        "{cycle:?} threads {threads} diverged"
+                    );
                 }
             }
         }
-    }
-
-    #[test]
-    fn unsmoothed_legs_reduce_barriers() {
-        // Dropping a smoother leg must show up in the synchronization
-        // estimate (that is the whole point of the cheap cycle).
-        let (layers, rows, cols) = (3, 14, 14);
-        let a = grid_matrix(layers, rows, cols, 33, 0.5);
-        let coords = grid_coords(layers, rows, cols);
-        let schedules = Arc::new(KernelSchedules::for_grid_matrix(&a, &coords));
-        let pool = KernelPool::new(2);
-        let barriers = |cycle: MgCycleConfig| {
-            PreconditionerKind::Multigrid
-                .build_with_cycle_on(&a, Arc::clone(&pool), Some(&schedules), cycle)
-                .unwrap()
-                .barriers_per_apply()
-        };
-        let full = barriers(MgCycleConfig::default());
-        let cheap = barriers(MgCycleConfig::cheap());
-        let half = barriers(MgCycleConfig {
-            pre: MgSmoother::None,
-            post: MgSmoother::Ilu0,
-            ..MgCycleConfig::default()
-        });
-        // Dropping the pre leg everywhere exactly halves the symmetric
-        // cycle's synchronization; `cheap()` *is* that configuration
-        // (it keeps ILU on the coarse chain — see its doc for why).
-        assert_eq!(half * 2, full, "one ILU leg is half the V(1,1) cost");
-        assert_eq!(cheap, half, "cheap() is the all-ILU V(0,1) cycle");
-        assert!(cheap > 0, "ILU post-smooth legs still synchronize");
     }
 
     proptest! {

@@ -15,19 +15,15 @@
 //! Both enumerate each row's entries **in CSR column order with the CSR
 //! kernel's exact accumulation pattern** (two alternating accumulators,
 //! odd tail into the first), so they produce bit-identical results —
-//! which operator runs, like the thread count, can never change a
-//! simulation.
+//! which operator runs can never change a simulation.
 
-use crate::pool::{SharedMut, PAR_MIN_LEN, ROW_CHUNK};
-use crate::{CsrMatrix, KernelPool};
+use crate::CsrMatrix;
 
 /// A square linear operator the Krylov solvers can iterate on.
 ///
-/// All methods distribute rows over the given [`KernelPool`] in fixed
-/// chunks (the same partitioning as the CSR kernels), and every
-/// implementation is bit-identical to the CSR reference at every thread
-/// count — see the module docs.
-pub trait LinearOperator: Sync {
+/// Every implementation is bit-identical to the CSR reference — see the
+/// module docs.
+pub trait LinearOperator {
     /// Operator order `n`.
     fn order(&self) -> usize;
 
@@ -36,7 +32,7 @@ pub trait LinearOperator: Sync {
     /// # Panics
     ///
     /// Panics if `x` or `y` have the wrong length.
-    fn matvec_into_on(&self, pool: &KernelPool, x: &[f64], y: &mut [f64]);
+    fn matvec_into(&self, x: &[f64], y: &mut [f64]);
 
     /// Fused residual `r = b − A·x` in one pass over the rows —
     /// bit-identical to a matvec followed by an elementwise
@@ -45,7 +41,7 @@ pub trait LinearOperator: Sync {
     /// # Panics
     ///
     /// Panics if any slice has the wrong length.
-    fn residual_into_on(&self, pool: &KernelPool, b: &[f64], x: &[f64], r: &mut [f64]);
+    fn residual_into(&self, b: &[f64], x: &[f64], r: &mut [f64]);
 
     /// Fused backward-Euler prologue, one pass over the grid:
     /// `rhs_i = c_i·x_i + base_i` and `r_i = rhs_i − (A·x)_i`.
@@ -57,15 +53,7 @@ pub trait LinearOperator: Sync {
     /// # Panics
     ///
     /// Panics if any slice has the wrong length.
-    fn be_prologue_on(
-        &self,
-        pool: &KernelPool,
-        c: &[f64],
-        base: &[f64],
-        x: &[f64],
-        rhs: &mut [f64],
-        r: &mut [f64],
-    );
+    fn be_prologue(&self, c: &[f64], base: &[f64], x: &[f64], rhs: &mut [f64], r: &mut [f64]);
 
     /// Writes the operator's diagonal into `d`.
     ///
@@ -79,114 +67,109 @@ pub trait LinearOperator: Sync {
 ///
 /// `Mv`: `y_i = s`. `Res`: `r_i = b_i − s`. `Be`: `rhs_i = c_i·x_i +
 /// base_i; r_i = rhs_i − s`.
-#[derive(Clone, Copy)]
 pub(crate) enum RowMode<'a> {
     Mv {
-        y: SharedMut,
+        y: &'a mut [f64],
     },
     Res {
         b: &'a [f64],
-        r: SharedMut,
+        r: &'a mut [f64],
     },
     Be {
         c: &'a [f64],
         base: &'a [f64],
-        rhs: SharedMut,
-        r: SharedMut,
+        rhs: &'a mut [f64],
+        r: &'a mut [f64],
     },
 }
 
 impl RowMode<'_> {
+    /// Panics unless `x` and every slice of the mode hold `n` entries —
+    /// the condition the unchecked row kernels rely on.
+    pub(crate) fn assert_order(&self, n: usize, x: &[f64]) {
+        let ok = match self {
+            RowMode::Mv { y } => y.len() == n,
+            RowMode::Res { b, r } => b.len() == n && r.len() == n,
+            RowMode::Be { c, base, rhs, r } => [c.len(), base.len(), rhs.len(), r.len()]
+                .iter()
+                .all(|&l| l == n),
+        };
+        assert!(
+            ok && x.len() == n,
+            "row kernel: a slice's length differs from the order {n}"
+        );
+    }
+
+    /// The same mode over shorter-lived borrows, handed by value to one
+    /// row segment's kernel.
+    #[inline(always)]
+    pub(crate) fn reborrow(&mut self) -> RowMode<'_> {
+        match self {
+            RowMode::Mv { y } => RowMode::Mv { y },
+            RowMode::Res { b, r } => RowMode::Res { b, r },
+            RowMode::Be { c, base, rhs, r } => RowMode::Be { c, base, rhs, r },
+        }
+    }
+
     /// Applies the mode's epilogue for row `i` whose entry sum is `s`.
     ///
     /// # Safety
     ///
-    /// `i` must be in range for every slice/pointer, and no other thread
-    /// may concurrently touch the written elements.
+    /// `i` must be in range for `x` and every slice of the mode.
     #[inline(always)]
-    pub(crate) unsafe fn finish(self, i: usize, x: &[f64], s: f64) {
+    pub(crate) unsafe fn finish(&mut self, i: usize, x: &[f64], s: f64) {
         unsafe {
             match self {
-                RowMode::Mv { y } => *y.ptr().add(i) = s,
-                RowMode::Res { b, r } => *r.ptr().add(i) = *b.get_unchecked(i) - s,
+                RowMode::Mv { y } => *y.get_unchecked_mut(i) = s,
+                RowMode::Res { b, r } => *r.get_unchecked_mut(i) = *b.get_unchecked(i) - s,
                 RowMode::Be { c, base, rhs, r } => {
                     let v = *c.get_unchecked(i) * *x.get_unchecked(i) + *base.get_unchecked(i);
-                    *rhs.ptr().add(i) = v;
-                    *r.ptr().add(i) = v - s;
+                    *rhs.get_unchecked_mut(i) = v;
+                    *r.get_unchecked_mut(i) = v - s;
                 }
             }
         }
     }
 }
 
-/// One CSR row's entry sum in the canonical accumulation order: entries
-/// at even in-row positions into `acc0`, odd into `acc1`, pairwise from
-/// the row start, odd tail into `acc0`, result `acc0 + acc1` — exactly
-/// [`CsrMatrix::matvec_into`]'s kernel.
+/// Runs the fused CSR row kernel over every row of `m`: each row's
+/// entry sum in the canonical accumulation order (entries at even
+/// in-row positions into `acc0`, odd into `acc1`, pairwise from the row
+/// start, odd tail into `acc0`, result `acc0 + acc1`), then the mode's
+/// epilogue.
 ///
-/// # Safety
+/// # Panics
 ///
-/// `start..end` must be valid for `vals`/`cols`, every column < `x.len()`.
-#[inline(always)]
-unsafe fn csr_row_sum(vals: &[f64], cols: &[u32], x: &[f64], start: usize, end: usize) -> f64 {
-    unsafe {
-        let (mut acc0, mut acc1) = (0.0f64, 0.0f64);
-        let mut k = start;
-        while k + 1 < end {
-            acc0 += *vals.get_unchecked(k) * *x.get_unchecked(*cols.get_unchecked(k) as usize);
-            acc1 +=
-                *vals.get_unchecked(k + 1) * *x.get_unchecked(*cols.get_unchecked(k + 1) as usize);
-            k += 2;
-        }
-        if k < end {
-            acc0 += *vals.get_unchecked(k) * *x.get_unchecked(*cols.get_unchecked(k) as usize);
-        }
-        acc0 + acc1
-    }
-}
-
-/// Runs a fused CSR row kernel over `r0..r1`.
-///
-/// # Safety
-///
-/// As [`csr_row_sum`], plus the mode's output pointers must cover `n`
-/// elements with `[r0, r1)` not concurrently written by anyone else.
-unsafe fn csr_rows(m: &CsrMatrix, x: &[f64], mode: RowMode<'_>, r0: usize, r1: usize) {
+/// Panics if `x` or a slice of `mode` does not hold `m.order()` entries.
+pub(crate) fn csr_rows(m: &CsrMatrix, x: &[f64], mut mode: RowMode<'_>) {
+    mode.assert_order(m.order(), x);
     let rp = m.row_ptr();
     let cols = m.col_indices();
     let vals = m.values();
+    // SAFETY: `row_ptr` has n+1 monotone entries bounded by nnz and every
+    // column index is < n (CsrBuilder invariants); `assert_order` above
+    // checked `x` and the mode's slices against n. The unchecked accesses
+    // keep this hot loop (2 of the 4 memory streams per nonzero) free of
+    // bounds tests.
     unsafe {
-        let mut start = *rp.get_unchecked(r0) as usize;
-        for i in r0..r1 {
+        let mut start = *rp.get_unchecked(0) as usize;
+        for i in 0..m.order() {
             let end = *rp.get_unchecked(i + 1) as usize;
-            let s = csr_row_sum(vals, cols, x, start, end);
-            mode.finish(i, x, s);
+            let (mut acc0, mut acc1) = (0.0f64, 0.0f64);
+            let mut k = start;
+            while k + 1 < end {
+                acc0 += *vals.get_unchecked(k) * *x.get_unchecked(*cols.get_unchecked(k) as usize);
+                acc1 += *vals.get_unchecked(k + 1)
+                    * *x.get_unchecked(*cols.get_unchecked(k + 1) as usize);
+                k += 2;
+            }
+            if k < end {
+                acc0 += *vals.get_unchecked(k) * *x.get_unchecked(*cols.get_unchecked(k) as usize);
+            }
+            mode.finish(i, x, acc0 + acc1);
             start = end;
         }
     }
-}
-
-/// Dispatches a fused row kernel over the pool in [`ROW_CHUNK`] row
-/// chunks — the same partitioning as the CSR matvec, so results are
-/// bit-identical at every thread count (rows are output-disjoint).
-pub(crate) fn run_rows_on(pool: &KernelPool, n: usize, body: &(dyn Fn(usize, usize) + Sync)) {
-    if pool.threads() == 1 || n < PAR_MIN_LEN {
-        body(0, n);
-        return;
-    }
-    pool.run_chunks(n.div_ceil(ROW_CHUNK), &|c| {
-        let r0 = c * ROW_CHUNK;
-        body(r0, (r0 + ROW_CHUNK).min(n));
-    });
-}
-
-/// Runs a fused CSR row kernel over the whole matrix on `pool`.
-fn csr_run(m: &CsrMatrix, pool: &KernelPool, x: &[f64], mode: RowMode<'_>) {
-    run_rows_on(pool, m.order(), &|r0, r1| {
-        // SAFETY: chunks cover disjoint row ranges; slice lengths are
-        // checked by the trait methods; CSR invariants bound every index.
-        unsafe { csr_rows(m, x, mode, r0, r1) };
-    });
 }
 
 /// The CSR reference operator: the fallback for patterns that do not
@@ -197,45 +180,16 @@ impl LinearOperator for CsrMatrix {
         CsrMatrix::order(self)
     }
 
-    fn matvec_into_on(&self, pool: &KernelPool, x: &[f64], y: &mut [f64]) {
-        CsrMatrix::matvec_into_on(self, pool, x, y);
+    fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        CsrMatrix::matvec_into(self, x, y);
     }
 
-    fn residual_into_on(&self, pool: &KernelPool, b: &[f64], x: &[f64], r: &mut [f64]) {
-        let n = CsrMatrix::order(self);
-        for (len, what) in [(b.len(), "b"), (x.len(), "x"), (r.len(), "r")] {
-            assert_eq!(len, n, "csr: {what} length");
-        }
-        let r = SharedMut(r.as_mut_ptr());
-        csr_run(self, pool, x, RowMode::Res { b, r });
+    fn residual_into(&self, b: &[f64], x: &[f64], r: &mut [f64]) {
+        csr_rows(self, x, RowMode::Res { b, r });
     }
 
-    fn be_prologue_on(
-        &self,
-        pool: &KernelPool,
-        c: &[f64],
-        base: &[f64],
-        x: &[f64],
-        rhs: &mut [f64],
-        r: &mut [f64],
-    ) {
-        let n = CsrMatrix::order(self);
-        for (len, what) in [
-            (c.len(), "c"),
-            (base.len(), "base"),
-            (x.len(), "x"),
-            (rhs.len(), "rhs"),
-            (r.len(), "r"),
-        ] {
-            assert_eq!(len, n, "csr: {what} length");
-        }
-        let mode = RowMode::Be {
-            c,
-            base,
-            rhs: SharedMut(rhs.as_mut_ptr()),
-            r: SharedMut(r.as_mut_ptr()),
-        };
-        csr_run(self, pool, x, mode);
+    fn be_prologue(&self, c: &[f64], base: &[f64], x: &[f64], rhs: &mut [f64], r: &mut [f64]) {
+        csr_rows(self, x, RowMode::Be { c, base, rhs, r });
     }
 
     fn diagonal_into(&self, d: &mut [f64]) {
@@ -274,12 +228,11 @@ mod tests {
             let m = random_matrix(seed, n);
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).sin()).collect();
             let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).cos() * 3.0).collect();
-            let pool = KernelPool::new(1);
             let mut y = vec![0.0; n];
             m.matvec_into(&x, &mut y);
             let unfused: Vec<f64> = b.iter().zip(&y).map(|(bi, yi)| bi - yi).collect();
             let mut r = vec![f64::NAN; n];
-            LinearOperator::residual_into_on(&m, &pool, &b, &x, &mut r);
+            LinearOperator::residual_into(&m, &b, &x, &mut r);
             for (a, w) in r.iter().zip(&unfused) {
                 assert_eq!(a.to_bits(), w.to_bits());
             }
@@ -293,7 +246,6 @@ mod tests {
         let c: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 * 0.01).collect();
         let base: Vec<f64> = (0..n).map(|i| (i as f64 * 0.4).sin()).collect();
         let x: Vec<f64> = (0..n).map(|i| 40.0 + (i as f64 * 0.2).cos()).collect();
-        let pool = KernelPool::new(1);
 
         let rhs_ref: Vec<f64> = (0..n).map(|i| c[i] * x[i] + base[i]).collect();
         let mut y = vec![0.0; n];
@@ -302,44 +254,12 @@ mod tests {
 
         let mut rhs = vec![f64::NAN; n];
         let mut r = vec![f64::NAN; n];
-        m.be_prologue_on(&pool, &c, &base, &x, &mut rhs, &mut r);
+        m.be_prologue(&c, &base, &x, &mut rhs, &mut r);
         for (a, w) in rhs.iter().zip(&rhs_ref) {
             assert_eq!(a.to_bits(), w.to_bits());
         }
         for (a, w) in r.iter().zip(&r_ref) {
             assert_eq!(a.to_bits(), w.to_bits());
-        }
-    }
-
-    #[test]
-    fn pooled_fused_kernels_are_bit_identical_across_thread_counts() {
-        let n = crate::pool::PAR_MIN_LEN + 500;
-        let mut b = CsrBuilder::new(n);
-        let mut rng = StdRng::seed_from_u64(3);
-        for i in 0..n {
-            b.add(i, i, rng.random_range(2.0..4.0));
-            if i > 0 {
-                b.add(i, i - 1, -0.5);
-            }
-            if i + 9 < n {
-                b.add(i, i + 9, 0.25);
-            }
-        }
-        let m = b.build();
-        let x: Vec<f64> = (0..n).map(|i| ((i * 13 % 101) as f64) * 0.05).collect();
-        let rhs: Vec<f64> = (0..n).map(|i| ((i * 7 % 31) as f64) - 15.0).collect();
-        let mut r_ref = vec![0.0; n];
-        LinearOperator::residual_into_on(&m, &KernelPool::new(1), &rhs, &x, &mut r_ref);
-        for threads in [2usize, 4] {
-            let pool = KernelPool::new(threads);
-            let mut r = vec![f64::NAN; n];
-            LinearOperator::residual_into_on(&m, &pool, &rhs, &x, &mut r);
-            assert!(
-                r.iter()
-                    .zip(&r_ref)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "threads {threads}"
-            );
         }
     }
 }

@@ -12,18 +12,16 @@
 //!   pattern, the workhorse for fine grids where unpreconditioned
 //!   BiCGSTAB iteration counts grow superlinearly. Given the pattern's
 //!   [`TriangularLevels`](crate::TriangularLevels) (via
-//!   [`KernelSchedules`]), the triangular sweeps run level-parallel on a
-//!   [`KernelPool`] with bit-identical results at every thread count.
+//!   [`KernelSchedules`]), the triangular sweeps visit rows in wavefront
+//!   level order, bit-identical to the natural-order sweep.
 //!
 //! [`PreconditionerKind`] is the serializable selection knob threaded
 //! through `vfc_thermal::SolverConfig`; it also selects the geometric
 //! [`MultigridPreconditioner`](crate::MultigridPreconditioner).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use crate::pool::{SharedMut, PAR_MIN_LEN};
-use crate::schedule::SweepSync;
-use crate::{CsrMatrix, KernelPool, KernelSchedules, NumError};
+use crate::{CsrMatrix, KernelSchedules, NumError};
 
 /// Application side of a preconditioner: `z ≈ A⁻¹·r`.
 ///
@@ -41,14 +39,6 @@ pub trait Preconditioner: std::fmt::Debug + Send + Sync {
 
     /// Matrix order this preconditioner was built for.
     fn order(&self) -> usize;
-
-    /// Barriers one parallel `apply` crosses on this preconditioner's
-    /// build pool (0 when the parallel path cannot engage). A
-    /// measurable proxy for sweep synchronization cost — see
-    /// [`KernelPool::counters`].
-    fn barriers_per_apply(&self) -> usize {
-        0
-    }
 
     /// Composite-cycle count (V-cycles for multigrid) performed so far;
     /// `None` for preconditioners without an internal cycle notion. The
@@ -136,8 +126,6 @@ impl Preconditioner for JacobiPreconditioner {
 /// so results are bit-identical to the natural-order sweep.
 #[derive(Debug, Clone)]
 struct LevelMajorFactor {
-    /// Position bounds per level (for the parallel participant slices).
-    level_ptr: Vec<u32>,
     runs: Vec<SweepRun>,
     /// Offset class table: class `c` owns
     /// `class_off[class_ptr[c]..class_ptr[c+1]]`.
@@ -147,7 +135,6 @@ struct LevelMajorFactor {
     vals: Vec<f64>,
     /// Permuted reciprocal diagonal (backward factor only).
     diag: Vec<f64>,
-    positions: usize,
 }
 
 /// A maximal block of level-consecutive positions whose rows form an
@@ -177,7 +164,6 @@ impl LevelMajorFactor {
         let n = f_ptr.len() - 1;
         let mut vals = Vec::with_capacity(f_val.len());
         let mut diag = Vec::with_capacity(if inv_diag.is_some() { n } else { 0 });
-        let mut level_ptr = Vec::with_capacity(set.count() + 1);
         let mut runs: Vec<SweepRun> = Vec::new();
         let mut class_ptr = vec![0u32];
         let mut class_off: Vec<i32> = Vec::new();
@@ -185,7 +171,6 @@ impl LevelMajorFactor {
             std::collections::HashMap::new();
         let mut sig = Vec::new();
         let mut pos = 0u32;
-        level_ptr.push(0);
         for l in 0..set.count() {
             let mut level_open = false;
             for &i in set.level(l) {
@@ -244,23 +229,14 @@ impl LevelMajorFactor {
                 level_open = true;
                 pos += 1;
             }
-            level_ptr.push(pos);
         }
         Self {
-            level_ptr,
             runs,
             class_ptr,
             class_off,
             vals,
             diag,
-            positions: pos as usize,
         }
-    }
-
-    /// The position range of one level.
-    #[inline]
-    fn level_range(&self, l: usize) -> (usize, usize) {
-        (self.level_ptr[l] as usize, self.level_ptr[l + 1] as usize)
     }
 
     #[inline]
@@ -269,48 +245,32 @@ impl LevelMajorFactor {
             [self.class_ptr[class as usize] as usize..self.class_ptr[class as usize + 1] as usize]
     }
 
-    /// Runs a sweep kernel over positions `a..b` (which must respect
-    /// level boundaries exactly as the caller's barrier plan does).
+    /// One full triangular sweep: every run in level-major position
+    /// order, so each row's dependencies are final before it is
+    /// computed.
     ///
     /// # Safety
     ///
-    /// Every `z[i + off]` read must already hold its final value for
-    /// this sweep direction, and no other thread may concurrently write
-    /// the rows of `a..b`.
+    /// `r` and `z` must hold the factor's order, and the factor must
+    /// have been built from the level set of this factor's own pattern.
     #[inline]
-    unsafe fn sweep_positions<const BACKWARD: bool>(
-        &self,
-        a: usize,
-        b: usize,
-        r: &[f64],
-        z: *mut f64,
-    ) {
-        let mut ri = self.runs.partition_point(|r| (r.pos1 as usize) <= a);
-        while ri < self.runs.len() {
-            let run = self.runs[ri];
-            let qa = (run.pos0 as usize).max(a);
-            let qb = (run.pos1 as usize).min(b);
-            if qa >= b {
-                break;
-            }
+    unsafe fn sweep<const BACKWARD: bool>(&self, r: &[f64], z: &mut [f64]) {
+        for run in &self.runs {
             let off = self.offsets(run.class);
-            let base = run.row0 as i64 + (qa - run.pos0 as usize) as i64 * run.stride as i64;
-            let vb = run.val0 as usize + (qa - run.pos0 as usize) * off.len();
-            // SAFETY: run rows/columns were in range at build time; the
-            // caller guarantees the dependency order.
+            // SAFETY: run rows/columns were in range at build time and
+            // the level order finishes every dependency first.
             unsafe {
                 self.run_segment::<BACKWARD>(
                     off,
                     run.stride as isize,
-                    base as isize,
-                    vb,
-                    qa,
-                    qb,
+                    run.row0 as isize,
+                    run.val0 as usize,
+                    run.pos0 as usize,
+                    run.pos1 as usize,
                     r,
                     z,
                 );
             }
-            ri += 1;
         }
     }
 
@@ -320,7 +280,7 @@ impl LevelMajorFactor {
     ///
     /// # Safety
     ///
-    /// As [`sweep_positions`](Self::sweep_positions).
+    /// As [`sweep`](Self::sweep).
     #[allow(clippy::too_many_arguments)]
     #[inline]
     unsafe fn run_segment<const BACKWARD: bool>(
@@ -332,7 +292,7 @@ impl LevelMajorFactor {
         qa: usize,
         qb: usize,
         r: &[f64],
-        z: *mut f64,
+        z: &mut [f64],
     ) {
         macro_rules! k_arm {
             ($K:literal) => {
@@ -361,7 +321,7 @@ impl LevelMajorFactor {
     ///
     /// # Safety
     ///
-    /// As [`sweep_positions`](Self::sweep_positions).
+    /// As [`sweep`](Self::sweep).
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     unsafe fn segment_rows<const BACKWARD: bool, const K: usize>(
@@ -373,7 +333,7 @@ impl LevelMajorFactor {
         qa: usize,
         qb: usize,
         r: &[f64],
-        z: *mut f64,
+        z: &mut [f64],
     ) {
         let mut o = [0isize; K];
         for (d, &s) in o.iter_mut().zip(off) {
@@ -386,14 +346,14 @@ impl LevelMajorFactor {
             for q in qa..qb {
                 let row = i as usize;
                 let mut acc = if BACKWARD {
-                    *z.add(row)
+                    *z.get_unchecked(row)
                 } else {
                     *r.get_unchecked(row)
                 };
                 for (p, &o) in o.iter().enumerate() {
-                    acc -= *self.vals.get_unchecked(vb + p) * *z.offset(i + o);
+                    acc -= *self.vals.get_unchecked(vb + p) * *z.get_unchecked((i + o) as usize);
                 }
-                *z.add(row) = if BACKWARD {
+                *z.get_unchecked_mut(row) = if BACKWARD {
                     acc * *self.diag.get_unchecked(q)
                 } else {
                     acc
@@ -408,7 +368,7 @@ impl LevelMajorFactor {
     ///
     /// # Safety
     ///
-    /// As [`sweep_positions`](Self::sweep_positions).
+    /// As [`sweep`](Self::sweep).
     #[allow(clippy::too_many_arguments)]
     unsafe fn segment_rows_generic<const BACKWARD: bool>(
         &self,
@@ -419,7 +379,7 @@ impl LevelMajorFactor {
         qa: usize,
         qb: usize,
         r: &[f64],
-        z: *mut f64,
+        z: &mut [f64],
     ) {
         let k = off.len();
         let mut i = base;
@@ -428,14 +388,15 @@ impl LevelMajorFactor {
             for q in qa..qb {
                 let row = i as usize;
                 let mut acc = if BACKWARD {
-                    *z.add(row)
+                    *z.get_unchecked(row)
                 } else {
                     *r.get_unchecked(row)
                 };
                 for (p, &o) in off.iter().enumerate() {
-                    acc -= *self.vals.get_unchecked(vb + p) * *z.offset(i + o as isize);
+                    acc -= *self.vals.get_unchecked(vb + p)
+                        * *z.get_unchecked((i + o as isize) as usize);
                 }
-                *z.add(row) = if BACKWARD {
+                *z.get_unchecked_mut(row) = if BACKWARD {
                     acc * *self.diag.get_unchecked(q)
                 } else {
                     acc
@@ -447,16 +408,6 @@ impl LevelMajorFactor {
     }
 }
 
-/// Splits `len` items across `total` participants; participant `me` owns
-/// the contiguous slice `[start, end)`. Contiguity keeps each worker's
-/// reads/writes streaming.
-#[inline]
-fn participant_slice(len: usize, me: usize, total: usize) -> (usize, usize) {
-    let per = len.div_ceil(total);
-    let start = (me * per).min(len);
-    (start, (start + per).min(len))
-}
-
 /// Incomplete LU factorization with zero fill-in, ILU(0).
 ///
 /// The factors live on the sparsity pattern of the input matrix, with a
@@ -466,14 +417,13 @@ fn participant_slice(len: usize, me: usize, total: usize) -> (usize, usize) {
 /// this cuts BiCGSTAB iteration counts by an order of magnitude on fine
 /// grids.
 ///
-/// Built via [`new_on`](Self::new_on) with the pattern's
-/// [`KernelSchedules`], the otherwise strictly sequential triangular
-/// sweeps run **level-scheduled** on the given [`KernelPool`]: rows of
-/// one wavefront level have no mutual dependencies, so they execute on
-/// any thread — each row's accumulation order is fixed by the CSR entry
-/// order, which keeps the parallel result bit-identical to the
-/// sequential sweep at every thread count.
-#[derive(Debug)]
+/// Built with the pattern's [`KernelSchedules`], the triangular sweeps
+/// visit rows in **wavefront level order**: rows of one level have no
+/// mutual dependencies, so their loads pipeline instead of chaining
+/// through the just-written neighbour. Each row's accumulation order is
+/// fixed by the CSR entry order, which keeps the result bit-identical
+/// to the natural-order sweep.
+#[derive(Debug, Clone)]
 pub struct Ilu0Preconditioner {
     /// Reciprocals of the `U` diagonal (the backward solve multiplies
     /// instead of dividing — serial divides dominate otherwise). Length
@@ -487,8 +437,6 @@ pub struct Ilu0Preconditioner {
     u_ptr: Vec<u32>,
     u_col: Vec<u32>,
     u_val: Vec<f64>,
-    /// Shared pattern schedules; `Some` enables the level-parallel path.
-    schedules: Option<Arc<KernelSchedules>>,
     /// Level-major compactions of the triangular factors (built only
     /// with schedules): rows of each wavefront level stored
     /// back-to-back so the sweeps stream their value/column arrays
@@ -498,72 +446,24 @@ pub struct Ilu0Preconditioner {
     /// per entry on the 100 µm grid).
     lower_sweep: Option<LevelMajorFactor>,
     upper_sweep: Option<LevelMajorFactor>,
-    /// Merged sweep phases for the build pool's thread count: each
-    /// entry is a `[start, end)` range of wavefront levels executed
-    /// back-to-back without an intervening barrier (merging verified
-    /// against the factor's dependency structure — see
-    /// [`merge_levels`]).
-    lower_phases: Vec<(u32, u32)>,
-    upper_phases: Vec<(u32, u32)>,
-    pool: Arc<KernelPool>,
-    /// Barriers for the level sweeps (phases = lower + upper levels).
-    sync: SweepSync,
-    /// Guards the shared barriers: a second concurrent `apply` on the
-    /// same preconditioner takes the sequential path instead.
-    par_gate: Mutex<()>,
-}
-
-impl Clone for Ilu0Preconditioner {
-    fn clone(&self) -> Self {
-        Self {
-            inv_diag: self.inv_diag.clone(),
-            l_ptr: self.l_ptr.clone(),
-            l_col: self.l_col.clone(),
-            l_val: self.l_val.clone(),
-            u_ptr: self.u_ptr.clone(),
-            u_col: self.u_col.clone(),
-            u_val: self.u_val.clone(),
-            schedules: self.schedules.clone(),
-            lower_sweep: self.lower_sweep.clone(),
-            upper_sweep: self.upper_sweep.clone(),
-            lower_phases: self.lower_phases.clone(),
-            upper_phases: self.upper_phases.clone(),
-            pool: Arc::clone(&self.pool),
-            sync: self.sync.clone(),
-            par_gate: Mutex::new(()),
-        }
-    }
 }
 
 impl Ilu0Preconditioner {
-    /// Factors `a` in ILU(0) form with sequential triangular sweeps (no
-    /// schedules, global pool) — the convenient one-shot entry point.
+    /// Factors `a` in ILU(0) form. With `schedules` (computed once per
+    /// sparsity pattern and shared across same-pattern factorizations)
+    /// the triangular sweeps run in wavefront level order; without,
+    /// they run in natural row order. Both land the same bits.
     ///
     /// # Errors
     ///
     /// [`NumError::SingularMatrix`] if a row lacks a diagonal entry or a
-    /// pivot vanishes during elimination.
-    pub fn new(a: &CsrMatrix) -> Result<Self, NumError> {
-        Self::new_on(a, Arc::clone(KernelPool::global()), None)
-    }
-
-    /// Factors `a` in ILU(0) form; with `schedules` (computed once per
-    /// sparsity pattern and shared across same-pattern factorizations)
-    /// the triangular sweeps run level-parallel on `pool`.
-    ///
-    /// # Errors
-    ///
-    /// As [`new`](Self::new); additionally
+    /// pivot vanishes during elimination;
     /// [`NumError::PatternMismatch`] if `schedules` was computed for a
     /// different sparsity pattern than `a`'s — foreign level sets would
-    /// turn the parallel sweeps into data races, so the mismatch is
-    /// rejected up front (pointer-equality fast path for
-    /// structure-shared families).
-    pub fn new_on(
-        a: &CsrMatrix,
-        pool: Arc<KernelPool>,
-        schedules: Option<Arc<KernelSchedules>>,
-    ) -> Result<Self, NumError> {
+    /// send the unchecked sweeps to rows in the wrong order or out of
+    /// bounds, so the mismatch is rejected up front (pointer-equality
+    /// fast path for structure-shared families).
+    pub fn new(a: &CsrMatrix, schedules: Option<Arc<KernelSchedules>>) -> Result<Self, NumError> {
         if let Some(s) = &schedules {
             if !s.matches_pattern(a) {
                 return Err(NumError::PatternMismatch { context: "ilu0" });
@@ -639,10 +539,6 @@ impl Ilu0Preconditioner {
             l_ptr.push(l_col.len() as u32);
             u_ptr.push(u_col.len() as u32);
         }
-        let phases = schedules
-            .as_ref()
-            .map(|s| s.levels.lower_level_count() + s.levels.upper_level_count())
-            .unwrap_or(0);
         let (lower_sweep, upper_sweep) = match &schedules {
             Some(s) => (
                 Some(LevelMajorFactor::build(
@@ -662,20 +558,6 @@ impl Ilu0Preconditioner {
             ),
             None => (None, None),
         };
-        // Merge adjacent wavefront levels into barrier-free phases where
-        // the dependency analysis (for this pool's thread count and the
-        // deterministic contiguous slice partition) allows it.
-        let (lower_phases, upper_phases) = match &schedules {
-            Some(s) if pool.threads() > 1 => (
-                merge_levels(&s.levels.lower, &l_ptr, &l_col, pool.threads()),
-                merge_levels(&s.levels.upper, &u_ptr, &u_col, pool.threads()),
-            ),
-            Some(s) => (
-                trivial_phases(s.levels.lower_level_count()),
-                trivial_phases(s.levels.upper_level_count()),
-            ),
-            None => (Vec::new(), Vec::new()),
-        };
         Ok(Self {
             inv_diag,
             l_ptr,
@@ -684,49 +566,34 @@ impl Ilu0Preconditioner {
             u_ptr,
             u_col,
             u_val,
-            schedules,
             lower_sweep,
             upper_sweep,
-            lower_phases,
-            upper_phases,
-            pool,
-            sync: SweepSync::with_phases(phases),
-            par_gate: Mutex::new(()),
         })
     }
 
-    /// Whether `apply` may take the level-parallel path.
+    /// Whether `apply` runs the level-major sweeps (built with
+    /// schedules).
     pub fn is_level_scheduled(&self) -> bool {
-        self.schedules.is_some()
-    }
-
-    /// The barrier count one parallel apply would have crossed before
-    /// level merging: one per wavefront level (the PR 4 scheme), or 0
-    /// when no schedules were given.
-    pub fn unmerged_barriers_per_apply(&self) -> usize {
-        self.schedules
-            .as_ref()
-            .map(|s| s.levels.lower_level_count() + s.levels.upper_level_count())
-            .unwrap_or(0)
+        self.lower_sweep.is_some()
     }
 
     /// One forward-substitution row: `z[i] = r[i] − Σ L[i,j]·z[j]`.
     ///
     /// # Safety
     ///
-    /// `i < n`; `z` points at `n` elements; all `z[j]` this row reads
-    /// must already hold their final forward value and no other thread
-    /// may touch `z[i]`.
+    /// `i < n`, `r` and `z` hold `n` elements, and all `z[j]` this row
+    /// reads must already hold their final forward value.
     #[inline]
-    unsafe fn forward_row(&self, i: usize, r: &[f64], z: *mut f64) {
+    unsafe fn forward_row(&self, i: usize, r: &[f64], z: &mut [f64]) {
         unsafe {
             let start = *self.l_ptr.get_unchecked(i) as usize;
             let end = *self.l_ptr.get_unchecked(i + 1) as usize;
             let mut acc = *r.get_unchecked(i);
             for k in start..end {
-                acc -= *self.l_val.get_unchecked(k) * *z.add(*self.l_col.get_unchecked(k) as usize);
+                acc -= *self.l_val.get_unchecked(k)
+                    * *z.get_unchecked(*self.l_col.get_unchecked(k) as usize);
             }
-            *z.add(i) = acc;
+            *z.get_unchecked_mut(i) = acc;
         }
     }
 
@@ -738,201 +605,66 @@ impl Ilu0Preconditioner {
     /// As [`forward_row`](Self::forward_row), with the dependencies being
     /// the already-finished backward rows `j > i`.
     #[inline]
-    unsafe fn backward_row(&self, i: usize, z: *mut f64) {
+    unsafe fn backward_row(&self, i: usize, z: &mut [f64]) {
         unsafe {
             let start = *self.u_ptr.get_unchecked(i) as usize;
             let end = *self.u_ptr.get_unchecked(i + 1) as usize;
-            let mut acc = *z.add(i);
+            let mut acc = *z.get_unchecked(i);
             for k in start..end {
-                acc -= *self.u_val.get_unchecked(k) * *z.add(*self.u_col.get_unchecked(k) as usize);
+                acc -= *self.u_val.get_unchecked(k)
+                    * *z.get_unchecked(*self.u_col.get_unchecked(k) as usize);
             }
-            *z.add(i) = acc * *self.inv_diag.get_unchecked(i);
+            *z.get_unchecked_mut(i) = acc * *self.inv_diag.get_unchecked(i);
         }
     }
 
-    /// The PR 3 sequential sweeps (also the reference the level-parallel
-    /// path must match bit-for-bit). With schedules, rows are visited in
-    /// **wavefront level order** even on one thread: natural row order
-    /// chains every row's `z[i]` through `z[i−1]` written nanoseconds
-    /// earlier (a store-to-load latency wall — the sweep measures ~3× a
-    /// matvec per entry), while level order makes every row of a level
-    /// independent, so the loads pipeline. Each row's accumulation is
-    /// unchanged, so the result is bit-identical to the natural-order
-    /// sweep (the same argument as the parallel path, with one
-    /// participant). Without schedules, falls back to the stencil or
-    /// indexed natural-order sweep.
-    fn apply_sequential(&self, r: &[f64], z: &mut [f64]) {
-        if let (Some(lower), Some(upper)) = (&self.lower_sweep, &self.upper_sweep) {
-            // One participant, no barriers: positions are already in
-            // level order, so one straight pass over each compaction.
-            let zp = z.as_mut_ptr();
-            // SAFETY: positions cover every row exactly once in level
-            // order; all dependencies are finished on this thread.
-            unsafe {
-                lower.sweep_positions::<false>(0, lower.positions, r, zp);
-                upper.sweep_positions::<true>(0, upper.positions, r, zp);
-            }
-            return;
-        }
-        self.apply_sequential_indexed(r, z);
-    }
-
-    /// The index-loading split-CSR sweeps (the reference the stencil
-    /// sweeps must match bit-for-bit).
+    /// The index-loading split-CSR sweeps in natural row order (the
+    /// reference the level-major sweeps must match bit-for-bit).
     fn apply_sequential_indexed(&self, r: &[f64], z: &mut [f64]) {
         let n = self.inv_diag.len();
-        let zp = z.as_mut_ptr();
         // SAFETY (both sweeps): the compact factor arrays are built in
-        // `new_on` with `*_ptr` monotone and bounded by the factor
-        // length, and every column index is < n (builder invariant); r
-        // and z are length-checked by `apply`. Triangular entries
-        // reference only already-computed z positions.
+        // `new` with `*_ptr` monotone and bounded by the factor length,
+        // and every column index is < n (builder invariant); r and z are
+        // length-checked by `apply`. Triangular entries reference only
+        // already-computed z positions.
         unsafe {
             for i in 0..n {
-                self.forward_row(i, r, zp);
+                self.forward_row(i, r, z);
             }
             for i in (0..n).rev() {
-                self.backward_row(i, zp);
+                self.backward_row(i, z);
             }
         }
     }
-
-    /// Level-scheduled sweeps: one pool broadcast covers both triangular
-    /// solves, with a spin barrier per merged **phase** rather than per
-    /// wavefront level. Rows within a level are split contiguously
-    /// across the reported participants; inside a merged phase each
-    /// participant runs its slices of the phase's levels back-to-back,
-    /// which is sound because [`merge_levels`] only merged levels whose
-    /// cross-level dependencies all stay within one participant's
-    /// slices. The trailing barrier is gone too — the broadcast's
-    /// completion join publishes the final phase's writes. The per-row
-    /// arithmetic is identical to the sequential sweep, so the result
-    /// is bit-identical for every thread count (and for the serial
-    /// fallback the broadcast may take).
-    fn apply_levelled(&self, r: &[f64], z: &mut [f64]) {
-        let (lower, upper) = (
-            self.lower_sweep.as_ref().expect("schedules imply sweeps"),
-            self.upper_sweep.as_ref().expect("schedules imply sweeps"),
-        );
-        let barriers = self.lower_phases.len() + self.upper_phases.len() - 1;
-        self.sync.reset(barriers);
-        let zp = SharedMut(z.as_mut_ptr());
-        self.pool.broadcast(&|me, total| {
-            let participants = total as u32;
-            let mut phase = 0usize;
-            for &(l0, l1) in &self.lower_phases {
-                for l in l0..l1 {
-                    let (a, b) = lower.level_range(l as usize);
-                    let (s, e) = participant_slice(b - a, me, total);
-                    // SAFETY: rows of one level are mutually independent
-                    // (level-set invariant); in-phase dependencies are
-                    // intra-participant by the merge analysis, earlier
-                    // ones were published by the barrier below.
-                    unsafe { lower.sweep_positions::<false>(a + s, a + e, r, zp.ptr()) };
-                }
-                self.sync.arrive_and_wait(phase, participants);
-                phase += 1;
-            }
-            for (pi, &(l0, l1)) in self.upper_phases.iter().enumerate() {
-                for l in l0..l1 {
-                    let (a, b) = upper.level_range(l as usize);
-                    let (s, e) = participant_slice(b - a, me, total);
-                    // SAFETY: as above, for the backward dependency order.
-                    unsafe { upper.sweep_positions::<true>(a + s, a + e, r, zp.ptr()) };
-                }
-                if pi + 1 < self.upper_phases.len() {
-                    self.sync.arrive_and_wait(phase, participants);
-                    phase += 1;
-                }
-            }
-        });
-        self.pool.note_barriers(barriers as u64);
-    }
-}
-
-/// One phase per level: the plan used when merging cannot engage
-/// (single-threaded pools).
-fn trivial_phases(levels: usize) -> Vec<(u32, u32)> {
-    (0..levels as u32).map(|l| (l, l + 1)).collect()
-}
-
-/// Greedy pairwise merging of adjacent wavefront levels into
-/// barrier-free phases.
-///
-/// Levels `l` and `l+1` may share a phase iff, under the deterministic
-/// contiguous slice partition for `threads` participants, **every**
-/// dependency of a level-`l+1` row on a level-`l` row stays within the
-/// same participant: the owner then runs both slices in level order
-/// with no fence, and no other participant reads those rows before the
-/// phase barrier. Dependencies on earlier levels are published by the
-/// barrier entering the phase, so they never block a merge.
-///
-/// `dep_ptr`/`dep_col` describe each row's triangular dependencies (the
-/// compact strictly-lower factor for the forward sweep, strictly-upper
-/// for the backward one).
-fn merge_levels(
-    set: &crate::schedule::LevelSet,
-    dep_ptr: &[u32],
-    dep_col: &[u32],
-    threads: usize,
-) -> Vec<(u32, u32)> {
-    let count = set.count();
-    let owner = |rows: &[u32], pos: usize| {
-        let per = rows.len().div_ceil(threads);
-        pos / per.max(1)
-    };
-    let mergeable = |l: usize| {
-        let rows_a = set.level(l);
-        let rows_b = set.level(l + 1);
-        rows_b.iter().enumerate().all(|(pos_b, &i)| {
-            let deps = &dep_col[dep_ptr[i as usize] as usize..dep_ptr[i as usize + 1] as usize];
-            deps.iter().all(|j| match rows_a.binary_search(j) {
-                Ok(pos_a) => owner(rows_a, pos_a) == owner(rows_b, pos_b),
-                Err(_) => true, // earlier level: published at phase entry
-            })
-        })
-    };
-    let mut phases = Vec::with_capacity(count);
-    let mut l = 0;
-    while l < count {
-        if l + 1 < count && mergeable(l) {
-            phases.push((l as u32, l as u32 + 2));
-            l += 2;
-        } else {
-            phases.push((l as u32, l as u32 + 1));
-            l += 1;
-        }
-    }
-    phases
 }
 
 impl Preconditioner for Ilu0Preconditioner {
+    /// With schedules, rows are visited in **wavefront level order**:
+    /// natural row order chains every row's `z[i]` through `z[i−1]`
+    /// written nanoseconds earlier (a store-to-load latency wall — the
+    /// sweep measures ~3× a matvec per entry), while level order makes
+    /// every row of a level independent, so the loads pipeline. Each
+    /// row's accumulation is unchanged, so the result is bit-identical
+    /// to the natural-order sweep it falls back to without schedules.
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         let n = self.inv_diag.len();
         assert_eq!(r.len(), n, "ilu0: r length");
         assert_eq!(z.len(), n, "ilu0: z length");
-        if self.schedules.is_some() && self.pool.threads() > 1 && n >= PAR_MIN_LEN {
-            // The barriers are shared state: only one apply at a time
-            // may run the parallel path; a concurrent caller (same
-            // preconditioner from another thread) goes sequential.
-            if let Ok(_gate) = self.par_gate.try_lock() {
-                self.apply_levelled(r, z);
-                return;
-            }
+        match (&self.lower_sweep, &self.upper_sweep) {
+            // SAFETY: lengths checked above; both factors were built from
+            // the level sets of this matrix's pattern (`new` rejects
+            // foreign schedules), so positions cover every row exactly
+            // once in dependency order.
+            (Some(lower), Some(upper)) => unsafe {
+                lower.sweep::<false>(r, z);
+                upper.sweep::<true>(r, z);
+            },
+            _ => self.apply_sequential_indexed(r, z),
         }
-        self.apply_sequential(r, z);
     }
 
     fn order(&self) -> usize {
         self.inv_diag.len()
-    }
-
-    fn barriers_per_apply(&self) -> usize {
-        if self.schedules.is_some() && self.pool.threads() > 1 {
-            self.lower_phases.len() + self.upper_phases.len() - 1
-        } else {
-            0
-        }
     }
 }
 
@@ -940,9 +672,8 @@ impl Preconditioner for Ilu0Preconditioner {
 ///
 /// `vfc_thermal::SolverConfig` threads this through the model builders;
 /// [`build`](Self::build) turns it into a concrete [`Preconditioner`] for
-/// one assembled matrix, and [`build_on`](Self::build_on) additionally
-/// wires in a [`KernelPool`] plus shared pattern [`KernelSchedules`] for
-/// the parallel sweep paths.
+/// one assembled matrix, reusing the pattern's shared
+/// [`KernelSchedules`] when given.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum PreconditionerKind {
     /// No preconditioning.
@@ -964,66 +695,53 @@ pub enum PreconditionerKind {
 }
 
 impl PreconditionerKind {
-    /// Builds the concrete preconditioner for `a` (sequential sweeps,
-    /// global pool).
+    /// Builds the concrete preconditioner for `a`, reusing the pattern's
+    /// shared `schedules` when given (the thermal skeleton computes them
+    /// once per grid).
     ///
     /// # Errors
     ///
     /// [`NumError::SingularMatrix`] if a factorization breaks down
-    /// (missing or vanishing pivot/diagonal).
-    pub fn build(self, a: &CsrMatrix) -> Result<Box<dyn Preconditioner>, NumError> {
-        self.build_on(a, Arc::clone(KernelPool::global()), None)
-    }
-
-    /// Builds the concrete preconditioner for `a`, running its sweeps on
-    /// `pool` and reusing the pattern's shared `schedules` when given
-    /// (the thermal skeleton computes them once per grid).
-    ///
-    /// # Errors
-    ///
-    /// As [`build`](Self::build).
-    pub fn build_on(
+    /// (missing or vanishing pivot/diagonal);
+    /// [`NumError::PatternMismatch`] if `schedules` belong to another
+    /// pattern.
+    pub fn build(
         self,
         a: &CsrMatrix,
-        pool: Arc<KernelPool>,
         schedules: Option<&Arc<KernelSchedules>>,
     ) -> Result<Box<dyn Preconditioner>, NumError> {
-        self.build_with_cycle_on(a, pool, schedules, crate::MgCycleConfig::default())
+        self.build_with_cycle(a, schedules, crate::MgCycleConfig::default())
     }
 
-    /// Builds like [`build_on`](Self::build_on), with an explicit
-    /// multigrid cycle shape. `cycle` only affects
-    /// [`Multigrid`](Self::Multigrid); every other kind ignores it, so
-    /// callers can thread the knob through unconditionally.
+    /// Builds like [`build`](Self::build), with an explicit multigrid
+    /// cycle shape. `cycle` only affects [`Multigrid`](Self::Multigrid);
+    /// every other kind ignores it, so callers can thread the knob
+    /// through unconditionally.
     ///
     /// # Errors
     ///
     /// As [`build`](Self::build).
-    pub fn build_with_cycle_on(
+    pub fn build_with_cycle(
         self,
         a: &CsrMatrix,
-        pool: Arc<KernelPool>,
         schedules: Option<&Arc<KernelSchedules>>,
         cycle: crate::MgCycleConfig,
     ) -> Result<Box<dyn Preconditioner>, NumError> {
         Ok(match self {
             PreconditionerKind::Identity => Box::new(IdentityPreconditioner::new(a.order())),
             PreconditionerKind::Jacobi => Box::new(JacobiPreconditioner::new(a)),
-            PreconditionerKind::Ilu0 => {
-                Box::new(Ilu0Preconditioner::new_on(a, pool, schedules.cloned())?)
-            }
+            PreconditionerKind::Ilu0 => Box::new(Ilu0Preconditioner::new(a, schedules.cloned())?),
             PreconditionerKind::Multigrid => {
                 match schedules.and_then(|s| s.multigrid().cloned()) {
-                    Some(structure) => Box::new(crate::MultigridPreconditioner::with_cycle_on(
+                    Some(structure) => Box::new(crate::MultigridPreconditioner::with_cycle(
                         a,
-                        pool,
                         schedules.cloned(),
                         structure,
                         cycle,
                     )?),
                     // No hierarchy (no grid coordinates, or the system
                     // is already coarsest-sized): single-level ILU(0).
-                    None => Box::new(Ilu0Preconditioner::new_on(a, pool, schedules.cloned())?),
+                    None => Box::new(Ilu0Preconditioner::new(a, schedules.cloned())?),
                 }
             }
         })
@@ -1081,7 +799,7 @@ mod tests {
         b.add(2, 1, -2.0);
         b.add(2, 2, 5.0);
         let a = b.build();
-        let m = Ilu0Preconditioner::new(&a).unwrap();
+        let m = Ilu0Preconditioner::new(&a, None).unwrap();
         let x_true = [1.0, -2.0, 3.0];
         let rhs = a.matvec(&x_true);
         let mut z = vec![0.0; 3];
@@ -1096,7 +814,7 @@ mod tests {
         // A tridiagonal matrix has no fill-in, so ILU(0) equals full LU
         // and M⁻¹·(A·x) recovers x exactly.
         let a = tridiag(50);
-        let m = Ilu0Preconditioner::new(&a).unwrap();
+        let m = Ilu0Preconditioner::new(&a, None).unwrap();
         let x_true: Vec<f64> = (0..50).map(|i| (i as f64 * 0.3).sin()).collect();
         let rhs = a.matvec(&x_true);
         let mut z = vec![0.0; 50];
@@ -1114,7 +832,7 @@ mod tests {
         b.add(1, 0, 1.0);
         let a = b.build();
         assert!(matches!(
-            Ilu0Preconditioner::new(&a),
+            Ilu0Preconditioner::new(&a, None),
             Err(NumError::SingularMatrix { .. })
         ));
     }
@@ -1128,7 +846,7 @@ mod tests {
             PreconditionerKind::Ilu0,
             PreconditionerKind::Multigrid,
         ] {
-            let m = kind.build(&a).unwrap();
+            let m = kind.build(&a, None).unwrap();
             assert_eq!(m.order(), 5);
             let mut z = vec![0.0; 5];
             m.apply(&[1.0; 5], &mut z);
@@ -1181,110 +899,6 @@ mod tests {
     }
 
     #[test]
-    fn level_merging_strictly_reduces_the_barrier_count() {
-        // The acceptance gate: a parallel apply must cross strictly
-        // fewer barriers than the one-per-level PR 4 scheme (the
-        // trailing barrier always merges into the broadcast join, and
-        // dependency analysis may merge more).
-        let a = grid_dd(24, 24, 3);
-        let schedules = Arc::new(KernelSchedules::for_matrix(&a));
-        for threads in [2usize, 4] {
-            let m = Ilu0Preconditioner::new_on(
-                &a,
-                KernelPool::new(threads),
-                Some(Arc::clone(&schedules)),
-            )
-            .unwrap();
-            let unmerged = m.unmerged_barriers_per_apply();
-            let merged = m.barriers_per_apply();
-            assert!(unmerged > 0);
-            assert!(
-                merged < unmerged,
-                "threads {threads}: {merged} vs {unmerged}"
-            );
-        }
-    }
-
-    #[test]
-    fn pairwise_merge_fires_when_dependencies_stay_slice_local() {
-        // A two-level "forest": rows 0..m are independent (level 0) and
-        // row m+i depends only on row i (level 1). Under the contiguous
-        // slice partition, position i of level 1 depends on position i
-        // of level 0 — always the same owner — so the pairwise analysis
-        // must merge the two lower levels into one phase. This tests
-        // the dependency analysis itself, not the (unconditional)
-        // trailing-barrier fold.
-        let m = 40;
-        let mut b = CsrBuilder::new(2 * m);
-        for i in 0..2 * m {
-            b.add(i, i, 4.0);
-        }
-        for i in 0..m {
-            b.add(m + i, i, -1.0);
-        }
-        let a = b.build();
-        let schedules = Arc::new(KernelSchedules::for_matrix(&a));
-        assert_eq!(schedules.levels.lower_level_count(), 2);
-        let ilu = Ilu0Preconditioner::new_on(&a, KernelPool::new(2), Some(Arc::clone(&schedules)))
-            .unwrap();
-        assert_eq!(ilu.lower_phases, vec![(0, 2)], "pair must merge");
-        // lower merged (1 phase) + upper (1 level, 1 phase) − trailing
-        // fold = 1 barrier per apply.
-        assert_eq!(ilu.barriers_per_apply(), 1);
-        assert_eq!(ilu.unmerged_barriers_per_apply(), 3);
-
-        // Negative control: reverse the coupling so row m+i depends on
-        // row m−1−i — position i of level 1 now needs position m−1−i of
-        // level 0, which crosses the slice boundary for most i, so the
-        // merge must be refused.
-        let mut b = CsrBuilder::new(2 * m);
-        for i in 0..2 * m {
-            b.add(i, i, 4.0);
-        }
-        for i in 0..m {
-            b.add(m + i, m - 1 - i, -1.0);
-        }
-        let a = b.build();
-        let schedules = Arc::new(KernelSchedules::for_matrix(&a));
-        let ilu = Ilu0Preconditioner::new_on(&a, KernelPool::new(2), Some(Arc::clone(&schedules)))
-            .unwrap();
-        assert_eq!(
-            ilu.lower_phases,
-            vec![(0, 1), (1, 2)],
-            "cross-slice dependencies must block the merge"
-        );
-    }
-
-    #[test]
-    fn merged_parallel_sweeps_stay_bit_identical() {
-        // Whatever the merge plan did, the iterates must not move by a
-        // single bit relative to the sequential sweep.
-        let a = grid_dd(30, 17, 11);
-        let n = a.order();
-        let schedules = Arc::new(KernelSchedules::for_matrix(&a));
-        let sequential = Ilu0Preconditioner::new_on(&a, KernelPool::new(1), None).unwrap();
-        let r: Vec<f64> = (0..n).map(|i| ((i * 37 % 23) as f64) - 11.0).collect();
-        let mut z_ref = vec![0.0; n];
-        sequential.apply(&r, &mut z_ref);
-        for threads in [2usize, 3, 4] {
-            let m = Ilu0Preconditioner::new_on(
-                &a,
-                KernelPool::new(threads),
-                Some(Arc::clone(&schedules)),
-            )
-            .unwrap();
-            let mut z = vec![f64::NAN; n];
-            m.apply_levelled(&r, &mut z);
-            assert!(
-                z.iter()
-                    .zip(&z_ref)
-                    .all(|(g, w)| g.to_bits() == w.to_bits()),
-                "threads {threads}: merged sweep diverged"
-            );
-        }
-    }
-
-    #[test]
     fn stencil_sequential_sweeps_match_indexed_sweeps_bitwise() {
         let a = grid_dd(25, 19, 7);
         let n = a.order();
@@ -1293,12 +907,11 @@ mod tests {
             schedules.stencil().is_some(),
             "grid pattern must decompose into a stencil"
         );
-        let with = Ilu0Preconditioner::new_on(&a, KernelPool::new(1), Some(Arc::clone(&schedules)))
-            .unwrap();
-        let without = Ilu0Preconditioner::new_on(&a, KernelPool::new(1), None).unwrap();
+        let with = Ilu0Preconditioner::new(&a, Some(Arc::clone(&schedules))).unwrap();
+        let without = Ilu0Preconditioner::new(&a, None).unwrap();
         let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).sin() * 4.0).collect();
         let mut z_stencil = vec![0.0; n];
-        with.apply(&r, &mut z_stencil); // 1-thread pool: sequential, stencil path
+        with.apply(&r, &mut z_stencil); // level-major run sweeps
         let mut z_indexed = vec![0.0; n];
         without.apply_sequential_indexed(&r, &mut z_indexed);
         assert!(z_stencil
@@ -1320,25 +933,26 @@ mod tests {
 
     #[test]
     fn ilu0_rejects_foreign_schedules() {
-        // Running level sweeps against these schedules would race, so
-        // the build must refuse — with an error, not a panic, so the
-        // thermal layer can surface it.
+        // Sweeping in these schedules' level order would read rows in
+        // the wrong order, so the build must refuse — with an error, not
+        // a panic, so the thermal layer can surface it.
         let a = tridiag(6);
         assert!(matches!(
-            Ilu0Preconditioner::new_on(&a, KernelPool::new(1), Some(foreign_schedules())),
+            Ilu0Preconditioner::new(&a, Some(foreign_schedules())),
             Err(NumError::PatternMismatch { context: "ilu0" })
         ));
     }
 
     #[test]
-    fn build_on_surfaces_the_mismatch_error_for_every_kind() {
+    fn build_surfaces_the_mismatch_error_for_every_kind() {
         // The config-level path must propagate the same error (the
-        // thermal model calls build_on, never the builders directly).
+        // thermal model calls `PreconditionerKind::build*`, never the
+        // builders directly).
         let a = tridiag(6);
         for kind in [PreconditionerKind::Ilu0, PreconditionerKind::Multigrid] {
             assert!(
                 matches!(
-                    kind.build_on(&a, KernelPool::new(1), Some(&foreign_schedules())),
+                    kind.build(&a, Some(&foreign_schedules())),
                     Err(NumError::PatternMismatch { .. })
                 ),
                 "{kind:?} must reject foreign schedules with an error"
@@ -1349,34 +963,24 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Tentpole determinism gate: the level-scheduled parallel
-        /// triangular solve must be bit-identical to the PR 3 sequential
-        /// split-factor solve, on random SPD-ish patterns, for several
-        /// thread counts. (Small systems force the parallel path off, so
-        /// the schedule-equipped build is exercised through both paths.)
+        /// The schedule-equipped sweep (level-major run order) must be
+        /// bit-identical to the schedule-free natural-order sweep, on
+        /// random SPD-ish patterns with real cross-level dependencies.
         #[test]
         fn level_scheduled_solve_is_bit_identical(seed in 0u64..120, n in 2usize..80) {
             let a = random_dd(seed, n);
             let schedules = Arc::new(KernelSchedules::for_matrix(&a));
-            let sequential = Ilu0Preconditioner::new_on(
-                &a, KernelPool::new(1), None).unwrap();
+            let plain = Ilu0Preconditioner::new(&a, None).unwrap();
+            let levelled = Ilu0Preconditioner::new(&a, Some(schedules)).unwrap();
+            prop_assert!(!plain.is_level_scheduled());
+            prop_assert!(levelled.is_level_scheduled());
             let r: Vec<f64> = (0..n).map(|i| ((seed + i as u64) % 11) as f64 - 5.0).collect();
             let mut z_ref = vec![0.0; n];
-            sequential.apply(&r, &mut z_ref);
-            for threads in [1usize, 3] {
-                let m = Ilu0Preconditioner::new_on(
-                    &a, KernelPool::new(threads), Some(Arc::clone(&schedules))).unwrap();
-                assert!(m.is_level_scheduled());
-                let mut z = vec![1.0; n]; // garbage start: apply must overwrite
-                // Exercise the levelled path directly (the `apply` size
-                // threshold would route these small systems serially).
-                m.apply_levelled(&r, &mut z);
-                for (got, want) in z.iter().zip(&z_ref) {
-                    prop_assert_eq!(
-                        got.to_bits(), want.to_bits(),
-                        "threads {}: {} vs {}", threads, got, want
-                    );
-                }
+            plain.apply(&r, &mut z_ref);
+            let mut z = vec![1.0; n]; // garbage start: apply must overwrite
+            levelled.apply(&r, &mut z);
+            for (got, want) in z.iter().zip(&z_ref) {
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", got, want);
             }
         }
 
@@ -1386,9 +990,8 @@ mod tests {
         fn schedules_do_not_change_the_factorization(seed in 0u64..60, n in 2usize..40) {
             let a = random_dd(seed, n);
             let schedules = Arc::new(KernelSchedules::for_matrix(&a));
-            let plain = Ilu0Preconditioner::new(&a).unwrap();
-            let levelled = Ilu0Preconditioner::new_on(
-                &a, KernelPool::new(2), Some(schedules)).unwrap();
+            let plain = Ilu0Preconditioner::new(&a, None).unwrap();
+            let levelled = Ilu0Preconditioner::new(&a, Some(schedules)).unwrap();
             prop_assert_eq!(&plain.l_val, &levelled.l_val);
             prop_assert_eq!(&plain.u_val, &levelled.u_val);
             prop_assert_eq!(&plain.inv_diag, &levelled.inv_diag);

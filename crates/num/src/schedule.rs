@@ -1,4 +1,4 @@
-//! Pattern-derived execution schedules for the parallel kernels.
+//! Pattern-derived execution schedules for the sparse kernels.
 //!
 //! Every schedule depends only on a matrix's **sparsity pattern**, never
 //! its values, so same-pattern matrix families (one thermal network per
@@ -8,11 +8,10 @@
 //!
 //! [`TriangularLevels`] are the wavefront level sets for the ILU(0)
 //! triangular solves: rows within a level have no dependencies among
-//! themselves, so a level's rows can run on any thread in any order and
-//! still produce bit-identical results (each row's accumulation sequence
-//! is fixed by the CSR entry order).
-
-use std::sync::atomic::{AtomicU32, Ordering};
+//! themselves, so a level's rows can run in any order and still produce
+//! bit-identical results (each row's accumulation sequence is fixed by
+//! the CSR entry order). The sweeps visit them level-major so their
+//! loads pipeline instead of waiting on the row just written.
 
 use crate::CsrMatrix;
 
@@ -128,12 +127,12 @@ impl TriangularLevels {
 ///
 /// `vfc_thermal` computes one per `StackSkeleton` and hands it to every
 /// preconditioner build on that pattern via
-/// [`PreconditionerKind::build_on`](crate::PreconditionerKind::build_on).
+/// [`PreconditionerKind::build`](crate::PreconditionerKind::build).
 /// The schedules remember the pattern they were computed from (shared
 /// `Arc`s, no copy); the preconditioner builders call
 /// [`matches_pattern`](Self::matches_pattern) and refuse a mismatched
-/// matrix — running a parallel sweep against foreign levels would
-/// violate the dependency structure (a data race, not merely a wrong
+/// matrix — the unchecked sweeps would otherwise read rows in the wrong
+/// order or out of bounds (undefined behaviour, not merely a wrong
 /// answer).
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelSchedules {
@@ -202,54 +201,6 @@ impl KernelSchedules {
         let (rp, ci) = a.pattern_arcs();
         (std::sync::Arc::ptr_eq(&self.row_ptr, &rp) && std::sync::Arc::ptr_eq(&self.col_idx, &ci))
             || (self.row_ptr == rp && self.col_idx == ci)
-    }
-}
-
-/// Spin barriers for the phased sweeps (one atomic per level phase),
-/// preallocated at preconditioner build time so `apply` stays
-/// allocation-free.
-#[derive(Debug)]
-pub(crate) struct SweepSync {
-    arrived: Vec<AtomicU32>,
-}
-
-impl SweepSync {
-    pub fn with_phases(phases: usize) -> Self {
-        Self {
-            arrived: (0..phases).map(|_| AtomicU32::new(0)).collect(),
-        }
-    }
-
-    /// Resets the first `phases` barriers; call before each broadcast
-    /// (the broadcast's lock handoff publishes the stores).
-    pub fn reset(&self, phases: usize) {
-        for a in &self.arrived[..phases] {
-            a.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Marks this participant done with `phase` and waits until all
-    /// `participants` are; the Acquire/Release pair publishes every
-    /// write made during the phase to the next one.
-    #[inline]
-    pub fn arrive_and_wait(&self, phase: usize, participants: u32) {
-        let a = &self.arrived[phase];
-        a.fetch_add(1, Ordering::AcqRel);
-        let mut spins = 0u32;
-        while a.load(Ordering::Acquire) < participants {
-            spins += 1;
-            if spins % 1024 == 0 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-}
-
-impl Clone for SweepSync {
-    fn clone(&self) -> Self {
-        Self::with_phases(self.arrived.len())
     }
 }
 

@@ -215,81 +215,7 @@ impl CsrMatrix {
     ///
     /// Panics if `x` or `y` have the wrong length.
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n, "matvec: x length mismatch");
-        assert_eq!(y.len(), self.n, "matvec: y length mismatch");
-        // SAFETY: lengths checked above; the full row range is in bounds.
-        unsafe { self.matvec_rows(x, y.as_mut_ptr(), 0, self.n) }
-    }
-
-    /// [`matvec_into`](Self::matvec_into) distributed over a
-    /// [`KernelPool`](crate::KernelPool): rows are dispensed in fixed
-    /// chunks and every row is computed with the same instruction
-    /// sequence as the serial kernel, so the result is bit-identical at
-    /// every thread count. Small systems run serially (the broadcast
-    /// wake-up would dominate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `y` have the wrong length.
-    pub fn matvec_into_on(&self, pool: &crate::KernelPool, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n, "matvec: x length mismatch");
-        assert_eq!(y.len(), self.n, "matvec: y length mismatch");
-        if pool.threads() == 1 || self.n < crate::pool::PAR_MIN_LEN {
-            // SAFETY: as in `matvec_into`.
-            unsafe { self.matvec_rows(x, y.as_mut_ptr(), 0, self.n) };
-            return;
-        }
-        let n = self.n;
-        let chunk = crate::pool::ROW_CHUNK;
-        let yp = crate::pool::SharedMut(y.as_mut_ptr());
-        pool.run_chunks(n.div_ceil(chunk), &|c| {
-            let r0 = c * chunk;
-            let r1 = (r0 + chunk).min(n);
-            // SAFETY: chunks cover disjoint row ranges within 0..n; each
-            // range writes only y[r0..r1].
-            unsafe { self.matvec_rows(x, yp.ptr(), r0, r1) };
-        });
-    }
-
-    /// Row-range matvec kernel shared by the serial and pooled entry
-    /// points; writes `y[rows]` for `rows` in `r0..r1`.
-    ///
-    /// # Safety
-    ///
-    /// `r0 <= r1 <= n`, `x.len() == n`, and `y` must point at `n`
-    /// writable elements of which `[r0, r1)` are not concurrently
-    /// accessed by anyone else.
-    unsafe fn matvec_rows(&self, x: &[f64], y: *mut f64, r0: usize, r1: usize) {
-        let rp = &*self.row_ptr;
-        let cols = &*self.col_idx;
-        let vals = &*self.values;
-        // SAFETY: `row_ptr` has n+1 monotone entries bounded by nnz and
-        // every column index is < n (CsrBuilder invariants); x and y are
-        // length-checked by the callers. The unchecked accesses keep this
-        // hot loop (2 of the 4 memory streams per nonzero) free of bounds
-        // tests — it dominates every Krylov iteration.
-        unsafe {
-            let mut start = *rp.get_unchecked(r0) as usize;
-            for i in r0..r1 {
-                let end = *rp.get_unchecked(i + 1) as usize;
-                // Two accumulators break the add dependency chain.
-                let (mut acc0, mut acc1) = (0.0f64, 0.0f64);
-                let mut k = start;
-                while k + 1 < end {
-                    acc0 +=
-                        *vals.get_unchecked(k) * *x.get_unchecked(*cols.get_unchecked(k) as usize);
-                    acc1 += *vals.get_unchecked(k + 1)
-                        * *x.get_unchecked(*cols.get_unchecked(k + 1) as usize);
-                    k += 2;
-                }
-                if k < end {
-                    acc0 +=
-                        *vals.get_unchecked(k) * *x.get_unchecked(*cols.get_unchecked(k) as usize);
-                }
-                *y.add(i) = acc0 + acc1;
-                start = end;
-            }
-        }
+        crate::operator::csr_rows(self, x, crate::operator::RowMode::Mv { y });
     }
 
     /// Allocating variant of [`matvec_into`](Self::matvec_into).
@@ -477,72 +403,7 @@ mod tests {
         assert_eq!(row1, vec![(1, 3.0)]);
     }
 
-    #[test]
-    fn pooled_matvec_takes_the_chunked_path_on_large_systems() {
-        // Above PAR_MIN_LEN the pooled matvec really distributes row
-        // chunks; the result must still match the serial kernel bitwise.
-        let n = crate::pool::PAR_MIN_LEN + 1234;
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut b = CsrBuilder::new(n);
-        for i in 0..n {
-            b.add(i, i, rng.random_range(2.0..4.0));
-            if i > 0 {
-                b.add(i, i - 1, rng.random_range(-1.0..0.0));
-            }
-            if i + 17 < n {
-                b.add(i, i + 17, rng.random_range(-0.5..0.5));
-            }
-        }
-        let m = b.build();
-        let x: Vec<f64> = (0..n)
-            .map(|i| ((i * 31 % 101) as f64) / 7.0 - 6.0)
-            .collect();
-        let mut y_ref = vec![0.0; n];
-        m.matvec_into(&x, &mut y_ref);
-        for threads in [2usize, 3] {
-            let pool = crate::KernelPool::new(threads);
-            let mut y = vec![f64::NAN; n];
-            m.matvec_into_on(&pool, &x, &mut y);
-            assert!(
-                y.iter()
-                    .zip(&y_ref)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "threads {threads}: pooled matvec diverged"
-            );
-        }
-    }
-
     proptest! {
-        /// Determinism-by-partitioning gate: the pooled matvec must be
-        /// bit-identical to the serial one at every thread count.
-        #[test]
-        fn pooled_matvec_is_bit_identical(seed in 0u64..100, n in 1usize..200) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut b = CsrBuilder::new(n);
-            for i in 0..n {
-                b.add(i, i, rng.random_range(1.0..4.0));
-            }
-            for _ in 0..n * 4 {
-                b.add(
-                    rng.random_range(0..n),
-                    rng.random_range(0..n),
-                    rng.random_range(-2.0..2.0),
-                );
-            }
-            let m = b.build();
-            let x: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
-            let mut y_ref = vec![0.0; n];
-            m.matvec_into(&x, &mut y_ref);
-            for threads in [1usize, 2, 4] {
-                let pool = crate::KernelPool::new(threads);
-                let mut y = vec![f64::NAN; n];
-                m.matvec_into_on(&pool, &x, &mut y);
-                for (a, b) in y.iter().zip(&y_ref) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "threads {}", threads);
-                }
-            }
-        }
-
         #[test]
         fn csr_matvec_matches_dense(seed in 0u64..500, n in 1usize..20) {
             let mut rng = StdRng::seed_from_u64(seed);

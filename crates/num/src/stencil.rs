@@ -15,8 +15,7 @@
 //! per-entry index loads, fully unrolled bodies for the common small
 //! entry counts — while enumerating entries in the exact CSR column
 //! order with the CSR kernels' accumulation pattern, so every result is
-//! **bit-identical** to the CSR operator at every thread count (rows are
-//! distributed in the same fixed chunks as the CSR kernels).
+//! **bit-identical** to the CSR operator.
 //!
 //! (`Ilu0Preconditioner` applies the same run idea to its triangular
 //! factors, in wavefront-level order — see `vfc_num::precond`.)
@@ -29,9 +28,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::operator::{run_rows_on, LinearOperator, RowMode};
-use crate::pool::SharedMut;
-use crate::{CsrMatrix, KernelPool};
+use crate::operator::{LinearOperator, RowMode};
+use crate::CsrMatrix;
 
 /// Minimum mean rows-per-run for a pattern to be considered profitable;
 /// below this the run bookkeeping costs more than the index loads it
@@ -78,8 +76,8 @@ impl GridCoord {
 /// Returns the fine→coarse aggregate map (`agg[i]` is the coarse index
 /// of fine node `i`) and the coarse coordinates, ordered
 /// lexicographically by `(layer, row, col)` — a deterministic ordering
-/// that depends only on the input coordinates, never on traversal or
-/// thread count. Every fine node lands in exactly one aggregate of at
+/// that depends only on the input coordinates, never on traversal.
+/// Every fine node lands in exactly one aggregate of at
 /// most four in-plane neighbours; odd extents leave one-wide remainder
 /// aggregates at the high edges, and holes in the fine set (e.g. the
 /// reduced TALB system) simply make smaller aggregates.
@@ -245,41 +243,31 @@ impl StencilPattern {
             || (self.row_ptr == rp && self.col_idx == ci)
     }
 
-    /// Runs a fused row kernel over the pool (same chunking as the CSR
-    /// kernels).
-    fn run_fused(&self, pool: &KernelPool, values: &[f64], x: &[f64], mode: RowMode<'_>) {
+    /// Runs a fused row kernel over every row, run by run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` does not hold `nnz` entries, or `x` or a slice
+    /// of `mode` does not hold `n`.
+    fn run_fused(&self, values: &[f64], x: &[f64], mut mode: RowMode<'_>) {
         assert_eq!(values.len(), self.nnz, "stencil: values length");
-        assert_eq!(x.len(), self.n, "stencil: x length");
-        run_rows_on(pool, self.n, &|r0, r1| {
-            // SAFETY: chunks cover disjoint row ranges; every offset was
-            // derived from an in-range CSR column at construction, and
-            // value cursors mirror the CSR row pointer.
-            unsafe { self.rows(values, x, mode, r0, r1) };
-        });
-    }
-
-    /// Fused kernel over rows `r0..r1`.
-    ///
-    /// # Safety
-    ///
-    /// `values` must hold `nnz` entries in CSR order for this pattern,
-    /// `x` must hold `n` entries, and the mode's outputs must cover `n`
-    /// elements with `[r0, r1)` not concurrently written elsewhere.
-    unsafe fn rows(&self, values: &[f64], x: &[f64], mode: RowMode<'_>, r0: usize, r1: usize) {
-        let mut ri = self.runs.partition_point(|r| (r.row1 as usize) <= r0);
-        while ri < self.runs.len() {
-            let run = self.runs[ri];
-            let a = (run.row0 as usize).max(r0);
-            let b = (run.row1 as usize).min(r1);
-            if a >= r1 {
-                break;
-            }
+        mode.assert_order(self.n, x);
+        for run in &self.runs {
             let off = self.classes.offsets(run.class);
-            let val0 = run.val0 as usize + (a - run.row0 as usize) * off.len();
-            // SAFETY: forwarded from the caller; per-run cursors stay
-            // inside `values` by construction.
-            unsafe { dispatch_fused(off, values, val0, x, mode, a, b) };
-            ri += 1;
+            // SAFETY: every offset was derived from an in-range CSR
+            // column at construction, per-run value cursors mirror the
+            // CSR row pointer, and the lengths were checked above.
+            unsafe {
+                dispatch_fused(
+                    off,
+                    values,
+                    run.val0 as usize,
+                    x,
+                    mode.reborrow(),
+                    run.row0 as usize,
+                    run.row1 as usize,
+                )
+            };
         }
     }
 }
@@ -336,14 +324,14 @@ unsafe fn stencil_row_sum(off: &[i32], vals: &[f64], vb: usize, x: *const f64, i
 ///
 /// # Safety
 ///
-/// As [`stencil_row_sum`], plus the mode's outputs as in
-/// [`StencilPattern::rows`].
+/// As [`stencil_row_sum`], plus every slice of `mode` must cover the
+/// rows `a..b`.
 unsafe fn fused_rows_k<const K: usize>(
     off: &[i32],
     vals: &[f64],
     mut vb: usize,
     x: &[f64],
-    mode: RowMode<'_>,
+    mut mode: RowMode<'_>,
     a: usize,
     b: usize,
 ) {
@@ -370,7 +358,7 @@ unsafe fn fused_rows_generic(
     vals: &[f64],
     mut vb: usize,
     x: &[f64],
-    mode: RowMode<'_>,
+    mut mode: RowMode<'_>,
     a: usize,
     b: usize,
 ) {
@@ -454,57 +442,18 @@ impl LinearOperator for StencilOp<'_> {
         self.pattern.n
     }
 
-    fn matvec_into_on(&self, pool: &KernelPool, x: &[f64], y: &mut [f64]) {
-        assert_eq!(y.len(), self.pattern.n, "stencil-op: y length");
-        self.pattern.run_fused(
-            pool,
-            self.values,
-            x,
-            RowMode::Mv {
-                y: SharedMut(y.as_mut_ptr()),
-            },
-        );
+    fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        self.pattern.run_fused(self.values, x, RowMode::Mv { y });
     }
 
-    fn residual_into_on(&self, pool: &KernelPool, b: &[f64], x: &[f64], r: &mut [f64]) {
-        assert_eq!(b.len(), self.pattern.n, "stencil-op: b length");
-        assert_eq!(r.len(), self.pattern.n, "stencil-op: r length");
-        self.pattern.run_fused(
-            pool,
-            self.values,
-            x,
-            RowMode::Res {
-                b,
-                r: SharedMut(r.as_mut_ptr()),
-            },
-        );
+    fn residual_into(&self, b: &[f64], x: &[f64], r: &mut [f64]) {
+        self.pattern
+            .run_fused(self.values, x, RowMode::Res { b, r });
     }
 
-    fn be_prologue_on(
-        &self,
-        pool: &KernelPool,
-        c: &[f64],
-        base: &[f64],
-        x: &[f64],
-        rhs: &mut [f64],
-        r: &mut [f64],
-    ) {
-        let n = self.pattern.n;
-        assert_eq!(c.len(), n, "stencil-op: c length");
-        assert_eq!(base.len(), n, "stencil-op: base length");
-        assert_eq!(rhs.len(), n, "stencil-op: rhs length");
-        assert_eq!(r.len(), n, "stencil-op: r length");
-        self.pattern.run_fused(
-            pool,
-            self.values,
-            x,
-            RowMode::Be {
-                c,
-                base,
-                rhs: SharedMut(rhs.as_mut_ptr()),
-                r: SharedMut(r.as_mut_ptr()),
-            },
-        );
+    fn be_prologue(&self, c: &[f64], base: &[f64], x: &[f64], rhs: &mut [f64], r: &mut [f64]) {
+        self.pattern
+            .run_fused(self.values, x, RowMode::Be { c, base, rhs, r });
     }
 
     fn diagonal_into(&self, d: &mut [f64]) {
@@ -603,22 +552,21 @@ mod tests {
         let p = StencilPattern::for_matrix(&a).expect("regular");
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin() * 2.0).collect();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.07).cos() - 0.3).collect();
-        let pool = KernelPool::new(1);
         let op = StencilOp::new(&p, a.values());
 
         let mut y_ref = vec![0.0; n];
         a.matvec_into(&x, &mut y_ref);
         let mut y = vec![f64::NAN; n];
-        op.matvec_into_on(&pool, &x, &mut y);
+        op.matvec_into(&x, &mut y);
         assert!(y
             .iter()
             .zip(&y_ref)
             .all(|(g, w)| g.to_bits() == w.to_bits()));
 
         let mut r_ref = vec![0.0; n];
-        LinearOperator::residual_into_on(&a, &pool, &b, &x, &mut r_ref);
+        LinearOperator::residual_into(&a, &b, &x, &mut r_ref);
         let mut r = vec![f64::NAN; n];
-        op.residual_into_on(&pool, &b, &x, &mut r);
+        op.residual_into(&b, &x, &mut r);
         assert!(r
             .iter()
             .zip(&r_ref)
@@ -629,8 +577,8 @@ mod tests {
         let base: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
         let (mut rhs1, mut r1) = (vec![0.0; n], vec![0.0; n]);
         let (mut rhs2, mut r2) = (vec![0.0; n], vec![0.0; n]);
-        a.be_prologue_on(&pool, &c, &base, &x, &mut rhs1, &mut r1);
-        op.be_prologue_on(&pool, &c, &base, &x, &mut rhs2, &mut r2);
+        a.be_prologue(&c, &base, &x, &mut rhs1, &mut r1);
+        op.be_prologue(&c, &base, &x, &mut rhs2, &mut r2);
         assert!(rhs1
             .iter()
             .zip(&rhs2)
@@ -642,38 +590,6 @@ mod tests {
         LinearOperator::diagonal_into(&a, &mut d1);
         op.diagonal_into(&mut d2);
         assert!(d1.iter().zip(&d2).all(|(g, w)| g.to_bits() == w.to_bits()));
-    }
-
-    #[test]
-    fn pooled_stencil_matvec_is_bit_identical_across_thread_counts() {
-        let rows = 40;
-        let cols = (crate::pool::PAR_MIN_LEN / rows) + 3;
-        let a = grid_matrix(rows, cols, 11, true);
-        let n = a.order();
-        assert!(n >= crate::pool::PAR_MIN_LEN);
-        let p = StencilPattern::for_matrix(&a).expect("regular");
-        let op = StencilOp::new(&p, a.values());
-        let x: Vec<f64> = (0..n).map(|i| ((i * 29 % 97) as f64) / 9.0 - 5.0).collect();
-        let mut y_ref = vec![0.0; n];
-        op.matvec_into_on(&KernelPool::new(1), &x, &mut y_ref);
-        // The CSR reference on the same system.
-        let mut y_csr = vec![0.0; n];
-        a.matvec_into(&x, &mut y_csr);
-        assert!(y_ref
-            .iter()
-            .zip(&y_csr)
-            .all(|(g, w)| g.to_bits() == w.to_bits()));
-        for threads in [2usize, 4] {
-            let pool = KernelPool::new(threads);
-            let mut y = vec![f64::NAN; n];
-            op.matvec_into_on(&pool, &x, &mut y);
-            assert!(
-                y.iter()
-                    .zip(&y_ref)
-                    .all(|(g, w)| g.to_bits() == w.to_bits()),
-                "threads {threads}"
-            );
-        }
     }
 
     proptest! {
@@ -695,7 +611,6 @@ mod tests {
                 return Ok(());
             };
             let op = StencilOp::new(&p, a.values());
-            let pool = KernelPool::new(1);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xabcd);
             let x: Vec<f64> = (0..n).map(|_| rng.random_range(-3.0..3.0)).collect();
             let b: Vec<f64> = (0..n).map(|_| rng.random_range(-3.0..3.0)).collect();
@@ -703,15 +618,15 @@ mod tests {
             let mut y_ref = vec![0.0; n];
             a.matvec_into(&x, &mut y_ref);
             let mut y = vec![f64::NAN; n];
-            op.matvec_into_on(&pool, &x, &mut y);
+            op.matvec_into(&x, &mut y);
             for (g, w) in y.iter().zip(&y_ref) {
                 prop_assert_eq!(g.to_bits(), w.to_bits());
             }
 
             let mut r_ref = vec![0.0; n];
-            LinearOperator::residual_into_on(&a, &pool, &b, &x, &mut r_ref);
+            LinearOperator::residual_into(&a, &b, &x, &mut r_ref);
             let mut r = vec![f64::NAN; n];
-            op.residual_into_on(&pool, &b, &x, &mut r);
+            op.residual_into(&b, &x, &mut r);
             for (g, w) in r.iter().zip(&r_ref) {
                 prop_assert_eq!(g.to_bits(), w.to_bits());
             }

@@ -4,8 +4,8 @@
 //! One global registry of **counters**, **gauges** and **stats**
 //! (count/sum/min/max accumulators — the fixed-memory core of a
 //! histogram) plus hierarchical RAII [`span`] timers. Recording goes to
-//! **per-thread shards** so `KernelPool` workers and the sweep
-//! executor never contend on a hot lock; [`snapshot`] folds the shards
+//! **per-thread shards** so the sweep executor's workers never contend
+//! on a hot lock; [`snapshot`] folds the shards
 //! deterministically (integer accumulators, name-sorted output), so a
 //! snapshot taken after a run is identical at every thread count that
 //! produced identical work.
@@ -193,7 +193,7 @@ struct Shard {
 struct Registry {
     /// Every shard ever registered, in registration order. Shards of
     /// finished threads stay reachable so their metrics survive into
-    /// the snapshot (the sweep executor's scoped workers, pool threads).
+    /// the snapshot (the sweep executor's scoped workers).
     shards: Mutex<Vec<Arc<Shard>>>,
     /// Gauges are last-write-wins and rare; one global map suffices.
     gauges: Mutex<BTreeMap<&'static str, f64>>,

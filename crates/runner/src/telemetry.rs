@@ -165,7 +165,7 @@ mod tests {
     fn snapshot_round_trips_through_json() {
         let snap = Snapshot {
             counters: vec![
-                ("pool.broadcasts".into(), 0),
+                ("precond.vcycles".into(), 0),
                 ("solver.iterations".into(), 12_345_678_901),
             ],
             gauges: vec![

@@ -184,19 +184,6 @@ impl Simulation {
         self.cores.len()
     }
 
-    /// Re-homes every thermal solve of this simulation onto `pool`.
-    ///
-    /// By default the models run on the process-wide
-    /// [`KernelPool`](vfc_num::KernelPool) (sized by `VFC_NUM_THREADS`
-    /// or the machine), which is right for a single simulation on the
-    /// paper-native fine grids. Embedders running many simulations
-    /// concurrently (the sweep runner already saturates every core) can
-    /// pin single-threaded pools instead — results are bit-identical
-    /// either way; only wall-clock changes.
-    pub fn set_kernel_pool(&mut self, pool: &std::sync::Arc<vfc_num::KernelPool>) {
-        self.family.set_kernel_pool(pool);
-    }
-
     /// The TALB weight table in effect (uniform for other policies).
     pub fn weight_table(&self) -> &ThermalWeightTable {
         &self.weight_table
@@ -844,32 +831,6 @@ mod tests {
         // low-demand workload.
         assert!(flow[0] == 4);
         assert!(*flow.last().unwrap() < 4);
-    }
-
-    #[test]
-    fn kernel_pool_choice_never_changes_a_report() {
-        // End-to-end determinism gate for the parallel kernels: a full
-        // variable-flow TALB run (characterization, balanced-power
-        // solve, 40 transient samples, controller feedback) must produce
-        // an identical report at every thread count.
-        let cfg = SimConfig::new(
-            crate::SystemKind::TwoLayer,
-            CoolingKind::LiquidVariable,
-            PolicyKind::Talb,
-            vfc_workload::Benchmark::by_name("Web-med").unwrap(),
-        )
-        .with_duration(Seconds::new(4.0))
-        .with_grid_cell(vfc_units::Length::from_millimeters(2.0))
-        .with_series(true);
-        let reports: Vec<SimReport> = [1usize, 2]
-            .into_iter()
-            .map(|threads| {
-                let mut sim = Simulation::new(cfg.clone()).unwrap();
-                sim.set_kernel_pool(&vfc_num::KernelPool::new(threads));
-                sim.run().unwrap()
-            })
-            .collect();
-        assert_eq!(reports[0], reports[1], "thread count leaked into results");
     }
 
     #[test]

@@ -35,8 +35,7 @@ pub struct SolverConfig {
     /// (`transient_bench`'s `mgfast` vs `mg` rows). Excluded from
     /// `Debug` / cache keys: results agree to solver tolerance, and the
     /// cached quantities (temperatures at 1e-10 relative residual) are
-    /// treated as cycle-shape-invariant the same way they are
-    /// thread-count-invariant.
+    /// treated as cycle-shape-invariant.
     #[serde(default)]
     pub mg_cycle: MgCycleConfig,
 }

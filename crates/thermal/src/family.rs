@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use vfc_num::{CsrMatrix, KernelPool, KernelSchedules};
+use vfc_num::{CsrMatrix, KernelSchedules};
 use vfc_units::VolumetricFlow;
 
 use crate::{NodeLayout, StackThermalBuilder, ThermalConfig, ThermalError, ThermalModel};
@@ -413,15 +413,6 @@ impl ThermalModelFamily {
     /// Mutable access to all member models.
     pub fn models_mut(&mut self) -> &mut [ThermalModel] {
         &mut self.models
-    }
-
-    /// Re-homes every member onto `pool` (see
-    /// [`ThermalModel::set_kernel_pool`]); results are unaffected, only
-    /// where the kernels run.
-    pub fn set_kernel_pool(&mut self, pool: &Arc<KernelPool>) {
-        for m in &mut self.models {
-            m.set_kernel_pool(Arc::clone(pool));
-        }
     }
 }
 

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use vfc_num::{
-    norm2_on, BiCgStab, CsrMatrix, KernelPool, LinearOperator, NumError, Preconditioner,
-    PreconditionerKind, SolverWorkspace, StencilOp, StencilPattern,
+    norm2, BiCgStab, CsrMatrix, LinearOperator, NumError, Preconditioner, PreconditionerKind,
+    SolverWorkspace, StencilOp, StencilPattern,
 };
 use vfc_units::{Celsius, Seconds, VolumetricFlow, Watts};
 
@@ -206,10 +206,6 @@ pub struct ThermalModel {
     /// all cavities at 1.0). See [`set_flow_derated`](Self::set_flow_derated).
     flow_derates: Vec<f64>,
     pub(crate) solver: BiCgStab,
-    /// Kernel pool every solve on this model runs on (matvecs,
-    /// reductions, level-scheduled preconditioner sweeps). Thread count
-    /// never changes results — see [`KernelPool`].
-    pool: Arc<KernelPool>,
     /// Krylov scratch space reused by every solve on this model.
     workspace: SolverWorkspace,
     /// Reusable rhs buffer for steady-state solves and the per-sub-step
@@ -221,8 +217,6 @@ pub struct ThermalModel {
     /// Sub-step residual / seed scratch for the transient warm start.
     resid_buf: Vec<f64>,
     seed_buf: Vec<f64>,
-    /// Reduction partials for the sub-step residual norms.
-    partials_buf: Vec<f64>,
     /// Preconditioner factored on `g`, built lazily, dropped on re-patch.
     steady_precond: Option<Box<dyn Preconditioner>>,
     /// Cached backward-Euler operator + preconditioner, keyed by the bit
@@ -263,13 +257,11 @@ impl Clone for ThermalModel {
             flow: self.flow,
             flow_derates: self.flow_derates.clone(),
             solver: self.solver,
-            pool: Arc::clone(&self.pool),
-            workspace: SolverWorkspace::with_pool(Arc::clone(&self.pool)),
+            workspace: SolverWorkspace::new(),
             rhs_buf: Vec::new(),
             base_buf: Vec::new(),
             resid_buf: Vec::new(),
             seed_buf: Vec::new(),
-            partials_buf: Vec::new(),
             steady_precond: None,
             be_cache: None,
             transient_warm_seed: self.transient_warm_seed,
@@ -310,7 +302,6 @@ impl ThermalModel {
             }
         }
         let solver = skeleton.config.solver.bicgstab();
-        let pool = Arc::clone(KernelPool::global());
         Self {
             skeleton,
             g,
@@ -319,13 +310,11 @@ impl ThermalModel {
             flow,
             flow_derates: Vec::new(),
             solver,
-            workspace: SolverWorkspace::with_pool(Arc::clone(&pool)),
-            pool,
+            workspace: SolverWorkspace::new(),
             rhs_buf: Vec::new(),
             base_buf: Vec::new(),
             resid_buf: Vec::new(),
             seed_buf: Vec::new(),
-            partials_buf: Vec::new(),
             steady_precond: None,
             be_cache: None,
             transient_warm_seed: true,
@@ -342,25 +331,6 @@ impl ThermalModel {
     /// The grid skeleton this model shares with its family.
     pub fn skeleton(&self) -> &Arc<StackSkeleton> {
         &self.skeleton
-    }
-
-    /// The kernel pool this model's solves run on.
-    pub fn kernel_pool(&self) -> &Arc<KernelPool> {
-        &self.pool
-    }
-
-    /// Re-homes the model's solves onto `pool` (the global pool is the
-    /// default). Purely an execution knob — results are bit-identical
-    /// for every thread count; see [`KernelPool`]. Cached factorizations
-    /// are dropped so their sweeps rebuild against the new pool.
-    pub fn set_kernel_pool(&mut self, pool: Arc<KernelPool>) {
-        if Arc::ptr_eq(&self.pool, &pool) {
-            return;
-        }
-        self.workspace.set_pool(Arc::clone(&pool));
-        self.pool = pool;
-        self.steady_precond = None;
-        self.be_cache = None;
     }
 
     /// Ablation/diagnostic knob: seed each transient sub-step with the
@@ -619,9 +589,8 @@ impl ThermalModel {
     /// [`effective_preconditioner`](Self::effective_preconditioner)).
     fn ensure_steady_precond(&mut self) -> Result<(), ThermalError> {
         if self.steady_precond.is_none() {
-            self.steady_precond = Some(self.effective_preconditioner().build_with_cycle_on(
+            self.steady_precond = Some(self.effective_preconditioner().build_with_cycle(
                 &self.g,
-                Arc::clone(&self.pool),
                 Some(&self.skeleton.schedules),
                 self.skeleton.config.solver.mg_cycle,
             )?);
@@ -772,7 +741,6 @@ impl ThermalModel {
                     &op,
                     &self.solver,
                     be.precond.as_ref(),
-                    &self.pool,
                     self.transient_warm_seed,
                     substeps,
                     &be.cap_over_h,
@@ -781,7 +749,6 @@ impl ThermalModel {
                     &mut self.rhs_buf,
                     &mut self.resid_buf,
                     &mut self.seed_buf,
-                    &mut self.partials_buf,
                     &mut self.workspace,
                 )
             }
@@ -789,7 +756,6 @@ impl ThermalModel {
                 &be.matrix,
                 &self.solver,
                 be.precond.as_ref(),
-                &self.pool,
                 self.transient_warm_seed,
                 substeps,
                 &be.cap_over_h,
@@ -798,7 +764,6 @@ impl ThermalModel {
                 &mut self.rhs_buf,
                 &mut self.resid_buf,
                 &mut self.seed_buf,
-                &mut self.partials_buf,
                 &mut self.workspace,
             ),
         }
@@ -885,9 +850,8 @@ impl ThermalModel {
         }
         // The BE operator shares the skeleton's pattern (only diagonal
         // values differ), so the skeleton's schedules apply to it too.
-        let precond = self.effective_preconditioner().build_with_cycle_on(
+        let precond = self.effective_preconditioner().build_with_cycle(
             &matrix,
-            Arc::clone(&self.pool),
             Some(&self.skeleton.schedules),
             self.skeleton.config.solver.mg_cycle,
         )?;
@@ -951,7 +915,6 @@ fn run_substeps<A: LinearOperator>(
     op: &A,
     solver: &BiCgStab,
     precond: &dyn Preconditioner,
-    pool: &Arc<KernelPool>,
     warm_seed: bool,
     substeps: usize,
     cap_over_h: &[f64],
@@ -960,10 +923,8 @@ fn run_substeps<A: LinearOperator>(
     rhs: &mut [f64],
     resid: &mut [f64],
     seed: &mut [f64],
-    partials: &mut Vec<f64>,
     ws: &mut SolverWorkspace,
 ) -> Result<usize, ThermalError> {
-    let n = temps.len();
     let mut iterations = 0usize;
     for _ in 0..substeps {
         if warm_seed {
@@ -971,9 +932,9 @@ fn run_substeps<A: LinearOperator>(
             // previous state already satisfies this sub-step
             // (quasi-steady intervals do after the first sub-step),
             // every remaining sub-step is bit-identical — stop here.
-            op.be_prologue_on(pool, cap_over_h, base, temps, rhs, resid);
-            let b_norm = norm2_on(pool, rhs, partials);
-            let r_norm = norm2_on(pool, resid, partials);
+            op.be_prologue(cap_over_h, base, temps, rhs, resid);
+            let b_norm = norm2(rhs);
+            let r_norm = norm2(resid);
             if r_norm <= solver.tolerance * b_norm {
                 vfc_obs::counter_add("thermal.substep_short_circuits", 1);
                 break;
@@ -984,12 +945,12 @@ fn run_substeps<A: LinearOperator>(
             vfc_obs::counter_add("thermal.warm_seeded_substeps", 1);
             vfc_obs::counter_add("precond.applies", 1);
             precond.apply(resid, seed);
-            for i in 0..n {
-                temps[i] += seed[i];
+            for (t, &d) in temps.iter_mut().zip(&*seed) {
+                *t += d;
             }
         } else {
-            for i in 0..n {
-                rhs[i] = cap_over_h[i] * temps[i] + base[i];
+            for (((out, &c), &t), &b) in rhs.iter_mut().zip(cap_over_h).zip(&*temps).zip(base) {
+                *out = c * t + b;
             }
         }
         vfc_obs::counter_add("thermal.substeps", 1);
@@ -1027,48 +988,6 @@ mod tests {
                 Watts::new(0.4)
             }
         })
-    }
-
-    #[test]
-    fn solves_are_bit_identical_across_kernel_pools() {
-        // The determinism contract, gated at model level: explicit 1-,
-        // 2- and 3-thread pools must reproduce the global-pool solves
-        // bit for bit, for both the steady state and the transient path.
-        let mut reference = liquid_model(1.0, 500.0);
-        let p = core_power(&reference, 2.5);
-        let steady_ref = reference.steady_state(&p, None).unwrap();
-        let mut temps_ref = steady_ref.clone();
-        let p_hot = core_power(&reference, 3.5);
-        reference
-            .step(&mut temps_ref, &p_hot, Seconds::from_millis(100.0), 5)
-            .unwrap();
-        let iters_ref = reference.last_step_iterations();
-        assert!(iters_ref > 0, "power jump must cost iterations");
-
-        for threads in [1usize, 2, 3] {
-            let mut model = liquid_model(1.0, 500.0);
-            model.set_kernel_pool(KernelPool::new(threads));
-            let steady = model.steady_state(&p, None).unwrap();
-            assert!(
-                steady
-                    .iter()
-                    .zip(&steady_ref)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "steady state diverged at {threads} threads"
-            );
-            let mut temps = steady;
-            model
-                .step(&mut temps, &p_hot, Seconds::from_millis(100.0), 5)
-                .unwrap();
-            assert_eq!(model.last_step_iterations(), iters_ref);
-            assert!(
-                temps
-                    .iter()
-                    .zip(&temps_ref)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "transient diverged at {threads} threads"
-            );
-        }
     }
 
     #[test]
@@ -1156,8 +1075,7 @@ mod tests {
     fn stencil_and_csr_backends_are_bit_identical() {
         // Tentpole parity gate at model level: steady state, transient
         // stepping and iteration counts must agree bit for bit between
-        // the index-free stencil operator and the CSR reference, at 1
-        // and 4 threads.
+        // the index-free stencil operator and the CSR reference.
         let (mut stencil, mut csr) = operator_pair(1.0, 500.0);
         // The 1 mm stacked grid is regular: the stencil decomposition
         // must engage, or this test compares CSR with itself.
@@ -1165,34 +1083,29 @@ mod tests {
         assert!(csr.stencil_pattern().is_none());
         let p_cold = core_power(&stencil, 1.5);
         let p_hot = core_power(&stencil, 3.5);
-        for threads in [1usize, 4] {
-            for m in [&mut stencil, &mut csr] {
-                m.set_kernel_pool(KernelPool::new(threads));
-            }
-            let s1 = stencil.steady_state(&p_cold, None).unwrap();
-            let s2 = csr.steady_state(&p_cold, None).unwrap();
-            assert!(
-                s1.iter().zip(&s2).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "steady state diverged between operators at {threads} threads"
+        let s1 = stencil.steady_state(&p_cold, None).unwrap();
+        let s2 = csr.steady_state(&p_cold, None).unwrap();
+        assert!(
+            s1.iter().zip(&s2).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "steady state diverged between operators"
+        );
+        let mut t1 = s1;
+        let mut t2 = s2;
+        for _ in 0..3 {
+            stencil
+                .step(&mut t1, &p_hot, Seconds::from_millis(100.0), 5)
+                .unwrap();
+            csr.step(&mut t2, &p_hot, Seconds::from_millis(100.0), 5)
+                .unwrap();
+            assert_eq!(
+                stencil.last_step_iterations(),
+                csr.last_step_iterations(),
+                "iteration counts diverged"
             );
-            let mut t1 = s1;
-            let mut t2 = s2;
-            for _ in 0..3 {
-                stencil
-                    .step(&mut t1, &p_hot, Seconds::from_millis(100.0), 5)
-                    .unwrap();
-                csr.step(&mut t2, &p_hot, Seconds::from_millis(100.0), 5)
-                    .unwrap();
-                assert_eq!(
-                    stencil.last_step_iterations(),
-                    csr.last_step_iterations(),
-                    "iteration counts diverged at {threads} threads"
-                );
-                assert!(
-                    t1.iter().zip(&t2).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "transient diverged between operators at {threads} threads"
-                );
-            }
+            assert!(
+                t1.iter().zip(&t2).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "transient diverged between operators"
+            );
         }
     }
 
@@ -1200,9 +1113,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         /// Satellite parity property: full `ThermalModel::step` is
-        /// bit-identical between operators across random grids, flows
-        /// and thread counts (the `VFC_NUM_THREADS` axis of the parity
-        /// suite).
+        /// bit-identical between operators across random grids and
+        /// flows, and across thread counts: 1 or 4 clones of the
+        /// stencil model, sharing one skeleton, step at once on their
+        /// own threads (as the sweep runner's workers do) and must each
+        /// land the CSR reference's bits.
         #[test]
         fn step_parity_across_grids_flows_and_threads(
             cell_idx in 0usize..3,
@@ -1212,23 +1127,36 @@ mod tests {
         ) {
             let cell = [1.0, 1.5, 2.0][cell_idx];
             let threads = [1usize, 4][threads_idx];
-            let (mut stencil, mut csr) = operator_pair(cell, flow_ml);
-            stencil.set_kernel_pool(KernelPool::new(threads));
-            csr.set_kernel_pool(KernelPool::new(threads));
+            let (stencil, mut csr) = operator_pair(cell, flow_ml);
             let p0 = core_power(&stencil, 1.5);
             let p1 = core_power(&stencil, watts);
-            let s1 = stencil.steady_state(&p0, None).unwrap();
-            let s2 = csr.steady_state(&p0, None).unwrap();
-            for (a, b) in s1.iter().zip(&s2) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-            let mut t1 = s1;
-            let mut t2 = s2;
-            stencil.step(&mut t1, &p1, Seconds::from_millis(100.0), 5).unwrap();
-            csr.step(&mut t2, &p1, Seconds::from_millis(100.0), 5).unwrap();
-            prop_assert_eq!(stencil.last_step_iterations(), csr.last_step_iterations());
-            for (a, b) in t1.iter().zip(&t2) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
+            let s_ref = csr.steady_state(&p0, None).unwrap();
+            let mut t_ref = s_ref.clone();
+            csr.step(&mut t_ref, &p1, Seconds::from_millis(100.0), 5).unwrap();
+            let iters_ref = csr.last_step_iterations();
+            let runs: Vec<(Vec<f64>, Vec<f64>, usize)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        let mut model = stencil.clone();
+                        let (p0, p1) = (&p0, &p1);
+                        scope.spawn(move || {
+                            let steady = model.steady_state(p0, None).unwrap();
+                            let mut temps = steady.clone();
+                            model.step(&mut temps, p1, Seconds::from_millis(100.0), 5).unwrap();
+                            (steady, temps, model.last_step_iterations())
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (steady, temps, iters) in runs {
+                for (a, b) in steady.iter().zip(&s_ref) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+                prop_assert_eq!(iters, iters_ref);
+                for (a, b) in temps.iter().zip(&t_ref) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
             }
         }
     }

@@ -1,16 +1,19 @@
-//! Parity at the outermost observable surface: a full simulation must
-//! produce an **identical** `SimReport` at every kernel-pool thread
-//! count — across every preconditioner (ILU(0), geometric multigrid) and
-//! with faults injected — and fault timelines must enter cache keys only
-//! when they carry faults.
+//! Parity at the outermost observable surface: a batch of full
+//! simulations must produce **identical** `SimReport`s whatever the
+//! sweep runner's thread count — across every preconditioner (ILU(0),
+//! geometric multigrid) and with faults injected — and fault timelines
+//! must enter cache keys only when they carry faults.
 //!
-//! The operator is not a setting: solves run the stencil operator
-//! wherever the grid's pattern decomposes and the CSR matrix otherwise.
-//! The two are held to bit-identity at model level, in `vfc_thermal`, so
-//! the axis the tests below vary is the thread count.
+//! Every solve runs on the thread of the cell it belongs to, so the one
+//! place a result could pick up a thread count is the runner, whose
+//! executor simulates the cells of a batch side by side. Each batch
+//! below holds several distinct cells, so the workers really overlap,
+//! and each thread count gets a fresh runner with an in-memory cache,
+//! so every cell really simulates. The stencil and CSR operators are
+//! held to bit-identity at model level, in `vfc_thermal`.
 
 use proptest::prelude::*;
-use vfc::num::{KernelPool, PreconditionerKind};
+use vfc::num::PreconditionerKind;
 use vfc::prelude::*;
 use vfc::workload::Benchmark;
 
@@ -26,29 +29,63 @@ fn config(policy: PolicyKind, cooling: CoolingKind) -> SimConfig {
     cfg
 }
 
-/// One cell of the determinism matrix: a full TALB run with an explicit
-/// preconditioner and kernel-pool thread count.
-fn run_matrix_cell(kind: PreconditionerKind, threads: usize, cooling: CoolingKind) -> SimReport {
-    let mut cfg = config(PolicyKind::Talb, cooling);
+/// A TALB cell with an explicit preconditioner and workload seed.
+fn talb_cell(kind: PreconditionerKind, cooling: CoolingKind, seed: u64) -> SimConfig {
+    let mut cfg = config(PolicyKind::Talb, cooling).with_seed(seed);
     cfg.thermal.solver.preconditioner = kind;
-    let mut sim = Simulation::new(cfg).expect("build");
-    sim.set_kernel_pool(&KernelPool::new(threads));
-    sim.run().expect("run")
+    cfg
+}
+
+/// The batch's reports on a fresh 1-, 2- and 4-thread runner, in that
+/// order.
+fn reports_per_thread_count(configs: &[SimConfig]) -> Vec<(usize, Vec<SimReport>)> {
+    [1usize, 2, 4]
+        .into_iter()
+        .map(|threads| {
+            let runner =
+                SweepRunner::with_parts(Executor::with_threads(threads), ResultCache::in_memory());
+            let reports = runner.run(configs.to_vec()).expect("batch runs");
+            assert_eq!(
+                runner.stats().executed,
+                configs.len() as u64,
+                "every distinct cell must simulate"
+            );
+            (threads, reports)
+        })
+        .collect()
+}
+
+/// Asserts every thread count's reports equal the 1-thread reports slot
+/// by slot, and returns the 1-thread reports.
+fn assert_thread_parity(configs: &[SimConfig]) -> Vec<SimReport> {
+    let mut runs = reports_per_thread_count(configs).into_iter();
+    let (_, reference) = runs.next().expect("1-thread run");
+    for (threads, reports) in runs {
+        assert_eq!(reports.len(), reference.len());
+        for (slot, (got, want)) in reports.iter().zip(&reference).enumerate() {
+            assert_eq!(
+                got, want,
+                "slot {slot} diverged at {threads} runner threads"
+            );
+        }
+    }
+    reference
 }
 
 #[test]
 fn multigrid_reports_match_across_backends_and_thread_counts() {
-    // Every thread count is bit-identical, so Multigrid is an
+    // Every runner thread count is bit-identical, so Multigrid is an
     // execution-quality knob, not a result knob.
-    let cooling = CoolingKind::LiquidVariable;
-    let reference = run_matrix_cell(PreconditionerKind::Multigrid, 1, cooling);
-    for threads in [2usize, 4] {
-        let got = run_matrix_cell(PreconditionerKind::Multigrid, threads, cooling);
-        assert_eq!(
-            got, reference,
-            "multigrid at {threads} threads diverged from 1 thread"
-        );
-    }
+    let batch: Vec<SimConfig> = (1..=4)
+        .map(|seed| {
+            talb_cell(
+                PreconditionerKind::Multigrid,
+                CoolingKind::LiquidVariable,
+                seed,
+            )
+        })
+        .collect();
+    assert_thread_parity(&batch);
 }
 
 /// The fault-replay trace every determinism cell replays: a pump sag,
@@ -73,27 +110,22 @@ fn fault_timeline() -> vfc::sim::FaultTimeline {
 #[test]
 fn faulted_reports_match_across_backends_and_thread_counts() {
     // Injected faults join the determinism contract: the seeded
-    // timeline is configuration, so every thread count replays the
-    // identical degraded run bit for bit.
-    let cell = |threads, faulted: bool| {
-        let mut cfg = config(PolicyKind::Talb, CoolingKind::LiquidVariable);
+    // timeline is configuration, so every runner thread count replays
+    // the identical degraded runs bit for bit.
+    let cell = |seed: u64, faulted: bool| {
+        let mut cfg = config(PolicyKind::Talb, CoolingKind::LiquidVariable).with_seed(seed);
         if faulted {
             cfg.faults = fault_timeline();
         }
-        let mut sim = Simulation::new(cfg).expect("build");
-        sim.set_kernel_pool(&KernelPool::new(threads));
-        sim.run().expect("run")
+        cfg
     };
-    let reference = cell(1, true);
-    let healthy = cell(1, false);
-    assert_ne!(reference, healthy, "the fault trace must perturb the run");
-    for threads in [2usize, 4] {
-        let got = cell(threads, true);
-        assert_eq!(
-            got, reference,
-            "faulted run at {threads} threads diverged from 1 thread"
-        );
-    }
+    let mut batch = vec![cell(1, false)];
+    batch.extend((1..=4).map(|seed| cell(seed, true)));
+    let reports = assert_thread_parity(&batch);
+    assert_ne!(
+        reports[0], reports[1],
+        "the fault trace must perturb the run"
+    );
 }
 
 #[test]
@@ -121,9 +153,9 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// The full preconditioner × thread-count matrix, sampled: whichever
-    /// preconditioner and flow regime come up, 1, 2 and 4 threads must
-    /// agree bit for bit.
+    /// The full preconditioner × runner-thread-count matrix, sampled:
+    /// whichever preconditioner and flow regime come up, a batch of
+    /// seeds on 1, 2 and 4 runner threads must agree bit for bit.
     #[test]
     fn preconditioner_backend_thread_matrix(
         kind in prop_oneof![
@@ -133,10 +165,16 @@ proptest! {
         flow_idx in 0usize..5,
     ) {
         let cooling = CoolingKind::LiquidFixed(FlowSetting::from_index(flow_idx));
-        let reference = run_matrix_cell(kind, 1, cooling);
-        for threads in [2usize, 4] {
-            let got = run_matrix_cell(kind, threads, cooling);
-            prop_assert_eq!(&got, &reference, "{:?}/{} threads diverged", kind, threads);
+        let batch: Vec<SimConfig> = (1..=4).map(|seed| talb_cell(kind, cooling, seed)).collect();
+        let mut runs = reports_per_thread_count(&batch).into_iter();
+        let (_, reference) = runs.next().expect("1-thread run");
+        for (threads, reports) in runs {
+            for (slot, (got, want)) in reports.iter().zip(&reference).enumerate() {
+                prop_assert_eq!(
+                    got, want,
+                    "{:?}/{} runner threads diverged at slot {}", kind, threads, slot
+                );
+            }
         }
     }
 }

@@ -110,7 +110,8 @@ fn main() {
                 precond: precond_label(kind).into(),
                 ms,
                 // The steady scenario does not track Krylov iterations
-                // (solver_smoke gates those); 0 = "not recorded".
+                // (a `vfc_thermal::model` test gates those); 0 = "not
+                // recorded".
                 iters: 0,
                 host: host_label(),
                 cpus: cpu_count(),

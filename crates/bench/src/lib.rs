@@ -12,6 +12,7 @@
 pub mod figures;
 pub mod perf;
 pub mod telemetry;
+pub mod transient;
 
 use std::sync::OnceLock;
 

@@ -10,11 +10,11 @@
 //! two places:
 //!
 //! * the workspace root (`BENCH_<name>.json`) — checked into the repo,
-//!   so the perf trajectory is reviewable between PRs, and the CI
-//!   iteration gate ([`read_bench_records`]) can diff live runs against
-//!   the committed record (iteration counts are bit-deterministic, so
-//!   they must match **exactly** on any machine; wall-clock `ms` is
-//!   informational);
+//!   so the perf trajectory is reviewable between PRs, and the
+//!   iteration-gate test (`crates/bench/tests/gates.rs`) can diff live
+//!   runs against the committed record (iteration counts are
+//!   bit-deterministic, so they must match **exactly** on any machine;
+//!   wall-clock `ms` is informational);
 //! * `target/bench/BENCH_<name>.json` — the per-run scratch copy.
 
 use std::path::PathBuf;
@@ -174,7 +174,12 @@ fn encode(name: &str, records: &[PerfRecord]) -> String {
 ///
 /// Any I/O failure creating the directory or writing either file.
 pub fn write_bench_records(name: &str, records: &[PerfRecord]) -> std::io::Result<PathBuf> {
-    write_scratch_records(name, records)?;
+    let dir = bench_record_dir();
+    std::fs::create_dir_all(&dir)?;
+    std::fs::write(
+        dir.join(format!("BENCH_{name}.json")),
+        encode(name, records),
+    )?;
     let root = root_record_path(name);
     let mut merged: Vec<PerfRecord> = records.to_vec();
     if let Ok(committed) = read_bench_records(&root) {
@@ -187,22 +192,6 @@ pub fn write_bench_records(name: &str, records: &[PerfRecord]) -> std::io::Resul
     }
     std::fs::write(&root, encode(name, &merged))?;
     Ok(root)
-}
-
-/// Writes `BENCH_<name>.json` under `target/bench/` only (created as
-/// needed) and returns its path — the output of a gate run, which
-/// compares against the committed repo-root record and must never
-/// rewrite it.
-///
-/// # Errors
-///
-/// Any I/O failure creating the directory or writing the file.
-pub fn write_scratch_records(name: &str, records: &[PerfRecord]) -> std::io::Result<PathBuf> {
-    let dir = bench_record_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, encode(name, records))?;
-    Ok(path)
 }
 
 /// Reads a `BENCH_*.json` file back into records.

@@ -511,6 +511,10 @@ impl MultigridPreconditioner {
 }
 
 impl Preconditioner for MultigridPreconditioner {
+    // The scratch guard stays held for the whole cycle: every leg works
+    // in its buffers. The lock is the model's own, and one thread runs
+    // each solve, so it is never contended.
+    #[allow(clippy::significant_drop_tightening)]
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         let n = self.fine.order();
         assert_eq!(r.len(), n, "multigrid: r length");

@@ -193,7 +193,8 @@ impl ResultCache {
     /// Looks `key` up: memory first, then disk (promoting a disk hit
     /// into memory). Disk corruption is a miss, not an error.
     pub fn get(&self, key: u64) -> Option<SimReport> {
-        if let Some(hit) = self.memory.lock().get(&key).cloned() {
+        let hit = self.memory.lock().get(&key).cloned();
+        if let Some(hit) = hit {
             vfc_obs::counter_add("runner.cache.hits", 1);
             return Some(hit);
         }

@@ -289,8 +289,7 @@ impl SubmitExecutor {
             };
             // A panicking job is its own problem; the worker survives.
             let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
-            let mut state = shared.state.lock().expect("submit state poisoned");
-            state.active -= 1;
+            shared.state.lock().expect("submit state poisoned").active -= 1;
             shared.space.notify_all();
         }
     }
@@ -378,14 +377,13 @@ impl SubmitExecutor {
     /// with the completion signals of the jobs themselves where exact
     /// sequencing matters; this is the coarse "nothing in flight" gate.
     pub fn wait_idle(&self) {
-        let mut state = self.shared.state.lock().expect("submit state poisoned");
-        while !state.queue.is_empty() || state.active > 0 {
-            state = self
-                .shared
+        let state = self.shared.state.lock().expect("submit state poisoned");
+        drop(
+            self.shared
                 .space
-                .wait(state)
-                .expect("submit state poisoned");
-        }
+                .wait_while(state, |s| !s.queue.is_empty() || s.active > 0)
+                .expect("submit state poisoned"),
+        );
     }
 
     /// Graceful shutdown: refuses new submissions, **drains** the

@@ -63,6 +63,7 @@ impl InFlightTable {
             done: Condvar::new(),
         });
         slots.insert(key, Arc::clone(&slot));
+        drop(slots);
         Claim::Leader(LeaderGuard {
             table: self,
             key,

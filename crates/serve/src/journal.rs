@@ -111,6 +111,10 @@ impl Journal {
         }
     }
 
+    // The file lock stays held across the write and the fsync: appends
+    // land whole and in order, and a durable record is on disk before
+    // the caller acknowledges it.
+    #[allow(clippy::significant_drop_tightening)]
     fn append(&self, line: &JsonValue, durable: bool) -> std::io::Result<()> {
         let mut guard = self.file.lock().expect("journal lock poisoned");
         if guard.is_none() {

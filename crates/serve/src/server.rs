@@ -407,13 +407,12 @@ impl Server {
     /// Blocks until a wire `Shutdown` request arrives, then drains and
     /// stops (the graceful path for a server binary).
     pub fn join(mut self) {
-        {
-            let (flag, cv) = &self.shared.shutdown_requested;
-            let mut requested = flag.lock().expect("shutdown flag poisoned");
-            while !*requested {
-                requested = cv.wait(requested).expect("shutdown flag poisoned");
-            }
-        }
+        let (flag, cv) = &self.shared.shutdown_requested;
+        let requested = flag.lock().expect("shutdown flag poisoned");
+        drop(
+            cv.wait_while(requested, |requested| !*requested)
+                .expect("shutdown flag poisoned"),
+        );
         self.drain();
     }
 

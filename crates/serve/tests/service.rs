@@ -1,11 +1,17 @@
 //! End-to-end service tests over real TCP: cold/warm sweeps, two-client
 //! in-flight dedup, backpressure shedding, deadline discipline and
-//! graceful shutdown.
+//! graceful shutdown, including a drain raced by concurrent submits.
 
+use std::collections::HashSet;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
-use vfc_serve::{BusyReason, ClientError, ServeClient, ServeConfig, Server, WireSpec};
+use vfc_serve::protocol::{read_response, write_request};
+use vfc_serve::{
+    BusyReason, ClientError, Journal, Request, Response, ServeClient, ServeConfig, Server, WireSpec,
+};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vfc-service-{}-{tag}", std::process::id()));
@@ -254,4 +260,106 @@ fn shutdown_request_drains_and_stops_the_server() {
         "a drained server must not answer new probes"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Submits `spec` over a raw connection and follows the stream frame by
+/// frame, signalling `accepted` on `Accepted`. Returns whether the sweep
+/// was accepted; `false` means a typed refusal (`Busy`, `ShuttingDown`)
+/// or a connection error before any answer. Panics on a partial sweep:
+/// once accepted, a sweep must stream every cell and `Done`.
+fn submit_raw(addr: SocketAddr, spec: &WireSpec, accepted: &mpsc::Sender<()>) -> bool {
+    let Ok(mut stream) = TcpStream::connect_timeout(&addr, Duration::from_secs(5)) else {
+        return false;
+    };
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .set_write_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let submit = Request::Submit { spec: spec.clone() };
+    if write_request(&mut stream, &submit).is_err() {
+        return false;
+    }
+    let keys = match read_response(&mut stream) {
+        Ok(Response::Accepted { keys }) => keys,
+        Ok(Response::Busy { .. } | Response::ShuttingDown) | Err(_) => return false,
+        Ok(other) => panic!("unexpected answer to a submit: {other:?}"),
+    };
+    let _ = accepted.send(());
+    let mut streamed = HashSet::new();
+    loop {
+        match read_response(&mut stream) {
+            Ok(Response::Cell { index, .. }) => assert!(streamed.insert(index)),
+            Ok(Response::Done { completed, failed }) => {
+                assert_eq!(streamed.len(), keys.len(), "Done before every cell");
+                assert_eq!((completed, failed), (keys.len() as u64, 0));
+                return true;
+            }
+            Ok(other) => panic!("accepted sweep got {other:?}"),
+            Err(e) => panic!(
+                "accepted sweep cut short after {}/{} cells: {e}",
+                streamed.len(),
+                keys.len()
+            ),
+        }
+    }
+}
+
+#[test]
+fn drain_finishes_every_accepted_sweep_under_racing_submits() {
+    // Clients race submits against `shutdown()`. Every accepted sweep
+    // must stream all of its cells and `Done`; every other attempt is
+    // refused or never connects; and the drained journal is empty. The
+    // rounds run on a spawned thread, so a hung drain fails the test
+    // after 20 s instead of hanging the suite.
+    let (done, finished) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        for round in 0..20u64 {
+            let cfg = test_config(&format!("drain-{round}"));
+            let dir = cfg.cache_dir.clone().unwrap();
+            let server = Server::start(cfg).unwrap();
+            let addr = server.addr();
+            let clients = 3 + round % 2;
+            let (accepted, first_accept) = mpsc::channel();
+            let accepted_sweeps: Vec<bool> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..clients)
+                    .map(|c| {
+                        let accepted = accepted.clone();
+                        let spec = tiny_spec(&[2 * c + 1, 2 * c + 2], 1.0);
+                        scope.spawn(move || submit_raw(addr, &spec, &accepted))
+                    })
+                    .collect();
+                // Drain as soon as one sweep is accepted: its cells are
+                // likely still queued, and other clients may still be
+                // submitting.
+                let _ = first_accept.recv_timeout(Duration::from_secs(5));
+                server.shutdown();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            });
+            assert!(
+                accepted_sweeps.contains(&true),
+                "round {round}: no sweep was accepted"
+            );
+            let (_, pending) = Journal::open(&dir).unwrap();
+            assert!(
+                pending.is_empty(),
+                "round {round}: {} sweeps left pending",
+                pending.len()
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        done.send(()).expect("the test thread is waiting");
+    });
+    match finished.recv_timeout(Duration::from_secs(20)) {
+        Err(RecvTimeoutError::Timeout) => panic!("service drain hung"),
+        Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    }
 }

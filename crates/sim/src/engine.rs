@@ -836,42 +836,51 @@ mod tests {
     #[test]
     fn faulted_runs_complete_deterministically_and_diverge_from_healthy() {
         use vfc_faults::{ChannelClog, FaultTimeline, PumpFault, SensorFault};
-        let base = SimConfig::new(
-            crate::SystemKind::TwoLayer,
-            CoolingKind::LiquidVariable,
-            PolicyKind::Talb,
-            Benchmark::by_name("Web-med").unwrap(),
-        )
-        .with_duration(Seconds::new(4.0))
-        .with_grid_cell(vfc_units::Length::from_millimeters(2.0));
-        let timeline = FaultTimeline::new(9)
-            .with_pump(PumpFault::Degradation {
-                start_s: 1.0,
-                end_s: 3.0,
-                level: 0.4,
-            })
-            .with_clog(ChannelClog {
-                cavity: 0,
-                start_s: 2.0,
-                ramp_s: 0.5,
-                derate: 0.5,
-            })
-            .with_sensor(SensorFault::Noise { sigma: 0.3 });
-        let faulted_cfg = base.clone().with_faults(timeline);
+        // A pump that sags to 40% over 1–3 s on the 2 mm grid, and a pump
+        // failure (a hard step to 30% at 1 s) on the fine 0.5 mm grid.
+        let sag = PumpFault::Degradation {
+            start_s: 1.0,
+            end_s: 3.0,
+            level: 0.4,
+        };
+        let failure = PumpFault::Step {
+            at_s: 1.0,
+            level: 0.3,
+        };
+        for (seconds, cell_mm, seed, pump) in [(4.0, 2.0, 9, sag), (3.0, 0.5, 42, failure)] {
+            let base = SimConfig::new(
+                crate::SystemKind::TwoLayer,
+                CoolingKind::LiquidVariable,
+                PolicyKind::Talb,
+                Benchmark::by_name("Web-med").unwrap(),
+            )
+            .with_duration(Seconds::new(seconds))
+            .with_grid_cell(vfc_units::Length::from_millimeters(cell_mm));
+            let timeline = FaultTimeline::new(seed)
+                .with_pump(pump)
+                .with_clog(ChannelClog {
+                    cavity: 0,
+                    start_s: 2.0,
+                    ramp_s: 0.5,
+                    derate: 0.5,
+                })
+                .with_sensor(SensorFault::Noise { sigma: 0.3 });
+            let faulted_cfg = base.clone().with_faults(timeline);
 
-        let healthy = Simulation::new(base).unwrap().run().unwrap();
-        let faulted = Simulation::new(faulted_cfg.clone()).unwrap().run().unwrap();
-        // The degraded coolant and noisy sensors must change the run —
-        // and losing more than half the flow cannot leave the stack
-        // cooler than the healthy plant.
-        assert_ne!(healthy, faulted);
-        assert_eq!(healthy.samples, faulted.samples);
-        assert!(faulted.max_temperature >= healthy.max_temperature);
+            let healthy = Simulation::new(base).unwrap().run().unwrap();
+            let faulted = Simulation::new(faulted_cfg.clone()).unwrap().run().unwrap();
+            // The degraded coolant and noisy sensors must change the run
+            // — and losing more than half the flow cannot leave the
+            // stack cooler than the healthy plant.
+            assert_ne!(healthy, faulted);
+            assert_eq!(healthy.samples, faulted.samples, "faulted run ended early");
+            assert!(faulted.max_temperature >= healthy.max_temperature);
 
-        // The seeded timeline is part of the configuration: an identical
-        // replay reproduces the report bit for bit.
-        let again = Simulation::new(faulted_cfg).unwrap().run().unwrap();
-        assert_eq!(faulted, again);
+            // The seeded timeline is part of the configuration: an
+            // identical replay reproduces the report bit for bit.
+            let again = Simulation::new(faulted_cfg).unwrap().run().unwrap();
+            assert_eq!(faulted, again);
+        }
     }
 
     #[test]

@@ -222,10 +222,6 @@ pub struct ThermalModel {
     /// Cached backward-Euler operator + preconditioner, keyed by the bit
     /// pattern of the sub-step length; dropped on re-patch.
     be_cache: Option<BeCache>,
-    /// Seed each transient sub-step with `temps + M⁻¹·r` and short-cut
-    /// converged sub-steps (default on; see
-    /// [`set_transient_warm_seed`](Self::set_transient_warm_seed)).
-    transient_warm_seed: bool,
     /// Krylov iterations spent by the most recent [`step`](Self::step).
     last_step_iterations: usize,
     /// Recovery-ladder override: once a solve fails and escalates, the
@@ -243,6 +239,12 @@ pub struct ThermalModel {
     /// bit-identity with its reference.
     #[cfg(test)]
     csr_only: bool,
+    /// Test seam: start each transient sub-step from the previous state
+    /// instead of seeding it with `temps + M⁻¹·r`, and never
+    /// short-circuit, so tests can compare the seeded path with the
+    /// plain warm start.
+    #[cfg(test)]
+    plain_warm_start: bool,
 }
 
 impl Clone for ThermalModel {
@@ -264,7 +266,6 @@ impl Clone for ThermalModel {
             seed_buf: Vec::new(),
             steady_precond: None,
             be_cache: None,
-            transient_warm_seed: self.transient_warm_seed,
             last_step_iterations: 0,
             escalated_precond: self.escalated_precond,
             snapshot_buf: Vec::new(),
@@ -272,6 +273,8 @@ impl Clone for ThermalModel {
             last_escalations: 0,
             #[cfg(test)]
             csr_only: self.csr_only,
+            #[cfg(test)]
+            plain_warm_start: self.plain_warm_start,
         }
     }
 }
@@ -317,7 +320,6 @@ impl ThermalModel {
             seed_buf: Vec::new(),
             steady_precond: None,
             be_cache: None,
-            transient_warm_seed: true,
             last_step_iterations: 0,
             escalated_precond: None,
             snapshot_buf: Vec::new(),
@@ -325,6 +327,8 @@ impl ThermalModel {
             last_escalations: 0,
             #[cfg(test)]
             csr_only: false,
+            #[cfg(test)]
+            plain_warm_start: false,
         }
     }
 
@@ -333,14 +337,16 @@ impl ThermalModel {
         &self.skeleton
     }
 
-    /// Ablation/diagnostic knob: seed each transient sub-step with the
-    /// preconditioned residual correction `temps + M⁻¹·(b − A·temps)`
-    /// and short-circuit sub-steps whose warm start is already converged
-    /// (default **on**). Turning it off restores the plain
-    /// previous-state warm start; converged temperatures agree within
-    /// the solver tolerance either way, only iteration counts change.
-    pub fn set_transient_warm_seed(&mut self, on: bool) {
-        self.transient_warm_seed = on;
+    /// Whether transient sub-steps are seeded with the preconditioned
+    /// residual correction `temps + M⁻¹·(b − A·temps)` and short-circuit
+    /// once the warm start is converged. Always on outside the tests
+    /// that compare it with the plain previous-state warm start.
+    fn warm_seed(&self) -> bool {
+        #[cfg(test)]
+        if self.plain_warm_start {
+            return false;
+        }
+        true
     }
 
     /// Krylov iterations spent by the most recent [`step`](Self::step)
@@ -629,11 +635,11 @@ impl ThermalModel {
     /// The backward-Euler operator `C/h + G` and its preconditioner are
     /// cached per sub-step length and reused until the flow changes; the
     /// flow-and-power part of the rhs (`P + b₀`) is hoisted out of the
-    /// sub-step loop. With the (default) transient warm seed, each
-    /// sub-step starts from the previous state corrected by the cached
-    /// preconditioner's `M⁻¹·r`, and a sub-step whose warm start already
-    /// meets the solver tolerance ends the whole interval early — the
-    /// remaining sub-steps would reproduce the same state bit for bit.
+    /// sub-step loop. Each sub-step starts from the previous state
+    /// corrected by the cached preconditioner's `M⁻¹·r`, and a sub-step
+    /// whose warm start already meets the solver tolerance ends the whole
+    /// interval early — the remaining sub-steps would reproduce the same
+    /// state bit for bit.
     ///
     /// # Errors
     ///
@@ -673,10 +679,8 @@ impl ThermalModel {
         for i in 0..n {
             self.base_buf[i] = power[i] + self.b0[i];
         }
-        if self.transient_warm_seed {
-            self.resid_buf.resize(n, 0.0);
-            self.seed_buf.resize(n, 0.0);
-        }
+        self.resid_buf.resize(n, 0.0);
+        self.seed_buf.resize(n, 0.0);
         // Recovery ladder: a sub-step solve can leave `temps` partially
         // advanced, so every retry rolls the state back to this snapshot
         // before re-running the whole interval — first under escalated
@@ -730,6 +734,7 @@ impl ThermalModel {
         // Both operators walk the same entries in the same order, so the
         // iterates are bit-identical.
         let pat = self.stencil_pattern().cloned();
+        let warm_seed = self.warm_seed();
         let be = self
             .be_cache
             .as_ref()
@@ -741,7 +746,7 @@ impl ThermalModel {
                     &op,
                     &self.solver,
                     be.precond.as_ref(),
-                    self.transient_warm_seed,
+                    warm_seed,
                     substeps,
                     &be.cap_over_h,
                     &self.base_buf,
@@ -756,7 +761,7 @@ impl ThermalModel {
                 &be.matrix,
                 &self.solver,
                 be.precond.as_ref(),
-                self.transient_warm_seed,
+                warm_seed,
                 substeps,
                 &be.cap_over_h,
                 &self.base_buf,
@@ -1012,10 +1017,10 @@ mod tests {
             "short-circuit must not touch the state"
         );
 
-        // The ablation path (seed off) converges to the same answer
-        // within tolerance, but cannot skip the sub-step solves.
+        // The plain warm start converges to the same answer within
+        // tolerance, but cannot skip the sub-step solves.
         let mut ablation = liquid_model(1.5, 600.0);
-        ablation.set_transient_warm_seed(false);
+        ablation.plain_warm_start = true;
         let mut temps_ab = steady.clone();
         ablation
             .step(&mut temps_ab, &p, Seconds::from_millis(100.0), 5)
@@ -1029,36 +1034,120 @@ mod tests {
     fn warm_seed_changes_iterations_but_not_temperatures() {
         // Satellite gate: seeding with M⁻¹r changes how the solver gets
         // there (iteration counts), never where it lands (temperatures
-        // beyond tolerance).
-        let mut seeded = liquid_model(1.0, 400.0);
-        let mut plain = liquid_model(1.0, 400.0);
-        plain.set_transient_warm_seed(false);
-        let p_cold = core_power(&seeded, 1.0);
-        let p_hot = core_power(&seeded, 3.5);
-        let start = seeded.steady_state(&p_cold, None).unwrap();
+        // beyond tolerance). The 0.25 mm grid (9,200 nodes) at 600
+        // ml/min is the transient-gate case.
+        for (cell_mm, flow_ml) in [(1.0, 400.0), (0.25, 600.0)] {
+            let mut seeded = liquid_model(cell_mm, flow_ml);
+            let mut plain = liquid_model(cell_mm, flow_ml);
+            plain.plain_warm_start = true;
+            let p_cold = core_power(&seeded, 1.0);
+            let p_hot = core_power(&seeded, 3.5);
+            let start = seeded.steady_state(&p_cold, None).unwrap();
 
-        let mut t_seeded = start.clone();
-        let mut t_plain = start.clone();
-        let mut iter_pairs = Vec::new();
-        for _ in 0..4 {
-            seeded
-                .step(&mut t_seeded, &p_hot, Seconds::from_millis(100.0), 5)
-                .unwrap();
-            plain
-                .step(&mut t_plain, &p_hot, Seconds::from_millis(100.0), 5)
-                .unwrap();
-            iter_pairs.push((seeded.last_step_iterations(), plain.last_step_iterations()));
-            for (a, b) in t_seeded.iter().zip(&t_plain) {
-                assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+            let mut t_seeded = start.clone();
+            let mut t_plain = start.clone();
+            let mut iter_pairs = Vec::new();
+            for _ in 0..4 {
+                seeded
+                    .step(&mut t_seeded, &p_hot, Seconds::from_millis(100.0), 5)
+                    .unwrap();
+                plain
+                    .step(&mut t_plain, &p_hot, Seconds::from_millis(100.0), 5)
+                    .unwrap();
+                iter_pairs.push((seeded.last_step_iterations(), plain.last_step_iterations()));
+                for (a, b) in t_seeded.iter().zip(&t_plain) {
+                    assert!((a - b).abs() < 1e-6, "{cell_mm} mm: {a} vs {b}");
+                }
             }
+            assert!(
+                iter_pairs.iter().any(|&(s, p)| s != p),
+                "{cell_mm} mm: seeding never changed an iteration count: {iter_pairs:?}"
+            );
+            assert!(
+                iter_pairs.iter().all(|&(s, p)| s <= p),
+                "{cell_mm} mm: seeding must not cost iterations: {iter_pairs:?}"
+            );
         }
+    }
+
+    #[test]
+    fn preconditioners_order_by_iterations_and_agree_on_the_solution() {
+        // Deterministic gates on the 0.5 mm steady solve. Measured:
+        // identity 180, Jacobi 43, ILU(0) 11 and multigrid 3 iterations
+        // (6 V-cycles); the budgets only let a real regression trip.
+        let model = liquid_model(0.5, 600.0);
+        let n = model.node_count();
         assert!(
-            iter_pairs.iter().any(|&(s, p)| s != p),
-            "seeding never changed an iteration count: {iter_pairs:?}"
+            n >= 2300,
+            "the gate grid must be the fine case, got {n} nodes"
+        );
+        let stack = ultrasparc::two_layer_liquid();
+        let p = model.uniform_block_power(&stack, |b| {
+            if b.is_core() {
+                Watts::new(3.0)
+            } else {
+                Watts::new(0.5)
+            }
+        });
+        let a = model.conductance_matrix();
+        let rhs: Vec<f64> = p
+            .iter()
+            .zip(model.boundary_injection())
+            .map(|(pi, bi)| pi + bi)
+            .collect();
+        let mut ws = SolverWorkspace::with_order(n);
+        let mut iters = Vec::new();
+        let mut vcycles = Vec::new();
+        let mut solutions: Vec<Vec<f64>> = Vec::new();
+        for kind in [
+            PreconditionerKind::Identity,
+            PreconditionerKind::Jacobi,
+            PreconditionerKind::Ilu0,
+            PreconditionerKind::Multigrid,
+        ] {
+            let precond = kind
+                .build(a, Some(model.skeleton().schedules()))
+                .expect("factorization");
+            let mut x = model.initial_state();
+            let info = BiCgStab::default()
+                .solve_with(a, &rhs, &mut x, precond.as_ref(), &mut ws)
+                .expect("converges");
+            iters.push(info.iterations);
+            vcycles.push(precond.cycles());
+            solutions.push(x);
+        }
+
+        assert!(
+            iters[2] < iters[1] && iters[1] < iters[0],
+            "preconditioning must strictly reduce iterations: {iters:?}"
+        );
+        assert!(iters[2] <= 60, "ILU(0) iterations regressed: {iters:?}");
+        assert!(iters[1] <= 400, "Jacobi iterations regressed: {iters:?}");
+        assert!(
+            iters[3] <= iters[2],
+            "multigrid must not need more iterations than ILU(0): {iters:?}"
+        );
+        assert!(iters[3] <= 10, "multigrid iterations regressed: {iters:?}");
+        // BiCGStab applies the preconditioner twice per iteration, so the
+        // iteration gate pins the V-cycle count: a deeper or shallower
+        // cycle structure cannot hide behind it.
+        let mg_cycles = vcycles[3].expect("multigrid reports its V-cycle count");
+        let mg_iters = iters[3] as u64;
+        assert!(
+            (mg_iters..=2 * mg_iters).contains(&mg_cycles),
+            "V-cycles per solve out of range: {mg_cycles} for {mg_iters} iterations"
         );
         assert!(
-            iter_pairs.iter().all(|&(s, p)| s <= p),
-            "seeding must not cost iterations: {iter_pairs:?}"
+            vcycles[..3].iter().all(Option::is_none),
+            "only multigrid runs V-cycles"
+        );
+        let max_dev = solutions[1..]
+            .iter()
+            .flat_map(|s| s.iter().zip(&solutions[0]).map(|(a, b)| (a - b).abs()))
+            .fold(0.0f64, f64::max);
+        assert!(
+            max_dev < 1e-5,
+            "preconditioners disagree on the solution by {max_dev} K"
         );
     }
 
@@ -1175,7 +1264,7 @@ mod tests {
         ) {
             let mut seeded = liquid_model(1.5, flow_ml);
             let mut plain = liquid_model(1.5, flow_ml);
-            plain.set_transient_warm_seed(false);
+            plain.plain_warm_start = true;
             let p0 = core_power(&seeded, 1.5);
             let p1 = core_power(&seeded, watts);
             let start = seeded.steady_state(&p0, None).unwrap();

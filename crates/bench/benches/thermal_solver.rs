@@ -33,7 +33,7 @@ fn steady_state(c: &mut Criterion) {
             );
             for kind in [PreconditionerKind::Identity, PreconditionerKind::Ilu0] {
                 let mut cfg = ThermalConfig::default();
-                cfg.solver.preconditioner = kind;
+                cfg.solver.preconditioner = Some(kind);
                 let builder = StackThermalBuilder::new(&stack, grid, cfg);
                 let flow = liquid.then(|| VolumetricFlow::from_ml_per_minute(600.0));
                 let mut model = builder.build(flow).unwrap();

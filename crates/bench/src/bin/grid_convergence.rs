@@ -90,7 +90,7 @@ fn main() {
         let mut nodes = 0;
         for &kind in kinds {
             let mut cfg = ThermalConfig::default();
-            cfg.solver.preconditioner = kind;
+            cfg.solver.preconditioner = Some(kind);
             let builder = StackThermalBuilder::new(&stack, grid, cfg);
             let mut model = builder.build(Some(flow)).expect("build");
             nodes = model.node_count();

@@ -102,7 +102,7 @@ pub fn run(cell_mm: f64, variant: &Variant) -> Run {
         Length::from_millimeters(cell_mm),
     );
     let mut cfg = ThermalConfig::default();
-    cfg.solver.preconditioner = variant.preconditioner;
+    cfg.solver.preconditioner = Some(variant.preconditioner);
     cfg.solver.mg_cycle = variant.mg_cycle;
     let mut model = StackThermalBuilder::new(&stack, grid, cfg)
         .build(Some(VolumetricFlow::from_ml_per_minute(600.0)))

@@ -13,7 +13,10 @@
 use std::sync::Arc;
 
 use vfc_floorplan::Stack3d;
-use vfc_num::{CsrBuilder, KernelSchedules, SolverWorkspace, StencilOp, StencilPattern};
+use vfc_num::{
+    CsrBuilder, CsrMatrix, GridCoord, KernelSchedules, Preconditioner, PreconditionerKind,
+    SolverWorkspace, StencilOp, StencilPattern,
+};
 use vfc_thermal::ThermalModel;
 use vfc_units::Celsius;
 
@@ -30,9 +33,10 @@ const STENCIL_MIN_ORDER: usize = 4_096;
 ///
 /// `background` is the node power injected by non-core blocks (caches,
 /// crossbar, uncore) during the characterization; cores are clamped to
-/// the balance temperature instead of receiving power. Ranges pair each
-/// balance target with an upper bound on the observed Tmax
-/// (`targets[i] + range_width`), the last range being open-ended.
+/// the balance temperature instead of receiving power. Each range ends
+/// halfway to the next balance target (`(targets[i] + targets[i+1]) / 2`),
+/// the last range being open-ended. The reduced system and its
+/// preconditioner are built once and solved once per target.
 ///
 /// # Errors
 ///
@@ -44,9 +48,10 @@ pub fn balanced_power_rows(
     background: &[f64],
     targets: &[Celsius],
 ) -> Result<Vec<(Celsius, Vec<f64>)>, ControlError> {
+    let system = BalanceSystem::new(model, stack, background)?;
     let mut rows = Vec::with_capacity(targets.len());
     for (i, &t_bal) in targets.iter().enumerate() {
-        let powers = balanced_core_powers(model, stack, background, t_bal)?;
+        let powers = system.core_powers(t_bal)?;
         let bound = if i + 1 == targets.len() {
             Celsius::new(f64::MAX)
         } else {
@@ -72,141 +77,205 @@ pub fn balanced_core_powers(
     background: &[f64],
     t_bal: Celsius,
 ) -> Result<Vec<f64>, ControlError> {
-    let layout = model.layout();
-    let n = layout.node_count();
-    assert_eq!(background.len(), n, "background power length");
+    BalanceSystem::new(model, stack, background)?.core_powers(t_bal)
+}
 
-    // Mark core cells as fixed.
-    let mut fixed = vec![false; n];
-    let mut core_blocks: Vec<(usize, usize)> = Vec::new();
-    for (t, tier) in stack.tiers().iter().enumerate() {
-        for (b, blk) in tier.floorplan().blocks().iter().enumerate() {
-            if blk.is_core() {
-                core_blocks.push((t, b));
+/// The mixed boundary-condition problem of one model: core cells
+/// fixed, the reduced system over the free nodes assembled and
+/// preconditioned once. Only the right-hand side depends on the
+/// balance temperature.
+struct BalanceSystem<'a> {
+    model: &'a ThermalModel,
+    background: &'a [f64],
+    /// Core cells, pinned at the balance temperature.
+    fixed: Vec<bool>,
+    /// `(tier, block)` of every core, in global core order.
+    core_blocks: Vec<(usize, usize)>,
+    free_nodes: Vec<usize>,
+    /// `G_UU`, the conductance matrix restricted to the free nodes.
+    reduced: CsrMatrix,
+    stencil: Option<Arc<StencilPattern>>,
+    precond: Box<dyn Preconditioner>,
+}
+
+impl<'a> BalanceSystem<'a> {
+    fn new(
+        model: &'a ThermalModel,
+        stack: &Stack3d,
+        background: &'a [f64],
+    ) -> Result<Self, ControlError> {
+        let layout = model.layout();
+        let n = layout.node_count();
+        assert_eq!(background.len(), n, "background power length");
+
+        // Mark core cells as fixed.
+        let mut fixed = vec![false; n];
+        let mut core_blocks: Vec<(usize, usize)> = Vec::new();
+        for (t, tier) in stack.tiers().iter().enumerate() {
+            for (b, blk) in tier.floorplan().blocks().iter().enumerate() {
+                if blk.is_core() {
+                    core_blocks.push((t, b));
+                }
+            }
+            let cells = layout.cells_per_layer();
+            for flat in 0..cells {
+                let b = layout.block_of_cell(t, flat / layout.cols(), flat % layout.cols());
+                if stack.tiers()[t].floorplan().blocks()[b].is_core() {
+                    fixed[layout.tier_node(t, flat / layout.cols(), flat % layout.cols())] = true;
+                }
             }
         }
-        let cells = layout.cells_per_layer();
-        for flat in 0..cells {
-            let b = layout.block_of_cell(t, flat / layout.cols(), flat % layout.cols());
-            if stack.tiers()[t].floorplan().blocks()[b].is_core() {
-                fixed[layout.tier_node(t, flat / layout.cols(), flat % layout.cols())] = true;
+
+        // Reduced operator over the free nodes (G_UU).
+        let g = model.conductance_matrix();
+        let mut reduced_index = vec![usize::MAX; n];
+        let mut free_nodes = Vec::new();
+        for i in 0..n {
+            if !fixed[i] {
+                reduced_index[i] = free_nodes.len();
+                free_nodes.push(i);
             }
         }
+        let m = free_nodes.len();
+        let mut builder = CsrBuilder::new(m);
+        for (ri, &i) in free_nodes.iter().enumerate() {
+            for (j, v) in g.row(i) {
+                if !fixed[j] {
+                    builder.add(ri, reduced_index[j], v);
+                }
+            }
+        }
+        let reduced = builder.build();
+        // The reduced system inherits the model's solver settings,
+        // preconditioner by the same grid rule as the model's own solves
+        // (resolved on the full grid: core cells dropping out leave the
+        // in-plane extent as it was). Pattern schedules are built only
+        // for a multigrid run on a large reduced system: they carry the
+        // coarsening hierarchy (built over the free-node subset of the
+        // grid coordinates — core cells dropping out just shrinks their
+        // aggregates). Below that size, or for single-level kinds, the
+        // build skips the construction; ILU(0) lands the same bits with
+        // or without them.
+        const SCHEDULE_MIN_ORDER: usize = 8_192;
+        let (kind, cycle) = model
+            .skeleton()
+            .config()
+            .solver
+            .resolve(layout.cells_per_layer());
+        let schedules =
+            (kind == PreconditionerKind::Multigrid && m >= SCHEDULE_MIN_ORDER).then(|| {
+                let full_coords = layout.grid_coords();
+                let coords: Vec<GridCoord> = free_nodes.iter().map(|&i| full_coords[i]).collect();
+                Arc::new(KernelSchedules::for_grid_matrix(&reduced, &coords))
+            });
+        // The reduced system keeps most of the grid's structure (only core
+        // cells drop out), so the index-free stencil operator usually still
+        // decomposes it; bit-identical to CSR, so the recovered balanced
+        // powers — and therefore the TALB figure rows — are unchanged.
+        let stencil: Option<Arc<StencilPattern>> = match &schedules {
+            Some(s) => s.stencil().cloned(),
+            None => (m >= STENCIL_MIN_ORDER)
+                .then(|| StencilPattern::for_matrix(&reduced).map(Arc::new))
+                .flatten(),
+        };
+        let precond = kind
+            .build_with_cycle(&reduced, schedules.as_ref(), cycle)
+            .map_err(vfc_thermal::ThermalError::from)?;
+        Ok(Self {
+            model,
+            background,
+            fixed,
+            core_blocks,
+            free_nodes,
+            reduced,
+            stencil,
+            precond,
+        })
     }
 
-    // Reduced system over the free nodes:
-    //   G_UU · T_U = P_U + b0_U − G_UF · T_F
-    let g = model.conductance_matrix();
-    let b0 = model.boundary_injection();
-    let mut reduced_index = vec![usize::MAX; n];
-    let mut free_nodes = Vec::new();
-    for i in 0..n {
-        if !fixed[i] {
-            reduced_index[i] = free_nodes.len();
-            free_nodes.push(i);
-        }
-    }
-    let m = free_nodes.len();
-    let tb = t_bal.value();
-    let mut builder = CsrBuilder::new(m);
-    let mut rhs = vec![0.0; m];
-    for (ri, &i) in free_nodes.iter().enumerate() {
-        rhs[ri] = background[i] + b0[i];
-        for (j, v) in g.row(i) {
-            if fixed[j] {
-                rhs[ri] -= v * tb;
-            } else {
-                builder.add(ri, reduced_index[j], v);
+    /// Solves `G_UU · T_U = P_U + b0_U − G_UF · T_F` with every core cell
+    /// at `t_bal` and recovers the power each core injects.
+    fn core_powers(&self, t_bal: Celsius) -> Result<Vec<f64>, ControlError> {
+        let model = self.model;
+        let layout = model.layout();
+        let n = layout.node_count();
+        let g = model.conductance_matrix();
+        let b0 = model.boundary_injection();
+        let fixed = &self.fixed;
+        let m = self.free_nodes.len();
+        let tb = t_bal.value();
+        let mut rhs = vec![0.0; m];
+        for (ri, &i) in self.free_nodes.iter().enumerate() {
+            rhs[ri] = self.background[i] + b0[i];
+            for (j, v) in g.row(i) {
+                if fixed[j] {
+                    rhs[ri] -= v * tb;
+                }
             }
         }
-    }
-    let reduced = builder.build();
-    let mut t_u = vec![tb; m];
-    // The reduced system inherits the model's solver settings — same
-    // preconditioner family (ILU(0) by default), tolerances. Pattern
-    // schedules are built only for a multigrid run on a large reduced
-    // system: they carry the coarsening hierarchy (built over the
-    // free-node subset of the grid coordinates — core cells dropping
-    // out just shrinks their aggregates). Below that size, or for
-    // single-level kinds, the one-shot solve skips the construction;
-    // ILU(0) lands the same bits with or without them.
-    const SCHEDULE_MIN_ORDER: usize = 8_192;
-    let scfg = model.skeleton().config().solver;
-    let solver = scfg.bicgstab();
-    let wants_mg = scfg.preconditioner == vfc_num::PreconditionerKind::Multigrid;
-    let schedules = (wants_mg && m >= SCHEDULE_MIN_ORDER).then(|| {
-        let full_coords = layout.grid_coords();
-        let coords: Vec<vfc_num::GridCoord> = free_nodes.iter().map(|&i| full_coords[i]).collect();
-        Arc::new(KernelSchedules::for_grid_matrix(&reduced, &coords))
-    });
-    // The reduced system keeps most of the grid's structure (only core
-    // cells drop out), so the index-free stencil operator usually still
-    // decomposes it; bit-identical to CSR, so the recovered balanced
-    // powers — and therefore the TALB figure rows — are unchanged.
-    let stencil: Option<Arc<StencilPattern>> = match &schedules {
-        Some(s) => s.stencil().cloned(),
-        None => (m >= STENCIL_MIN_ORDER)
-            .then(|| StencilPattern::for_matrix(&reduced).map(Arc::new))
-            .flatten(),
-    };
-    let precond = scfg
-        .preconditioner
-        .build(&reduced, schedules.as_ref())
+        let mut t_u = vec![tb; m];
+        let solver = model.skeleton().config().solver.bicgstab();
+        let mut ws = SolverWorkspace::new();
+        match &self.stencil {
+            Some(p) => solver.solve_with(
+                &StencilOp::new(p, self.reduced.values()),
+                &rhs,
+                &mut t_u,
+                self.precond.as_ref(),
+                &mut ws,
+            ),
+            None => solver.solve_with(
+                &self.reduced,
+                &rhs,
+                &mut t_u,
+                self.precond.as_ref(),
+                &mut ws,
+            ),
+        }
         .map_err(vfc_thermal::ThermalError::from)?;
-    let mut ws = SolverWorkspace::new();
-    match &stencil {
-        Some(p) => solver.solve_with(
-            &StencilOp::new(p, reduced.values()),
-            &rhs,
-            &mut t_u,
-            precond.as_ref(),
-            &mut ws,
-        ),
-        None => solver.solve_with(&reduced, &rhs, &mut t_u, precond.as_ref(), &mut ws),
-    }
-    .map_err(vfc_thermal::ThermalError::from)?;
 
-    // Recover the required injection at each fixed node:
-    //   P_f = Σ_j G[f,j]·T_j − b0_f
-    let mut temps = vec![0.0; n];
-    for (ri, &i) in free_nodes.iter().enumerate() {
-        temps[i] = t_u[ri];
-    }
-    for i in 0..n {
-        if fixed[i] {
-            temps[i] = tb;
+        // Recover the required injection at each fixed node:
+        //   P_f = Σ_j G[f,j]·T_j − b0_f
+        let mut temps = vec![0.0; n];
+        for (ri, &i) in self.free_nodes.iter().enumerate() {
+            temps[i] = t_u[ri];
         }
-    }
-    let mut per_core = vec![0.0; core_blocks.len()];
-    for (ci, &(t, b)) in core_blocks.iter().enumerate() {
-        let cells = layout.cells_per_layer();
-        for flat in 0..cells {
-            let (r, c) = (flat / layout.cols(), flat % layout.cols());
-            if layout.block_of_cell(t, r, c) != b {
-                continue;
+        for i in 0..n {
+            if fixed[i] {
+                temps[i] = tb;
             }
-            let node = layout.tier_node(t, r, c);
-            let mut p = -b0[node];
-            for (j, v) in g.row(node) {
-                p += v * temps[j];
+        }
+        let mut per_core = vec![0.0; self.core_blocks.len()];
+        for (ci, &(t, b)) in self.core_blocks.iter().enumerate() {
+            let cells = layout.cells_per_layer();
+            for flat in 0..cells {
+                let (r, c) = (flat / layout.cols(), flat % layout.cols());
+                if layout.block_of_cell(t, r, c) != b {
+                    continue;
+                }
+                let node = layout.tier_node(t, r, c);
+                let mut p = -b0[node];
+                for (j, v) in g.row(node) {
+                    p += v * temps[j];
+                }
+                per_core[ci] += p;
             }
-            per_core[ci] += p;
         }
-    }
-    // Floor non-positive budgets (a core that would need refrigeration to
-    // balance gets the minimum weight influence instead), and quantize to
-    // 1 µW: the balanced powers of mirror-symmetric cores are degenerate
-    // to solver precision, and unquantized values let ~1e-10 W iterative
-    // noise decide scheduler tie-breaks — runs would change under any
-    // solver/preconditioner evolution. Below-µW distinctions carry no
-    // physical information.
-    for p in &mut per_core {
-        if *p < 1e-3 {
-            *p = 1e-3;
+        // Floor non-positive budgets (a core that would need refrigeration to
+        // balance gets the minimum weight influence instead), and quantize to
+        // 1 µW: the balanced powers of mirror-symmetric cores are degenerate
+        // to solver precision, and unquantized values let ~1e-10 W iterative
+        // noise decide scheduler tie-breaks — runs would change under any
+        // solver/preconditioner evolution. Below-µW distinctions carry no
+        // physical information.
+        for p in &mut per_core {
+            if *p < 1e-3 {
+                *p = 1e-3;
+            }
+            *p = (*p * 1e6).round() / 1e6;
         }
-        *p = (*p * 1e6).round() / 1e6;
+        Ok(per_core)
     }
-    Ok(per_core)
 }
 
 #[cfg(test)]

@@ -27,12 +27,17 @@ pub struct Characterization {
 /// setting.
 ///
 /// `power_at` maps `(demand, model)` to a node power vector; it must be
-/// monotone in demand for the capability inversion to be meaningful.
+/// affine in demand. The steady state is then affine in demand too, so
+/// each setting takes two solves, at demand 0 and 1, and every grid
+/// demand `d` reads its temperatures off `(1−d)·T₀ + d·T₁` — the same
+/// field a solve at `d` converges to, within solver tolerance.
 ///
 /// # Errors
 ///
-/// [`ControlError::EmptyDemandGrid`] for `demand_points < 2`, or any
-/// thermal build/solve failure.
+/// [`ControlError::EmptyDemandGrid`] for `demand_points < 2`,
+/// [`ControlError::NonAffinePower`] if `power_at(0.5)` is not the
+/// midpoint of `power_at(0)` and `power_at(1)`, or any thermal
+/// build/solve failure.
 pub fn characterize(
     builder: &StackThermalBuilder<'_>,
     pump: &Pump,
@@ -76,15 +81,23 @@ pub fn characterize_skeleton(
         .collect();
     let mut tmax = vec![vec![0.0; pump.setting_count()]; demand_points];
 
+    let mut field = Vec::new();
     for s in pump.flow_settings() {
         let flow = pump.per_cavity_flow(s, cavities);
         let mut model = skeleton.model(Some(flow))?;
-        let mut warm: Option<Vec<f64>> = None;
+        let p0 = power_at(0.0, &model);
+        let p1 = power_at(1.0, &model);
+        check_affine(&p0, &p1, &power_at(0.5, &model))?;
+        let t0 = model.steady_state(&p0, None)?;
+        let t1 = model.steady_state(&p1, Some(&t0))?;
         for (d, &demand) in demands.iter().enumerate() {
-            let p = power_at(demand, &model);
-            let t = model.steady_state(&p, warm.as_deref())?;
-            tmax[d][s.index()] = model.max_junction_temperature(&t).value();
-            warm = Some(t);
+            field.clear();
+            field.extend(
+                t0.iter()
+                    .zip(&t1)
+                    .map(|(a, b)| (1.0 - demand) * a + demand * b),
+            );
+            tmax[d][s.index()] = model.max_junction_temperature(&field).value();
         }
     }
 
@@ -98,6 +111,27 @@ pub fn characterize_skeleton(
         capability,
         target: target.value(),
     })
+}
+
+/// Relative deviation from the midpoint above which a power map counts
+/// as non-affine: far above the few ulps an affine map's round-off
+/// leaves, far below any real curvature.
+const AFFINE_TOLERANCE: f64 = 1e-9;
+
+/// Checks that `half`, the power map at demand 0.5, is the midpoint of
+/// the maps at demand 0 (`p0`) and 1 (`p1`), node by node.
+fn check_affine(p0: &[f64], p1: &[f64], half: &[f64]) -> Result<(), ControlError> {
+    let scale = p0
+        .iter()
+        .chain(p1)
+        .fold(f64::MIN_POSITIVE, |m, v| m.max(v.abs()));
+    for (node, ((a, b), h)) in p0.iter().zip(p1).zip(half).enumerate() {
+        let deviation = (h - 0.5 * (a + b)).abs() / scale;
+        if deviation > AFFINE_TOLERANCE || deviation.is_nan() {
+            return Err(ControlError::NonAffinePower { node, deviation });
+        }
+    }
+    Ok(())
 }
 
 /// Largest demand for which `tmax(demand, s) <= target` (linear
@@ -275,6 +309,155 @@ mod tests {
         }
         // The staircase reaches beyond the minimum setting.
         assert!(series.iter().any(|&(_, s)| s > 0));
+    }
+
+    /// The per-demand sweep superposition replaced: one warm-started
+    /// steady solve per (setting, demand) pair.
+    fn direct_sweep(
+        skeleton: &std::sync::Arc<vfc_thermal::StackSkeleton>,
+        pump: &Pump,
+        cavities: usize,
+        target: Celsius,
+        demand_points: usize,
+        power_at: &dyn Fn(f64, &ThermalModel) -> Vec<f64>,
+    ) -> Characterization {
+        let demands: Vec<f64> = (0..demand_points)
+            .map(|i| i as f64 / (demand_points - 1) as f64)
+            .collect();
+        let mut tmax = vec![vec![0.0; pump.setting_count()]; demand_points];
+        for s in pump.flow_settings() {
+            let mut model = skeleton
+                .model(Some(pump.per_cavity_flow(s, cavities)))
+                .unwrap();
+            let mut warm: Option<Vec<f64>> = None;
+            for (d, &demand) in demands.iter().enumerate() {
+                let t = model
+                    .steady_state(&power_at(demand, &model), warm.as_deref())
+                    .unwrap();
+                tmax[d][s.index()] = model.max_junction_temperature(&t).value();
+                warm = Some(t);
+            }
+        }
+        let capability = (0..pump.setting_count())
+            .map(|s| invert_capability(&demands, &tmax, s, target.value()))
+            .collect();
+        Characterization {
+            demands,
+            tmax,
+            capability,
+            target: target.value(),
+        }
+    }
+
+    #[test]
+    fn superposition_matches_the_direct_sweep() {
+        // Both sides solve to a relative residual of 1e-13, so what they
+        // are compared on is the superposition, not their solver error:
+        // the two differ by 60–110× the solver tolerance. At the default
+        // 1e-10 that is up to 1.1e-8 relative on Tmax and 6e-8 on
+        // capability (measured on these four grids), with the same
+        // staircase.
+        let pump = Pump::laing_ddc();
+        let target = Celsius::new(79.0);
+        let mut config = ThermalConfig::default();
+        config.solver.tolerance = 1e-13;
+        for stack in [
+            ultrasparc::two_layer_liquid(),
+            ultrasparc::four_layer_liquid(),
+        ] {
+            let cavities = stack.cavity_count();
+            let power_stack = stack.clone();
+            let power_at = move |demand: f64, model: &ThermalModel| {
+                model.uniform_block_power(&power_stack, |b| match b.kind() {
+                    vfc_floorplan::BlockKind::Core => Watts::new(1.0 + 2.5 * demand + 0.3),
+                    vfc_floorplan::BlockKind::L2Cache => {
+                        Watts::new(1.28 * (0.2 + 0.8 * demand) + 0.57)
+                    }
+                    vfc_floorplan::BlockKind::Crossbar => Watts::new(1.5 * demand + 0.45),
+                    _ => Watts::new(0.3),
+                })
+            };
+            for mm in [1.0, 0.5] {
+                let grid = GridSpec::from_cell_size(
+                    stack.tiers()[0].floorplan(),
+                    Length::from_millimeters(mm),
+                );
+                let skeleton =
+                    std::sync::Arc::new(StackThermalBuilder::new(&stack, grid, config).skeleton());
+                let superposed =
+                    characterize_skeleton(&skeleton, &pump, cavities, target, 7, &power_at)
+                        .unwrap();
+                let direct = direct_sweep(&skeleton, &pump, cavities, target, 7, &power_at);
+                let case = format!("{} tiers at {mm} mm", stack.tiers().len());
+                for d in 0..direct.demands().len() {
+                    for s in 0..direct.setting_count() {
+                        let (got, want) = (superposed.tmax[d][s], direct.tmax[d][s]);
+                        assert!(
+                            ((got - want) / want).abs() <= 1e-9,
+                            "{case}: Tmax at demand {d}, setting {s}: {got} vs {want}"
+                        );
+                    }
+                }
+                for (s, (got, want)) in superposed
+                    .capability
+                    .iter()
+                    .zip(&direct.capability)
+                    .enumerate()
+                {
+                    assert!(
+                        (got - want).abs() <= 1e-9,
+                        "{case}: capability {s}: {got} vs {want}"
+                    );
+                }
+                let staircase = |c: &Characterization| {
+                    c.fig5_series().iter().map(|&(_, s)| s).collect::<Vec<_>>()
+                };
+                assert_eq!(staircase(&superposed), staircase(&direct), "{case}");
+                for demand in [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0] {
+                    assert_eq!(
+                        superposed.required_setting_for_demand(demand),
+                        direct.required_setting_for_demand(demand),
+                        "{case}: demand {demand}"
+                    );
+                }
+                // The map crosses the target inside the demand range, so
+                // the capability inversion is exercised, not clamped.
+                assert!(
+                    direct.capability.iter().any(|&c| c > 0.0 && c < 1.0),
+                    "{case}: {:?}",
+                    direct.capability
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn non_affine_power_is_rejected() {
+        let stack = ultrasparc::two_layer_liquid();
+        let grid =
+            GridSpec::from_cell_size(stack.tiers()[0].floorplan(), Length::from_millimeters(2.0));
+        let builder = StackThermalBuilder::new(&stack, grid, ThermalConfig::default());
+        let power_stack = stack.clone();
+        let err = characterize(
+            &builder,
+            &Pump::laing_ddc(),
+            3,
+            Celsius::new(80.0),
+            5,
+            &move |demand, model| {
+                model.uniform_block_power(&power_stack, |b| {
+                    Watts::new(if b.is_core() {
+                        3.0 * demand * demand
+                    } else {
+                        0.5
+                    })
+                })
+            },
+        );
+        assert!(
+            matches!(err, Err(ControlError::NonAffinePower { deviation, .. }) if deviation > 0.01),
+            "{err:?}"
+        );
     }
 
     #[test]

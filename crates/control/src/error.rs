@@ -12,6 +12,16 @@ pub enum ControlError {
     Liquid(LiquidError),
     /// The demand grid for characterization was empty or degenerate.
     EmptyDemandGrid,
+    /// The characterization's power map is not affine in demand: at
+    /// `node`, the map at demand 0.5 is off the midpoint of the maps at
+    /// demand 0 and 1 by `deviation`, relative to the largest end-map
+    /// power.
+    NonAffinePower {
+        /// Node index of the first deviation found.
+        node: usize,
+        /// Relative deviation from the midpoint.
+        deviation: f64,
+    },
     /// The characterization's setting count does not match the pump's.
     SettingCountMismatch {
         /// Settings in the characterization.
@@ -27,6 +37,11 @@ impl core::fmt::Display for ControlError {
             ControlError::Thermal(e) => write!(f, "thermal model failed: {e}"),
             ControlError::Liquid(e) => write!(f, "pump model failed: {e}"),
             ControlError::EmptyDemandGrid => write!(f, "characterization needs demand points"),
+            ControlError::NonAffinePower { node, deviation } => write!(
+                f,
+                "characterization power is not affine in demand: node {node} is off the \
+                 midpoint by {deviation:.3e} (relative)"
+            ),
             ControlError::SettingCountMismatch {
                 characterized,
                 pump,
@@ -72,5 +87,10 @@ mod tests {
             pump: 5,
         };
         assert!(e.to_string().contains('4'));
+        let e = ControlError::NonAffinePower {
+            node: 17,
+            deviation: 0.25,
+        };
+        assert!(e.to_string().contains("affine") && e.to_string().contains("17"));
     }
 }

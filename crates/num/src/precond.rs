@@ -425,6 +425,33 @@ impl LevelMajorFactor {
 /// to the natural-order sweep.
 #[derive(Debug, Clone)]
 pub struct Ilu0Preconditioner {
+    factors: Ilu0Factors,
+}
+
+/// The one copy of the ILU(0) factors a preconditioner keeps: the
+/// layout its sweeps read.
+#[derive(Debug, Clone)]
+enum Ilu0Factors {
+    /// Natural row order (built without schedules).
+    Natural(SplitFactors),
+    /// Level-major compactions of the triangular factors (built with
+    /// schedules): rows of each wavefront level stored back-to-back so
+    /// the sweeps stream their value arrays while the rows of a level
+    /// retire independently — natural row order instead chains every
+    /// row through its just-written neighbour (a store-to-load latency
+    /// wall measuring ~3× a matvec per entry on the 100 µm grid). The
+    /// natural-order split is dropped once these are built; on the
+    /// 100 µm grid it would add 3.8 MB to every factor.
+    LevelMajor {
+        lower: LevelMajorFactor,
+        /// Carries the permuted reciprocal `U` diagonal, one per row.
+        upper: LevelMajorFactor,
+    },
+}
+
+/// ILU(0) factors as compact split CSR halves in natural row order.
+#[derive(Debug, Clone)]
+struct SplitFactors {
     /// Reciprocals of the `U` diagonal (the backward solve multiplies
     /// instead of dividing — serial divides dominate otherwise). Length
     /// is the matrix order.
@@ -437,15 +464,6 @@ pub struct Ilu0Preconditioner {
     u_ptr: Vec<u32>,
     u_col: Vec<u32>,
     u_val: Vec<f64>,
-    /// Level-major compactions of the triangular factors (built only
-    /// with schedules): rows of each wavefront level stored
-    /// back-to-back so the sweeps stream their value/column arrays
-    /// while the rows of a level retire independently — natural row
-    /// order instead chains every row through its just-written
-    /// neighbour (a store-to-load latency wall measuring ~3× a matvec
-    /// per entry on the 100 µm grid).
-    lower_sweep: Option<LevelMajorFactor>,
-    upper_sweep: Option<LevelMajorFactor>,
 }
 
 impl Ilu0Preconditioner {
@@ -469,6 +487,40 @@ impl Ilu0Preconditioner {
                 return Err(NumError::PatternMismatch { context: "ilu0" });
             }
         }
+        let split = SplitFactors::factor(a)?;
+        let factors = match &schedules {
+            Some(s) => Ilu0Factors::LevelMajor {
+                lower: LevelMajorFactor::build(
+                    &s.levels.lower,
+                    &split.l_ptr,
+                    &split.l_col,
+                    &split.l_val,
+                    None,
+                ),
+                upper: LevelMajorFactor::build(
+                    &s.levels.upper,
+                    &split.u_ptr,
+                    &split.u_col,
+                    &split.u_val,
+                    Some(&split.inv_diag),
+                ),
+            },
+            None => Ilu0Factors::Natural(split),
+        };
+        Ok(Self { factors })
+    }
+
+    /// Whether `apply` runs the level-major sweeps (built with
+    /// schedules).
+    pub fn is_level_scheduled(&self) -> bool {
+        matches!(self.factors, Ilu0Factors::LevelMajor { .. })
+    }
+}
+
+impl SplitFactors {
+    /// ILU(0) of `a`, split into compact strictly-lower /
+    /// strictly-upper CSR halves.
+    fn factor(a: &CsrMatrix) -> Result<Self, NumError> {
         let n = a.order();
         // Shares row_ptr/col_idx with `a`; only the values are owned.
         let mut lu = a.clone();
@@ -539,25 +591,6 @@ impl Ilu0Preconditioner {
             l_ptr.push(l_col.len() as u32);
             u_ptr.push(u_col.len() as u32);
         }
-        let (lower_sweep, upper_sweep) = match &schedules {
-            Some(s) => (
-                Some(LevelMajorFactor::build(
-                    &s.levels.lower,
-                    &l_ptr,
-                    &l_col,
-                    &l_val,
-                    None,
-                )),
-                Some(LevelMajorFactor::build(
-                    &s.levels.upper,
-                    &u_ptr,
-                    &u_col,
-                    &u_val,
-                    Some(&inv_diag),
-                )),
-            ),
-            None => (None, None),
-        };
         Ok(Self {
             inv_diag,
             l_ptr,
@@ -566,15 +599,7 @@ impl Ilu0Preconditioner {
             u_ptr,
             u_col,
             u_val,
-            lower_sweep,
-            upper_sweep,
         })
-    }
-
-    /// Whether `apply` runs the level-major sweeps (built with
-    /// schedules).
-    pub fn is_level_scheduled(&self) -> bool {
-        self.lower_sweep.is_some()
     }
 
     /// One forward-substitution row: `z[i] = r[i] − Σ L[i,j]·z[j]`.
@@ -620,13 +645,15 @@ impl Ilu0Preconditioner {
 
     /// The index-loading split-CSR sweeps in natural row order (the
     /// reference the level-major sweeps must match bit-for-bit).
+    /// `r` and `z` must hold the factor's order.
     fn apply_sequential_indexed(&self, r: &[f64], z: &mut [f64]) {
         let n = self.inv_diag.len();
+        assert!(r.len() == n && z.len() == n, "ilu0: vector lengths");
         // SAFETY (both sweeps): the compact factor arrays are built in
-        // `new` with `*_ptr` monotone and bounded by the factor length,
-        // and every column index is < n (builder invariant); r and z are
-        // length-checked by `apply`. Triangular entries reference only
-        // already-computed z positions.
+        // `factor` with `*_ptr` monotone and bounded by the factor
+        // length, and every column index is < n (builder invariant); r
+        // and z are length-checked above. Triangular entries reference
+        // only already-computed z positions.
         unsafe {
             for i in 0..n {
                 self.forward_row(i, r, z);
@@ -647,24 +674,27 @@ impl Preconditioner for Ilu0Preconditioner {
     /// row's accumulation is unchanged, so the result is bit-identical
     /// to the natural-order sweep it falls back to without schedules.
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let n = self.inv_diag.len();
+        let n = self.order();
         assert_eq!(r.len(), n, "ilu0: r length");
         assert_eq!(z.len(), n, "ilu0: z length");
-        match (&self.lower_sweep, &self.upper_sweep) {
+        match &self.factors {
             // SAFETY: lengths checked above; both factors were built from
             // the level sets of this matrix's pattern (`new` rejects
             // foreign schedules), so positions cover every row exactly
             // once in dependency order.
-            (Some(lower), Some(upper)) => unsafe {
+            Ilu0Factors::LevelMajor { lower, upper } => unsafe {
                 lower.sweep::<false>(r, z);
                 upper.sweep::<true>(r, z);
             },
-            _ => self.apply_sequential_indexed(r, z),
+            Ilu0Factors::Natural(split) => split.apply_sequential_indexed(r, z),
         }
     }
 
     fn order(&self) -> usize {
-        self.inv_diag.len()
+        match &self.factors {
+            Ilu0Factors::LevelMajor { upper, .. } => upper.diag.len(),
+            Ilu0Factors::Natural(split) => split.inv_diag.len(),
+        }
     }
 }
 
@@ -909,11 +939,12 @@ mod tests {
         );
         let with = Ilu0Preconditioner::new(&a, Some(Arc::clone(&schedules))).unwrap();
         let without = Ilu0Preconditioner::new(&a, None).unwrap();
+        assert!(with.is_level_scheduled() && !without.is_level_scheduled());
         let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).sin() * 4.0).collect();
         let mut z_stencil = vec![0.0; n];
         with.apply(&r, &mut z_stencil); // level-major run sweeps
         let mut z_indexed = vec![0.0; n];
-        without.apply_sequential_indexed(&r, &mut z_indexed);
+        without.apply(&r, &mut z_indexed); // natural-order indexed sweeps
         assert!(z_stencil
             .iter()
             .zip(&z_indexed)
@@ -960,6 +991,27 @@ mod tests {
         }
     }
 
+    /// Scatters level-major `values` back to natural row order: the
+    /// build appends row `i`'s `ptr[i]..ptr[i+1]` entries level by level,
+    /// rows ascending within a level.
+    fn unpermute(set: &crate::schedule::LevelSet, ptr: &[u32], values: &[f64]) -> Vec<f64> {
+        let mut natural = vec![f64::NAN; values.len()];
+        let mut q = 0;
+        for l in 0..set.count() {
+            for &i in set.level(l) {
+                let (s, e) = (ptr[i as usize] as usize, ptr[i as usize + 1] as usize);
+                natural[s..e].copy_from_slice(&values[q..q + (e - s)]);
+                q += e - s;
+            }
+        }
+        assert_eq!(q, values.len(), "level sets must cover every entry once");
+        natural
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -985,16 +1037,25 @@ mod tests {
         }
 
         /// Schedule-equipped ILU(0) factors must equal the plain build's
-        /// (the schedules only change the sweep order, never the factors).
+        /// bit for bit (the schedules only change the sweep order, never
+        /// the factors): the level-major values, un-permuted back to
+        /// natural row order, are the plain split factors.
         #[test]
         fn schedules_do_not_change_the_factorization(seed in 0u64..60, n in 2usize..40) {
             let a = random_dd(seed, n);
             let schedules = Arc::new(KernelSchedules::for_matrix(&a));
             let plain = Ilu0Preconditioner::new(&a, None).unwrap();
-            let levelled = Ilu0Preconditioner::new(&a, Some(schedules)).unwrap();
-            prop_assert_eq!(&plain.l_val, &levelled.l_val);
-            prop_assert_eq!(&plain.u_val, &levelled.u_val);
-            prop_assert_eq!(&plain.inv_diag, &levelled.inv_diag);
+            let levelled = Ilu0Preconditioner::new(&a, Some(Arc::clone(&schedules))).unwrap();
+            let (Ilu0Factors::Natural(split), Ilu0Factors::LevelMajor { lower, upper }) =
+                (&plain.factors, &levelled.factors)
+            else {
+                panic!("plain builds are natural-order, scheduled builds level-major");
+            };
+            let rows: Vec<u32> = (0..=n as u32).collect();
+            let levels = &schedules.levels;
+            prop_assert_eq!(bits(&unpermute(&levels.lower, &split.l_ptr, &lower.vals)), bits(&split.l_val));
+            prop_assert_eq!(bits(&unpermute(&levels.upper, &split.u_ptr, &upper.vals)), bits(&split.u_val));
+            prop_assert_eq!(bits(&unpermute(&levels.upper, &rows, &upper.diag)), bits(&split.inv_diag));
         }
     }
 }

@@ -1,10 +1,11 @@
 //! Simulation configuration.
 
 use vfc_faults::FaultTimeline;
-use vfc_floorplan::{ultrasparc, Stack3d};
+use vfc_floorplan::{ultrasparc, GridSpec, Stack3d};
 use vfc_liquid::{FlowSetting, Pump};
+use vfc_num::PreconditionerKind;
 use vfc_power::{LeakageModel, PowerModel};
-use vfc_thermal::ThermalConfig;
+use vfc_thermal::{SolverConfig, ThermalConfig};
 use vfc_units::{Celsius, Length, Seconds, TemperatureDelta};
 use vfc_workload::{Benchmark, PhasedWorkload};
 
@@ -308,6 +309,17 @@ impl SimConfig {
             thermal,
             faults,
         } = self;
+        // The preconditioner enters as the kind the grid rule resolves
+        // it to (printed bare, `preconditioner: Ilu0`), so a default
+        // config and its explicit equivalent share a key, and a key moves
+        // exactly when the solver the run uses does.
+        let thermal = &ThermalConfig {
+            solver: SolverConfig {
+                preconditioner: Some(self.resolved_preconditioner()),
+                ..thermal.solver
+            },
+            ..*thermal
+        };
         // Hash each field through its (exact, round-trippable) debug
         // representation; `f64`'s `Debug` prints the shortest string that
         // parses back to the same bits, so distinct values never collide
@@ -352,6 +364,15 @@ impl SimConfig {
             fields.push(("faults", hash_field("faults", &format!("{faults:?}"))));
         }
         combine_fields(&mut fields)
+    }
+
+    /// The preconditioner kind this configuration's solves run under:
+    /// [`SolverConfig::resolve`] on its grid's cells per layer.
+    fn resolved_preconditioner(&self) -> PreconditionerKind {
+        let stack = self.system.stack(self.cooling.is_liquid());
+        let grid = GridSpec::from_cell_size(stack.tiers()[0].floorplan(), self.grid_cell);
+        let cells_per_layer = grid.rows().saturating_mul(grid.cols());
+        self.thermal.solver.resolve(cells_per_layer).0
     }
 }
 
@@ -468,8 +489,23 @@ mod tests {
         );
         assert_eq!(talb.cache_key(), 0x3768_bad0_3b0b_47c0);
         let mut multigrid = talb.clone();
-        multigrid.thermal.solver.preconditioner = vfc_num::PreconditionerKind::Multigrid;
+        multigrid.thermal.solver.preconditioner = Some(PreconditionerKind::Multigrid);
         assert_eq!(multigrid.cache_key(), 0x147a_d5d4_a932_8d88);
+        // At 1 mm the grid rule picks ILU(0): the default and its
+        // explicit form are one configuration.
+        let mut ilu0 = talb.clone();
+        ilu0.thermal.solver.preconditioner = Some(PreconditionerKind::Ilu0);
+        assert_eq!(ilu0.cache_key(), talb.cache_key());
+        // On the paper's 100 µm grid it picks multigrid, so the default
+        // key is the explicit-multigrid key. Before the grid rule the
+        // default ran ILU(0) there and keyed 0x05b5_c8fc_bf3e_a374; its
+        // result bits changed, so its key moved.
+        let fine = talb.with_grid_cell(Length::from_millimeters(0.1));
+        assert_eq!(fine.cache_key(), 0x9372_9e3a_6cd3_f284);
+        assert_ne!(fine.cache_key(), 0x05b5_c8fc_bf3e_a374);
+        let mut fine_multigrid = fine.clone();
+        fine_multigrid.thermal.solver.preconditioner = Some(PreconditionerKind::Multigrid);
+        assert_eq!(fine_multigrid.cache_key(), fine.cache_key());
     }
 
     #[test]

@@ -197,7 +197,7 @@ impl<'a> StackThermalBuilder<'a> {
             })
             .collect();
 
-        // Pattern-derived schedules (level sets for the parallel ILU(0)
+        // Pattern-derived schedules (level sets for the level-major ILU(0)
         // sweeps, the stencil decomposition, the semi-coarsened multigrid
         // hierarchy): one computation per grid, shared by every pump
         // setting and backward-Euler operator.

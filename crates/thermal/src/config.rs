@@ -6,29 +6,29 @@ use vfc_units::{Celsius, HeatCapacity, Length, ThermalResistance};
 
 /// Linear-solver settings for the assembled networks.
 ///
-/// The preconditioner is the main lever for fine grids: the steady-state
-/// cost at 0.5 mm cells drops several-fold from `Identity` to `Ilu0`
-/// (see `cargo bench -p vfc_bench --bench thermal_solver`); factorization
-/// state is cached per model and invalidated only on flow changes, so its
-/// setup cost amortizes across every 100 ms sample. The operator is not
-/// a setting: solves run the index-free stencil operator whenever the
-/// grid's pattern decomposes into one and the CSR matrix otherwise, and
-/// the two are bit-identical.
+/// The preconditioner is the main lever for fine grids, and by default
+/// the grid picks it (see [`resolve`](Self::resolve)): ILU(0) up to
+/// the 0.25 mm grids, the cheap V(0,1) multigrid cycle on the paper's
+/// 100 µm grid. Factorization state is cached per model and invalidated
+/// only on flow changes, so its setup cost amortizes across every
+/// 100 ms sample. The operator is not a setting: solves run the
+/// index-free stencil operator whenever the grid's pattern decomposes
+/// into one and the CSR matrix otherwise, and the two are bit-identical.
 #[derive(Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SolverConfig {
     /// Relative residual tolerance `‖b−Ax‖/‖b‖`.
     pub tolerance: f64,
     /// Iteration cap before the solve fails.
     pub max_iterations: usize,
-    /// Preconditioner applied on every Krylov iteration (default:
-    /// ILU(0), the fine-grid workhorse). [`PreconditionerKind::Multigrid`]
-    /// runs geometric V-cycles on the semi-coarsened hierarchy every
-    /// skeleton carries and keeps iteration counts nearly
-    /// resolution-independent — the pick for 100 µm grids and below.
-    pub preconditioner: PreconditionerKind,
-    /// V-cycle shape when `preconditioner` is
-    /// [`PreconditionerKind::Multigrid`]; ignored otherwise. The default
-    /// symmetric V(1,1) ILU cycle is the robust choice;
+    /// Preconditioner override. `None` (the default) lets the grid
+    /// pick: ILU(0) up to 4,096 cells per layer,
+    /// [`PreconditionerKind::Multigrid`] with [`MgCycleConfig::cheap`]
+    /// above it. `Some(kind)` runs `kind` on
+    /// every grid, with `mg_cycle` as its V-cycle.
+    pub preconditioner: Option<PreconditionerKind>,
+    /// V-cycle shape of an explicit `Some(Multigrid)` and of the
+    /// recovery ladder's escalation to multigrid; ignored otherwise.
+    /// The default symmetric V(1,1) ILU cycle is the robust choice;
     /// [`MgCycleConfig::cheap`] (the asymmetric V(0,1) cycle) costs
     /// ~45% less per apply for ~25% more Krylov iterations on the
     /// 100 µm transient systems — a measured net win on fine grids
@@ -40,16 +40,40 @@ pub struct SolverConfig {
     pub mg_cycle: MgCycleConfig,
 }
 
+/// Cells per layer above which the grid rule picks multigrid. The
+/// hierarchy semi-coarsens in-plane only, so the layer count does not
+/// enter. Per 100 ms transient sample on the 2-layer stack, in ms with
+/// Krylov iterations (`transient_bench --fine`, one core of a 2-vCPU
+/// host, as recorded in `BENCH_transient.json`):
+///
+/// | grid (cells per layer) | ILU(0) | V(1,1) | V(0,1) |
+/// |---|---|---|---|
+/// | 1 mm (120) | 0.26 (170) | 0.35 (60) | 0.30 (100) |
+/// | 0.5 mm (460) | 1.09 (270) | 1.27 (100) | 1.13 (130) |
+/// | 0.25 mm (1,840) | 10.72 (520) | 11.23 (160) | 8.92 (170) |
+/// | 0.1 mm (11,500) | 202.13 (1270) | 112.06 (220) | 95.14 (280) |
+///
+/// Up to 0.25 mm V(0,1) is at most 1.3× ahead, and the steady solves
+/// trade places from run to run (`grid_convergence`), so every grid up
+/// to 0.25 mm keeps ILU(0), and with it its results and cache keys. At
+/// 100 µm V(0,1) is 2.1× ahead.
+const MULTIGRID_ABOVE_CELLS_PER_LAYER: usize = 4_096;
+
 /// Matches the original derive output so `SimConfig::cache_key`, which
 /// hashes configs through their `Debug` representation, is unaffected by
-/// the (result-invariant) cycle-shape choice.
+/// the (result-invariant) cycle-shape choice. A resolved kind prints
+/// bare (`preconditioner: Ilu0`), as the field did before it became an
+/// override.
 impl std::fmt::Debug for SolverConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SolverConfig")
-            .field("tolerance", &self.tolerance)
-            .field("max_iterations", &self.max_iterations)
-            .field("preconditioner", &self.preconditioner)
-            .finish()
+        let mut s = f.debug_struct("SolverConfig");
+        s.field("tolerance", &self.tolerance)
+            .field("max_iterations", &self.max_iterations);
+        match &self.preconditioner {
+            Some(kind) => s.field("preconditioner", kind),
+            None => s.field("preconditioner", &format_args!("None")),
+        };
+        s.finish()
     }
 }
 
@@ -58,7 +82,7 @@ impl Default for SolverConfig {
         Self {
             tolerance: 1e-10,
             max_iterations: 10_000,
-            preconditioner: PreconditionerKind::Ilu0,
+            preconditioner: None,
             mg_cycle: MgCycleConfig::default(),
         }
     }
@@ -72,6 +96,22 @@ impl SolverConfig {
         vfc_num::BiCgStab {
             tolerance: self.tolerance,
             max_iterations: self.max_iterations,
+        }
+    }
+
+    /// The preconditioner and V-cycle solves run under on a grid with
+    /// `cells_per_layer` cells in each layer: the override when set,
+    /// otherwise ILU(0) up to 4,096 cells per layer and multigrid with
+    /// the cheap V(0,1) cycle above it. Every solve site
+    /// (model, backward-Euler cache, TALB balance) and the simulation
+    /// cache key go through this one rule.
+    pub fn resolve(&self, cells_per_layer: usize) -> (PreconditionerKind, MgCycleConfig) {
+        match self.preconditioner {
+            Some(kind) => (kind, self.mg_cycle),
+            None if cells_per_layer > MULTIGRID_ABOVE_CELLS_PER_LAYER => {
+                (PreconditionerKind::Multigrid, MgCycleConfig::cheap())
+            }
+            None => (PreconditionerKind::Ilu0, self.mg_cycle),
         }
     }
 }
@@ -181,9 +221,9 @@ mod tests {
         let mut c = ThermalConfig::default();
         c.liquid.inlet = Celsius::new(30.0);
         c.air.tim_area_resistance = 1e-4;
-        c.solver.preconditioner = PreconditionerKind::Jacobi;
+        c.solver.preconditioner = Some(PreconditionerKind::Jacobi);
         assert_eq!(c.liquid.inlet.value(), 30.0);
-        assert_eq!(c.solver.preconditioner, PreconditionerKind::Jacobi);
+        assert_eq!(c.solver.preconditioner, Some(PreconditionerKind::Jacobi));
     }
 
     #[test]
@@ -191,7 +231,7 @@ mod tests {
         let s = SolverConfig::default();
         assert_eq!(s.tolerance, 1e-10);
         assert_eq!(s.max_iterations, 10_000);
-        assert_eq!(s.preconditioner, PreconditionerKind::Ilu0);
+        assert_eq!(s.preconditioner, None);
         assert_eq!(s.mg_cycle, MgCycleConfig::default());
     }
 
@@ -199,14 +239,61 @@ mod tests {
     fn solver_debug_excludes_the_cycle_shape() {
         // Cache keys hash configs through Debug; the V-cycle shape moves
         // results only within solver tolerance and must not shift keys.
-        let default = SolverConfig::default();
+        let ilu0 = SolverConfig {
+            preconditioner: Some(PreconditionerKind::Ilu0),
+            ..SolverConfig::default()
+        };
         let cheap = SolverConfig {
             mg_cycle: MgCycleConfig::cheap(),
-            ..default
+            ..ilu0
         };
         let expected = "SolverConfig { tolerance: 1e-10, max_iterations: 10000, \
                         preconditioner: Ilu0 }";
-        assert_eq!(format!("{default:?}"), expected);
+        assert_eq!(format!("{ilu0:?}"), expected);
         assert_eq!(format!("{cheap:?}"), expected);
+        assert_eq!(
+            format!("{:?}", SolverConfig::default()),
+            "SolverConfig { tolerance: 1e-10, max_iterations: 10000, preconditioner: None }"
+        );
+    }
+
+    #[test]
+    fn the_grid_picks_the_preconditioner_unless_overridden() {
+        use vfc_floorplan::{ultrasparc, GridSpec};
+        use vfc_units::Length;
+        let cells = |stack: &vfc_floorplan::Stack3d, mm: f64| {
+            GridSpec::from_cell_size(stack.tiers()[0].floorplan(), Length::from_millimeters(mm))
+                .cell_count()
+        };
+        let auto = SolverConfig::default();
+        let kinds = [
+            PreconditionerKind::Identity,
+            PreconditionerKind::Jacobi,
+            PreconditionerKind::Ilu0,
+            PreconditionerKind::Multigrid,
+        ];
+        for stack in [
+            ultrasparc::two_layer_liquid(),
+            ultrasparc::four_layer_liquid(),
+        ] {
+            for mm in [1.0, 0.5, 0.25, 0.1] {
+                let n = cells(&stack, mm);
+                let want = if mm > 0.2 {
+                    (PreconditionerKind::Ilu0, MgCycleConfig::default())
+                } else {
+                    (PreconditionerKind::Multigrid, MgCycleConfig::cheap())
+                };
+                assert_eq!(auto.resolve(n), want, "{mm} mm ({n} cells per layer)");
+                for kind in kinds {
+                    let forced = SolverConfig {
+                        preconditioner: Some(kind),
+                        ..auto
+                    };
+                    assert_eq!(forced.resolve(n), (kind, MgCycleConfig::default()));
+                }
+            }
+            assert_eq!(cells(&stack, 0.25), 1_840);
+            assert_eq!(cells(&stack, 0.1), 11_500);
+        }
     }
 }

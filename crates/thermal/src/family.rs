@@ -93,9 +93,10 @@ pub struct StackSkeleton {
     /// always includes the diagonal; backward-Euler and ILU need it).
     pub(crate) diag_idx: Vec<u32>,
     /// Pattern-derived kernel schedules (triangular level sets for the
-    /// parallel ILU(0) sweeps, the stencil decomposition, the multigrid
-    /// hierarchy), computed once per grid and shared by every pump setting's preconditioner —
-    /// including the backward-Euler operators, which share this pattern.
+    /// level-major ILU(0) sweeps, the stencil decomposition, the
+    /// multigrid hierarchy), computed once per grid and shared by every
+    /// pump setting's preconditioner — including the backward-Euler
+    /// operators, which share this pattern.
     pub(crate) schedules: Arc<KernelSchedules>,
     /// Per-node heat capacities (flow-independent: cavity geometry fixes
     /// the fluid volume).
@@ -503,7 +504,7 @@ mod tests {
         let grid =
             GridSpec::from_cell_size(stack.tiers()[0].floorplan(), Length::from_millimeters(1.0));
         let mut config = ThermalConfig::default();
-        config.solver.preconditioner = vfc_num::PreconditionerKind::Multigrid;
+        config.solver.preconditioner = Some(vfc_num::PreconditionerKind::Multigrid);
         let builder = StackThermalBuilder::new(&stack, grid, config);
         let f1 = VolumetricFlow::from_ml_per_minute(300.0);
         let f2 = VolumetricFlow::from_ml_per_minute(700.0);

@@ -18,9 +18,10 @@
 //! The network is solved with [`vfc_num::BiCgStab`] (advection makes the
 //! conductance matrix nonsymmetric): steady state for initialization and
 //! characterization, backward-Euler transients for simulation. The solver
-//! is preconditioned (ILU(0) by default, selectable via
-//! [`SolverConfig`]); factorizations and Krylov scratch space are cached
-//! per model and invalidated only on flow changes.
+//! is preconditioned by the grid's pick (ILU(0) up to 0.25 mm cells,
+//! V(0,1) multigrid on the paper's 100 µm grid) unless [`SolverConfig`]
+//! overrides it; factorizations and Krylov scratch space are cached per
+//! model and invalidated only on flow changes.
 //!
 //! Because the conduction topology is fixed by the stack geometry and
 //! only cavity conductances/advection vary with flow, assembly is split

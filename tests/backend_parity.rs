@@ -32,7 +32,7 @@ fn config(policy: PolicyKind, cooling: CoolingKind) -> SimConfig {
 /// A TALB cell with an explicit preconditioner and workload seed.
 fn talb_cell(kind: PreconditionerKind, cooling: CoolingKind, seed: u64) -> SimConfig {
     let mut cfg = config(PolicyKind::Talb, cooling).with_seed(seed);
-    cfg.thermal.solver.preconditioner = kind;
+    cfg.thermal.solver.preconditioner = Some(kind);
     cfg
 }
 

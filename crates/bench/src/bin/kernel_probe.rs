@@ -1,8 +1,9 @@
 //! Per-kernel microbenchmark on a real thermal matrix: times the CSR
 //! and stencil matvec/fused-residual kernels, the indexed and stencil
-//! ILU(0) triangular sweeps, and the O(n) vector passes a Krylov
-//! iteration spends the rest of its time in — the numbers that explain
-//! (or debunk) an end-to-end transient speedup.
+//! ILU(0) triangular sweeps, the O(n) vector passes a Krylov iteration
+//! spends the rest of its time in, and the legs of one multigrid V(0,1)
+//! cycle — the numbers that explain (or debunk) an end-to-end transient
+//! speedup.
 //!
 //! The probe is a thin client of the `vfc_obs` span layer: every rep
 //! runs inside an RAII span and the table is printed straight from the
@@ -15,8 +16,8 @@
 
 use vfc::floorplan::{ultrasparc, GridSpec};
 use vfc::num::{
-    dot, dot2, norm2, Ilu0Preconditioner, LinearOperator, MgCycleConfig, Preconditioner,
-    PreconditionerKind, StencilOp,
+    dot, dot2, norm2, Ilu0Preconditioner, LinearOperator, Preconditioner, PreconditionerKind,
+    StencilOp,
 };
 use vfc::thermal::{StackThermalBuilder, ThermalConfig};
 use vfc::units::{Length, VolumetricFlow, Watts};
@@ -148,53 +149,34 @@ fn main() {
         mean("kernel.dot_pair_separate") / mean("kernel.dot_pair_fused").max(1e-12)
     );
 
-    // Per-leg V-cycle anatomy: apply the symmetric V(1,1) and the cheap
-    // asymmetric V(0,1) cycles and print the `mg.*` leg spans the
-    // preconditioner records — where a cycle's milliseconds actually go
-    // (the measurements behind `MgCycleConfig::cheap`).
+    // V-cycle anatomy: apply the V(0,1) cycle and print the `mg.*` leg
+    // spans the preconditioner records — where a cycle's milliseconds
+    // actually go.
     let mg_reps = reps.min(20);
-    println!(
-        "\n{:>28} {:>10} {:>10}",
-        "V-cycle leg", "V(1,1) ms", "V(0,1) ms"
-    );
-    let legs = [
-        ("pre-smooth", "mg.pre_smooth"),
+    let mg = PreconditionerKind::Multigrid
+        .build(&a, Some(model.skeleton().schedules()))
+        .expect("multigrid hierarchy");
+    mg.apply(&r, &mut z); // warm-up
+    vfc::obs::reset();
+    for _ in 0..mg_reps {
+        mg.apply(&r, &mut z);
+    }
+    let snap = vfc::obs::snapshot();
+    println!("\n{:>28} {:>10}", "V(0,1) cycle leg", "mean ms");
+    let mut total = 0.0;
+    for (label, name) in [
         ("restrict", "mg.restrict"),
         ("coarse chain", "mg.coarse"),
         ("prolong", "mg.prolong"),
         ("post-smooth", "mg.post_smooth"),
-    ];
-    let mut columns = Vec::new();
-    for cycle in [MgCycleConfig::default(), MgCycleConfig::cheap()] {
-        let mg = PreconditionerKind::Multigrid
-            .build_with_cycle(&a, Some(model.skeleton().schedules()), cycle)
-            .expect("multigrid hierarchy");
-        vfc::obs::reset();
-        mg.apply(&r, &mut z); // warm-up
-        vfc::obs::reset();
-        for _ in 0..mg_reps {
-            mg.apply(&r, &mut z);
-        }
-        let snap = vfc::obs::snapshot();
-        columns.push(legs.map(|(_, name)| {
-            snap.stat(&format!("span.{name}"))
-                .map_or(0.0, |s| s.mean_ms())
-        }));
+    ] {
+        let ms = snap
+            .stat(&format!("span.{name}"))
+            .map_or(0.0, vfc::obs::Stat::mean_ms);
+        total += ms;
+        println!("{label:>28} {ms:>10.4}");
     }
-    for (i, (label, _)) in legs.iter().enumerate() {
-        println!(
-            "{label:>28} {:>10.4} {:>10.4}",
-            columns[0][i], columns[1][i]
-        );
-    }
-    let total = |c: &[f64; 5]| c.iter().sum::<f64>();
-    println!(
-        "{:>28} {:>10.4} {:>10.4}  ({mg_reps} applies; cheap cycle {:.2}x)",
-        "whole cycle",
-        total(&columns[0]),
-        total(&columns[1]),
-        total(&columns[0]) / total(&columns[1]).max(1e-12)
-    );
+    println!("{:>28} {total:>10.4}  ({mg_reps} applies)", "whole cycle");
     if let Some(path) = &telemetry {
         export_snapshot(path);
     }

@@ -1,6 +1,7 @@
 //! Transient-path benchmark: the cost of one 100 ms sample (5
-//! backward-Euler sub-steps) versus grid resolution and solver variant
-//! (the scenario lives in `vfc_bench::transient`).
+//! backward-Euler sub-steps) versus grid resolution and preconditioner,
+//! ILU(0) and the V(0,1) multigrid cycle (the scenario lives in
+//! `vfc_bench::transient`).
 //!
 //! Usage: `transient_bench [--fine] [--telemetry <path>]`
 //!   `--fine`       adds the paper-native 100 µm grid (~58k nodes)
@@ -37,16 +38,16 @@ fn main() {
     for &cell in &cells {
         for variant in &transient::variants() {
             let run = transient::run(cell, variant);
-            let (ms, iters) = (run.median_ms, run.iterations());
+            let (ms, iters, label) = (run.median_ms, run.iterations(), variant.label());
             println!(
                 "{:>9.2} {:>9} {:>8} {:>11.2} {:>7}",
-                cell, run.nodes, variant.label, ms, iters,
+                cell, run.nodes, label, ms, iters,
             );
             records.push(PerfRecord {
                 case: variant.case.into(),
                 grid_mm: cell,
                 nodes: run.nodes,
-                precond: variant.label.into(),
+                precond: label.into(),
                 ms,
                 iters,
                 host: host_label(),

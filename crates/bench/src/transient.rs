@@ -1,8 +1,9 @@
 //! The transient scenario behind `transient_bench` and the iteration
 //! gate: the cost of one 100 ms sample (5 backward-Euler sub-steps) on
 //! the 2-layer liquid stack at 600 ml/min, versus grid resolution and
-//! solver variant — the workload behind the paper's Fig. 6/7 runs,
-//! which take 3000 such samples per configuration.
+//! preconditioner (ILU(0) and the V(0,1) multigrid cycle) — the
+//! workload behind the paper's Fig. 6/7 runs, which take 3000 such
+//! samples per configuration.
 //!
 //! Power alternates between two maps every sample so the warm-seed
 //! short-circuit cannot trivialize the solve (the steady tail of a real
@@ -11,9 +12,11 @@
 use std::time::Instant;
 
 use vfc::floorplan::{ultrasparc, GridSpec};
-use vfc::num::{MgCycleConfig, PreconditionerKind};
+use vfc::num::PreconditionerKind;
 use vfc::thermal::{StackThermalBuilder, ThermalConfig};
 use vfc::units::{Length, Seconds, VolumetricFlow, Watts};
+
+use crate::perf::precond_label;
 
 /// Samples timed per (grid, variant) cell.
 pub const SAMPLES: usize = 10;
@@ -28,40 +31,29 @@ pub const GATED_GRIDS_MM: [f64; 3] = [1.0, 0.5, 0.25];
 pub struct Variant {
     /// Case name in `BENCH_transient.json`.
     pub case: &'static str,
-    /// Short label for tables and the record's `precond` field.
-    pub label: &'static str,
     /// Krylov preconditioner.
     pub preconditioner: PreconditionerKind,
-    /// V-cycle shape (read only by multigrid).
-    pub mg_cycle: MgCycleConfig,
 }
 
-/// The solver variants run per grid: the ILU(0) and V(1,1)-multigrid
-/// baselines, plus `mgfast` — the cheap asymmetric V(0,1) cycle.
-///
-/// Ablations that informed the cheap cycle's shape (same-run, 100 µm):
-/// V(0,1) trades +27% iterations for −35% cycle cost (net ~1.2–1.3×
-/// over V(1,1)); weakening the *coarse* chain to Jacobi/none gutted
-/// the coarse-grid correction (470/1159 iterations vs 280).
-pub fn variants() -> [Variant; 3] {
+impl Variant {
+    /// Short label for tables and the record's `precond` field.
+    pub fn label(&self) -> &'static str {
+        precond_label(self.preconditioner)
+    }
+}
+
+/// The solver variants run per grid: ILU(0), which the grid rule picks
+/// up to 0.25 mm, and multigrid (the V(0,1) cycle), which it picks on
+/// the 100 µm grid.
+pub fn variants() -> [Variant; 2] {
     [
         Variant {
             case: "transient",
-            label: "ilu0",
             preconditioner: PreconditionerKind::Ilu0,
-            mg_cycle: MgCycleConfig::default(),
         },
         Variant {
             case: "transient-mg",
-            label: "mg",
             preconditioner: PreconditionerKind::Multigrid,
-            mg_cycle: MgCycleConfig::default(),
-        },
-        Variant {
-            case: "transient-mgfast",
-            label: "mgfast",
-            preconditioner: PreconditionerKind::Multigrid,
-            mg_cycle: MgCycleConfig::cheap(),
         },
     ]
 }
@@ -103,7 +95,6 @@ pub fn run(cell_mm: f64, variant: &Variant) -> Run {
     );
     let mut cfg = ThermalConfig::default();
     cfg.solver.preconditioner = Some(variant.preconditioner);
-    cfg.solver.mg_cycle = variant.mg_cycle;
     let mut model = StackThermalBuilder::new(&stack, grid, cfg)
         .build(Some(VolumetricFlow::from_ml_per_minute(600.0)))
         .expect("build");

@@ -85,21 +85,20 @@ fn transient_iteration_counts_match_the_committed_record() {
             }
             runs.push(run);
         }
-        // The cheap V(0,1) cycle converges to the symmetric cycle's
-        // temperatures within solver tolerance — why the cycle shape
-        // stays out of simulation cache keys.
-        let max_dev = runs[2]
+        // Multigrid converges to ILU(0)'s temperatures within solver
+        // tolerance, so the two preconditioners solve the same problem.
+        let max_dev = runs[1]
             .temps
             .iter()
-            .zip(&runs[1].temps)
+            .zip(&runs[0].temps)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
         assert!(
             max_dev < 1e-6,
-            "{cell} mm: the cycle shape moved temperatures by {max_dev} K"
+            "{cell} mm: multigrid and ILU(0) differ by {max_dev} K"
         );
     }
-    assert_eq!(compared, 9);
+    assert_eq!(compared, 6);
     assert!(
         mismatches.is_empty(),
         "iteration counts differ from BENCH_transient.json:\n{}",

@@ -157,7 +157,7 @@ impl<'a> BalanceSystem<'a> {
         // build skips the construction; ILU(0) lands the same bits with
         // or without them.
         const SCHEDULE_MIN_ORDER: usize = 8_192;
-        let (kind, cycle) = model
+        let kind = model
             .skeleton()
             .config()
             .solver
@@ -179,7 +179,7 @@ impl<'a> BalanceSystem<'a> {
                 .flatten(),
         };
         let precond = kind
-            .build_with_cycle(&reduced, schedules.as_ref(), cycle)
+            .build(&reduced, schedules.as_ref())
             .map_err(vfc_thermal::ThermalError::from)?;
         Ok(Self {
             model,

@@ -17,8 +17,8 @@
 //! * [`BiCgStab`] for the nonsymmetric systems produced by advection;
 //! * the [`Preconditioner`] trait with [`JacobiPreconditioner`],
 //!   [`Ilu0Preconditioner`] (level-major triangular sweeps) and
-//!   [`MultigridPreconditioner`] (geometric V-cycles on the
-//!   semi-coarsened grid hierarchy, [`MgStructure`]) implementations
+//!   [`MultigridPreconditioner`] (one geometric V(0,1) cycle per apply
+//!   on the semi-coarsened grid hierarchy, [`MgStructure`]) implementations
 //!   ([`PreconditionerKind`] is the config-level selection knob);
 //! * [`KernelSchedules`] — per-pattern triangular level sets, stencil
 //!   decomposition and multigrid hierarchy shared across same-pattern
@@ -68,7 +68,7 @@ mod workspace;
 pub use self::bicgstab::BiCgStab;
 pub use self::dense::{DenseMatrix, LuFactors};
 pub use self::error::NumError;
-pub use self::multigrid::{MgCycleConfig, MgSmoother, MgStructure, MultigridPreconditioner};
+pub use self::multigrid::{MgStructure, MultigridPreconditioner};
 pub use self::operator::LinearOperator;
 pub use self::precond::{
     IdentityPreconditioner, Ilu0Preconditioner, JacobiPreconditioner, Preconditioner,

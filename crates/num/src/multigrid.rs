@@ -19,11 +19,17 @@
 //! aggregation `P`), so a patched build is entry-identical to a
 //! from-scratch build at the same values.
 //!
-//! [`MultigridPreconditioner`] runs a V(1,1) cycle per application:
-//! ILU(0) pre/post-smoothing on every level (the level-major sweeps), a
-//! prefactored dense-LU solve on the coarsest. Restriction sums each
-//! coarse aggregate's children in a fixed ascending order, so every
-//! result is a pure function of the inputs.
+//! [`MultigridPreconditioner`] runs one V(0,1) cycle per application:
+//! no pre-smoothing (the raw residual restricts directly), one ILU(0)
+//! post-smooth per level on the way up (the level-major sweeps) and a
+//! prefactored dense-LU solve on the coarsest. It is the only cycle: the
+//! symmetric V(1,1) cycle took fewer Krylov iterations but cost more
+//! per transient sample on every grid it was measured on. Keeping ILU(0)
+//! on the coarse levels is what makes the cycle work: weakening it to
+//! Jacobi or dropping it took the 100 µm transient sample from 280 to
+//! 470 and 1159 iterations. Restriction sums each coarse aggregate's
+//! children in a fixed ascending order, so every result is a pure
+//! function of the inputs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,79 +49,6 @@ const COARSEST_MAX: usize = 64;
 /// Hard depth cap — a safety net far above what in-plane 4×-per-level
 /// shrinkage produces for any realistic grid.
 const MAX_LEVELS: usize = 24;
-
-/// Smoother selection for one leg (pre or post) of the V-cycle.
-///
-/// The default symmetric V(1,1) smooths both legs with level-scheduled
-/// ILU(0) — the strongest but most expensive choice (~2 ILU applies +
-/// 2 residuals per level per cycle). The asymmetric V(0,1) cycle
-/// ([`MgCycleConfig::cheap`]) skips the down leg: the up leg does the
-/// polish, which cuts the cycle from ~5 toward ~3 ILU-apply-equivalents
-/// at a modest iteration-count cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum MgSmoother {
-    /// Skip the leg entirely (the residual transfers unsmoothed).
-    None,
-    /// Level-major ILU(0) sweeps (the symmetric-cycle default).
-    #[default]
-    Ilu0,
-}
-
-/// Per-leg smoother configuration of the multigrid V-cycle — the
-/// "cheaper cycle" execution knob on `vfc_thermal`'s `SolverConfig`.
-///
-/// Like every execution knob, this never enters simulation cache keys: it
-/// changes how fast the preconditioner converges the solve, not what the
-/// solve converges to (iterates move within solver tolerance only). The
-/// default is the symmetric V(1,1) cycle, bit-identical to the pre-knob
-/// behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct MgCycleConfig {
-    /// Down-leg (pre-)smoother of the finest level, applied before
-    /// restriction.
-    pub pre: MgSmoother,
-    /// Up-leg (post-)smoother of the finest level, applied after
-    /// prolongation.
-    pub post: MgSmoother,
-    /// Smoother kind of the coarse levels. Coarse levels keep the leg
-    /// shape `pre`/`post` select (an unsmoothed leg stays unsmoothed on
-    /// every level) but swap the smoother for this kind on the legs
-    /// that do smooth. The coarse chain is ~a third of a V(0,1) cycle's
-    /// cost at 100 µm (see `kernel_probe`'s `mg.coarse` row); the
-    /// coarsest-level dense LU always runs regardless.
-    #[serde(default)]
-    pub coarse: MgSmoother,
-}
-
-impl Default for MgCycleConfig {
-    fn default() -> Self {
-        Self {
-            pre: MgSmoother::Ilu0,
-            post: MgSmoother::Ilu0,
-            coarse: MgSmoother::Ilu0,
-        }
-    }
-}
-
-impl MgCycleConfig {
-    /// The cheap asymmetric cycle V(0,1): no pre-smoothing (the raw
-    /// residual restricts directly), one ILU(0) post-smooth per level —
-    /// half the smoothing work and synchronization of the symmetric
-    /// V(1,1) cycle (see `kernel_probe`'s per-leg rows). Iteration
-    /// counts rise ~25% on the 100 µm transient systems but each cycle
-    /// costs ~35% less wall-clock, a measured net win
-    /// (`transient_bench`'s `mgfast` rows). Keeping ILU on the coarse
-    /// chain is essential: weakening it to Jacobi or dropping it gutted
-    /// the coarse-grid correction and blew iteration counts up 2–5×
-    /// when it was measured.
-    pub fn cheap() -> Self {
-        Self {
-            pre: MgSmoother::None,
-            post: MgSmoother::Ilu0,
-            coarse: MgSmoother::Ilu0,
-        }
-    }
-}
 
 /// One transition of the hierarchy: everything needed to move between
 /// level `l` (fine side, `agg.len()` nodes) and level `l + 1` (coarse
@@ -301,14 +234,12 @@ fn add_into(z: &mut [f64], inc: &[f64]) {
     }
 }
 
-/// Geometric multigrid V-cycle preconditioner.
+/// Geometric multigrid V(0,1) preconditioner.
 ///
-/// One [`apply`](Preconditioner::apply) = one V-cycle: pre-smoothing,
-/// restriction of the residual, recursion down to a prefactored
-/// dense-LU coarsest solve, prolongation of the correction,
-/// post-smoothing. The smoother of each leg is picked by
-/// [`MgCycleConfig`] (symmetric ILU(0)/ILU(0) by default — the
-/// V(1,1) cycle). Built per matrix from a shared [`MgStructure`].
+/// One [`apply`](Preconditioner::apply) = one V-cycle: restriction of
+/// the residual, recursion down to a prefactored dense-LU coarsest
+/// solve, prolongation of the correction and one ILU(0) post-smooth
+/// per level. Built per matrix from a shared [`MgStructure`].
 #[derive(Debug)]
 pub struct MultigridPreconditioner {
     structure: Arc<MgStructure>,
@@ -316,18 +247,12 @@ pub struct MultigridPreconditioner {
     fine: CsrMatrix,
     /// Galerkin matrices of levels `1..=L`.
     coarse: Vec<CsrMatrix>,
-    /// Down-leg smoothers of levels `0..L` (`None` = unsmoothed leg);
-    /// when pre and post pick the same kind the two legs share one
-    /// build.
-    pre_smooth: Vec<Option<Arc<dyn Preconditioner>>>,
-    /// Up-leg smoothers of levels `0..L`.
-    post_smooth: Vec<Option<Arc<dyn Preconditioner>>>,
-    /// The cycle shape the smoothers were built for.
-    cycle: MgCycleConfig,
+    /// Post-smoothers of levels `0..L`.
+    smooth: Vec<Ilu0Preconditioner>,
     /// Prefactored coarsest-level solve.
     coarsest: LuFactors,
     /// Index-free stencil decomposition of the fine pattern, when the
-    /// schedules carry one: the two fine-level residuals dominate the
+    /// schedules carry one: the fine-level residual dominates the
     /// V-cycle's matvec cost, and the fused stencil kernel lands the
     /// same bits as the CSR row kernel, faster.
     fine_stencil: Option<Arc<StencilPattern>>,
@@ -335,39 +260,11 @@ pub struct MultigridPreconditioner {
     cycles: AtomicU64,
 }
 
-/// Builds the smoother of one leg on one level, or `None` for an
-/// unsmoothed leg.
-fn build_leg(
-    kind: MgSmoother,
-    a: &CsrMatrix,
-    schedules: Option<Arc<KernelSchedules>>,
-) -> Result<Option<Arc<dyn Preconditioner>>, NumError> {
-    Ok(match kind {
-        MgSmoother::None => None,
-        MgSmoother::Ilu0 => Some(Arc::new(Ilu0Preconditioner::new(a, schedules)?)),
-    })
-}
-
 impl MultigridPreconditioner {
-    /// Builds the symmetric V(1,1) cycle (ILU(0) on both legs) — see
-    /// [`with_cycle`](Self::with_cycle).
-    ///
-    /// # Errors
-    ///
-    /// As [`with_cycle`](Self::with_cycle).
-    pub fn new(
-        a: &CsrMatrix,
-        schedules: Option<Arc<KernelSchedules>>,
-        structure: Arc<MgStructure>,
-    ) -> Result<Self, NumError> {
-        Self::with_cycle(a, schedules, structure, MgCycleConfig::default())
-    }
-
-    /// Builds the V-cycle for `a`: Galerkin coarse operators
-    /// from `a`'s values through the shared `structure`, the
-    /// `cycle`-selected smoother per leg per level (the fine level
-    /// reuses `schedules`' level sets when given; pre and post legs of
-    /// the same kind share one build), dense LU of the coarsest level.
+    /// Builds the V-cycle for `a`: Galerkin coarse operators from `a`'s
+    /// values through the shared `structure`, one ILU(0) smoother per
+    /// level (the fine level reuses `schedules`' level sets when given)
+    /// and a dense LU of the coarsest level.
     ///
     /// # Errors
     ///
@@ -375,11 +272,10 @@ impl MultigridPreconditioner {
     /// built for a different sparsity pattern than `a`'s;
     /// [`NumError::SingularMatrix`] if a smoother factorization or the
     /// coarsest LU breaks down.
-    pub fn with_cycle(
+    pub fn new(
         a: &CsrMatrix,
         schedules: Option<Arc<KernelSchedules>>,
         structure: Arc<MgStructure>,
-        cycle: MgCycleConfig,
     ) -> Result<Self, NumError> {
         if !structure.matches_pattern(a) {
             return Err(NumError::PatternMismatch {
@@ -404,41 +300,17 @@ impl MultigridPreconditioner {
             m.values_mut().copy_from_slice(&values);
             coarse.push(m);
         }
-        let depth = structure.levels.len();
-        let mut pre_smooth = Vec::with_capacity(depth);
-        let mut post_smooth = Vec::with_capacity(depth);
         let fine_stencil = schedules.as_ref().and_then(|s| s.stencil().cloned());
-        for l in 0..depth {
-            let (matrix, sched) = if l == 0 {
-                (a, schedules.clone())
-            } else {
-                (
-                    &coarse[l - 1],
-                    Some(Arc::clone(&structure.levels[l - 1].schedules)),
-                )
-            };
-            // Coarse levels keep the fine cycle's leg shape but smooth
-            // with the `coarse` kind.
-            let on_coarse = |kind: MgSmoother| {
-                if kind == MgSmoother::None {
-                    MgSmoother::None
-                } else {
-                    cycle.coarse
-                }
-            };
-            let (pre_kind, post_kind) = if l == 0 {
-                (cycle.pre, cycle.post)
-            } else {
-                (on_coarse(cycle.pre), on_coarse(cycle.post))
-            };
-            let pre = build_leg(pre_kind, matrix, sched.clone())?;
-            let post = if post_kind == pre_kind {
-                pre.clone()
-            } else {
-                build_leg(post_kind, matrix, sched)?
-            };
-            pre_smooth.push(pre);
-            post_smooth.push(post);
+        let mut smooth = Vec::with_capacity(structure.levels.len());
+        smooth.push(Ilu0Preconditioner::new(a, schedules)?);
+        for (m, lvl) in coarse
+            .iter()
+            .zip(&structure.levels[..structure.levels.len() - 1])
+        {
+            smooth.push(Ilu0Preconditioner::new(
+                m,
+                Some(Arc::clone(&lvl.schedules)),
+            )?);
         }
         let coarsest = LuFactors::factor(&coarse.last().expect("non-empty hierarchy").to_dense())?;
         let mut orders = vec![a.order()];
@@ -447,9 +319,7 @@ impl MultigridPreconditioner {
             structure,
             fine: a.clone(),
             coarse,
-            pre_smooth,
-            post_smooth,
-            cycle,
+            smooth,
             coarsest,
             fine_stencil,
             scratch: Mutex::new(MgScratch::for_orders(&orders)),
@@ -462,11 +332,6 @@ impl MultigridPreconditioner {
         self.cycles.load(Ordering::Relaxed)
     }
 
-    /// The per-leg smoother configuration this cycle was built with.
-    pub fn cycle_config(&self) -> MgCycleConfig {
-        self.cycle
-    }
-
     /// Fine-level residual `r = b - A·x` through the fastest available
     /// kernel: the fused index-free stencil when the pattern decomposed
     /// into one, the fused CSR row kernel otherwise. Bit-identical
@@ -475,15 +340,6 @@ impl MultigridPreconditioner {
         match &self.fine_stencil {
             Some(p) => StencilOp::new(p, self.fine.values()).residual_into(b, x, r),
             None => self.fine.residual_into(b, x, r),
-        }
-    }
-
-    /// The matrix of level `l` (`0` = fine).
-    fn matrix(&self, l: usize) -> &CsrMatrix {
-        if l == 0 {
-            &self.fine
-        } else {
-            &self.coarse[l - 1]
         }
     }
 
@@ -525,64 +381,41 @@ impl Preconditioner for MultigridPreconditioner {
         let ws = &mut *guard;
         let depth = self.structure.levels.len();
 
-        // The five leg spans partition the whole cycle (coarse-grid
+        // The four leg spans partition the whole cycle (coarse-grid
         // work of every level is lumped under `mg.coarse`), so
         // `kernel_probe` can measure the cycle's ILU-apply-equivalents
         // instead of asserting them.
 
-        // Down leg, fine level: pre-smooth and form the residual. An
-        // unsmoothed leg restricts r directly (z starts at zero).
-        {
-            let _leg = vfc_obs::span("mg.pre_smooth");
-            if let Some(sm) = &self.pre_smooth[0] {
-                sm.apply(r, z);
-                self.fine_residual(r, z, &mut ws.t[0]);
-            } else {
-                z.fill(0.0);
-            }
-        }
+        // Down leg, fine level: no pre-smoothing, so z starts at zero
+        // and the raw residual restricts directly.
         {
             let _leg = vfc_obs::span("mg.restrict");
-            let t0: &[f64] = if self.pre_smooth[0].is_some() {
-                &ws.t[0]
-            } else {
-                r
-            };
-            self.restrict(0, t0, &mut ws.r[0]);
+            z.fill(0.0);
+            self.restrict(0, r, &mut ws.r[0]);
         }
 
         {
             let _leg = vfc_obs::span("mg.coarse");
-            // Down sweep over the coarse levels.
+            // Down sweep over the coarse levels, zero-start likewise.
             for l in 1..depth {
                 let (rfine, rcoarse) = ws.r.split_at_mut(l);
-                let rl = &rfine[l - 1];
-                let zl = &mut ws.z[l - 1];
-                if let Some(sm) = &self.pre_smooth[l] {
-                    sm.apply(rl, zl);
-                    self.matrix(l).residual_into(rl, zl, &mut ws.t[l]);
-                    self.restrict(l, &ws.t[l], &mut rcoarse[0]);
-                } else {
-                    zl.fill(0.0);
-                    self.restrict(l, rl, &mut rcoarse[0]);
-                }
+                ws.z[l - 1].fill(0.0);
+                self.restrict(l, &rfine[l - 1], &mut rcoarse[0]);
             }
 
             // Coarsest: direct solve from the prefactored LU.
             let last = depth - 1;
             self.coarsest.solve_into(&ws.r[last], &mut ws.z[last]);
 
-            // Up sweep over the coarse levels.
+            // Up sweep over the coarse levels: prolong, then smooth the
+            // residual and add the smoothed correction.
             for l in (1..depth).rev() {
                 let (zfine, zcoarse) = ws.z.split_at_mut(l);
                 let zl = &mut zfine[l - 1];
                 self.prolong_add(l, &zcoarse[0], zl);
-                if let Some(sm) = &self.post_smooth[l] {
-                    let rl = &ws.r[l - 1];
-                    self.matrix(l).residual_into(rl, zl, &mut ws.t[l]);
-                    sm.apply(&ws.t[l], &mut ws.s[l]);
-                    add_into(zl, &ws.s[l]);
-                }
+                self.coarse[l - 1].residual_into(&ws.r[l - 1], zl, &mut ws.t[l]);
+                self.smooth[l].apply(&ws.t[l], &mut ws.s[l]);
+                add_into(zl, &ws.s[l]);
             }
         }
 
@@ -593,11 +426,9 @@ impl Preconditioner for MultigridPreconditioner {
         }
         {
             let _leg = vfc_obs::span("mg.post_smooth");
-            if let Some(sm) = &self.post_smooth[0] {
-                self.fine_residual(r, z, &mut ws.t[0]);
-                sm.apply(&ws.t[0], &mut ws.s[0]);
-                add_into(z, &ws.s[0]);
-            }
+            self.fine_residual(r, z, &mut ws.t[0]);
+            self.smooth[0].apply(&ws.t[0], &mut ws.s[0]);
+            add_into(z, &ws.s[0]);
         }
     }
 
@@ -833,117 +664,6 @@ mod tests {
             }
             applies += threads as u64;
             assert_eq!(m.cycles(), Some(applies), "one V-cycle per apply");
-        }
-    }
-
-    #[test]
-    fn default_cycle_matches_new_bitwise() {
-        // `new` is defined as `with_cycle(.., default)`; a default
-        // MgCycleConfig must reproduce the historical V(1,1) ILU cycle
-        // exactly, so the cache-replay and BENCH baselines stay valid.
-        let (layers, rows, cols) = (3, 14, 14);
-        let a = grid_matrix(layers, rows, cols, 21, 1.0);
-        let coords = grid_coords(layers, rows, cols);
-        let schedules = Arc::new(KernelSchedules::for_grid_matrix(&a, &coords));
-        let structure = schedules.multigrid().cloned().unwrap();
-        let legacy =
-            MultigridPreconditioner::new(&a, Some(Arc::clone(&schedules)), Arc::clone(&structure))
-                .unwrap();
-        let explicit = MultigridPreconditioner::with_cycle(
-            &a,
-            Some(schedules),
-            structure,
-            MgCycleConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(legacy.cycle_config(), explicit.cycle_config());
-        let r: Vec<f64> = (0..a.order()).map(|i| (i as f64 * 0.19).sin()).collect();
-        let mut z1 = vec![0.0; a.order()];
-        let mut z2 = vec![0.0; a.order()];
-        legacy.apply(&r, &mut z1);
-        explicit.apply(&r, &mut z2);
-        assert!(z1.iter().zip(&z2).all(|(p, q)| p.to_bits() == q.to_bits()));
-    }
-
-    #[test]
-    fn cheap_cycle_solves_the_advective_system() {
-        // The unsmoothed-pre / ILU-post asymmetric cycle is a weaker
-        // preconditioner per application but must still drive BiCGStab
-        // to the dense reference, within a modest iteration premium.
-        let (layers, rows, cols) = (3, 12, 12);
-        let a = grid_matrix(layers, rows, cols, 9, 2.5);
-        let n = a.order();
-        let coords = grid_coords(layers, rows, cols);
-        let schedules = Arc::new(KernelSchedules::for_grid_matrix(&a, &coords));
-        let solver = BiCgStab {
-            tolerance: 1e-11,
-            max_iterations: 200,
-        };
-        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.07).sin()).collect();
-        let reference = a.to_dense().lu_solve(&b).unwrap();
-        let mut iters = Vec::new();
-        for cycle in [MgCycleConfig::default(), MgCycleConfig::cheap()] {
-            let m = PreconditionerKind::Multigrid
-                .build_with_cycle(&a, Some(&schedules), cycle)
-                .unwrap();
-            let mut x = vec![0.0; n];
-            let mut ws = SolverWorkspace::new();
-            let info = solver
-                .solve_with(&a, &b, &mut x, m.as_ref(), &mut ws)
-                .unwrap();
-            iters.push(info.iterations);
-            for (got, want) in x.iter().zip(&reference) {
-                assert!((got - want).abs() < 1e-6, "{got} vs {want}");
-            }
-        }
-        assert!(
-            iters[1] <= 3 * iters[0].max(1),
-            "cheap cycle degraded convergence too far: {iters:?}"
-        );
-    }
-
-    #[test]
-    fn asymmetric_cycles_are_bit_identical_across_thread_counts() {
-        // Every cycle shape, shared by 2 and 4 concurrently applying
-        // threads, reproduces its own single-threaded bits.
-        let (layers, rows, cols) = (8, 40, 40);
-        let a = grid_matrix(layers, rows, cols, 13, 1.5);
-        let coords = grid_coords(layers, rows, cols);
-        let schedules = Arc::new(KernelSchedules::for_grid_matrix(&a, &coords));
-        let r: Vec<f64> = (0..a.order()).map(|i| (i as f64 * 0.017).cos()).collect();
-        for cycle in [
-            MgCycleConfig::cheap(),
-            MgCycleConfig {
-                pre: MgSmoother::None,
-                post: MgSmoother::Ilu0,
-                ..MgCycleConfig::default()
-            },
-            MgCycleConfig {
-                pre: MgSmoother::Ilu0,
-                post: MgSmoother::None,
-                coarse: MgSmoother::Ilu0,
-            },
-            MgCycleConfig {
-                pre: MgSmoother::Ilu0,
-                post: MgSmoother::Ilu0,
-                coarse: MgSmoother::None,
-            },
-        ] {
-            let m = PreconditionerKind::Multigrid
-                .build_with_cycle(&a, Some(&schedules), cycle)
-                .unwrap();
-            let mut reference = vec![0.0; a.order()];
-            m.apply(&r, &mut reference);
-            for threads in [2usize, 4] {
-                for z in apply_concurrently(m.as_ref(), &r, threads) {
-                    assert!(
-                        z.iter()
-                            .zip(&reference)
-                            .all(|(p, q)| p.to_bits() == q.to_bits()),
-                        "{cycle:?} threads {threads} diverged"
-                    );
-                }
-            }
         }
     }
 

@@ -712,8 +712,9 @@ pub enum PreconditionerKind {
     Jacobi,
     /// Incomplete LU with zero fill-in.
     Ilu0,
-    /// Geometric multigrid V-cycle on the semi-coarsened grid hierarchy,
-    /// with ILU(0) smoothing and a dense-LU coarsest solve. Requires
+    /// Geometric multigrid V(0,1) cycle on the semi-coarsened grid
+    /// hierarchy: no pre-smoothing, one ILU(0) post-smooth per level and
+    /// a dense-LU coarsest solve. Requires
     /// schedules built with grid coordinates
     /// ([`KernelSchedules::for_grid_matrix`]); falls back to [`Ilu0`]
     /// (bit-identical to selecting it directly) when no hierarchy is
@@ -740,34 +741,16 @@ impl PreconditionerKind {
         a: &CsrMatrix,
         schedules: Option<&Arc<KernelSchedules>>,
     ) -> Result<Box<dyn Preconditioner>, NumError> {
-        self.build_with_cycle(a, schedules, crate::MgCycleConfig::default())
-    }
-
-    /// Builds like [`build`](Self::build), with an explicit multigrid
-    /// cycle shape. `cycle` only affects [`Multigrid`](Self::Multigrid);
-    /// every other kind ignores it, so callers can thread the knob
-    /// through unconditionally.
-    ///
-    /// # Errors
-    ///
-    /// As [`build`](Self::build).
-    pub fn build_with_cycle(
-        self,
-        a: &CsrMatrix,
-        schedules: Option<&Arc<KernelSchedules>>,
-        cycle: crate::MgCycleConfig,
-    ) -> Result<Box<dyn Preconditioner>, NumError> {
         Ok(match self {
             PreconditionerKind::Identity => Box::new(IdentityPreconditioner::new(a.order())),
             PreconditionerKind::Jacobi => Box::new(JacobiPreconditioner::new(a)),
             PreconditionerKind::Ilu0 => Box::new(Ilu0Preconditioner::new(a, schedules.cloned())?),
             PreconditionerKind::Multigrid => {
                 match schedules.and_then(|s| s.multigrid().cloned()) {
-                    Some(structure) => Box::new(crate::MultigridPreconditioner::with_cycle(
+                    Some(structure) => Box::new(crate::MultigridPreconditioner::new(
                         a,
                         schedules.cloned(),
                         structure,
-                        cycle,
                     )?),
                     // No hierarchy (no grid coordinates, or the system
                     // is already coarsest-sized): single-level ILU(0).

@@ -6,8 +6,7 @@
 //!   (or across sweeps sharing a [`SweepRunner`](crate::SweepRunner))
 //!   simulate once;
 //! * an optional **on-disk** store (default `target/vfc-cache/`): one
-//!   JSON file per key plus a human-browsable, append-only
-//!   `index.jsonl`, so separate processes — e.g. consecutive
+//!   JSON file per key, so separate processes — e.g. consecutive
 //!   `all_figures` runs — skip already-simulated cells.
 //!
 //! Disk entries are versioned ([`DISK_FORMAT_VERSION`]) and written via
@@ -34,7 +33,7 @@ use vfc_sim::SimReport;
 use crate::json::{string_member, u64_member, JsonCodec, JsonValue};
 use crate::RunnerError;
 
-/// Version stamp written into every on-disk entry and the index.
+/// Version stamp written into every on-disk entry.
 pub const DISK_FORMAT_VERSION: u64 = 1;
 
 /// FNV-1a 64-bit over raw bytes — the entry checksum. Matches the cache
@@ -87,55 +86,20 @@ pub fn default_cache_dir() -> PathBuf {
     default_target_dir().join("vfc-cache")
 }
 
-/// The size budget from [`CACHE_MAX_MB_ENV`], if set to a positive
-/// number of megabytes.
+/// The size budget from [`CACHE_MAX_MB_ENV`] (see [`parse_max_mb`]).
 fn env_max_bytes() -> Option<u64> {
-    let raw = std::env::var(CACHE_MAX_MB_ENV).ok()?;
-    let mb: u64 = raw.trim().parse().ok()?;
-    (mb > 0).then_some(mb * 1024 * 1024)
+    parse_max_mb(&std::env::var(CACHE_MAX_MB_ENV).ok()?)
 }
 
-/// One line of the on-disk `index.jsonl`: where a key came from, for
-/// humans browsing the cache.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct CacheIndexEntry {
-    /// The config hash, as stored in the entry's filename.
-    pub key: u64,
-    /// `Policy (Cooling)` label of the cached run.
-    pub label: String,
-    /// System label.
-    pub system: String,
-    /// Workload name.
-    pub workload: String,
-}
-
-impl JsonCodec for CacheIndexEntry {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "key".into(),
-                JsonValue::String(format!("{:016x}", self.key)),
-            ),
-            ("label".into(), JsonValue::String(self.label.clone())),
-            ("system".into(), JsonValue::String(self.system.clone())),
-            ("workload".into(), JsonValue::String(self.workload.clone())),
-        ])
-    }
-
-    fn from_json(value: &JsonValue) -> Result<Self, RunnerError> {
-        let context = "CacheIndexEntry";
-        let key_hex = string_member(value, context, "key")?;
-        let key = u64::from_str_radix(&key_hex, 16).map_err(|_| RunnerError::Parse {
-            context: context.into(),
-            detail: format!("bad key `{key_hex}`"),
-        })?;
-        Ok(Self {
-            key,
-            label: string_member(value, context, "label")?,
-            system: string_member(value, context, "system")?,
-            workload: string_member(value, context, "workload")?,
-        })
-    }
+/// A [`CACHE_MAX_MB_ENV`] value as a budget in bytes: a positive whole
+/// number of megabytes. Zero, anything unparseable and a budget too
+/// large to count in bytes mean unbounded (`None`).
+fn parse_max_mb(raw: &str) -> Option<u64> {
+    raw.trim()
+        .parse::<u64>()
+        .ok()?
+        .checked_mul(1024 * 1024)
+        .filter(|&bytes| bytes > 0)
 }
 
 /// The two-tier result cache. All methods are `&self` and thread-safe;
@@ -255,13 +219,10 @@ impl ResultCache {
     }
 }
 
-/// The on-disk tier: `<dir>/<key:016x>.json` per entry plus
-/// `<dir>/index.jsonl`.
+/// The on-disk tier: `<dir>/<key:016x>.json` per entry.
 #[derive(Debug)]
 struct DiskStore {
     dir: PathBuf,
-    /// Keeps this process's index appends whole-line ordered.
-    index_lock: Mutex<()>,
     /// Size budget for the entry files; `None` = unbounded.
     max_bytes: Option<u64>,
     /// Running total of entry-file bytes, maintained so the common
@@ -284,7 +245,6 @@ impl DiskStore {
     fn new(dir: PathBuf, max_bytes: Option<u64>) -> Self {
         Self {
             dir,
-            index_lock: Mutex::new(()),
             max_bytes,
             tracked_bytes: Mutex::new(None),
             evicted: std::sync::atomic::AtomicU64::new(0),
@@ -294,10 +254,6 @@ impl DiskStore {
 
     fn entry_path(&self, key: u64) -> PathBuf {
         self.dir.join(format!("{key:016x}.json"))
-    }
-
-    fn index_path(&self) -> PathBuf {
-        self.dir.join("index.jsonl")
     }
 
     fn load(&self, key: u64) -> Option<SimReport> {
@@ -378,12 +334,6 @@ impl DiskStore {
         ]);
         let encoded = doc.encode();
         write_atomically(&self.entry_path(key), &encoded)?;
-        self.append_to_index(CacheIndexEntry {
-            key,
-            label: report.label.clone(),
-            system: report.system.clone(),
-            workload: report.workload.clone(),
-        })?;
         self.enforce_budget(key, encoded.len() as u64);
         Ok(())
     }
@@ -422,7 +372,7 @@ impl DiskStore {
         for item in listing.flatten() {
             let path = item.path();
             // Only content entries count toward (and are charged to) the
-            // budget; the index and in-flight temp files are exempt.
+            // budget; in-flight temp files are exempt.
             if path.extension().and_then(|e| e.to_str()) != Some("json") {
                 continue;
             }
@@ -450,58 +400,6 @@ impl DiskStore {
             }
         }
         total
-    }
-
-    /// Appends one JSONL line per new key — O(1) per store (no
-    /// read-modify-write of the whole index), and `O_APPEND` keeps
-    /// concurrent processes from clobbering each other's lines.
-    fn append_to_index(&self, entry: CacheIndexEntry) -> Result<(), RunnerError> {
-        let _guard = self.index_lock.lock();
-        let mut doc = match entry.to_json() {
-            JsonValue::Object(members) => members,
-            _ => unreachable!("index entries encode as objects"),
-        };
-        doc.insert(
-            0,
-            ("v".into(), JsonValue::Number(DISK_FORMAT_VERSION as f64)),
-        );
-        let line = format!("{}\n", JsonValue::Object(doc).encode());
-        let path = self.index_path();
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut f| f.write_all(line.as_bytes()))
-            .map_err(|source| RunnerError::Io {
-                context: format!("appending to {}", path.display()),
-                source,
-            })
-    }
-
-    /// Reads the index, deduplicating repeated keys and skipping
-    /// unparsable or version-mismatched lines.
-    #[cfg(test)]
-    fn read_index(&self) -> Vec<CacheIndexEntry> {
-        let Ok(text) = std::fs::read_to_string(self.index_path()) else {
-            return Vec::new();
-        };
-        let mut seen = std::collections::HashSet::new();
-        let mut entries = Vec::new();
-        for line in text.lines() {
-            let Ok(doc) = JsonValue::parse(line) else {
-                continue;
-            };
-            if u64_member(&doc, "cache index", "v").ok() != Some(DISK_FORMAT_VERSION) {
-                continue;
-            }
-            let Ok(entry) = CacheIndexEntry::from_json(&doc) else {
-                continue;
-            };
-            if seen.insert(entry.key) {
-                entries.push(entry);
-            }
-        }
-        entries
     }
 }
 
@@ -583,13 +481,8 @@ mod tests {
         }
         let fresh = ResultCache::on_disk(&dir);
         assert_eq!(fresh.get(0xfeed).unwrap().label, "persisted");
+        assert_eq!(fresh.get(0xbeef).unwrap().label, "other");
         assert!(fresh.get(0xdead).is_none());
-        // The index lists both entries, in store order.
-        let entries = fresh.disk.as_ref().unwrap().read_index();
-        assert_eq!(
-            entries.iter().map(|e| e.key).collect::<Vec<_>>(),
-            vec![0xfeed, 0xbeef]
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -664,32 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn index_skips_bad_lines_and_duplicate_keys() {
-        let dir = temp_dir("index");
-        let cache = ResultCache::on_disk(&dir);
-        cache.insert(1, &report("one")).unwrap();
-        let disk = cache.disk.as_ref().unwrap();
-        // A concurrent process re-storing the same key, plus a torn line.
-        disk.append_to_index(CacheIndexEntry {
-            key: 1,
-            label: "dup".into(),
-            system: "2-layer".into(),
-            workload: "gzip".into(),
-        })
-        .unwrap();
-        std::fs::OpenOptions::new()
-            .append(true)
-            .open(dir.join("index.jsonl"))
-            .unwrap()
-            .write_all(b"{\"torn\n")
-            .unwrap();
-        let entries = disk.read_index();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].label, "one", "first store wins");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn size_budget_evicts_oldest_entries_first() {
         let dir = temp_dir("evict");
         // Budget sized so two entries fit but three do not (entries are
@@ -752,15 +619,18 @@ mod tests {
     }
 
     #[test]
-    fn index_entry_codec_round_trips() {
-        let e = CacheIndexEntry {
-            key: 0x0123_4567_89ab_cdef,
-            label: "TALB (Var)".into(),
-            system: "4-layer".into(),
-            workload: "Web-med".into(),
-        };
-        let back =
-            CacheIndexEntry::from_json(&JsonValue::parse(&e.to_json().encode()).unwrap()).unwrap();
-        assert_eq!(back, e);
+    fn cache_budget_parses_whole_megabytes_and_never_wraps() {
+        assert_eq!(parse_max_mb("64"), Some(64 * 1024 * 1024));
+        assert_eq!(parse_max_mb(" 64\n"), Some(64 * 1024 * 1024));
+        for unbounded in ["0", "", "x", "-1", "1.5"] {
+            assert_eq!(parse_max_mb(unbounded), None, "{unbounded:?}");
+        }
+        // 2^44 MB is 2^64 bytes: a wrapping multiply would turn it into
+        // a zero budget, which evicts every other entry on each store.
+        assert_eq!(parse_max_mb("17592186044416"), None);
+        assert_eq!(
+            parse_max_mb("17592186044415"),
+            Some(17_592_186_044_415 * 1024 * 1024)
+        );
     }
 }

@@ -55,8 +55,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use vfc_sim::{SimConfig, SimReport, Simulation};
 
 pub use self::cache::{
-    default_cache_dir, default_target_dir, CacheIndexEntry, ResultCache, CACHE_MAX_MB_ENV,
-    DISK_FORMAT_VERSION,
+    default_cache_dir, default_target_dir, ResultCache, CACHE_MAX_MB_ENV, DISK_FORMAT_VERSION,
 };
 pub use self::error::RunnerError;
 pub use self::executor::{BoxJob, Executor, Progress, SubmitError, SubmitExecutor, THREADS_ENV};

@@ -372,7 +372,7 @@ impl SimConfig {
         let stack = self.system.stack(self.cooling.is_liquid());
         let grid = GridSpec::from_cell_size(stack.tiers()[0].floorplan(), self.grid_cell);
         let cells_per_layer = grid.rows().saturating_mul(grid.cols());
-        self.thermal.solver.resolve(cells_per_layer).0
+        self.thermal.solver.resolve(cells_per_layer)
     }
 }
 

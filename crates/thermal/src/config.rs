@@ -1,15 +1,15 @@
 //! Configuration of the thermal network builder.
 
 use vfc_liquid::{ChannelGeometry, ConvectionModel, Coolant};
-use vfc_num::{MgCycleConfig, PreconditionerKind};
+use vfc_num::PreconditionerKind;
 use vfc_units::{Celsius, HeatCapacity, Length, ThermalResistance};
 
 /// Linear-solver settings for the assembled networks.
 ///
 /// The preconditioner is the main lever for fine grids, and by default
 /// the grid picks it (see [`resolve`](Self::resolve)): ILU(0) up to
-/// the 0.25 mm grids, the cheap V(0,1) multigrid cycle on the paper's
-/// 100 µm grid. Factorization state is cached per model and invalidated
+/// the 0.25 mm grids, the V(0,1) multigrid cycle on the paper's 100 µm
+/// grid. Factorization state is cached per model and invalidated
 /// only on flow changes, so its setup cost amortizes across every
 /// 100 ms sample. The operator is not a setting: solves run the
 /// index-free stencil operator whenever the grid's pattern decomposes
@@ -22,36 +22,23 @@ pub struct SolverConfig {
     pub max_iterations: usize,
     /// Preconditioner override. `None` (the default) lets the grid
     /// pick: ILU(0) up to 4,096 cells per layer,
-    /// [`PreconditionerKind::Multigrid`] with [`MgCycleConfig::cheap`]
-    /// above it. `Some(kind)` runs `kind` on
-    /// every grid, with `mg_cycle` as its V-cycle.
+    /// [`PreconditionerKind::Multigrid`] (the V(0,1) cycle) above it.
+    /// `Some(kind)` runs `kind` on every grid.
     pub preconditioner: Option<PreconditionerKind>,
-    /// V-cycle shape of an explicit `Some(Multigrid)` and of the
-    /// recovery ladder's escalation to multigrid; ignored otherwise.
-    /// The default symmetric V(1,1) ILU cycle is the robust choice;
-    /// [`MgCycleConfig::cheap`] (the asymmetric V(0,1) cycle) costs
-    /// ~45% less per apply for ~25% more Krylov iterations on the
-    /// 100 µm transient systems — a measured net win on fine grids
-    /// (`transient_bench`'s `mgfast` vs `mg` rows). Excluded from
-    /// `Debug` / cache keys: results agree to solver tolerance, and the
-    /// cached quantities (temperatures at 1e-10 relative residual) are
-    /// treated as cycle-shape-invariant.
-    #[serde(default)]
-    pub mg_cycle: MgCycleConfig,
 }
 
 /// Cells per layer above which the grid rule picks multigrid. The
 /// hierarchy semi-coarsens in-plane only, so the layer count does not
 /// enter. Per 100 ms transient sample on the 2-layer stack, in ms with
 /// Krylov iterations (`transient_bench --fine`, one core of a 2-vCPU
-/// host, as recorded in `BENCH_transient.json`):
+/// host, as recorded in `BENCH_transient.json` when the rule was set):
 ///
-/// | grid (cells per layer) | ILU(0) | V(1,1) | V(0,1) |
-/// |---|---|---|---|
-/// | 1 mm (120) | 0.26 (170) | 0.35 (60) | 0.30 (100) |
-/// | 0.5 mm (460) | 1.09 (270) | 1.27 (100) | 1.13 (130) |
-/// | 0.25 mm (1,840) | 10.72 (520) | 11.23 (160) | 8.92 (170) |
-/// | 0.1 mm (11,500) | 202.13 (1270) | 112.06 (220) | 95.14 (280) |
+/// | grid (cells per layer) | ILU(0) | multigrid V(0,1) |
+/// |---|---|---|
+/// | 1 mm (120) | 0.26 (170) | 0.30 (100) |
+/// | 0.5 mm (460) | 1.09 (270) | 1.13 (130) |
+/// | 0.25 mm (1,840) | 10.72 (520) | 8.92 (170) |
+/// | 0.1 mm (11,500) | 202.13 (1270) | 95.14 (280) |
 ///
 /// Up to 0.25 mm V(0,1) is at most 1.3× ahead, and the steady solves
 /// trade places from run to run (`grid_convergence`), so every grid up
@@ -59,11 +46,10 @@ pub struct SolverConfig {
 /// 100 µm V(0,1) is 2.1× ahead.
 const MULTIGRID_ABOVE_CELLS_PER_LAYER: usize = 4_096;
 
-/// Matches the original derive output so `SimConfig::cache_key`, which
-/// hashes configs through their `Debug` representation, is unaffected by
-/// the (result-invariant) cycle-shape choice. A resolved kind prints
-/// bare (`preconditioner: Ilu0`), as the field did before it became an
-/// override.
+/// Matches the original derive output, because `SimConfig::cache_key`
+/// hashes configs through their `Debug` representation: a resolved kind
+/// prints bare (`preconditioner: Ilu0`), as the field did before it
+/// became an override.
 impl std::fmt::Debug for SolverConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut s = f.debug_struct("SolverConfig");
@@ -83,7 +69,6 @@ impl Default for SolverConfig {
             tolerance: 1e-10,
             max_iterations: 10_000,
             preconditioner: None,
-            mg_cycle: MgCycleConfig::default(),
         }
     }
 }
@@ -99,19 +84,18 @@ impl SolverConfig {
         }
     }
 
-    /// The preconditioner and V-cycle solves run under on a grid with
+    /// The preconditioner solves run under on a grid with
     /// `cells_per_layer` cells in each layer: the override when set,
-    /// otherwise ILU(0) up to 4,096 cells per layer and multigrid with
-    /// the cheap V(0,1) cycle above it. Every solve site
-    /// (model, backward-Euler cache, TALB balance) and the simulation
-    /// cache key go through this one rule.
-    pub fn resolve(&self, cells_per_layer: usize) -> (PreconditionerKind, MgCycleConfig) {
+    /// otherwise ILU(0) up to 4,096 cells per layer and multigrid above
+    /// it. Every solve site (model, backward-Euler cache, TALB balance)
+    /// and the simulation cache key go through this one rule.
+    pub fn resolve(&self, cells_per_layer: usize) -> PreconditionerKind {
         match self.preconditioner {
-            Some(kind) => (kind, self.mg_cycle),
+            Some(kind) => kind,
             None if cells_per_layer > MULTIGRID_ABOVE_CELLS_PER_LAYER => {
-                (PreconditionerKind::Multigrid, MgCycleConfig::cheap())
+                PreconditionerKind::Multigrid
             }
-            None => (PreconditionerKind::Ilu0, self.mg_cycle),
+            None => PreconditionerKind::Ilu0,
         }
     }
 }
@@ -232,25 +216,20 @@ mod tests {
         assert_eq!(s.tolerance, 1e-10);
         assert_eq!(s.max_iterations, 10_000);
         assert_eq!(s.preconditioner, None);
-        assert_eq!(s.mg_cycle, MgCycleConfig::default());
     }
 
     #[test]
     fn solver_debug_excludes_the_cycle_shape() {
-        // Cache keys hash configs through Debug; the V-cycle shape moves
-        // results only within solver tolerance and must not shift keys.
+        // Cache keys hash configs through Debug, so it prints exactly
+        // the fields the golden keys were computed from and nothing
+        // about how the solve runs.
         let ilu0 = SolverConfig {
             preconditioner: Some(PreconditionerKind::Ilu0),
             ..SolverConfig::default()
         };
-        let cheap = SolverConfig {
-            mg_cycle: MgCycleConfig::cheap(),
-            ..ilu0
-        };
         let expected = "SolverConfig { tolerance: 1e-10, max_iterations: 10000, \
                         preconditioner: Ilu0 }";
         assert_eq!(format!("{ilu0:?}"), expected);
-        assert_eq!(format!("{cheap:?}"), expected);
         assert_eq!(
             format!("{:?}", SolverConfig::default()),
             "SolverConfig { tolerance: 1e-10, max_iterations: 10000, preconditioner: None }"
@@ -279,9 +258,9 @@ mod tests {
             for mm in [1.0, 0.5, 0.25, 0.1] {
                 let n = cells(&stack, mm);
                 let want = if mm > 0.2 {
-                    (PreconditionerKind::Ilu0, MgCycleConfig::default())
+                    PreconditionerKind::Ilu0
                 } else {
-                    (PreconditionerKind::Multigrid, MgCycleConfig::cheap())
+                    PreconditionerKind::Multigrid
                 };
                 assert_eq!(auto.resolve(n), want, "{mm} mm ({n} cells per layer)");
                 for kind in kinds {
@@ -289,7 +268,7 @@ mod tests {
                         preconditioner: Some(kind),
                         ..auto
                     };
-                    assert_eq!(forced.resolve(n), (kind, MgCycleConfig::default()));
+                    assert_eq!(forced.resolve(n), kind);
                 }
             }
             assert_eq!(cells(&stack, 0.25), 1_840);

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use vfc_num::{
-    norm2, BiCgStab, CsrMatrix, LinearOperator, MgCycleConfig, NumError, Preconditioner,
-    PreconditionerKind, SolverWorkspace, StencilOp, StencilPattern,
+    norm2, BiCgStab, CsrMatrix, LinearOperator, NumError, Preconditioner, PreconditionerKind,
+    SolverWorkspace, StencilOp, StencilPattern,
 };
 use vfc_units::{Celsius, Seconds, VolumetricFlow, Watts};
 
@@ -601,20 +601,16 @@ impl ThermalModel {
 
     /// Factors the [`effective_preconditioner`](Self::effective_preconditioner)
     /// on `a`, which shares the skeleton's pattern (the conductance
-    /// matrix or a backward-Euler operator), with the grid rule's
-    /// V-cycle.
+    /// matrix or a backward-Euler operator).
     fn factor(&self, a: &CsrMatrix) -> Result<Box<dyn Preconditioner>, ThermalError> {
-        let (_, cycle) = self.configured_preconditioner();
-        Ok(self.effective_preconditioner().build_with_cycle(
-            a,
-            Some(&self.skeleton.schedules),
-            cycle,
-        )?)
+        Ok(self
+            .effective_preconditioner()
+            .build(a, Some(&self.skeleton.schedules))?)
     }
 
     /// The configured preconditioner resolved on this model's grid
     /// ([`SolverConfig::resolve`](crate::SolverConfig::resolve)).
-    fn configured_preconditioner(&self) -> (PreconditionerKind, MgCycleConfig) {
+    fn configured_preconditioner(&self) -> PreconditionerKind {
         self.skeleton
             .config
             .solver
@@ -812,7 +808,7 @@ impl ThermalModel {
     /// re-failing every step.
     pub fn effective_preconditioner(&self) -> PreconditionerKind {
         self.escalated_precond
-            .unwrap_or_else(|| self.configured_preconditioner().0)
+            .unwrap_or_else(|| self.configured_preconditioner())
     }
 
     /// Recovery retries spent by the most recent
@@ -909,10 +905,11 @@ fn precond_rank(kind: PreconditionerKind) -> u8 {
 
 /// The escalation rungs above `current`, weakest first: the ladder
 /// climbs Jacobi → ILU(0) → Multigrid, skipping every rung at or below
-/// the kind already in use. On grids where the grid rule already picks
-/// multigrid (the paper's 100 µm grid), there is no rung above it: a
-/// failed steady solve fails, and a failed transient step goes
-/// straight to sub-step halving.
+/// the kind already in use. The multigrid rung runs the one V(0,1)
+/// cycle, the same one the 100 µm default runs. On grids where the grid
+/// rule already picks multigrid (the paper's 100 µm grid), there is no
+/// rung above it: a failed steady solve fails, and a failed transient
+/// step goes straight to sub-step halving.
 fn escalation_rungs(current: PreconditionerKind) -> impl Iterator<Item = PreconditionerKind> {
     let cur = precond_rank(current);
     [
@@ -1091,8 +1088,8 @@ mod tests {
     #[test]
     fn preconditioners_order_by_iterations_and_agree_on_the_solution() {
         // Deterministic gates on the 0.5 mm steady solve. Measured:
-        // identity 180, Jacobi 43, ILU(0) 11 and multigrid 3 iterations
-        // (6 V-cycles); the budgets only let a real regression trip.
+        // identity 180, Jacobi 43, ILU(0) 11 and multigrid 4 iterations
+        // (8 V-cycles); the budgets only let a real regression trip.
         let model = liquid_model(0.5, 600.0);
         let n = model.node_count();
         assert!(
@@ -1149,11 +1146,11 @@ mod tests {
         // BiCGStab applies the preconditioner twice per iteration, so the
         // iteration gate pins the V-cycle count: a deeper or shallower
         // cycle structure cannot hide behind it.
-        let mg_cycles = vcycles[3].expect("multigrid reports its V-cycle count");
+        let mg_vcycles = vcycles[3].expect("multigrid reports its V-cycle count");
         let mg_iters = iters[3] as u64;
         assert!(
-            (mg_iters..=2 * mg_iters).contains(&mg_cycles),
-            "V-cycles per solve out of range: {mg_cycles} for {mg_iters} iterations"
+            (mg_iters..=2 * mg_iters).contains(&mg_vcycles),
+            "V-cycles per solve out of range: {mg_vcycles} for {mg_iters} iterations"
         );
         assert!(
             vcycles[..3].iter().all(Option::is_none),
@@ -1176,7 +1173,7 @@ mod tests {
         let mut auto = liquid_model(0.1, 600.0);
         assert_eq!(
             auto.configured_preconditioner(),
-            (PreconditionerKind::Multigrid, MgCycleConfig::cheap())
+            PreconditionerKind::Multigrid
         );
         let stack = ultrasparc::two_layer_liquid();
         let grid =

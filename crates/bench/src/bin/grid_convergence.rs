@@ -6,39 +6,58 @@
 //! away — the steady-state maximum junction temperature of the 2-layer
 //! liquid stack at every resolution — and what the preconditioned,
 //! workspace-reusing solver stack buys back: per-solve times for
-//! no/Jacobi/ILU(0) preconditioning at each grid (factorizations cached,
-//! as in the engine's sample loop).
+//! no/Jacobi/ILU(0)/multigrid preconditioning at each grid
+//! (factorizations cached, as in the engine's sample loop). It also
+//! splits a grid's preconditioner set-up in two: the one-time pattern
+//! analysis (`schedules`: level sets, ILU(0) plan, stencil decomposition
+//! and multigrid hierarchy) and one numeric refactorization per
+//! preconditioner kind on a matrix sharing it (`factor`) — what every
+//! pump setting and backward-Euler operator pays.
+//!
+//! Every time is the median of [`REPS`] repeats.
 //!
 //! Usage: grid_convergence `[--fine]`   (--fine adds the paper's 100 µm
 //! point, ~58k nodes, and the embedded-channel 50 µm point, ~230k nodes;
-//! the two fine points time only the practical preconditioners — ILU(0)
+//! the 50 µm point times only the practical preconditioners — ILU(0)
 //! and multigrid — as unpreconditioned solves there would dominate the
-//! whole study)
+//! whole study. Only a --fine run rewrites the committed record.)
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use vfc::floorplan::{ultrasparc, BlockKind, GridSpec};
-use vfc::num::PreconditionerKind;
+use vfc::num::{KernelSchedules, PreconditionerKind};
 use vfc::prelude::*;
 use vfc::thermal::{StackThermalBuilder, ThermalConfig};
 use vfc::units::{Length, VolumetricFlow, Watts};
 use vfc_bench::perf::{cpu_count, host_label, precond_label, report_bench_records, PerfRecord};
 
-/// Median steady-solve time over `reps` repeats (cold start each solve;
-/// preconditioner factored once and cached inside the model).
-fn time_solve(model: &mut vfc::thermal::ThermalModel, p: &[f64], reps: usize) -> (f64, f64) {
-    // Warm-up solve: factors the preconditioner, sizes the workspace.
-    let temps = model.steady_state(p, None).expect("solve");
-    let tmax = model.max_junction_temperature(&temps).value();
-    let mut times: Vec<f64> = (0..reps)
+/// Repeats behind every reported time (the median is reported).
+const REPS: usize = 5;
+
+/// Median wall time of `REPS` calls of `f`, in ms.
+fn median_ms(mut f: impl FnMut()) -> f64 {
+    let mut times: Vec<f64> = (0..REPS)
         .map(|_| {
             let t0 = Instant::now();
-            let _ = model.steady_state(p, None).expect("solve");
+            f();
             t0.elapsed().as_secs_f64() * 1e3
         })
         .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (times[times.len() / 2], tmax)
+    times.sort_by(f64::total_cmp);
+    times[REPS / 2]
+}
+
+/// Median steady-solve time (cold start each solve; preconditioner
+/// factored once and cached inside the model) and the solution's Tmax.
+fn time_solve(model: &mut vfc::thermal::ThermalModel, p: &[f64]) -> (f64, f64) {
+    // Warm-up solve: factors the preconditioner, sizes the workspace.
+    let temps = model.steady_state(p, None).expect("solve");
+    let tmax = model.max_junction_temperature(&temps).value();
+    let ms = median_ms(|| {
+        model.steady_state(p, None).expect("solve");
+    });
+    (ms, tmax)
 }
 
 fn main() {
@@ -70,10 +89,10 @@ fn main() {
         "speedup"
     );
     let mut prev: Option<f64> = None;
+    let mut setup_rows = Vec::new();
     for cell in cells {
         let grid =
             GridSpec::from_cell_size(stack.tiers()[0].floorplan(), Length::from_millimeters(cell));
-        let reps = if grid.cell_count() > 20_000 { 1 } else { 3 };
         // Below 100 µm only the practical preconditioners get timed.
         let kinds: &[PreconditionerKind] = if cell < 0.1 - 1e-9 {
             &[PreconditionerKind::Ilu0, PreconditionerKind::Multigrid]
@@ -88,6 +107,18 @@ fn main() {
         let mut times: Vec<f64> = Vec::new();
         let mut tmaxes: Vec<f64> = Vec::new();
         let mut nodes = 0;
+        let record = |case: &str, nodes: usize, precond: &str, ms: f64| PerfRecord {
+            case: case.into(),
+            grid_mm: cell,
+            nodes,
+            precond: precond.into(),
+            ms,
+            // These scenarios do not track Krylov iterations (a
+            // `vfc_thermal::model` test gates those); 0 = "not recorded".
+            iters: 0,
+            host: host_label(),
+            cpus: cpu_count(),
+        };
         for &kind in kinds {
             let mut cfg = ThermalConfig::default();
             cfg.solver.preconditioner = Some(kind);
@@ -100,23 +131,33 @@ fn main() {
                 BlockKind::Crossbar => Watts::new(1.4 + 0.45),
                 _ => Watts::new(0.3),
             });
-            let (ms, tmax) = time_solve(&mut model, &p, reps);
+            let (ms, tmax) = time_solve(&mut model, &p);
             times.push(ms);
             tmaxes.push(tmax);
-            records.push(PerfRecord {
-                case: "steady".into(),
-                grid_mm: cell,
-                nodes,
-                precond: precond_label(kind).into(),
-                ms,
-                // The steady scenario does not track Krylov iterations
-                // (a `vfc_thermal::model` test gates those); 0 = "not
-                // recorded".
-                iters: 0,
-                host: host_label(),
-                cpus: cpu_count(),
-            });
+            records.push(record("steady", nodes, precond_label(kind), ms));
         }
+
+        // Set-up split: the pattern analysis the skeleton does once per
+        // grid, then one numeric refactorization per kind against it.
+        let model = StackThermalBuilder::new(&stack, grid, ThermalConfig::default())
+            .build(Some(flow))
+            .expect("build");
+        let a = model.conductance_matrix();
+        let coords = model.layout().grid_coords();
+        let schedules_ms = median_ms(|| {
+            std::hint::black_box(KernelSchedules::for_grid_matrix(a, &coords));
+        });
+        records.push(record("schedules", nodes, "-", schedules_ms));
+        let schedules = Arc::new(KernelSchedules::for_grid_matrix(a, &coords));
+        let mut factor_ms = Vec::new();
+        for &kind in kinds {
+            let ms = median_ms(|| {
+                std::hint::black_box(kind.build(a, Some(&schedules)).expect("factor"));
+            });
+            factor_ms.push((kind, ms));
+            records.push(record("factor", nodes, precond_label(kind), ms));
+        }
+        setup_rows.push((cell, nodes, schedules_ms, factor_ms));
         // All three preconditioners solve to the same 1e-10 residual; the
         // answers must agree far below the printed precision.
         let spread = tmaxes.iter().fold(f64::MIN, |m, &v| m.max(v))
@@ -152,5 +193,31 @@ fn main() {
     println!(" cached, as in the engine's 100 ms sample loop; the controller LUT is");
     println!(" characterized on the same grid it controls, so resolution shifts both");
     println!(" sides of the comparison consistently)");
-    report_bench_records("grid_convergence", &records);
+
+    println!("\nPreconditioner set-up: one-time pattern analysis, then one numeric");
+    println!("refactorization per kind on a matrix sharing it (median of {REPS}):");
+    println!(
+        "{:>9} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10}",
+        "cell mm", "nodes", "schedules ms", "none ms", "jac ms", "ilu0 ms", "mg ms"
+    );
+    for (cell, nodes, schedules_ms, factor_ms) in &setup_rows {
+        let col = |kind: PreconditionerKind| {
+            factor_ms
+                .iter()
+                .find(|(k, _)| *k == kind)
+                .map(|(_, ms)| format!("{ms:.3}"))
+                .unwrap_or_else(|| "-".into())
+        };
+        println!(
+            "{:>9.2} {:>10} {:>12.3} {:>10} {:>10} {:>10} {:>10}",
+            cell,
+            nodes,
+            schedules_ms,
+            col(PreconditionerKind::Identity),
+            col(PreconditionerKind::Jacobi),
+            col(PreconditionerKind::Ilu0),
+            col(PreconditionerKind::Multigrid),
+        );
+    }
+    report_bench_records("grid_convergence", &records, fine);
 }

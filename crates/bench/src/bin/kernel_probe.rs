@@ -6,10 +6,11 @@
 //! speedup.
 //!
 //! The probe is a thin client of the `vfc_obs` span layer: every rep
-//! runs inside an RAII span and the table is printed straight from the
-//! registry snapshot's per-span mean — so this binary doubles as an
+//! runs inside an RAII span and both tables are printed straight from
+//! one registry snapshot's per-span means — so this binary doubles as an
 //! end-to-end exercise of the telemetry path (`kernel_probe
-//! [--telemetry <path>]` also exports the snapshot as JSON).
+//! [--telemetry <path>]` also exports that snapshot, `kernel.*` and
+//! `mg.*` spans, as JSON).
 //!
 //! Usage: `kernel_probe [cell_mm] [--telemetry <path>]`
 //! (default cell 0.1 mm, the paper's grid)
@@ -75,9 +76,16 @@ fn main() {
         pat.class_count()
     );
 
-    // Model-building above already recorded setup spans
-    // (thermal.steady etc.); drop them so the table below holds
-    // exactly the probed kernels.
+    // The V-cycle probed last is built and warmed up before the reset,
+    // which drops its set-up spans and warm-up cycle along with
+    // model-building's (thermal.steady etc.): one snapshot then holds
+    // exactly the probed kernels and the probed cycles.
+    let mut z = vec![0.0; n];
+    let mg_reps = reps.min(20);
+    let mg = PreconditionerKind::Multigrid
+        .build(&a, Some(model.skeleton().schedules()))
+        .expect("multigrid hierarchy");
+    mg.apply(&p, &mut z);
     vfc::obs::reset();
 
     let mut y = vec![0.0; n];
@@ -95,7 +103,6 @@ fn main() {
         Some(std::sync::Arc::clone(model.skeleton().schedules())),
     )
     .expect("ilu");
-    let mut z = vec![0.0; n];
     probe("kernel.ilu0_apply_indexed", reps, || seq.apply(&r, &mut z));
     probe("kernel.ilu0_apply_stencil", reps, || sch.apply(&r, &mut z));
 
@@ -121,6 +128,12 @@ fn main() {
         }
         std::hint::black_box(&w);
     });
+
+    // V-cycle anatomy: the `mg.*` leg spans the preconditioner records
+    // on every apply — where a cycle's milliseconds actually go.
+    for _ in 0..mg_reps {
+        mg.apply(&r, &mut z);
+    }
 
     let snap = vfc::obs::snapshot();
     let mean = |name: &str| {
@@ -149,19 +162,6 @@ fn main() {
         mean("kernel.dot_pair_separate") / mean("kernel.dot_pair_fused").max(1e-12)
     );
 
-    // V-cycle anatomy: apply the V(0,1) cycle and print the `mg.*` leg
-    // spans the preconditioner records — where a cycle's milliseconds
-    // actually go.
-    let mg_reps = reps.min(20);
-    let mg = PreconditionerKind::Multigrid
-        .build(&a, Some(model.skeleton().schedules()))
-        .expect("multigrid hierarchy");
-    mg.apply(&r, &mut z); // warm-up
-    vfc::obs::reset();
-    for _ in 0..mg_reps {
-        mg.apply(&r, &mut z);
-    }
-    let snap = vfc::obs::snapshot();
     println!("\n{:>28} {:>10}", "V(0,1) cycle leg", "mean ms");
     let mut total = 0.0;
     for (label, name) in [

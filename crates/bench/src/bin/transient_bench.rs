@@ -9,10 +9,10 @@
 //!                  (raises `VFC_TELEMETRY` to `spans` unless the env
 //!                  var already chose a level)
 //!
-//! A run rewrites repo-root `BENCH_transient.json` and writes a
-//! `target/bench/` copy (see `vfc_bench::perf`). The iteration counts
-//! of the 1, 0.5 and 0.25 mm rows are gated exactly by
-//! `crates/bench/tests/gates.rs`.
+//! A run writes `target/bench/BENCH_transient.json`; a `--fine` run
+//! also rewrites the committed repo-root copy (see `vfc_bench::perf`).
+//! The iteration counts of the 1, 0.5 and 0.25 mm rows are gated
+//! exactly by `crates/bench/tests/gates.rs`.
 
 use vfc_bench::perf::{cpu_count, host_label, report_bench_records, PerfRecord};
 use vfc_bench::telemetry::{enable_for_export, export_snapshot, parse_telemetry_flag};
@@ -58,7 +58,7 @@ fn main() {
     println!("\n(sample = 100 ms of simulated time; power alternates between samples so");
     println!(" the warm-seed short-circuit cannot skip sub-steps — on a steady workload");
     println!(" a converged sample costs one matvec and two norms instead)");
-    report_bench_records("transient", &records);
+    report_bench_records("transient", &records, fine);
     if let Some(path) = &telemetry {
         export_snapshot(path);
     }

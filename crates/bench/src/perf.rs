@@ -14,8 +14,11 @@
 //!   iteration-gate test (`crates/bench/tests/gates.rs`) can diff live
 //!   runs against the committed record (iteration counts are
 //!   bit-deterministic, so they must match **exactly** on any machine;
-//!   wall-clock `ms` is informational);
-//! * `target/bench/BENCH_<name>.json` — the per-run scratch copy.
+//!   wall-clock `ms` is informational). Only a full run (`--fine`)
+//!   writes it, and it replaces the whole file, so the committed record
+//!   holds exactly the rows the current code produced;
+//! * `target/bench/BENCH_<name>.json` — the per-run copy, written by
+//!   every run.
 
 use std::path::PathBuf;
 
@@ -143,11 +146,6 @@ pub fn workspace_root_dir() -> PathBuf {
     }
 }
 
-/// Path of the committed (repo-root) record for one bench.
-pub fn root_record_path(name: &str) -> PathBuf {
-    workspace_root_dir().join(format!("BENCH_{name}.json"))
-}
-
 fn encode(name: &str, records: &[PerfRecord]) -> String {
     let doc = JsonValue::Object(vec![
         ("bench".into(), JsonValue::String(name.to_string())),
@@ -159,39 +157,46 @@ fn encode(name: &str, records: &[PerfRecord]) -> String {
     format!("{}\n", doc.encode())
 }
 
-/// Writes `BENCH_<name>.json` at the repo root *and* under
-/// `target/bench/` (created as needed); returns the root path.
+/// Writes this run's records to `target/bench/BENCH_<name>.json` and,
+/// for a full run (`full`), replaces the committed repo-root record with
+/// exactly them; returns the path of the last file written.
 ///
-/// The `target/bench/` copy holds exactly this run. The repo-root copy
-/// is **merged**: this run's records replace committed records with the
-/// same `(case, grid_mm)` key, and committed records this run
-/// did not measure are kept — so a coarse-grid run never truncates the
-/// committed 100 µm trajectory rows. Failures are returned, not
-/// panicked — a read-only checkout should not fail a bench run, so
-/// callers print-and-continue.
+/// Nothing is merged: a committed record holds only rows the current
+/// code produced, so a removed variant's rows leave with it. Only a
+/// full run may rewrite the root file, so a partial (coarse-grid) run
+/// cannot truncate the committed fine-grid rows either. Failures are
+/// returned, not panicked — a read-only checkout should not fail a
+/// bench run, so callers print-and-continue.
 ///
 /// # Errors
 ///
 /// Any I/O failure creating the directory or writing either file.
-pub fn write_bench_records(name: &str, records: &[PerfRecord]) -> std::io::Result<PathBuf> {
-    let dir = bench_record_dir();
-    std::fs::create_dir_all(&dir)?;
-    std::fs::write(
-        dir.join(format!("BENCH_{name}.json")),
-        encode(name, records),
-    )?;
-    let root = root_record_path(name);
-    let mut merged: Vec<PerfRecord> = records.to_vec();
-    if let Ok(committed) = read_bench_records(&root) {
-        let key = |r: &PerfRecord| (r.case.clone(), r.grid_mm.to_bits());
-        for old in committed {
-            if !merged.iter().any(|new| key(new) == key(&old)) {
-                merged.push(old);
-            }
-        }
+pub fn write_bench_records(
+    name: &str,
+    records: &[PerfRecord],
+    full: bool,
+) -> std::io::Result<PathBuf> {
+    let root = full.then(workspace_root_dir);
+    write_records_in(root.as_deref(), &bench_record_dir(), name, records)
+}
+
+/// [`write_bench_records`] with explicit directories: the per-run copy
+/// goes to `run_dir`, and the committed copy to `root_dir` when given.
+fn write_records_in(
+    root_dir: Option<&std::path::Path>,
+    run_dir: &std::path::Path,
+    name: &str,
+    records: &[PerfRecord],
+) -> std::io::Result<PathBuf> {
+    let file = format!("BENCH_{name}.json");
+    std::fs::create_dir_all(run_dir)?;
+    let mut written = run_dir.join(&file);
+    std::fs::write(&written, encode(name, records))?;
+    if let Some(root) = root_dir {
+        written = root.join(&file);
+        std::fs::write(&written, encode(name, records))?;
     }
-    std::fs::write(&root, encode(name, &merged))?;
-    Ok(root)
+    Ok(written)
 }
 
 /// Reads a `BENCH_*.json` file back into records.
@@ -217,11 +222,16 @@ pub fn read_bench_records(path: &std::path::Path) -> std::io::Result<Vec<PerfRec
         .collect()
 }
 
-/// Writes the records and prints where they went (or why they didn't) —
-/// the shared tail of every bench binary.
-pub fn report_bench_records(name: &str, records: &[PerfRecord]) {
-    match write_bench_records(name, records) {
-        Ok(path) => println!("\nperf records: {} (+ target/bench copy)", path.display()),
+/// Writes the records (see [`write_bench_records`]) and prints where
+/// they went (or why they didn't) — the shared tail of every bench
+/// binary.
+pub fn report_bench_records(name: &str, records: &[PerfRecord], full: bool) {
+    match write_bench_records(name, records, full) {
+        Ok(path) if full => println!("\nperf records: {} (+ target/bench copy)", path.display()),
+        Ok(path) => println!(
+            "\nperf records: {} (the committed record is rewritten only by a --fine run)",
+            path.display()
+        ),
         Err(e) => println!("\nperf records not written: {e}"),
     }
 }
@@ -243,11 +253,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn records_round_trip_through_the_json_codec() {
-        let dir = std::env::temp_dir().join(format!("vfc-bench-perf-{}", std::process::id()));
+    /// A fresh directory under the system temp dir.
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("vfc-bench-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn records_round_trip_through_the_json_codec() {
+        let dir = temp_dir("perf");
         let path = dir.join("BENCH_test.json");
         let records = [record("steady", 0.45, 11), record("transient", 9.5, 120)];
         std::fs::write(&path, encode("test", &records)).unwrap();
@@ -269,31 +285,37 @@ mod tests {
     }
 
     #[test]
-    fn root_merge_keeps_unmeasured_committed_records() {
-        // A coarse run must not truncate the committed fine-grid rows.
-        let name = format!("merge_test_{}", std::process::id());
-        let mut fine = record("transient", 150.0, 1270);
-        fine.grid_mm = 0.1;
-        write_bench_records(&name, &[fine.clone()]).unwrap();
+    fn committed_record_holds_only_the_full_runs_rows() {
+        let root = temp_dir("root");
+        let run_dir = root.join("target-bench");
+        let path = root.join("BENCH_t.json");
+        // A committed record with a row no current variant produces.
+        let mut stale = record("transient-gone", 150.0, 1270);
+        stale.grid_mm = 0.1;
+        let kept = record("transient", 9.5, 120);
+        std::fs::write(&path, encode("t", &[stale, kept.clone()])).unwrap();
+
+        // A partial run leaves the committed record alone.
         let coarse = record("transient", 1.2, 270);
-        let root = write_bench_records(&name, &[coarse.clone()]).unwrap();
-        let merged = read_bench_records(&root).unwrap();
-        assert!(merged.contains(&coarse), "new record written");
-        assert!(merged.contains(&fine), "committed fine row preserved");
-        // Re-measuring the same key replaces instead of duplicating.
-        let mut fine2 = fine.clone();
-        fine2.ms = 140.0;
-        write_bench_records(&name, &[fine2.clone()]).unwrap();
-        let merged = read_bench_records(&root).unwrap();
-        assert!(merged.contains(&fine2) && !merged.contains(&fine));
-        std::fs::remove_file(&root).unwrap();
-        std::fs::remove_file(bench_record_dir().join(format!("BENCH_{name}.json"))).unwrap();
+        let written = write_records_in(None, &run_dir, "t", std::slice::from_ref(&coarse)).unwrap();
+        assert_eq!(written, run_dir.join("BENCH_t.json"));
+        assert_eq!(read_bench_records(&written).unwrap(), vec![coarse]);
+        assert_eq!(read_bench_records(&path).unwrap().len(), 2);
+
+        // A full run replaces it with exactly its own rows.
+        let mut fine = record("transient", 80.0, 280);
+        fine.grid_mm = 0.1;
+        let run = [kept, fine];
+        let written = write_records_in(Some(&root), &run_dir, "t", &run).unwrap();
+        assert_eq!(written, path);
+        assert_eq!(read_bench_records(&path).unwrap().as_slice(), &run);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn writer_creates_root_and_target_copies() {
         let records = [record("steady", 1.25, 7)];
-        let root = write_bench_records("unit_test", &records).unwrap();
+        let root = write_bench_records("unit_test", &records, true).unwrap();
         assert!(root.ends_with("BENCH_unit_test.json"));
         let scratch = bench_record_dir().join("BENCH_unit_test.json");
         assert_eq!(

@@ -1,6 +1,7 @@
 //! Deterministic regression gates on the bench harness: the committed
-//! transient iteration counts, the sweep CLI's warm second pass, and
-//! the sweep service's crash recovery against a real `SIGKILL`.
+//! transient iteration counts, the sweep CLI's warm second pass, the
+//! sweep service's crash recovery against a real `SIGKILL`, and
+//! `kernel_probe`'s telemetry export.
 //!
 //! Every child process and every wait has a deadline, and server
 //! children are killed and reaped on drop, so a failed assertion can
@@ -54,6 +55,25 @@ impl Drop for Reaped {
         let _ = self.0.kill();
         let _ = self.0.wait();
     }
+}
+
+#[test]
+fn kernel_probe_exports_both_of_its_tables() {
+    let dir = temp_dir("probe");
+    let snapshot = dir.join("probe.json");
+    let status = Reaped::spawn(
+        Command::new(env!("CARGO_BIN_EXE_kernel_probe"))
+            .args(["1.0", "--telemetry"])
+            .arg(&snapshot),
+        &dir.join("probe.log"),
+    )
+    .wait(Duration::from_secs(120), "kernel_probe");
+    assert!(status.success(), "kernel_probe failed: {status}");
+    let text = std::fs::read_to_string(&snapshot).expect("snapshot written");
+    for family in ["\"span.kernel.", "\"span.mg."] {
+        assert!(text.contains(family), "snapshot lacks {family}* spans");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -62,10 +62,20 @@ fn spans_populate_every_standard_family_and_export_faithfully() {
             "hot counter `{name}` is zero after the runs"
         );
     }
-    // The engine phases record under nested span paths (the runner's
-    // execute/job spans are live on the worker thread), so each phase
-    // must have fired somewhere in the hierarchy.
-    for phase in ["engine.workload", "engine.thermal", "engine.balance"] {
+    // The engine phases and the set-up phases of a variable-flow TALB
+    // cell record under nested span paths (the runner's execute/job
+    // spans are live on the worker thread), so each must have fired
+    // somewhere in the hierarchy.
+    for phase in [
+        "engine.workload",
+        "engine.thermal",
+        "engine.balance",
+        "thermal.skeleton",
+        "precond.schedules",
+        "precond.factor",
+        "control.characterize",
+        "control.balance",
+    ] {
         assert!(
             snap.stats
                 .iter()

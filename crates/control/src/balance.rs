@@ -48,6 +48,7 @@ pub fn balanced_power_rows(
     background: &[f64],
     targets: &[Celsius],
 ) -> Result<Vec<(Celsius, Vec<f64>)>, ControlError> {
+    let _span = vfc_obs::span("control.balance");
     let system = BalanceSystem::new(model, stack, background)?;
     let mut rows = Vec::with_capacity(targets.len());
     for (i, &t_bal) in targets.iter().enumerate() {
@@ -77,6 +78,7 @@ pub fn balanced_core_powers(
     background: &[f64],
     t_bal: Celsius,
 ) -> Result<Vec<f64>, ControlError> {
+    let _span = vfc_obs::span("control.balance");
     BalanceSystem::new(model, stack, background)?.core_powers(t_bal)
 }
 

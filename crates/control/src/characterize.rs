@@ -73,6 +73,7 @@ pub fn characterize_skeleton(
     demand_points: usize,
     power_at: &dyn Fn(f64, &ThermalModel) -> Vec<f64>,
 ) -> Result<Characterization, ControlError> {
+    let _span = vfc_obs::span("control.characterize");
     if demand_points < 2 {
         return Err(ControlError::EmptyDemandGrid);
     }

@@ -20,9 +20,12 @@
 //!   [`MultigridPreconditioner`] (one geometric V(0,1) cycle per apply
 //!   on the semi-coarsened grid hierarchy, [`MgStructure`]) implementations
 //!   ([`PreconditionerKind`] is the config-level selection knob);
-//! * [`KernelSchedules`] — per-pattern triangular level sets, stencil
-//!   decomposition and multigrid hierarchy shared across same-pattern
-//!   matrix families;
+//! * [`KernelSchedules`] — the per-pattern analysis shared across
+//!   same-pattern matrix families: triangular level sets, the ILU(0)
+//!   plan (diagonal positions, IKJ update list, level-major sweep
+//!   tables), the stencil decomposition and the multigrid hierarchy.
+//!   Symbolic once, numeric per matrix: with it, every ILU(0) or
+//!   multigrid factorization on the pattern is a value pass;
 //! * [`SolverWorkspace`], reusable Krylov scratch space so repeated
 //!   solves on a model allocate nothing;
 //! * [`lstsq`](lstsq::solve) ordinary least squares, used by the

@@ -10,13 +10,15 @@
 //! in-plane 2× semi-coarsening ([`semicoarsen`] — z planes, which carry
 //! the strong tier/cavity couplings, are never merged), aggregating each
 //! fine node into exactly one coarse node. The coarse **pattern**, the
-//! fine-nnz → coarse-nnz Galerkin scatter map and the coarse level's
-//! [`KernelSchedules`] are computed once per sparsity pattern (the
-//! thermal `StackSkeleton` builds one per grid and shares it across all
-//! pump settings). Per-matrix **values** — a flow patch, a
-//! backward-Euler shift — are folded in at preconditioner build time by
-//! a deterministic scatter-add (`A_c = Pᵀ·A·P` for the piecewise-constant
-//! aggregation `P`), so a patched build is entry-identical to a
+//! fine-nnz → coarse-nnz Galerkin scatter map (both in `O(nnz)` from the
+//! aggregates' children lists) and the coarse level's
+//! [`KernelSchedules`], ILU(0) plan included, are computed once per
+//! sparsity pattern (the thermal `StackSkeleton` builds one per grid and
+//! shares it across all pump settings). Per-matrix **values** — a flow
+//! patch, a backward-Euler shift — are folded in at preconditioner build
+//! time by a deterministic scatter-add (`A_c = Pᵀ·A·P` for the
+//! piecewise-constant aggregation `P`) and one numeric ILU(0) pass per
+//! smoothed level, so a patched build is entry-identical to a
 //! from-scratch build at the same values.
 //!
 //! [`MultigridPreconditioner`] runs one V(0,1) cycle per application:
@@ -39,7 +41,7 @@ use crate::operator::LinearOperator;
 use crate::precond::{Ilu0Preconditioner, Preconditioner};
 use crate::stencil::{semicoarsen, GridCoord, StencilOp, StencilPattern};
 use crate::workspace::MgScratch;
-use crate::{CsrBuilder, CsrMatrix, KernelSchedules, NumError};
+use crate::{CsrMatrix, KernelSchedules, NumError};
 
 /// Coarsening stops once a level's order is at most this: a dense LU of
 /// the coarsest level costs `O(n³)` once per preconditioner build and
@@ -157,8 +159,12 @@ impl MgStructure {
         }
     }
 
-    /// One transition from `fine` under the aggregate map `agg`.
+    /// One transition from `fine` under the aggregate map `agg`, in
+    /// `O(nnz)`: each coarse row is the image of its children's rows,
+    /// collected through a column marker and sorted, so the scatter map
+    /// falls out of the marker instead of a search per fine entry.
     fn build_level(fine: &CsrMatrix, agg: Vec<u32>, nc: usize) -> MgLevel {
+        const NONE: u32 = u32::MAX;
         let n = fine.order();
         // Children lists: counts, prefix sum, then fill in ascending
         // fine order (restriction sums children in this fixed order).
@@ -175,26 +181,46 @@ impl MgStructure {
             children[cursor[g as usize] as usize] = f as u32;
             cursor[g as usize] += 1;
         }
-        // Coarse Galerkin pattern: image of every fine entry.
+        // Coarse Galerkin pattern: row I holds the aggregates of every
+        // column its children couple to. `slot[J]` is row I's slot of
+        // column J while row I is built, NONE otherwise.
         let rp = fine.row_ptr();
         let ci = fine.col_indices();
-        let mut b = CsrBuilder::new(nc);
-        for i in 0..n {
-            let gi = agg[i] as usize;
-            for k in rp[i] as usize..rp[i + 1] as usize {
-                b.reserve_entry(gi, agg[ci[k] as usize] as usize);
+        let mut row_ptr = Vec::with_capacity(nc + 1);
+        row_ptr.push(0u32);
+        let mut col_idx: Vec<u32> = Vec::new();
+        let mut scatter = vec![0u32; fine.nnz()];
+        let mut slot = vec![NONE; nc];
+        for g in 0..nc {
+            let kids = &children[children_ptr[g] as usize..children_ptr[g + 1] as usize];
+            let row0 = col_idx.len();
+            for &f in kids {
+                for k in rp[f as usize] as usize..rp[f as usize + 1] as usize {
+                    let gj = agg[ci[k] as usize];
+                    if slot[gj as usize] == NONE {
+                        // Seen; the real slot is known once the row is sorted.
+                        slot[gj as usize] = 0;
+                        col_idx.push(gj);
+                    }
+                }
             }
-        }
-        let pattern = b.build();
-        let mut scatter = Vec::with_capacity(fine.nnz());
-        for i in 0..n {
-            let gi = agg[i] as usize;
-            for k in rp[i] as usize..rp[i + 1] as usize {
-                let gj = agg[ci[k] as usize] as usize;
-                scatter.push(pattern.pattern_index(gi, gj).expect("reserved above") as u32);
+            col_idx[row0..].sort_unstable();
+            for (k, &gj) in col_idx[row0..].iter().enumerate() {
+                slot[gj as usize] = (row0 + k) as u32;
             }
+            for &f in kids {
+                for k in rp[f as usize] as usize..rp[f as usize + 1] as usize {
+                    scatter[k] = slot[agg[ci[k] as usize] as usize];
+                }
+            }
+            for &gj in &col_idx[row0..] {
+                slot[gj as usize] = NONE;
+            }
+            row_ptr.push(col_idx.len() as u32);
         }
-        let schedules = Arc::new(KernelSchedules::for_matrix(&pattern));
+        let nnz = col_idx.len();
+        let pattern = CsrMatrix::from_parts(row_ptr, col_idx, vec![0.0; nnz]);
+        let schedules = Arc::new(KernelSchedules::analyse(&pattern));
         MgLevel {
             agg,
             children_ptr,
@@ -296,9 +322,7 @@ impl MultigridPreconditioner {
                 0 => lvl.galerkin_values(a.values()),
                 _ => lvl.galerkin_values(coarse[i - 1].values()),
             };
-            let mut m = lvl.pattern.clone();
-            m.values_mut().copy_from_slice(&values);
-            coarse.push(m);
+            coarse.push(lvl.pattern.with_values(values));
         }
         let fine_stencil = schedules.as_ref().and_then(|s| s.stencil().cloned());
         let mut smooth = Vec::with_capacity(structure.levels.len());
@@ -444,7 +468,7 @@ impl Preconditioner for MultigridPreconditioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BiCgStab, PreconditionerKind, SolverWorkspace};
+    use crate::{BiCgStab, CsrBuilder, PreconditionerKind, SolverWorkspace};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -667,8 +691,82 @@ mod tests {
         }
     }
 
+    #[test]
+    fn refactorizations_share_every_level_plan() {
+        // A conductance matrix and its backward-Euler operator (the
+        // same pattern, shifted diagonal), as a model factors them.
+        let (layers, rows, cols) = (3, 14, 14);
+        let a = grid_matrix(layers, rows, cols, 21, 1.0);
+        let mut values = a.values().to_vec();
+        for i in 0..a.order() {
+            values[a.pattern_index(i, i).unwrap()] += 2.0;
+        }
+        let be = a.with_values(values);
+        let schedules = Arc::new(KernelSchedules::for_grid_matrix(
+            &a,
+            &grid_coords(layers, rows, cols),
+        ));
+        let structure = Arc::clone(schedules.multigrid().unwrap());
+        let build = |m: &CsrMatrix| {
+            MultigridPreconditioner::new(m, Some(Arc::clone(&schedules)), Arc::clone(&structure))
+                .unwrap()
+        };
+        let (p, q) = (build(&a), build(&be));
+        assert_eq!(p.smooth.len(), structure.depth());
+        let plans =
+            std::iter::once(&schedules).chain(structure.levels.iter().map(|l| &l.schedules));
+        for ((x, y), owner) in p.smooth.iter().zip(&q.smooth).zip(plans) {
+            let shared = owner.ilu0_plan().unwrap();
+            assert!(Arc::ptr_eq(x.plan().unwrap(), shared));
+            assert!(Arc::ptr_eq(y.plan().unwrap(), shared));
+        }
+    }
+
+    /// The triplet-sorting construction the marker build replaced: the
+    /// coarse pattern through `CsrBuilder`, the scatter map by search.
+    fn reference_coarse(fine: &CsrMatrix, agg: &[u32], nc: usize) -> (CsrMatrix, Vec<u32>) {
+        let (rp, ci) = (fine.row_ptr(), fine.col_indices());
+        let mut b = CsrBuilder::new(nc);
+        for i in 0..fine.order() {
+            for k in rp[i] as usize..rp[i + 1] as usize {
+                b.reserve_entry(agg[i] as usize, agg[ci[k] as usize] as usize);
+            }
+        }
+        let pattern = b.build();
+        let mut scatter = Vec::new();
+        for i in 0..fine.order() {
+            for k in rp[i] as usize..rp[i + 1] as usize {
+                let (gi, gj) = (agg[i] as usize, agg[ci[k] as usize] as usize);
+                scatter.push(pattern.pattern_index(gi, gj).unwrap() as u32);
+            }
+        }
+        (pattern, scatter)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every level's coarse pattern and scatter map equal the
+        /// triplet-sorting construction's, entry for entry.
+        #[test]
+        fn coarse_patterns_match_the_triplet_build(
+            layers in 1u32..4,
+            rows in 2u32..16,
+            cols in 2u32..16,
+            seed in 0u64..40,
+        ) {
+            let a = grid_matrix(layers, rows, cols, seed, 0.7);
+            let Some(mg) = MgStructure::build(&a, &grid_coords(layers, rows, cols)) else {
+                return Ok(());
+            };
+            let mut fine = a.clone();
+            for lvl in &mg.levels {
+                let (pattern, scatter) = reference_coarse(&fine, &lvl.agg, lvl.pattern.order());
+                prop_assert_eq!(&lvl.pattern, &pattern);
+                prop_assert_eq!(&lvl.scatter, &scatter);
+                fine = lvl.pattern.clone();
+            }
+        }
 
         /// Hierarchy invariants on randomized grids, including odd
         /// extents, single-tier stacks and minimal 2×2 planes.

@@ -11,9 +11,9 @@
 //! * [`Ilu0Preconditioner`] — incomplete LU on the matrix's own sparsity
 //!   pattern, the workhorse for fine grids where unpreconditioned
 //!   BiCGSTAB iteration counts grow superlinearly. Given the pattern's
-//!   [`TriangularLevels`](crate::TriangularLevels) (via
-//!   [`KernelSchedules`]), the triangular sweeps visit rows in wavefront
-//!   level order, bit-identical to the natural-order sweep.
+//!   [`KernelSchedules`], the factorization is a value pass over their
+//!   ILU(0) plan and the triangular sweeps visit rows in wavefront level
+//!   order, bit-identical to the natural-order sweep.
 //!
 //! [`PreconditionerKind`] is the serializable selection knob threaded
 //! through `vfc_thermal::SolverConfig`; it also selects the geometric
@@ -21,6 +21,7 @@
 
 use std::sync::Arc;
 
+use crate::schedule::{IkjPlan, Ilu0Plan, SweepPlan};
 use crate::{CsrMatrix, KernelSchedules, NumError};
 
 /// Application side of a preconditioner: `z ≈ A⁻¹·r`.
@@ -109,154 +110,31 @@ impl Preconditioner for JacobiPreconditioner {
     }
 }
 
-/// One triangular factor re-ordered into **level-major stencil runs**.
-///
-/// Rows are stored wavefront-level-major (so all of a level's rows are
-/// independent and the loads pipeline — natural row order instead
-/// chains every row's `z[i]` through a just-written neighbour, a
-/// store-to-load latency wall measuring ~3× a matvec per entry), and
-/// consecutive positions of one level are grouped into **runs** sharing
-/// an offset class and a constant row stride (wavefronts cross the
-/// stacked grid as arithmetic row progressions). A run's kernel streams
-/// only the 8-byte values — row indices and column addresses are
-/// computed, not loaded — so the re-ordering costs no extra memory
-/// traffic over the natural-order split factor.
-///
-/// Each row's entries keep their ascending-column accumulation order,
-/// so results are bit-identical to the natural-order sweep.
-#[derive(Debug, Clone)]
-struct LevelMajorFactor {
-    runs: Vec<SweepRun>,
-    /// Offset class table: class `c` owns
-    /// `class_off[class_ptr[c]..class_ptr[c+1]]`.
-    class_ptr: Vec<u32>,
-    class_off: Vec<i32>,
-    /// Values in level-major row order (each row ascending-column).
-    vals: Vec<f64>,
-    /// Permuted reciprocal diagonal (backward factor only).
-    diag: Vec<f64>,
-}
-
-/// A maximal block of level-consecutive positions whose rows form an
-/// arithmetic progression (`row0 + q·stride`) and share one offset
-/// class.
+/// One triangular factor's values laid over its shared [`SweepPlan`]:
+/// the borrowed view the level-major sweep kernels run on.
 #[derive(Debug, Clone, Copy)]
-struct SweepRun {
-    pos0: u32,
-    pos1: u32,
-    row0: u32,
-    stride: i32,
-    val0: u32,
-    class: u32,
+struct LevelMajorFactor<'a> {
+    plan: &'a SweepPlan,
+    /// Values in level-major row order (each row ascending-column).
+    vals: &'a [f64],
+    /// Permuted reciprocal diagonal (backward factor only).
+    diag: &'a [f64],
 }
 
-impl LevelMajorFactor {
-    /// Compacts a split factor (`f_ptr`/`f_col`/`f_val`, natural row
-    /// order) into level-major stencil runs; `inv_diag` is permuted
-    /// along when given.
-    fn build(
-        set: &crate::schedule::LevelSet,
-        f_ptr: &[u32],
-        f_col: &[u32],
-        f_val: &[f64],
-        inv_diag: Option<&[f64]>,
-    ) -> Self {
-        let n = f_ptr.len() - 1;
-        let mut vals = Vec::with_capacity(f_val.len());
-        let mut diag = Vec::with_capacity(if inv_diag.is_some() { n } else { 0 });
-        let mut runs: Vec<SweepRun> = Vec::new();
-        let mut class_ptr = vec![0u32];
-        let mut class_off: Vec<i32> = Vec::new();
-        let mut class_map: std::collections::HashMap<Vec<i32>, u32> =
-            std::collections::HashMap::new();
-        let mut sig = Vec::new();
-        let mut pos = 0u32;
-        for l in 0..set.count() {
-            let mut level_open = false;
-            for &i in set.level(l) {
-                let i = i as usize;
-                let (s, e) = (f_ptr[i] as usize, f_ptr[i + 1] as usize);
-                sig.clear();
-                sig.extend(f_col[s..e].iter().map(|&c| c as i32 - i as i32));
-                let class = match class_map.get(&sig) {
-                    Some(&c) => c,
-                    None => {
-                        let c = class_ptr.len() as u32 - 1;
-                        class_off.extend_from_slice(&sig);
-                        class_ptr.push(class_off.len() as u32);
-                        class_map.insert(sig.clone(), c);
-                        c
-                    }
-                };
-                vals.extend_from_slice(&f_val[s..e]);
-                if let Some(d) = inv_diag {
-                    diag.push(d[i]);
-                }
-                // Extend the current run when the class matches and the
-                // row progression stays arithmetic (a fresh second row
-                // fixes the stride); never across a level boundary.
-                let extended = level_open
-                    && runs.last_mut().is_some_and(|run| {
-                        if run.class != class {
-                            return false;
-                        }
-                        let len = run.pos1 - run.pos0;
-                        let delta = i as i64 - run.row0 as i64;
-                        if len == 1 {
-                            if let Ok(stride) = i32::try_from(delta) {
-                                run.stride = stride;
-                                run.pos1 += 1;
-                                return true;
-                            }
-                            return false;
-                        }
-                        if delta == run.stride as i64 * len as i64 {
-                            run.pos1 += 1;
-                            return true;
-                        }
-                        false
-                    });
-                if !extended {
-                    runs.push(SweepRun {
-                        pos0: pos,
-                        pos1: pos + 1,
-                        row0: i as u32,
-                        stride: 0,
-                        val0: (vals.len() - (e - s)) as u32,
-                        class,
-                    });
-                }
-                level_open = true;
-                pos += 1;
-            }
-        }
-        Self {
-            runs,
-            class_ptr,
-            class_off,
-            vals,
-            diag,
-        }
-    }
-
-    #[inline]
-    fn offsets(&self, class: u32) -> &[i32] {
-        &self.class_off
-            [self.class_ptr[class as usize] as usize..self.class_ptr[class as usize + 1] as usize]
-    }
-
+impl LevelMajorFactor<'_> {
     /// One full triangular sweep: every run in level-major position
     /// order, so each row's dependencies are final before it is
     /// computed.
     ///
     /// # Safety
     ///
-    /// `r` and `z` must hold the factor's order, and the factor must
-    /// have been built from the level set of this factor's own pattern.
+    /// `r` and `z` must hold the factor's order, and the values must have
+    /// been gathered along this plan, built from the level set of the
+    /// factor's own pattern.
     #[inline]
     unsafe fn sweep<const BACKWARD: bool>(&self, r: &[f64], z: &mut [f64]) {
-        for run in &self.runs {
-            let off = self.offsets(run.class);
+        for run in &self.plan.runs {
+            let off = self.plan.classes.offsets(run.class);
             // SAFETY: run rows/columns were in range at build time and
             // the level order finishes every dependency first.
             unsafe {
@@ -412,17 +290,19 @@ impl LevelMajorFactor {
 ///
 /// The factors live on the sparsity pattern of the input matrix, with a
 /// unit-diagonal `L` stored strictly below the diagonal and `U` on and
-/// above it — kept as compact split CSR halves so the triangular sweeps
-/// stream contiguous arrays. For the advection–diffusion thermal matrices
-/// this cuts BiCGSTAB iteration counts by an order of magnitude on fine
-/// grids.
+/// above it. For the advection–diffusion thermal matrices this cuts
+/// BiCGSTAB iteration counts by an order of magnitude on fine grids.
 ///
-/// Built with the pattern's [`KernelSchedules`], the triangular sweeps
-/// visit rows in **wavefront level order**: rows of one level have no
-/// mutual dependencies, so their loads pipeline instead of chaining
-/// through the just-written neighbour. Each row's accumulation order is
-/// fixed by the CSR entry order, which keeps the result bit-identical
-/// to the natural-order sweep.
+/// **Symbolic once, numeric per matrix.** The pattern work — diagonal
+/// positions, the IKJ update list, the level-major sweep layout — is the
+/// pattern's [`KernelSchedules`] ILU(0) plan, computed once per grid.
+/// A factorization with schedules is a value pass: copy the values, run
+/// the planned updates, gather both triangles into level-major order.
+/// The triangular sweeps then visit rows in **wavefront level order**:
+/// rows of one level have no mutual dependencies, so their loads
+/// pipeline instead of chaining through the just-written neighbour.
+/// Each row's accumulation order is fixed by the CSR entry order, which
+/// keeps the result bit-identical to the natural-order sweep.
 #[derive(Debug, Clone)]
 pub struct Ilu0Preconditioner {
     factors: Ilu0Factors,
@@ -434,19 +314,58 @@ pub struct Ilu0Preconditioner {
 enum Ilu0Factors {
     /// Natural row order (built without schedules).
     Natural(SplitFactors),
-    /// Level-major compactions of the triangular factors (built with
+    /// Level-major values over the pattern's shared plan (built with
     /// schedules): rows of each wavefront level stored back-to-back so
     /// the sweeps stream their value arrays while the rows of a level
     /// retire independently — natural row order instead chains every
     /// row through its just-written neighbour (a store-to-load latency
-    /// wall measuring ~3× a matvec per entry on the 100 µm grid). The
-    /// natural-order split is dropped once these are built; on the
-    /// 100 µm grid it would add 3.8 MB to every factor.
-    LevelMajor {
-        lower: LevelMajorFactor,
-        /// Carries the permuted reciprocal `U` diagonal, one per row.
-        upper: LevelMajorFactor,
-    },
+    /// wall measuring ~3× a matvec per entry on the 100 µm grid).
+    LevelMajor(LevelMajorFactors),
+}
+
+/// ILU(0) values gathered along a shared [`Ilu0Plan`].
+#[derive(Debug, Clone)]
+struct LevelMajorFactors {
+    plan: Arc<Ilu0Plan>,
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    /// Reciprocal `U` diagonal in backward-sweep row order.
+    inv_diag: Vec<f64>,
+}
+
+impl LevelMajorFactors {
+    /// Gathers the eliminated values `lu` (natural slot order) into both
+    /// triangles' level-major layouts.
+    fn gather(plan: Arc<Ilu0Plan>, lu: &[f64]) -> Self {
+        let pick = |slots: &[u32]| slots.iter().map(|&k| lu[k as usize]).collect();
+        Self {
+            lower: pick(&plan.lower.gather),
+            upper: pick(&plan.upper.gather),
+            inv_diag: plan
+                .upper
+                .diag_gather
+                .iter()
+                .map(|&k| 1.0 / lu[k as usize])
+                .collect(),
+            plan,
+        }
+    }
+
+    fn lower(&self) -> LevelMajorFactor<'_> {
+        LevelMajorFactor {
+            plan: &self.plan.lower,
+            vals: &self.lower,
+            diag: &[],
+        }
+    }
+
+    fn upper(&self) -> LevelMajorFactor<'_> {
+        LevelMajorFactor {
+            plan: &self.plan.upper,
+            vals: &self.upper,
+            diag: &self.inv_diag,
+        }
+    }
 }
 
 /// ILU(0) factors as compact split CSR halves in natural row order.
@@ -469,8 +388,10 @@ struct SplitFactors {
 impl Ilu0Preconditioner {
     /// Factors `a` in ILU(0) form. With `schedules` (computed once per
     /// sparsity pattern and shared across same-pattern factorizations)
-    /// the triangular sweeps run in wavefront level order; without,
-    /// they run in natural row order. Both land the same bits.
+    /// the build is a value pass over their ILU(0) plan and the
+    /// triangular sweeps run in wavefront level order; without, the
+    /// build plans the elimination itself and the sweeps run in natural
+    /// row order. Both land the same bits.
     ///
     /// # Errors
     ///
@@ -482,30 +403,20 @@ impl Ilu0Preconditioner {
     /// bounds, so the mismatch is rejected up front (pointer-equality
     /// fast path for structure-shared families).
     pub fn new(a: &CsrMatrix, schedules: Option<Arc<KernelSchedules>>) -> Result<Self, NumError> {
-        if let Some(s) = &schedules {
-            if !s.matches_pattern(a) {
-                return Err(NumError::PatternMismatch { context: "ilu0" });
+        let factors = match schedules {
+            Some(s) => {
+                if !s.matches_pattern(a) {
+                    return Err(NumError::PatternMismatch { context: "ilu0" });
+                }
+                let plan = Arc::clone(s.ilu0_plan()?);
+                let lu = plan.ikj.eliminate(a)?;
+                Ilu0Factors::LevelMajor(LevelMajorFactors::gather(plan, &lu))
             }
-        }
-        let split = SplitFactors::factor(a)?;
-        let factors = match &schedules {
-            Some(s) => Ilu0Factors::LevelMajor {
-                lower: LevelMajorFactor::build(
-                    &s.levels.lower,
-                    &split.l_ptr,
-                    &split.l_col,
-                    &split.l_val,
-                    None,
-                ),
-                upper: LevelMajorFactor::build(
-                    &s.levels.upper,
-                    &split.u_ptr,
-                    &split.u_col,
-                    &split.u_val,
-                    Some(&split.inv_diag),
-                ),
-            },
-            None => Ilu0Factors::Natural(split),
+            None => {
+                let ikj = IkjPlan::for_matrix(a)?;
+                let lu = ikj.eliminate(a)?;
+                Ilu0Factors::Natural(SplitFactors::split(a, &ikj.diag, &lu))
+            }
         };
         Ok(Self { factors })
     }
@@ -513,61 +424,63 @@ impl Ilu0Preconditioner {
     /// Whether `apply` runs the level-major sweeps (built with
     /// schedules).
     pub fn is_level_scheduled(&self) -> bool {
-        matches!(self.factors, Ilu0Factors::LevelMajor { .. })
+        matches!(self.factors, Ilu0Factors::LevelMajor(_))
+    }
+}
+
+#[cfg(test)]
+impl Ilu0Preconditioner {
+    /// The shared plan of a scheduled build.
+    pub(crate) fn plan(&self) -> Option<&Arc<Ilu0Plan>> {
+        match &self.factors {
+            Ilu0Factors::LevelMajor(f) => Some(&f.plan),
+            Ilu0Factors::Natural(_) => None,
+        }
+    }
+}
+
+impl IkjPlan {
+    /// The numeric IKJ pass, the one ILU(0) elimination loop: `a`'s
+    /// values eliminated along the plan, in natural slot order.
+    ///
+    /// # Errors
+    ///
+    /// [`NumError::SingularMatrix`] at the first row whose pivot
+    /// vanishes.
+    fn eliminate(&self, a: &CsrMatrix) -> Result<Vec<f64>, NumError> {
+        let rp = a.row_ptr();
+        let cols = a.col_indices();
+        let mut v = a.values().to_vec();
+        let mut e = 0usize;
+        for (i, &di) in self.diag.iter().enumerate() {
+            for kk in rp[i] as usize..di as usize {
+                // Row k's pivot is final, and was checked, when row k
+                // finished.
+                let lik = v[kk] / v[self.diag[cols[kk] as usize] as usize];
+                v[kk] = lik;
+                let span = self.upd_ptr[e] as usize..self.upd_ptr[e + 1] as usize;
+                for &[target, source] in &self.updates[span] {
+                    v[target as usize] -= lik * v[source as usize];
+                }
+                e += 1;
+            }
+            if v[di as usize].abs() < 1e-300 {
+                return Err(NumError::SingularMatrix { pivot: i });
+            }
+        }
+        Ok(v)
     }
 }
 
 impl SplitFactors {
-    /// ILU(0) of `a`, split into compact strictly-lower /
-    /// strictly-upper CSR halves.
-    fn factor(a: &CsrMatrix) -> Result<Self, NumError> {
+    /// Splits the eliminated values `lu` of `a`'s pattern (diagonal
+    /// slots `diag`) into compact strictly-lower / strictly-upper CSR
+    /// halves, so each triangular sweep streams contiguous arrays.
+    fn split(a: &CsrMatrix, diag: &[u32], lu: &[f64]) -> Self {
         let n = a.order();
-        // Shares row_ptr/col_idx with `a`; only the values are owned.
-        let mut lu = a.clone();
-        let mut diag_idx = vec![u32::MAX; n];
-        for i in 0..n {
-            match lu.pattern_index(i, i) {
-                Some(k) => diag_idx[i] = k as u32,
-                None => return Err(NumError::SingularMatrix { pivot: i }),
-            }
-        }
-
-        // IKJ elimination restricted to the existing pattern.
-        let row_ptr: Vec<usize> = lu.row_ptr().iter().map(|&p| p as usize).collect();
-        for i in 0..n {
-            let (start, end) = (row_ptr[i], row_ptr[i + 1]);
-            for kk in start..end {
-                let k = lu.col_indices()[kk] as usize;
-                if k >= i {
-                    break;
-                }
-                let dk = diag_idx[k] as usize;
-                let pivot = lu.values()[dk];
-                if pivot.abs() < 1e-300 {
-                    return Err(NumError::SingularMatrix { pivot: k });
-                }
-                let lik = lu.values()[kk] / pivot;
-                lu.values_mut()[kk] = lik;
-                // Subtract lik·U[k, j] wherever (i, j) is in the pattern.
-                for jj in (dk + 1)..row_ptr[k + 1] {
-                    let j = lu.col_indices()[jj] as usize;
-                    if let Some(ij) = lu.pattern_index(i, j) {
-                        lu.values_mut()[ij] -= lik * lu.values()[jj];
-                    }
-                }
-            }
-            let di = diag_idx[i] as usize;
-            if lu.values()[di].abs() < 1e-300 {
-                return Err(NumError::SingularMatrix { pivot: i });
-            }
-        }
-        let inv_diag: Vec<f64> = diag_idx
-            .iter()
-            .map(|&di| 1.0 / lu.values()[di as usize])
-            .collect();
-
-        // Split the factors into compact strictly-lower / strictly-upper
-        // CSR halves so each triangular sweep streams contiguous arrays.
+        let rp = a.row_ptr();
+        let cols = a.col_indices();
+        let inv_diag = diag.iter().map(|&di| 1.0 / lu[di as usize]).collect();
         let mut l_ptr = Vec::with_capacity(n + 1);
         let mut l_col = Vec::new();
         let mut l_val = Vec::new();
@@ -577,21 +490,17 @@ impl SplitFactors {
         l_ptr.push(0u32);
         u_ptr.push(0u32);
         for i in 0..n {
-            let start = lu.row_ptr()[i] as usize;
-            let end = lu.row_ptr()[i + 1] as usize;
-            let di = diag_idx[i] as usize;
-            for k in start..di {
-                l_col.push(lu.col_indices()[k]);
-                l_val.push(lu.values()[k]);
-            }
-            for k in (di + 1)..end {
-                u_col.push(lu.col_indices()[k]);
-                u_val.push(lu.values()[k]);
-            }
+            let di = diag[i] as usize;
+            let lower = rp[i] as usize..di;
+            let upper = di + 1..rp[i + 1] as usize;
+            l_col.extend_from_slice(&cols[lower.clone()]);
+            l_val.extend_from_slice(&lu[lower]);
+            u_col.extend_from_slice(&cols[upper.clone()]);
+            u_val.extend_from_slice(&lu[upper]);
             l_ptr.push(l_col.len() as u32);
             u_ptr.push(u_col.len() as u32);
         }
-        Ok(Self {
+        Self {
             inv_diag,
             l_ptr,
             l_col,
@@ -599,7 +508,7 @@ impl SplitFactors {
             u_ptr,
             u_col,
             u_val,
-        })
+        }
     }
 
     /// One forward-substitution row: `z[i] = r[i] − Σ L[i,j]·z[j]`.
@@ -650,7 +559,7 @@ impl SplitFactors {
         let n = self.inv_diag.len();
         assert!(r.len() == n && z.len() == n, "ilu0: vector lengths");
         // SAFETY (both sweeps): the compact factor arrays are built in
-        // `factor` with `*_ptr` monotone and bounded by the factor
+        // `split` with `*_ptr` monotone and bounded by the factor
         // length, and every column index is < n (builder invariant); r
         // and z are length-checked above. Triangular entries reference
         // only already-computed z positions.
@@ -682,9 +591,9 @@ impl Preconditioner for Ilu0Preconditioner {
             // the level sets of this matrix's pattern (`new` rejects
             // foreign schedules), so positions cover every row exactly
             // once in dependency order.
-            Ilu0Factors::LevelMajor { lower, upper } => unsafe {
-                lower.sweep::<false>(r, z);
-                upper.sweep::<true>(r, z);
+            Ilu0Factors::LevelMajor(f) => unsafe {
+                f.lower().sweep::<false>(r, z);
+                f.upper().sweep::<true>(r, z);
             },
             Ilu0Factors::Natural(split) => split.apply_sequential_indexed(r, z),
         }
@@ -692,7 +601,7 @@ impl Preconditioner for Ilu0Preconditioner {
 
     fn order(&self) -> usize {
         match &self.factors {
-            Ilu0Factors::LevelMajor { upper, .. } => upper.diag.len(),
+            Ilu0Factors::LevelMajor(f) => f.inv_diag.len(),
             Ilu0Factors::Natural(split) => split.inv_diag.len(),
         }
     }
@@ -741,6 +650,7 @@ impl PreconditionerKind {
         a: &CsrMatrix,
         schedules: Option<&Arc<KernelSchedules>>,
     ) -> Result<Box<dyn Preconditioner>, NumError> {
+        let _span = vfc_obs::span("precond.factor");
         Ok(match self {
             PreconditionerKind::Identity => Box::new(IdentityPreconditioner::new(a.order())),
             PreconditionerKind::Jacobi => Box::new(JacobiPreconditioner::new(a)),
@@ -840,14 +750,46 @@ mod tests {
 
     #[test]
     fn ilu0_missing_diagonal_is_rejected() {
-        let mut b = CsrBuilder::new(2);
+        // Row 1 has no diagonal entry: both builds name it, as the
+        // search-based IKJ does.
+        let mut b = CsrBuilder::new(3);
+        b.add(0, 0, 2.0);
         b.add(0, 1, 1.0);
         b.add(1, 0, 1.0);
+        b.add(2, 2, 1.0);
         let a = b.build();
-        assert!(matches!(
-            Ilu0Preconditioner::new(&a, None),
-            Err(NumError::SingularMatrix { .. })
-        ));
+        let want = NumError::SingularMatrix { pivot: 1 };
+        assert_eq!(reference_ikj(&a).unwrap_err(), want);
+        assert_eq!(Ilu0Preconditioner::new(&a, None).unwrap_err(), want);
+        let schedules = Arc::new(KernelSchedules::for_matrix(&a));
+        assert_eq!(
+            Ilu0Preconditioner::new(&a, Some(schedules)).unwrap_err(),
+            want
+        );
+    }
+
+    #[test]
+    fn ilu0_zero_pivot_is_rejected_at_its_row() {
+        // u11 = 1 − (1/1)·1 = 0 exactly: both builds stop at row 1.
+        let mut b = CsrBuilder::new(3);
+        for (i, j, v) in [
+            (0, 0, 1.0),
+            (0, 1, 1.0),
+            (1, 0, 1.0),
+            (1, 1, 1.0),
+            (2, 2, 3.0),
+        ] {
+            b.add(i, j, v);
+        }
+        let a = b.build();
+        let want = NumError::SingularMatrix { pivot: 1 };
+        assert_eq!(reference_ikj(&a).unwrap_err(), want);
+        assert_eq!(Ilu0Preconditioner::new(&a, None).unwrap_err(), want);
+        let schedules = Arc::new(KernelSchedules::for_matrix(&a));
+        assert_eq!(
+            Ilu0Preconditioner::new(&a, Some(schedules)).unwrap_err(),
+            want
+        );
     }
 
     #[test]
@@ -974,8 +916,68 @@ mod tests {
         }
     }
 
+    /// The search-based IKJ elimination the plans replaced, kept as the
+    /// reference: `a`'s values eliminated in natural slot order, with
+    /// the diagonal slots.
+    fn reference_ikj(a: &CsrMatrix) -> Result<(Vec<f64>, Vec<u32>), NumError> {
+        let n = a.order();
+        let mut lu = a.clone();
+        let mut diag_idx = vec![u32::MAX; n];
+        for i in 0..n {
+            match lu.pattern_index(i, i) {
+                Some(k) => diag_idx[i] = k as u32,
+                None => return Err(NumError::SingularMatrix { pivot: i }),
+            }
+        }
+        let row_ptr: Vec<usize> = lu.row_ptr().iter().map(|&p| p as usize).collect();
+        for i in 0..n {
+            let (start, end) = (row_ptr[i], row_ptr[i + 1]);
+            for kk in start..end {
+                let k = lu.col_indices()[kk] as usize;
+                if k >= i {
+                    break;
+                }
+                let dk = diag_idx[k] as usize;
+                let pivot = lu.values()[dk];
+                if pivot.abs() < 1e-300 {
+                    return Err(NumError::SingularMatrix { pivot: k });
+                }
+                let lik = lu.values()[kk] / pivot;
+                lu.values_mut()[kk] = lik;
+                for jj in (dk + 1)..row_ptr[k + 1] {
+                    let j = lu.col_indices()[jj] as usize;
+                    if let Some(ij) = lu.pattern_index(i, j) {
+                        lu.values_mut()[ij] -= lik * lu.values()[jj];
+                    }
+                }
+            }
+            let di = diag_idx[i] as usize;
+            if lu.values()[di].abs() < 1e-300 {
+                return Err(NumError::SingularMatrix { pivot: i });
+            }
+        }
+        Ok((lu.values().to_vec(), diag_idx))
+    }
+
+    /// Random pattern whose diagonal may be incomplete, with small
+    /// integer values so that exact zero pivots occur.
+    fn random_gappy(seed: u64, n: usize) -> CsrMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = CsrBuilder::new(n);
+        for i in 0..n {
+            if rng.random_range(0..12) != 0 {
+                b.add(i, i, rng.random_range(1..4) as f64);
+            }
+        }
+        for _ in 0..n * 2 {
+            let (i, j) = (rng.random_range(0..n), rng.random_range(0..n));
+            b.add(i, j, rng.random_range(-2..3) as f64);
+        }
+        b.build()
+    }
+
     /// Scatters level-major `values` back to natural row order: the
-    /// build appends row `i`'s `ptr[i]..ptr[i+1]` entries level by level,
+    /// plan appends row `i`'s `ptr[i]..ptr[i+1]` entries level by level,
     /// rows ascending within a level.
     fn unpermute(set: &crate::schedule::LevelSet, ptr: &[u32], values: &[f64]) -> Vec<f64> {
         let mut natural = vec![f64::NAN; values.len()];
@@ -1029,16 +1031,52 @@ mod tests {
             let schedules = Arc::new(KernelSchedules::for_matrix(&a));
             let plain = Ilu0Preconditioner::new(&a, None).unwrap();
             let levelled = Ilu0Preconditioner::new(&a, Some(Arc::clone(&schedules))).unwrap();
-            let (Ilu0Factors::Natural(split), Ilu0Factors::LevelMajor { lower, upper }) =
+            let (Ilu0Factors::Natural(split), Ilu0Factors::LevelMajor(lm)) =
                 (&plain.factors, &levelled.factors)
             else {
                 panic!("plain builds are natural-order, scheduled builds level-major");
             };
             let rows: Vec<u32> = (0..=n as u32).collect();
             let levels = &schedules.levels;
-            prop_assert_eq!(bits(&unpermute(&levels.lower, &split.l_ptr, &lower.vals)), bits(&split.l_val));
-            prop_assert_eq!(bits(&unpermute(&levels.upper, &split.u_ptr, &upper.vals)), bits(&split.u_val));
-            prop_assert_eq!(bits(&unpermute(&levels.upper, &rows, &upper.diag)), bits(&split.inv_diag));
+            prop_assert_eq!(bits(&unpermute(&levels.lower, &split.l_ptr, &lm.lower)), bits(&split.l_val));
+            prop_assert_eq!(bits(&unpermute(&levels.upper, &split.u_ptr, &lm.upper)), bits(&split.u_val));
+            prop_assert_eq!(bits(&unpermute(&levels.upper, &rows, &lm.inv_diag)), bits(&split.inv_diag));
+        }
+
+        /// Plan-built factors, unscheduled and scheduled, are the
+        /// search-based IKJ's bit for bit, and fail with its error —
+        /// on random patterns with missing diagonals and exact zero
+        /// pivots as well as on well-posed ones.
+        #[test]
+        fn plan_built_factors_match_the_search_ikj(seed in 0u64..400, n in 1usize..40) {
+            let a = if seed % 2 == 0 { random_dd(seed, n) } else { random_gappy(seed, n) };
+            let reference = reference_ikj(&a);
+            let plain = Ilu0Preconditioner::new(&a, None);
+            let schedules = Arc::new(KernelSchedules::for_matrix(&a));
+            let levelled = Ilu0Preconditioner::new(&a, Some(schedules));
+            let (lu, diag) = match reference {
+                Err(e) => {
+                    prop_assert_eq!(plain.unwrap_err(), e.clone());
+                    prop_assert_eq!(levelled.unwrap_err(), e);
+                    return Ok(());
+                }
+                Ok(ok) => ok,
+            };
+            let want = SplitFactors::split(&a, &diag, &lu);
+            let Ilu0Factors::Natural(split) = plain.unwrap().factors else {
+                panic!("plain builds are natural-order");
+            };
+            prop_assert_eq!(bits(&split.l_val), bits(&want.l_val));
+            prop_assert_eq!(bits(&split.u_val), bits(&want.u_val));
+            prop_assert_eq!(bits(&split.inv_diag), bits(&want.inv_diag));
+            prop_assert_eq!((&split.l_col, &split.u_col), (&want.l_col, &want.u_col));
+            let Ilu0Factors::LevelMajor(lm) = levelled.unwrap().factors else {
+                panic!("scheduled builds are level-major");
+            };
+            let expect = LevelMajorFactors::gather(Arc::clone(&lm.plan), &lu);
+            prop_assert_eq!(bits(&lm.lower), bits(&expect.lower));
+            prop_assert_eq!(bits(&lm.upper), bits(&expect.upper));
+            prop_assert_eq!(bits(&lm.inv_diag), bits(&expect.inv_diag));
         }
     }
 }

@@ -12,8 +12,19 @@
 //! bit-identical results (each row's accumulation sequence is fixed by
 //! the CSR entry order). The sweeps visit them level-major so their
 //! loads pipeline instead of waiting on the row just written.
+//!
+//! The ILU(0) plan (`Ilu0Plan`) is the symbolic half of an ILU(0)
+//! factorization — **symbolic once, numeric per matrix**: the diagonal
+//! positions, the IKJ elimination's update list in its exact order, and
+//! each triangle's level-major run/class tables with a gather index from
+//! the LU value slots. A factorization on the pattern is then a value
+//! pass: copy the values, run the planned updates, gather into
+//! level-major order.
 
-use crate::CsrMatrix;
+use std::sync::Arc;
+
+use crate::stencil::{ClassInterner, ClassTable};
+use crate::{CsrMatrix, NumError};
 
 /// Rows grouped into dependency levels, level-major.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,13 +132,242 @@ impl TriangularLevels {
     }
 }
 
+/// The symbolic ILU(0) analysis of one sparsity pattern (see the module
+/// docs), computed once by [`KernelSchedules`] and shared by every
+/// factorization on the pattern.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Ilu0Plan {
+    pub ikj: IkjPlan,
+    /// Forward-sweep tables of the strictly-lower factor.
+    pub lower: SweepPlan,
+    /// Backward-sweep tables of the strictly-upper factor, with the
+    /// diagonal gather.
+    pub upper: SweepPlan,
+}
+
+impl Ilu0Plan {
+    /// Plans the elimination and lays both triangles out along `levels`.
+    ///
+    /// # Errors
+    ///
+    /// As [`IkjPlan::for_matrix`].
+    fn for_matrix(a: &CsrMatrix, levels: &TriangularLevels) -> Result<Self, NumError> {
+        let ikj = IkjPlan::for_matrix(a)?;
+        let lower = SweepPlan::build(&levels.lower, a, &ikj.diag, false);
+        let upper = SweepPlan::build(&levels.upper, a, &ikj.diag, true);
+        Ok(Self { ikj, lower, upper })
+    }
+}
+
+/// The IKJ elimination of ILU(0) on one pattern, as an update list.
+///
+/// Row `i` eliminates its strictly-lower entries `(i, k)` in ascending
+/// column order: `l = a[i,k] / u[k,k]`, then `a[i,j] −= l·u[k,j]` for
+/// every `j > k` of row `k` that row `i`'s pattern holds, ascending in
+/// `j`. The plan records those `(i, j)` / `(k, j)` slot pairs in that
+/// order, so the numeric pass performs the floating-point operations of
+/// a search-based IKJ in the same order, without the searches.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct IkjPlan {
+    /// Value slot of each row's diagonal entry.
+    pub diag: Vec<u32>,
+    /// `updates[upd_ptr[e]..upd_ptr[e + 1]]` belong to the `e`-th
+    /// strictly-lower entry in CSR order.
+    pub upd_ptr: Vec<u32>,
+    /// `[target, source]` value slots: `v[target] −= l·v[source]`.
+    pub updates: Vec<[u32; 2]>,
+}
+
+impl IkjPlan {
+    /// Plans the elimination on `a`'s pattern in `O(nnz + updates)`: a
+    /// column → slot marker for the row being planned replaces the
+    /// per-update binary search.
+    ///
+    /// # Errors
+    ///
+    /// [`NumError::SingularMatrix`] at the first row without a diagonal
+    /// entry.
+    pub fn for_matrix(a: &CsrMatrix) -> Result<Self, NumError> {
+        const NONE: u32 = u32::MAX;
+        let n = a.order();
+        let rp = a.row_ptr();
+        let cols = a.col_indices();
+        let mut diag = Vec::with_capacity(n);
+        for i in 0..n {
+            match a.pattern_index(i, i) {
+                Some(k) => diag.push(k as u32),
+                None => return Err(NumError::SingularMatrix { pivot: i }),
+            }
+        }
+        let lower_nnz: usize = (0..n).map(|i| (diag[i] - rp[i]) as usize).sum();
+        let mut upd_ptr = Vec::with_capacity(lower_nnz + 1);
+        upd_ptr.push(0u32);
+        let mut updates = Vec::new();
+        // `slot[j]`: row i's value slot at column j while row i is
+        // planned, NONE otherwise.
+        let mut slot = vec![NONE; n];
+        for i in 0..n {
+            let row = rp[i] as usize..rp[i + 1] as usize;
+            for kk in row.clone() {
+                slot[cols[kk] as usize] = kk as u32;
+            }
+            for kk in rp[i] as usize..diag[i] as usize {
+                let k = cols[kk] as usize;
+                for jj in diag[k] as usize + 1..rp[k + 1] as usize {
+                    let target = slot[cols[jj] as usize];
+                    if target != NONE {
+                        updates.push([target, jj as u32]);
+                    }
+                }
+                upd_ptr.push(updates.len() as u32);
+            }
+            for kk in row {
+                slot[cols[kk] as usize] = NONE;
+            }
+        }
+        Ok(Self {
+            diag,
+            upd_ptr,
+            updates,
+        })
+    }
+}
+
+/// One triangular factor's sweep layout, **level-major stencil runs**.
+///
+/// Rows are stored wavefront-level-major (so all of a level's rows are
+/// independent and the loads pipeline — natural row order instead
+/// chains every row's `z[i]` through a just-written neighbour, a
+/// store-to-load latency wall measuring ~3× a matvec per entry), and
+/// consecutive positions of one level are grouped into **runs** sharing
+/// an offset class and a constant row stride (wavefronts cross the
+/// stacked grid as arithmetic row progressions). A run's kernel streams
+/// only the 8-byte values — row indices and column addresses are
+/// computed, not loaded.
+///
+/// Each row's entries keep their ascending-column order, so the sweeps
+/// are bit-identical to the natural-order sweep.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct SweepPlan {
+    pub runs: Vec<SweepRun>,
+    /// The runs' offset classes.
+    pub classes: ClassTable,
+    /// LU value slot of each level-major value position.
+    pub gather: Vec<u32>,
+    /// LU value slot of each level-major row's diagonal (upper triangle
+    /// only; empty for the lower).
+    pub diag_gather: Vec<u32>,
+}
+
+/// A maximal block of level-consecutive positions whose rows form an
+/// arithmetic progression (`row0 + q·stride`) and share one offset
+/// class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SweepRun {
+    pub pos0: u32,
+    pub pos1: u32,
+    pub row0: u32,
+    pub stride: i32,
+    pub val0: u32,
+    pub class: u32,
+}
+
+impl SweepPlan {
+    /// Lays one triangle of `a`'s pattern (strictly lower, or strictly
+    /// upper when `upper`) out along `set`; `diag` holds the diagonal
+    /// slots.
+    fn build(set: &LevelSet, a: &CsrMatrix, diag: &[u32], upper: bool) -> Self {
+        let rp = a.row_ptr();
+        let cols = a.col_indices();
+        let span = |i: usize| {
+            if upper {
+                diag[i] as usize + 1..rp[i + 1] as usize
+            } else {
+                rp[i] as usize..diag[i] as usize
+            }
+        };
+        // Classify rows in natural order, where neighbours mostly share
+        // a class, so only a class change costs a hash lookup.
+        let mut classes = ClassInterner::new();
+        let mut sig = Vec::new();
+        let class_of: Vec<u32> = (0..a.order())
+            .map(|i| {
+                sig.clear();
+                sig.extend(cols[span(i)].iter().map(|&c| c as i32 - i as i32));
+                classes.intern(&sig)
+            })
+            .collect();
+
+        let mut runs: Vec<SweepRun> = Vec::new();
+        let mut gather = Vec::with_capacity((0..a.order()).map(|i| span(i).len()).sum());
+        let mut diag_gather = Vec::with_capacity(if upper { diag.len() } else { 0 });
+        let mut pos = 0u32;
+        for l in 0..set.count() {
+            let mut level_open = false;
+            for &i in set.level(l) {
+                let i = i as usize;
+                let class = class_of[i];
+                let val0 = gather.len() as u32;
+                gather.extend(span(i).map(|k| k as u32));
+                if upper {
+                    diag_gather.push(diag[i]);
+                }
+                // Extend the current run when the class matches and the
+                // row progression stays arithmetic (a fresh second row
+                // fixes the stride); never across a level boundary.
+                let extended = level_open
+                    && runs.last_mut().is_some_and(|run| {
+                        if run.class != class {
+                            return false;
+                        }
+                        let len = run.pos1 - run.pos0;
+                        let delta = i as i64 - run.row0 as i64;
+                        if len == 1 {
+                            if let Ok(stride) = i32::try_from(delta) {
+                                run.stride = stride;
+                                run.pos1 += 1;
+                                return true;
+                            }
+                            return false;
+                        }
+                        if delta == run.stride as i64 * len as i64 {
+                            run.pos1 += 1;
+                            return true;
+                        }
+                        false
+                    });
+                if !extended {
+                    runs.push(SweepRun {
+                        pos0: pos,
+                        pos1: pos + 1,
+                        row0: i as u32,
+                        stride: 0,
+                        val0,
+                        class,
+                    });
+                }
+                level_open = true;
+                pos += 1;
+            }
+        }
+        Self {
+            runs,
+            classes: classes.finish(),
+            gather,
+            diag_gather,
+        }
+    }
+}
+
 /// The pattern-derived schedules a matrix family shares: triangular
-/// level sets (ILU(0)), the stencil decomposition and, for grid
-/// patterns, the multigrid hierarchy.
+/// level sets and the ILU(0) symbolic analysis, the stencil
+/// decomposition and, for grid patterns, the multigrid hierarchy (whose
+/// coarse levels carry schedules of their own).
 ///
 /// `vfc_thermal` computes one per `StackSkeleton` and hands it to every
 /// preconditioner build on that pattern via
-/// [`PreconditionerKind::build`](crate::PreconditionerKind::build).
+/// [`PreconditionerKind::build`](crate::PreconditionerKind::build), so
+/// each ILU(0) or multigrid factorization on the grid is a value pass.
 /// The schedules remember the pattern they were computed from (shared
 /// `Arc`s, no copy); the preconditioner builders call
 /// [`matches_pattern`](Self::matches_pattern) and refuse a mismatched
@@ -144,21 +384,34 @@ pub struct KernelSchedules {
     /// The geometric multigrid hierarchy of the pattern (`None` unless
     /// built via [`for_grid_matrix`](Self::for_grid_matrix) with grid
     /// coordinates, or when no useful hierarchy exists).
-    multigrid: Option<std::sync::Arc<crate::MgStructure>>,
+    multigrid: Option<Arc<crate::MgStructure>>,
+    /// The ILU(0) symbolic analysis, or the error every ILU(0)
+    /// factorization on this pattern reports (a row without a diagonal).
+    ilu0: Result<Arc<Ilu0Plan>, NumError>,
     /// The source pattern (shared index arrays, not a copy).
-    row_ptr: std::sync::Arc<[u32]>,
-    col_idx: std::sync::Arc<[u32]>,
+    row_ptr: Arc<[u32]>,
+    col_idx: Arc<[u32]>,
 }
 
 impl KernelSchedules {
-    /// Computes the schedules (level sets, stencil decomposition) for
-    /// `a`'s pattern.
+    /// Computes the schedules (level sets, ILU(0) plan, stencil
+    /// decomposition) for `a`'s pattern.
     pub fn for_matrix(a: &CsrMatrix) -> Self {
+        let _span = vfc_obs::span("precond.schedules");
+        Self::analyse(a)
+    }
+
+    /// [`for_matrix`](Self::for_matrix) without the telemetry span: the
+    /// multigrid hierarchy analyses its coarse levels through this.
+    pub(crate) fn analyse(a: &CsrMatrix) -> Self {
         let (row_ptr, col_idx) = a.pattern_arcs();
+        let levels = TriangularLevels::for_matrix(a);
+        let ilu0 = Ilu0Plan::for_matrix(a, &levels).map(Arc::new);
         Self {
-            levels: TriangularLevels::for_matrix(a),
-            stencil: crate::StencilPattern::for_matrix(a).map(std::sync::Arc::new),
+            levels,
+            stencil: crate::StencilPattern::for_matrix(a).map(Arc::new),
             multigrid: None,
+            ilu0,
             row_ptr,
             col_idx,
         }
@@ -174,8 +427,9 @@ impl KernelSchedules {
     ///
     /// Panics if `coords.len() != a.order()`.
     pub fn for_grid_matrix(a: &CsrMatrix, coords: &[crate::stencil::GridCoord]) -> Self {
-        let mut schedules = Self::for_matrix(a);
-        schedules.multigrid = crate::MgStructure::build(a, coords).map(std::sync::Arc::new);
+        let _span = vfc_obs::span("precond.schedules");
+        let mut schedules = Self::analyse(a);
+        schedules.multigrid = crate::MgStructure::build(a, coords).map(Arc::new);
         schedules
     }
 
@@ -183,14 +437,23 @@ impl KernelSchedules {
     /// regular enough for the index-free operator to pay off. Solvers
     /// run the stencil operator whenever this is `Some` and the CSR
     /// operator otherwise.
-    pub fn stencil(&self) -> Option<&std::sync::Arc<crate::StencilPattern>> {
+    pub fn stencil(&self) -> Option<&Arc<crate::StencilPattern>> {
         self.stencil.as_ref()
     }
 
     /// The pattern's multigrid hierarchy, when the schedules were built
     /// from grid coordinates and coarsening made progress.
-    pub fn multigrid(&self) -> Option<&std::sync::Arc<crate::MgStructure>> {
+    pub fn multigrid(&self) -> Option<&Arc<crate::MgStructure>> {
         self.multigrid.as_ref()
+    }
+
+    /// The pattern's ILU(0) plan.
+    ///
+    /// # Errors
+    ///
+    /// [`NumError::SingularMatrix`] when a row has no diagonal entry.
+    pub(crate) fn ilu0_plan(&self) -> Result<&Arc<Ilu0Plan>, NumError> {
+        self.ilu0.as_ref().map_err(Clone::clone)
     }
 
     /// Whether these schedules were computed for `a`'s sparsity pattern.
@@ -199,7 +462,7 @@ impl KernelSchedules {
     /// comparison for independently built twins.
     pub fn matches_pattern(&self, a: &CsrMatrix) -> bool {
         let (rp, ci) = a.pattern_arcs();
-        (std::sync::Arc::ptr_eq(&self.row_ptr, &rp) && std::sync::Arc::ptr_eq(&self.col_idx, &ci))
+        (Arc::ptr_eq(&self.row_ptr, &rp) && Arc::ptr_eq(&self.col_idx, &ci))
             || (self.row_ptr == rp && self.col_idx == ci)
     }
 }

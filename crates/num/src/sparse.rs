@@ -184,6 +184,34 @@ impl CsrMatrix {
         self.values = Arc::clone(&src.values);
     }
 
+    /// A matrix on `row_ptr`/`col_idx` (CSR, columns ascending and
+    /// unique within each row) holding `values`.
+    pub(crate) fn from_parts(row_ptr: Vec<u32>, col_idx: Vec<u32>, values: Vec<f64>) -> Self {
+        debug_assert_eq!(row_ptr.last().map(|&p| p as usize), Some(col_idx.len()));
+        debug_assert_eq!(col_idx.len(), values.len());
+        Self {
+            n: row_ptr.len() - 1,
+            row_ptr: row_ptr.into(),
+            col_idx: col_idx.into(),
+            values: Arc::new(values),
+        }
+    }
+
+    /// A matrix sharing this one's index arrays, holding `values`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `values` holds [`nnz`](Self::nnz) entries.
+    pub(crate) fn with_values(&self, values: Vec<f64>) -> Self {
+        assert_eq!(values.len(), self.nnz(), "with_values: length");
+        Self {
+            n: self.n,
+            row_ptr: Arc::clone(&self.row_ptr),
+            col_idx: Arc::clone(&self.col_idx),
+            values: Arc::new(values),
+        }
+    }
+
     /// Clones the reference-counted index arrays (no data copy); used by
     /// `KernelSchedules` to remember — and later verify — the pattern it
     /// was computed from.

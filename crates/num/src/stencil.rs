@@ -112,9 +112,10 @@ struct Run {
 }
 
 /// Offset classes: class `c` owns `off[ptr[c]..ptr[c+1]]`, sorted
-/// ascending (CSR column order).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct ClassTable {
+/// ascending (CSR column order). Shared with the ILU(0) sweep plans,
+/// whose triangle classes have no diagonal.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ClassTable {
     ptr: Vec<u32>,
     off: Vec<i32>,
     /// Position of offset 0 (the diagonal) within each class, or
@@ -123,33 +124,64 @@ struct ClassTable {
 }
 
 impl ClassTable {
-    fn intern(&mut self, map: &mut HashMap<Vec<i32>, u32>, sig: &[i32]) -> u32 {
-        if let Some(&c) = map.get(sig) {
+    /// The offsets of class `c`.
+    #[inline]
+    pub(crate) fn offsets(&self, c: u32) -> &[i32] {
+        &self.off[self.ptr[c as usize] as usize..self.ptr[c as usize + 1] as usize]
+    }
+}
+
+/// Builds a [`ClassTable`], one offset signature at a time.
+#[derive(Debug)]
+pub(crate) struct ClassInterner {
+    table: ClassTable,
+    map: HashMap<Vec<i32>, u32>,
+    /// The class interned last: neighbouring rows mostly share a class,
+    /// so checking it first spares most hash lookups.
+    last: Option<u32>,
+}
+
+impl ClassInterner {
+    pub(crate) fn new() -> Self {
+        Self {
+            table: ClassTable {
+                ptr: vec![0],
+                off: Vec::new(),
+                diag: Vec::new(),
+            },
+            map: HashMap::new(),
+            last: None,
+        }
+    }
+
+    /// The class id of signature `sig`, interning it when new. Ids are
+    /// assigned in first-seen order.
+    pub(crate) fn intern(&mut self, sig: &[i32]) -> u32 {
+        if let Some(c) = self.last.filter(|&c| self.table.offsets(c) == sig) {
             return c;
         }
-        let c = self.diag.len() as u32;
-        self.off.extend_from_slice(sig);
-        self.ptr.push(self.off.len() as u32);
-        self.diag.push(
-            sig.iter()
-                .position(|&o| o == 0)
-                .map_or(u32::MAX, |p| p as u32),
-        );
-        map.insert(sig.to_vec(), c);
+        let c = match self.map.get(sig) {
+            Some(&c) => c,
+            None => {
+                let t = &mut self.table;
+                let c = t.diag.len() as u32;
+                t.off.extend_from_slice(sig);
+                t.ptr.push(t.off.len() as u32);
+                t.diag.push(
+                    sig.iter()
+                        .position(|&o| o == 0)
+                        .map_or(u32::MAX, |p| p as u32),
+                );
+                self.map.insert(sig.to_vec(), c);
+                c
+            }
+        };
+        self.last = Some(c);
         c
     }
 
-    #[inline]
-    fn offsets(&self, c: u32) -> &[i32] {
-        &self.off[self.ptr[c as usize] as usize..self.ptr[c as usize + 1] as usize]
-    }
-
-    fn new() -> Self {
-        Self {
-            ptr: vec![0],
-            off: Vec::new(),
-            diag: Vec::new(),
-        }
+    pub(crate) fn finish(self) -> ClassTable {
+        self.table
     }
 }
 
@@ -181,8 +213,7 @@ impl StencilPattern {
         let rp = a.row_ptr();
         let cols = a.col_indices();
 
-        let mut classes = ClassTable::new();
-        let mut class_map = HashMap::new();
+        let mut classes = ClassInterner::new();
         let mut runs: Vec<Run> = Vec::new();
 
         let mut sig = Vec::new();
@@ -195,7 +226,7 @@ impl StencilPattern {
                 }
                 sig.push(off as i32);
             }
-            let c = classes.intern(&mut class_map, &sig);
+            let c = classes.intern(&sig);
             extend_runs(&mut runs, i, rp[i], c);
         }
 
@@ -207,7 +238,7 @@ impl StencilPattern {
             n,
             nnz: cols.len(),
             runs,
-            classes,
+            classes: classes.finish(),
             row_ptr,
             col_idx,
         })

@@ -155,6 +155,7 @@ impl<'a> StackThermalBuilder<'a> {
     /// conduction values, capacitances, static boundary couplings and the
     /// patch recipes.
     pub fn skeleton(&self) -> StackSkeleton {
+        let _span = vfc_obs::span("thermal.skeleton");
         let liquid = self.stack.is_liquid_cooled();
         let layout = self.layout();
         let n = layout.node_count;

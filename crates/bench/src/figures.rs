@@ -13,7 +13,7 @@ use vfc::units::Watts;
 use crate::{norm, run_batch};
 
 /// All eight Table II workloads.
-pub fn workloads() -> [Benchmark; 8] {
+pub(crate) fn workloads() -> [Benchmark; 8] {
     Benchmark::table_ii()
 }
 

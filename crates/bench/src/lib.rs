@@ -3,7 +3,7 @@
 //! Each `src/bin/*` binary prints one table or figure; the logic lives in
 //! [`figures`] so `all_figures` can regenerate everything in one run.
 //! Simulations go through [`shared_runner`] — `vfc_runner`'s
-//! work-stealing executor plus its config-hash result cache — so a rerun
+//! batch executor plus its config-hash result cache — so a rerun
 //! (or an overlapping figure in the same run) skips every
 //! already-simulated cell.
 
@@ -49,7 +49,7 @@ pub fn shared_runner() -> &'static SweepRunner {
 /// Runs a batch of simulations, preserving input order.
 ///
 /// Thin compatibility wrapper over [`shared_runner`]: jobs fan out over
-/// the work-stealing executor at full machine parallelism and cached
+/// the batch executor at full machine parallelism and cached
 /// cells are returned without simulating.
 ///
 /// # Panics
@@ -57,14 +57,14 @@ pub fn shared_runner() -> &'static SweepRunner {
 /// Panics if any simulation fails — the harness treats model errors as
 /// fatal for reproducibility runs. Use [`SweepRunner::try_run`] for
 /// per-job error handling.
-pub fn run_batch(configs: Vec<SimConfig>) -> Vec<SimReport> {
+pub(crate) fn run_batch(configs: Vec<SimConfig>) -> Vec<SimReport> {
     shared_runner()
         .run(configs)
         .unwrap_or_else(|e| panic!("figure batch failed: {e}"))
 }
 
 /// Formats a ratio as the paper's normalized-energy numbers.
-pub fn norm(value: f64, baseline: f64) -> f64 {
+pub(crate) fn norm(value: f64, baseline: f64) -> f64 {
     if baseline == 0.0 {
         0.0
     } else {

@@ -128,13 +128,13 @@ pub fn cpu_count() -> usize {
 
 /// Where the scratch records go: `bench/` inside the workspace
 /// `target/` (honouring `CARGO_TARGET_DIR`, like the result cache).
-pub fn bench_record_dir() -> PathBuf {
+pub(crate) fn bench_record_dir() -> PathBuf {
     vfc::runner::default_target_dir().join("bench")
 }
 
 /// The workspace root (where the committed `BENCH_*.json` live): the
 /// nearest ancestor of the current directory holding a `Cargo.lock`.
-pub fn workspace_root_dir() -> PathBuf {
+pub(crate) fn workspace_root_dir() -> PathBuf {
     let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     loop {
         if dir.join("Cargo.lock").is_file() {
@@ -171,7 +171,7 @@ fn encode(name: &str, records: &[PerfRecord]) -> String {
 /// # Errors
 ///
 /// Any I/O failure creating the directory or writing either file.
-pub fn write_bench_records(
+pub(crate) fn write_bench_records(
     name: &str,
     records: &[PerfRecord],
     full: bool,
@@ -222,7 +222,7 @@ pub fn read_bench_records(path: &std::path::Path) -> std::io::Result<Vec<PerfRec
         .collect()
 }
 
-/// Writes the records (see [`write_bench_records`]) and prints where
+/// Writes the records (see `write_bench_records`) and prints where
 /// they went (or why they didn't) — the shared tail of every bench
 /// binary.
 pub fn report_bench_records(name: &str, records: &[PerfRecord], full: bool) {

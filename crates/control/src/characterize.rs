@@ -166,12 +166,13 @@ impl Characterization {
     }
 
     /// The control target temperature.
-    pub fn target(&self) -> Celsius {
+    pub(crate) fn target(&self) -> Celsius {
         Celsius::new(self.target)
     }
 
     /// Maximum temperature at a `(demand grid index, setting)` pair.
-    pub fn tmax_at(&self, demand_index: usize, setting: usize) -> Celsius {
+    #[cfg(test)]
+    pub(crate) fn tmax_at(&self, demand_index: usize, setting: usize) -> Celsius {
         Celsius::new(self.tmax[demand_index][setting])
     }
 
@@ -181,7 +182,7 @@ impl Characterization {
     }
 
     /// Interpolated maximum temperature at an arbitrary demand.
-    pub fn tmax_interp(&self, demand: f64, setting: usize) -> Celsius {
+    pub(crate) fn tmax_interp(&self, demand: f64, setting: usize) -> Celsius {
         let d = demand.clamp(0.0, 1.0);
         let n = self.demands.len();
         let mut i = 1;
@@ -196,7 +197,7 @@ impl Characterization {
 
     /// The minimum setting able to hold a given demand at/below target
     /// (the highest setting if none can).
-    pub fn required_setting_for_demand(&self, demand: f64) -> usize {
+    pub(crate) fn required_setting_for_demand(&self, demand: f64) -> usize {
         for s in 0..self.setting_count() {
             if demand <= self.capability[s] + 1e-12 {
                 return s;

@@ -62,18 +62,14 @@ impl FlowController {
 
     /// The setting the pump is transitioning toward (equals
     /// [`effective_setting`](Self::effective_setting) when idle).
-    pub fn commanded_setting(&self) -> FlowSetting {
+    #[cfg(test)]
+    pub(crate) fn commanded_setting(&self) -> FlowSetting {
         self.commanded
     }
 
     /// Number of setting changes commanded so far.
     pub fn switch_count(&self) -> u64 {
         self.switches
-    }
-
-    /// The LUT in use.
-    pub fn lut(&self) -> &FlowLut {
-        &self.lut
     }
 
     /// One control step: feed the forecast Tmax, advance time by `dt`,

@@ -70,16 +70,6 @@ impl FlowLut {
         }
     }
 
-    /// Number of settings covered.
-    pub fn setting_count(&self) -> usize {
-        self.boundary.len()
-    }
-
-    /// The control target.
-    pub fn target(&self) -> Celsius {
-        Celsius::new(self.target)
-    }
-
     /// Boundary temperature: the reading at `current` that corresponds to
     /// `candidate`'s maximum holdable demand.
     ///

@@ -2,7 +2,7 @@
 
 use vfc_sim::{CoolingKind, PolicyKind, SimConfig, SimError, SimReport, Simulation, SystemKind};
 use vfc_units::{Length, Seconds};
-use vfc_workload::{Benchmark, PhasedWorkload};
+use vfc_workload::Benchmark;
 
 /// A single simulation experiment with fluent configuration.
 ///
@@ -45,18 +45,6 @@ impl Experiment {
         }
     }
 
-    /// Creates an experiment on a phased (e.g. diurnal) workload.
-    pub fn with_workload(
-        system: SystemKind,
-        cooling: CoolingKind,
-        policy: PolicyKind,
-        workload: PhasedWorkload,
-    ) -> Self {
-        Self {
-            cfg: SimConfig::with_workload(system, cooling, policy, workload),
-        }
-    }
-
     /// Simulated duration (default 60 s).
     pub fn duration(mut self, d: Seconds) -> Self {
         self.cfg = self.cfg.with_duration(d);
@@ -79,22 +67,6 @@ impl Experiment {
     pub fn grid_cell(mut self, cell: Length) -> Self {
         self.cfg = self.cfg.with_grid_cell(cell);
         self
-    }
-
-    /// Proactive (ARMA) vs reactive control (ablation).
-    pub fn proactive(mut self, on: bool) -> Self {
-        self.cfg = self.cfg.with_proactive(on);
-        self
-    }
-
-    /// Access the full configuration for advanced tweaks.
-    pub fn config_mut(&mut self) -> &mut SimConfig {
-        &mut self.cfg
-    }
-
-    /// The configuration as built so far.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
     }
 
     /// Builds and runs the simulation.
@@ -152,8 +124,8 @@ mod tests {
         .duration(Seconds::new(5.0))
         .seed(3)
         .dpm(true);
-        assert_eq!(e.config().duration, Seconds::new(5.0));
-        assert_eq!(e.config().seed, 3);
-        assert!(e.config().dpm);
+        assert_eq!(e.cfg.duration, Seconds::new(5.0));
+        assert_eq!(e.cfg.seed, 3);
+        assert!(e.cfg.dpm);
     }
 }

@@ -62,7 +62,7 @@
 //! | [`control`] | characterization, LUT, flow controller |
 //! | [`faults`] | seeded pump/clog/sensor fault timelines |
 //! | [`sim`] | the co-simulation engine |
-//! | [`runner`] | sweep specs, work-stealing executor, result cache |
+//! | [`runner`] | sweep specs, batch executor, result cache |
 //! | [`serve`] | crash-safe sweep service: framed TCP protocol, store journal |
 //! | [`obs`] | counters, gauges, span timers (`VFC_TELEMETRY`) |
 

@@ -73,7 +73,7 @@ impl PumpFault {
     /// Delivery fraction this fault contributes at time `t_s`
     /// (1.0 = healthy). Levels are clamped into `[0, 1]` so a malformed
     /// timeline can degrade but never amplify the flow.
-    pub fn derate(&self, t_s: f64) -> f64 {
+    pub(crate) fn derate(&self, t_s: f64) -> f64 {
         match *self {
             PumpFault::Step { at_s, level } => {
                 if t_s >= at_s {
@@ -134,7 +134,7 @@ pub struct ChannelClog {
 
 impl ChannelClog {
     /// Flow fraction this clog leaves the cavity at time `t_s`.
-    pub fn factor(&self, t_s: f64) -> f64 {
+    pub(crate) fn factor(&self, t_s: f64) -> f64 {
         let derate = self.derate.clamp(0.0, 1.0);
         if t_s < self.start_s {
             1.0
@@ -241,12 +241,12 @@ impl FaultTimeline {
     }
 
     /// True when any fault affects the delivered coolant flow.
-    pub fn has_flow_faults(&self) -> bool {
+    pub(crate) fn has_flow_faults(&self) -> bool {
         !self.pump.is_empty() || !self.clogs.is_empty()
     }
 
     /// True when any fault corrupts the observed temperatures.
-    pub fn has_sensor_faults(&self) -> bool {
+    pub(crate) fn has_sensor_faults(&self) -> bool {
         !self.sensors.is_empty()
     }
 }

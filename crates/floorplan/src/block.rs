@@ -20,7 +20,7 @@ pub enum BlockKind {
 
 impl BlockKind {
     /// Short lowercase label used in reports and renderings.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             BlockKind::Core => "core",
             BlockKind::L2Cache => "l2",

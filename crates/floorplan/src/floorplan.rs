@@ -67,12 +67,12 @@ impl Floorplan {
     }
 
     /// Die width (x extent, along the coolant flow direction).
-    pub fn width(&self) -> Length {
+    pub(crate) fn width(&self) -> Length {
         Length::new(self.width)
     }
 
     /// Die height (y extent, across the channels).
-    pub fn height(&self) -> Length {
+    pub(crate) fn height(&self) -> Length {
         Length::new(self.height)
     }
 
@@ -87,12 +87,12 @@ impl Floorplan {
     }
 
     /// The block covering the given point, if any.
-    pub fn block_at(&self, x: Length, y: Length) -> Option<&Block> {
+    pub(crate) fn block_at(&self, x: Length, y: Length) -> Option<&Block> {
         self.blocks.iter().find(|b| b.rect().contains(x, y))
     }
 
     /// Index of the block covering the given point, if any.
-    pub fn block_index_at(&self, x: Length, y: Length) -> Option<usize> {
+    pub(crate) fn block_index_at(&self, x: Length, y: Length) -> Option<usize> {
         self.blocks.iter().position(|b| b.rect().contains(x, y))
     }
 

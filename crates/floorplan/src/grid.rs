@@ -28,7 +28,7 @@ impl GridSpec {
     /// # Panics
     ///
     /// Panics if `rows` or `cols` is zero.
-    pub fn new(floorplan: &Floorplan, rows: usize, cols: usize) -> Self {
+    pub(crate) fn new(floorplan: &Floorplan, rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "grid must have positive dimensions");
         Self {
             rows,
@@ -62,12 +62,12 @@ impl GridSpec {
     }
 
     /// Die width backing this grid.
-    pub fn die_width(&self) -> Length {
+    pub(crate) fn die_width(&self) -> Length {
         Length::new(f64::from_bits(self.width))
     }
 
     /// Die height backing this grid.
-    pub fn die_height(&self) -> Length {
+    pub(crate) fn die_height(&self) -> Length {
         Length::new(f64::from_bits(self.height))
     }
 
@@ -91,7 +91,7 @@ impl GridSpec {
     /// # Panics
     ///
     /// Panics if the index is out of range.
-    pub fn cell_center(&self, (row, col): CellIndex) -> (Length, Length) {
+    pub(crate) fn cell_center(&self, (row, col): CellIndex) -> (Length, Length) {
         assert!(
             row < self.rows && col < self.cols,
             "cell index out of range"
@@ -102,22 +102,8 @@ impl GridSpec {
         )
     }
 
-    /// Flattened index of a cell (`row * cols + col`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range.
-    #[inline]
-    pub fn flat_index(&self, (row, col): CellIndex) -> usize {
-        assert!(
-            row < self.rows && col < self.cols,
-            "cell index out of range"
-        );
-        row * self.cols + col
-    }
-
     /// Iterator over all cell indices in row-major order.
-    pub fn cells(&self) -> impl Iterator<Item = CellIndex> + '_ {
+    pub(crate) fn cells(&self) -> impl Iterator<Item = CellIndex> + '_ {
         (0..self.rows).flat_map(move |r| (0..self.cols).map(move |c| (r, c)))
     }
 
@@ -135,7 +121,8 @@ impl GridSpec {
     }
 
     /// The cells whose centers fall inside the given block (by index).
-    pub fn block_cells(&self, floorplan: &Floorplan, block_index: usize) -> Vec<CellIndex> {
+    #[cfg(test)]
+    pub(crate) fn block_cells(&self, floorplan: &Floorplan, block_index: usize) -> Vec<CellIndex> {
         let block = &floorplan.blocks()[block_index];
         self.cells()
             .filter(|&idx| {
@@ -183,7 +170,7 @@ mod tests {
         let (x, y) = g.cell_center((0, 0));
         assert!((x.to_millimeters() - 0.5).abs() < 1e-9);
         assert!((y.to_millimeters() - 0.5).abs() < 1e-9);
-        assert_eq!(g.flat_index((1, 3)), 7);
+        assert_eq!(g.cells().position(|c| c == (1, 3)), Some(7), "row-major");
         assert_eq!(g.cells().count(), 8);
     }
 

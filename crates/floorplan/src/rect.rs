@@ -18,7 +18,7 @@ impl Rect {
     /// # Panics
     ///
     /// Panics if the width or height is not strictly positive.
-    pub fn new(x: Length, y: Length, w: Length, h: Length) -> Self {
+    pub(crate) fn new(x: Length, y: Length, w: Length, h: Length) -> Self {
         assert!(
             w.value() > 0.0 && h.value() > 0.0,
             "rectangle must have positive size"
@@ -46,22 +46,22 @@ impl Rect {
     }
 
     /// Lower-left x coordinate.
-    pub fn x(&self) -> Length {
+    pub(crate) fn x(&self) -> Length {
         Length::new(self.x)
     }
 
     /// Lower-left y coordinate.
-    pub fn y(&self) -> Length {
+    pub(crate) fn y(&self) -> Length {
         Length::new(self.y)
     }
 
     /// Width (x extent).
-    pub fn width(&self) -> Length {
+    pub(crate) fn width(&self) -> Length {
         Length::new(self.w)
     }
 
     /// Height (y extent).
-    pub fn height(&self) -> Length {
+    pub(crate) fn height(&self) -> Length {
         Length::new(self.h)
     }
 
@@ -70,25 +70,15 @@ impl Rect {
         Area::new(self.w * self.h)
     }
 
-    /// Exclusive upper-right x coordinate.
-    pub fn x_end(&self) -> Length {
-        Length::new(self.x + self.w)
-    }
-
-    /// Exclusive upper-right y coordinate.
-    pub fn y_end(&self) -> Length {
-        Length::new(self.y + self.h)
-    }
-
     /// Whether the point `(px, py)` lies inside (lower/left edges
     /// inclusive, upper/right exclusive).
-    pub fn contains(&self, px: Length, py: Length) -> bool {
+    pub(crate) fn contains(&self, px: Length, py: Length) -> bool {
         let (px, py) = (px.value(), py.value());
         px >= self.x && px < self.x + self.w && py >= self.y && py < self.y + self.h
     }
 
     /// Area of overlap with another rectangle (zero if disjoint).
-    pub fn intersection_area(&self, other: &Rect) -> Area {
+    pub(crate) fn intersection_area(&self, other: &Rect) -> Area {
         let ox = (self.x + self.w).min(other.x + other.w) - self.x.max(other.x);
         let oy = (self.y + self.h).min(other.y + other.h) - self.y.max(other.y);
         if ox > 0.0 && oy > 0.0 {
@@ -99,7 +89,7 @@ impl Rect {
     }
 
     /// Whether this rectangle lies entirely within `outer`.
-    pub fn within(&self, outer: &Rect) -> bool {
+    pub(crate) fn within(&self, outer: &Rect) -> bool {
         const EPS: f64 = 1e-12;
         self.x >= outer.x - EPS
             && self.y >= outer.y - EPS
@@ -117,8 +107,6 @@ mod tests {
     fn basic_accessors() {
         let r = Rect::from_mm(1.0, 2.0, 3.0, 4.0);
         assert!((r.area().to_mm2() - 12.0).abs() < 1e-9);
-        assert!((r.x_end().to_millimeters() - 4.0).abs() < 1e-9);
-        assert!((r.y_end().to_millimeters() - 6.0).abs() < 1e-9);
     }
 
     #[test]

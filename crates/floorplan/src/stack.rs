@@ -95,7 +95,7 @@ pub struct TsvField {
 impl TsvField {
     /// The paper's crossbar TSV field: 128 TSVs of 50 µm × 50 µm at
     /// 100 µm minimum pitch.
-    pub fn ultrasparc_crossbar() -> Self {
+    pub(crate) fn ultrasparc_crossbar() -> Self {
         Self {
             block_name: "xbar".to_string(),
             count: 128,
@@ -128,7 +128,7 @@ impl Stack3d {
     /// Returns [`FloorplanError::MalformedStack`] if the interface count is
     /// not `tiers + 1` or the stack is empty, and
     /// [`FloorplanError::MismatchedDies`] if tier outlines differ.
-    pub fn new(
+    pub(crate) fn new(
         tiers: Vec<TierSpec>,
         interfaces: Vec<Interface>,
         tsv: Option<TsvField>,
@@ -237,7 +237,7 @@ impl StackBuilder {
     }
 
     /// Sets the TSV field.
-    pub fn tsv_field(mut self, tsv: TsvField) -> Self {
+    pub(crate) fn tsv_field(mut self, tsv: TsvField) -> Self {
         self.tsv = Some(tsv);
         self
     }
@@ -246,7 +246,7 @@ impl StackBuilder {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Stack3d::new`].
+    /// Same conditions as `Stack3d::new`.
     pub fn build(self) -> Result<Stack3d, FloorplanError> {
         Stack3d::new(self.tiers, self.interfaces, self.tsv)
     }

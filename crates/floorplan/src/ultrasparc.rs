@@ -207,12 +207,6 @@ pub fn four_layer_air() -> Stack3d {
         .expect("4-layer air stack is statically valid")
 }
 
-/// The L2 bank serving a given core index on the adjacent cache layer
-/// (the T1 shares one L2 per core pair: cores 0,1 → l2_0, …).
-pub fn l2_for_core(core_index: usize) -> String {
-    format!("l2_{}", (core_index % 8) / 2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,15 +261,6 @@ mod tests {
         assert_eq!(s.tiers()[1].floorplan().core_count(), 0);
         assert_eq!(s.tiers()[2].floorplan().core_count(), 8);
         assert_eq!(s.tiers()[3].floorplan().core_count(), 0);
-    }
-
-    #[test]
-    fn l2_mapping_pairs_cores() {
-        assert_eq!(l2_for_core(0), "l2_0");
-        assert_eq!(l2_for_core(1), "l2_0");
-        assert_eq!(l2_for_core(2), "l2_1");
-        assert_eq!(l2_for_core(7), "l2_3");
-        assert_eq!(l2_for_core(9), "l2_0"); // second core tier repeats
     }
 
     #[test]

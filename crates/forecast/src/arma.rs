@@ -113,30 +113,15 @@ impl ArmaModel {
         Ok(lstsq::solve(&a, &b)?)
     }
 
-    /// AR coefficients `φ`.
-    pub fn phi(&self) -> &[f64] {
-        &self.phi
-    }
-
-    /// MA coefficients `θ`.
-    pub fn theta(&self) -> &[f64] {
-        &self.theta
-    }
-
-    /// The series mean absorbed during fitting.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
     /// Innovation variance estimate.
-    pub fn sigma2(&self) -> f64 {
+    pub(crate) fn sigma2(&self) -> f64 {
         self.sigma2
     }
 
     /// One-step-ahead prediction given the recent history (newest last).
     /// Residuals needed by the MA part are reconstructed by filtering the
     /// history through the model.
-    pub fn predict_next(&self, history: &[f64]) -> f64 {
+    pub(crate) fn predict_next(&self, history: &[f64]) -> f64 {
         self.forecast(history, 1)
     }
 
@@ -180,7 +165,8 @@ impl ArmaModel {
 
     /// In-sample one-step residuals over a history window (used to drive
     /// the SPRT health check).
-    pub fn residuals(&self, history: &[f64]) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn residuals(&self, history: &[f64]) -> Vec<f64> {
         let p = self.phi.len();
         let q = self.theta.len();
         let x: Vec<f64> = history.iter().map(|v| v - self.mean).collect();
@@ -222,8 +208,8 @@ mod tests {
     fn recovers_ar_coefficient() {
         let series = synth_arma(2000, 0.8, 0.0, 1);
         let m = ArmaModel::fit(&series, 1, 0).unwrap();
-        assert!((m.phi()[0] - 0.8).abs() < 0.05, "phi {:?}", m.phi());
-        assert!((m.mean() - 75.0).abs() < 0.5);
+        assert!((m.phi[0] - 0.8).abs() < 0.05, "phi {:?}", m.phi);
+        assert!((m.mean - 75.0).abs() < 0.5);
     }
 
     #[test]
@@ -272,8 +258,8 @@ mod tests {
     fn multi_step_reduces_to_iterated_one_step_for_ar1() {
         let series = synth_arma(500, 0.9, 0.0, 3);
         let m = ArmaModel::fit(&series, 1, 0).unwrap();
-        let one = m.forecast(&series, 1) - m.mean();
-        let two = m.forecast(&series, 2) - m.mean();
-        assert!((two - m.phi()[0] * one).abs() < 1e-9);
+        let one = m.forecast(&series, 1) - m.mean;
+        let two = m.forecast(&series, 2) - m.mean;
+        assert!((two - m.phi[0] * one).abs() < 1e-9);
     }
 }

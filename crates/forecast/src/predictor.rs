@@ -45,7 +45,7 @@ impl TemperaturePredictor {
     /// # Panics
     ///
     /// Panics if `horizon == 0` or `window < 16`.
-    pub fn new(p: usize, q: usize, horizon: usize, window: usize) -> Self {
+    pub(crate) fn new(p: usize, q: usize, horizon: usize, window: usize) -> Self {
         assert!(horizon > 0, "horizon must be positive");
         assert!(window >= 16, "window too small to fit a model");
         Self {
@@ -63,11 +63,6 @@ impl TemperaturePredictor {
         }
     }
 
-    /// The forecast horizon in samples.
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
     /// Number of (re)fits performed, including the initial fit.
     pub fn refit_count(&self) -> u64 {
         self.refits
@@ -77,11 +72,6 @@ impl TemperaturePredictor {
     /// reports accuracy "well below 1 °C").
     pub fn mean_abs_error(&self) -> Option<f64> {
         (self.err_count > 0).then(|| self.abs_err_sum / self.err_count as f64)
-    }
-
-    /// Whether a model is currently available.
-    pub fn is_ready(&self) -> bool {
-        self.model.is_some()
     }
 
     /// Feeds one observation of the maximum temperature.
@@ -129,7 +119,7 @@ impl TemperaturePredictor {
 
     /// Forces a model reconstruction from the current history (also
     /// invoked automatically on SPRT alarms).
-    pub fn refit(&mut self) {
+    pub(crate) fn refit(&mut self) {
         let h: Vec<f64> = self.history.iter().copied().collect();
         match ArmaModel::fit(&h, self.p, self.q) {
             Ok(m) => {
@@ -163,7 +153,6 @@ mod tests {
         feed_ramp(&mut p, 70.0, 0.0, 10);
         assert!(p.forecast().is_none());
         feed_ramp(&mut p, 70.0, 0.0, 40);
-        assert!(p.is_ready());
         assert!(p.forecast().is_some());
     }
 

@@ -45,7 +45,7 @@ impl Sprt {
     ///
     /// Panics unless `shift > 0`, `variance > 0` and
     /// `alpha, beta ∈ (0, 1)`.
-    pub fn new(shift: f64, variance: f64, alpha: f64, beta: f64) -> Self {
+    pub(crate) fn new(shift: f64, variance: f64, alpha: f64, beta: f64) -> Self {
         assert!(shift > 0.0, "shift must be positive");
         assert!(variance > 0.0, "variance must be positive");
         assert!((0.0..1.0).contains(&alpha) && alpha > 0.0, "alpha in (0,1)");
@@ -91,13 +91,13 @@ impl Sprt {
     }
 
     /// Clears the accumulated statistics.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.llr_pos = 0.0;
         self.llr_neg = 0.0;
     }
 
     /// Rescales the healthy-residual variance (after a refit).
-    pub fn set_variance(&mut self, variance: f64) {
+    pub(crate) fn set_variance(&mut self, variance: f64) {
         if variance > 0.0 {
             self.variance = variance;
         }

@@ -1,6 +1,6 @@
 //! Microchannel geometry and the convective heat-transfer model.
 
-use crate::{Coolant, LiquidError};
+use crate::LiquidError;
 use vfc_units::{Length, VolumetricFlow};
 
 /// Geometry of the microchannel array in one cavity.
@@ -25,7 +25,7 @@ impl ChannelGeometry {
     ///
     /// Returns [`LiquidError::InvalidGeometry`] for non-positive dimensions
     /// or a zero channel count.
-    pub fn new(
+    pub(crate) fn new(
         width: Length,
         height: Length,
         wall: Length,
@@ -98,23 +98,19 @@ impl ChannelGeometry {
         self.count
     }
 
-    /// Channel length along the flow.
-    pub fn length(&self) -> Length {
-        Length::new(self.length)
-    }
-
     /// Hydraulic diameter `D_h = 2·wc·tc/(wc+tc)`.
-    pub fn hydraulic_diameter(&self) -> Length {
+    #[cfg(test)]
+    pub(crate) fn hydraulic_diameter(&self) -> Length {
         Length::new(2.0 * self.width * self.height / (self.width + self.height))
     }
 
     /// The wetted-perimeter multiplier of Eq. 7: `2(wc+tc)/p`.
-    pub fn perimeter_factor(&self) -> f64 {
+    pub(crate) fn perimeter_factor(&self) -> f64 {
         2.0 * (self.width + self.height) / self.pitch
     }
 
     /// Fraction of the cavity base area that is open channel (`wc/p`).
-    pub fn open_area_fraction(&self) -> f64 {
+    pub(crate) fn open_area_fraction(&self) -> f64 {
         self.width / self.pitch
     }
 
@@ -125,13 +121,19 @@ impl ChannelGeometry {
     }
 
     /// Mean flow velocity in one channel for a per-cavity flow rate.
-    pub fn channel_velocity(&self, per_cavity_flow: VolumetricFlow) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn channel_velocity(&self, per_cavity_flow: VolumetricFlow) -> f64 {
         let per_channel = per_cavity_flow.value() / self.count as f64;
         per_channel / (self.width * self.height)
     }
 
     /// Reynolds number for a per-cavity flow rate.
-    pub fn reynolds(&self, per_cavity_flow: VolumetricFlow, coolant: &Coolant) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn reynolds(
+        &self,
+        per_cavity_flow: VolumetricFlow,
+        coolant: &crate::Coolant,
+    ) -> f64 {
         coolant.density * self.channel_velocity(per_cavity_flow) * self.hydraulic_diameter().value()
             / coolant.viscosity
     }
@@ -220,6 +222,7 @@ impl Default for ConvectionModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Coolant;
     use proptest::prelude::*;
 
     #[test]

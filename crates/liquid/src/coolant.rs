@@ -46,7 +46,7 @@ impl Coolant {
 
     /// Mass flow corresponding to a volumetric flow of this coolant.
     #[inline]
-    pub fn mass_flow(&self, flow: VolumetricFlow) -> MassFlow {
+    pub(crate) fn mass_flow(&self, flow: VolumetricFlow) -> MassFlow {
         flow.to_mass_flow(self.density)
     }
 }

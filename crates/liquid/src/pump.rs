@@ -101,20 +101,6 @@ impl Pump {
         }
     }
 
-    /// The next-higher setting, if any.
-    pub fn higher(&self, s: FlowSetting) -> Option<FlowSetting> {
-        if s.0 + 1 < self.settings.len() {
-            Some(FlowSetting(s.0 + 1))
-        } else {
-            None
-        }
-    }
-
-    /// The next-lower setting, if any.
-    pub fn lower(&self, s: FlowSetting) -> Option<FlowSetting> {
-        s.0.checked_sub(1).map(FlowSetting)
-    }
-
     /// Total pump output flow at a setting.
     ///
     /// # Panics
@@ -164,11 +150,6 @@ impl Pump {
     pub fn transition_time(&self) -> Seconds {
         Seconds::new(self.transition)
     }
-
-    /// Fraction of output flow delivered to the cavities.
-    pub fn delivery_factor(&self) -> f64 {
-        self.delivery_factor
-    }
 }
 
 impl Default for Pump {
@@ -211,26 +192,26 @@ impl PumpBuilder {
     }
 
     /// Sets the static and dynamic terms of the power curve.
-    pub fn power_curve(mut self, static_w: Watts, dynamic_w: Watts) -> Self {
+    pub(crate) fn power_curve(mut self, static_w: Watts, dynamic_w: Watts) -> Self {
         self.power_static = static_w.value();
         self.power_dynamic = dynamic_w.value();
         self
     }
 
     /// Sets the fraction of output flow delivered to the cavities.
-    pub fn delivery_factor(mut self, f: f64) -> Self {
+    pub(crate) fn delivery_factor(mut self, f: f64) -> Self {
         self.delivery_factor = f;
         self
     }
 
     /// Sets the transition time between settings.
-    pub fn transition_time(mut self, t: Seconds) -> Self {
+    pub(crate) fn transition_time(mut self, t: Seconds) -> Self {
         self.transition = t.value();
         self
     }
 
     /// Sets the pressure-drop range (mbar) across the settings.
-    pub fn pressure_drop_mbar(mut self, lo: f64, hi: f64) -> Self {
+    pub(crate) fn pressure_drop_mbar(mut self, lo: f64, hi: f64) -> Self {
         self.pressure_drop_range = (lo, hi);
         self
     }
@@ -304,9 +285,6 @@ mod tests {
     #[test]
     fn setting_navigation() {
         let p = Pump::laing_ddc();
-        assert_eq!(p.higher(FlowSetting::MIN).unwrap().index(), 1);
-        assert_eq!(p.lower(FlowSetting::MIN), None);
-        assert_eq!(p.higher(p.max_setting()), None);
         assert!(p.setting(4).is_ok());
         assert!(matches!(
             p.setting(5),

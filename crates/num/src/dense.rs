@@ -30,7 +30,8 @@ impl DenseMatrix {
     }
 
     /// Creates the identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -43,7 +44,8 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_rows(rows: usize, cols: usize, data: &[f64]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: usize, cols: usize, data: &[f64]) -> Self {
         assert_eq!(data.len(), rows * cols, "data length must be rows*cols");
         Self {
             rows,
@@ -53,12 +55,12 @@ impl DenseMatrix {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -82,7 +84,7 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if `x.len() != rows`.
-    pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.rows, "matvec_t: dimension mismatch");
         let mut y = vec![0.0; self.cols];
         for i in 0..self.rows {
@@ -95,7 +97,7 @@ impl DenseMatrix {
     }
 
     /// Gram matrix `AᵀA` (used by the least-squares normal equations).
-    pub fn gram(&self) -> DenseMatrix {
+    pub(crate) fn gram(&self) -> DenseMatrix {
         let mut g = DenseMatrix::zeros(self.cols, self.cols);
         for i in 0..self.rows {
             let row = &self.data[i * self.cols..(i + 1) * self.cols];
@@ -201,7 +203,7 @@ fn perm_index(_perm: &[usize], physical_row: usize) -> usize {
 /// [`DenseMatrix::lu_solve`] refactors on every call — fine for one-shot
 /// solves, wasteful when the same matrix is solved every iteration (the
 /// multigrid coarsest level runs one of these per V-cycle). `factor`
-/// pays the `O(n³)` elimination once; [`solve_into`](Self::solve_into)
+/// pays the `O(n³)` elimination once; `solve_into`
 /// is a pair of `O(n²)` triangular substitutions with a fixed summation
 /// order, so repeated solves are bit-identical.
 #[derive(Debug, Clone)]
@@ -221,7 +223,7 @@ impl LuFactors {
     ///
     /// [`NumError::SingularMatrix`] if a pivot vanishes,
     /// [`NumError::DimensionMismatch`] for non-square `a`.
-    pub fn factor(a: &DenseMatrix) -> Result<Self, NumError> {
+    pub(crate) fn factor(a: &DenseMatrix) -> Result<Self, NumError> {
         if a.rows != a.cols {
             return Err(NumError::DimensionMismatch {
                 context: "lu factorization requires a square matrix",
@@ -261,7 +263,8 @@ impl LuFactors {
     }
 
     /// Matrix order the factors were computed for.
-    pub fn order(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn order(&self) -> usize {
         self.n
     }
 
@@ -270,7 +273,7 @@ impl LuFactors {
     /// # Panics
     ///
     /// Panics if `b` or `x` differ from the factored order.
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
+    pub(crate) fn solve_into(&self, b: &[f64], x: &mut [f64]) {
         let n = self.n;
         assert_eq!(b.len(), n, "lu solve: rhs length");
         assert_eq!(x.len(), n, "lu solve: solution length");

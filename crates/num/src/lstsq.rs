@@ -23,7 +23,7 @@ pub fn solve(a: &DenseMatrix, b: &[f64]) -> Result<Vec<f64>, NumError> {
 /// # Errors
 ///
 /// Same as [`solve`].
-pub fn solve_ridge(a: &DenseMatrix, b: &[f64], lambda: f64) -> Result<Vec<f64>, NumError> {
+pub(crate) fn solve_ridge(a: &DenseMatrix, b: &[f64], lambda: f64) -> Result<Vec<f64>, NumError> {
     if b.len() != a.rows() {
         return Err(NumError::DimensionMismatch {
             context: "lstsq: rhs length must equal row count",

@@ -91,7 +91,7 @@ impl MgLevel {
 /// aggregate maps, coarse patterns, Galerkin scatter maps and coarse
 /// kernel schedules for every level.
 ///
-/// Built once per pattern by [`build`](Self::build) (the thermal
+/// Built once per pattern by `build` (the thermal
 /// skeleton carries one inside its [`KernelSchedules`]); turned into a
 /// concrete [`MultigridPreconditioner`] per matrix by
 /// [`PreconditionerKind::Multigrid`](crate::PreconditionerKind).
@@ -114,7 +114,7 @@ impl MgStructure {
     /// # Panics
     ///
     /// Panics if `coords.len() != a.order()`.
-    pub fn build(a: &CsrMatrix, coords: &[GridCoord]) -> Option<Self> {
+    pub(crate) fn build(a: &CsrMatrix, coords: &[GridCoord]) -> Option<Self> {
         assert_eq!(
             coords.len(),
             a.order(),
@@ -234,19 +234,21 @@ impl MgStructure {
     /// Whether the hierarchy was built for `a`'s sparsity pattern
     /// (pointer-equality fast path, content comparison fallback — the
     /// same contract as [`KernelSchedules::matches_pattern`]).
-    pub fn matches_pattern(&self, a: &CsrMatrix) -> bool {
+    pub(crate) fn matches_pattern(&self, a: &CsrMatrix) -> bool {
         let (rp, ci) = a.pattern_arcs();
         (Arc::ptr_eq(&self.row_ptr, &rp) && Arc::ptr_eq(&self.col_idx, &ci))
             || (self.row_ptr == rp && self.col_idx == ci)
     }
 
     /// Number of coarse levels below the fine grid.
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn depth(&self) -> usize {
         self.levels.len()
     }
 
     /// Level orders, fine first, coarsest last.
-    pub fn level_orders(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn level_orders(&self) -> Vec<usize> {
         let mut orders = vec![self.levels[0].agg.len()];
         orders.extend(self.levels.iter().map(|l| l.pattern.order()));
         orders
@@ -298,7 +300,7 @@ impl MultigridPreconditioner {
     /// built for a different sparsity pattern than `a`'s;
     /// [`NumError::SingularMatrix`] if a smoother factorization or the
     /// coarsest LU breaks down.
-    pub fn new(
+    pub(crate) fn new(
         a: &CsrMatrix,
         schedules: Option<Arc<KernelSchedules>>,
         structure: Arc<MgStructure>,
@@ -352,7 +354,7 @@ impl MultigridPreconditioner {
     }
 
     /// V-cycles performed since construction (one per `apply`).
-    pub fn cycle_count(&self) -> u64 {
+    pub(crate) fn cycle_count(&self) -> u64 {
         self.cycles.load(Ordering::Relaxed)
     }
 

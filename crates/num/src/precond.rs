@@ -57,7 +57,7 @@ pub struct IdentityPreconditioner {
 
 impl IdentityPreconditioner {
     /// Creates an identity preconditioner for order-`n` systems.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self { n }
     }
 }
@@ -85,7 +85,7 @@ pub struct JacobiPreconditioner {
 
 impl JacobiPreconditioner {
     /// Builds the inverse diagonal of `a`.
-    pub fn new(a: &CsrMatrix) -> Self {
+    pub(crate) fn new(a: &CsrMatrix) -> Self {
         let inv_diag = a
             .diagonal()
             .iter()
@@ -423,7 +423,8 @@ impl Ilu0Preconditioner {
 
     /// Whether `apply` runs the level-major sweeps (built with
     /// schedules).
-    pub fn is_level_scheduled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_level_scheduled(&self) -> bool {
         matches!(self.factors, Ilu0Factors::LevelMajor(_))
     }
 }

@@ -37,13 +37,13 @@ pub(crate) struct LevelSet {
 
 impl LevelSet {
     /// Number of levels.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.level_ptr.len() - 1
     }
 
     /// The rows of one level.
     #[inline]
-    pub fn level(&self, l: usize) -> &[u32] {
+    pub(crate) fn level(&self, l: usize) -> &[u32] {
         &self.rows[self.level_ptr[l] as usize..self.level_ptr[l + 1] as usize]
     }
 
@@ -72,7 +72,7 @@ impl LevelSet {
 /// Wavefront level sets for the strictly-lower (forward) and
 /// strictly-upper (backward) triangular solves on one sparsity pattern.
 ///
-/// Built once per pattern by [`for_matrix`](Self::for_matrix); shared by
+/// Built once per pattern by `for_matrix`; shared by
 /// every ILU(0) factorization on that pattern (the factors live on the
 /// matrix's own pattern, so the level structure is identical).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,7 +83,7 @@ pub struct TriangularLevels {
 
 impl TriangularLevels {
     /// Computes both level sets from `a`'s sparsity pattern (`O(nnz)`).
-    pub fn for_matrix(a: &CsrMatrix) -> Self {
+    pub(crate) fn for_matrix(a: &CsrMatrix) -> Self {
         let n = a.order();
         let rp = a.row_ptr();
         let cols = a.col_indices();
@@ -127,7 +127,8 @@ impl TriangularLevels {
     }
 
     /// Number of backward (upper-triangular) levels.
-    pub fn upper_level_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn upper_level_count(&self) -> usize {
         self.upper.count()
     }
 }
@@ -187,7 +188,7 @@ impl IkjPlan {
     ///
     /// [`NumError::SingularMatrix`] at the first row without a diagonal
     /// entry.
-    pub fn for_matrix(a: &CsrMatrix) -> Result<Self, NumError> {
+    pub(crate) fn for_matrix(a: &CsrMatrix) -> Result<Self, NumError> {
         const NONE: u32 = u32::MAX;
         let n = a.order();
         let rp = a.row_ptr();
@@ -370,7 +371,7 @@ impl SweepPlan {
 /// each ILU(0) or multigrid factorization on the grid is a value pass.
 /// The schedules remember the pattern they were computed from (shared
 /// `Arc`s, no copy); the preconditioner builders call
-/// [`matches_pattern`](Self::matches_pattern) and refuse a mismatched
+/// `matches_pattern` and refuse a mismatched
 /// matrix — the unchecked sweeps would otherwise read rows in the wrong
 /// order or out of bounds (undefined behaviour, not merely a wrong
 /// answer).
@@ -396,7 +397,8 @@ pub struct KernelSchedules {
 impl KernelSchedules {
     /// Computes the schedules (level sets, ILU(0) plan, stencil
     /// decomposition) for `a`'s pattern.
-    pub fn for_matrix(a: &CsrMatrix) -> Self {
+    #[cfg(test)]
+    pub(crate) fn for_matrix(a: &CsrMatrix) -> Self {
         let _span = vfc_obs::span("precond.schedules");
         Self::analyse(a)
     }
@@ -417,7 +419,7 @@ impl KernelSchedules {
         }
     }
 
-    /// As [`for_matrix`](Self::for_matrix), plus the geometric multigrid
+    /// As `for_matrix`, plus the geometric multigrid
     /// hierarchy built by semi-coarsening one
     /// [`GridCoord`](crate::stencil::GridCoord) per unknown — the
     /// constructor for assemblers that know their grid layout (the
@@ -460,7 +462,7 @@ impl KernelSchedules {
     /// Pointer equality (the structure-shared fast path: every family
     /// member and backward-Euler operator) falls back to content
     /// comparison for independently built twins.
-    pub fn matches_pattern(&self, a: &CsrMatrix) -> bool {
+    pub(crate) fn matches_pattern(&self, a: &CsrMatrix) -> bool {
         let (rp, ci) = a.pattern_arcs();
         (Arc::ptr_eq(&self.row_ptr, &rp) && Arc::ptr_eq(&self.col_idx, &ci))
             || (self.row_ptr == rp && self.col_idx == ci)

@@ -27,11 +27,6 @@ impl CsrBuilder {
         }
     }
 
-    /// Matrix order.
-    pub fn order(&self) -> usize {
-        self.n
-    }
-
     /// Adds `value` at `(row, col)`; repeated stamps accumulate.
     ///
     /// # Panics
@@ -133,16 +128,16 @@ impl CsrMatrix {
     }
 
     /// The CSR row-pointer array (`n + 1` entries).
-    pub fn row_ptr(&self) -> &[u32] {
+    pub(crate) fn row_ptr(&self) -> &[u32] {
         &self.row_ptr
     }
 
     /// The CSR column-index array, row-major, sorted within each row.
-    pub fn col_indices(&self) -> &[u32] {
+    pub(crate) fn col_indices(&self) -> &[u32] {
         &self.col_idx
     }
 
-    /// The stored values, parallel to [`col_indices`](Self::col_indices).
+    /// The stored values, parallel to `col_indices`.
     pub fn values(&self) -> &[f64] {
         &self.values
     }
@@ -247,7 +242,8 @@ impl CsrMatrix {
     }
 
     /// Allocating variant of [`matvec_into`](Self::matvec_into).
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn matvec(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.n];
         self.matvec_into(x, &mut y);
         y
@@ -255,7 +251,7 @@ impl CsrMatrix {
 
     /// The diagonal of the matrix (zeros where no entry is stored);
     /// used by Jacobi preconditioning.
-    pub fn diagonal(&self) -> Vec<f64> {
+    pub(crate) fn diagonal(&self) -> Vec<f64> {
         let mut d = vec![0.0; self.n];
         for i in 0..self.n {
             let start = self.row_ptr[i] as usize;
@@ -294,7 +290,7 @@ impl CsrMatrix {
     }
 
     /// Converts to a dense matrix (test/diagnostic use).
-    pub fn to_dense(&self) -> crate::DenseMatrix {
+    pub(crate) fn to_dense(&self) -> crate::DenseMatrix {
         let mut m = crate::DenseMatrix::zeros(self.n, self.n);
         for r in 0..self.n {
             for (c, v) in self.row(r) {

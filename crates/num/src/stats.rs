@@ -11,17 +11,13 @@ pub fn mean(v: &[f64]) -> f64 {
 }
 
 /// Population variance; returns 0 for slices shorter than 2.
-pub fn variance(v: &[f64]) -> f64 {
+#[cfg(test)]
+pub(crate) fn variance(v: &[f64]) -> f64 {
     if v.len() < 2 {
         return 0.0;
     }
     let m = mean(v);
     v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / v.len() as f64
-}
-
-/// Population standard deviation.
-pub fn std_dev(v: &[f64]) -> f64 {
-    variance(v).sqrt()
 }
 
 /// Sample autocovariance at the given lag (biased, normalized by `n`),
@@ -41,16 +37,6 @@ pub fn autocovariance(v: &[f64], lag: usize) -> f64 {
     acc / n as f64
 }
 
-/// Maximum of a slice; returns `f64::NEG_INFINITY` for an empty slice.
-pub fn max(v: &[f64]) -> f64 {
-    v.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Minimum of a slice; returns `f64::INFINITY` for an empty slice.
-pub fn min(v: &[f64]) -> f64 {
-    v.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,15 +47,12 @@ mod tests {
         let v = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&v), 2.5);
         assert_eq!(variance(&v), 1.25);
-        assert!((std_dev(&v) - 1.1180339887).abs() < 1e-9);
     }
 
     #[test]
     fn empty_and_singleton() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[5.0]), 0.0);
-        assert_eq!(max(&[]), f64::NEG_INFINITY);
-        assert_eq!(min(&[]), f64::INFINITY);
     }
 
     #[test]

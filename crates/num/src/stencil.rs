@@ -42,7 +42,7 @@ pub const MIN_MEAN_RUN: usize = 4;
 /// `col` the in-plane cell.
 ///
 /// The multigrid hierarchy coarsens these coordinates geometrically
-/// ([`semicoarsen`]); the assembler that knows the node layout produces
+/// (`semicoarsen`); the assembler that knows the node layout produces
 /// one coordinate per unknown and everything downstream is layout
 /// agnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -62,7 +62,7 @@ impl GridCoord {
     /// `(layer, row/2, col/2)`. Layers are preserved (see
     /// [`layer`](Self::layer)).
     #[inline]
-    pub fn semicoarsened(self) -> GridCoord {
+    pub(crate) fn semicoarsened(self) -> GridCoord {
         GridCoord {
             layer: self.layer,
             row: self.row / 2,
@@ -81,7 +81,7 @@ impl GridCoord {
 /// most four in-plane neighbours; odd extents leave one-wide remainder
 /// aggregates at the high edges, and holes in the fine set (e.g. the
 /// reduced TALB system) simply make smaller aggregates.
-pub fn semicoarsen(coords: &[GridCoord]) -> (Vec<u32>, Vec<GridCoord>) {
+pub(crate) fn semicoarsen(coords: &[GridCoord]) -> (Vec<u32>, Vec<GridCoord>) {
     let mut coarse: Vec<GridCoord> = coords.iter().map(|c| c.semicoarsened()).collect();
     coarse.sort_unstable();
     coarse.dedup();
@@ -250,7 +250,7 @@ impl StencilPattern {
     }
 
     /// Stored entries of the source pattern.
-    pub fn nnz(&self) -> usize {
+    pub(crate) fn nnz(&self) -> usize {
         self.nnz
     }
 

@@ -53,7 +53,8 @@ impl SolverWorkspace {
     }
 
     /// Current buffer capacity (order of the largest system solved).
-    pub fn order(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn order(&self) -> usize {
         self.r.len()
     }
 }
@@ -78,7 +79,7 @@ pub(crate) struct MgScratch {
 impl MgScratch {
     /// Builds scratch for a hierarchy whose level orders (fine first,
     /// coarsest last) are `orders`.
-    pub fn for_orders(orders: &[usize]) -> Self {
+    pub(crate) fn for_orders(orders: &[usize]) -> Self {
         let coarse = &orders[1..];
         let smoothed = &orders[..orders.len() - 1];
         Self {

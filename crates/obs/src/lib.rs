@@ -148,7 +148,7 @@ impl Stat {
     }
 
     /// Folds another accumulator in; exact and commutative.
-    pub fn merge(&mut self, other: &Stat) {
+    pub(crate) fn merge(&mut self, other: &Stat) {
         if other.count == 0 {
             return;
         }
@@ -163,7 +163,7 @@ impl Stat {
     }
 
     /// Mean in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
+    pub(crate) fn mean_ns(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -352,7 +352,8 @@ impl Snapshot {
             .map(|&(_, v)| v)
     }
 
-    pub fn gauge(&self, name: &str) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 

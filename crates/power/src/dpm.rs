@@ -26,7 +26,7 @@ impl FixedTimeoutDpm {
     /// # Panics
     ///
     /// Panics if the timeout is not positive.
-    pub fn with_timeout(cores: usize, timeout: Seconds) -> Self {
+    pub(crate) fn with_timeout(cores: usize, timeout: Seconds) -> Self {
         assert!(timeout.value() > 0.0, "timeout must be positive");
         Self {
             timeout: timeout.value(),
@@ -42,16 +42,6 @@ impl FixedTimeoutDpm {
         let mut dpm = Self::new(cores);
         dpm.enabled = false;
         dpm
-    }
-
-    /// Whether the policy actually sleeps cores.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Number of cores tracked.
-    pub fn core_count(&self) -> usize {
-        self.states.len()
     }
 
     /// Advances one core by `dt`: `busy` is whether it executed work this
@@ -131,7 +121,6 @@ mod tests {
     #[test]
     fn disabled_never_sleeps() {
         let mut dpm = FixedTimeoutDpm::disabled(1);
-        assert!(!dpm.is_enabled());
         for _ in 0..100 {
             assert_eq!(dpm.tick(0, false, Seconds::new(1.0)), PowerState::Idle);
         }

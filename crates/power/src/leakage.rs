@@ -62,11 +62,6 @@ impl LeakageModel {
             self.density_at_ref * block.rect().area().to_mm2() * self.scale_factor(temperature),
         )
     }
-
-    /// Whether this model contributes any leakage at all.
-    pub fn is_enabled(&self) -> bool {
-        self.density_at_ref > 0.0
-    }
 }
 
 impl Default for LeakageModel {
@@ -105,7 +100,6 @@ mod tests {
     #[test]
     fn disabled_model_is_zero() {
         let m = LeakageModel::disabled();
-        assert!(!m.is_enabled());
         assert_eq!(
             m.block_leakage(&core_block(), Celsius::new(90.0)),
             Watts::ZERO

@@ -96,7 +96,8 @@ impl PowerModel {
 
     /// Peak chip dynamic power for `cores` cores, `l2s` caches and
     /// `xbars` crossbars (useful for sanity checks and normalization).
-    pub fn peak_chip_power(&self, cores: usize, l2s: usize, xbars: usize) -> Watts {
+    #[cfg(test)]
+    pub(crate) fn peak_chip_power(&self, cores: usize, l2s: usize, xbars: usize) -> Watts {
         Watts::new(
             cores as f64 * self.core_active
                 + l2s as f64 * self.l2_peak

@@ -16,17 +16,12 @@ pub enum PowerState {
 
 impl PowerState {
     /// Short label for reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             PowerState::Active => "active",
             PowerState::Idle => "idle",
             PowerState::Sleep => "sleep",
         }
-    }
-
-    /// Whether the core can accept and run threads without a wake-up.
-    pub fn is_awake(self) -> bool {
-        !matches!(self, PowerState::Sleep)
     }
 }
 
@@ -41,10 +36,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn labels_and_wakefulness() {
+    fn labels_and_default() {
         assert_eq!(PowerState::Active.label(), "active");
-        assert!(PowerState::Idle.is_awake());
-        assert!(!PowerState::Sleep.is_awake());
+        assert_eq!(PowerState::Sleep.to_string(), "sleep");
         assert_eq!(PowerState::default(), PowerState::Idle);
     }
 }

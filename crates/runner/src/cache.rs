@@ -48,8 +48,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Environment variable bounding the on-disk cache size, in megabytes.
-/// Unset (the default) means unbounded; see
-/// [`ResultCache::with_max_bytes`].
+/// Unset (the default) means unbounded.
 pub const CACHE_MAX_MB_ENV: &str = "VFC_CACHE_MAX_MB";
 
 /// The workspace-anchored `target/` directory: `CARGO_TARGET_DIR` if
@@ -128,7 +127,7 @@ impl ResultCache {
     /// A cache backed by a directory of JSON entries (created on first
     /// store). Existing entries become visible immediately. The disk
     /// tier's size budget comes from [`CACHE_MAX_MB_ENV`] (unset:
-    /// unbounded); see [`with_max_bytes`](Self::with_max_bytes).
+    /// unbounded).
     pub fn on_disk(dir: impl Into<PathBuf>) -> Self {
         Self {
             memory: Mutex::new(HashMap::new()),
@@ -142,7 +141,8 @@ impl ResultCache {
     /// tier fits the budget again. Long-lived caches (a datacenter sweep
     /// service rerunning daily) stay bounded; evicted cells simply
     /// re-simulate on their next miss. No-op without a disk tier.
-    pub fn with_max_bytes(mut self, max_bytes: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_max_bytes(mut self, max_bytes: u64) -> Self {
         if let Some(disk) = &mut self.disk {
             disk.max_bytes = Some(max_bytes);
         }
@@ -191,7 +191,7 @@ impl ResultCache {
     /// Entry files evicted from the disk tier by this instance's budget
     /// enforcement (0 without a disk tier; LRU-by-mtime eviction was
     /// previously silent).
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.disk.as_ref().map_or(0, |disk| {
             disk.evicted.load(std::sync::atomic::Ordering::Relaxed)
         })
@@ -202,20 +202,16 @@ impl ResultCache {
     /// unreadable file. Each was treated as a plain miss (the cell
     /// re-simulates), deleted so the next store rewrites it cleanly, and
     /// counted — never propagated as an error.
-    pub fn corrupt_evictions(&self) -> u64 {
+    pub(crate) fn corrupt_evictions(&self) -> u64 {
         self.disk.as_ref().map_or(0, |disk| {
             disk.corrupt.load(std::sync::atomic::Ordering::Relaxed)
         })
     }
 
     /// Number of in-memory entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.memory.lock().len()
-    }
-
-    /// Whether the in-memory tier is empty.
-    pub fn is_empty(&self) -> bool {
-        self.memory.lock().is_empty()
     }
 }
 

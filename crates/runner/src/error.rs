@@ -45,7 +45,7 @@ impl RunnerError {
     /// failures are deterministic — the same inputs fail the same way,
     /// so retrying only wastes work. The executor's bounded per-job
     /// retry keys off this.
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         matches!(self, RunnerError::Io { .. })
     }
 }

@@ -1,11 +1,12 @@
-//! The work-stealing job executor.
+//! The batch job executor.
 //!
-//! Replaces the old single-mutex batch queue: each worker owns a deque
-//! of jobs and, when it drains, steals from the back of its neighbours'
-//! deques — contention stays off the common path, and long jobs at the
-//! front of one deque no longer serialize the whole batch behind one
-//! lock. Results come back in input order, one `Result` per job; a
-//! failing (or even panicking) job poisons nothing but its own slot.
+//! Workers take jobs in input order from one shared queue: a mutex
+//! around the enumerated inputs, held only for `next()`. A job is a
+//! whole simulation cell (milliseconds to seconds), so one lock taken
+//! once per job costs nothing next to the job itself, and an idle
+//! worker always picks up the next job while others are busy. Results
+//! come back in input order, one `Result` per job; a failing (or even
+//! panicking) job poisons nothing but its own slot.
 
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -74,7 +75,7 @@ impl Executor {
 
     /// [`Executor::run`] with a callback invoked after every completed
     /// job (from worker threads — keep it cheap and thread-safe).
-    pub fn run_with_progress<I, T, F, P>(
+    pub(crate) fn run_with_progress<I, T, F, P>(
         &self,
         inputs: Vec<I>,
         job: F,
@@ -91,45 +92,27 @@ impl Executor {
             return Vec::new();
         }
         let workers = self.threads.min(total);
-
-        // Seed per-worker deques with contiguous chunks (input order is
-        // restored by index on collection, so the split only affects
-        // locality). Chunks are ceil-sized; the tail workers may own one
-        // job less.
-        let chunk = total.div_ceil(workers);
-        let mut deques: Vec<Mutex<VecDeque<(usize, I)>>> = Vec::with_capacity(workers);
-        let mut inputs = inputs.into_iter().enumerate();
-        for _ in 0..workers {
-            deques.push(Mutex::new(inputs.by_ref().take(chunk).collect()));
-        }
-
+        let queue = Mutex::new(inputs.into_iter().enumerate());
         let slots: Vec<Mutex<Option<Result<T, RunnerError>>>> =
             (0..total).map(|_| Mutex::new(None)).collect();
         let completed = AtomicUsize::new(0);
         let batch_start = std::time::Instant::now();
 
         std::thread::scope(|scope| {
-            for me in 0..workers {
-                let deques = &deques;
+            for _ in 0..workers {
+                let queue = &queue;
                 let slots = &slots;
                 let job = &job;
                 let progress = &progress;
                 let completed = &completed;
                 scope.spawn(move || loop {
-                    // Own deque front first; steal from neighbours' backs
-                    // once it drains. No new jobs appear mid-run, so a
-                    // worker that sees every deque empty can retire. The
-                    // own-deque pop is its own statement so its guard is
-                    // released before any neighbour's lock is taken: two
-                    // workers running dry together would otherwise each
-                    // hold their own lock while waiting for the other's.
-                    let own = deques[me].lock().pop_front();
-                    let next = own.or_else(|| {
-                        (1..workers)
-                            .find_map(|offset| deques[(me + offset) % workers].lock().pop_back())
-                    });
-                    let Some((idx, input)) = next else { break };
-                    // Queue wait: how long a job sat in the deques before
+                    // The guard drops at the end of this statement, so
+                    // the lock is held only for `next()`. No new jobs
+                    // appear mid-run: an empty queue retires the worker.
+                    let Some((idx, input)) = queue.lock().next() else {
+                        break;
+                    };
+                    // Queue wait: how long a job sat in the queue before
                     // a worker picked it up (batch-relative — the metric
                     // a backpressure policy watches).
                     if vfc_obs::spans_enabled() {
@@ -294,13 +277,9 @@ impl SubmitExecutor {
         }
     }
 
-    /// The queue bound.
-    pub fn capacity(&self) -> usize {
-        self.shared.capacity
-    }
-
     /// Jobs queued but not yet picked up by a worker.
-    pub fn queued(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn queued(&self) -> usize {
         self.shared
             .state
             .lock()
@@ -315,7 +294,8 @@ impl SubmitExecutor {
     /// # Errors
     ///
     /// [`SubmitError::QueueFull`] or [`SubmitError::ShuttingDown`].
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> Result<(), SubmitError> {
+    #[cfg(test)]
+    pub(crate) fn submit(&self, job: impl FnOnce() + Send + 'static) -> Result<(), SubmitError> {
         self.submit_batch(vec![Box::new(job)])
     }
 
@@ -376,7 +356,8 @@ impl SubmitExecutor {
     /// Blocks until the queue is empty and no job is executing. Pair
     /// with the completion signals of the jobs themselves where exact
     /// sequencing matters; this is the coarse "nothing in flight" gate.
-    pub fn wait_idle(&self) {
+    #[cfg(test)]
+    pub(crate) fn wait_idle(&self) {
         let state = self.shared.state.lock().expect("submit state poisoned");
         drop(
             self.shared
@@ -494,29 +475,28 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_from_busy_ones() {
+    fn an_idle_worker_runs_the_next_job_while_another_is_busy() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        // Worker 0's deque is seeded {0, 1}; job 0 refuses to finish
-        // until job 1 has run. Own-deque pops are FIFO, so job 1 can only
-        // run before job 0 completes if another worker steals it — the
-        // batch finishing without the timeout proves the steal, without
-        // racing wall-clock sleeps against thread-spawn order.
-        let stolen_ran = AtomicBool::new(false);
+        // Job 0 refuses to finish until job 1 has run, so job 1 must run
+        // on a second worker while the first is busy — the batch
+        // finishing without the timeout proves it, without racing
+        // wall-clock sleeps against thread-spawn order.
+        let second_ran = AtomicBool::new(false);
         let ex = Executor::with_threads(2);
         let out = ex.run((0..4).collect(), |i: usize| {
             match i {
                 0 => {
                     let start = std::time::Instant::now();
-                    while !stolen_ran.load(Ordering::Acquire) {
+                    while !second_ran.load(Ordering::Acquire) {
                         if start.elapsed() > Duration::from_secs(30) {
                             return Err(RunnerError::JobPanicked {
-                                message: "job 1 was never stolen".into(),
+                                message: "job 1 never ran while job 0 waited".into(),
                             });
                         }
                         std::thread::yield_now();
                     }
                 }
-                1 => stolen_ran.store(true, Ordering::Release),
+                1 => second_ran.store(true, Ordering::Release),
                 _ => {}
             }
             Ok(i)

@@ -142,7 +142,7 @@ impl JsonValue {
 
 /// Builds a number member; non-finite values fall back to their string
 /// encoding so the output stays valid JSON.
-pub fn number(n: f64) -> JsonValue {
+pub(crate) fn number(n: f64) -> JsonValue {
     if n.is_finite() {
         JsonValue::Number(n)
     } else if n.is_nan() {

@@ -9,10 +9,10 @@
 //! * [`SweepSpec`] — declare the axes (systems × cooling kinds ×
 //!   policies × workloads × seeds × grid cells), filter the product,
 //!   expand to concrete [`SimConfig`]s;
-//! * [`Executor`] — a work-stealing thread pool (per-worker deques,
-//!   full `available_parallelism` by default, `VFC_RUNNER_THREADS`
-//!   override) returning a `Result` per job instead of panicking, with
-//!   progress callbacks;
+//! * [`Executor`] — a scoped thread pool whose workers take jobs in
+//!   input order from one shared queue (full `available_parallelism`
+//!   by default, `VFC_RUNNER_THREADS` override), returning a `Result`
+//!   per job instead of panicking, with progress callbacks;
 //! * [`ResultCache`] — content-addressed results keyed by
 //!   [`SimConfig::cache_key`], in memory and optionally on disk
 //!   (`target/vfc-cache/`), so re-running `all_figures` or a sweep
@@ -92,7 +92,7 @@ pub struct SweepStats {
     /// JSON → treated as a miss, deleted and counted — never an error).
     pub cache_corrupt_evictions: u64,
     /// Transient job failures that were retried (bounded per-job budget;
-    /// see [`RunnerError::is_transient`]).
+    /// see `RunnerError::is_transient`).
     pub job_retries: u64,
     /// [`SweepRunner::run_shared`] calls that joined another caller's
     /// in-flight execution of the identical cell instead of duplicating
@@ -111,7 +111,7 @@ impl SweepStats {
     }
 }
 
-/// Executes sweeps: expansion → cache lookup → (work-stealing) parallel
+/// Executes sweeps: expansion → cache lookup → parallel
 /// simulation → cache store. One instance can serve many sweeps and its
 /// in-memory cache carries over between them, so overlapping studies
 /// (Fig. 6 and Fig. 8 share five of seven matrix rows) simulate each

@@ -4,8 +4,7 @@
 //! policies × workloads × seeds × grid cells — and expands their
 //! cartesian product into concrete [`SimConfig`]s. Axis filters carve
 //! non-rectangular studies (e.g. the paper's seven-entry Fig. 6 matrix)
-//! out of the full product, and a configure hook applies anything the
-//! axes don't cover (durations, DPM, ablation knobs).
+//! out of the full product.
 
 use vfc_sim::{CoolingKind, PolicyKind, SimConfig, SystemKind};
 use vfc_units::{Length, Seconds};
@@ -41,7 +40,6 @@ pub struct SweepSpec {
     grid_cells: Vec<Length>,
     duration: Seconds,
     dpm: bool,
-    configure: Option<Box<dyn Fn(SimConfig) -> SimConfig + Send + Sync>>,
     filter: Option<Box<dyn Fn(&SimConfig) -> bool + Send + Sync>>,
 }
 
@@ -56,7 +54,6 @@ impl core::fmt::Debug for SweepSpec {
             .field("grid_cells", &self.grid_cells)
             .field("duration", &self.duration)
             .field("dpm", &self.dpm)
-            .field("configure", &self.configure.is_some())
             .field("filter", &self.filter.is_some())
             .finish()
     }
@@ -83,7 +80,6 @@ impl SweepSpec {
             grid_cells: vec![Length::from_millimeters(1.0)],
             duration: Seconds::new(60.0),
             dpm: false,
-            configure: None,
             filter: None,
         }
     }
@@ -142,17 +138,6 @@ impl SweepSpec {
         self
     }
 
-    /// A hook applied to every expanded configuration — the escape hatch
-    /// for knobs without a dedicated axis (hysteresis, leakage model,
-    /// series recording, …).
-    pub fn configure(
-        mut self,
-        configure: impl Fn(SimConfig) -> SimConfig + Send + Sync + 'static,
-    ) -> Self {
-        self.configure = Some(Box::new(configure));
-        self
-    }
-
     /// A predicate deciding which cells of the product to keep. Use it
     /// for per-axis constraints ("variable flow only with TALB", "fine
     /// grids only on the 2-layer system") without enumerating configs by
@@ -163,7 +148,7 @@ impl SweepSpec {
     }
 
     /// The size of the unfiltered cartesian product.
-    pub fn cell_count(&self) -> usize {
+    pub(crate) fn cell_count(&self) -> usize {
         self.systems.len()
             * self.coolings.len()
             * self.policies.len()
@@ -183,7 +168,7 @@ impl SweepSpec {
                     for workload in &self.workloads {
                         for &seed in &self.seeds {
                             for &grid in &self.grid_cells {
-                                let mut cfg = SimConfig::with_workload(
+                                let cfg = SimConfig::with_workload(
                                     system,
                                     cooling,
                                     policy,
@@ -193,9 +178,6 @@ impl SweepSpec {
                                 .with_seed(seed)
                                 .with_grid_cell(grid)
                                 .with_dpm(self.dpm);
-                                if let Some(configure) = &self.configure {
-                                    cfg = configure(cfg);
-                                }
                                 if let Some(keep) = &self.filter {
                                     if !keep(&cfg) {
                                         continue;
@@ -253,18 +235,5 @@ mod tests {
         assert_eq!(spec.cell_count(), 4);
         let configs = spec.expand();
         assert_eq!(configs.len(), 3, "LB+Var is filtered out");
-    }
-
-    #[test]
-    fn configure_hook_applies_everywhere() {
-        let configs = SweepSpec::new()
-            .benchmarks([Benchmark::by_name("gcc").unwrap()])
-            .duration(Seconds::new(4.0))
-            .configure(|cfg| cfg.with_proactive(false).with_series(true))
-            .expand();
-        assert_eq!(configs.len(), 1);
-        assert!(!configs[0].proactive);
-        assert!(configs[0].record_series);
-        assert_eq!(configs[0].duration, Seconds::new(4.0));
     }
 }

@@ -1,4 +1,4 @@
-//! Stress tests for the runner's concurrent parts: the work-stealing
+//! Stress tests for the runner's concurrent parts: the single-queue
 //! batch executor, the persistent submit executor and the in-flight
 //! table's leader/follower hand-off.
 //!
@@ -36,10 +36,8 @@ fn within_deadline(what: &str, rounds: impl FnOnce() + Send + 'static) {
 
 #[test]
 fn small_batches_never_deadlock() {
-    // A worker that runs dry locks its neighbours' deques to steal. If
-    // it still held its own deque's lock at that point, two workers
-    // running dry at the same moment would each wait for the other
-    // forever.
+    // Workers run dry at the same moment at the end of every batch; each
+    // must find the queue empty and retire.
     within_deadline("executor deadlocked", || {
         for round in 0..2_000usize {
             let threads = 2 + round % 3;

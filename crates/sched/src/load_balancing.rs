@@ -23,7 +23,7 @@ impl LoadBalancing {
     /// # Panics
     ///
     /// Panics if `threshold == 0`.
-    pub fn with_threshold(threshold: usize) -> Self {
+    pub(crate) fn with_threshold(threshold: usize) -> Self {
         assert!(threshold > 0, "threshold must be positive");
         Self { threshold }
     }

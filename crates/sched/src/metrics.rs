@@ -1,14 +1,12 @@
 //! Throughput accounting (the performance metric of Fig. 8).
 
 use vfc_units::Seconds;
-use vfc_workload::ThreadSpec;
 
 /// Counts completed threads; throughput is "the number of threads
 /// completed per given time" (paper Sec. V).
 #[derive(Debug, Clone, Default)]
 pub struct ThroughputMeter {
     completed: u64,
-    work_done: f64,
 }
 
 impl ThroughputMeter {
@@ -18,19 +16,13 @@ impl ThroughputMeter {
     }
 
     /// Records a completed thread.
-    pub fn record(&mut self, thread: &ThreadSpec) {
+    pub fn record(&mut self) {
         self.completed += 1;
-        self.work_done += thread.total().value();
     }
 
     /// Completed thread count.
     pub fn completed(&self) -> u64 {
         self.completed
-    }
-
-    /// Total nominal execution time of completed threads.
-    pub fn work_done(&self) -> Seconds {
-        Seconds::new(self.work_done)
     }
 
     /// Threads completed per second over `elapsed`.
@@ -51,10 +43,9 @@ mod tests {
     #[test]
     fn counts_and_rates() {
         let mut m = ThroughputMeter::new();
-        m.record(&ThreadSpec::new(1, Seconds::from_millis(10.0)));
-        m.record(&ThreadSpec::new(2, Seconds::from_millis(30.0)));
+        m.record();
+        m.record();
         assert_eq!(m.completed(), 2);
-        assert!((m.work_done().to_millis() - 40.0).abs() < 1e-9);
         assert!((m.throughput(Seconds::new(4.0)) - 0.5).abs() < 1e-12);
     }
 

@@ -32,7 +32,7 @@ impl ReactiveMigration {
     }
 
     /// Custom trigger threshold and per-migration penalty.
-    pub fn with_parameters(threshold: Celsius, penalty: Seconds) -> Self {
+    pub(crate) fn with_parameters(threshold: Celsius, penalty: Seconds) -> Self {
         Self {
             lb: LoadBalancing::new(),
             threshold,
@@ -43,11 +43,6 @@ impl ReactiveMigration {
             call: 0,
             next_allowed: Vec::new(),
         }
-    }
-
-    /// The migration trigger threshold.
-    pub fn threshold(&self) -> Celsius {
-        self.threshold
     }
 }
 

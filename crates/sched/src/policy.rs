@@ -17,16 +17,8 @@ pub struct SchedContext<'a> {
 }
 
 impl SchedContext<'_> {
-    /// Maximum core temperature in this context.
-    pub fn max_temp(&self) -> Celsius {
-        self.core_temps
-            .iter()
-            .copied()
-            .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max)
-    }
-
     /// Index of the coolest core.
-    pub fn coolest_core(&self) -> usize {
+    pub(crate) fn coolest_core(&self) -> usize {
         let mut best = 0;
         for (i, t) in self.core_temps.iter().enumerate() {
             if *t < self.core_temps[best] {
@@ -66,7 +58,6 @@ mod tests {
             core_temps: &temps,
             weights: &w,
         };
-        assert_eq!(ctx.max_temp(), Celsius::new(81.0));
         assert_eq!(ctx.coolest_core(), 1);
     }
 }

@@ -34,7 +34,7 @@ impl CoreQueue {
     /// # Panics
     ///
     /// Panics if `contexts == 0`.
-    pub fn with_contexts(contexts: usize) -> Self {
+    pub(crate) fn with_contexts(contexts: usize) -> Self {
         assert!(contexts > 0, "a core needs at least one context");
         Self {
             running: Vec::with_capacity(contexts),
@@ -49,7 +49,8 @@ impl CoreQueue {
     }
 
     /// Number of waiting threads (the paper's `l_queue`).
-    pub fn queue_length(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn queue_length(&self) -> usize {
         self.waiting.len()
     }
 
@@ -59,17 +60,19 @@ impl CoreQueue {
     }
 
     /// Number of busy hardware contexts.
-    pub fn busy_contexts(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn busy_contexts(&self) -> usize {
         self.running.len()
     }
 
     /// Whether any context is executing.
-    pub fn is_busy(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_busy(&self) -> bool {
         !self.running.is_empty()
     }
 
     /// Enqueues a thread at the tail.
-    pub fn push(&mut self, thread: ThreadSpec) {
+    pub(crate) fn push(&mut self, thread: ThreadSpec) {
         self.waiting.push_back(thread);
     }
 
@@ -105,17 +108,18 @@ impl CoreQueue {
     }
 
     /// Removes the most recently queued waiter (cheapest to steal).
-    pub fn steal_waiting(&mut self) -> Option<ThreadSpec> {
+    pub(crate) fn steal_waiting(&mut self) -> Option<ThreadSpec> {
         self.waiting.pop_back()
     }
 
     /// Pulls one running thread off the core (reactive migration's move).
-    pub fn take_running(&mut self) -> Option<ThreadSpec> {
+    pub(crate) fn take_running(&mut self) -> Option<ThreadSpec> {
         self.running.pop()
     }
 
     /// The total remaining work in this queue (running + waiting).
-    pub fn backlog(&self) -> Seconds {
+    #[cfg(test)]
+    pub(crate) fn backlog(&self) -> Seconds {
         let mut s: f64 = self.running.iter().map(|t| t.remaining().value()).sum();
         s += self
             .waiting

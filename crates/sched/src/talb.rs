@@ -26,7 +26,7 @@ impl TemperatureAwareLb {
     /// # Panics
     ///
     /// Panics if the threshold is not positive.
-    pub fn with_threshold(threshold: f64) -> Self {
+    pub(crate) fn with_threshold(threshold: f64) -> Self {
         assert!(threshold > 0.0, "threshold must be positive");
         Self { threshold }
     }

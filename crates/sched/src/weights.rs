@@ -26,7 +26,7 @@ impl ThermalWeightTable {
     ///
     /// Panics if `rows` is empty, the bounds are not strictly increasing,
     /// the weight vectors differ in length, or any weight is non-positive.
-    pub fn new(rows: Vec<(Celsius, Vec<f64>)>) -> Self {
+    pub(crate) fn new(rows: Vec<(Celsius, Vec<f64>)>) -> Self {
         assert!(!rows.is_empty(), "need at least one range");
         let n = rows[0].1.len();
         let mut ranges = Vec::with_capacity(rows.len());
@@ -71,11 +71,6 @@ impl ThermalWeightTable {
         Self::new(inverted)
     }
 
-    /// Number of cores the table covers.
-    pub fn core_count(&self) -> usize {
-        self.ranges[0].1.len()
-    }
-
     /// The weight vector for the current maximum temperature.
     pub fn weights_for(&self, tmax: Celsius) -> &[f64] {
         for (bound, w) in &self.ranges {
@@ -96,7 +91,6 @@ mod tests {
     fn uniform_is_all_ones() {
         let t = ThermalWeightTable::uniform(4);
         assert_eq!(t.weights_for(Celsius::new(75.0)), &[1.0; 4]);
-        assert_eq!(t.core_count(), 4);
     }
 
     #[test]

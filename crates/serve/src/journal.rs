@@ -16,8 +16,10 @@
 //! `submit` lines are fsynced before the client ever sees `Accepted`
 //! and `done` lines are merely flushed.
 //!
-//! Torn tails (a crash mid-append) parse as garbage and are skipped
-//! line by line, same policy as the cache index.
+//! A crash mid-append leaves a torn last line. `open` cuts it off the
+//! file before anything appends, so the next record starts a line of its
+//! own instead of joining the fragment. A complete line that does not
+//! parse is skipped.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -57,23 +59,18 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Only directory-creation failure; an unreadable or torn journal
-    /// degrades to "nothing pending", never an error.
+    /// Directory creation, or cutting a torn tail off the file. An
+    /// unreadable journal degrades to "nothing pending".
     pub fn open(cache_dir: &Path) -> std::io::Result<(Self, Vec<PendingSweep>)> {
         std::fs::create_dir_all(cache_dir)?;
         let path = cache_dir.join(JOURNAL_FILE);
-        let (pending, max_id) = read_pending(&path);
+        let (pending, max_id) = read_pending(&complete_lines(&path)?);
         let journal = Self {
             path,
             file: Mutex::new(None),
             next_id: std::sync::atomic::AtomicU64::new(max_id + 1),
         };
         Ok((journal, pending))
-    }
-
-    /// The journal file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Records an accepted sweep **durably** (the line is fsynced
@@ -84,7 +81,7 @@ impl Journal {
     /// # Errors
     ///
     /// The underlying append/fsync failure.
-    pub fn record_submit(&self, spec: &WireSpec) -> std::io::Result<u64> {
+    pub(crate) fn record_submit(&self, spec: &WireSpec) -> std::io::Result<u64> {
         let id = self
             .next_id
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -100,7 +97,7 @@ impl Journal {
 
     /// Records a sweep's completion. Best-effort flush, no fsync: a
     /// lost `done` line costs one cache-warm replay, nothing more.
-    pub fn record_done(&self, id: u64) {
+    pub(crate) fn record_done(&self, id: u64) {
         let line = JsonValue::Object(vec![
             ("v".into(), JsonValue::Number(JOURNAL_VERSION as f64)),
             ("ev".into(), JsonValue::String("done".into())),
@@ -134,13 +131,27 @@ impl Journal {
     }
 }
 
-/// Scans the journal: pending sweeps (submit without done, in submit
-/// order) and the highest id seen. Unparseable lines — the torn tail
-/// of a crashed append — are skipped.
-fn read_pending(path: &Path) -> (Vec<PendingSweep>, u64) {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return (Vec::new(), 0);
+/// The journal's complete (newline-terminated) lines. A torn tail after
+/// the last newline is truncated away and the cut fsynced, so the next
+/// append cannot land on the same line as the fragment.
+fn complete_lines(path: &Path) -> std::io::Result<String> {
+    let Ok(mut bytes) = std::fs::read(path) else {
+        return Ok(String::new());
     };
+    let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    if complete < bytes.len() {
+        let file = std::fs::OpenOptions::new().write(true).open(path)?;
+        file.set_len(complete as u64)?;
+        file.sync_all()?;
+        bytes.truncate(complete);
+    }
+    Ok(String::from_utf8_lossy(&bytes).into_owned())
+}
+
+/// Scans the journal text: pending sweeps (submit without done, in
+/// submit order) and the highest id seen. Lines that do not parse are
+/// skipped.
+fn read_pending(text: &str) -> (Vec<PendingSweep>, u64) {
     let mut pending: Vec<PendingSweep> = Vec::new();
     let mut max_id = 0u64;
     for line in text.lines() {
@@ -230,6 +241,52 @@ mod tests {
         let (_, pending) = Journal::open(&dir).unwrap();
         assert_eq!(pending.len(), 1, "the torn done must not clear the submit");
         assert_eq!(pending[0].id, id);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_submit_after_a_torn_tail_survives_at_every_cut() {
+        let dir = temp_dir("every-cut");
+        let (journal, _) = Journal::open(&dir).unwrap();
+        let spec = WireSpec::default();
+        let first = journal.record_submit(&spec).unwrap();
+        journal.record_submit(&spec).unwrap();
+        journal.record_done(first);
+        drop(journal);
+        let path = dir.join(JOURNAL_FILE);
+        let full = std::fs::read(&path).unwrap();
+
+        for cut in 0..=full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let (journal, before) = Journal::open(&dir).unwrap();
+            let id = journal.record_submit(&spec).unwrap();
+            drop(journal);
+            let (_, after) = Journal::open(&dir).unwrap();
+
+            let mut expected: Vec<u64> = before.iter().map(|p| p.id).collect();
+            expected.push(id);
+            let pending: Vec<u64> = after.iter().map(|p| p.id).collect();
+            assert_eq!(
+                pending, expected,
+                "cut at byte {cut}: the new submit must stay pending"
+            );
+
+            let text = std::fs::read_to_string(&path).unwrap();
+            let mut submitted: Vec<u64> = text
+                .lines()
+                .filter_map(|line| JsonValue::parse(line).ok())
+                .filter(|doc| doc.get("ev").and_then(JsonValue::as_str) == Some("submit"))
+                .filter_map(|doc| doc.get("id").and_then(JsonValue::as_u64))
+                .collect();
+            let count = submitted.len();
+            submitted.sort_unstable();
+            submitted.dedup();
+            assert_eq!(
+                submitted.len(),
+                count,
+                "cut at byte {cut}: an id was handed out twice"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -757,7 +757,7 @@ fn encode_frame(tag: u8, payload: &JsonValue) -> Vec<u8> {
 /// [`ProtocolError::Closed`] on a clean EOF at a frame boundary;
 /// [`ProtocolError::Truncated`] on EOF inside a frame; the other
 /// variants as described on each.
-pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), ProtocolError> {
+pub(crate) fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), ProtocolError> {
     let mut header = [0u8; HEADER_BYTES];
     // The first byte distinguishes a clean close from a torn frame.
     match r.read(&mut header[..1]) {

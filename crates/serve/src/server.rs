@@ -113,12 +113,6 @@ impl ServeConfig {
         }
     }
 
-    /// Overrides the bind address.
-    pub fn with_addr(mut self, addr: impl Into<String>) -> Self {
-        self.addr = addr.into();
-        self
-    }
-
     /// Overrides the cache/journal directory.
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());

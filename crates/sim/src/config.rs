@@ -53,7 +53,7 @@ pub enum CoolingKind {
 
 impl CoolingKind {
     /// Whether a liquid stack is needed.
-    pub fn is_liquid(self) -> bool {
+    pub(crate) fn is_liquid(self) -> bool {
         !matches!(self, CoolingKind::Air)
     }
 

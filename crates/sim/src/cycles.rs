@@ -23,7 +23,7 @@ pub struct SwingDetector {
 impl SwingDetector {
     /// Creates a detector with the given swing threshold and a 0.5 °C
     /// reversal filter.
-    pub fn new(threshold: TemperatureDelta) -> Self {
+    pub(crate) fn new(threshold: TemperatureDelta) -> Self {
         Self {
             threshold: threshold.value(),
             reversal_eps: 0.5,
@@ -35,7 +35,7 @@ impl SwingDetector {
 
     /// Feeds one sample; returns `true` when a swing of at least the
     /// threshold completes at this sample.
-    pub fn feed(&mut self, value: f64) -> bool {
+    pub(crate) fn feed(&mut self, value: f64) -> bool {
         let Some(anchor) = self.anchor else {
             self.anchor = Some(value);
             self.extreme = value;

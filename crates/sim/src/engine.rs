@@ -179,11 +179,6 @@ impl Simulation {
         })
     }
 
-    /// Number of cores in the simulated system.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
     /// The TALB weight table in effect (uniform for other policies).
     pub fn weight_table(&self) -> &ThermalWeightTable {
         &self.weight_table
@@ -301,8 +296,8 @@ impl Simulation {
             // Execute: contexts busy this tick = min(load, contexts).
             for (i, q) in queues.iter_mut().enumerate() {
                 let busy_now = q.load().min(q.contexts()) as u32;
-                for done in q.tick(tick) {
-                    meter.record(&done);
+                for _ in q.tick(tick) {
+                    meter.record();
                 }
                 dpm.tick(i, busy_now > 0, tick);
                 busy_ticks[i] += busy_now;

@@ -27,7 +27,7 @@ pub struct MetricsCollector {
 
 impl MetricsCollector {
     /// Creates a collector for `cores` cores.
-    pub fn new(
+    pub(crate) fn new(
         cores: usize,
         hot_threshold: Celsius,
         gradient_threshold: TemperatureDelta,
@@ -63,7 +63,7 @@ impl MetricsCollector {
     /// `core_temps` are the per-core sensor readings, `gradient` the
     /// block-level spatial spread, `chip_power`/`pump_power` the powers
     /// billed over the interval `dt`.
-    pub fn record_sample(
+    pub(crate) fn record_sample(
         &mut self,
         core_temps: &[Celsius],
         gradient: TemperatureDelta,
@@ -105,35 +105,35 @@ impl MetricsCollector {
     }
 
     /// Number of samples recorded.
-    pub fn samples(&self) -> usize {
+    pub(crate) fn samples(&self) -> usize {
         self.samples
     }
 
     /// Percentage of samples with any core above the hot-spot threshold.
-    pub fn hot_spot_pct(&self) -> f64 {
+    pub(crate) fn hot_spot_pct(&self) -> f64 {
         self.pct(self.hot_samples)
     }
 
     /// Percentage of samples with Tmax above the controller target.
-    pub fn above_target_pct(&self) -> f64 {
+    pub(crate) fn above_target_pct(&self) -> f64 {
         self.pct(self.above_target_samples)
     }
 
     /// Percentage of samples whose spatial gradient exceeds the threshold.
-    pub fn gradient_pct(&self) -> f64 {
+    pub(crate) fn gradient_pct(&self) -> f64 {
         self.pct(self.gradient_samples)
     }
 
     /// Percentage of samples whose gradient exceeds half the threshold
     /// (supplementary sensitivity row; our grid-level block temperatures
     /// are smoother than HotSpot's 100 µm cells, see EXPERIMENTS.md).
-    pub fn gradient_minor_pct(&self) -> f64 {
+    pub(crate) fn gradient_minor_pct(&self) -> f64 {
         self.pct(self.gradient_minor_samples)
     }
 
     /// Thermal-cycle events per core-sample, in percent (Fig. 7's
     /// "% thermal cycles > 20 °C").
-    pub fn cycle_pct(&self) -> f64 {
+    pub(crate) fn cycle_pct(&self) -> f64 {
         if self.samples == 0 || self.swing_detectors.is_empty() {
             return 0.0;
         }
@@ -142,7 +142,7 @@ impl MetricsCollector {
 
     /// Cycle events at half the threshold, per core-sample, in percent
     /// (supplementary sensitivity row).
-    pub fn cycle_minor_pct(&self) -> f64 {
+    pub(crate) fn cycle_minor_pct(&self) -> f64 {
         if self.samples == 0 || self.minor_swing_detectors.is_empty() {
             return 0.0;
         }
@@ -151,17 +151,17 @@ impl MetricsCollector {
     }
 
     /// Total chip (dynamic + leakage) energy.
-    pub fn chip_energy(&self) -> Energy {
+    pub(crate) fn chip_energy(&self) -> Energy {
         Energy::new(self.chip_energy)
     }
 
     /// Total pump energy.
-    pub fn pump_energy(&self) -> Energy {
+    pub(crate) fn pump_energy(&self) -> Energy {
         Energy::new(self.pump_energy)
     }
 
     /// Mean of the per-sample maximum temperature.
-    pub fn mean_tmax(&self) -> Celsius {
+    pub(crate) fn mean_tmax(&self) -> Celsius {
         Celsius::new(if self.samples == 0 {
             f64::NAN
         } else {
@@ -170,7 +170,7 @@ impl MetricsCollector {
     }
 
     /// Peak maximum temperature.
-    pub fn peak_tmax(&self) -> Celsius {
+    pub(crate) fn peak_tmax(&self) -> Celsius {
         Celsius::new(self.tmax_peak)
     }
 

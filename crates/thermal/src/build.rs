@@ -122,16 +122,6 @@ impl<'a> StackThermalBuilder<'a> {
         }
     }
 
-    /// The grid this builder discretizes on.
-    pub fn grid(&self) -> GridSpec {
-        self.grid
-    }
-
-    /// The stack being modelled.
-    pub fn stack(&self) -> &Stack3d {
-        self.stack
-    }
-
     /// Assembles a model at one flow rate.
     ///
     /// `flow` is the **per-cavity** coolant flow rate; it is required for
@@ -568,7 +558,7 @@ mod tests {
         // 2 tiers + 3 cavities, no package.
         assert_eq!(model.node_count(), 5 * cells);
         assert_eq!(model.layout().cavity_count(), 3);
-        assert_eq!(model.layout().sink_node(), None);
+        assert_eq!(model.layout().sink_node, None);
 
         let air = ultrasparc::two_layer_air();
         let model = StackThermalBuilder::new(&air, grid_for(&air, 1.0), ThermalConfig::default())
@@ -576,7 +566,7 @@ mod tests {
             .unwrap();
         // 2 tiers + spreader + sink.
         assert_eq!(model.node_count(), 3 * cells + 1);
-        assert!(model.layout().sink_node().is_some());
+        assert!(model.layout().sink_node.is_some());
     }
 
     #[test]

@@ -124,18 +124,9 @@ pub struct StackSkeleton {
 }
 
 impl StackSkeleton {
-    /// The node layout shared by every model of this family.
-    pub fn layout(&self) -> &NodeLayout {
-        &self.layout
-    }
-
-    /// Total node count.
-    pub fn node_count(&self) -> usize {
-        self.layout.node_count()
-    }
-
     /// Whether models of this family require a coolant flow rate.
-    pub fn is_liquid_cooled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_liquid_cooled(&self) -> bool {
         self.liquid
     }
 
@@ -146,19 +137,22 @@ impl StackSkeleton {
 
     /// The flow-independent base matrix (conduction entries on the full
     /// pattern; flow-dependent slots hold zero).
-    pub fn base_matrix(&self) -> &CsrMatrix {
+    #[cfg(test)]
+    pub(crate) fn base_matrix(&self) -> &CsrMatrix {
         &self.g_base
     }
 
     /// Number of flow-dependent value slots patched per flow change.
-    pub fn flow_slot_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn flow_slot_count(&self) -> usize {
         self.flow_stamps.len()
     }
 
     /// Number of liquid cavities (0 for air-cooled stacks). Per-cavity
     /// flow deratings — the channel-clogging fault path — index into
     /// this range.
-    pub fn cavity_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cavity_count(&self) -> usize {
         self.cavity_faces.len()
     }
 
@@ -256,7 +250,7 @@ pub struct FlowPatch {
 
 impl FlowPatch {
     /// Computes the patch coefficients for `flow` against `skeleton`.
-    pub fn compute(skeleton: &StackSkeleton, flow: VolumetricFlow) -> Self {
+    pub(crate) fn compute(skeleton: &StackSkeleton, flow: VolumetricFlow) -> Self {
         let lc = &skeleton.config.liquid;
         let area = skeleton.cell_area;
         let rows = skeleton.layout.rows() as f64;
@@ -289,7 +283,7 @@ impl FlowPatch {
     /// derate at exactly 1.0 this delegates to [`compute`](Self::compute)
     /// and is bit-identical to it, so one skeleton keeps serving all
     /// pump settings whether or not faults are scheduled.
-    pub fn compute_derated(
+    pub(crate) fn compute_derated(
         skeleton: &StackSkeleton,
         flow: VolumetricFlow,
         derates: &[f64],
@@ -322,11 +316,6 @@ impl FlowPatch {
             })
             .collect();
         Self { flow, coefs }
-    }
-
-    /// The flow rate this patch was computed for.
-    pub fn flow(&self) -> VolumetricFlow {
-        self.flow
     }
 
     #[inline]
@@ -391,11 +380,6 @@ impl ThermalModelFamily {
         self.models.len()
     }
 
-    /// Whether the family has no members.
-    pub fn is_empty(&self) -> bool {
-        self.models.is_empty()
-    }
-
     /// A member model.
     pub fn model(&self, index: usize) -> &ThermalModel {
         &self.models[index]
@@ -404,16 +388,6 @@ impl ThermalModelFamily {
     /// Mutable access to a member model (solves cache state per member).
     pub fn model_mut(&mut self, index: usize) -> &mut ThermalModel {
         &mut self.models[index]
-    }
-
-    /// All member models.
-    pub fn models(&self) -> &[ThermalModel] {
-        &self.models
-    }
-
-    /// Mutable access to all member models.
-    pub fn models_mut(&mut self) -> &mut [ThermalModel] {
-        &mut self.models
     }
 }
 
@@ -443,7 +417,7 @@ mod tests {
 
         // Acceptance: one skeleton per grid, shared by all 5 settings —
         // Arc pointer equality, and shared CSR index arrays.
-        for m in family.models() {
+        for m in &family.models {
             assert!(
                 Arc::ptr_eq(m.skeleton(), family.skeleton()),
                 "member must share the family skeleton"
@@ -464,7 +438,7 @@ mod tests {
         // skeleton: one computation per grid, shared by every member's
         // preconditioner via the same Arc.
         assert!(family.skeleton().schedules().levels.lower_level_count() > 1);
-        for m in family.models() {
+        for m in &family.models {
             assert!(Arc::ptr_eq(
                 m.skeleton().schedules(),
                 family.skeleton().schedules()
@@ -563,10 +537,10 @@ mod tests {
             .skeleton()
             .stencil()
             .expect("the stacked-grid pattern is regular");
-        assert_eq!(stencil.order(), family.skeleton().node_count());
+        assert_eq!(stencil.order(), family.skeleton().layout.node_count);
         assert!(stencil.matches_pattern(family.skeleton().base_matrix()));
         // One decomposition per grid, shared via the schedules Arc.
-        for m in family.models() {
+        for m in &family.models {
             assert!(Arc::ptr_eq(
                 m.skeleton().stencil().unwrap(),
                 family.skeleton().stencil().unwrap()
@@ -627,7 +601,7 @@ mod tests {
         let derated = FlowPatch::compute_derated(&skeleton, f, &half);
         let direct = FlowPatch::compute(&skeleton, f * 0.5);
         assert_eq!(derated.coefs, direct.coefs);
-        assert_eq!(derated.flow(), f, "patch records the commanded flow");
+        assert_eq!(derated.flow, f, "patch records the commanded flow");
     }
 
     #[test]

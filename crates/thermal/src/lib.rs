@@ -74,5 +74,5 @@ pub use self::config::{AirPackageConfig, LiquidCoolingConfig, SolverConfig, Ther
 pub use self::error::ThermalError;
 pub use self::family::{FlowPatch, StackSkeleton, ThermalModelFamily};
 pub use self::model::{NodeLayout, ThermalModel};
-pub use self::sensors::{BlockTemperatures, SensorNoise};
+pub use self::sensors::BlockTemperatures;
 pub use self::validate::energy_balance_residual;

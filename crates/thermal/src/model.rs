@@ -49,12 +49,13 @@ impl NodeLayout {
     }
 
     /// Number of tiers.
-    pub fn tier_count(&self) -> usize {
+    pub(crate) fn tier_count(&self) -> usize {
         self.tier_offsets.len()
     }
 
     /// Number of microchannel cavities.
-    pub fn cavity_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cavity_count(&self) -> usize {
         self.cavities.len()
     }
 
@@ -86,25 +87,10 @@ impl NodeLayout {
         self.cavities[cavity].1 + row * self.cols + col
     }
 
-    /// Node index of a spreader cell, if this is an air-cooled model.
-    pub fn spreader_node(&self, row: usize, col: usize) -> Option<usize> {
-        self.spreader_offset.map(|off| off + row * self.cols + col)
-    }
-
-    /// The lumped heat-sink node, if this is an air-cooled model.
-    pub fn sink_node(&self) -> Option<usize> {
-        self.sink_node
-    }
-
     /// Block index covering a tier cell.
     #[inline]
     pub fn block_of_cell(&self, tier: usize, row: usize, col: usize) -> usize {
         self.tier_cell_block[tier][row * self.cols + col]
-    }
-
-    /// Number of cells covered by a block.
-    pub fn block_cell_count(&self, tier: usize, block: usize) -> usize {
-        self.tier_block_cell_counts[tier][block]
     }
 
     /// One [`vfc_num::GridCoord`] per node, in node order — the
@@ -367,11 +353,6 @@ impl ThermalModel {
         self.skeleton.schedules.stencil()
     }
 
-    /// The current coolant flow (`None` for air-cooled models).
-    pub fn flow(&self) -> Option<VolumetricFlow> {
-        self.flow
-    }
-
     /// Re-patches the model to a new flow rate in place: only the cavity
     /// convection/advection values, the inlet injection and the outlet
     /// links are rewritten; the CSR structure, conduction entries and node
@@ -389,9 +370,8 @@ impl ThermalModel {
     /// fractional flow derating (fault injection: channel clogging).
     /// `derates[c]` scales the flow cavity `c` effectively sees for its
     /// convection and advection couplings; missing entries and an empty
-    /// slice mean 1.0 (healthy). The commanded `flow` is still what
-    /// [`flow`](Self::flow) reports — derating models a blocked channel,
-    /// not a pump command.
+    /// slice mean 1.0 (healthy). The model still records the commanded
+    /// `flow` — derating models a blocked channel, not a pump command.
     ///
     /// An all-ones derating is exactly `set_flow`: the healthy patch and
     /// cache-invalidation paths are shared bit for bit.
@@ -460,11 +440,6 @@ impl ThermalModel {
     /// (coolant inlet for liquid stacks, ambient for air).
     pub fn initial_state(&self) -> Vec<f64> {
         vec![self.skeleton.reference; self.skeleton.layout.node_count]
-    }
-
-    /// The reference (cold-start) temperature.
-    pub fn reference_temperature(&self) -> Celsius {
-        Celsius::new(self.skeleton.reference)
     }
 
     /// A zero power vector of the right length.
@@ -806,7 +781,7 @@ impl ThermalModel {
     /// is sticky — once a solve on this model failed and a stronger kind
     /// rescued it, later solves keep the stronger kind rather than
     /// re-failing every step.
-    pub fn effective_preconditioner(&self) -> PreconditionerKind {
+    pub(crate) fn effective_preconditioner(&self) -> PreconditionerKind {
         self.escalated_precond
             .unwrap_or_else(|| self.configured_preconditioner())
     }
@@ -814,13 +789,15 @@ impl ThermalModel {
     /// Recovery retries spent by the most recent
     /// [`steady_state`](Self::steady_state) or [`step`](Self::step) call
     /// (0 on a healthy solve).
-    pub fn last_recovery_retries(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn last_recovery_retries(&self) -> u64 {
         self.last_retries
     }
 
     /// Preconditioner escalations spent by the most recent
     /// [`steady_state`](Self::steady_state) or [`step`](Self::step) call.
-    pub fn last_recovery_escalations(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn last_recovery_escalations(&self) -> u64 {
         self.last_escalations
     }
 
@@ -837,14 +814,9 @@ impl ThermalModel {
         Celsius::new(max)
     }
 
-    /// Temperature of a specific tier cell.
-    pub fn cell_temperature(&self, temps: &[f64], tier: usize, row: usize, col: usize) -> Celsius {
-        Celsius::new(temps[self.skeleton.layout.tier_node(tier, row, col)])
-    }
-
     /// Total power crossing the model boundary (into ambient/coolant) for
     /// a given state — equals injected power at steady state.
-    pub fn boundary_outflow(&self, temps: &[f64]) -> Watts {
+    pub(crate) fn boundary_outflow(&self, temps: &[f64]) -> Watts {
         let mut q = 0.0;
         for &(node, g, tb) in &self.boundary_links {
             q += g * (temps[node] - tb);

@@ -2,8 +2,8 @@
 //!
 //! The paper assumes one thermal sensor per core delivering readings every
 //! 100 ms (Sec. V). [`BlockTemperatures`] aggregates grid-cell temperatures
-//! to block granularity; [`SensorNoise`] optionally perturbs readings with
-//! seeded Gaussian noise to stress the controller.
+//! to block granularity. Sensor faults (noise, dropout, stuck-at) are
+//! `vfc_faults`'s.
 
 use vfc_floorplan::Stack3d;
 use vfc_units::Celsius;
@@ -81,7 +81,8 @@ impl BlockTemperatures {
     }
 
     /// Mean temperature of a block.
-    pub fn block_mean(&self, tier: usize, block: usize) -> Celsius {
+    #[cfg(test)]
+    pub(crate) fn block_mean(&self, tier: usize, block: usize) -> Celsius {
         Celsius::new(self.mean[tier][block])
     }
 
@@ -108,7 +109,8 @@ impl BlockTemperatures {
 
     /// Maximum over every block in the stack (units, not just cores) —
     /// the quantity whose spatial spread Fig. 7 reports.
-    pub fn overall_max(&self) -> Celsius {
+    #[cfg(test)]
+    pub(crate) fn overall_max(&self) -> Celsius {
         let m = self
             .max
             .iter()
@@ -130,55 +132,12 @@ impl BlockTemperatures {
     }
 }
 
-/// Seeded Gaussian sensor noise (Box–Muller over a 64-bit LCG so the
-/// substrate stays dependency-free).
-#[derive(Debug, Clone)]
-pub struct SensorNoise {
-    sigma: f64,
-    state: u64,
-}
-
-impl SensorNoise {
-    /// Creates a noise source with the given standard deviation.
-    pub fn new(sigma: vfc_units::TemperatureDelta, seed: u64) -> Self {
-        Self {
-            sigma: sigma.value(),
-            state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        // xorshift64*
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn next_unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// A reading of `truth` perturbed by Gaussian noise.
-    pub fn read(&mut self, truth: Celsius) -> Celsius {
-        if self.sigma == 0.0 {
-            return truth;
-        }
-        let u1 = self.next_unit().max(1e-12);
-        let u2 = self.next_unit();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos();
-        Celsius::new(truth.value() + self.sigma * z)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{StackThermalBuilder, ThermalConfig};
     use vfc_floorplan::{ultrasparc, GridSpec};
-    use vfc_units::{Length, TemperatureDelta, VolumetricFlow, Watts};
+    use vfc_units::{Length, VolumetricFlow, Watts};
 
     fn model_and_temps() -> (ThermalModel, Vec<f64>, Stack3d) {
         let stack = ultrasparc::two_layer_liquid();
@@ -235,23 +194,5 @@ mod tests {
         let mut out = Vec::new();
         reused.core_max_temperatures_into(&stack, &mut out);
         assert_eq!(out, fresh.core_max_temperatures(&stack));
-    }
-
-    #[test]
-    fn sensor_noise_is_seeded_and_unbiased() {
-        let mut a = SensorNoise::new(TemperatureDelta::new(0.5), 42);
-        let mut b = SensorNoise::new(TemperatureDelta::new(0.5), 42);
-        let truth = Celsius::new(80.0);
-        assert_eq!(a.read(truth), b.read(truth));
-
-        let mut n = SensorNoise::new(TemperatureDelta::new(0.5), 7);
-        let mean: f64 = (0..4000).map(|_| n.read(truth).value()).sum::<f64>() / 4000.0;
-        assert!((mean - 80.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn zero_sigma_is_exact() {
-        let mut n = SensorNoise::new(TemperatureDelta::ZERO, 1);
-        assert_eq!(n.read(Celsius::new(72.5)), Celsius::new(72.5));
     }
 }

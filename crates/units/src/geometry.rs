@@ -1,4 +1,4 @@
-//! Geometric quantities: length, area and volume in SI base units.
+//! Geometric quantities: length and area in SI base units.
 
 use crate::{linear_ops, quantity};
 
@@ -16,13 +16,6 @@ quantity!(
     "m²"
 );
 linear_ops!(Area);
-
-quantity!(
-    /// Volume in cubic meters.
-    Volume,
-    "m³"
-);
-linear_ops!(Volume);
 
 impl Length {
     /// Creates a length from millimeters.
@@ -51,35 +44,9 @@ impl Length {
 }
 
 impl Area {
-    /// Creates an area from square millimeters.
-    #[inline]
-    pub fn from_mm2(mm2: f64) -> Self {
-        Self::new(mm2 * 1e-6)
-    }
-
     /// Converts to square millimeters.
     #[inline]
     pub fn to_mm2(self) -> f64 {
-        self.value() * 1e6
-    }
-
-    /// Converts to square centimeters.
-    #[inline]
-    pub fn to_cm2(self) -> f64 {
-        self.value() * 1e4
-    }
-}
-
-impl Volume {
-    /// Creates a volume from cubic millimeters.
-    #[inline]
-    pub fn from_mm3(mm3: f64) -> Self {
-        Self::new(mm3 * 1e-9)
-    }
-
-    /// Converts to milliliters (cm³).
-    #[inline]
-    pub fn to_milliliters(self) -> f64 {
         self.value() * 1e6
     }
 }
@@ -89,14 +56,6 @@ impl core::ops::Mul for Length {
     #[inline]
     fn mul(self, rhs: Length) -> Area {
         Area::new(self.value() * rhs.value())
-    }
-}
-
-impl core::ops::Mul<Length> for Area {
-    type Output = Volume;
-    #[inline]
-    fn mul(self, rhs: Length) -> Volume {
-        Volume::new(self.value() * rhs.value())
     }
 }
 
@@ -125,15 +84,6 @@ mod tests {
         // Table III: total area of each layer is 115 mm² (11.5 mm x 10 mm die).
         let area = Length::from_millimeters(11.5) * Length::from_millimeters(10.0);
         assert!((area.to_mm2() - 115.0).abs() < 1e-9);
-        assert!((area.to_cm2() - 1.15).abs() < 1e-9);
-    }
-
-    #[test]
-    fn volume_composition() {
-        // One microchannel: 50 µm x 100 µm cross-section, 11.5 mm long.
-        let v = (Length::from_micrometers(50.0) * Length::from_micrometers(100.0))
-            * Length::from_millimeters(11.5);
-        assert!((v.to_milliliters() - 5.75e-5).abs() < 1e-12);
     }
 
     proptest! {

@@ -2,7 +2,7 @@
 //!
 //! Every quantity is a thin `f64` newtype with explicit unit semantics, so
 //! that a volumetric flow rate can never be confused with a thermal
-//! resistance and conversion factors (ml/min vs m³/s, °C vs K) live in one
+//! resistance and conversion factors (ml/min vs m³/s, mm vs m) live in one
 //! audited place. Arithmetic is implemented only where it is physically
 //! meaningful (e.g. `Watts * Seconds = Joules`,
 //! `Watts * ThermalResistance = TemperatureDelta`).
@@ -32,16 +32,14 @@ mod thermal;
 mod time;
 
 pub use self::flow::{MassFlow, VolumetricFlow};
-pub use self::geometry::{Area, Length, Volume};
-pub use self::power::{Energy, HeatFlux, Watts};
-pub use self::temperature::{Celsius, Kelvin, TemperatureDelta};
-pub use self::thermal::{
-    AreaThermalResistance, HeatCapacity, ThermalConductance, ThermalConductivity, ThermalResistance,
-};
+pub use self::geometry::{Area, Length};
+pub use self::power::{Energy, Watts};
+pub use self::temperature::{Celsius, TemperatureDelta};
+pub use self::thermal::{HeatCapacity, ThermalConductance, ThermalResistance};
 pub use self::time::Seconds;
 
 /// Declares a transparent `f64` newtype with the shared constructor,
-/// accessor, `Display`, ordering helpers and serde derives used by every
+/// accessor, `Display`, `max` and serde derives used by every
 /// quantity in this crate.
 macro_rules! quantity {
     ($(#[$meta:meta])* $name:ident, $unit:literal) => {
@@ -66,38 +64,10 @@ macro_rules! quantity {
                 self.0
             }
 
-            /// Returns `true` if the underlying value is finite.
-            #[inline]
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
-            }
-
-            /// Returns the smaller of two quantities.
-            #[inline]
-            pub fn min(self, other: Self) -> Self {
-                Self(self.0.min(other.0))
-            }
-
             /// Returns the larger of two quantities.
             #[inline]
             pub fn max(self, other: Self) -> Self {
                 Self(self.0.max(other.0))
-            }
-
-            /// Clamps the quantity to the inclusive range `[lo, hi]`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `lo > hi`.
-            #[inline]
-            pub fn clamp(self, lo: Self, hi: Self) -> Self {
-                Self(self.0.clamp(lo.0, hi.0))
-            }
-
-            /// Absolute value.
-            #[inline]
-            pub fn abs(self) -> Self {
-                Self(self.0.abs())
             }
         }
 
@@ -193,11 +163,10 @@ mod tests {
     }
 
     #[test]
-    fn quantities_are_ordered_and_clampable() {
+    fn quantities_are_ordered() {
         let a = Watts::new(1.0);
         let b = Watts::new(2.0);
         assert!(a < b);
         assert_eq!(a.max(b), b);
-        assert_eq!(b.clamp(Watts::ZERO, a), a);
     }
 }

@@ -1,6 +1,6 @@
-//! Power, energy and heat-flux quantities.
+//! Power and energy quantities.
 
-use crate::{linear_ops, quantity, Area, Seconds};
+use crate::{linear_ops, quantity, Seconds};
 
 quantity!(
     /// Power in watts.
@@ -16,75 +16,19 @@ quantity!(
 );
 linear_ops!(Energy);
 
-quantity!(
-    /// Heat flux in W/m² (the paper's `q̇`, which it quotes in W/cm²).
-    HeatFlux,
-    "W/m²"
-);
-linear_ops!(HeatFlux);
-
 impl Watts {
-    /// Creates a power value from milliwatts.
-    #[inline]
-    pub fn from_milliwatts(mw: f64) -> Self {
-        Self::new(mw * 1e-3)
-    }
-
     /// Energy dissipated over `dt`.
     #[inline]
-    pub fn over(self, dt: Seconds) -> Energy {
+    pub(crate) fn over(self, dt: Seconds) -> Energy {
         Energy::new(self.value() * dt.value())
-    }
-
-    /// Heat flux when spread uniformly over `area`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `area` is zero or negative.
-    #[inline]
-    pub fn per_area(self, area: Area) -> HeatFlux {
-        debug_assert!(area.value() > 0.0, "area must be positive");
-        HeatFlux::new(self.value() / area.value())
     }
 }
 
 impl Energy {
-    /// Creates an energy value from watt-hours.
-    #[inline]
-    pub fn from_watt_hours(wh: f64) -> Self {
-        Self::new(wh * 3600.0)
-    }
-
-    /// Converts to watt-hours.
-    #[inline]
-    pub fn to_watt_hours(self) -> f64 {
-        self.value() / 3600.0
-    }
-
     /// Average power when spread over `dt`.
     #[inline]
-    pub fn average_over(self, dt: Seconds) -> Watts {
+    pub(crate) fn average_over(self, dt: Seconds) -> Watts {
         Watts::new(self.value() / dt.value())
-    }
-}
-
-impl HeatFlux {
-    /// Creates a heat flux from W/cm² (the unit used in the paper's text).
-    #[inline]
-    pub fn from_w_per_cm2(q: f64) -> Self {
-        Self::new(q * 1e4)
-    }
-
-    /// Converts to W/cm².
-    #[inline]
-    pub fn to_w_per_cm2(self) -> f64 {
-        self.value() * 1e-4
-    }
-
-    /// Total power through `area`.
-    #[inline]
-    pub fn times_area(self, area: Area) -> Watts {
-        Watts::new(self.value() * area.value())
     }
 }
 
@@ -112,18 +56,9 @@ impl core::ops::Div<Seconds> for Energy {
     }
 }
 
-impl core::ops::Div<Area> for Watts {
-    type Output = HeatFlux;
-    #[inline]
-    fn div(self, rhs: Area) -> HeatFlux {
-        self.per_area(rhs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Length;
     use proptest::prelude::*;
 
     #[test]
@@ -131,28 +66,6 @@ mod tests {
         let e = Watts::new(18.0) * Seconds::new(60.0);
         assert_eq!(e, Energy::new(1080.0));
         assert_eq!(e / Seconds::new(60.0), Watts::new(18.0));
-    }
-
-    #[test]
-    fn watt_hours() {
-        let e = Energy::from_watt_hours(1.0);
-        assert_eq!(e.value(), 3600.0);
-        assert!((e.to_watt_hours() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn heat_flux_units() {
-        // 3 W core over 10 mm² is 30 W/cm² (the paper's core density).
-        let area = Length::from_millimeters(10.0) * Length::from_millimeters(1.0);
-        let q = Watts::new(3.0) / area;
-        assert!((q.to_w_per_cm2() - 30.0).abs() < 1e-9);
-        assert!((HeatFlux::from_w_per_cm2(30.0).value() - q.value()).abs() < 1e-6);
-        assert!((q.times_area(area).value() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn milliwatts() {
-        assert_eq!(Watts::from_milliwatts(20.0), Watts::new(0.02));
     }
 
     proptest! {

@@ -1,4 +1,4 @@
-//! Temperature quantities: absolute Celsius/Kelvin and temperature deltas.
+//! Temperature quantities: absolute Celsius and temperature deltas.
 
 use crate::{linear_ops, quantity};
 
@@ -6,16 +6,9 @@ quantity!(
     /// Absolute temperature in degrees Celsius.
     ///
     /// This is the working unit of the simulator (the paper reports all
-    /// temperatures in °C). Convert to [`Kelvin`] for physics that needs an
-    /// absolute scale.
+    /// temperatures in °C).
     Celsius,
     "°C"
-);
-
-quantity!(
-    /// Absolute temperature in Kelvin.
-    Kelvin,
-    "K"
 );
 
 quantity!(
@@ -30,40 +23,11 @@ quantity!(
 
 linear_ops!(TemperatureDelta);
 
-/// Offset between the Celsius and Kelvin scales.
-pub(crate) const KELVIN_OFFSET: f64 = 273.15;
-
 impl Celsius {
-    /// Converts to Kelvin.
-    #[inline]
-    pub fn to_kelvin(self) -> Kelvin {
-        Kelvin::new(self.value() + KELVIN_OFFSET)
-    }
-
     /// Signed difference `self - other` as a delta.
     #[inline]
-    pub fn delta_from(self, other: Celsius) -> TemperatureDelta {
+    pub(crate) fn delta_from(self, other: Celsius) -> TemperatureDelta {
         TemperatureDelta::new(self.value() - other.value())
-    }
-}
-
-impl Kelvin {
-    /// Converts to Celsius.
-    #[inline]
-    pub fn to_celsius(self) -> Celsius {
-        Celsius::new(self.value() - KELVIN_OFFSET)
-    }
-}
-
-impl From<Celsius> for Kelvin {
-    fn from(c: Celsius) -> Self {
-        c.to_kelvin()
-    }
-}
-
-impl From<Kelvin> for Celsius {
-    fn from(k: Kelvin) -> Self {
-        k.to_celsius()
     }
 }
 
@@ -91,37 +55,10 @@ impl core::ops::Sub for Celsius {
     }
 }
 
-impl core::ops::Add<TemperatureDelta> for Kelvin {
-    type Output = Kelvin;
-    #[inline]
-    fn add(self, rhs: TemperatureDelta) -> Kelvin {
-        Kelvin::new(self.value() + rhs.value())
-    }
-}
-
-impl core::ops::Sub for Kelvin {
-    type Output = TemperatureDelta;
-    #[inline]
-    fn sub(self, rhs: Kelvin) -> TemperatureDelta {
-        TemperatureDelta::new(self.value() - rhs.value())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn celsius_kelvin_roundtrip() {
-        let t = Celsius::new(80.0);
-        assert_eq!(t.to_kelvin().value(), 353.15);
-        assert_eq!(t.to_kelvin().to_celsius(), t);
-        assert_eq!(
-            Kelvin::from(t).to_celsius(),
-            Celsius::from(Kelvin::new(353.15))
-        );
-    }
 
     #[test]
     fn delta_arithmetic() {
@@ -135,29 +72,12 @@ mod tests {
         assert_eq!(-d, TemperatureDelta::new(-5.0));
     }
 
-    #[test]
-    fn kelvin_delta() {
-        let a = Kelvin::new(300.0);
-        let d = TemperatureDelta::new(10.0);
-        assert_eq!((a + d).value(), 310.0);
-        assert_eq!(Kelvin::new(310.0) - a, d);
-    }
-
     proptest! {
-        #[test]
-        fn roundtrip_is_lossless(v in -200.0f64..500.0) {
-            let c = Celsius::new(v);
-            prop_assert!((c.to_kelvin().to_celsius().value() - v).abs() < 1e-9);
-        }
-
         #[test]
         fn delta_consistency(a in -50.0f64..150.0, b in -50.0f64..150.0) {
             let (ca, cb) = (Celsius::new(a), Celsius::new(b));
             let d = ca - cb;
             prop_assert!(((cb + d).value() - ca.value()).abs() < 1e-9);
-            // Deltas agree across scales.
-            let dk = ca.to_kelvin() - cb.to_kelvin();
-            prop_assert!((dk.value() - d.value()).abs() < 1e-9);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Thermal circuit quantities: resistance, conductance, capacity.
 
-use crate::{linear_ops, quantity, Area, Energy, Seconds, TemperatureDelta, Watts};
+use crate::{linear_ops, quantity, TemperatureDelta, Watts};
 
 quantity!(
     /// Lumped thermal resistance in K/W.
@@ -16,23 +16,6 @@ quantity!(
     "W/K"
 );
 linear_ops!(ThermalConductance);
-
-quantity!(
-    /// Area-normalized thermal resistance in K·m²/W.
-    ///
-    /// The paper quotes `R_th-BEOL = 5.333 K·mm²/W` (Table I); use
-    /// [`AreaThermalResistance::from_k_mm2_per_w`] for that unit.
-    AreaThermalResistance,
-    "K·m²/W"
-);
-linear_ops!(AreaThermalResistance);
-
-quantity!(
-    /// Thermal conductivity in W/(m·K).
-    ThermalConductivity,
-    "W/(m·K)"
-);
-linear_ops!(ThermalConductivity);
 
 quantity!(
     /// Heat capacity in J/K.
@@ -51,80 +34,6 @@ impl ThermalResistance {
     pub fn to_conductance(self) -> ThermalConductance {
         debug_assert!(self.value() != 0.0, "zero thermal resistance");
         ThermalConductance::new(1.0 / self.value())
-    }
-
-    /// Series combination of two resistances.
-    #[inline]
-    pub fn in_series(self, other: Self) -> Self {
-        self + other
-    }
-
-    /// Parallel combination of two resistances.
-    #[inline]
-    pub fn in_parallel(self, other: Self) -> Self {
-        Self::new(self.value() * other.value() / (self.value() + other.value()))
-    }
-}
-
-impl ThermalConductance {
-    /// Reciprocal resistance.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) on a zero conductance.
-    #[inline]
-    pub fn to_resistance(self) -> ThermalResistance {
-        debug_assert!(self.value() != 0.0, "zero thermal conductance");
-        ThermalResistance::new(1.0 / self.value())
-    }
-
-    /// Heat flow driven by a temperature difference.
-    #[inline]
-    pub fn heat_flow(self, dt: TemperatureDelta) -> Watts {
-        Watts::new(self.value() * dt.value())
-    }
-}
-
-impl AreaThermalResistance {
-    /// Creates an area resistance from K·mm²/W (Table I's unit).
-    #[inline]
-    pub fn from_k_mm2_per_w(v: f64) -> Self {
-        Self::new(v * 1e-6)
-    }
-
-    /// Converts to K·mm²/W.
-    #[inline]
-    pub fn to_k_mm2_per_w(self) -> f64 {
-        self.value() * 1e6
-    }
-
-    /// Lumped resistance for heat crossing `area`.
-    #[inline]
-    pub fn over_area(self, area: Area) -> ThermalResistance {
-        ThermalResistance::new(self.value() / area.value())
-    }
-}
-
-impl ThermalConductivity {
-    /// Area resistance of a slab of this material with thickness `t`:
-    /// `R·A = t / k` (the paper's Eq. 3).
-    #[inline]
-    pub fn slab_area_resistance(self, thickness: crate::Length) -> AreaThermalResistance {
-        AreaThermalResistance::new(thickness.value() / self.value())
-    }
-}
-
-impl HeatCapacity {
-    /// Energy stored when the node temperature changes by `dt`.
-    #[inline]
-    pub fn stored_energy(self, dt: TemperatureDelta) -> Energy {
-        Energy::new(self.value() * dt.value())
-    }
-
-    /// The `C/Δt` conductance-like term used by backward-Euler integration.
-    #[inline]
-    pub fn per_time(self, dt: Seconds) -> ThermalConductance {
-        ThermalConductance::new(self.value() / dt.value())
     }
 }
 
@@ -147,29 +56,11 @@ impl core::ops::Mul<Watts> for ThermalResistance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Length;
-    use proptest::prelude::*;
-
-    #[test]
-    fn beol_resistance_matches_table_i() {
-        // R_th-BEOL = tB / kBEOL = 12 µm / 2.25 W/mK = 5.333 K·mm²/W (Eq. 3).
-        let r = ThermalConductivity::new(2.25).slab_area_resistance(Length::from_micrometers(12.0));
-        assert!((r.to_k_mm2_per_w() - 5.333).abs() < 1e-3);
-    }
 
     #[test]
     fn resistance_conductance_roundtrip() {
         let r = ThermalResistance::new(0.1);
         assert_eq!(r.to_conductance(), ThermalConductance::new(10.0));
-        assert_eq!(r.to_conductance().to_resistance(), r);
-    }
-
-    #[test]
-    fn series_parallel() {
-        let a = ThermalResistance::new(2.0);
-        let b = ThermalResistance::new(2.0);
-        assert_eq!(a.in_series(b), ThermalResistance::new(4.0));
-        assert_eq!(a.in_parallel(b), ThermalResistance::new(1.0));
     }
 
     #[test]
@@ -177,33 +68,5 @@ mod tests {
         // Package: 40 W through 0.1 K/W = 4 K rise.
         let dt = Watts::new(40.0) * ThermalResistance::new(0.1);
         assert_eq!(dt, TemperatureDelta::new(4.0));
-    }
-
-    #[test]
-    fn capacity_terms() {
-        // Table III: convection capacitance 140 J/K.
-        let c = HeatCapacity::new(140.0);
-        assert_eq!(
-            c.stored_energy(TemperatureDelta::new(2.0)),
-            Energy::new(280.0)
-        );
-        assert_eq!(
-            c.per_time(Seconds::new(0.01)),
-            ThermalConductance::new(14000.0)
-        );
-    }
-
-    proptest! {
-        #[test]
-        fn parallel_is_smaller(a in 1e-3f64..1e3, b in 1e-3f64..1e3) {
-            let p = ThermalResistance::new(a).in_parallel(ThermalResistance::new(b));
-            prop_assert!(p.value() <= a.min(b) + 1e-12);
-        }
-
-        #[test]
-        fn conductance_heat_flow_linear(g in 1e-3f64..1e3, dt in -50.0f64..50.0) {
-            let q = ThermalConductance::new(g).heat_flow(TemperatureDelta::new(dt));
-            prop_assert!((q.value() - g * dt).abs() < 1e-9 * (g * dt.abs()).max(1.0));
-        }
     }
 }

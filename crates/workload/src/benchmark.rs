@@ -95,7 +95,7 @@ impl Benchmark {
     }
 
     /// Total L2 misses per 100 K instructions.
-    pub fn total_l2_misses(&self) -> f64 {
+    pub(crate) fn total_l2_misses(&self) -> f64 {
         self.l2_imiss + self.l2_dmiss
     }
 

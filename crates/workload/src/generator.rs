@@ -56,14 +56,9 @@ impl WorkloadGenerator {
         self.benchmark
     }
 
-    /// The core count the rate was calibrated for.
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
     /// Expected thread duration of the log-uniform distribution,
     /// `(b−a)/ln(b/a)` in seconds.
-    pub fn mean_duration_secs() -> f64 {
+    pub(crate) fn mean_duration_secs() -> f64 {
         let (a, b) = (MIN_THREAD_MS * 1e-3, MAX_THREAD_MS * 1e-3);
         (b - a) / (b / a).ln()
     }

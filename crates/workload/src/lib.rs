@@ -28,12 +28,10 @@
 
 mod benchmark;
 mod generator;
-mod recorded;
 mod thread;
 mod trace;
 
 pub use self::benchmark::Benchmark;
 pub use self::generator::WorkloadGenerator;
-pub use self::recorded::{ThreadTrace, TraceReplayer};
 pub use self::thread::ThreadSpec;
 pub use self::trace::PhasedWorkload;

@@ -21,7 +21,7 @@ impl PhasedWorkload {
     /// # Panics
     ///
     /// Panics if `phases` is empty or any duration is non-positive.
-    pub fn new(phases: Vec<(Seconds, Benchmark)>) -> Self {
+    pub(crate) fn new(phases: Vec<(Seconds, Benchmark)>) -> Self {
         assert!(!phases.is_empty(), "need at least one phase");
         let phases: Vec<(f64, Benchmark)> = phases
             .into_iter()
@@ -56,16 +56,6 @@ impl PhasedWorkload {
         self.phases[self.phases.len() - 1].1
     }
 
-    /// Whether a phase boundary is crossed in `(t, t+dt]`.
-    pub fn phase_changes_in(&self, t: Seconds, dt: Seconds) -> bool {
-        self.benchmark_at(t) != self.benchmark_at(t + dt)
-    }
-
-    /// Length of a full cycle.
-    pub fn cycle_length(&self) -> Seconds {
-        Seconds::new(self.cycle)
-    }
-
     /// The phases as `(duration, benchmark)` pairs.
     pub fn phases(&self) -> impl Iterator<Item = (Seconds, Benchmark)> + '_ {
         self.phases.iter().map(|&(d, b)| (Seconds::new(d), b))
@@ -92,14 +82,16 @@ mod tests {
         assert_eq!(w.benchmark_at(Seconds::new(30.1)).name, "gzip");
         // Wraps around.
         assert_eq!(w.benchmark_at(Seconds::new(60.5)).name, "Web-high");
-        assert_eq!(w.cycle_length(), Seconds::new(60.0));
     }
 
     #[test]
     fn phase_change_detection() {
         let w = PhasedWorkload::diurnal(web_high(), gzip(), Seconds::new(10.0));
-        assert!(w.phase_changes_in(Seconds::new(9.95), Seconds::new(0.1)));
-        assert!(!w.phase_changes_in(Seconds::new(5.0), Seconds::new(0.1)));
+        let changes_in = |t: f64, dt: f64| {
+            w.benchmark_at(Seconds::new(t)).name != w.benchmark_at(Seconds::new(t + dt)).name
+        };
+        assert!(changes_in(9.95, 0.1));
+        assert!(!changes_in(5.0, 0.1));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! 1. steady-state characterization (cheap, the controller's own view);
 //! 2. a `vfc_runner` sweep of full co-simulations pinning each fixed
 //!    flow setting on each stack — the cartesian product is declared
-//!    once, fans out over the work-stealing executor, and lands in the
+//!    once, fans out over the batch executor, and lands in the
 //!    result cache for instant reruns.
 //!
 //! ```sh

@@ -11,7 +11,7 @@
 //! The seven-entry matrix is carved out of the full 3 coolings × 3
 //! policies product with a `SweepSpec` filter (variable flow only pairs
 //! with TALB in the paper), and the runs fan out over `vfc_runner`'s
-//! work-stealing executor with result caching — rerunning the example
+//! batch executor with result caching — rerunning the example
 //! answers from `target/vfc-cache/` without simulating.
 
 use vfc::prelude::*;

@@ -1,18 +1,15 @@
 //! Thermal-solver microbenchmarks: steady-state and transient cost vs
-//! grid resolution and preconditioner, for liquid- and air-cooled stacks.
+//! grid resolution, for liquid- and air-cooled stacks.
 //!
-//! Each steady-state case is benchmarked with preconditioning off
-//! (`none`) and with the default ILU(0) (`ilu0`), so the payoff of the
-//! preconditioned, workspace-reusing solver stack is measured directly.
-//! Factorizations are cached inside the model (as in the engine's sample
-//! loop), so the numbers reflect the amortized per-solve cost.
+//! Every case runs the preconditioner the grid picks, ILU(0) on all of
+//! these grids. Factorizations are cached inside the model (as in the
+//! engine's sample loop), so the numbers reflect the amortized per-solve
+//! cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vfc::floorplan::{ultrasparc, GridSpec};
-use vfc::num::PreconditionerKind;
 use vfc::thermal::{StackThermalBuilder, ThermalConfig};
 use vfc::units::{Length, Seconds, VolumetricFlow, Watts};
-use vfc_bench::perf::precond_label;
 
 fn steady_state(c: &mut Criterion) {
     let mut group = c.benchmark_group("steady_state");
@@ -31,30 +28,25 @@ fn steady_state(c: &mut Criterion) {
                 stack.tiers()[0].floorplan(),
                 Length::from_millimeters(cell_mm),
             );
-            for kind in [PreconditionerKind::Identity, PreconditionerKind::Ilu0] {
-                let mut cfg = ThermalConfig::default();
-                cfg.solver.preconditioner = Some(kind);
-                let builder = StackThermalBuilder::new(&stack, grid, cfg);
-                let flow = liquid.then(|| VolumetricFlow::from_ml_per_minute(600.0));
-                let mut model = builder.build(flow).unwrap();
-                let p = model.uniform_block_power(&stack, |b| {
-                    if b.is_core() {
-                        Watts::new(3.0)
-                    } else {
-                        Watts::new(0.5)
-                    }
-                });
-                let label = format!(
-                    "{}-{}mm-{}nodes-{}",
-                    if liquid { "liquid" } else { "air" },
-                    cell_mm,
-                    model.node_count(),
-                    precond_label(kind),
-                );
-                group.bench_function(BenchmarkId::from_parameter(label), |bench| {
-                    bench.iter(|| model.steady_state(&p, None).unwrap());
-                });
-            }
+            let builder = StackThermalBuilder::new(&stack, grid, ThermalConfig::default());
+            let flow = liquid.then(|| VolumetricFlow::from_ml_per_minute(600.0));
+            let mut model = builder.build(flow).unwrap();
+            let p = model.uniform_block_power(&stack, |b| {
+                if b.is_core() {
+                    Watts::new(3.0)
+                } else {
+                    Watts::new(0.5)
+                }
+            });
+            let label = format!(
+                "{}-{}mm-{}nodes",
+                if liquid { "liquid" } else { "air" },
+                cell_mm,
+                model.node_count(),
+            );
+            group.bench_function(BenchmarkId::from_parameter(label), |bench| {
+                bench.iter(|| model.steady_state(&p, None).unwrap());
+            });
         }
     }
     group.finish();

@@ -6,23 +6,21 @@
 //! away — the steady-state maximum junction temperature of the 2-layer
 //! liquid stack at every resolution — and what the preconditioned,
 //! workspace-reusing solver stack buys back: per-solve times for
-//! no/Jacobi/ILU(0)/multigrid preconditioning at each grid
-//! (factorizations cached, as in the engine's sample loop). It also
-//! splits a grid's preconditioner set-up in two: the one-time pattern
-//! analysis (`schedules`: level sets, ILU(0) plan, stencil decomposition
-//! and multigrid hierarchy) and one numeric refactorization per
-//! preconditioner kind on a matrix sharing it (`factor`) — what every
-//! pump setting and backward-Euler operator pays.
+//! ILU(0) and multigrid preconditioning at each grid (factorizations
+//! cached, as in the engine's sample loop) and multigrid's speedup over
+//! ILU(0). It also splits a grid's preconditioner set-up in two: the
+//! one-time pattern analysis (`schedules`: level sets, ILU(0) plan,
+//! stencil decomposition and multigrid hierarchy) and one numeric
+//! refactorization per preconditioner kind on a matrix sharing it
+//! (`factor`) — what every pump setting and backward-Euler operator
+//! pays.
 //!
 //! Every time is the median of [`REPS`] repeats.
 //!
 //! Usage: grid_convergence `[--fine]`   (--fine adds the paper's 100 µm
-//! point, ~58k nodes, and the embedded-channel 50 µm point, ~230k nodes;
-//! the 50 µm point times only the practical preconditioners — ILU(0)
-//! and multigrid — as unpreconditioned solves there would dominate the
-//! whole study. Only a --fine run rewrites the committed record.)
+//! point, ~58k nodes, and the embedded-channel 50 µm point, ~230k nodes.
+//! Only a --fine run rewrites the committed record.)
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use vfc::floorplan::{ultrasparc, BlockKind, GridSpec};
@@ -34,6 +32,9 @@ use vfc_bench::perf::{cpu_count, host_label, precond_label, report_bench_records
 
 /// Repeats behind every reported time (the median is reported).
 const REPS: usize = 5;
+
+/// The preconditioners timed on every grid.
+const KINDS: [PreconditionerKind; 2] = [PreconditionerKind::Ilu0, PreconditionerKind::Multigrid];
 
 /// Median wall time of `REPS` calls of `f`, in ms.
 fn median_ms(mut f: impl FnMut()) -> f64 {
@@ -77,33 +78,14 @@ fn main() {
         flow.to_ml_per_minute()
     );
     println!(
-        "{:>9} {:>10} {:>10} {:>12} {:>9} {:>9} {:>9} {:>9} {:>8}",
-        "cell mm",
-        "nodes",
-        "Tmax C",
-        "dT vs prev",
-        "none ms",
-        "jac ms",
-        "ilu0 ms",
-        "mg ms",
-        "speedup"
+        "{:>9} {:>10} {:>10} {:>12} {:>9} {:>9} {:>8}",
+        "cell mm", "nodes", "Tmax C", "dT vs prev", "ilu0 ms", "mg ms", "speedup"
     );
     let mut prev: Option<f64> = None;
     let mut setup_rows = Vec::new();
     for cell in cells {
         let grid =
             GridSpec::from_cell_size(stack.tiers()[0].floorplan(), Length::from_millimeters(cell));
-        // Below 100 µm only the practical preconditioners get timed.
-        let kinds: &[PreconditionerKind] = if cell < 0.1 - 1e-9 {
-            &[PreconditionerKind::Ilu0, PreconditionerKind::Multigrid]
-        } else {
-            &[
-                PreconditionerKind::Identity,
-                PreconditionerKind::Jacobi,
-                PreconditionerKind::Ilu0,
-                PreconditionerKind::Multigrid,
-            ]
-        };
         let mut times: Vec<f64> = Vec::new();
         let mut tmaxes: Vec<f64> = Vec::new();
         let mut nodes = 0;
@@ -119,7 +101,7 @@ fn main() {
             host: host_label(),
             cpus: cpu_count(),
         };
-        for &kind in kinds {
+        for kind in KINDS {
             let mut cfg = ThermalConfig::default();
             cfg.solver.preconditioner = Some(kind);
             let builder = StackThermalBuilder::new(&stack, grid, cfg);
@@ -148,44 +130,34 @@ fn main() {
             std::hint::black_box(KernelSchedules::for_grid_matrix(a, &coords));
         });
         records.push(record("schedules", nodes, "-", schedules_ms));
-        let schedules = Arc::new(KernelSchedules::for_grid_matrix(a, &coords));
+        let schedules = KernelSchedules::for_grid_matrix(a, &coords);
         let mut factor_ms = Vec::new();
-        for &kind in kinds {
+        for kind in KINDS {
             let ms = median_ms(|| {
-                std::hint::black_box(kind.build(a, Some(&schedules)).expect("factor"));
+                std::hint::black_box(kind.build(a, &schedules).expect("factor"));
             });
-            factor_ms.push((kind, ms));
+            factor_ms.push(ms);
             records.push(record("factor", nodes, precond_label(kind), ms));
         }
         setup_rows.push((cell, nodes, schedules_ms, factor_ms));
-        // All three preconditioners solve to the same 1e-10 residual; the
+        // Both preconditioners solve to the same 1e-10 residual; the
         // answers must agree far below the printed precision.
-        let spread = tmaxes.iter().fold(f64::MIN, |m, &v| m.max(v))
-            - tmaxes.iter().fold(f64::MAX, |m, &v| m.min(v));
+        let spread = (tmaxes[0] - tmaxes[1]).abs();
         assert!(
             spread < 1e-5,
             "preconditioners disagree on Tmax by {spread} K"
         );
-        let tmax = *tmaxes.last().unwrap();
-        let col = |kind: PreconditionerKind| {
-            kinds
-                .iter()
-                .position(|&k| k == kind)
-                .map(|i| format!("{:.1}", times[i]))
-                .unwrap_or_else(|| "-".into())
-        };
+        let tmax = tmaxes[1];
         println!(
-            "{:>9.2} {:>10} {:>10.2} {:>12} {:>9} {:>9} {:>9} {:>9} {:>7.1}x",
+            "{:>9.2} {:>10} {:>10.2} {:>12} {:>9.1} {:>9.1} {:>7.1}x",
             cell,
             nodes,
             tmax,
             prev.map(|p| format!("{:+.2}", tmax - p))
                 .unwrap_or_else(|| "-".into()),
-            col(PreconditionerKind::Identity),
-            col(PreconditionerKind::Jacobi),
-            col(PreconditionerKind::Ilu0),
-            col(PreconditionerKind::Multigrid),
-            times[0] / times.last().unwrap().max(1e-9),
+            times[0],
+            times[1],
+            times[0] / times[1].max(1e-9),
         );
         prev = Some(tmax);
     }
@@ -197,26 +169,13 @@ fn main() {
     println!("\nPreconditioner set-up: one-time pattern analysis, then one numeric");
     println!("refactorization per kind on a matrix sharing it (median of {REPS}):");
     println!(
-        "{:>9} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10}",
-        "cell mm", "nodes", "schedules ms", "none ms", "jac ms", "ilu0 ms", "mg ms"
+        "{:>9} {:>10} {:>12} {:>10} {:>10}",
+        "cell mm", "nodes", "schedules ms", "ilu0 ms", "mg ms"
     );
     for (cell, nodes, schedules_ms, factor_ms) in &setup_rows {
-        let col = |kind: PreconditionerKind| {
-            factor_ms
-                .iter()
-                .find(|(k, _)| *k == kind)
-                .map(|(_, ms)| format!("{ms:.3}"))
-                .unwrap_or_else(|| "-".into())
-        };
         println!(
-            "{:>9.2} {:>10} {:>12.3} {:>10} {:>10} {:>10} {:>10}",
-            cell,
-            nodes,
-            schedules_ms,
-            col(PreconditionerKind::Identity),
-            col(PreconditionerKind::Jacobi),
-            col(PreconditionerKind::Ilu0),
-            col(PreconditionerKind::Multigrid),
+            "{:>9.2} {:>10} {:>12.3} {:>10.3} {:>10.3}",
+            cell, nodes, schedules_ms, factor_ms[0], factor_ms[1],
         );
     }
     report_bench_records("grid_convergence", &records, fine);

@@ -1,9 +1,8 @@
 //! Per-kernel microbenchmark on a real thermal matrix: times the CSR
-//! and stencil matvec/fused-residual kernels, the indexed and stencil
-//! ILU(0) triangular sweeps, the O(n) vector passes a Krylov iteration
-//! spends the rest of its time in, and the legs of one multigrid V(0,1)
-//! cycle — the numbers that explain (or debunk) an end-to-end transient
-//! speedup.
+//! and stencil matvec/fused-residual kernels, the level-major ILU(0)
+//! triangular sweeps, the O(n) vector passes a Krylov iteration spends
+//! the rest of its time in, and the legs of one multigrid V(0,1) cycle —
+//! the numbers that explain (or debunk) an end-to-end transient speedup.
 //!
 //! The probe is a thin client of the `vfc_obs` span layer: every rep
 //! runs inside an RAII span and both tables are printed straight from
@@ -16,10 +15,7 @@
 //! (default cell 0.1 mm, the paper's grid)
 
 use vfc::floorplan::{ultrasparc, GridSpec};
-use vfc::num::{
-    dot, dot2, norm2, Ilu0Preconditioner, LinearOperator, Preconditioner, PreconditionerKind,
-    StencilOp,
-};
+use vfc::num::{dot, dot2, norm2, LinearOperator, PreconditionerKind, StencilOp};
 use vfc::thermal::{StackThermalBuilder, ThermalConfig};
 use vfc::units::{Length, VolumetricFlow, Watts};
 use vfc_bench::telemetry::{export_snapshot, parse_telemetry_flag};
@@ -76,14 +72,17 @@ fn main() {
         pat.class_count()
     );
 
-    // The V-cycle probed last is built and warmed up before the reset,
-    // which drops its set-up spans and warm-up cycle along with
-    // model-building's (thermal.steady etc.): one snapshot then holds
-    // exactly the probed kernels and the probed cycles.
+    // Both preconditioners are built, and the V-cycle probed last warmed
+    // up, before the reset, which drops their set-up spans and warm-up
+    // cycle along with model-building's (thermal.steady etc.): one
+    // snapshot then holds exactly the probed kernels and the probed
+    // cycles.
     let mut z = vec![0.0; n];
     let mg_reps = reps.min(20);
+    let schedules = model.skeleton().schedules();
+    let ilu0 = PreconditionerKind::Ilu0.build(&a, schedules).expect("ilu");
     let mg = PreconditionerKind::Multigrid
-        .build(&a, Some(model.skeleton().schedules()))
+        .build(&a, schedules)
         .expect("multigrid hierarchy");
     mg.apply(&p, &mut z);
     vfc::obs::reset();
@@ -97,14 +96,7 @@ fn main() {
         op.residual_into(&p, &x, &mut r)
     });
 
-    let seq = Ilu0Preconditioner::new(&a, None).expect("ilu");
-    let sch = Ilu0Preconditioner::new(
-        &a,
-        Some(std::sync::Arc::clone(model.skeleton().schedules())),
-    )
-    .expect("ilu");
-    probe("kernel.ilu0_apply_indexed", reps, || seq.apply(&r, &mut z));
-    probe("kernel.ilu0_apply_stencil", reps, || sch.apply(&r, &mut z));
+    probe("kernel.ilu0_apply_stencil", reps, || ilu0.apply(&r, &mut z));
 
     probe("kernel.norm2", reps, || {
         std::hint::black_box(norm2(&r));
@@ -145,7 +137,6 @@ fn main() {
         ("csr matvec", "kernel.csr_matvec"),
         ("stencil matvec", "kernel.stencil_matvec"),
         ("stencil fused residual", "kernel.stencil_residual"),
-        ("ilu0 apply (indexed)", "kernel.ilu0_apply_indexed"),
         ("ilu0 apply (stencil)", "kernel.ilu0_apply_stencil"),
         ("norm2", "kernel.norm2"),
         ("dot pair (2 passes)", "kernel.dot_pair_separate"),
@@ -156,9 +147,8 @@ fn main() {
         println!("{label:>28} {:>10.4} {:>6}", stat.mean_ms(), stat.count);
     }
     println!(
-        "matvec speedup {:.2}x, sweep speedup {:.2}x, dot-pair fusion {:.2}x",
+        "matvec speedup {:.2}x, dot-pair fusion {:.2}x",
         mean("kernel.csr_matvec") / mean("kernel.stencil_matvec").max(1e-12),
-        mean("kernel.ilu0_apply_indexed") / mean("kernel.ilu0_apply_stencil").max(1e-12),
         mean("kernel.dot_pair_separate") / mean("kernel.dot_pair_fused").max(1e-12)
     );
 

@@ -89,13 +89,10 @@ impl PerfRecord {
 }
 
 /// The canonical short label for a preconditioner in perf records and
-/// bench tables (the one definition both the binaries and the criterion
-/// benches share).
+/// bench tables (the one definition the bench binaries share).
 pub fn precond_label(kind: vfc::num::PreconditionerKind) -> &'static str {
     use vfc::num::PreconditionerKind;
     match kind {
-        PreconditionerKind::Identity => "none",
-        PreconditionerKind::Jacobi => "jacobi",
         PreconditionerKind::Ilu0 => "ilu0",
         PreconditionerKind::Multigrid => "mg",
     }

@@ -24,7 +24,6 @@ pub const STANDARD_COUNTERS: &[&str] = &[
     "runner.cache.misses",
     "runner.cache.stores",
     "runner.dedup_joins",
-    "runner.job_retries",
     "runner.jobs",
     "serve.connections",
     "serve.deadline_aborts",

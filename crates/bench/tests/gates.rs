@@ -1,7 +1,8 @@
-//! Deterministic regression gates on the bench harness: the committed
-//! transient iteration counts, the sweep CLI's warm second pass, the
-//! sweep service's crash recovery against a real `SIGKILL`, and
-//! `kernel_probe`'s telemetry export.
+//! Deterministic regression gates on the bench harness: a cold
+//! `all_figures` run against its committed reference output, the
+//! committed transient iteration counts, the sweep CLI's warm second
+//! pass, the sweep service's crash recovery against a real `SIGKILL`,
+//! and `kernel_probe`'s telemetry export.
 //!
 //! Every child process and every wait has a deadline, and server
 //! children are killed and reaped on drop, so a failed assertion can
@@ -55,6 +56,39 @@ impl Drop for Reaped {
         let _ = self.0.kill();
         let _ = self.0.wait();
     }
+}
+
+#[test]
+fn cold_all_figures_matches_the_committed_reference() {
+    // Every table and figure, simulated on an empty cache, must print
+    // the committed reference byte for byte: the bar that a change
+    // claiming unchanged results has to clear.
+    let dir = temp_dir("figures");
+    let log = dir.join("all_figures.txt");
+    let status = Reaped::spawn(
+        Command::new(env!("CARGO_BIN_EXE_all_figures")).env("VFC_CACHE_DIR", dir.join("cache")),
+        &log,
+    )
+    .wait(Duration::from_secs(600), "all_figures");
+    assert!(status.success(), "all_figures failed: {status}");
+    let got = std::fs::read_to_string(&log).expect("read all_figures output");
+    let reference =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benchmark/reference/all_figures.txt");
+    let want = std::fs::read_to_string(&reference).expect("read the committed reference");
+    if got != want {
+        let line = got
+            .lines()
+            .zip(want.lines())
+            .position(|(g, w)| g != w)
+            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
+        panic!(
+            "all_figures differs from benchmark/reference/all_figures.txt at line {}:\n  got:  {:?}\n  want: {:?}",
+            line + 1,
+            got.lines().nth(line),
+            want.lines().nth(line),
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -14,18 +14,13 @@ use std::sync::Arc;
 
 use vfc_floorplan::Stack3d;
 use vfc_num::{
-    CsrBuilder, CsrMatrix, GridCoord, KernelSchedules, Preconditioner, PreconditionerKind,
-    SolverWorkspace, StencilOp, StencilPattern,
+    CsrBuilder, CsrMatrix, GridCoord, KernelSchedules, Preconditioner, SolverWorkspace, StencilOp,
+    StencilPattern,
 };
 use vfc_thermal::ThermalModel;
 use vfc_units::Celsius;
 
 use crate::ControlError;
-
-/// Minimum reduced-system order before building a one-shot stencil
-/// decomposition pays for itself (the characterization solves a handful
-/// of these per run; tiny systems solve faster than they decompose).
-const STENCIL_MIN_ORDER: usize = 4_096;
 
 /// Computes the per-core balanced power budgets at each balance target,
 /// returning `(range upper bound, powers)` rows ready for
@@ -148,40 +143,21 @@ impl<'a> BalanceSystem<'a> {
             }
         }
         let reduced = builder.build();
-        // The reduced system inherits the model's solver settings,
-        // preconditioner by the same grid rule as the model's own solves
-        // (resolved on the full grid: core cells dropping out leave the
-        // in-plane extent as it was). Pattern schedules are built only
-        // for a multigrid run on a large reduced system: they carry the
-        // coarsening hierarchy (built over the free-node subset of the
-        // grid coordinates — core cells dropping out just shrinks their
-        // aggregates). Below that size, or for single-level kinds, the
-        // build skips the construction; ILU(0) lands the same bits with
-        // or without them.
-        const SCHEDULE_MIN_ORDER: usize = 8_192;
-        let kind = model
+        // The reduced system gets its pattern schedules the way the
+        // skeleton does, from grid coordinates: the free-node subset of
+        // the grid's, so core cells dropping out just shrinks their
+        // multigrid aggregates. Its preconditioner follows the same grid
+        // rule as the model's own solves, resolved on the full grid (the
+        // in-plane extent is unchanged).
+        let full_coords = layout.grid_coords();
+        let coords: Vec<GridCoord> = free_nodes.iter().map(|&i| full_coords[i]).collect();
+        let schedules = KernelSchedules::for_grid_matrix(&reduced, &coords);
+        let precond = model
             .skeleton()
             .config()
             .solver
-            .resolve(layout.cells_per_layer());
-        let schedules =
-            (kind == PreconditionerKind::Multigrid && m >= SCHEDULE_MIN_ORDER).then(|| {
-                let full_coords = layout.grid_coords();
-                let coords: Vec<GridCoord> = free_nodes.iter().map(|&i| full_coords[i]).collect();
-                Arc::new(KernelSchedules::for_grid_matrix(&reduced, &coords))
-            });
-        // The reduced system keeps most of the grid's structure (only core
-        // cells drop out), so the index-free stencil operator usually still
-        // decomposes it; bit-identical to CSR, so the recovered balanced
-        // powers — and therefore the TALB figure rows — are unchanged.
-        let stencil: Option<Arc<StencilPattern>> = match &schedules {
-            Some(s) => s.stencil().cloned(),
-            None => (m >= STENCIL_MIN_ORDER)
-                .then(|| StencilPattern::for_matrix(&reduced).map(Arc::new))
-                .flatten(),
-        };
-        let precond = kind
-            .build(&reduced, schedules.as_ref())
+            .resolve(layout.cells_per_layer())
+            .build(&reduced, &schedules)
             .map_err(vfc_thermal::ThermalError::from)?;
         Ok(Self {
             model,
@@ -189,8 +165,12 @@ impl<'a> BalanceSystem<'a> {
             fixed,
             core_blocks,
             free_nodes,
+            // Where the reduced pattern still decomposes into a stencil
+            // (only core cells drop out), solves run the index-free
+            // operator; it is bit-identical to CSR, so the balanced
+            // powers do not depend on which one runs.
+            stencil: schedules.stencil().cloned(),
             reduced,
-            stencil,
             precond,
         })
     }

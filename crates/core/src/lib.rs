@@ -51,7 +51,7 @@
 //! | Module | Substrate |
 //! |--------|-----------|
 //! | [`units`] | typed physical quantities |
-//! | [`num`] | dense/sparse linear algebra, CG/BiCGSTAB |
+//! | [`num`] | dense/sparse linear algebra, BiCGSTAB with ILU(0) or multigrid |
 //! | [`floorplan`] | blocks, grids, 3D stacks, T1 layouts |
 //! | [`liquid`] | coolant, microchannels, pump |
 //! | [`thermal`] | RC networks, steady/transient solvers |

@@ -1,8 +1,7 @@
 //! Preconditioned BiCGSTAB for nonsymmetric systems.
 
 use crate::{
-    dot, dot2, norm2, CsrMatrix, JacobiPreconditioner, LinearOperator, NumError, Preconditioner,
-    SolveInfo, SolverWorkspace,
+    dot, dot2, norm2, LinearOperator, NumError, Preconditioner, SolveInfo, SolverWorkspace,
 };
 
 /// Stabilized bi-conjugate gradient solver.
@@ -11,11 +10,9 @@ use crate::{
 /// advection transports heat downstream only; BiCGSTAB handles these
 /// diagonally dominant systems robustly where plain CG does not apply.
 ///
-/// [`solve`](Self::solve) is the convenient entry point (Jacobi
-/// preconditioning, fresh scratch space); hot paths that re-solve the
-/// same matrix should build a [`Preconditioner`] once, keep a
-/// [`SolverWorkspace`], and call [`solve_with`](Self::solve_with) so
-/// repeated solves allocate nothing.
+/// Callers that re-solve the same matrix build a [`Preconditioner`]
+/// once, keep a [`SolverWorkspace`], and call
+/// [`solve_with`](Self::solve_with), so repeated solves allocate nothing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BiCgStab {
     /// Relative residual tolerance `‖b−Ax‖/‖b‖`.
@@ -34,8 +31,13 @@ impl Default for BiCgStab {
 }
 
 impl BiCgStab {
-    /// Solves `A·x = b` with Jacobi preconditioning and one-shot scratch
-    /// space, using the incoming `x` as the warm start.
+    /// Solves `A·x = b` with an explicit (right) preconditioner and a
+    /// caller-owned workspace, using the incoming `x` as the warm start;
+    /// allocation-free when the workspace has already reached the matrix
+    /// order.
+    ///
+    /// `a` is any [`LinearOperator`] — the index-free stencil operator
+    /// or the CSR matrix itself; both produce bit-identical iterates.
     ///
     /// # Errors
     ///
@@ -46,21 +48,6 @@ impl BiCgStab {
     /// the solve — never a mid-iteration partial update — so the caller
     /// can use it as a warm start for a retry (a stronger
     /// preconditioner, a shorter time step).
-    pub fn solve(&self, a: &CsrMatrix, b: &[f64], x: &mut [f64]) -> Result<SolveInfo, NumError> {
-        let m = JacobiPreconditioner::new(a);
-        self.solve_with(a, b, x, &m, &mut SolverWorkspace::new())
-    }
-
-    /// Solves `A·x = b` with an explicit (right) preconditioner and a
-    /// caller-owned workspace; allocation-free when the workspace has
-    /// already reached the matrix order.
-    ///
-    /// `a` is any [`LinearOperator`] — the index-free stencil operator
-    /// or the CSR matrix itself; both produce bit-identical iterates.
-    ///
-    /// # Errors
-    ///
-    /// As [`solve`](Self::solve).
     pub fn solve_with<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
@@ -240,10 +227,36 @@ impl BiCgStab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CsrBuilder, DenseMatrix, Ilu0Preconditioner, PreconditionerKind};
+    use crate::{CsrBuilder, CsrMatrix, DenseMatrix, KernelSchedules, PreconditionerKind};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+
+    /// No preconditioning, `z = r`: the unpreconditioned reference the
+    /// solver tests compare against and run the plain Krylov iteration
+    /// under.
+    #[derive(Debug)]
+    struct Unpreconditioned(usize);
+
+    impl Preconditioner for Unpreconditioned {
+        fn apply(&self, r: &[f64], z: &mut [f64]) {
+            z.copy_from_slice(r);
+        }
+
+        fn order(&self) -> usize {
+            self.0
+        }
+    }
+
+    /// Unpreconditioned solve with fresh scratch space.
+    fn solve_unpreconditioned(
+        a: &CsrMatrix,
+        b: &[f64],
+        x: &mut [f64],
+    ) -> Result<SolveInfo, NumError> {
+        let m = Unpreconditioned(a.order());
+        BiCgStab::default().solve_with(a, b, x, &m, &mut SolverWorkspace::new())
+    }
 
     /// 1-D advection-diffusion matrix: diffusion couples both neighbours,
     /// advection couples upstream only — exactly the structure of a
@@ -271,7 +284,7 @@ mod tests {
         let x_true: Vec<f64> = (0..200).map(|i| 60.0 + (i as f64 * 0.05).cos()).collect();
         let b = a.matvec(&x_true);
         let mut x = vec![0.0; 200];
-        let info = BiCgStab::default().solve(&a, &b, &mut x).unwrap();
+        let info = solve_unpreconditioned(&a, &b, &mut x).unwrap();
         assert!(info.residual <= 1e-10);
         for (got, want) in x.iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-5);
@@ -301,7 +314,7 @@ mod tests {
             let a = b.build();
             let rhs: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
             let mut x = vec![0.0; n];
-            BiCgStab::default().solve(&a, &rhs, &mut x).unwrap();
+            solve_unpreconditioned(&a, &rhs, &mut x).unwrap();
             let x_lu = dense.lu_solve(&rhs).unwrap();
             for (got, want) in x.iter().zip(&x_lu) {
                 assert!((got - want).abs() < 1e-7, "n={n}");
@@ -313,7 +326,7 @@ mod tests {
     fn zero_rhs_short_circuits() {
         let a = advection_diffusion(10, 1.0);
         let mut x = vec![3.0; 10];
-        let info = BiCgStab::default().solve(&a, &[0.0; 10], &mut x).unwrap();
+        let info = solve_unpreconditioned(&a, &[0.0; 10], &mut x).unwrap();
         assert_eq!(info.iterations, 0);
         assert!(x.iter().all(|&v| v == 0.0));
     }
@@ -323,7 +336,7 @@ mod tests {
         let a = advection_diffusion(4, 1.0);
         let mut x = vec![0.0; 4];
         assert!(matches!(
-            BiCgStab::default().solve(&a, &[1.0; 3], &mut x),
+            solve_unpreconditioned(&a, &[1.0; 3], &mut x),
             Err(NumError::DimensionMismatch { .. })
         ));
     }
@@ -331,7 +344,7 @@ mod tests {
     #[test]
     fn preconditioner_order_mismatch() {
         let a = advection_diffusion(4, 1.0);
-        let wrong = crate::IdentityPreconditioner::new(3);
+        let wrong = Unpreconditioned(3);
         let mut x = vec![0.0; 4];
         assert!(matches!(
             BiCgStab::default().solve_with(&a, &[1.0; 4], &mut x, &wrong, &mut Default::default()),
@@ -353,15 +366,17 @@ mod tests {
         let mut ws = SolverWorkspace::new();
 
         let mut x_id = vec![0.0; n];
-        let id = crate::IdentityPreconditioner::new(n);
+        let id = Unpreconditioned(n);
         let info_id = solver
             .solve_with(&a, &rhs, &mut x_id, &id, &mut ws)
             .unwrap();
 
         let mut x_ilu = vec![0.0; n];
-        let ilu = Ilu0Preconditioner::new(&a, None).unwrap();
+        let ilu = PreconditionerKind::Ilu0
+            .build(&a, &KernelSchedules::for_matrix(&a))
+            .unwrap();
         let info_ilu = solver
-            .solve_with(&a, &rhs, &mut x_ilu, &ilu, &mut ws)
+            .solve_with(&a, &rhs, &mut x_ilu, ilu.as_ref(), &mut ws)
             .unwrap();
 
         assert!(
@@ -386,7 +401,7 @@ mod tests {
         let a = advection_diffusion(n, 0.5);
         let x_true: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.01).sin()).collect();
         let rhs = a.matvec(&x_true);
-        let id = crate::IdentityPreconditioner::new(n);
+        let id = Unpreconditioned(n);
         let capped = |cap: usize| {
             let solver = BiCgStab {
                 max_iterations: cap,
@@ -422,7 +437,7 @@ mod tests {
         b.add(0, 1, 1.0);
         b.add(1, 0, -1.0);
         let a = b.build();
-        let id = crate::IdentityPreconditioner::new(2);
+        let id = Unpreconditioned(2);
         let mut x = vec![0.5, -0.25];
         let warm = x.clone();
         let err = BiCgStab::default()
@@ -441,7 +456,7 @@ mod tests {
         for &(n, adv) in &[(40usize, 2.0), (25, 7.0), (60, 0.5)] {
             let a = advection_diffusion(n, adv);
             let rhs: Vec<f64> = (0..n).map(|i| (i as f64) - n as f64 / 3.0).collect();
-            let m = JacobiPreconditioner::new(&a);
+            let m = Unpreconditioned(n);
             let mut x_shared = vec![0.0; n];
             let info_shared = solver
                 .solve_with(&a, &rhs, &mut x_shared, &m, &mut ws)
@@ -464,7 +479,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let rhs: Vec<f64> = (0..n).map(|_| rng.random_range(-10.0..10.0)).collect();
             let mut x = vec![0.0; n];
-            let info = BiCgStab::default().solve(&a, &rhs, &mut x).unwrap();
+            let info = solve_unpreconditioned(&a, &rhs, &mut x).unwrap();
             prop_assert!(info.residual <= 1e-10);
         }
 
@@ -474,31 +489,28 @@ mod tests {
             n in 2usize..40,
             adv in 0.0f64..8.0,
         ) {
-            // Satellite property: every preconditioner reaches the same
-            // solution as the unpreconditioned solver, within tolerance,
-            // on random advection-diffusion systems.
+            // Every preconditioner reaches the same solution as the
+            // unpreconditioned solver, within tolerance, on random
+            // advection-diffusion systems.
             let a = advection_diffusion(n, adv);
             let mut rng = StdRng::seed_from_u64(seed);
             let rhs: Vec<f64> = (0..n).map(|_| rng.random_range(-10.0..10.0)).collect();
             let solver = BiCgStab::default();
             let mut ws = SolverWorkspace::new();
 
-            let id = crate::IdentityPreconditioner::new(n);
+            let id = Unpreconditioned(n);
             let mut x_ref = vec![0.0; n];
             solver.solve_with(&a, &rhs, &mut x_ref, &id, &mut ws).unwrap();
 
             let scale = x_ref.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-            for kind in [PreconditionerKind::Jacobi, PreconditionerKind::Ilu0] {
-                let m = kind.build(&a, None).unwrap();
-                let mut x = vec![0.0; n];
-                let info = solver.solve_with(&a, &rhs, &mut x, m.as_ref(), &mut ws).unwrap();
-                prop_assert!(info.residual <= 1e-10);
-                for (got, want) in x.iter().zip(&x_ref) {
-                    prop_assert!(
-                        (got - want).abs() <= 1e-6 * scale,
-                        "{kind:?}: {got} vs {want}"
-                    );
-                }
+            let m = PreconditionerKind::Ilu0
+                .build(&a, &KernelSchedules::for_matrix(&a))
+                .unwrap();
+            let mut x = vec![0.0; n];
+            let info = solver.solve_with(&a, &rhs, &mut x, m.as_ref(), &mut ws).unwrap();
+            prop_assert!(info.residual <= 1e-10);
+            for (got, want) in x.iter().zip(&x_ref) {
+                prop_assert!((got - want).abs() <= 1e-6 * scale, "{got} vs {want}");
             }
         }
     }

@@ -15,17 +15,18 @@
 //!   wherever a pattern decomposes into one, and [`CsrMatrix`] itself as
 //!   the fallback and the reference — **bit-identical** to each other;
 //! * [`BiCgStab`] for the nonsymmetric systems produced by advection;
-//! * the [`Preconditioner`] trait with [`JacobiPreconditioner`],
+//! * the [`Preconditioner`] trait with its two implementations,
 //!   [`Ilu0Preconditioner`] (level-major triangular sweeps) and
 //!   [`MultigridPreconditioner`] (one geometric V(0,1) cycle per apply
-//!   on the semi-coarsened grid hierarchy, [`MgStructure`]) implementations
-//!   ([`PreconditionerKind`] is the config-level selection knob);
-//! * [`KernelSchedules`] — the per-pattern analysis shared across
-//!   same-pattern matrix families: triangular level sets, the ILU(0)
-//!   plan (diagonal positions, IKJ update list, level-major sweep
-//!   tables), the stencil decomposition and the multigrid hierarchy.
-//!   Symbolic once, numeric per matrix: with it, every ILU(0) or
-//!   multigrid factorization on the pattern is a value pass;
+//!   on the semi-coarsened grid hierarchy, [`MgStructure`]), both built
+//!   by [`PreconditionerKind::build`];
+//! * [`KernelSchedules`] — the per-pattern analysis every
+//!   preconditioner build takes, shared across same-pattern matrix
+//!   families: triangular level sets, the ILU(0) plan (diagonal
+//!   positions, IKJ update list, level-major sweep tables), the stencil
+//!   decomposition and the multigrid hierarchy. Symbolic once, numeric
+//!   per matrix: every ILU(0) or multigrid factorization on the pattern
+//!   is a value pass;
 //! * [`SolverWorkspace`], reusable Krylov scratch space so repeated
 //!   solves on a model allocate nothing;
 //! * [`lstsq`](lstsq::solve) ordinary least squares, used by the
@@ -38,7 +39,7 @@
 //! # Example
 //!
 //! ```
-//! use vfc_num::{CsrBuilder, BiCgStab};
+//! use vfc_num::{BiCgStab, CsrBuilder, KernelSchedules, PreconditionerKind, SolverWorkspace};
 //!
 //! // 2x2 diagonally dominant system: [[4,1],[1,3]] x = [1,2]
 //! let mut b = CsrBuilder::new(2);
@@ -47,8 +48,14 @@
 //! b.add(1, 0, 1.0);
 //! b.add(1, 1, 3.0);
 //! let m = b.build();
+//! // Symbolic once per pattern, numeric per matrix.
+//! let schedules = KernelSchedules::for_matrix(&m);
+//! let precond = PreconditionerKind::Ilu0.build(&m, &schedules).unwrap();
 //! let mut x = vec![0.0; 2];
-//! let info = BiCgStab::default().solve(&m, &[1.0, 2.0], &mut x).unwrap();
+//! let mut ws = SolverWorkspace::new();
+//! let info = BiCgStab::default()
+//!     .solve_with(&m, &[1.0, 2.0], &mut x, precond.as_ref(), &mut ws)
+//!     .unwrap();
 //! assert!(info.residual < 1e-9);
 //! ```
 
@@ -73,10 +80,7 @@ pub use self::dense::{DenseMatrix, LuFactors};
 pub use self::error::NumError;
 pub use self::multigrid::{MgStructure, MultigridPreconditioner};
 pub use self::operator::LinearOperator;
-pub use self::precond::{
-    IdentityPreconditioner, Ilu0Preconditioner, JacobiPreconditioner, Preconditioner,
-    PreconditionerKind,
-};
+pub use self::precond::{Ilu0Preconditioner, Preconditioner, PreconditionerKind};
 pub use self::schedule::{KernelSchedules, TriangularLevels};
 pub use self::sparse::{CsrBuilder, CsrMatrix};
 pub use self::stencil::{GridCoord, StencilOp, StencilPattern};

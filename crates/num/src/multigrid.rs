@@ -71,7 +71,7 @@ pub(crate) struct MgLevel {
     pub scatter: Vec<u32>,
     /// The coarse pattern's kernel schedules (level sets for the ILU(0)
     /// smoother sweeps), computed once and shared by every build.
-    pub schedules: Arc<KernelSchedules>,
+    pub schedules: KernelSchedules,
 }
 
 impl MgLevel {
@@ -220,7 +220,7 @@ impl MgStructure {
         }
         let nnz = col_idx.len();
         let pattern = CsrMatrix::from_parts(row_ptr, col_idx, vec![0.0; nnz]);
-        let schedules = Arc::new(KernelSchedules::analyse(&pattern));
+        let schedules = KernelSchedules::analyse(&pattern);
         MgLevel {
             agg,
             children_ptr,
@@ -291,8 +291,8 @@ pub struct MultigridPreconditioner {
 impl MultigridPreconditioner {
     /// Builds the V-cycle for `a`: Galerkin coarse operators from `a`'s
     /// values through the shared `structure`, one ILU(0) smoother per
-    /// level (the fine level reuses `schedules`' level sets when given)
-    /// and a dense LU of the coarsest level.
+    /// level (the fine level on `a`'s pattern `schedules`, the coarse
+    /// levels on their own) and a dense LU of the coarsest level.
     ///
     /// # Errors
     ///
@@ -302,7 +302,7 @@ impl MultigridPreconditioner {
     /// coarsest LU breaks down.
     pub(crate) fn new(
         a: &CsrMatrix,
-        schedules: Option<Arc<KernelSchedules>>,
+        schedules: &KernelSchedules,
         structure: Arc<MgStructure>,
     ) -> Result<Self, NumError> {
         if !structure.matches_pattern(a) {
@@ -310,12 +310,10 @@ impl MultigridPreconditioner {
                 context: "multigrid hierarchy",
             });
         }
-        if let Some(s) = &schedules {
-            if !s.matches_pattern(a) {
-                return Err(NumError::PatternMismatch {
-                    context: "multigrid",
-                });
-            }
+        if !schedules.matches_pattern(a) {
+            return Err(NumError::PatternMismatch {
+                context: "multigrid",
+            });
         }
         // Galerkin values level by level, each from its parent's.
         let mut coarse: Vec<CsrMatrix> = Vec::with_capacity(structure.levels.len());
@@ -326,17 +324,14 @@ impl MultigridPreconditioner {
             };
             coarse.push(lvl.pattern.with_values(values));
         }
-        let fine_stencil = schedules.as_ref().and_then(|s| s.stencil().cloned());
+        let fine_stencil = schedules.stencil().cloned();
         let mut smooth = Vec::with_capacity(structure.levels.len());
         smooth.push(Ilu0Preconditioner::new(a, schedules)?);
         for (m, lvl) in coarse
             .iter()
             .zip(&structure.levels[..structure.levels.len() - 1])
         {
-            smooth.push(Ilu0Preconditioner::new(
-                m,
-                Some(Arc::clone(&lvl.schedules)),
-            )?);
+            smooth.push(Ilu0Preconditioner::new(m, &lvl.schedules)?);
         }
         let coarsest = LuFactors::factor(&coarse.last().expect("non-empty hierarchy").to_dense())?;
         let mut orders = vec![a.order()];
@@ -552,7 +547,7 @@ mod tests {
         let other = grid_matrix(3, 12, 8, 2, 0.0);
         assert!(!mg.matches_pattern(&other));
         assert!(matches!(
-            MultigridPreconditioner::new(&other, None, mg),
+            MultigridPreconditioner::new(&other, &KernelSchedules::for_matrix(&other), mg),
             Err(NumError::PatternMismatch {
                 context: "multigrid hierarchy"
             })
@@ -568,19 +563,16 @@ mod tests {
         let twin = grid_matrix(2, 12, 12, 4, 0.0);
         let mg = Arc::new(MgStructure::build(&a, &grid_coords(2, 12, 12)).unwrap());
         assert!(mg.matches_pattern(&twin));
-        assert!(MultigridPreconditioner::new(&twin, None, mg).is_ok());
+        let schedules = KernelSchedules::for_matrix(&twin);
+        assert!(MultigridPreconditioner::new(&twin, &schedules, mg).is_ok());
     }
 
     #[test]
     fn multigrid_kind_falls_back_to_ilu0_without_a_hierarchy() {
         let a = grid_matrix(1, 5, 5, 5, 0.0);
-        let schedules = Arc::new(KernelSchedules::for_matrix(&a));
-        let mg = PreconditionerKind::Multigrid
-            .build(&a, Some(&schedules))
-            .unwrap();
-        let ilu = PreconditionerKind::Ilu0
-            .build(&a, Some(&schedules))
-            .unwrap();
+        let schedules = KernelSchedules::for_matrix(&a);
+        let mg = PreconditionerKind::Multigrid.build(&a, &schedules).unwrap();
+        let ilu = PreconditionerKind::Ilu0.build(&a, &schedules).unwrap();
         let r: Vec<f64> = (0..a.order()).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut z_mg = vec![0.0; a.order()];
         let mut z_ilu = vec![0.0; a.order()];
@@ -599,11 +591,9 @@ mod tests {
         let a = grid_matrix(layers, rows, cols, 7, 0.0);
         let n = a.order();
         let coords = grid_coords(layers, rows, cols);
-        let schedules = Arc::new(KernelSchedules::for_grid_matrix(&a, &coords));
+        let schedules = KernelSchedules::for_grid_matrix(&a, &coords);
         assert!(schedules.multigrid().is_some());
-        let m = PreconditionerKind::Multigrid
-            .build(&a, Some(&schedules))
-            .unwrap();
+        let m = PreconditionerKind::Multigrid.build(&a, &schedules).unwrap();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
         let mut x = vec![0.0; n];
         let mut ws = SolverWorkspace::new();
@@ -626,10 +616,8 @@ mod tests {
         let a = grid_matrix(layers, rows, cols, 9, 2.5);
         let n = a.order();
         let coords = grid_coords(layers, rows, cols);
-        let schedules = Arc::new(KernelSchedules::for_grid_matrix(&a, &coords));
-        let m = PreconditionerKind::Multigrid
-            .build(&a, Some(&schedules))
-            .unwrap();
+        let schedules = KernelSchedules::for_grid_matrix(&a, &coords);
+        let m = PreconditionerKind::Multigrid.build(&a, &schedules).unwrap();
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.07).sin()).collect();
         let mut x = vec![0.0; n];
         let mut ws = SolverWorkspace::new();
@@ -671,11 +659,9 @@ mod tests {
         let (layers, rows, cols) = (8, 40, 40);
         let a = grid_matrix(layers, rows, cols, 13, 1.5);
         let coords = grid_coords(layers, rows, cols);
-        let schedules = Arc::new(KernelSchedules::for_grid_matrix(&a, &coords));
+        let schedules = KernelSchedules::for_grid_matrix(&a, &coords);
         let r: Vec<f64> = (0..a.order()).map(|i| (i as f64 * 0.013).sin()).collect();
-        let m = PreconditionerKind::Multigrid
-            .build(&a, Some(&schedules))
-            .unwrap();
+        let m = PreconditionerKind::Multigrid.build(&a, &schedules).unwrap();
         let mut reference = vec![0.0; a.order()];
         m.apply(&r, &mut reference);
         let mut applies = 1;
@@ -704,14 +690,10 @@ mod tests {
             values[a.pattern_index(i, i).unwrap()] += 2.0;
         }
         let be = a.with_values(values);
-        let schedules = Arc::new(KernelSchedules::for_grid_matrix(
-            &a,
-            &grid_coords(layers, rows, cols),
-        ));
+        let schedules = KernelSchedules::for_grid_matrix(&a, &grid_coords(layers, rows, cols));
         let structure = Arc::clone(schedules.multigrid().unwrap());
         let build = |m: &CsrMatrix| {
-            MultigridPreconditioner::new(m, Some(Arc::clone(&schedules)), Arc::clone(&structure))
-                .unwrap()
+            MultigridPreconditioner::new(m, &schedules, Arc::clone(&structure)).unwrap()
         };
         let (p, q) = (build(&a), build(&be));
         assert_eq!(p.smooth.len(), structure.depth());
@@ -719,8 +701,8 @@ mod tests {
             std::iter::once(&schedules).chain(structure.levels.iter().map(|l| &l.schedules));
         for ((x, y), owner) in p.smooth.iter().zip(&q.smooth).zip(plans) {
             let shared = owner.ilu0_plan().unwrap();
-            assert!(Arc::ptr_eq(x.plan().unwrap(), shared));
-            assert!(Arc::ptr_eq(y.plan().unwrap(), shared));
+            assert!(Arc::ptr_eq(x.plan(), shared));
+            assert!(Arc::ptr_eq(y.plan(), shared));
         }
     }
 

@@ -188,7 +188,7 @@ impl IkjPlan {
     ///
     /// [`NumError::SingularMatrix`] at the first row without a diagonal
     /// entry.
-    pub(crate) fn for_matrix(a: &CsrMatrix) -> Result<Self, NumError> {
+    fn for_matrix(a: &CsrMatrix) -> Result<Self, NumError> {
         const NONE: u32 = u32::MAX;
         let n = a.order();
         let rp = a.row_ptr();
@@ -247,7 +247,7 @@ impl IkjPlan {
 /// computed, not loaded.
 ///
 /// Each row's entries keep their ascending-column order, so the sweeps
-/// are bit-identical to the natural-order sweep.
+/// are bit-identical to natural-order substitution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SweepPlan {
     pub runs: Vec<SweepRun>,
@@ -396,9 +396,9 @@ pub struct KernelSchedules {
 
 impl KernelSchedules {
     /// Computes the schedules (level sets, ILU(0) plan, stencil
-    /// decomposition) for `a`'s pattern.
-    #[cfg(test)]
-    pub(crate) fn for_matrix(a: &CsrMatrix) -> Self {
+    /// decomposition) for `a`'s pattern — the constructor for patterns
+    /// without grid coordinates, which carry no multigrid hierarchy.
+    pub fn for_matrix(a: &CsrMatrix) -> Self {
         let _span = vfc_obs::span("precond.schedules");
         Self::analyse(a)
     }
@@ -419,7 +419,7 @@ impl KernelSchedules {
         }
     }
 
-    /// As `for_matrix`, plus the geometric multigrid
+    /// As [`for_matrix`](Self::for_matrix), plus the geometric multigrid
     /// hierarchy built by semi-coarsening one
     /// [`GridCoord`](crate::stencil::GridCoord) per unknown — the
     /// constructor for assemblers that know their grid layout (the

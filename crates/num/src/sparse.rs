@@ -249,8 +249,7 @@ impl CsrMatrix {
         y
     }
 
-    /// The diagonal of the matrix (zeros where no entry is stored);
-    /// used by Jacobi preconditioning.
+    /// The diagonal of the matrix (zeros where no entry is stored).
     pub(crate) fn diagonal(&self) -> Vec<f64> {
         let mut d = vec![0.0; self.n];
         for i in 0..self.n {

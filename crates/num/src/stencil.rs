@@ -33,7 +33,7 @@ use crate::CsrMatrix;
 
 /// Minimum mean rows-per-run for a pattern to be considered profitable;
 /// below this the run bookkeeping costs more than the index loads it
-/// saves, and [`StencilPattern::for_matrix`] returns `None`.
+/// saves, and the decomposition returns `None`.
 pub const MIN_MEAN_RUN: usize = 4;
 
 /// Logical position of one unknown in the layered 3-D grid the stencil
@@ -208,7 +208,7 @@ impl StencilPattern {
     /// Decomposes `a`'s pattern into runs and classes, or `None` when
     /// the pattern is too irregular to profit (see [`MIN_MEAN_RUN`]) or
     /// an offset exceeds the `i32` range.
-    pub fn for_matrix(a: &CsrMatrix) -> Option<Self> {
+    pub(crate) fn for_matrix(a: &CsrMatrix) -> Option<Self> {
         let n = a.order();
         let rp = a.row_ptr();
         let cols = a.col_indices();

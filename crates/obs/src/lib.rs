@@ -93,8 +93,17 @@ fn init_level() -> TelemetryLevel {
         .ok()
         .and_then(|v| TelemetryLevel::parse(&v))
         .unwrap_or(TelemetryLevel::Off);
-    LEVEL.store(parsed as u8, Ordering::Relaxed);
-    parsed
+    // Replace only the sentinel: a level another thread set meanwhile
+    // (`set_level`) wins over the environment default.
+    match LEVEL.compare_exchange(
+        LEVEL_UNINIT,
+        parsed as u8,
+        Ordering::Relaxed,
+        Ordering::Relaxed,
+    ) {
+        Ok(_) => parsed,
+        Err(_) => level(),
+    }
 }
 
 /// Overrides the level in-process (CLI `--telemetry` flags, tests).
@@ -449,6 +458,14 @@ mod tests {
     /// threads cannot race on the process-wide level and registry.
     #[test]
     fn registry_end_to_end() {
+        // A thread that saw the level uninitialised and reads the
+        // environment only after another thread's `set_level` keeps the
+        // level that was set.
+        LEVEL.store(LEVEL_UNINIT, Ordering::Relaxed);
+        set_level(TelemetryLevel::Spans);
+        assert_eq!(init_level(), TelemetryLevel::Spans);
+        assert_eq!(level(), TelemetryLevel::Spans);
+
         // Off: recording is a no-op.
         set_level(TelemetryLevel::Off);
         reset();

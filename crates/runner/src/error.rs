@@ -38,18 +38,6 @@ pub enum RunnerError {
     EmptySweep,
 }
 
-impl RunnerError {
-    /// Whether retrying the same job can plausibly succeed. Transient
-    /// environment failures (I/O: an NFS blip, a full disk being
-    /// cleared) qualify; simulation errors, caught panics and parse
-    /// failures are deterministic — the same inputs fail the same way,
-    /// so retrying only wastes work. The executor's bounded per-job
-    /// retry keys off this.
-    pub(crate) fn is_transient(&self) -> bool {
-        matches!(self, RunnerError::Io { .. })
-    }
-}
-
 impl core::fmt::Display for RunnerError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {

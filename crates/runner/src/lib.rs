@@ -91,9 +91,6 @@ pub struct SweepStats {
     /// Corrupt disk-cache entries evicted on the read path (unparseable
     /// JSON → treated as a miss, deleted and counted — never an error).
     pub cache_corrupt_evictions: u64,
-    /// Transient job failures that were retried (bounded per-job budget;
-    /// see `RunnerError::is_transient`).
-    pub job_retries: u64,
     /// [`SweepRunner::run_shared`] calls that joined another caller's
     /// in-flight execution of the identical cell instead of duplicating
     /// it.
@@ -124,12 +121,11 @@ pub struct SweepRunner {
     cache_hits: AtomicU64,
     executed: AtomicU64,
     failures: AtomicU64,
-    job_retries: AtomicU64,
     dedup_joins: AtomicU64,
     inflight: inflight::InFlightTable,
     /// Test seam: queued errors served (front first) in place of the
-    /// next simulation attempts, exercising the retry path without a
-    /// fault-prone filesystem.
+    /// next simulations, exercising the failure paths without a failing
+    /// simulation.
     #[cfg(test)]
     injected_failures: parking_lot::Mutex<std::collections::VecDeque<RunnerError>>,
 }
@@ -161,7 +157,6 @@ impl SweepRunner {
             cache_hits: AtomicU64::new(0),
             executed: AtomicU64::new(0),
             failures: AtomicU64::new(0),
-            job_retries: AtomicU64::new(0),
             dedup_joins: AtomicU64::new(0),
             inflight: inflight::InFlightTable::new(),
             #[cfg(test)]
@@ -188,7 +183,6 @@ impl SweepRunner {
             failures: self.failures.load(Ordering::Relaxed),
             cache_evictions: self.cache.evictions(),
             cache_corrupt_evictions: self.cache.corrupt_evictions(),
-            job_retries: self.job_retries.load(Ordering::Relaxed),
             dedup_joins: self.dedup_joins.load(Ordering::Relaxed),
         }
     }
@@ -305,8 +299,7 @@ impl SweepRunner {
         results
     }
 
-    /// One cell: cache lookup, else simulate (with bounded retry for
-    /// transient failures) and store.
+    /// One cell: cache lookup, else simulate and store.
     fn run_one(&self, cfg: SimConfig) -> Result<SimReport, RunnerError> {
         let _span = vfc_obs::span("runner.job");
         let key = cfg.cache_key();
@@ -372,30 +365,12 @@ impl SweepRunner {
     }
 
     /// The post-miss path shared by [`run_one`](Self::run_one) and
-    /// [`run_shared`](Self::run_shared): simulate with bounded retry,
-    /// then store.
+    /// [`run_shared`](Self::run_shared): simulate, then store. A failed
+    /// simulation is not retried: simulations are deterministic, so
+    /// running the same cell again reproduces the same error.
     fn execute_uncached(&self, cfg: &SimConfig, key: u64) -> Result<SimReport, RunnerError> {
         self.executed.fetch_add(1, Ordering::Relaxed);
-        let label = cfg.label();
-        // Transient failures (see `RunnerError::is_transient`) get a
-        // bounded retry with a short exponential backoff; deterministic
-        // failures surface immediately — re-running the same simulation
-        // reproduces the same error bit for bit.
-        let mut attempt = 1u32;
-        let report = loop {
-            match self.simulate(cfg, &label) {
-                Ok(report) => break report,
-                Err(err) if err.is_transient() && attempt < MAX_JOB_ATTEMPTS => {
-                    self.job_retries.fetch_add(1, Ordering::Relaxed);
-                    vfc_obs::counter_add("runner.job_retries", 1);
-                    std::thread::sleep(std::time::Duration::from_millis(retry_backoff_ms(
-                        key, attempt,
-                    )));
-                    attempt += 1;
-                }
-                Err(err) => return Err(err),
-            }
-        };
+        let report = self.simulate(cfg)?;
         // Best-effort: a full disk or read-only checkout must not fail
         // the sweep — the result is already in hand (and in memory).
         if let Err(e) = self.cache.insert(key, &report) {
@@ -404,8 +379,8 @@ impl SweepRunner {
         Ok(report)
     }
 
-    /// One simulation attempt (the retry unit).
-    fn simulate(&self, cfg: &SimConfig, label: &str) -> Result<SimReport, RunnerError> {
+    /// One simulation of `cfg`.
+    fn simulate(&self, cfg: &SimConfig) -> Result<SimReport, RunnerError> {
         #[cfg(test)]
         if let Some(err) = self.injected_failures.lock().pop_front() {
             return Err(err);
@@ -413,47 +388,17 @@ impl SweepRunner {
         Simulation::new(cfg.clone())
             .and_then(Simulation::run)
             .map_err(|source| RunnerError::Sim {
-                label: label.to_string(),
+                label: cfg.label(),
                 source,
             })
     }
 
-    /// Queues errors to be served in place of the next simulation
-    /// attempts (front first) — the retry path's test seam.
+    /// Queues errors to be served in place of the next simulations
+    /// (front first) — the failure paths' test seam.
     #[cfg(test)]
     fn inject_failures(&self, errors: impl IntoIterator<Item = RunnerError>) {
         self.injected_failures.lock().extend(errors);
     }
-}
-
-/// Attempts per job (1 initial + up to 2 retries) for transient
-/// failures.
-const MAX_JOB_ATTEMPTS: u32 = 3;
-
-/// First-retry backoff; doubles per subsequent retry. Short on purpose:
-/// the transient failures worth retrying (filesystem blips) clear in
-/// milliseconds, and a sweep worker sleeping is a core idle.
-const JOB_RETRY_BACKOFF_MS: u64 = 10;
-
-/// The sleep before retry `attempt` (1-based) of the job keyed `key`:
-/// the doubling base with **deterministic seeded jitter** in
-/// `[base/2, 3·base/2)`. Jitter keeps a batch of workers that tripped
-/// over the same transient fault (one slow disk, one flaky mount) from
-/// re-hitting it in lockstep; seeding it from the cache key and attempt
-/// number — not a clock or global RNG — keeps every job's retry
-/// schedule reproducible run to run.
-fn retry_backoff_ms(key: u64, attempt: u32) -> u64 {
-    let base = JOB_RETRY_BACKOFF_MS << (attempt - 1);
-    // xorshift64* over (key, attempt): cheap, stateless, well-mixed.
-    let mut x = key ^ (attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    if x == 0 {
-        x = 0x2545_f491_4f6c_dd1d;
-    }
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    let mixed = x.wrapping_mul(0x2545_f491_4f6c_dd1d);
-    base / 2 + mixed % base
 }
 
 #[cfg(test)]
@@ -543,49 +488,21 @@ mod tests {
         assert_eq!(runner.stats().failures, 1);
     }
 
-    fn transient_err() -> RunnerError {
-        RunnerError::Io {
+    #[test]
+    fn an_injected_failure_surfaces_once_as_its_cells_error() {
+        let runner = SweepRunner::new();
+        let cfg = tiny_spec().expand().remove(0);
+        runner.inject_failures([RunnerError::Io {
             context: "injected".into(),
             source: std::io::Error::new(std::io::ErrorKind::Interrupted, "blip"),
-        }
-    }
-
-    #[test]
-    fn transient_failures_retry_and_then_succeed() {
-        let runner = SweepRunner::new();
-        let cfg = tiny_spec().expand().remove(0);
-        // Two transient blips, then the real simulation runs.
-        runner.inject_failures([transient_err(), transient_err()]);
-        let out = runner.try_run(vec![cfg]);
-        assert!(out[0].is_ok(), "third attempt succeeds: {:?}", out[0]);
-        let stats = runner.stats();
-        assert_eq!(stats.job_retries, 2);
-        assert_eq!(stats.failures, 0);
-    }
-
-    #[test]
-    fn persistent_transient_failures_exhaust_the_attempt_budget() {
-        let runner = SweepRunner::new();
-        let cfg = tiny_spec().expand().remove(0);
-        runner.inject_failures([transient_err(), transient_err(), transient_err()]);
-        let out = runner.try_run(vec![cfg]);
+        }]);
+        let out = runner.try_run(vec![cfg.clone()]);
         assert!(matches!(&out[0], Err(RunnerError::Io { .. })));
         let stats = runner.stats();
-        assert_eq!(stats.job_retries, 2, "1 attempt + 2 retries, then give up");
-        assert_eq!(stats.failures, 1);
-    }
-
-    #[test]
-    fn deterministic_failures_never_retry() {
-        let runner = SweepRunner::new();
-        let cfg = tiny_spec().expand().remove(0);
-        runner.inject_failures([RunnerError::Parse {
-            context: "injected".into(),
-            detail: "deterministic".into(),
-        }]);
-        let out = runner.try_run(vec![cfg]);
-        assert!(matches!(&out[0], Err(RunnerError::Parse { .. })));
-        assert_eq!(runner.stats().job_retries, 0);
+        assert_eq!((stats.executed, stats.failures), (1, 1));
+        // The failure was served once: the cell's next run simulates.
+        assert!(runner.try_run(vec![cfg])[0].is_ok());
+        assert_eq!(runner.stats().failures, 1);
     }
 
     #[test]
@@ -594,35 +511,6 @@ mod tests {
         let reports = runner.run_spec(&tiny_spec().seeds([1, 2])).unwrap();
         assert_eq!(reports.len(), 2);
         assert_eq!(runner.stats().executed, 2, "no false cache sharing");
-    }
-
-    #[test]
-    fn retry_backoff_is_jittered_deterministic_and_bounded() {
-        for attempt in 1..=2u32 {
-            let base = JOB_RETRY_BACKOFF_MS << (attempt - 1);
-            let mut distinct = std::collections::HashSet::new();
-            for key in 0..64u64 {
-                let ms = retry_backoff_ms(key, attempt);
-                assert_eq!(
-                    ms,
-                    retry_backoff_ms(key, attempt),
-                    "same key + attempt must sleep the same"
-                );
-                assert!(
-                    (base / 2..base + base / 2).contains(&ms),
-                    "attempt {attempt} key {key}: {ms} ms outside [{}, {})",
-                    base / 2,
-                    base + base / 2
-                );
-                distinct.insert(ms);
-            }
-            assert!(
-                distinct.len() > 1,
-                "different keys must desynchronize (attempt {attempt})"
-            );
-        }
-        // The zero key (xorshift's fixed point) must not hang at zero.
-        assert!(retry_backoff_ms(0, 1) >= JOB_RETRY_BACKOFF_MS / 2);
     }
 
     #[test]

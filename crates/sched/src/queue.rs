@@ -77,17 +77,17 @@ impl CoreQueue {
     }
 
     /// Executes for `dt`: tops contexts up from the queue head, runs every
-    /// busy context concurrently, and returns the threads completed within
-    /// the interval. Returns the context-seconds of execution consumed
-    /// alongside (for utilization accounting).
-    pub fn tick(&mut self, dt: Seconds) -> Vec<ThreadSpec> {
+    /// busy context concurrently, and returns how many threads completed
+    /// within the interval.
+    pub fn tick(&mut self, dt: Seconds) -> u64 {
         self.dispatch();
-        let mut done = Vec::new();
+        let mut done = 0;
         let mut i = 0;
         while i < self.running.len() {
             self.running[i].run(dt);
             if self.running[i].is_complete() {
-                done.push(self.running.swap_remove(i));
+                self.running.swap_remove(i);
+                done += 1;
             } else {
                 i += 1;
             }
@@ -153,8 +153,7 @@ mod tests {
         assert_eq!(q.load(), 4);
         // One 2 ms tick completes all four: they share no pipeline in the
         // model, each context advances at full rate.
-        let done = q.tick(Seconds::from_millis(2.0));
-        assert_eq!(done.len(), 4);
+        assert_eq!(q.tick(Seconds::from_millis(2.0)), 4);
         assert_eq!(q.busy_contexts(), 0);
     }
 
@@ -178,15 +177,15 @@ mod tests {
         let mut q = CoreQueue::with_contexts(1);
         q.push(thread(1, 2.0));
         q.push(thread(2, 3.0));
-        assert!(q.tick(Seconds::from_millis(1.0)).is_empty());
+        assert_eq!(q.tick(Seconds::from_millis(1.0)), 0);
         assert_eq!(q.busy_contexts(), 1);
-        let done = q.tick(Seconds::from_millis(1.0));
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].id(), 1);
-        // Thread 2 dispatched after 1 completed.
-        let done = q.tick(Seconds::from_millis(3.0));
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].id(), 2);
+        assert_eq!(q.running[0].id(), 1, "the head runs first");
+        assert_eq!(q.tick(Seconds::from_millis(1.0)), 1);
+        // Thread 1 completed and thread 2 dispatched after it, untouched.
+        assert_eq!(q.running[0].id(), 2);
+        assert!((q.backlog().to_millis() - 3.0).abs() < 1e-9);
+        assert_eq!(q.tick(Seconds::from_millis(3.0)), 1);
+        assert_eq!(q.load(), 0);
     }
 
     #[test]
@@ -217,7 +216,7 @@ mod tests {
     #[test]
     fn empty_queue_tick_is_noop() {
         let mut q = CoreQueue::new();
-        assert!(q.tick(Seconds::from_millis(10.0)).is_empty());
+        assert_eq!(q.tick(Seconds::from_millis(10.0)), 0);
         assert_eq!(q.backlog(), Seconds::ZERO);
     }
 

@@ -296,7 +296,7 @@ impl Simulation {
             // Execute: contexts busy this tick = min(load, contexts).
             for (i, q) in queues.iter_mut().enumerate() {
                 let busy_now = q.load().min(q.contexts()) as u32;
-                for _ in q.tick(tick) {
+                for _ in 0..q.tick(tick) {
                     meter.record();
                 }
                 dpm.tick(i, busy_now > 0, tick);

@@ -205,9 +205,9 @@ mod tests {
         let mut c = ThermalConfig::default();
         c.liquid.inlet = Celsius::new(30.0);
         c.air.tim_area_resistance = 1e-4;
-        c.solver.preconditioner = Some(PreconditionerKind::Jacobi);
+        c.solver.preconditioner = Some(PreconditionerKind::Multigrid);
         assert_eq!(c.liquid.inlet.value(), 30.0);
-        assert_eq!(c.solver.preconditioner, Some(PreconditionerKind::Jacobi));
+        assert_eq!(c.solver.preconditioner, Some(PreconditionerKind::Multigrid));
     }
 
     #[test]
@@ -245,12 +245,7 @@ mod tests {
                 .cell_count()
         };
         let auto = SolverConfig::default();
-        let kinds = [
-            PreconditionerKind::Identity,
-            PreconditionerKind::Jacobi,
-            PreconditionerKind::Ilu0,
-            PreconditionerKind::Multigrid,
-        ];
+        let kinds = [PreconditionerKind::Ilu0, PreconditionerKind::Multigrid];
         for stack in [
             ultrasparc::two_layer_liquid(),
             ultrasparc::four_layer_liquid(),

@@ -549,13 +549,14 @@ impl ThermalModel {
         let mut outcome = self.steady_solve(&mut x);
         // Recovery ladder: a breakdown or non-convergence leaves the
         // best observed iterate in `x` (see `NumError::Breakdown`), so
-        // each rung warm-starts from it under a stronger preconditioner.
-        let mut rungs = escalation_rungs(self.effective_preconditioner());
+        // the escalation rung warm-starts from it under the stronger
+        // preconditioner.
+        let mut rung = escalation_rung(self.effective_preconditioner());
         while let Err(err) = &outcome {
             if !is_solver_failure(err) {
                 break;
             }
-            let Some(rung) = rungs.next() else { break };
+            let Some(rung) = rung.take() else { break };
             self.note_retry(true);
             self.escalated_precond = Some(rung);
             self.steady_precond = None;
@@ -580,7 +581,7 @@ impl ThermalModel {
     fn factor(&self, a: &CsrMatrix) -> Result<Box<dyn Preconditioner>, ThermalError> {
         Ok(self
             .effective_preconditioner()
-            .build(a, Some(&self.skeleton.schedules))?)
+            .build(a, &self.skeleton.schedules)?)
     }
 
     /// The configured preconditioner resolved on this model's grid
@@ -671,13 +672,13 @@ impl ThermalModel {
         self.seed_buf.resize(n, 0.0);
         // Recovery ladder: a sub-step solve can leave `temps` partially
         // advanced, so every retry rolls the state back to this snapshot
-        // before re-running the whole interval — first under escalated
-        // preconditioners, then with the sub-step length halved (twice at
-        // most). Healthy systems never fail, never retry, and are
-        // bit-identical to a ladder-free step.
+        // before re-running the whole interval — first under the
+        // escalated preconditioner, then with the sub-step length halved
+        // (twice at most). Healthy systems never fail, never retry, and
+        // are bit-identical to a ladder-free step.
         self.snapshot_buf.resize(n, 0.0);
         self.snapshot_buf.copy_from_slice(temps);
-        let mut rungs = escalation_rungs(self.effective_preconditioner());
+        let mut rung = escalation_rung(self.effective_preconditioner());
         let mut substeps_now = substeps;
         let mut halvings = 0u32;
         loop {
@@ -689,7 +690,7 @@ impl ThermalModel {
                     return Ok(());
                 }
                 Err(err) if is_solver_failure(&err) => {
-                    if let Some(rung) = rungs.next() {
+                    if let Some(rung) = rung.take() {
                         self.note_retry(true);
                         self.escalated_precond = Some(rung);
                         // Invalidate both caches so the stronger kind is
@@ -776,10 +777,10 @@ impl ThermalModel {
 
     /// The preconditioner kind solves currently factor: the configured
     /// one resolved on this grid
-    /// ([`SolverConfig::resolve`](crate::SolverConfig::resolve)), or the
-    /// strongest rung the recovery ladder has escalated to. Escalation
-    /// is sticky — once a solve on this model failed and a stronger kind
-    /// rescued it, later solves keep the stronger kind rather than
+    /// ([`SolverConfig::resolve`](crate::SolverConfig::resolve)), or
+    /// multigrid once the recovery ladder has escalated to it.
+    /// Escalation is sticky — once a solve on this model failed and
+    /// multigrid rescued it, later solves keep multigrid rather than
     /// re-failing every step.
     pub(crate) fn effective_preconditioner(&self) -> PreconditionerKind {
         self.escalated_precond
@@ -864,33 +865,16 @@ fn is_solver_failure(err: &ThermalError) -> bool {
     )
 }
 
-/// Robustness rank of a preconditioner kind (higher = stronger on the
-/// badly conditioned systems fault scenarios produce).
-fn precond_rank(kind: PreconditionerKind) -> u8 {
-    match kind {
-        PreconditionerKind::Identity => 0,
-        PreconditionerKind::Jacobi => 1,
-        PreconditionerKind::Ilu0 => 2,
-        PreconditionerKind::Multigrid => 3,
+/// The recovery ladder's escalation rung above `current`: ILU(0)
+/// escalates to the V(0,1) multigrid cycle, the same one the 100 µm
+/// default runs. Multigrid has no rung above it (on the paper's 100 µm
+/// grid the grid rule already picks it): a failed steady solve fails,
+/// and a failed transient step goes straight to sub-step halving.
+fn escalation_rung(current: PreconditionerKind) -> Option<PreconditionerKind> {
+    match current {
+        PreconditionerKind::Ilu0 => Some(PreconditionerKind::Multigrid),
+        PreconditionerKind::Multigrid => None,
     }
-}
-
-/// The escalation rungs above `current`, weakest first: the ladder
-/// climbs Jacobi → ILU(0) → Multigrid, skipping every rung at or below
-/// the kind already in use. The multigrid rung runs the one V(0,1)
-/// cycle, the same one the 100 µm default runs. On grids where the grid
-/// rule already picks multigrid (the paper's 100 µm grid), there is no
-/// rung above it: a failed steady solve fails, and a failed transient
-/// step goes straight to sub-step halving.
-fn escalation_rungs(current: PreconditionerKind) -> impl Iterator<Item = PreconditionerKind> {
-    let cur = precond_rank(current);
-    [
-        PreconditionerKind::Jacobi,
-        PreconditionerKind::Ilu0,
-        PreconditionerKind::Multigrid,
-    ]
-    .into_iter()
-    .filter(move |&k| precond_rank(k) > cur)
 }
 
 /// The per-sub-step backward-Euler loop, generic over the operator
@@ -1060,8 +1044,8 @@ mod tests {
     #[test]
     fn preconditioners_order_by_iterations_and_agree_on_the_solution() {
         // Deterministic gates on the 0.5 mm steady solve. Measured:
-        // identity 180, Jacobi 43, ILU(0) 11 and multigrid 4 iterations
-        // (8 V-cycles); the budgets only let a real regression trip.
+        // ILU(0) 11 and multigrid 4 iterations (8 V-cycles); the budgets
+        // only let a real regression trip.
         let model = liquid_model(0.5, 600.0);
         let n = model.node_count();
         assert!(
@@ -1086,14 +1070,9 @@ mod tests {
         let mut iters = Vec::new();
         let mut vcycles = Vec::new();
         let mut solutions: Vec<Vec<f64>> = Vec::new();
-        for kind in [
-            PreconditionerKind::Identity,
-            PreconditionerKind::Jacobi,
-            PreconditionerKind::Ilu0,
-            PreconditionerKind::Multigrid,
-        ] {
+        for kind in [PreconditionerKind::Ilu0, PreconditionerKind::Multigrid] {
             let precond = kind
-                .build(a, Some(model.skeleton().schedules()))
+                .build(a, model.skeleton().schedules())
                 .expect("factorization");
             let mut x = model.initial_state();
             let info = BiCgStab::default()
@@ -1104,33 +1083,26 @@ mod tests {
             solutions.push(x);
         }
 
+        assert!(iters[0] <= 60, "ILU(0) iterations regressed: {iters:?}");
         assert!(
-            iters[2] < iters[1] && iters[1] < iters[0],
-            "preconditioning must strictly reduce iterations: {iters:?}"
-        );
-        assert!(iters[2] <= 60, "ILU(0) iterations regressed: {iters:?}");
-        assert!(iters[1] <= 400, "Jacobi iterations regressed: {iters:?}");
-        assert!(
-            iters[3] <= iters[2],
+            iters[1] <= iters[0],
             "multigrid must not need more iterations than ILU(0): {iters:?}"
         );
-        assert!(iters[3] <= 10, "multigrid iterations regressed: {iters:?}");
+        assert!(iters[1] <= 10, "multigrid iterations regressed: {iters:?}");
         // BiCGStab applies the preconditioner twice per iteration, so the
         // iteration gate pins the V-cycle count: a deeper or shallower
         // cycle structure cannot hide behind it.
-        let mg_vcycles = vcycles[3].expect("multigrid reports its V-cycle count");
-        let mg_iters = iters[3] as u64;
+        let mg_vcycles = vcycles[1].expect("multigrid reports its V-cycle count");
+        let mg_iters = iters[1] as u64;
         assert!(
             (mg_iters..=2 * mg_iters).contains(&mg_vcycles),
             "V-cycles per solve out of range: {mg_vcycles} for {mg_iters} iterations"
         );
-        assert!(
-            vcycles[..3].iter().all(Option::is_none),
-            "only multigrid runs V-cycles"
-        );
-        let max_dev = solutions[1..]
+        assert!(vcycles[0].is_none(), "only multigrid runs V-cycles");
+        let max_dev = solutions[1]
             .iter()
-            .flat_map(|s| s.iter().zip(&solutions[0]).map(|(a, b)| (a - b).abs()))
+            .zip(&solutions[0])
+            .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
         assert!(
             max_dev < 1e-5,
@@ -1317,12 +1289,15 @@ mod recovery_tests {
     use vfc_floorplan::{ultrasparc, GridSpec};
     use vfc_units::{Length, Watts};
 
-    /// A 1 mm liquid model deliberately configured to fail: `kind` with
-    /// an iteration cap far below what it needs on this grid.
-    fn crippled_model(kind: PreconditionerKind, cap: usize) -> ThermalModel {
+    /// A liquid model on `cell_mm` cells at 400 ml/min running `kind`
+    /// under an iteration cap of `cap` — far below what it needs on this
+    /// grid when a test wants it to fail.
+    fn crippled_model(cell_mm: f64, kind: PreconditionerKind, cap: usize) -> ThermalModel {
         let stack = ultrasparc::two_layer_liquid();
-        let grid =
-            GridSpec::from_cell_size(stack.tiers()[0].floorplan(), Length::from_millimeters(1.0));
+        let grid = GridSpec::from_cell_size(
+            stack.tiers()[0].floorplan(),
+            Length::from_millimeters(cell_mm),
+        );
         let mut cfg = ThermalConfig::default();
         cfg.solver.preconditioner = Some(kind);
         cfg.solver.max_iterations = cap;
@@ -1342,22 +1317,27 @@ mod recovery_tests {
         })
     }
 
+    fn assert_close(got: &[f64], want: &[f64], tol: f64) {
+        for (a, b) in got.iter().zip(want) {
+            assert!((a - b).abs() < tol, "{a} vs {b}");
+        }
+    }
+
     #[test]
     fn steady_recovery_ladder_climbs_to_multigrid() {
-        // Jacobi needs ~30 iterations for this steady system; a cap of 5
-        // also defeats ILU(0), so the ladder must climb both rungs:
-        // Jacobi fails -> ILU(0) fails -> Multigrid converges.
+        // ILU(0) capped at 4 iterations cannot finish this steady solve,
+        // and the ladder's one rung, multigrid, rescues it.
         if !vfc_obs::counters_enabled() {
             vfc_obs::set_level(vfc_obs::TelemetryLevel::Counters);
         }
         let before = vfc_obs::snapshot();
-        let mut model = crippled_model(PreconditionerKind::Jacobi, 5);
+        let mut model = crippled_model(1.0, PreconditionerKind::Ilu0, 4);
         let p = hot_power(&model, 3.0);
         let steady = model
             .steady_state(&p, None)
             .expect("ladder must rescue the crippled config");
-        assert_eq!(model.last_recovery_retries(), 2, "two rungs climbed");
-        assert_eq!(model.last_recovery_escalations(), 2);
+        assert_eq!(model.last_recovery_retries(), 1, "one rung climbed");
+        assert_eq!(model.last_recovery_escalations(), 1);
         assert_eq!(
             model.effective_preconditioner(),
             PreconditionerKind::Multigrid
@@ -1365,82 +1345,102 @@ mod recovery_tests {
         let after = vfc_obs::snapshot();
         let delta =
             |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
-        assert!(delta("solver.retries") >= 2, "retries counted");
-        assert!(delta("solver.escalations") >= 2, "escalations counted");
+        assert!(delta("solver.retries") >= 1, "retries counted");
+        assert!(delta("solver.escalations") >= 1, "escalations counted");
 
         // The rescued answer is the same steady state a healthy config
         // converges to (both meet the same residual tolerance).
-        let mut healthy = crippled_model(PreconditionerKind::Ilu0, 400);
+        let mut healthy = crippled_model(1.0, PreconditionerKind::Ilu0, 400);
         let reference = healthy.steady_state(&p, None).unwrap();
         assert_eq!(healthy.last_recovery_retries(), 0);
-        for (a, b) in steady.iter().zip(&reference) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        }
+        assert_close(&steady, &reference, 1e-6);
 
         // Escalation is sticky: the next solve runs clean under the
         // escalated kind instead of re-failing through the ladder.
         let again = model.steady_state(&p, Some(&steady)).unwrap();
         assert_eq!(model.last_recovery_retries(), 0, "no re-climb");
-        for (a, b) in again.iter().zip(&steady) {
-            assert!((a - b).abs() < 1e-9);
-        }
+        assert_close(&again, &steady, 1e-9);
     }
 
     #[test]
     fn transient_recovery_escalates_and_rolls_back_cleanly() {
-        // A cap of 8 starves Jacobi's ~16-iteration sub-step solves but
-        // leaves ILU(0) (~4 per sub-step) comfortable: one rung rescues
-        // the step. The retry re-runs the full interval from the
-        // snapshot, so the result must match a healthy model's step to
-        // solver tolerance.
-        if !vfc_obs::counters_enabled() {
-            vfc_obs::set_level(vfc_obs::TelemetryLevel::Counters);
-        }
-        let mut model = crippled_model(PreconditionerKind::Jacobi, 8);
-        let p_cold = hot_power(&model, 3.0);
-        let steady = model.steady_state(&p_cold, None).unwrap();
-        let ladder_used = model.last_recovery_retries();
-
-        let mut healthy = crippled_model(PreconditionerKind::Ilu0, 400);
-        let reference = healthy.steady_state(&p_cold, None).unwrap();
-
-        // Fresh crippled model so the steady escalation (if any) does
-        // not pre-arm the transient path we want to exercise.
-        let mut model = crippled_model(PreconditionerKind::Jacobi, 8);
+        // ILU(0) capped at 4 iterations cannot finish the 5-sub-step step
+        // either, and one escalation to multigrid rescues it. The retry
+        // re-runs the full interval from the snapshot, so the result must
+        // match a healthy model's step to solver tolerance.
+        let mut healthy = crippled_model(1.0, PreconditionerKind::Ilu0, 400);
+        let start = healthy
+            .steady_state(&hot_power(&healthy, 3.0), None)
+            .unwrap();
+        let mut model = crippled_model(1.0, PreconditionerKind::Ilu0, 4);
         let p_hot = hot_power(&model, 6.0);
-        let mut temps = steady.clone();
+        let mut temps = start.clone();
         model
             .step(&mut temps, &p_hot, Seconds::from_millis(100.0), 5)
             .unwrap();
-        assert!(model.last_recovery_retries() >= 1, "step had to retry");
-        assert!(model.last_recovery_escalations() >= 1);
+        assert_eq!(model.last_recovery_retries(), 1, "one rung climbed");
+        assert_eq!(model.last_recovery_escalations(), 1);
         assert!(model.last_step_iterations() > 0);
-        assert_ne!(
+        assert_eq!(
             model.effective_preconditioner(),
-            PreconditionerKind::Jacobi,
-            "ladder moved off the failing kind"
+            PreconditionerKind::Multigrid,
+            "the escalation sticks"
         );
 
-        let mut t_ref = reference.clone();
+        let mut t_ref = start;
         healthy
             .step(&mut t_ref, &p_hot, Seconds::from_millis(100.0), 5)
             .unwrap();
         assert_eq!(healthy.last_recovery_retries(), 0);
-        for (a, b) in temps.iter().zip(&t_ref) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        }
+        assert_close(&temps, &t_ref, 1e-6);
 
         // A later step on the escalated model runs clean.
         model
             .step(&mut temps, &p_hot, Seconds::from_millis(100.0), 5)
             .unwrap();
         assert_eq!(model.last_recovery_retries(), 0);
-        let _ = ladder_used;
+    }
+
+    #[test]
+    fn substep_halving_rescues_a_multigrid_step() {
+        // Multigrid has no rung above it, so a failed step goes straight
+        // to sub-step halving: at 0.5 mm, multigrid capped at 3
+        // iterations fails the 5-sub-step step, and two halvings rescue
+        // it, so the interval runs as 20 sub-steps; capped at 1, the step
+        // fails after both halvings.
+        let mut healthy = crippled_model(0.5, PreconditionerKind::Multigrid, 400);
+        let start = healthy
+            .steady_state(&hot_power(&healthy, 3.0), None)
+            .unwrap();
+        let p_hot = hot_power(&healthy, 6.0);
+        let mut t_ref = start.clone();
+        healthy
+            .step(&mut t_ref, &p_hot, Seconds::from_millis(100.0), 20)
+            .unwrap();
+        assert_eq!(healthy.last_recovery_retries(), 0);
+
+        let mut model = crippled_model(0.5, PreconditionerKind::Multigrid, 3);
+        let mut temps = start.clone();
+        model
+            .step(&mut temps, &p_hot, Seconds::from_millis(100.0), 5)
+            .expect("sub-step halving must rescue the step");
+        assert_eq!(model.last_recovery_retries(), 2, "two halvings");
+        assert_eq!(model.last_recovery_escalations(), 0, "no rung to climb");
+        assert_close(&temps, &t_ref, 1e-6);
+
+        let mut starved = crippled_model(0.5, PreconditionerKind::Multigrid, 1);
+        let mut temps = start;
+        let err = starved
+            .step(&mut temps, &p_hot, Seconds::from_millis(100.0), 5)
+            .unwrap_err();
+        assert!(is_solver_failure(&err), "{err:?}");
+        assert_eq!(starved.last_recovery_retries(), 2, "both halvings spent");
+        assert_eq!(starved.last_recovery_escalations(), 0);
     }
 
     #[test]
     fn healthy_models_never_touch_the_ladder() {
-        let mut model = crippled_model(PreconditionerKind::Ilu0, 400);
+        let mut model = crippled_model(1.0, PreconditionerKind::Ilu0, 400);
         let p = hot_power(&model, 3.0);
         let steady = model.steady_state(&p, None).unwrap();
         assert_eq!(model.last_recovery_retries(), 0);

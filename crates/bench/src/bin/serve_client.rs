@@ -4,17 +4,16 @@
 //! serve_client <addr> ping
 //! serve_client <addr> stats
 //! serve_client <addr> shutdown
-//! serve_client <addr> sweep [--systems 2,4] [--cooling air,max,var]
-//!                           [--policies lb,mig,talb] [--workloads a,b]
-//!                           [--seeds 42,43] [--grid-mm 1.0]
-//!                           [--duration 60] [--dpm]
+//! serve_client <addr> sweep [spec flags]
 //! ```
 //!
-//! `sweep` submits the spec (the same axis tokens the local `sweep`
-//! binary takes), streams per-cell results as they land, and survives
-//! connection drops and server restarts by resubmitting: cells are
-//! keyed by config hashes, so a resumed pass pays only for cells that
-//! never finished.
+//! `sweep` reads the spec flags of `vfc_serve::WireSpec`, the same ones
+//! the local `sweep` binary takes (`--workloads all` and `--seeds a..b`
+//! included), and checks every token before it connects. It then
+//! submits the spec, streams per-cell results as they land, and
+//! survives connection drops and server restarts by resubmitting: cells
+//! are keyed by config hashes, so a resumed pass pays only for cells
+//! that never finished.
 
 use vfc::serve::{CellOutcome, ServeClient, WireSpec};
 
@@ -90,57 +89,18 @@ fn run_sweep(client: &ServeClient, spec: WireSpec) {
 
 fn parse_spec(args: &[String]) -> WireSpec {
     let mut spec = WireSpec::default();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .unwrap_or_else(|| usage(&format!("`{flag}` expects a value")))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--systems" => spec.systems = split(&value(&mut i, "--systems")),
-            "--cooling" => spec.coolings = split(&value(&mut i, "--cooling")),
-            "--policies" => spec.policies = split(&value(&mut i, "--policies")),
-            "--workloads" => spec.workloads = split(&value(&mut i, "--workloads")),
-            "--seeds" => {
-                spec.seeds = split(&value(&mut i, "--seeds"))
-                    .iter()
-                    .map(|s| {
-                        s.parse()
-                            .unwrap_or_else(|_| usage(&format!("bad seed `{s}`")))
-                    })
-                    .collect();
-            }
-            "--grid-mm" => {
-                spec.grid_mm = split(&value(&mut i, "--grid-mm"))
-                    .iter()
-                    .map(|s| {
-                        s.parse()
-                            .unwrap_or_else(|_| usage(&format!("bad grid `{s}`")))
-                    })
-                    .collect();
-            }
-            "--duration" => {
-                let s = value(&mut i, "--duration");
-                spec.duration_s = s
-                    .parse()
-                    .unwrap_or_else(|_| usage(&format!("bad duration `{s}`")));
-            }
-            "--dpm" => spec.dpm = true,
-            other => usage(&format!("unknown sweep flag `{other}`")),
+    let mut rest = args.iter().cloned();
+    while let Some(flag) = rest.next() {
+        match spec.apply_flag(&flag, &mut rest) {
+            Ok(true) => {}
+            Ok(false) => usage(&format!("unknown sweep flag `{flag}`")),
+            Err(e) => usage(&e),
         }
-        i += 1;
+    }
+    if let Err(e) = spec.to_sweep_spec() {
+        usage(&e);
     }
     spec
-}
-
-fn split(csv: &str) -> Vec<String> {
-    csv.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
 }
 
 fn fail(message: &str) -> ! {
@@ -151,9 +111,8 @@ fn fail(message: &str) -> ! {
 fn usage(offender: &str) -> ! {
     eprintln!(
         "{offender}\n\
-         usage: serve_client <addr> <ping|stats|shutdown|sweep [spec flags]>\n\
-         sweep flags: --systems 2,4 --cooling air,max,var,fixed:<n> --policies lb,mig,talb\n\
-         \x20            --workloads <names> --seeds 42,43 --grid-mm 1.0 --duration 60 --dpm"
+         usage: serve_client <addr> <ping|stats|shutdown|sweep [spec flags]>\n\n{}",
+        WireSpec::FLAGS_HELP
     );
     std::process::exit(2);
 }

@@ -1,9 +1,10 @@
 //! Run an arbitrary simulation sweep from the command line.
 //!
-//! Axes are comma-separated lists; the sweep is their cartesian product
-//! (see `vfc_runner::SweepSpec`). Results are cached under
-//! `target/vfc-cache/` by config hash, so repeating a sweep only
-//! simulates cells that changed.
+//! The spec flags are `vfc_serve::WireSpec`'s, the same ones
+//! `serve_client` takes: comma-separated axes whose cartesian product is
+//! the sweep, `--workloads all` and `--seeds a..b` included. Results are
+//! cached under `target/vfc-cache/` by config hash, so repeating a sweep
+//! only simulates cells that changed.
 //!
 //! ```sh
 //! cargo run --release -p vfc_bench --bin sweep -- \
@@ -16,25 +17,19 @@
 //! it twice and requires the second pass to be served from the cache.
 
 use vfc::prelude::*;
+use vfc::serve::WireSpec;
 use vfc_bench::telemetry::{enable_for_export, export_snapshot};
 
-fn usage_text() -> &'static str {
-    "usage: sweep [--smoke] [axes] [options]
+fn usage_text() -> String {
+    format!(
+        "usage: sweep [--smoke] [spec flags] [options]
 
 Flags apply left to right and later flags win, so put --smoke first to
 customize the preset (e.g. `sweep --smoke --duration 10`).
 
-axes (comma-separated; defaults in parentheses):
-  --systems 2,4             stack layer counts (2)
-  --cooling air,max,var,fixed:<0-based setting>   (var)
-  --policies lb,mig,talb    scheduling policies (talb)
-  --workloads gzip,gcc,...  Table II names, or `all` (all eight)
-  --seeds 1,2,3 | 0..8      workload generator seeds (42)
-  --grid-mm 1,2             thermal grid cell sizes in mm (1)
+{}
 
 options:
-  --duration <s>            simulated seconds per cell (60)
-  --dpm                     enable dynamic power management
   --threads <n>             worker threads (available parallelism; also
                             honors VFC_RUNNER_THREADS)
   --no-cache                in-memory cache only (skip target/vfc-cache)
@@ -43,7 +38,9 @@ options:
   --telemetry <path>        write a vfc_obs JSON snapshot to <path>
                             (raises VFC_TELEMETRY to `spans` unless the
                             env var already chose a level)
-  --quiet                   suppress per-job progress on stderr"
+  --quiet                   suppress per-job progress on stderr",
+        WireSpec::FLAGS_HELP
+    )
 }
 
 fn usage() -> ! {
@@ -56,124 +53,39 @@ fn fail(msg: &str) -> ! {
     usage()
 }
 
-fn parse_list<T>(arg: &str, parse_one: impl Fn(&str) -> Option<T>) -> Vec<T> {
-    arg.split(',')
-        .map(|item| {
-            parse_one(item.trim())
-                .unwrap_or_else(|| fail(&format!("cannot parse list item `{item}` in `{arg}`")))
-        })
-        .collect()
-}
-
-fn parse_seeds(arg: &str) -> Vec<u64> {
-    if let Some((lo, hi)) = arg.split_once("..") {
-        let lo: u64 = lo.trim().parse().unwrap_or_else(|_| fail("bad seed range"));
-        let hi: u64 = hi.trim().parse().unwrap_or_else(|_| fail("bad seed range"));
-        (lo..hi).collect()
-    } else {
-        parse_list(arg, |s| s.parse().ok())
-    }
-}
-
-fn parse_cooling(s: &str) -> Option<CoolingKind> {
-    match s.to_ascii_lowercase().as_str() {
-        "air" => Some(CoolingKind::Air),
-        "max" => Some(CoolingKind::LiquidMax),
-        "var" => Some(CoolingKind::LiquidVariable),
-        other => {
-            let idx: usize = other.strip_prefix("fixed:")?.parse().ok()?;
-            // Validate against the default pump here, at flag-parse
-            // time, instead of panicking inside every simulation cell.
-            let setting = Pump::laing_ddc().setting(idx).ok()?;
-            Some(CoolingKind::LiquidFixed(setting))
-        }
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut spec = SweepSpec::new();
+    let mut args = std::env::args().skip(1);
+    let mut spec = WireSpec::default();
     let mut threads: Option<usize> = None;
     let mut cache_dir: Option<String> = None;
     let mut no_cache = false;
     let mut telemetry: Option<std::path::PathBuf> = None;
     let mut quiet = false;
 
-    let mut i = 0;
-    let next_value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i)
-            .unwrap_or_else(|| fail(&format!("flag `{}` needs a value", args[*i - 1])))
-            .clone()
-    };
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(flag) = args.next() {
+        match spec.apply_flag(&flag, &mut args) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(e) => fail(&e),
+        }
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| fail(&format!("flag `{flag}` needs a value")))
+        };
+        match flag.as_str() {
             "--smoke" => {
-                spec = spec
-                    .policies([PolicyKind::LoadBalancing, PolicyKind::Talb])
-                    .coolings([CoolingKind::LiquidMax, CoolingKind::LiquidVariable])
-                    .benchmarks([
-                        Benchmark::by_name("gzip").unwrap(),
-                        Benchmark::by_name("Web-med").unwrap(),
-                    ])
-                    .duration(Seconds::new(2.0))
-                    .grid_cells([Length::from_millimeters(2.0)]);
+                spec.policies = vec!["lb".into(), "talb".into()];
+                spec.coolings = vec!["max".into(), "var".into()];
+                spec.workloads = vec!["gzip".into(), "Web-med".into()];
+                spec.duration_s = 2.0;
+                spec.grid_mm = vec![2.0];
             }
-            "--systems" => {
-                let v = next_value(&mut i);
-                spec = spec.systems(parse_list(&v, |s| match s {
-                    "2" | "two" => Some(SystemKind::TwoLayer),
-                    "4" | "four" => Some(SystemKind::FourLayer),
-                    _ => None,
-                }));
-            }
-            "--cooling" => {
-                let v = next_value(&mut i);
-                spec = spec.coolings(parse_list(&v, parse_cooling));
-            }
-            "--policies" => {
-                let v = next_value(&mut i);
-                spec = spec.policies(parse_list(&v, |s| match s.to_ascii_lowercase().as_str() {
-                    "lb" => Some(PolicyKind::LoadBalancing),
-                    "mig" | "migration" => Some(PolicyKind::ReactiveMigration),
-                    "talb" => Some(PolicyKind::Talb),
-                    _ => None,
-                }));
-            }
-            "--workloads" => {
-                let v = next_value(&mut i);
-                if v == "all" {
-                    spec = spec.benchmarks(Benchmark::table_ii());
-                } else {
-                    spec = spec.benchmarks(parse_list(&v, Benchmark::by_name));
-                }
-            }
-            "--seeds" => {
-                let v = next_value(&mut i);
-                spec = spec.seeds(parse_seeds(&v));
-            }
-            "--grid-mm" => {
-                let v = next_value(&mut i);
-                spec = spec.grid_cells(parse_list(&v, |s| {
-                    s.parse::<f64>().ok().map(Length::from_millimeters)
-                }));
-            }
-            "--duration" => {
-                let v = next_value(&mut i);
-                let secs: f64 = v.parse().unwrap_or_else(|_| fail("bad --duration"));
-                spec = spec.duration(Seconds::new(secs));
-            }
-            "--dpm" => spec = spec.dpm(true),
             "--threads" => {
-                threads = Some(
-                    next_value(&mut i)
-                        .parse()
-                        .unwrap_or_else(|_| fail("bad --threads")),
-                );
+                threads = Some(value().parse().unwrap_or_else(|_| fail("bad --threads")));
             }
             "--no-cache" => no_cache = true,
-            "--cache-dir" => cache_dir = Some(next_value(&mut i)),
-            "--telemetry" => telemetry = Some(next_value(&mut i).into()),
+            "--cache-dir" => cache_dir = Some(value()),
+            "--telemetry" => telemetry = Some(value().into()),
             "--quiet" => quiet = true,
             "--help" | "-h" => {
                 println!("{}", usage_text());
@@ -181,8 +93,8 @@ fn main() {
             }
             other => fail(&format!("unknown flag `{other}`")),
         }
-        i += 1;
     }
+    let configs = spec.expand().unwrap_or_else(|e| fail(&e));
 
     if telemetry.is_some() {
         enable_for_export();
@@ -203,10 +115,6 @@ fn main() {
     };
     let runner = SweepRunner::with_parts(executor, cache);
 
-    let configs = spec.expand();
-    if configs.is_empty() {
-        fail("the sweep expands to zero configurations");
-    }
     eprintln!(
         "sweep: {} cells on {} worker(s), cache {}",
         configs.len(),

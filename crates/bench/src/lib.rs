@@ -28,22 +28,11 @@ pub fn default_duration() -> Seconds {
 /// The process-wide [`SweepRunner`] every figure and binary shares.
 ///
 /// Results persist under `target/vfc-cache/` (override the location with
-/// `VFC_CACHE_DIR`; set `VFC_RUNNER_CACHE=off` for a memory-only cache),
-/// and the worker count follows `available_parallelism` with a
-/// `VFC_RUNNER_THREADS` override.
+/// `VFC_CACHE_DIR`), and the worker count follows
+/// `available_parallelism` with a `VFC_RUNNER_THREADS` override.
 pub fn shared_runner() -> &'static SweepRunner {
     static RUNNER: OnceLock<SweepRunner> = OnceLock::new();
-    RUNNER.get_or_init(|| {
-        let disk_cache = !matches!(
-            std::env::var("VFC_RUNNER_CACHE").as_deref(),
-            Ok("off" | "0" | "false")
-        );
-        if disk_cache {
-            SweepRunner::with_default_disk_cache()
-        } else {
-            SweepRunner::new()
-        }
-    })
+    RUNNER.get_or_init(SweepRunner::with_default_disk_cache)
 }
 
 /// Runs a batch of simulations, preserving input order.

@@ -32,15 +32,14 @@
 //! ```no_run
 //! use vfc::prelude::*;
 //!
-//! let report = Experiment::new(
+//! let cfg = SimConfig::new(
 //!     SystemKind::TwoLayer,
 //!     CoolingKind::LiquidVariable,
 //!     PolicyKind::Talb,
 //!     Benchmark::by_name("Web-med").unwrap(),
 //! )
-//! .duration(Seconds::new(30.0))
-//! .run()
-//! .unwrap();
+//! .with_duration(Seconds::new(30.0));
+//! let report = Simulation::new(cfg).and_then(Simulation::run).unwrap();
 //!
 //! println!("{report}");
 //! assert!(report.max_temperature.value() < 85.0);
@@ -69,10 +68,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod experiment;
-
-pub use self::experiment::{paper_policy_matrix, Experiment};
-
 pub use vfc_control as control;
 pub use vfc_faults as faults;
 pub use vfc_floorplan as floorplan;
@@ -89,9 +84,25 @@ pub use vfc_thermal as thermal;
 pub use vfc_units as units;
 pub use vfc_workload as workload;
 
+/// The seven policy/cooling combinations of the paper's Fig. 6/7, in
+/// plot order: LB/Mig./TALB on air, LB/Mig./TALB at worst-case flow, and
+/// the paper's TALB with variable flow (marked `*` in the figures).
+pub fn paper_policy_matrix() -> [(sim::PolicyKind, sim::CoolingKind); 7] {
+    use sim::{CoolingKind, PolicyKind};
+    [
+        (PolicyKind::LoadBalancing, CoolingKind::Air),
+        (PolicyKind::ReactiveMigration, CoolingKind::Air),
+        (PolicyKind::Talb, CoolingKind::Air),
+        (PolicyKind::LoadBalancing, CoolingKind::LiquidMax),
+        (PolicyKind::ReactiveMigration, CoolingKind::LiquidMax),
+        (PolicyKind::Talb, CoolingKind::LiquidMax),
+        (PolicyKind::Talb, CoolingKind::LiquidVariable),
+    ]
+}
+
 /// The most common imports for experiments.
 pub mod prelude {
-    pub use crate::experiment::{paper_policy_matrix, Experiment};
+    pub use crate::paper_policy_matrix;
     pub use vfc_liquid::{FlowSetting, Pump};
     pub use vfc_runner::{Executor, ResultCache, RunnerError, SweepRunner, SweepSpec};
     pub use vfc_sim::{CoolingKind, PolicyKind, SimConfig, SimReport, Simulation, SystemKind};
@@ -101,6 +112,24 @@ pub mod prelude {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use crate::sim::{CoolingKind, PolicyKind};
+
+    #[test]
+    fn matrix_matches_fig6_legend_order() {
+        let m = paper_policy_matrix();
+        assert_eq!(m.len(), 7);
+        assert_eq!(m[0], (PolicyKind::LoadBalancing, CoolingKind::Air));
+        assert_eq!(m[6], (PolicyKind::Talb, CoolingKind::LiquidVariable));
+        // Exactly one variable-flow entry.
+        assert_eq!(
+            m.iter()
+                .filter(|(_, c)| matches!(c, CoolingKind::LiquidVariable))
+                .count(),
+            1
+        );
+    }
+
     #[test]
     fn modules_are_reachable() {
         // Smoke-test the re-export surface.

@@ -1,9 +1,9 @@
 //! The linear-operator abstraction behind the Krylov solver.
 //!
 //! The solver only ever needs four things from the system matrix: its
-//! order, `y = A·x`, the fused residual `r = b − A·x`, and (for setup
-//! and diagnostics) its diagonal. [`LinearOperator`] captures exactly
-//! that, which lets the same solver loop run on
+//! order, `y = A·x`, the fused residual `r = b − A·x`, and the fused
+//! backward-Euler prologue. [`LinearOperator`] captures exactly that,
+//! which lets the same solver loop run on
 //!
 //! * a [`StencilOp`](crate::StencilOp) view — the index-free structured
 //!   operator of [`stencil`](crate::stencil), which walks the same
@@ -54,13 +54,6 @@ pub trait LinearOperator {
     ///
     /// Panics if any slice has the wrong length.
     fn be_prologue(&self, c: &[f64], base: &[f64], x: &[f64], rhs: &mut [f64], r: &mut [f64]);
-
-    /// Writes the operator's diagonal into `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` has the wrong length.
-    fn diagonal_into(&self, d: &mut [f64]);
 }
 
 /// What a fused row kernel does with each row's sum `s`.
@@ -190,11 +183,6 @@ impl LinearOperator for CsrMatrix {
 
     fn be_prologue(&self, c: &[f64], base: &[f64], x: &[f64], rhs: &mut [f64], r: &mut [f64]) {
         csr_rows(self, x, RowMode::Be { c, base, rhs, r });
-    }
-
-    fn diagonal_into(&self, d: &mut [f64]) {
-        assert_eq!(d.len(), CsrMatrix::order(self), "csr: d length");
-        d.copy_from_slice(&self.diagonal());
     }
 }
 

@@ -249,21 +249,6 @@ impl CsrMatrix {
         y
     }
 
-    /// The diagonal of the matrix (zeros where no entry is stored).
-    pub(crate) fn diagonal(&self) -> Vec<f64> {
-        let mut d = vec![0.0; self.n];
-        for i in 0..self.n {
-            let start = self.row_ptr[i] as usize;
-            let end = self.row_ptr[i + 1] as usize;
-            for k in start..end {
-                if self.col_idx[k] as usize == i {
-                    d[i] += self.values[k];
-                }
-            }
-        }
-        d
-    }
-
     /// Returns the entry at `(row, col)` (zero if not stored).
     ///
     /// # Panics
@@ -343,12 +328,6 @@ mod tests {
         b.add(3, 3, 1.0);
         let m = b.build();
         assert_eq!(m.matvec(&[1.0; 4]), vec![0.0, 0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn diagonal_extraction() {
-        let m = small();
-        assert_eq!(m.diagonal(), vec![2.0, 3.0, 5.0]);
     }
 
     #[test]

@@ -118,12 +118,14 @@ struct Run {
 pub(crate) struct ClassTable {
     ptr: Vec<u32>,
     off: Vec<i32>,
-    /// Position of offset 0 (the diagonal) within each class, or
-    /// `u32::MAX` when the class has no diagonal entry.
-    diag: Vec<u32>,
 }
 
 impl ClassTable {
+    /// Number of classes.
+    fn len(&self) -> usize {
+        self.ptr.len() - 1
+    }
+
     /// The offsets of class `c`.
     #[inline]
     pub(crate) fn offsets(&self, c: u32) -> &[i32] {
@@ -147,7 +149,6 @@ impl ClassInterner {
             table: ClassTable {
                 ptr: vec![0],
                 off: Vec::new(),
-                diag: Vec::new(),
             },
             map: HashMap::new(),
             last: None,
@@ -164,14 +165,9 @@ impl ClassInterner {
             Some(&c) => c,
             None => {
                 let t = &mut self.table;
-                let c = t.diag.len() as u32;
+                let c = t.len() as u32;
                 t.off.extend_from_slice(sig);
                 t.ptr.push(t.off.len() as u32);
-                t.diag.push(
-                    sig.iter()
-                        .position(|&o| o == 0)
-                        .map_or(u32::MAX, |p| p as u32),
-                );
                 self.map.insert(sig.to_vec(), c);
                 c
             }
@@ -262,7 +258,7 @@ impl StencilPattern {
 
     /// Number of distinct offset classes.
     pub fn class_count(&self) -> usize {
-        self.classes.diag.len()
+        self.classes.len()
     }
 
     /// Whether this pattern was computed for `a`'s sparsity pattern
@@ -486,22 +482,6 @@ impl LinearOperator for StencilOp<'_> {
         self.pattern
             .run_fused(self.values, x, RowMode::Be { c, base, rhs, r });
     }
-
-    fn diagonal_into(&self, d: &mut [f64]) {
-        assert_eq!(d.len(), self.pattern.n, "stencil-op: d length");
-        for run in &self.pattern.runs {
-            let k = self.pattern.classes.offsets(run.class).len();
-            let dp = self.pattern.classes.diag[run.class as usize];
-            for i in run.row0 as usize..run.row1 as usize {
-                d[i] = if dp == u32::MAX {
-                    0.0
-                } else {
-                    let vb = run.val0 as usize + (i - run.row0 as usize) * k;
-                    self.values[vb + dp as usize]
-                };
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -603,7 +583,7 @@ mod tests {
             .zip(&r_ref)
             .all(|(g, w)| g.to_bits() == w.to_bits()));
 
-        // Backward-Euler prologue and diagonal vs the CSR reference.
+        // Backward-Euler prologue vs the CSR reference.
         let c: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
         let base: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
         let (mut rhs1, mut r1) = (vec![0.0; n], vec![0.0; n]);
@@ -615,12 +595,6 @@ mod tests {
             .zip(&rhs2)
             .all(|(g, w)| g.to_bits() == w.to_bits()));
         assert!(r1.iter().zip(&r2).all(|(g, w)| g.to_bits() == w.to_bits()));
-
-        let mut d1 = vec![0.0; n];
-        let mut d2 = vec![0.0; n];
-        LinearOperator::diagonal_into(&a, &mut d1);
-        op.diagonal_into(&mut d2);
-        assert!(d1.iter().zip(&d2).all(|(g, w)| g.to_bits() == w.to_bits()));
     }
 
     proptest! {

@@ -1,10 +1,13 @@
 //! In-flight execution dedup: at most one concurrent run per cache key.
 //!
-//! [`SweepRunner::run_shared`](crate::SweepRunner::run_shared) callers
-//! racing on the same cache key are split into one **leader** (who
+//! Every cell a [`SweepRunner`](crate::SweepRunner) runs claims its
+//! cache key here after a cache miss, whether it comes from a batch or
+//! from [`SweepRunner::run_shared`](crate::SweepRunner::run_shared).
+//! Callers racing on the same key are split into one **leader** (who
 //! simulates) and any number of **followers** (who block until the
-//! leader publishes). The sweep service uses this so two clients
-//! submitting overlapping specs never duplicate a cell's simulation.
+//! leader publishes). So two service clients submitting overlapping
+//! specs never duplicate a cell's simulation, and neither do two
+//! workers taking a batch's repeated cell.
 //!
 //! Failure policy: a leader that errors (or panics — the claim guard
 //! publishes on drop) wakes its followers with `None`; each follower

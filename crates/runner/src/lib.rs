@@ -91,9 +91,9 @@ pub struct SweepStats {
     /// Corrupt disk-cache entries evicted on the read path (unparseable
     /// JSON → treated as a miss, deleted and counted — never an error).
     pub cache_corrupt_evictions: u64,
-    /// [`SweepRunner::run_shared`] calls that joined another caller's
-    /// in-flight execution of the identical cell instead of duplicating
-    /// it.
+    /// Jobs — batch cells or [`SweepRunner::run_shared`] calls — that
+    /// joined another job's in-flight execution of the identical cell
+    /// instead of duplicating it.
     pub dedup_joins: u64,
 }
 
@@ -222,6 +222,10 @@ impl SweepRunner {
     }
 
     /// [`SweepRunner::try_run`] with a per-completion progress callback.
+    ///
+    /// Every cell takes [`run_shared`](Self::run_shared)'s path, so a
+    /// repeated cell simulates once: it is served from the cache, or
+    /// joins its first occurrence while that still runs.
     pub fn try_run_with_progress(
         &self,
         configs: Vec<SimConfig>,
@@ -232,66 +236,22 @@ impl SweepRunner {
         vfc_obs::counter_add("runner.jobs", total as u64);
         let batch_start = std::time::Instant::now();
 
-        // Dedupe identical cells in flight: only the first occurrence of
-        // each cache key simulates; repeats are served from the cache
-        // afterwards, so a batch never runs the same simulation twice
-        // concurrently (which would also race on the disk store).
-        let keys: Vec<u64> = configs.iter().map(SimConfig::cache_key).collect();
-        let mut seen = std::collections::HashSet::with_capacity(total);
-        let mut primaries: Vec<(usize, SimConfig)> = Vec::with_capacity(total);
-        let mut repeats: Vec<(usize, SimConfig)> = Vec::new();
-        for (i, cfg) in configs.into_iter().enumerate() {
-            if seen.insert(keys[i]) {
-                primaries.push((i, cfg));
-            } else {
-                repeats.push((i, cfg));
-            }
-        }
-
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let tick = |p: &dyn Fn(Progress)| {
-            let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
-            // Live progress/ETA for whoever is scraping the registry
-            // (the sweep CLI prints its own ETA from the same callback).
-            if vfc_obs::counters_enabled() {
-                vfc_obs::gauge_set("runner.jobs_total", total as f64);
-                vfc_obs::gauge_set("runner.jobs_completed", completed as f64);
-                let elapsed = batch_start.elapsed().as_secs_f64();
-                let eta = elapsed / completed as f64 * (total - completed) as f64;
-                vfc_obs::gauge_set("runner.eta_seconds", eta);
-            }
-            p(Progress { completed, total });
-        };
-        let primary_indices: Vec<usize> = primaries.iter().map(|&(i, _)| i).collect();
-        let primary_results = self.executor.run_with_progress(
-            primaries,
-            |(_, cfg)| self.run_one(cfg),
-            |_| tick(&progress),
-        );
-
-        let mut slots: Vec<Option<Result<SimReport, RunnerError>>> =
-            (0..total).map(|_| None).collect();
-        for (slot, result) in primary_indices.into_iter().zip(primary_results) {
-            slots[slot] = Some(result);
-        }
-        for (i, cfg) in repeats {
-            let result = match self.cache.get(keys[i]) {
-                Some(report) => {
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    Ok(report)
+        let results = self.executor.run_with_progress(
+            configs,
+            |cfg| self.run_cell(cfg).map(|(report, _)| report),
+            |p| {
+                // Live progress/ETA for whoever is scraping the registry
+                // (the sweep CLI prints its own ETA from the same callback).
+                if vfc_obs::counters_enabled() {
+                    vfc_obs::gauge_set("runner.jobs_total", total as f64);
+                    vfc_obs::gauge_set("runner.jobs_completed", p.completed as f64);
+                    let elapsed = batch_start.elapsed().as_secs_f64();
+                    let eta = elapsed / p.completed as f64 * (total - p.completed) as f64;
+                    vfc_obs::gauge_set("runner.eta_seconds", eta);
                 }
-                // The primary occurrence failed; retry this slot for a
-                // genuine per-slot error (and a second chance).
-                None => self.run_one(cfg),
-            };
-            slots[i] = Some(result);
-            tick(&progress);
-        }
-
-        let results: Vec<Result<SimReport, RunnerError>> = slots
-            .into_iter()
-            .map(|s| s.expect("every slot filled exactly once"))
-            .collect();
+                progress(p);
+            },
+        );
         self.failures.fetch_add(
             results.iter().filter(|r| r.is_err()).count() as u64,
             Ordering::Relaxed,
@@ -299,38 +259,41 @@ impl SweepRunner {
         results
     }
 
-    /// One cell: cache lookup, else simulate and store.
-    fn run_one(&self, cfg: SimConfig) -> Result<SimReport, RunnerError> {
-        let _span = vfc_obs::span("runner.job");
-        let key = cfg.cache_key();
-        if let Some(report) = self.cache.get(key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(report);
-        }
-        self.execute_uncached(&cfg, key)
-    }
-
-    /// One cell where the cache has already missed: run every cell
-    /// exactly once across concurrent callers. The first caller of a
-    /// key becomes its **leader** and simulates; callers arriving while
-    /// the leader runs become **followers** and block on the leader's
-    /// published result instead of duplicating the run. A failed leader
-    /// wakes its followers empty-handed and each retries from the top
-    /// (cache, then a fresh claim) — failures never cascade to cells
-    /// that could have succeeded on their own.
-    ///
-    /// This is the dedup hook the sweep service builds on: two clients
-    /// submitting overlapping specs share each overlapping cell's
-    /// single execution.
+    /// One cell, counted as one job, through the path every batch cell
+    /// takes too. This is the dedup hook the sweep service builds on:
+    /// two clients submitting overlapping specs share each overlapping
+    /// cell's single execution, and [`RunSource`] says how this call got
+    /// its report.
     ///
     /// # Errors
     ///
     /// Whatever [`SweepRunner::run`] would return for this cell.
     pub fn run_shared(&self, cfg: SimConfig) -> Result<(SimReport, RunSource), RunnerError> {
-        let _span = vfc_obs::span("runner.job");
-        let key = cfg.cache_key();
         self.jobs.fetch_add(1, Ordering::Relaxed);
         vfc_obs::counter_add("runner.jobs", 1);
+        let outcome = self.run_cell(cfg);
+        if outcome.is_err() {
+            self.failures.fetch_add(1, Ordering::Relaxed);
+        }
+        outcome
+    }
+
+    /// The one cell path: cache lookup, else run every cell exactly once
+    /// across concurrent callers. The first caller of a key becomes its
+    /// **leader** and simulates; callers arriving while the leader runs
+    /// become **followers** and block on the leader's published result
+    /// instead of duplicating the run. A failed leader wakes its
+    /// followers empty-handed and each retries from the top (cache,
+    /// then a fresh claim) — failures never cascade to cells that could
+    /// have succeeded on their own.
+    ///
+    /// A failed simulation is not retried by its leader: simulations
+    /// are deterministic, so running the same cell again reproduces the
+    /// same error. Counts cache hits, executions and joins; the callers
+    /// count jobs and failures.
+    fn run_cell(&self, cfg: SimConfig) -> Result<(SimReport, RunSource), RunnerError> {
+        let _span = vfc_obs::span("runner.job");
+        let key = cfg.cache_key();
         loop {
             if let Some(report) = self.cache.get(key) {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -338,17 +301,18 @@ impl SweepRunner {
             }
             match self.inflight.claim(key) {
                 inflight::Claim::Leader(guard) => {
-                    return match self.execute_uncached(&cfg, key) {
-                        Ok(report) => {
-                            guard.publish(Some(report.clone()));
-                            Ok((report, RunSource::Executed))
+                    self.executed.fetch_add(1, Ordering::Relaxed);
+                    let outcome = self.simulate(&cfg);
+                    if let Ok(report) = &outcome {
+                        // Best-effort: a full disk or read-only checkout
+                        // must not fail the sweep — the result is
+                        // already in hand (and in memory).
+                        if let Err(e) = self.cache.insert(key, report) {
+                            eprintln!("vfc_runner: cache store failed ({e}); continuing uncached");
                         }
-                        Err(err) => {
-                            self.failures.fetch_add(1, Ordering::Relaxed);
-                            guard.publish(None);
-                            Err(err)
-                        }
-                    };
+                    }
+                    guard.publish(outcome.as_ref().ok().cloned());
+                    return outcome.map(|report| (report, RunSource::Executed));
                 }
                 inflight::Claim::Follower(follower) => match follower.wait() {
                     Some(report) => {
@@ -362,21 +326,6 @@ impl SweepRunner {
                 },
             }
         }
-    }
-
-    /// The post-miss path shared by [`run_one`](Self::run_one) and
-    /// [`run_shared`](Self::run_shared): simulate, then store. A failed
-    /// simulation is not retried: simulations are deterministic, so
-    /// running the same cell again reproduces the same error.
-    fn execute_uncached(&self, cfg: &SimConfig, key: u64) -> Result<SimReport, RunnerError> {
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        let report = self.simulate(cfg)?;
-        // Best-effort: a full disk or read-only checkout must not fail
-        // the sweep — the result is already in hand (and in memory).
-        if let Err(e) = self.cache.insert(key, &report) {
-            eprintln!("vfc_runner: cache store failed ({e}); continuing uncached");
-        }
-        Ok(report)
     }
 
     /// One simulation of `cfg`.
@@ -465,9 +414,11 @@ mod tests {
 
     #[test]
     fn duplicate_cells_in_one_batch_simulate_once() {
-        let runner = SweepRunner::new();
         let cfg = tiny_spec().expand().remove(0);
-        let out = runner.try_run(vec![cfg.clone(), cfg]);
+        // One worker finishes the first occurrence before it takes the
+        // repeat, which the cache then serves.
+        let runner = SweepRunner::with_parts(Executor::with_threads(1), ResultCache::in_memory());
+        let out = runner.try_run(vec![cfg.clone(), cfg.clone()]);
         assert_eq!(out[0].as_ref().unwrap(), out[1].as_ref().unwrap());
         let stats = runner.stats();
         assert_eq!(
@@ -475,6 +426,15 @@ mod tests {
             (2, 1, 1),
             "the repeat must be served from cache, not re-simulated"
         );
+
+        // Two workers take both at once: the repeat joins the first
+        // occurrence's run, or hits the cache if that already finished.
+        let runner = SweepRunner::with_parts(Executor::with_threads(2), ResultCache::in_memory());
+        let out = runner.try_run(vec![cfg.clone(), cfg]);
+        assert_eq!(out[0].as_ref().unwrap(), out[1].as_ref().unwrap());
+        let stats = runner.stats();
+        assert_eq!((stats.jobs, stats.executed), (2, 1), "one simulation");
+        assert_eq!(stats.cache_hits + stats.dedup_joins, 1);
     }
 
     #[test]

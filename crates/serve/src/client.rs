@@ -151,6 +151,7 @@ impl ServeClient {
 
     fn dial(&self) -> Result<TcpStream, ClientError> {
         let stream = TcpStream::connect(&self.addr).map_err(ClientError::Connect)?;
+        stream.set_nodelay(true).map_err(ClientError::Connect)?;
         stream
             .set_read_timeout(Some(self.read_timeout))
             .map_err(ClientError::Connect)?;

@@ -250,20 +250,40 @@ mod tests {
         let (journal, _) = Journal::open(&dir).unwrap();
         let spec = WireSpec::default();
         let first = journal.record_submit(&spec).unwrap();
-        journal.record_submit(&spec).unwrap();
+        let second = journal.record_submit(&spec).unwrap();
         journal.record_done(first);
         drop(journal);
         let path = dir.join(JOURNAL_FILE);
         let full = std::fs::read(&path).unwrap();
+        // The byte offset just past each line's newline: submit(first),
+        // submit(second), done(first).
+        let ends: Vec<usize> = full
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b == b'\n')
+            .map(|(i, _)| i + 1)
+            .collect();
+        assert_eq!(ends.len(), 3);
 
         for cut in 0..=full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
-            let (journal, before) = Journal::open(&dir).unwrap();
+            let (journal, before) = Journal::open(&dir)
+                .unwrap_or_else(|e| panic!("cut at byte {cut}: open failed: {e}"));
+            // Pending: a submit whose line is whole, without a whole done.
+            let mut expected: Vec<u64> = Vec::new();
+            if ends[0] <= cut && ends[2] > cut {
+                expected.push(first);
+            }
+            if ends[1] <= cut {
+                expected.push(second);
+            }
+            let pending: Vec<u64> = before.iter().map(|p| p.id).collect();
+            assert_eq!(pending, expected, "cut at byte {cut}: wrong pending set");
+
             let id = journal.record_submit(&spec).unwrap();
             drop(journal);
-            let (_, after) = Journal::open(&dir).unwrap();
-
-            let mut expected: Vec<u64> = before.iter().map(|p| p.id).collect();
+            let (_, after) = Journal::open(&dir)
+                .unwrap_or_else(|e| panic!("cut at byte {cut}: reopen failed: {e}"));
             expected.push(id);
             let pending: Vec<u64> = after.iter().map(|p| p.id).collect();
             assert_eq!(

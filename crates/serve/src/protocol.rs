@@ -369,13 +369,16 @@ fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {
 
 // --- the sweep spec, as it travels ---
 
-/// A [`SweepSpec`] in wire form: every axis a list of the same tokens
-/// the `sweep` CLI accepts, so a spec is printable, diffable and
-/// hand-writable. [`to_sweep_spec`](Self::to_sweep_spec) lowers it onto
-/// the real builder, which guarantees the server expands cells in
-/// *exactly* the order a local [`SweepRunner`](vfc_runner::SweepRunner)
-/// would — the byte-identical-results contract rests on sharing that
-/// code path, not on reimplementing it.
+/// A [`SweepSpec`] in wire form: every axis a list of tokens, so a spec
+/// is printable, diffable and hand-writable. This is the one place a
+/// sweep is spelled: the `sweep` and `serve_client` binaries fill it
+/// from flags with [`apply_flag`](Self::apply_flag), and
+/// [`to_sweep_spec`](Self::to_sweep_spec), the only token grammar,
+/// lowers it onto the real builder. That guarantees the server expands
+/// cells in *exactly* the order a local
+/// [`SweepRunner`](vfc_runner::SweepRunner) would — the
+/// byte-identical-results contract rests on sharing that code path, not
+/// on reimplementing it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireSpec {
     /// System tokens: `2` or `4`.
@@ -404,10 +407,7 @@ impl Default for WireSpec {
             systems: vec!["2".into()],
             coolings: vec!["var".into()],
             policies: vec!["talb".into()],
-            workloads: Benchmark::table_ii()
-                .into_iter()
-                .map(|b| b.name.to_string())
-                .collect(),
+            workloads: table_ii_names(),
             seeds: vec![42],
             grid_mm: vec![1.0],
             duration_s: 60.0,
@@ -417,6 +417,75 @@ impl Default for WireSpec {
 }
 
 impl WireSpec {
+    /// Usage text for the flags [`apply_flag`](Self::apply_flag) reads,
+    /// shared by every front end that spells a sweep from flags.
+    pub const FLAGS_HELP: &'static str = "\
+spec flags (comma-separated lists; defaults in parentheses):
+  --systems 2,4             stack layer counts (2)
+  --cooling air,max,var,fixed:<n>  cooling; <n> is a 0-based pump setting (var)
+  --policies lb,mig,talb    scheduling policies (talb)
+  --workloads gzip,gcc,...  Table II names, or `all` (all eight)
+  --seeds 1,2,3 | 0..8      workload generator seeds (42)
+  --grid-mm 1,2             thermal grid cell sizes in mm (1)
+  --duration <s>            simulated seconds per cell (60)
+  --dpm                     enable dynamic power management";
+
+    /// Applies one spec flag, taking its value (if it has one) from
+    /// `rest`. `--workloads all` and `--seeds a..b` expand here; the
+    /// axis tokens are only checked by
+    /// [`to_sweep_spec`](Self::to_sweep_spec).
+    ///
+    /// Returns `Ok(false)`, consuming nothing, when `flag` is not a spec
+    /// flag, so a caller can handle its own flags after this one.
+    ///
+    /// # Errors
+    ///
+    /// A missing value, or a seed, grid size or duration that is not a
+    /// number.
+    pub fn apply_flag(
+        &mut self,
+        flag: &str,
+        rest: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        let mut value = || {
+            rest.next()
+                .ok_or_else(|| format!("flag `{flag}` needs a value"))
+        };
+        match flag {
+            "--systems" => self.systems = list(&value()?),
+            "--cooling" => self.coolings = list(&value()?),
+            "--policies" => self.policies = list(&value()?),
+            "--workloads" => {
+                let value = value()?;
+                self.workloads = if value == "all" {
+                    table_ii_names()
+                } else {
+                    list(&value)
+                };
+            }
+            "--seeds" => {
+                let value = value()?;
+                self.seeds = match value.split_once("..") {
+                    Some((lo, hi)) => (number(lo, "seed")?..number(hi, "seed")?).collect(),
+                    None => list(&value)
+                        .iter()
+                        .map(|t| number(t, "seed"))
+                        .collect::<Result<_, _>>()?,
+                };
+            }
+            "--grid-mm" => {
+                self.grid_mm = list(&value()?)
+                    .iter()
+                    .map(|t| number(t, "grid size"))
+                    .collect::<Result<_, _>>()?;
+            }
+            "--duration" => self.duration_s = number(&value()?, "duration")?,
+            "--dpm" => self.dpm = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
     /// The unfiltered cell count (product of the axis lengths).
     pub fn cell_count(&self) -> usize {
         self.systems.len()
@@ -561,6 +630,32 @@ impl WireSpec {
     }
 }
 
+/// Every Table II workload name, in table order.
+fn table_ii_names() -> Vec<String> {
+    Benchmark::table_ii()
+        .into_iter()
+        .map(|b| b.name.to_string())
+        .collect()
+}
+
+/// A comma-separated flag value's tokens, trimmed, empty ones dropped.
+fn list(value: &str) -> Vec<String> {
+    value
+        .split(',')
+        .map(str::trim)
+        .filter(|t| !t.is_empty())
+        .map(String::from)
+        .collect()
+}
+
+/// One numeric flag value.
+fn number<T: std::str::FromStr>(token: &str, what: &str) -> Result<T, String> {
+    token
+        .trim()
+        .parse()
+        .map_err(|_| format!("bad {what} `{token}`"))
+}
+
 fn map_tokens<T>(
     tokens: &[String],
     what: &str,
@@ -572,9 +667,8 @@ fn map_tokens<T>(
         .collect()
 }
 
-/// Same grammar as the `sweep` CLI's `--cooling`: `air`, `max`, `var`
-/// or `fixed:<0-based pump setting>` (validated against the default
-/// pump's setting table).
+/// The cooling grammar: `air`, `max`, `var` or `fixed:<0-based pump
+/// setting>` (validated against the default pump's setting table).
 fn parse_cooling(s: &str) -> Option<CoolingKind> {
     match s.to_ascii_lowercase().as_str() {
         "air" => Some(CoolingKind::Air),
@@ -890,6 +984,105 @@ mod tests {
         let mut spec = WireSpec::default();
         spec.systems = vec![];
         assert!(spec.to_sweep_spec().unwrap_err().contains("zero cells"));
+    }
+
+    /// Applies `args` as spec flags, as a front end would.
+    fn apply(args: &[&str]) -> Result<WireSpec, String> {
+        let mut spec = WireSpec::default();
+        let mut rest = args.iter().map(|a| a.to_string());
+        while let Some(flag) = rest.next() {
+            if !spec.apply_flag(&flag, &mut rest)? {
+                return Err(format!("not a spec flag: {flag}"));
+            }
+        }
+        Ok(spec)
+    }
+
+    #[test]
+    fn every_spec_flag_fills_its_field() {
+        let spec = apply(&[
+            "--systems",
+            "2,4",
+            "--cooling",
+            "air, fixed:1",
+            "--policies",
+            "lb,talb",
+            "--workloads",
+            "gzip,Web-med",
+            "--seeds",
+            "1,2,3",
+            "--grid-mm",
+            "1,2.5",
+            "--duration",
+            "10",
+            "--dpm",
+        ])
+        .unwrap();
+        let strings = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            spec,
+            WireSpec {
+                systems: strings(&["2", "4"]),
+                coolings: strings(&["air", "fixed:1"]),
+                policies: strings(&["lb", "talb"]),
+                workloads: strings(&["gzip", "Web-med"]),
+                seeds: vec![1, 2, 3],
+                grid_mm: vec![1.0, 2.5],
+                duration_s: 10.0,
+                dpm: true,
+            }
+        );
+        assert_eq!(spec.expand().unwrap().len(), 2 * 2 * 2 * 2 * 3 * 2);
+    }
+
+    #[test]
+    fn all_workloads_and_seed_ranges_expand() {
+        let spec = apply(&[
+            "--workloads",
+            "gzip",
+            "--workloads",
+            "all",
+            "--seeds",
+            "0..2",
+        ])
+        .unwrap();
+        assert_eq!(spec.workloads, WireSpec::default().workloads);
+        assert_eq!(spec.workloads.len(), 8);
+        assert_eq!(spec.seeds, vec![0, 1]);
+        assert_eq!(spec.cell_count(), 16);
+    }
+
+    #[test]
+    fn a_flag_that_is_not_a_spec_flag_is_left_alone() {
+        let mut spec = WireSpec::default();
+        let mut rest = vec!["4".to_string()].into_iter();
+        assert_eq!(spec.apply_flag("--threads", &mut rest), Ok(false));
+        assert_eq!(rest.next().as_deref(), Some("4"), "its value is not taken");
+        assert_eq!(spec, WireSpec::default());
+    }
+
+    #[test]
+    fn a_missing_value_or_a_bad_number_is_an_error() {
+        assert_eq!(
+            apply(&["--seeds"]).unwrap_err(),
+            "flag `--seeds` needs a value"
+        );
+        assert_eq!(apply(&["--seeds", "0..x"]).unwrap_err(), "bad seed `x`");
+        assert_eq!(apply(&["--seeds", "1,b"]).unwrap_err(), "bad seed `b`");
+        assert_eq!(
+            apply(&["--grid-mm", "fine"]).unwrap_err(),
+            "bad grid size `fine`"
+        );
+        assert_eq!(
+            apply(&["--duration", "10s"]).unwrap_err(),
+            "bad duration `10s`"
+        );
+        // Tokens are checked by the one grammar, not by the flag parser.
+        let spec = apply(&["--cooling", "water"]).unwrap();
+        assert_eq!(
+            spec.to_sweep_spec().unwrap_err(),
+            "bad cooling token `water`"
+        );
     }
 
     #[test]

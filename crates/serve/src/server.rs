@@ -254,10 +254,15 @@ impl Conn {
             return;
         }
         let mut stream = self.stream.lock().expect("conn stream poisoned");
+        self.send_locked(&mut stream, shared, response);
+    }
+
+    /// [`send`](Self::send) on the already-locked write half.
+    fn send_locked(&self, stream: &mut TcpStream, shared: &Shared, response: &Response) {
         if self.dead.load(Ordering::Acquire) {
             return;
         }
-        if let Err(e) = write_response(&mut *stream, response) {
+        if let Err(e) = write_response(stream, response) {
             self.dead.store(true, Ordering::Release);
             if e.is_timeout() {
                 shared.stats.deadline_abort();
@@ -559,6 +564,9 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 }
 
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
+    // A response is several small frames; with Nagle's algorithm on,
+    // each one after the first waits for the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
     let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
     let Ok(write_half) = stream.try_clone() else {
@@ -712,84 +720,53 @@ fn handle_submit(shared: &Arc<Shared>, conn: &Arc<Conn>, spec: &WireSpec) {
     {
         let mut stream = conn.stream.lock().expect("conn stream poisoned");
         let verdict = shared.submit_batch(jobs);
-        let send = |stream: &mut TcpStream, conn: &Conn, response: &Response| {
-            if conn.dead.load(Ordering::Acquire) {
-                return;
-            }
-            if let Err(e) = write_response(stream, response) {
-                conn.dead.store(true, Ordering::Release);
-                if e.is_timeout() {
-                    shared.stats.deadline_abort();
-                }
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-        };
+        let mut send = |response: &Response| conn.send_locked(&mut stream, shared, response);
         match verdict {
             Err(SubmitError::QueueFull { capacity }) => {
                 conn.pending.fetch_sub(cold_count, Ordering::AcqRel);
                 shared.journal.record_done(journal_id); // shed ≠ pending
                 shared.stats.shed();
-                send(
-                    &mut stream,
-                    conn,
-                    &Response::Busy {
-                        reason: BusyReason::Queue,
-                        detail: format!(
-                            "{cold_count} cold cells will not fit the queue (capacity {capacity})"
-                        ),
-                    },
-                );
+                send(&Response::Busy {
+                    reason: BusyReason::Queue,
+                    detail: format!(
+                        "{cold_count} cold cells will not fit the queue (capacity {capacity})"
+                    ),
+                });
                 return;
             }
             Err(SubmitError::ShuttingDown) => {
                 conn.pending.fetch_sub(cold_count, Ordering::AcqRel);
                 shared.journal.record_done(journal_id);
-                send(&mut stream, conn, &Response::ShuttingDown);
+                send(&Response::ShuttingDown);
                 return;
             }
             Ok(()) => {}
         }
-        send(
-            &mut stream,
-            conn,
-            &Response::Accepted { keys: keys.clone() },
-        );
+        send(&Response::Accepted { keys: keys.clone() });
         for &(index, key) in &warm {
             shared.stats.warm_hits.fetch_add(1, Ordering::Relaxed);
             // The cache can only miss here if the budget evicted the
             // entry in the last microseconds; re-fetch defensively.
             match shared.runner.cache().get(key) {
-                Some(report) => send(
-                    &mut stream,
-                    conn,
-                    &Response::Cell {
-                        index,
-                        key,
-                        cached: true,
-                        report,
-                    },
-                ),
-                None => send(
-                    &mut stream,
-                    conn,
-                    &Response::CellFailed {
-                        index,
-                        key,
-                        message: "cache entry evicted mid-request; resubmit".into(),
-                    },
-                ),
+                Some(report) => send(&Response::Cell {
+                    index,
+                    key,
+                    cached: true,
+                    report,
+                }),
+                None => send(&Response::CellFailed {
+                    index,
+                    key,
+                    message: "cache entry evicted mid-request; resubmit".into(),
+                }),
             }
         }
         if cold_count == 0 {
             shared.journal.record_done(journal_id);
-            send(
-                &mut stream,
-                conn,
-                &Response::Done {
-                    completed: total,
-                    failed: 0,
-                },
-            );
+            send(&Response::Done {
+                completed: total,
+                failed: 0,
+            });
         }
     }
 }

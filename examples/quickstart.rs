@@ -10,14 +10,17 @@ use vfc::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The 2-layer UltraSPARC-T1 stack with microchannel cavities, running
     // the medium web-server workload of Table II.
-    let report = Experiment::new(
-        SystemKind::TwoLayer,
-        CoolingKind::LiquidVariable,
-        PolicyKind::Talb,
-        Benchmark::by_name("Web-med").expect("Table II workload"),
-    )
-    .duration(Seconds::new(30.0))
-    .run()?;
+    let run = |cooling| {
+        let cfg = SimConfig::new(
+            SystemKind::TwoLayer,
+            cooling,
+            PolicyKind::Talb,
+            Benchmark::by_name("Web-med").expect("Table II workload"),
+        )
+        .with_duration(Seconds::new(30.0));
+        Simulation::new(cfg).and_then(Simulation::run)
+    };
+    let report = run(CoolingKind::LiquidVariable)?;
 
     println!("{report}");
     println!();
@@ -29,14 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Compare against running the pump flat out (the worst-case baseline).
-    let baseline = Experiment::new(
-        SystemKind::TwoLayer,
-        CoolingKind::LiquidMax,
-        PolicyKind::Talb,
-        Benchmark::by_name("Web-med").expect("Table II workload"),
-    )
-    .duration(Seconds::new(30.0))
-    .run()?;
+    let baseline = run(CoolingKind::LiquidMax)?;
 
     let cooling_saving = 100.0 * (1.0 - report.pump_energy.value() / baseline.pump_energy.value());
     let total_saving =

@@ -5,16 +5,17 @@ use vfc::prelude::*;
 use vfc::workload::Benchmark;
 
 fn quick(cooling: CoolingKind, policy: PolicyKind, bench: &str, seconds: f64) -> SimReport {
-    Experiment::new(
+    let cfg = SimConfig::new(
         SystemKind::TwoLayer,
         cooling,
         policy,
         Benchmark::by_name(bench).expect("table II"),
     )
-    .duration(Seconds::new(seconds))
-    .grid_cell(Length::from_millimeters(2.0))
-    .run()
-    .expect("simulation runs")
+    .with_duration(Seconds::new(seconds))
+    .with_grid_cell(Length::from_millimeters(2.0));
+    Simulation::new(cfg)
+        .and_then(Simulation::run)
+        .expect("simulation runs")
 }
 
 #[test]
@@ -114,26 +115,19 @@ fn leakage_couples_temperature_and_chip_energy() {
 
 #[test]
 fn four_layer_system_runs_and_is_hotter_per_flow() {
-    let two = Experiment::new(
-        SystemKind::TwoLayer,
-        CoolingKind::LiquidMax,
-        PolicyKind::Talb,
-        Benchmark::by_name("Web-med").unwrap(),
-    )
-    .duration(Seconds::new(5.0))
-    .grid_cell(Length::from_millimeters(2.0))
-    .run()
-    .unwrap();
-    let four = Experiment::new(
-        SystemKind::FourLayer,
-        CoolingKind::LiquidMax,
-        PolicyKind::Talb,
-        Benchmark::by_name("Web-med").unwrap(),
-    )
-    .duration(Seconds::new(5.0))
-    .grid_cell(Length::from_millimeters(2.0))
-    .run()
-    .unwrap();
+    let run = |system| {
+        let cfg = SimConfig::new(
+            system,
+            CoolingKind::LiquidMax,
+            PolicyKind::Talb,
+            Benchmark::by_name("Web-med").unwrap(),
+        )
+        .with_duration(Seconds::new(5.0))
+        .with_grid_cell(Length::from_millimeters(2.0));
+        Simulation::new(cfg).and_then(Simulation::run).unwrap()
+    };
+    let two = run(SystemKind::TwoLayer);
+    let four = run(SystemKind::FourLayer);
     // Same pump output split over 5 cavities instead of 3: hotter.
     assert!(
         four.mean_temperature.value() > two.mean_temperature.value(),

@@ -11,11 +11,10 @@ fn run(
     bench: &str,
     secs: f64,
 ) -> SimReport {
-    Experiment::new(system, cooling, policy, Benchmark::by_name(bench).unwrap())
-        .duration(Seconds::new(secs))
-        .grid_cell(Length::from_millimeters(2.0))
-        .run()
-        .unwrap()
+    let cfg = SimConfig::new(system, cooling, policy, Benchmark::by_name(bench).unwrap())
+        .with_duration(Seconds::new(secs))
+        .with_grid_cell(Length::from_millimeters(2.0));
+    Simulation::new(cfg).and_then(Simulation::run).unwrap()
 }
 
 #[test]
@@ -149,17 +148,16 @@ fn dpm_reduces_idle_chip_energy() {
         8.0,
     );
     let with = {
-        Experiment::new(
+        let cfg = SimConfig::new(
             SystemKind::TwoLayer,
             CoolingKind::LiquidMax,
             PolicyKind::LoadBalancing,
             Benchmark::by_name("MPlayer").unwrap(),
         )
-        .duration(Seconds::new(8.0))
-        .grid_cell(Length::from_millimeters(2.0))
-        .dpm(true)
-        .run()
-        .unwrap()
+        .with_duration(Seconds::new(8.0))
+        .with_grid_cell(Length::from_millimeters(2.0))
+        .with_dpm(true);
+        Simulation::new(cfg).and_then(Simulation::run).unwrap()
     };
     assert!(
         with.chip_energy.value() < without.chip_energy.value(),

@@ -2,12 +2,12 @@
 //! committed, PR-to-PR perf trajectory) plus a `target/bench/` copy.
 //!
 //! The human-readable tables the bench binaries print are useless for
-//! tracking the perf trajectory across PRs, so the solver benches also
-//! emit one JSON file per run — a flat list of measurements tagged with
-//! everything needed to compare like against like (grid, node count,
-//! preconditioner), including the **deterministic Krylov
-//! iteration count** where the scenario has one. Records are written to
-//! two places:
+//! tracking the perf trajectory across PRs, so `grid_convergence` and
+//! `transient_bench` also emit one JSON file per run — a flat list of
+//! measurements tagged with everything needed to compare like against
+//! like (grid, node count, preconditioner), including the
+//! **deterministic Krylov iteration count** where the scenario has one.
+//! Records are written to two places:
 //!
 //! * the workspace root (`BENCH_<name>.json`) — checked into the repo,
 //!   so the perf trajectory is reviewable between PRs, and the

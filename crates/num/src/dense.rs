@@ -120,90 +120,31 @@ impl DenseMatrix {
         g
     }
 
-    /// Solves `A·x = b` by LU factorization with partial pivoting,
-    /// consuming a copy of the matrix.
+    /// Solves `A·x = b` by LU factorization with partial pivoting:
+    /// [`LuFactors`] of a copy of the matrix, then one solve.
     ///
     /// # Errors
     ///
     /// Returns [`NumError::SingularMatrix`] if a pivot vanishes and
     /// [`NumError::DimensionMismatch`] for non-square `A` or wrong `b`.
     pub fn lu_solve(&self, b: &[f64]) -> Result<Vec<f64>, NumError> {
-        if self.rows != self.cols {
-            return Err(NumError::DimensionMismatch {
-                context: "lu_solve requires a square matrix",
-            });
-        }
         if b.len() != self.rows {
             return Err(NumError::DimensionMismatch {
                 context: "lu_solve rhs length must equal matrix order",
             });
         }
-        let n = self.rows;
-        let mut a = self.data.clone();
-        let mut x: Vec<f64> = b.to_vec();
-        let mut perm: Vec<usize> = (0..n).collect();
-
-        for col in 0..n {
-            // Partial pivoting: pick the largest magnitude in this column.
-            let mut pivot_row = col;
-            let mut pivot_val = a[perm[col] * n + col].abs();
-            for (r, &pr) in perm.iter().enumerate().skip(col + 1) {
-                let v = a[pr * n + col].abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = r;
-                }
-            }
-            if pivot_val < 1e-300 {
-                return Err(NumError::SingularMatrix { pivot: col });
-            }
-            perm.swap(col, pivot_row);
-            let prow = perm[col];
-            let pivot = a[prow * n + col];
-            for &r in perm.iter().skip(col + 1) {
-                let factor = a[r * n + col] / pivot;
-                if factor == 0.0 {
-                    continue;
-                }
-                a[r * n + col] = 0.0;
-                for k in (col + 1)..n {
-                    a[r * n + k] -= factor * a[prow * n + k];
-                }
-                let bc = x[perm_index(&perm, prow)];
-                // Forward-eliminate the rhs in the same pass.
-                let idx = perm_index(&perm, r);
-                x[idx] -= factor * bc;
-            }
-        }
-
-        // Back substitution in permuted order.
-        let mut out = vec![0.0; n];
-        for col in (0..n).rev() {
-            let prow = perm[col];
-            let mut sum = x[perm_index(&perm, prow)];
-            for k in (col + 1)..n {
-                sum -= a[prow * n + k] * out[k];
-            }
-            out[col] = sum / a[prow * n + col];
-        }
-        Ok(out)
+        let mut x = vec![0.0; self.rows];
+        LuFactors::factor(self)?.solve_into(b, &mut x);
+        Ok(x)
     }
-}
-
-/// Position of physical row `row` in the logical (permuted) rhs: because we
-/// permute via an index vector and never move rhs entries, the rhs entry for
-/// physical row `r` simply lives at index `r`.
-#[inline]
-fn perm_index(_perm: &[usize], physical_row: usize) -> usize {
-    physical_row
 }
 
 /// LU factors of a square [`DenseMatrix`], computed once and reused.
 ///
-/// [`DenseMatrix::lu_solve`] refactors on every call — fine for one-shot
-/// solves, wasteful when the same matrix is solved every iteration (the
-/// multigrid coarsest level runs one of these per V-cycle). `factor`
-/// pays the `O(n³)` elimination once; `solve_into`
+/// [`DenseMatrix::lu_solve`] factors and solves once per call — fine for
+/// one-shot solves, wasteful when the same matrix is solved every
+/// iteration (the multigrid coarsest level runs one of these per
+/// V-cycle). `factor` pays the `O(n³)` elimination once; `solve_into`
 /// is a pair of `O(n²)` triangular substitutions with a fixed summation
 /// order, so repeated solves are bit-identical.
 #[derive(Debug, Clone)]
@@ -401,13 +342,13 @@ mod tests {
                 }
                 a[(i, i)] += n as f64;
             }
-            let b: Vec<f64> = (0..n).map(|_| rng.random_range(-3.0..3.0)).collect();
+            let x_true: Vec<f64> = (0..n).map(|_| rng.random_range(-3.0..3.0)).collect();
+            let b = a.matvec(&x_true);
             let lu = LuFactors::factor(&a).unwrap();
             assert_eq!(lu.order(), n);
             let mut x = vec![0.0; n];
             lu.solve_into(&b, &mut x);
-            let reference = a.lu_solve(&b).unwrap();
-            for (got, want) in x.iter().zip(&reference) {
+            for (got, want) in x.iter().zip(&x_true) {
                 assert!((got - want).abs() < 1e-9, "n={n}: {got} vs {want}");
             }
             // Repeated solves from the same factors are bit-identical.

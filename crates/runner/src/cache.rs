@@ -26,8 +26,8 @@
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
-use parking_lot::Mutex;
 use vfc_sim::SimReport;
 
 use crate::json::{string_member, u64_member, JsonCodec, JsonValue};
@@ -149,6 +149,12 @@ impl ResultCache {
         self
     }
 
+    /// The memory tier, locked. No holder panics while it holds the
+    /// lock: it only reads, clones or inserts.
+    fn memory(&self) -> MutexGuard<'_, HashMap<u64, SimReport>> {
+        self.memory.lock().expect("cache poisoned")
+    }
+
     /// Whether a disk tier is attached.
     pub fn has_disk_store(&self) -> bool {
         self.disk.is_some()
@@ -157,7 +163,7 @@ impl ResultCache {
     /// Looks `key` up: memory first, then disk (promoting a disk hit
     /// into memory). Disk corruption is a miss, not an error.
     pub fn get(&self, key: u64) -> Option<SimReport> {
-        let hit = self.memory.lock().get(&key).cloned();
+        let hit = self.memory().get(&key).cloned();
         if let Some(hit) = hit {
             vfc_obs::counter_add("runner.cache.hits", 1);
             return Some(hit);
@@ -166,7 +172,7 @@ impl ResultCache {
             Some(disk_hit) => {
                 vfc_obs::counter_add("runner.cache.hits", 1);
                 vfc_obs::counter_add("runner.cache.disk_promotions", 1);
-                self.memory.lock().insert(key, disk_hit.clone());
+                self.memory().insert(key, disk_hit.clone());
                 Some(disk_hit)
             }
             None => {
@@ -181,7 +187,7 @@ impl ResultCache {
     /// result, and a read-only filesystem must not fail a sweep.
     pub fn insert(&self, key: u64, report: &SimReport) -> Result<(), RunnerError> {
         vfc_obs::counter_add("runner.cache.stores", 1);
-        self.memory.lock().insert(key, report.clone());
+        self.memory().insert(key, report.clone());
         match &self.disk {
             Some(disk) => disk.store(key, report),
             None => Ok(()),
@@ -211,7 +217,7 @@ impl ResultCache {
     /// Number of in-memory entries.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.memory.lock().len()
+        self.memory().len()
     }
 }
 
@@ -344,7 +350,7 @@ impl DiskStore {
         let Some(budget) = self.max_bytes else {
             return;
         };
-        let mut tracked = self.tracked_bytes.lock();
+        let mut tracked = self.tracked_bytes.lock().expect("cache budget poisoned");
         match *tracked {
             // Common case: known total, still within budget — O(1).
             Some(total) if total + written_bytes <= budget => {

@@ -11,8 +11,7 @@
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::RunnerError;
 
@@ -109,7 +108,8 @@ impl Executor {
                     // The guard drops at the end of this statement, so
                     // the lock is held only for `next()`. No new jobs
                     // appear mid-run: an empty queue retires the worker.
-                    let Some((idx, input)) = queue.lock().next() else {
+                    let Some((idx, input)) = queue.lock().expect("job queue poisoned").next()
+                    else {
                         break;
                     };
                     // Queue wait: how long a job sat in the queue before
@@ -129,7 +129,7 @@ impl Executor {
                         }),
                     };
                     drop(job_span);
-                    *slots[idx].lock() = Some(result);
+                    *slots[idx].lock().expect("job slot poisoned") = Some(result);
                     let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                     progress(Progress {
                         completed: done,
@@ -143,6 +143,7 @@ impl Executor {
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
+                    .expect("job slot poisoned")
                     .expect("every job ran exactly once before the scope joined")
             })
             .collect()
@@ -191,10 +192,9 @@ impl std::error::Error for SubmitError {}
 /// — already-accepted jobs finish, new submissions are refused — so a
 /// graceful server stop never abandons work it acknowledged.
 ///
-/// Built on `std::sync::{Mutex, Condvar}` (the vendored `parking_lot`
-/// has no condvar). Job panics are caught and swallowed: a panicking
-/// job must not take down a worker that other connections depend on —
-/// jobs that can fail meaningfully report through their own channel.
+/// Job panics are caught and swallowed: a panicking job must not take
+/// down a worker that other connections depend on — jobs that can fail
+/// meaningfully report through their own channel.
 #[derive(Debug)]
 pub struct SubmitExecutor {
     shared: std::sync::Arc<SubmitShared>,
@@ -203,7 +203,7 @@ pub struct SubmitExecutor {
 
 #[derive(Debug)]
 struct SubmitShared {
-    state: std::sync::Mutex<SubmitState>,
+    state: Mutex<SubmitState>,
     /// Signalled when work arrives or shutdown begins (workers wait).
     work: std::sync::Condvar,
     /// Signalled when a job is taken off the queue (blocking submitters
@@ -234,7 +234,7 @@ impl SubmitExecutor {
     /// at `capacity` jobs (≥ 1).
     pub fn new(threads: usize, capacity: usize) -> Self {
         let shared = std::sync::Arc::new(SubmitShared {
-            state: std::sync::Mutex::new(SubmitState {
+            state: Mutex::new(SubmitState {
                 queue: VecDeque::new(),
                 draining: false,
                 active: 0,
@@ -368,25 +368,18 @@ impl SubmitExecutor {
     }
 
     /// Graceful shutdown: refuses new submissions, **drains** the
-    /// already-accepted queue, then joins the workers. Idempotent by
-    /// construction — consumes the executor.
-    pub fn shutdown(mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("submit state poisoned");
-            state.draining = true;
-        }
-        self.shared.work.notify_all();
-        self.shared.space.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+    /// already-accepted queue, then joins the workers. Dropping the
+    /// executor does exactly this; the method names the stop at the
+    /// call site.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for SubmitExecutor {
     fn drop(&mut self) {
-        // A dropped (not shut down) executor still drains and joins —
-        // detached workers outliving the executor would race teardown.
+        // Drain and join: detached workers outliving the executor
+        // would race teardown.
         {
             let mut state = self.shared.state.lock().expect("submit state poisoned");
             state.draining = true;
@@ -510,10 +503,13 @@ mod tests {
     fn progress_reports_every_completion() {
         let ex = Executor::with_threads(2);
         let seen = Mutex::new(Vec::new());
-        let out =
-            ex.run_with_progress((0..10).collect(), |i: usize| Ok(i), |p| seen.lock().push(p));
+        let out = ex.run_with_progress(
+            (0..10).collect(),
+            |i: usize| Ok(i),
+            |p| seen.lock().unwrap().push(p),
+        );
         assert_eq!(out.len(), 10);
-        let mut seen = seen.into_inner();
+        let mut seen = seen.into_inner().unwrap();
         seen.sort_by_key(|p| p.completed);
         assert_eq!(seen.len(), 10);
         assert_eq!(

@@ -14,9 +14,6 @@
 //! then retries from the cache/claim loop and one of them becomes the
 //! next leader. A follower can wait at most one job duration: leaders
 //! only exist while actively executing.
-//!
-//! Built on `std::sync::{Mutex, Condvar}` — the vendored `parking_lot`
-//! shim deliberately carries no condvar.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};

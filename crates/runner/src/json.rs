@@ -427,7 +427,7 @@ mod tests {
     fn roundtrips_documents() {
         let doc = JsonValue::Object(vec![
             ("name".into(), JsonValue::String("TALB (Var)".into())),
-            ("pi".into(), JsonValue::Number(3.141592653589793)),
+            ("pi".into(), JsonValue::Number(std::f64::consts::PI)),
             ("neg".into(), JsonValue::Number(-0.1)),
             ("n".into(), JsonValue::Number(600.0)),
             ("flag".into(), JsonValue::Bool(true)),

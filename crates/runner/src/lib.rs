@@ -7,8 +7,8 @@
 //! hand-rolled 4-thread mutex queue in `vfc_bench`:
 //!
 //! * [`SweepSpec`] — declare the axes (systems × cooling kinds ×
-//!   policies × workloads × seeds × grid cells), filter the product,
-//!   expand to concrete [`SimConfig`]s;
+//!   policies × workloads × seeds × grid cells) and expand them to
+//!   concrete [`SimConfig`]s;
 //! * [`Executor`] — a scoped thread pool whose workers take jobs in
 //!   input order from one shared queue (full `available_parallelism`
 //!   by default, `VFC_RUNNER_THREADS` override), returning a `Result`
@@ -127,7 +127,7 @@ pub struct SweepRunner {
     /// next simulations, exercising the failure paths without a failing
     /// simulation.
     #[cfg(test)]
-    injected_failures: parking_lot::Mutex<std::collections::VecDeque<RunnerError>>,
+    injected_failures: std::sync::Mutex<std::collections::VecDeque<RunnerError>>,
 }
 
 impl Default for SweepRunner {
@@ -160,7 +160,7 @@ impl SweepRunner {
             dedup_joins: AtomicU64::new(0),
             inflight: inflight::InFlightTable::new(),
             #[cfg(test)]
-            injected_failures: parking_lot::Mutex::new(std::collections::VecDeque::new()),
+            injected_failures: std::sync::Mutex::new(std::collections::VecDeque::new()),
         }
     }
 
@@ -331,7 +331,7 @@ impl SweepRunner {
     /// One simulation of `cfg`.
     fn simulate(&self, cfg: &SimConfig) -> Result<SimReport, RunnerError> {
         #[cfg(test)]
-        if let Some(err) = self.injected_failures.lock().pop_front() {
+        if let Some(err) = self.injected_failures.lock().unwrap().pop_front() {
             return Err(err);
         }
         Simulation::new(cfg.clone())
@@ -346,7 +346,7 @@ impl SweepRunner {
     /// (front first) — the failure paths' test seam.
     #[cfg(test)]
     fn inject_failures(&self, errors: impl IntoIterator<Item = RunnerError>) {
-        self.injected_failures.lock().extend(errors);
+        self.injected_failures.lock().unwrap().extend(errors);
     }
 }
 

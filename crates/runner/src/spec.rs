@@ -2,9 +2,7 @@
 //!
 //! A [`SweepSpec`] names the axes of a study — systems × cooling kinds ×
 //! policies × workloads × seeds × grid cells — and expands their
-//! cartesian product into concrete [`SimConfig`]s. Axis filters carve
-//! non-rectangular studies (e.g. the paper's seven-entry Fig. 6 matrix)
-//! out of the full product.
+//! cartesian product into concrete [`SimConfig`]s.
 
 use vfc_sim::{CoolingKind, PolicyKind, SimConfig, SystemKind};
 use vfc_units::{Length, Seconds};
@@ -27,10 +25,10 @@ use vfc_workload::{Benchmark, PhasedWorkload};
 ///     .coolings([CoolingKind::LiquidMax, CoolingKind::LiquidVariable])
 ///     .policies([PolicyKind::Talb])
 ///     .seeds([1, 2, 3])
-///     .filter(|cfg| cfg.seed != 2 || cfg.system == SystemKind::TwoLayer)
 ///     .expand();
-/// assert_eq!(configs.len(), 2 * 2 * 8 * 3 - 2 * 8);
+/// assert_eq!(configs.len(), 2 * 2 * 8 * 3);
 /// ```
+#[derive(Debug)]
 pub struct SweepSpec {
     systems: Vec<SystemKind>,
     coolings: Vec<CoolingKind>,
@@ -40,23 +38,6 @@ pub struct SweepSpec {
     grid_cells: Vec<Length>,
     duration: Seconds,
     dpm: bool,
-    filter: Option<Box<dyn Fn(&SimConfig) -> bool + Send + Sync>>,
-}
-
-impl core::fmt::Debug for SweepSpec {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("SweepSpec")
-            .field("systems", &self.systems)
-            .field("coolings", &self.coolings)
-            .field("policies", &self.policies)
-            .field("workloads", &self.workloads.len())
-            .field("seeds", &self.seeds)
-            .field("grid_cells", &self.grid_cells)
-            .field("duration", &self.duration)
-            .field("dpm", &self.dpm)
-            .field("filter", &self.filter.is_some())
-            .finish()
-    }
 }
 
 impl Default for SweepSpec {
@@ -80,7 +61,6 @@ impl SweepSpec {
             grid_cells: vec![Length::from_millimeters(1.0)],
             duration: Seconds::new(60.0),
             dpm: false,
-            filter: None,
         }
     }
 
@@ -138,16 +118,7 @@ impl SweepSpec {
         self
     }
 
-    /// A predicate deciding which cells of the product to keep. Use it
-    /// for per-axis constraints ("variable flow only with TALB", "fine
-    /// grids only on the 2-layer system") without enumerating configs by
-    /// hand.
-    pub fn filter(mut self, keep: impl Fn(&SimConfig) -> bool + Send + Sync + 'static) -> Self {
-        self.filter = Some(Box::new(keep));
-        self
-    }
-
-    /// The size of the unfiltered cartesian product.
+    /// The size of the cartesian product.
     pub(crate) fn cell_count(&self) -> usize {
         self.systems.len()
             * self.coolings.len()
@@ -168,22 +139,18 @@ impl SweepSpec {
                     for workload in &self.workloads {
                         for &seed in &self.seeds {
                             for &grid in &self.grid_cells {
-                                let cfg = SimConfig::with_workload(
-                                    system,
-                                    cooling,
-                                    policy,
-                                    workload.clone(),
-                                )
-                                .with_duration(self.duration)
-                                .with_seed(seed)
-                                .with_grid_cell(grid)
-                                .with_dpm(self.dpm);
-                                if let Some(keep) = &self.filter {
-                                    if !keep(&cfg) {
-                                        continue;
-                                    }
-                                }
-                                out.push(cfg);
+                                out.push(
+                                    SimConfig::with_workload(
+                                        system,
+                                        cooling,
+                                        policy,
+                                        workload.clone(),
+                                    )
+                                    .with_duration(self.duration)
+                                    .with_seed(seed)
+                                    .with_grid_cell(grid)
+                                    .with_dpm(self.dpm),
+                                );
                             }
                         }
                     }
@@ -221,19 +188,5 @@ mod tests {
         assert_eq!(configs[0].seed, 1);
         assert_eq!(configs[1].seed, 2);
         assert_eq!(configs[2].cooling, CoolingKind::LiquidMax);
-    }
-
-    #[test]
-    fn filters_carve_the_product() {
-        let spec = SweepSpec::new()
-            .coolings([CoolingKind::Air, CoolingKind::LiquidVariable])
-            .policies([PolicyKind::LoadBalancing, PolicyKind::Talb])
-            .benchmarks([Benchmark::by_name("gzip").unwrap()])
-            .filter(|cfg| {
-                cfg.cooling != CoolingKind::LiquidVariable || cfg.policy == PolicyKind::Talb
-            });
-        assert_eq!(spec.cell_count(), 4);
-        let configs = spec.expand();
-        assert_eq!(configs.len(), 3, "LB+Var is filtered out");
     }
 }

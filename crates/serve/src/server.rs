@@ -26,7 +26,7 @@ use std::time::Duration;
 use vfc_runner::{
     default_cache_dir, ResultCache, RunSource, SubmitError, SubmitExecutor, SweepRunner,
 };
-use vfc_sim::SimConfig;
+use vfc_sim::{SimConfig, SimReport};
 
 use crate::journal::{Journal, PendingSweep};
 use crate::protocol::{
@@ -681,15 +681,15 @@ fn handle_submit(shared: &Arc<Shared>, conn: &Arc<Conn>, spec: &WireSpec) {
         }
     };
 
-    // Partition warm/cold. Warm cells are answered inline from the
-    // cache — O(µs), no executor round-trip, immune to queue bounds.
-    let mut warm: Vec<(u64, u64)> = Vec::new(); // (index, key)
+    // Partition warm/cold. Warm cells are answered inline with the
+    // report this one cache read returned — O(µs), no executor
+    // round-trip, immune to queue bounds.
+    let mut warm: Vec<(u64, u64, SimReport)> = Vec::new(); // (index, key, report)
     let mut cold: Vec<(u64, u64, SimConfig)> = Vec::new();
     for (i, cfg) in configs.into_iter().enumerate() {
-        if shared.runner.cache().get(keys[i]).is_some() {
-            warm.push((i as u64, keys[i]));
-        } else {
-            cold.push((i as u64, keys[i], cfg));
+        match shared.runner.cache().get(keys[i]) {
+            Some(report) => warm.push((i as u64, keys[i], report)),
+            None => cold.push((i as u64, keys[i], cfg)),
         }
     }
     let total = keys.len() as u64;
@@ -743,23 +743,14 @@ fn handle_submit(shared: &Arc<Shared>, conn: &Arc<Conn>, spec: &WireSpec) {
             Ok(()) => {}
         }
         send(&Response::Accepted { keys: keys.clone() });
-        for &(index, key) in &warm {
+        for (index, key, report) in warm {
             shared.stats.warm_hits.fetch_add(1, Ordering::Relaxed);
-            // The cache can only miss here if the budget evicted the
-            // entry in the last microseconds; re-fetch defensively.
-            match shared.runner.cache().get(key) {
-                Some(report) => send(&Response::Cell {
-                    index,
-                    key,
-                    cached: true,
-                    report,
-                }),
-                None => send(&Response::CellFailed {
-                    index,
-                    key,
-                    message: "cache entry evicted mid-request; resubmit".into(),
-                }),
-            }
+            send(&Response::Cell {
+                index,
+                key,
+                cached: true,
+                report,
+            });
         }
         if cold_count == 0 {
             shared.journal.record_done(journal_id);

@@ -249,48 +249,15 @@ pub struct FlowPatch {
 }
 
 impl FlowPatch {
-    /// Computes the patch coefficients for `flow` against `skeleton`.
-    pub(crate) fn compute(skeleton: &StackSkeleton, flow: VolumetricFlow) -> Self {
-        let lc = &skeleton.config.liquid;
-        let area = skeleton.cell_area;
-        let rows = skeleton.layout.rows() as f64;
-        let h_eff = lc.convection.effective_htc(&lc.geometry, flow);
-        let g_adv = lc.coolant.capacity_rate(flow).value() / rows;
-        let coefs = skeleton
-            .cavity_faces
-            .iter()
-            .map(|faces| CavityCoef {
-                above: faces
-                    .above_r_area
-                    .map(|r| area / (2.0 / h_eff + r))
-                    .unwrap_or(0.0),
-                below: faces
-                    .below_r_area
-                    .map(|r| area / (2.0 / h_eff + r))
-                    .unwrap_or(0.0),
-                adv: g_adv,
-            })
-            .collect();
-        Self { flow, coefs }
-    }
-
-    /// Computes the patch coefficients for `flow` with a per-cavity
-    /// flow derating — the channel-clogging fault path.
+    /// Computes the patch coefficients for `flow` against `skeleton`,
+    /// with a per-cavity flow derating (the channel-clogging fault path).
     ///
     /// `derates[c]` scales cavity `c`'s flow before the convection and
     /// capacity-rate correlations are evaluated; entries beyond the
-    /// slice (and an empty slice) mean 1.0, i.e. healthy. With every
-    /// derate at exactly 1.0 this delegates to [`compute`](Self::compute)
-    /// and is bit-identical to it, so one skeleton keeps serving all
-    /// pump settings whether or not faults are scheduled.
-    pub(crate) fn compute_derated(
-        skeleton: &StackSkeleton,
-        flow: VolumetricFlow,
-        derates: &[f64],
-    ) -> Self {
-        if derates.iter().all(|&d| d == 1.0) {
-            return Self::compute(skeleton, flow);
-        }
+    /// slice (and an empty slice) mean 1.0, i.e. healthy. `flow * 1.0`
+    /// is exact, so one skeleton keeps serving all pump settings
+    /// whether or not faults are scheduled.
+    pub(crate) fn compute(skeleton: &StackSkeleton, flow: VolumetricFlow, derates: &[f64]) -> Self {
         let lc = &skeleton.config.liquid;
         let area = skeleton.cell_area;
         let rows = skeleton.layout.rows() as f64;
@@ -589,17 +556,16 @@ mod tests {
         assert!(skeleton.cavity_count() >= 1);
         let f = VolumetricFlow::from_ml_per_minute(600.0);
 
-        // All-ones derates delegate to the healthy path bit-for-bit.
-        let healthy = FlowPatch::compute(&skeleton, f);
+        // All-ones derates are the healthy patch bit-for-bit.
+        let healthy = FlowPatch::compute(&skeleton, f, &[]);
         let ones = vec![1.0; skeleton.cavity_count()];
-        assert_eq!(healthy, FlowPatch::compute_derated(&skeleton, f, &ones));
-        assert_eq!(healthy, FlowPatch::compute_derated(&skeleton, f, &[]));
+        assert_eq!(healthy, FlowPatch::compute(&skeleton, f, &ones));
 
         // Derating every cavity by d is the same physics as commanding
         // flow·d outright — only the recorded commanded flow differs.
         let half = vec![0.5; skeleton.cavity_count()];
-        let derated = FlowPatch::compute_derated(&skeleton, f, &half);
-        let direct = FlowPatch::compute(&skeleton, f * 0.5);
+        let derated = FlowPatch::compute(&skeleton, f, &half);
+        let direct = FlowPatch::compute(&skeleton, f * 0.5, &[]);
         assert_eq!(derated.coefs, direct.coefs);
         assert_eq!(derated.flow, f, "patch records the commanded flow");
     }

@@ -278,7 +278,7 @@ impl ThermalModel {
         let mut boundary_links = Vec::with_capacity(skeleton.links_plan.len());
         match flow {
             Some(f) => {
-                let patch = FlowPatch::compute(&skeleton, f);
+                let patch = FlowPatch::compute(&skeleton, f, &[]);
                 skeleton.apply_patch(&patch, &mut g, &mut b0, &mut boundary_links);
             }
             None => {
@@ -400,7 +400,7 @@ impl ThermalModel {
         // make it visible next to the solve times it trades against.
         let _span = vfc_obs::span("thermal.set_flow");
         vfc_obs::counter_add("thermal.flow_patches", 1);
-        let patch = FlowPatch::compute_derated(&self.skeleton, flow, derates);
+        let patch = FlowPatch::compute(&self.skeleton, flow, derates);
         let skeleton = Arc::clone(&self.skeleton);
         skeleton.apply_patch(&patch, &mut self.g, &mut self.b0, &mut self.boundary_links);
         self.flow = Some(flow);
@@ -454,24 +454,10 @@ impl ThermalModel {
         stack: &vfc_floorplan::Stack3d,
         per_block: impl Fn(&vfc_floorplan::Block) -> Watts,
     ) -> Vec<f64> {
-        let layout = &self.skeleton.layout;
         let mut p = self.zero_power();
         for (t, tier) in stack.tiers().iter().enumerate() {
             for (bi, block) in tier.floorplan().blocks().iter().enumerate() {
-                let w = per_block(block).value();
-                if w == 0.0 {
-                    continue;
-                }
-                let cells = layout.tier_block_cell_counts[t][bi];
-                if cells == 0 {
-                    continue;
-                }
-                let per_cell = w / cells as f64;
-                for (flat, &b) in layout.tier_cell_block[t].iter().enumerate() {
-                    if b == bi {
-                        p[layout.tier_offsets[t] + flat] += per_cell;
-                    }
-                }
+                self.add_block_power(&mut p, t, bi, per_block(block));
             }
         }
         p

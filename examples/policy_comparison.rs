@@ -8,11 +8,10 @@
 //! `workload` defaults to `Web-med`; any Table II name works
 //! (Web-med, Web-high, Database, Web&DB, gcc, gzip, MPlayer, MPlayer&Web).
 //!
-//! The seven-entry matrix is carved out of the full 3 coolings × 3
-//! policies product with a `SweepSpec` filter (variable flow only pairs
-//! with TALB in the paper), and the runs fan out over `vfc_runner`'s
-//! batch executor with result caching — rerunning the example
-//! answers from `target/vfc-cache/` without simulating.
+//! The seven entries are `paper_policy_matrix()` (variable flow only
+//! pairs with TALB in the paper), and the runs fan out over
+//! `vfc_runner`'s batch executor with result caching — rerunning the
+//! example answers from `target/vfc-cache/` without simulating.
 
 use vfc::prelude::*;
 
@@ -26,25 +25,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "policy", "mean C", "peak C", ">85C %", "grad15 %", "chip J", "pump J", "thr/s", "mig"
     );
 
-    // Cooling-major expansion order matches the paper's legend order:
-    // LB/Mig./TALB on air, then at worst-case flow, then TALB (Var).
-    let spec = SweepSpec::new()
-        .coolings([
-            CoolingKind::Air,
-            CoolingKind::LiquidMax,
-            CoolingKind::LiquidVariable,
-        ])
-        .policies([
-            PolicyKind::LoadBalancing,
-            PolicyKind::ReactiveMigration,
-            PolicyKind::Talb,
-        ])
-        .benchmarks([bench])
-        .duration(Seconds::new(30.0))
-        .filter(|cfg| cfg.cooling != CoolingKind::LiquidVariable || cfg.policy == PolicyKind::Talb);
+    // The matrix is in the paper's legend order: LB/Mig./TALB on air,
+    // then at worst-case flow, then TALB (Var).
+    let configs = paper_policy_matrix()
+        .into_iter()
+        .map(|(policy, cooling)| {
+            SimConfig::new(SystemKind::TwoLayer, cooling, policy, bench)
+                .with_duration(Seconds::new(30.0))
+        })
+        .collect();
 
     let runner = SweepRunner::with_default_disk_cache();
-    let reports = runner.run_spec(&spec)?;
+    let reports = runner.run(configs)?;
     let base = reports[0].throughput;
     for r in &reports {
         println!(

@@ -164,12 +164,11 @@ fn main() {
 
     let stats = runner.stats();
     println!(
-        "\njobs={} cache_hits={} executed={} failures={} evictions={} corrupt={} hit_rate={:.1}%",
+        "\njobs={} cache_hits={} executed={} failures={} corrupt={} hit_rate={:.1}%",
         stats.jobs,
         stats.cache_hits,
         stats.executed,
         stats.failures,
-        stats.cache_evictions,
         stats.cache_corrupt_evictions,
         100.0 * stats.hit_rate(),
     );

@@ -19,7 +19,6 @@ pub const STANDARD_COUNTERS: &[&str] = &[
     "precond.vcycles",
     "runner.cache.corrupt_evictions",
     "runner.cache.disk_promotions",
-    "runner.cache.evictions",
     "runner.cache.hits",
     "runner.cache.misses",
     "runner.cache.stores",

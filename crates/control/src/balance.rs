@@ -59,24 +59,6 @@ pub fn balanced_power_rows(
     Ok(rows)
 }
 
-/// The power each core must dissipate for *all* core cells to sit exactly
-/// at `t_bal`, with `background` power on the other blocks.
-///
-/// Returned in global core order (tier-major, block order within a tier).
-///
-/// # Errors
-///
-/// Propagates linear-solver failures.
-pub fn balanced_core_powers(
-    model: &ThermalModel,
-    stack: &Stack3d,
-    background: &[f64],
-    t_bal: Celsius,
-) -> Result<Vec<f64>, ControlError> {
-    let _span = vfc_obs::span("control.balance");
-    BalanceSystem::new(model, stack, background)?.core_powers(t_bal)
-}
-
 /// The mixed boundary-condition problem of one model: core cells
 /// fixed, the reduced system over the free nodes assembled and
 /// preconditioned once. Only the right-hand side depends on the
@@ -277,6 +259,18 @@ mod tests {
         (model, stack)
     }
 
+    /// The power each core must dissipate for all core cells to sit at
+    /// `t_bal`: the one row of a single-target balance.
+    fn balanced_core_powers(
+        model: &ThermalModel,
+        stack: &Stack3d,
+        background: &[f64],
+        t_bal: Celsius,
+    ) -> Vec<f64> {
+        let mut rows = balanced_power_rows(model, stack, background, &[t_bal]).unwrap();
+        rows.remove(0).1
+    }
+
     fn air_model() -> (ThermalModel, Stack3d) {
         let stack = ultrasparc::two_layer_air();
         let grid =
@@ -298,7 +292,7 @@ mod tests {
             }
         });
         let t_bal = Celsius::new(78.0);
-        let powers = balanced_core_powers(&model, &stack, &background, t_bal).unwrap();
+        let powers = balanced_core_powers(&model, &stack, &background, t_bal);
         assert_eq!(powers.len(), 8);
 
         // Forward check: inject the recovered powers and confirm all core
@@ -329,7 +323,7 @@ mod tests {
     fn symmetric_liquid_cores_get_similar_budgets() {
         let (model, stack) = liquid_model();
         let background = model.zero_power();
-        let powers = balanced_core_powers(&model, &stack, &background, Celsius::new(75.0)).unwrap();
+        let powers = balanced_core_powers(&model, &stack, &background, Celsius::new(75.0));
         let mean = powers.iter().sum::<f64>() / powers.len() as f64;
         for p in &powers {
             assert!((p / mean - 1.0).abs() < 0.35, "powers {powers:?}");
@@ -352,7 +346,7 @@ mod tests {
         let n = layout.node_count();
         let background = model.zero_power();
         let tb = 75.0;
-        let powers = balanced_core_powers(&model, &stack, &background, Celsius::new(tb)).unwrap();
+        let powers = balanced_core_powers(&model, &stack, &background, Celsius::new(tb));
 
         // Dense reference: assemble the full reduced system and LU-solve.
         let mut fixed = vec![false; n];

@@ -32,7 +32,7 @@ mod controller;
 mod error;
 mod lut;
 
-pub use self::balance::{balanced_core_powers, balanced_power_rows};
+pub use self::balance::balanced_power_rows;
 pub use self::characterize::{characterize, characterize_skeleton, Characterization};
 pub use self::controller::FlowController;
 pub use self::error::ControlError;

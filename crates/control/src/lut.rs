@@ -57,7 +57,8 @@ impl FlowLut {
     /// # Panics
     ///
     /// Panics if the matrix is empty or not square.
-    pub fn from_raw(boundary: Vec<Vec<f64>>, target: Celsius) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_raw(boundary: Vec<Vec<f64>>, target: Celsius) -> Self {
         assert!(!boundary.is_empty(), "boundary matrix must be non-empty");
         let n = boundary.len();
         assert!(
@@ -82,7 +83,7 @@ impl FlowLut {
 
     /// The minimum setting whose capability covers the demand implied by
     /// `predicted` (a Tmax forecast valid at the `current` setting).
-    pub fn required_setting(&self, current: FlowSetting, predicted: Celsius) -> FlowSetting {
+    pub(crate) fn required_setting(&self, current: FlowSetting, predicted: Celsius) -> FlowSetting {
         let row = &self.boundary[current.index()];
         for (s, &b) in row.iter().enumerate() {
             if predicted.value() <= b + 1e-9 {

@@ -29,7 +29,7 @@ impl ArmaModel {
     /// [`ForecastError::InvalidOrder`] for `(p, q) == (0, 0)`,
     /// [`ForecastError::InsufficientHistory`] when the series is shorter
     /// than the regression needs, or a numerical error from the solver.
-    pub fn fit(series: &[f64], p: usize, q: usize) -> Result<Self, ForecastError> {
+    pub(crate) fn fit(series: &[f64], p: usize, q: usize) -> Result<Self, ForecastError> {
         if p == 0 && q == 0 {
             return Err(ForecastError::InvalidOrder);
         }
@@ -130,7 +130,7 @@ impl ArmaModel {
     /// # Panics
     ///
     /// Panics if `k == 0`.
-    pub fn forecast(&self, history: &[f64], k: usize) -> f64 {
+    pub(crate) fn forecast(&self, history: &[f64], k: usize) -> f64 {
         assert!(k > 0, "forecast horizon must be at least 1");
         let p = self.phi.len();
         let q = self.theta.len();

@@ -62,12 +62,12 @@ impl Sprt {
 
     /// A configuration suited to sub-degree temperature residuals:
     /// alarm on a 0.5 °C sustained bias with 1%/1% error rates.
-    pub fn for_temperature_residuals() -> Self {
+    pub(crate) fn for_temperature_residuals() -> Self {
         Self::new(0.5, 0.1, 0.01, 0.01)
     }
 
     /// Feeds one residual; returns the decision.
-    pub fn update(&mut self, residual: f64) -> SprtDecision {
+    pub(crate) fn update(&mut self, residual: f64) -> SprtDecision {
         // LLR increment for a Gaussian mean-shift test:
         // (m/σ²)·(x − m/2) for the positive shift, mirrored for negative.
         let m = self.shift;

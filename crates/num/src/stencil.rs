@@ -82,16 +82,34 @@ impl GridCoord {
 /// aggregates at the high edges, and holes in the fine set (e.g. the
 /// reduced TALB system) simply make smaller aggregates.
 pub(crate) fn semicoarsen(coords: &[GridCoord]) -> (Vec<u32>, Vec<GridCoord>) {
-    let mut coarse: Vec<GridCoord> = coords.iter().map(|c| c.semicoarsened()).collect();
-    coarse.sort_unstable();
-    coarse.dedup();
+    // A dense `(layer, row, col)` table over the aggregates' extent:
+    // mark the occupied slots, then number them in lexicographic order.
+    let (mut layers, mut rows, mut cols) = (0, 0, 0);
+    for c in coords.iter().map(|c| c.semicoarsened()) {
+        layers = layers.max(c.layer as usize + 1);
+        rows = rows.max(c.row as usize + 1);
+        cols = cols.max(c.col as usize + 1);
+    }
+    let slot = |c: GridCoord| (c.layer as usize * rows + c.row as usize) * cols + c.col as usize;
+    const ABSENT: u32 = u32::MAX;
+    let mut index = vec![ABSENT; layers * rows * cols];
+    for &c in coords {
+        index[slot(c.semicoarsened())] = 0;
+    }
+    let mut coarse = Vec::new();
+    for (s, id) in index.iter_mut().enumerate() {
+        if *id != ABSENT {
+            *id = coarse.len() as u32;
+            coarse.push(GridCoord {
+                layer: (s / (rows * cols)) as u32,
+                row: (s / cols % rows) as u32,
+                col: (s % cols) as u32,
+            });
+        }
+    }
     let agg = coords
         .iter()
-        .map(|c| {
-            coarse
-                .binary_search(&c.semicoarsened())
-                .expect("own aggregate is present") as u32
-        })
+        .map(|&c| index[slot(c.semicoarsened())])
         .collect();
     (agg, coarse)
 }
@@ -491,6 +509,54 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+
+    /// The sort-and-search semi-coarsening the presence table replaced:
+    /// the reference for `semicoarsen`.
+    fn semicoarsen_by_sorting(coords: &[GridCoord]) -> (Vec<u32>, Vec<GridCoord>) {
+        let mut coarse: Vec<GridCoord> = coords.iter().map(|c| c.semicoarsened()).collect();
+        coarse.sort_unstable();
+        coarse.dedup();
+        let agg = coords
+            .iter()
+            .map(|c| coarse.binary_search(&c.semicoarsened()).unwrap() as u32)
+            .collect();
+        (agg, coarse)
+    }
+
+    #[test]
+    fn semicoarsen_matches_the_sorting_reference_at_every_level() {
+        // Five layers of 23 × 41 cells (odd extents leave remainder
+        // aggregates), listed in a shuffled order, whole and with about
+        // a third of the nodes removed (the reduced TALB system's holes).
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut full = Vec::new();
+        for layer in 0..5 {
+            for row in 0..23 {
+                for col in 0..41 {
+                    full.push(GridCoord { layer, row, col });
+                }
+            }
+        }
+        for i in (1..full.len()).rev() {
+            full.swap(i, rng.random_range(0..i + 1));
+        }
+        let holed: Vec<GridCoord> = full
+            .iter()
+            .copied()
+            .filter(|_| rng.random_range(0.0..1.0) > 0.35)
+            .collect();
+        for mut coords in [full, holed] {
+            loop {
+                let (agg, coarse) = semicoarsen(&coords);
+                assert_eq!((agg, coarse.clone()), semicoarsen_by_sorting(&coords));
+                if coarse.len() == coords.len() {
+                    break;
+                }
+                coords = coarse;
+            }
+        }
+        assert_eq!(semicoarsen(&[]), (Vec::new(), Vec::new()));
+    }
 
     /// A structured 2-D grid matrix (5-point stencil plus an optional
     /// far coupling) — the shape the thermal networks take.

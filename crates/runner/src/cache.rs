@@ -47,10 +47,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Environment variable bounding the on-disk cache size, in megabytes.
-/// Unset (the default) means unbounded.
-pub const CACHE_MAX_MB_ENV: &str = "VFC_CACHE_MAX_MB";
-
 /// The workspace-anchored `target/` directory: `CARGO_TARGET_DIR` if
 /// set, else `target/` under the enclosing workspace root (found by
 /// walking up from the current directory to the nearest `Cargo.lock`).
@@ -85,22 +81,6 @@ pub fn default_cache_dir() -> PathBuf {
     default_target_dir().join("vfc-cache")
 }
 
-/// The size budget from [`CACHE_MAX_MB_ENV`] (see [`parse_max_mb`]).
-fn env_max_bytes() -> Option<u64> {
-    parse_max_mb(&std::env::var(CACHE_MAX_MB_ENV).ok()?)
-}
-
-/// A [`CACHE_MAX_MB_ENV`] value as a budget in bytes: a positive whole
-/// number of megabytes. Zero, anything unparseable and a budget too
-/// large to count in bytes mean unbounded (`None`).
-fn parse_max_mb(raw: &str) -> Option<u64> {
-    raw.trim()
-        .parse::<u64>()
-        .ok()?
-        .checked_mul(1024 * 1024)
-        .filter(|&bytes| bytes > 0)
-}
-
 /// The two-tier result cache. All methods are `&self` and thread-safe;
 /// the executor's workers share one instance.
 #[derive(Debug)]
@@ -125,28 +105,12 @@ impl ResultCache {
     }
 
     /// A cache backed by a directory of JSON entries (created on first
-    /// store). Existing entries become visible immediately. The disk
-    /// tier's size budget comes from [`CACHE_MAX_MB_ENV`] (unset:
-    /// unbounded).
+    /// store). Existing entries become visible immediately.
     pub fn on_disk(dir: impl Into<PathBuf>) -> Self {
         Self {
             memory: Mutex::new(HashMap::new()),
-            disk: Some(DiskStore::new(dir.into(), env_max_bytes())),
+            disk: Some(DiskStore::new(dir.into())),
         }
-    }
-
-    /// Caps the on-disk tier at `max_bytes` of entry files: after every
-    /// store, the oldest entries (LRU by file mtime — loads do not touch
-    /// entries, so this is strictly store-ordered) are evicted until the
-    /// tier fits the budget again. Long-lived caches (a datacenter sweep
-    /// service rerunning daily) stay bounded; evicted cells simply
-    /// re-simulate on their next miss. No-op without a disk tier.
-    #[cfg(test)]
-    pub(crate) fn with_max_bytes(mut self, max_bytes: u64) -> Self {
-        if let Some(disk) = &mut self.disk {
-            disk.max_bytes = Some(max_bytes);
-        }
-        self
     }
 
     /// The memory tier, locked. No holder panics while it holds the
@@ -194,15 +158,6 @@ impl ResultCache {
         }
     }
 
-    /// Entry files evicted from the disk tier by this instance's budget
-    /// enforcement (0 without a disk tier; LRU-by-mtime eviction was
-    /// previously silent).
-    pub(crate) fn evictions(&self) -> u64 {
-        self.disk.as_ref().map_or(0, |disk| {
-            disk.evicted.load(std::sync::atomic::Ordering::Relaxed)
-        })
-    }
-
     /// Corrupt entry files evicted on the *read* path by this instance:
     /// unparseable JSON, a key that does not match the filename, or an
     /// unreadable file. Each was treated as a plain miss (the cell
@@ -225,18 +180,6 @@ impl ResultCache {
 #[derive(Debug)]
 struct DiskStore {
     dir: PathBuf,
-    /// Size budget for the entry files; `None` = unbounded.
-    max_bytes: Option<u64>,
-    /// Running total of entry-file bytes, maintained so the common
-    /// under-budget store is O(1) — the directory is only walked on the
-    /// first budgeted store (seeding) and when the total exceeds the
-    /// budget (the eviction pass re-derives the authoritative total,
-    /// which also corrects drift from concurrent writer processes).
-    tracked_bytes: Mutex<Option<u64>>,
-    /// Entry files evicted by this instance (surfaced via
-    /// [`ResultCache::evictions`] and the `runner.cache.evictions`
-    /// telemetry counter).
-    evicted: std::sync::atomic::AtomicU64,
     /// Corrupt entry files evicted on the read path (surfaced via
     /// [`ResultCache::corrupt_evictions`] and the
     /// `runner.cache.corrupt_evictions` telemetry counter).
@@ -244,12 +187,9 @@ struct DiskStore {
 }
 
 impl DiskStore {
-    fn new(dir: PathBuf, max_bytes: Option<u64>) -> Self {
+    fn new(dir: PathBuf) -> Self {
         Self {
             dir,
-            max_bytes,
-            tracked_bytes: Mutex::new(None),
-            evicted: std::sync::atomic::AtomicU64::new(0),
             corrupt: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -334,74 +274,7 @@ impl DiskStore {
             ),
             ("report".into(), report_json),
         ]);
-        let encoded = doc.encode();
-        write_atomically(&self.entry_path(key), &encoded)?;
-        self.enforce_budget(key, encoded.len() as u64);
-        Ok(())
-    }
-
-    /// Charges the just-written entry against the running total and,
-    /// only when the budget is exceeded (or on the first budgeted
-    /// store), walks the directory to evict the oldest entry files (by
-    /// mtime, filename tie-break) until the tier fits — sparing the
-    /// entry just written. Best-effort by design: I/O failures here
-    /// must not fail the store — the caller already holds the result.
-    fn enforce_budget(&self, just_written: u64, written_bytes: u64) {
-        let Some(budget) = self.max_bytes else {
-            return;
-        };
-        let mut tracked = self.tracked_bytes.lock().expect("cache budget poisoned");
-        match *tracked {
-            // Common case: known total, still within budget — O(1).
-            Some(total) if total + written_bytes <= budget => {
-                *tracked = Some(total + written_bytes);
-            }
-            // First budgeted store (seed the total) or budget exceeded:
-            // walk the directory once and evict as needed; the walk
-            // re-derives the authoritative total either way.
-            _ => *tracked = Some(self.evict_to_budget(budget, just_written)),
-        }
-    }
-
-    /// The directory walk + eviction pass; returns the resulting total.
-    fn evict_to_budget(&self, budget: u64, just_written: u64) -> u64 {
-        let Ok(listing) = std::fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        let keep = self.entry_path(just_written);
-        let mut entries: Vec<(std::time::SystemTime, PathBuf, u64)> = Vec::new();
-        let mut total = 0u64;
-        for item in listing.flatten() {
-            let path = item.path();
-            // Only content entries count toward (and are charged to) the
-            // budget; in-flight temp files are exempt.
-            if path.extension().and_then(|e| e.to_str()) != Some("json") {
-                continue;
-            }
-            let Ok(meta) = item.metadata() else { continue };
-            let size = meta.len();
-            total += size;
-            if path != keep {
-                let mtime = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
-                entries.push((mtime, path, size));
-            }
-        }
-        if total <= budget {
-            return total;
-        }
-        entries.sort();
-        for (_, path, size) in entries {
-            if total <= budget {
-                break;
-            }
-            if std::fs::remove_file(&path).is_ok() {
-                total = total.saturating_sub(size);
-                self.evicted
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                vfc_obs::counter_add("runner.cache.evictions", 1);
-            }
-        }
-        total
+        write_atomically(&self.entry_path(key), &doc.encode())
     }
 }
 
@@ -556,83 +429,5 @@ mod tests {
         );
         assert_eq!(fresh.corrupt_evictions(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn size_budget_evicts_oldest_entries_first() {
-        let dir = temp_dir("evict");
-        // Budget sized so two entries fit but three do not (entries are
-        // a few hundred bytes each).
-        let one = {
-            let cache = ResultCache::on_disk(&dir);
-            cache.insert(1, &report("one")).unwrap();
-            std::fs::metadata(dir.join(format!("{:016x}.json", 1)))
-                .unwrap()
-                .len()
-        };
-        let cache = ResultCache::on_disk(&dir).with_max_bytes(one * 2 + one / 2);
-        assert_eq!(cache.evictions(), 0);
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        cache.insert(2, &report("two")).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        cache.insert(3, &report("three")).unwrap();
-
-        // Entry 1 (oldest mtime) was evicted; 2 and 3 survive.
-        let fresh = ResultCache::on_disk(&dir);
-        assert!(fresh.get(1).is_none(), "oldest entry must be evicted");
-        assert_eq!(fresh.get(2).unwrap().label, "two");
-        assert_eq!(fresh.get(3).unwrap().label, "three");
-        assert_eq!(cache.evictions(), 1, "the eviction must be counted");
-
-        // An evicted cell is an ordinary miss: re-storing repopulates it
-        // (and the budget now evicts entry 2, the new oldest).
-        cache.insert(1, &report("one again")).unwrap();
-        let after = ResultCache::on_disk(&dir);
-        assert_eq!(after.get(1).unwrap().label, "one again");
-        assert_eq!(cache.evictions(), 2);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn unbudgeted_caches_never_evict() {
-        let dir = temp_dir("no-evict");
-        let cache = ResultCache::on_disk(&dir);
-        for key in 0..6u64 {
-            cache.insert(key, &report(&format!("r{key}"))).unwrap();
-        }
-        let fresh = ResultCache::on_disk(&dir);
-        for key in 0..6u64 {
-            assert!(fresh.get(key).is_some(), "entry {key} must persist");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn the_newest_entry_is_never_evicted() {
-        let dir = temp_dir("keep-newest");
-        // A budget of one byte cannot even hold the entry just written;
-        // eviction must still spare it (evicting what you just stored
-        // would make the cache useless under any undersized budget).
-        let cache = ResultCache::on_disk(&dir).with_max_bytes(1);
-        cache.insert(7, &report("seven")).unwrap();
-        let fresh = ResultCache::on_disk(&dir);
-        assert_eq!(fresh.get(7).unwrap().label, "seven");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn cache_budget_parses_whole_megabytes_and_never_wraps() {
-        assert_eq!(parse_max_mb("64"), Some(64 * 1024 * 1024));
-        assert_eq!(parse_max_mb(" 64\n"), Some(64 * 1024 * 1024));
-        for unbounded in ["0", "", "x", "-1", "1.5"] {
-            assert_eq!(parse_max_mb(unbounded), None, "{unbounded:?}");
-        }
-        // 2^44 MB is 2^64 bytes: a wrapping multiply would turn it into
-        // a zero budget, which evicts every other entry on each store.
-        assert_eq!(parse_max_mb("17592186044416"), None);
-        assert_eq!(
-            parse_max_mb("17592186044415"),
-            Some(17_592_186_044_415 * 1024 * 1024)
-        );
     }
 }

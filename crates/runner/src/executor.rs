@@ -531,8 +531,14 @@ mod tests {
     mod submit {
         use super::super::*;
         use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
+        use std::sync::{Arc, Condvar, Mutex};
         use std::time::Duration;
+
+        /// Parks the calling job until `gate` opens.
+        fn wait_open(gate: &(Mutex<bool>, Condvar)) {
+            let (lock, cv) = gate;
+            drop(cv.wait_while(lock.lock().unwrap(), |open| !*open).unwrap());
+        }
 
         #[test]
         fn submitted_jobs_run_and_shutdown_drains() {
@@ -556,17 +562,10 @@ mod tests {
         #[test]
         fn full_queue_refuses_with_typed_error() {
             // One worker parked on a gate keeps the queue from draining.
-            let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+            let gate = Arc::new((Mutex::new(false), Condvar::new()));
             let ex = SubmitExecutor::new(1, 2);
             let parked = Arc::clone(&gate);
-            ex.submit(move || {
-                let (lock, cv) = &*parked;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            })
-            .unwrap();
+            ex.submit(move || wait_open(&parked)).unwrap();
             // Wait until the worker holds the gate job (queue empty).
             while ex.queued() > 0 {
                 std::thread::yield_now();
@@ -588,18 +587,11 @@ mod tests {
 
         #[test]
         fn batches_are_all_or_nothing() {
-            let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+            let gate = Arc::new((Mutex::new(false), Condvar::new()));
             let ran = Arc::new(AtomicUsize::new(0));
             let ex = SubmitExecutor::new(1, 3);
             let parked = Arc::clone(&gate);
-            ex.submit(move || {
-                let (lock, cv) = &*parked;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            })
-            .unwrap();
+            ex.submit(move || wait_open(&parked)).unwrap();
             while ex.queued() > 0 {
                 std::thread::yield_now();
             }
@@ -631,10 +623,13 @@ mod tests {
             ex.shutdown();
             // Post-shutdown state is observable through the shared
             // handle: draining, empty, idle.
-            let state = shared.state.lock().unwrap();
-            assert!(state.draining);
-            assert!(state.queue.is_empty());
-            assert_eq!(state.active, 0);
+            let (draining, empty, active) = {
+                let state = shared.state.lock().unwrap();
+                (state.draining, state.queue.is_empty(), state.active)
+            };
+            assert!(draining);
+            assert!(empty);
+            assert_eq!(active, 0);
         }
 
         #[test]
@@ -659,16 +654,9 @@ mod tests {
         #[test]
         fn submit_blocking_waits_for_space() {
             let ex = Arc::new(SubmitExecutor::new(1, 1));
-            let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+            let gate = Arc::new((Mutex::new(false), Condvar::new()));
             let parked = Arc::clone(&gate);
-            ex.submit(move || {
-                let (lock, cv) = &*parked;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            })
-            .unwrap();
+            ex.submit(move || wait_open(&parked)).unwrap();
             while ex.queued() > 0 {
                 std::thread::yield_now();
             }

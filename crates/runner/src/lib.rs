@@ -54,9 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use vfc_sim::{SimConfig, SimReport, Simulation};
 
-pub use self::cache::{
-    default_cache_dir, default_target_dir, ResultCache, CACHE_MAX_MB_ENV, DISK_FORMAT_VERSION,
-};
+pub use self::cache::{default_cache_dir, default_target_dir, ResultCache, DISK_FORMAT_VERSION};
 pub use self::error::RunnerError;
 pub use self::executor::{BoxJob, Executor, Progress, SubmitError, SubmitExecutor, THREADS_ENV};
 pub use self::spec::SweepSpec;
@@ -84,10 +82,6 @@ pub struct SweepStats {
     pub executed: u64,
     /// Jobs that returned an error.
     pub failures: u64,
-    /// Disk-cache entry files evicted by the size budget
-    /// ([`CACHE_MAX_MB_ENV`]); previously silent, now surfaced here and
-    /// in the `sweep` CLI summary.
-    pub cache_evictions: u64,
     /// Corrupt disk-cache entries evicted on the read path (unparseable
     /// JSON → treated as a miss, deleted and counted — never an error).
     pub cache_corrupt_evictions: u64,
@@ -181,7 +175,6 @@ impl SweepRunner {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             executed: self.executed.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
-            cache_evictions: self.cache.evictions(),
             cache_corrupt_evictions: self.cache.corrupt_evictions(),
             dedup_joins: self.dedup_joins.load(Ordering::Relaxed),
         }
@@ -331,8 +324,11 @@ impl SweepRunner {
     /// One simulation of `cfg`.
     fn simulate(&self, cfg: &SimConfig) -> Result<SimReport, RunnerError> {
         #[cfg(test)]
-        if let Some(err) = self.injected_failures.lock().unwrap().pop_front() {
-            return Err(err);
+        {
+            let injected = self.injected_failures.lock().unwrap().pop_front();
+            if let Some(err) = injected {
+                return Err(err);
+            }
         }
         Simulation::new(cfg.clone())
             .and_then(Simulation::run)

@@ -32,7 +32,6 @@
 #![warn(missing_debug_implementations)]
 
 mod load_balancing;
-mod metrics;
 mod migration;
 mod policy;
 mod queue;
@@ -40,7 +39,6 @@ mod talb;
 mod weights;
 
 pub use self::load_balancing::LoadBalancing;
-pub use self::metrics::ThroughputMeter;
 pub use self::migration::ReactiveMigration;
 pub use self::policy::{SchedContext, SchedulingPolicy};
 pub use self::queue::{CoreQueue, DEFAULT_CONTEXTS};

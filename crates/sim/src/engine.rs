@@ -1,20 +1,43 @@
-//! The simulation engine: scheduler ticks, power billing, thermal
-//! stepping, forecasting and flow control.
+//! The simulation engine: the paper's 100 ms runtime loop.
+//!
+//! [`Simulation::run`] settles the stack at its leakage steady state,
+//! then runs each sample as four stages: `workload` (the sample's 1 ms
+//! scheduler ticks), `plant` (power billing, flow faults and the thermal
+//! step), `metrics` (the true temperatures and energies) and `control`
+//! (sensors, ARMA forecast, pump setting and TALB weights). Ticks left
+//! over after the last whole sample run the workload stage only.
 
 use vfc_control::{balanced_power_rows, characterize_skeleton, FlowController, FlowLut};
 use vfc_faults::FaultReplay;
 use vfc_floorplan::{BlockKind, GridSpec, Stack3d};
 use vfc_forecast::TemperaturePredictor;
-use vfc_power::FixedTimeoutDpm;
+use vfc_liquid::FlowSetting;
+use vfc_power::{FixedTimeoutDpm, PowerState};
 use vfc_sched::{
     CoreQueue, LoadBalancing, ReactiveMigration, SchedContext, SchedulingPolicy,
-    TemperatureAwareLb, ThermalWeightTable, ThroughputMeter,
+    TemperatureAwareLb, ThermalWeightTable, DEFAULT_CONTEXTS,
 };
 use vfc_thermal::{BlockTemperatures, StackThermalBuilder, ThermalModel, ThermalModelFamily};
-use vfc_units::{Celsius, Watts};
-use vfc_workload::WorkloadGenerator;
+use vfc_units::{Celsius, Seconds, TemperatureDelta, Watts};
+use vfc_workload::{Benchmark, WorkloadGenerator};
 
 use crate::{CoolingKind, MetricsCollector, PolicyKind, SimConfig, SimError, SimReport};
+
+/// What a block bills each interval besides its leakage.
+#[derive(Debug)]
+enum BlockRole {
+    /// Core `gid` of the global core order: utilization-weighted
+    /// active/idle power plus the sleep share.
+    Core(usize),
+    /// An L2 bank following the mean utilization of the cores it serves.
+    L2(Vec<usize>),
+    /// A crossbar block: its `share` of the core group's crossbar power,
+    /// which scales with the group's active cores and the phase's memory
+    /// intensity.
+    Crossbar { group: Vec<usize>, share: f64 },
+    /// A block at fixed power (uncore, buffers).
+    Fixed(f64),
+}
 
 /// One fully constructed simulation run.
 ///
@@ -35,15 +58,9 @@ pub struct Simulation {
     /// `family.model(active)` is the network currently cooling the stack.
     active: usize,
     temps: Vec<f64>,
-    /// Global core order: (tier, block index).
-    cores: Vec<(usize, usize)>,
-    /// Per L2 block: (tier, block, served global core ids).
-    l2s: Vec<(usize, usize, Vec<usize>)>,
-    /// Per crossbar block: (tier, block, group core ids, share of the
-    /// group's crossbar power).
-    xbars: Vec<(usize, usize, Vec<usize>, f64)>,
-    /// Fixed blocks: (tier, block, watts).
-    fixed_blocks: Vec<(usize, usize, f64)>,
+    /// Every powered block as `(tier, block, role)`: cores in global
+    /// core order, then L2 banks, crossbars and fixed blocks.
+    blocks: Vec<(usize, usize, BlockRole)>,
     controller: Option<FlowController>,
     predictor: Option<TemperaturePredictor>,
     weight_table: ThermalWeightTable,
@@ -56,6 +73,45 @@ pub struct Simulation {
     replay: Option<FaultReplay>,
     /// Per-cavity clog derating buffer (all ones when healthy).
     cavity_derates: Vec<f64>,
+
+    // Workload stage.
+    /// Scheduler ticks per sample.
+    sample_every: usize,
+    /// Scheduler ticks run so far.
+    ticks: usize,
+    /// The workload phase of the last tick run.
+    phase: Benchmark,
+    generator: WorkloadGenerator,
+    /// `Send + Sync` keeps `Simulation` movable between threads.
+    policy: Box<dyn SchedulingPolicy + Send + Sync>,
+    queues: Vec<CoreQueue>,
+    dpm: FixedTimeoutDpm,
+    /// Busy contexts per core, summed over the sample's ticks.
+    busy_ticks: Vec<u32>,
+    completed: u64,
+
+    // Plant stage. Every buffer is reused across samples (the loop does
+    // not allocate); all family members share a node layout, so one
+    // power buffer serves every flow setting.
+    util: Vec<f64>,
+    sleeping: Vec<f64>,
+    power: Vec<f64>,
+    block_temps: BlockTemperatures,
+    /// True per-core maxima.
+    core_temps: Vec<Celsius>,
+
+    // Metrics and control stages.
+    collector: MetricsCollector,
+    tmax_series: Vec<f64>,
+    flow_series: Vec<u8>,
+    flow_setting_sum: f64,
+    /// What the forecaster, controller and scheduler *see*: equal to
+    /// `core_temps` until a sensor fault corrupts it.
+    observed_temps: Vec<Celsius>,
+    sensor_truth: Vec<f64>,
+    sensor_obs: Vec<f64>,
+    /// TALB weights for the next sample's placements.
+    weights: Vec<f64>,
 }
 
 impl Simulation {
@@ -82,66 +138,45 @@ impl Simulation {
         let builder = StackThermalBuilder::new(&stack, grid, cfg.thermal);
         let cavities = stack.cavity_count();
 
-        // Build the thermal model family: one shared skeleton per grid,
-        // one cheap flow patch per member.
-        let (family, active, controller) = match cfg.cooling {
-            CoolingKind::Air => (ThermalModelFamily::build(&builder, &[None])?, 0, None),
-            CoolingKind::LiquidFixed(s) => {
-                let flow = cfg.pump.per_cavity_flow(s, cavities);
-                (ThermalModelFamily::for_flows(&builder, &[flow])?, 0, None)
-            }
-            CoolingKind::LiquidMax => {
-                let flow = cfg.pump.per_cavity_flow(cfg.pump.max_setting(), cavities);
-                (ThermalModelFamily::for_flows(&builder, &[flow])?, 0, None)
-            }
-            CoolingKind::LiquidVariable => {
-                let flows: Vec<_> = cfg
-                    .pump
-                    .flow_settings()
-                    .map(|s| cfg.pump.per_cavity_flow(s, cavities))
-                    .collect();
-                let family = ThermalModelFamily::for_flows(&builder, &flows)?;
-                // Characterize heat demand vs flow setting into the LUT,
-                // with a safety margin on the target absorbing forecast
-                // error and pump-transition lag. Reuses the family's
-                // skeleton so the grid is assembled exactly once.
-                let c = characterize_skeleton(
-                    family.skeleton(),
-                    &cfg.pump,
-                    cavities,
-                    cfg.target_temperature - cfg.control_margin,
-                    7,
-                    &|demand, model| characterization_power(&cfg, &stack, model, demand),
-                )?;
-                let lut = FlowLut::from_characterization(&c, &cfg.pump)?;
-                let ctrl = FlowController::with_hysteresis(lut, &cfg.pump, cfg.hysteresis);
-                let active = ctrl.effective_setting().index();
-                (family, active, Some(ctrl))
-            }
+        // One family member per setting the run can command (every
+        // setting for variable flow), all on one shared skeleton with
+        // one cheap flow patch each.
+        let variable = cfg.cooling == CoolingKind::LiquidVariable;
+        let settings: Vec<Option<FlowSetting>> = if variable {
+            cfg.pump.flow_settings().map(Some).collect()
+        } else {
+            vec![pump_setting(&cfg, 0)]
         };
-
-        // Enumerate cores/L2s/crossbars once.
-        let mut cores = Vec::new();
-        for (t, tier) in stack.tiers().iter().enumerate() {
-            for (b, blk) in tier.floorplan().blocks().iter().enumerate() {
-                if blk.is_core() {
-                    cores.push((t, b));
-                }
-            }
-        }
-        let l2s = map_l2_blocks(&stack, &cores);
-        let xbars = map_crossbars(&stack, &cores);
-        let mut fixed_blocks = Vec::new();
-        for (t, tier) in stack.tiers().iter().enumerate() {
-            for (b, blk) in tier.floorplan().blocks().iter().enumerate() {
-                let w = cfg.power.fixed_block_power(blk.kind()).value();
-                if w > 0.0 {
-                    fixed_blocks.push((t, b, w));
-                }
-            }
-        }
+        let flows: Vec<_> = settings
+            .into_iter()
+            .map(|s| s.map(|s| cfg.pump.per_cavity_flow(s, cavities)))
+            .collect();
+        let family = ThermalModelFamily::build(&builder, &flows)?;
+        let controller = if variable {
+            // Characterize heat demand vs flow setting into the LUT, with
+            // a safety margin on the target absorbing forecast error and
+            // pump-transition lag. Reuses the family's skeleton so the
+            // grid is assembled exactly once.
+            let c = characterize_skeleton(
+                family.skeleton(),
+                &cfg.pump,
+                cavities,
+                cfg.target_temperature - cfg.control_margin,
+                7,
+                &|demand, model| characterization_power(&cfg, &stack, model, demand),
+            )?;
+            let lut = FlowLut::from_characterization(&c, &cfg.pump)?;
+            let hysteresis = cfg.hysteresis;
+            Some(FlowController::with_hysteresis(lut, &cfg.pump, hysteresis))
+        } else {
+            None
+        };
+        let active = controller
+            .as_ref()
+            .map_or(0, |c| c.effective_setting().index());
 
         // TALB weight table from the balanced-power characterization.
+        let n = stack.core_count();
         let weight_model = family.model(family.len() / 2);
         let background = background_power(&cfg, &stack, weight_model);
         let weight_table = if cfg.policy == PolicyKind::Talb {
@@ -153,29 +188,73 @@ impl Simulation {
             )?;
             ThermalWeightTable::from_balanced_powers(rows)
         } else {
-            ThermalWeightTable::uniform(cores.len())
+            ThermalWeightTable::uniform(n)
         };
 
-        let predictor = (matches!(cfg.cooling, CoolingKind::LiquidVariable) && cfg.proactive)
-            .then(TemperaturePredictor::paper_default);
-
+        let predictor = (variable && cfg.proactive).then(TemperaturePredictor::paper_default);
         let temps = family.model(active).initial_state();
         let replay = (!cfg.faults.is_empty()).then(|| FaultReplay::new(&cfg.faults, cavities));
+
+        let policy: Box<dyn SchedulingPolicy + Send + Sync> = match cfg.policy {
+            PolicyKind::LoadBalancing => Box::new(LoadBalancing::new()),
+            PolicyKind::ReactiveMigration => Box::new(ReactiveMigration::new()),
+            PolicyKind::Talb => Box::new(TemperatureAwareLb::new()),
+        };
+        let dpm = if cfg.dpm {
+            FixedTimeoutDpm::new(n)
+        } else {
+            FixedTimeoutDpm::disabled(n)
+        };
+        // Table II utilizations are measured per hardware thread; the T1
+        // runs 4 contexts per core, so the generator is calibrated for
+        // n × 4 contexts.
+        let phase = cfg.workload.benchmark_at(Seconds::ZERO);
+        let generator = WorkloadGenerator::new(phase, n * DEFAULT_CONTEXTS, cfg.seed);
+        let collector = MetricsCollector::new(
+            n,
+            cfg.hot_spot_threshold,
+            cfg.gradient_threshold,
+            cfg.cycle_threshold,
+            cfg.target_temperature,
+        );
+        let sample_every =
+            (cfg.sampling_interval.value() / cfg.scheduler_tick.value()).round() as usize;
+        let power = family.model(active).zero_power();
+        let block_temps = BlockTemperatures::extract(family.model(active), &temps);
         Ok(Self {
+            blocks: block_table(&cfg, &stack),
             cfg,
             stack,
             family,
             active,
             temps,
-            cores,
-            l2s,
-            xbars,
-            fixed_blocks,
             controller,
             predictor,
             weight_table,
             replay,
             cavity_derates: vec![1.0; cavities],
+            sample_every,
+            ticks: 0,
+            phase,
+            generator,
+            policy,
+            queues: vec![CoreQueue::new(); n],
+            dpm,
+            busy_ticks: vec![0; n],
+            completed: 0,
+            util: vec![phase.utilization(); n],
+            sleeping: vec![0.0; n],
+            power,
+            block_temps,
+            core_temps: Vec::new(),
+            collector,
+            tmax_series: Vec::new(),
+            flow_series: Vec::new(),
+            flow_setting_sum: 0.0,
+            observed_temps: Vec::new(),
+            sensor_truth: Vec::new(),
+            sensor_obs: Vec::new(),
+            weights: Vec::new(),
         })
     }
 
@@ -190,293 +269,213 @@ impl Simulation {
     ///
     /// Propagates thermal solver failures.
     pub fn run(mut self) -> Result<SimReport, SimError> {
-        let cfg = self.cfg.clone();
-        let n = self.cores.len();
-        let tick = cfg.scheduler_tick;
-        let sample_every = (cfg.sampling_interval.value() / tick.value()).round() as usize;
-        let total_ticks = cfg.duration.steps_of(tick);
-
-        let mut policy: Box<dyn SchedulingPolicy> = match cfg.policy {
-            PolicyKind::LoadBalancing => Box::new(LoadBalancing::new()),
-            PolicyKind::ReactiveMigration => Box::new(ReactiveMigration::new()),
-            PolicyKind::Talb => Box::new(TemperatureAwareLb::new()),
-        };
-        let mut queues = vec![CoreQueue::new(); n];
-        let mut dpm = if cfg.dpm {
-            FixedTimeoutDpm::new(n)
-        } else {
-            FixedTimeoutDpm::disabled(n)
-        };
-        // Table II utilizations are measured per hardware thread; the T1
-        // runs 4 contexts per core, so the generator is calibrated for
-        // n × 4 contexts.
-        let contexts = vfc_sched::DEFAULT_CONTEXTS;
-        let mut generator = WorkloadGenerator::new(
-            cfg.workload.benchmark_at(vfc_units::Seconds::ZERO),
-            n * contexts,
-            cfg.seed,
-        );
-        let mut meter = ThroughputMeter::new();
-        let mut metrics = MetricsCollector::new(
-            n,
-            cfg.hot_spot_threshold,
-            cfg.gradient_threshold,
-            cfg.cycle_threshold,
-            cfg.target_temperature,
-        );
-
-        // Buffers reused across every 100 ms sample (the hot loop must
-        // not allocate): per-core utilizations and sleeping fractions,
-        // the node power vector, the block/core temperature extracts and
-        // the TALB weights. All family members share a node layout, so
-        // one power buffer serves every flow setting.
-        let mut util = vec![generator.benchmark().utilization(); n];
-        let mut sleeping = vec![0.0; n];
-        let mut power = self.family.model(self.active).zero_power();
-
-        // Paper: "all simulations are initialized with steady state
-        // temperature values" — two leakage fixed-point rounds.
-        let mut block_temps = {
-            let bench = generator.benchmark();
-            let mut bt = BlockTemperatures::extract(self.family.model(self.active), &self.temps);
-            for _ in 0..2 {
-                self.fill_power(&mut power, &util, &sleeping, bench.memory_intensity(), &bt);
-                self.temps = self
-                    .family
-                    .model_mut(self.active)
-                    .steady_state(&power, Some(&self.temps))?;
-                bt.extract_into(self.family.model(self.active), &self.temps);
-            }
-            bt
-        };
-        let mut core_temps = block_temps.core_max_temperatures(&self.stack);
-        // What the forecaster, controller and scheduler *see*: equal to
-        // `core_temps` until a sensor fault corrupts it (the plant and
-        // the metrics always keep the truth).
-        let mut observed_temps = core_temps.clone();
-        let mut sensor_truth: Vec<f64> = Vec::new();
-        let mut sensor_obs: Vec<f64> = Vec::new();
-        let mut weights = self.weight_table.weights_for(max_of(&core_temps)).to_vec();
-
-        let mut busy_ticks = vec![0u32; n];
-        let mut flow_setting_sum = 0.0;
-        let mut flow_samples = 0usize;
-        let mut tmax_series: Vec<f64> = Vec::new();
-        let mut flow_series: Vec<u8> = Vec::new();
-
-        for tick_i in 0..total_ticks {
-            let now = vfc_units::Seconds::new(tick.value() * tick_i as f64);
-            let bench = cfg.workload.benchmark_at(now);
-            if bench.name != generator.benchmark().name {
-                generator.set_benchmark(bench);
-            }
-
-            // Arrivals and placement.
-            let workload_span = vfc_obs::span("engine.workload");
-            for th in generator.poll(tick) {
-                let ctx = SchedContext {
-                    core_temps: &observed_temps,
-                    weights: &weights,
-                };
-                policy.place(th, &mut queues, &ctx);
-            }
-            // Work wakes sleeping cores.
-            for (i, q) in queues.iter().enumerate() {
-                if q.load() > 0 {
-                    dpm.wake(i);
-                }
-            }
-            {
-                let ctx = SchedContext {
-                    core_temps: &observed_temps,
-                    weights: &weights,
-                };
-                policy.rebalance(&mut queues, &ctx);
-            }
-            // Execute: contexts busy this tick = min(load, contexts).
-            for (i, q) in queues.iter_mut().enumerate() {
-                let busy_now = q.load().min(q.contexts()) as u32;
-                for _ in 0..q.tick(tick) {
-                    meter.record();
-                }
-                dpm.tick(i, busy_now > 0, tick);
-                busy_ticks[i] += busy_now;
-            }
-            drop(workload_span);
-
-            // Sampling boundary: thermal + control + metrics.
-            if (tick_i + 1) % sample_every == 0 {
-                vfc_obs::counter_add("engine.samples", 1);
-                let dt = cfg.sampling_interval;
-                for (u, &b) in util.iter_mut().zip(&busy_ticks) {
-                    *u = b as f64 / (sample_every * contexts) as f64;
-                }
-                for i in 0..n {
-                    sleeping[i] = if dpm.state(i) == vfc_power::PowerState::Sleep {
-                        1.0 - util[i]
-                    } else {
-                        0.0
-                    };
-                }
-                busy_ticks.fill(0);
-
-                // Fault replay: pump and clog faults derate the coolant
-                // the thermal network receives for this sample (the pump
-                // still bills at its commanded setting below).
-                let fault_t = tick.value() * (tick_i + 1) as f64;
-                if self.replay.is_some() {
-                    self.apply_faulted_flow(fault_t)?;
-                }
-
-                let thermal_span = vfc_obs::span("engine.thermal");
-                self.fill_power(
-                    &mut power,
-                    &util,
-                    &sleeping,
-                    bench.memory_intensity(),
-                    &block_temps,
-                );
-                let chip_w = Watts::new(power.iter().sum());
-                self.family.model_mut(self.active).step(
-                    &mut self.temps,
-                    &power,
-                    dt,
-                    cfg.thermal_substeps,
-                )?;
-                block_temps.extract_into(self.family.model(self.active), &self.temps);
-                block_temps.core_max_temperatures_into(&self.stack, &mut core_temps);
-                let tmax = max_of(&core_temps);
-                let gradient = block_temps.max_spatial_gradient();
-                drop(thermal_span);
-
-                // Sensor faults corrupt only the observed copy the
-                // control path reads below; everything recorded about
-                // the plant (metrics, series) stays the truth.
-                let observed_tmax = match self.replay.as_mut() {
-                    Some(replay) if replay.has_sensor_faults() => {
-                        sensor_truth.clear();
-                        sensor_truth.extend(core_temps.iter().map(|t| t.value()));
-                        replay.observe(fault_t, &sensor_truth, &mut sensor_obs);
-                        for (o, &v) in observed_temps.iter_mut().zip(&sensor_obs) {
-                            *o = Celsius::new(v);
-                        }
-                        max_of(&observed_temps)
-                    }
-                    _ => {
-                        observed_temps.copy_from_slice(&core_temps);
-                        tmax
-                    }
-                };
-
-                let pump_w = match cfg.cooling {
-                    CoolingKind::Air => Watts::ZERO,
-                    CoolingKind::LiquidFixed(s) => cfg.pump.power(s),
-                    CoolingKind::LiquidMax => cfg.pump.power(cfg.pump.max_setting()),
-                    CoolingKind::LiquidVariable => {
-                        let s = self
-                            .controller
-                            .as_ref()
-                            .expect("variable cooling has a controller")
-                            .effective_setting();
-                        cfg.pump.power(s)
-                    }
-                };
-                metrics.record_sample(&core_temps, gradient, chip_w, pump_w, dt);
-                if cfg.record_series {
-                    tmax_series.push(tmax.value());
-                    if self.controller.is_some() {
-                        flow_series.push(self.active as u8);
-                    }
-                }
-
-                // Balance phase: flow control plus scheduler weight
-                // refresh; the forecast span nests inside it (recorded
-                // as `engine.balance/engine.forecast`).
-                let _balance_span = vfc_obs::span("engine.balance");
-                if let Some(ctrl) = self.controller.as_mut() {
-                    let prediction = {
-                        let _forecast_span = vfc_obs::span("engine.forecast");
-                        match self.predictor.as_mut() {
-                            Some(p) => {
-                                p.observe(observed_tmax);
-                                p.forecast().unwrap_or(observed_tmax)
-                            }
-                            None => observed_tmax, // reactive ablation
-                        }
-                    };
-                    let setting = ctrl.step(prediction, dt);
-                    self.active = setting.index();
-                    flow_setting_sum += setting.index() as f64;
-                    flow_samples += 1;
-                }
-                weights.copy_from_slice(self.weight_table.weights_for(observed_tmax));
-
-                if let Some(replay) = self.replay.as_mut() {
-                    let events = replay.drain_events();
-                    if events > 0 {
-                        vfc_obs::counter_add("engine.fault_events", events);
-                    }
-                }
-            }
+        self.settle()?;
+        let ticks = self.cfg.duration.steps_of(self.cfg.scheduler_tick);
+        for _ in 0..ticks / self.sample_every {
+            self.step_sample()?;
         }
-
-        let elapsed = cfg.duration;
-        Ok(SimReport {
-            label: cfg.label(),
-            system: cfg.system.label().to_string(),
-            workload: workload_name(&cfg),
-            duration: elapsed,
-            samples: metrics.samples(),
-            hot_spot_pct: metrics.hot_spot_pct(),
-            above_target_pct: metrics.above_target_pct(),
-            gradient_pct: metrics.gradient_pct(),
-            gradient_minor_pct: metrics.gradient_minor_pct(),
-            cycle_pct: metrics.cycle_pct(),
-            cycle_minor_pct: metrics.cycle_minor_pct(),
-            chip_energy: metrics.chip_energy(),
-            pump_energy: metrics.pump_energy(),
-            completed_threads: meter.completed(),
-            throughput: meter.throughput(elapsed),
-            migrations: policy.migration_count(),
-            mean_temperature: metrics.mean_tmax(),
-            max_temperature: metrics.peak_tmax(),
-            controller_switches: self
-                .controller
-                .as_ref()
-                .map(FlowController::switch_count)
-                .unwrap_or(0),
-            forecast_mae: self.predictor.as_ref().and_then(|p| p.mean_abs_error()),
-            predictor_refits: self
-                .predictor
-                .as_ref()
-                .map(TemperaturePredictor::refit_count)
-                .unwrap_or(0),
-            mean_flow_setting: (flow_samples > 0).then(|| flow_setting_sum / flow_samples as f64),
-            tmax_series: cfg.record_series.then_some(tmax_series),
-            flow_series: (cfg.record_series && !flow_series.is_empty()).then_some(flow_series),
-        })
+        let trailing = ticks % self.sample_every;
+        if trailing > 0 {
+            self.workload(trailing);
+        }
+        Ok(self.report())
     }
 
-    /// Advances the fault replay to `t_s` and re-derates the active
-    /// thermal member's flow: pump faults scale the commanded flow,
-    /// clogs derate individual cavities
-    /// ([`ThermalModel::set_flow_derated`]). No-op for air cooling and
-    /// for timelines without flow faults; when every derating has
-    /// recovered to 1.0 the patch restores the healthy network exactly.
-    fn apply_faulted_flow(&mut self, t_s: f64) -> Result<(), SimError> {
+    /// Paper: "all simulations are initialized with steady state
+    /// temperature values" — two leakage fixed-point rounds, then the
+    /// first sensor reading sets the TALB weights.
+    fn settle(&mut self) -> Result<(), SimError> {
+        for _ in 0..2 {
+            self.fill_power();
+            self.temps = self
+                .family
+                .model_mut(self.active)
+                .steady_state(&self.power, Some(&self.temps))?;
+            self.block_temps
+                .extract_into(self.family.model(self.active), &self.temps);
+        }
+        self.block_temps
+            .core_max_temperatures_into(&self.stack, &mut self.core_temps);
+        self.observed_temps.clone_from(&self.core_temps);
+        self.weights = self
+            .weight_table
+            .weights_for(max_of(&self.core_temps))
+            .to_vec();
+        Ok(())
+    }
+
+    /// One 100 ms sample: its scheduler ticks, then the plant, metrics
+    /// and control stages.
+    fn step_sample(&mut self) -> Result<(), SimError> {
+        self.workload(self.sample_every);
+        vfc_obs::counter_add("engine.samples", 1);
+        let (chip, gradient) = self.plant()?;
+        self.metrics(chip, gradient);
+        self.control();
+        Ok(())
+    }
+
+    /// Runs `ticks` scheduler ticks under one `engine.workload` span:
+    /// arrivals and placement, wake-ups, rebalancing, then execution.
+    /// The scheduler sees the temperatures and weights of the last
+    /// control step throughout.
+    fn workload(&mut self, ticks: usize) {
+        let _span = vfc_obs::span("engine.workload");
+        let tick = self.cfg.scheduler_tick;
+        let ctx = SchedContext {
+            core_temps: &self.observed_temps,
+            weights: &self.weights,
+        };
+        for _ in 0..ticks {
+            self.phase = self.cfg.workload.benchmark_at(self.clock());
+            if self.phase.name != self.generator.benchmark().name {
+                self.generator.set_benchmark(self.phase);
+            }
+            for th in self.generator.poll(tick) {
+                self.policy.place(th, &mut self.queues, &ctx);
+            }
+            // Work wakes sleeping cores.
+            for (i, q) in self.queues.iter().enumerate() {
+                if q.load() > 0 {
+                    self.dpm.wake(i);
+                }
+            }
+            self.policy.rebalance(&mut self.queues, &ctx);
+            // Execute: contexts busy this tick = min(load, contexts).
+            for (i, q) in self.queues.iter_mut().enumerate() {
+                let busy_now = q.load().min(q.contexts()) as u32;
+                self.completed += q.tick(tick);
+                self.dpm.tick(i, busy_now > 0, tick);
+                self.busy_ticks[i] += busy_now;
+            }
+            self.ticks += 1;
+        }
+    }
+
+    /// Turns the sample's busy ticks into utilizations, applies any flow
+    /// faults and advances the thermal network one sampling interval.
+    /// Returns the billed chip power and the block-level spatial
+    /// gradient.
+    fn plant(&mut self) -> Result<(Watts, TemperatureDelta), SimError> {
+        let contexts = (self.sample_every * DEFAULT_CONTEXTS) as f64;
+        for (i, &busy) in self.busy_ticks.iter().enumerate() {
+            self.util[i] = busy as f64 / contexts;
+            self.sleeping[i] = if self.dpm.state(i) == PowerState::Sleep {
+                1.0 - self.util[i]
+            } else {
+                0.0
+            };
+        }
+        self.busy_ticks.fill(0);
+        self.apply_faulted_flow()?;
+
+        let _span = vfc_obs::span("engine.thermal");
+        self.fill_power();
+        let chip = Watts::new(self.power.iter().sum());
+        self.family.model_mut(self.active).step(
+            &mut self.temps,
+            &self.power,
+            self.cfg.sampling_interval,
+            self.cfg.thermal_substeps,
+        )?;
+        self.block_temps
+            .extract_into(self.family.model(self.active), &self.temps);
+        self.block_temps
+            .core_max_temperatures_into(&self.stack, &mut self.core_temps);
+        Ok((chip, self.block_temps.max_spatial_gradient()))
+    }
+
+    /// Records the sample's true temperatures, the billed chip power and
+    /// the pump power at its commanded setting.
+    fn metrics(&mut self, chip: Watts, gradient: TemperatureDelta) {
+        let pump =
+            pump_setting(&self.cfg, self.active).map_or(Watts::ZERO, |s| self.cfg.pump.power(s));
+        self.collector.record_sample(
+            &self.core_temps,
+            gradient,
+            chip,
+            pump,
+            self.cfg.sampling_interval,
+        );
+        if self.cfg.record_series {
+            self.tmax_series.push(max_of(&self.core_temps).value());
+            if self.controller.is_some() {
+                self.flow_series.push(self.active as u8);
+            }
+        }
+    }
+
+    /// Reads the core sensors, then (in the balance phase) steps the
+    /// flow controller on the forecast Tmax and refreshes the TALB
+    /// weights. The forecast span nests inside the balance span
+    /// (recorded as `engine.balance/engine.forecast`).
+    fn control(&mut self) {
+        // Sensor faults corrupt only the observed copy; everything
+        // recorded about the plant stays the truth.
+        let t_s = self.clock().value();
+        match self.replay.as_mut() {
+            Some(replay) if replay.has_sensor_faults() => {
+                self.sensor_truth.clear();
+                self.sensor_truth
+                    .extend(self.core_temps.iter().map(|t| t.value()));
+                replay.observe(t_s, &self.sensor_truth, &mut self.sensor_obs);
+                for (o, &v) in self.observed_temps.iter_mut().zip(&self.sensor_obs) {
+                    *o = Celsius::new(v);
+                }
+            }
+            _ => self.observed_temps.copy_from_slice(&self.core_temps),
+        }
+        let observed_tmax = max_of(&self.observed_temps);
+
+        let _span = vfc_obs::span("engine.balance");
+        if let Some(ctrl) = self.controller.as_mut() {
+            let prediction = {
+                let _forecast_span = vfc_obs::span("engine.forecast");
+                match self.predictor.as_mut() {
+                    Some(p) => {
+                        p.observe(observed_tmax);
+                        p.forecast().unwrap_or(observed_tmax)
+                    }
+                    None => observed_tmax, // reactive ablation
+                }
+            };
+            self.active = ctrl.step(prediction, self.cfg.sampling_interval).index();
+            self.flow_setting_sum += self.active as f64;
+        }
+        self.weights
+            .copy_from_slice(self.weight_table.weights_for(observed_tmax));
+        if let Some(replay) = self.replay.as_mut() {
+            let events = replay.drain_events();
+            if events > 0 {
+                vfc_obs::counter_add("engine.fault_events", events);
+            }
+        }
+    }
+
+    /// Simulated time at the end of the ticks run so far.
+    fn clock(&self) -> Seconds {
+        Seconds::new(self.cfg.scheduler_tick.value() * self.ticks as f64)
+    }
+
+    /// Advances the fault replay to the current time and re-derates the
+    /// active thermal member's flow: pump faults scale the commanded
+    /// flow, clogs derate individual cavities
+    /// ([`ThermalModel::set_flow_derated`]). No-op without a replay, for
+    /// air cooling and for timelines without flow faults; when every
+    /// derating has recovered to 1.0 the patch restores the healthy
+    /// network exactly.
+    fn apply_faulted_flow(&mut self) -> Result<(), SimError> {
+        let t_s = self.clock().value();
         let Some(replay) = self.replay.as_mut() else {
             return Ok(());
         };
         replay.advance(t_s);
-        if !self.cfg.cooling.is_liquid() || !replay.has_flow_faults() {
+        let Some(setting) = pump_setting(&self.cfg, self.active) else {
+            return Ok(());
+        };
+        if !replay.has_flow_faults() {
             return Ok(());
         }
-        let setting = match self.cfg.cooling {
-            CoolingKind::Air => unreachable!("guarded by is_liquid above"),
-            CoolingKind::LiquidFixed(s) => s,
-            CoolingKind::LiquidMax => self.cfg.pump.max_setting(),
-            CoolingKind::LiquidVariable => vfc_liquid::FlowSetting::from_index(self.active),
-        };
         let commanded = self
             .cfg
             .pump
@@ -489,86 +488,100 @@ impl Simulation {
         Ok(())
     }
 
-    /// Fills `p` with the node power vector for one interval. `p` must
-    /// have the model's node count; it is zeroed first, so the same
-    /// buffer can be reused across samples without reallocating.
-    fn fill_power(
-        &self,
-        p: &mut [f64],
-        util: &[f64],
-        sleeping: &[f64],
-        memory_intensity: f64,
-        block_temps: &BlockTemperatures,
-    ) {
+    /// Fills `self.power` with the node power vector for one interval:
+    /// each block's dynamic watts for its role plus its leakage at its
+    /// last extracted temperature. The buffer is zeroed first, so it is
+    /// reused across samples without reallocating.
+    fn fill_power(&mut self) {
         let cfg = &self.cfg;
         let model = self.family.model(self.active);
-        p.fill(0.0);
+        let memory_intensity = self.phase.memory_intensity();
+        self.power.fill(0.0);
+        for &(t, b, ref role) in &self.blocks {
+            let dynamic = match role {
+                BlockRole::Core(gid) => {
+                    let sleeping = self.sleeping[*gid];
+                    let awake = 1.0 - sleeping;
+                    let u = self.util[*gid].min(awake);
+                    u * cfg.power.core_active
+                        + (awake - u).max(0.0) * cfg.power.core_idle
+                        + sleeping * cfg.power.core_sleep
+                }
+                // An empty core list divides 0 by 1.
+                BlockRole::L2(served) => {
+                    let act = served.iter().map(|&c| self.util[c]).sum::<f64>()
+                        / served.len().max(1) as f64;
+                    cfg.power.l2_power(act).value()
+                }
+                BlockRole::Crossbar { group, share } => {
+                    let active = group.iter().filter(|&&c| self.util[c] > 0.0).count() as f64
+                        / group.len().max(1) as f64;
+                    cfg.power.crossbar_power(active, memory_intensity).value() * share
+                }
+                BlockRole::Fixed(w) => *w,
+            };
+            let leak = cfg
+                .leakage
+                .block_leakage(
+                    &self.stack.tiers()[t].floorplan().blocks()[b],
+                    self.block_temps.block_max(t, b),
+                )
+                .value();
+            model.add_block_power(&mut self.power, t, b, Watts::new(dynamic + leak));
+        }
+    }
 
-        // Cores: utilization-weighted active/idle plus the sleep share.
-        for (gid, &(t, b)) in self.cores.iter().enumerate() {
-            let awake = 1.0 - sleeping[gid];
-            let u = util[gid].min(awake);
-            let dynamic = u * cfg.power.core_active
-                + (awake - u).max(0.0) * cfg.power.core_idle
-                + sleeping[gid] * cfg.power.core_sleep;
-            let leak = cfg
-                .leakage
-                .block_leakage(
-                    &self.stack.tiers()[t].floorplan().blocks()[b],
-                    block_temps.block_max(t, b),
-                )
-                .value();
-            model.add_block_power(p, t, b, Watts::new(dynamic + leak));
+    fn report(self) -> SimReport {
+        let cfg = &self.cfg;
+        let m = &self.collector;
+        SimReport {
+            label: cfg.label(),
+            system: cfg.system.label().to_string(),
+            workload: workload_name(cfg),
+            duration: cfg.duration,
+            samples: m.samples(),
+            hot_spot_pct: m.hot_spot_pct(),
+            above_target_pct: m.above_target_pct(),
+            gradient_pct: m.gradient_pct(),
+            gradient_minor_pct: m.gradient_minor_pct(),
+            cycle_pct: m.cycle_pct(),
+            cycle_minor_pct: m.cycle_minor_pct(),
+            chip_energy: m.chip_energy(),
+            pump_energy: m.pump_energy(),
+            completed_threads: self.completed,
+            // Paper Sec. V: "the number of threads completed per given
+            // time".
+            throughput: self.completed as f64 / cfg.duration.value(),
+            migrations: self.policy.migration_count(),
+            mean_temperature: m.mean_tmax(),
+            max_temperature: m.peak_tmax(),
+            controller_switches: self
+                .controller
+                .as_ref()
+                .map_or(0, FlowController::switch_count),
+            forecast_mae: self.predictor.as_ref().and_then(|p| p.mean_abs_error()),
+            predictor_refits: self
+                .predictor
+                .as_ref()
+                .map_or(0, TemperaturePredictor::refit_count),
+            mean_flow_setting: (self.controller.is_some() && m.samples() > 0)
+                .then(|| self.flow_setting_sum / m.samples() as f64),
+            tmax_series: cfg.record_series.then_some(self.tmax_series),
+            flow_series: (cfg.record_series && !self.flow_series.is_empty())
+                .then_some(self.flow_series),
         }
-        // L2 banks follow their cores' activity.
-        for (t, b, served) in &self.l2s {
-            let act = if served.is_empty() {
-                0.0
-            } else {
-                served.iter().map(|&c| util[c]).sum::<f64>() / served.len() as f64
-            };
-            let leak = cfg
-                .leakage
-                .block_leakage(
-                    &self.stack.tiers()[*t].floorplan().blocks()[*b],
-                    block_temps.block_max(*t, *b),
-                )
-                .value();
-            model.add_block_power(
-                p,
-                *t,
-                *b,
-                Watts::new(cfg.power.l2_power(act).value() + leak),
-            );
-        }
-        // Crossbar columns scale with active cores and memory intensity.
-        for (t, b, group, share) in &self.xbars {
-            let active = if group.is_empty() {
-                0.0
-            } else {
-                group.iter().filter(|&&c| util[c] > 0.0).count() as f64 / group.len() as f64
-            };
-            let w = cfg.power.crossbar_power(active, memory_intensity).value() * share;
-            let leak = cfg
-                .leakage
-                .block_leakage(
-                    &self.stack.tiers()[*t].floorplan().blocks()[*b],
-                    block_temps.block_max(*t, *b),
-                )
-                .value();
-            model.add_block_power(p, *t, *b, Watts::new(w + leak));
-        }
-        // Fixed blocks (uncore, buffers) plus leakage.
-        for &(t, b, w) in &self.fixed_blocks {
-            let leak = cfg
-                .leakage
-                .block_leakage(
-                    &self.stack.tiers()[t].floorplan().blocks()[b],
-                    block_temps.block_max(t, b),
-                )
-                .value();
-            model.add_block_power(p, t, b, Watts::new(w + leak));
-        }
+    }
+}
+
+/// The pump setting the run commands while family member `active`
+/// cools the stack: the fixed or maximum setting, the controller's
+/// setting for variable flow, and none for air.
+fn pump_setting(cfg: &SimConfig, active: usize) -> Option<FlowSetting> {
+    match cfg.cooling {
+        CoolingKind::Air => None,
+        CoolingKind::LiquidFixed(s) => Some(s),
+        CoolingKind::LiquidMax => Some(cfg.pump.max_setting()),
+        CoolingKind::LiquidVariable => Some(FlowSetting::from_index(active)),
     }
 }
 
@@ -580,47 +593,74 @@ fn characterization_power(
     model: &ThermalModel,
     demand: f64,
 ) -> Vec<f64> {
-    let mut p = model.zero_power();
-    let leak_t = cfg.target_temperature;
-    for (t, tier) in stack.tiers().iter().enumerate() {
-        for (b, blk) in tier.floorplan().blocks().iter().enumerate() {
-            let dynamic = match blk.kind() {
-                BlockKind::Core => cfg.power.core_power(demand, false).value(),
-                BlockKind::L2Cache => cfg.power.l2_power(demand).value(),
-                // Characterize with a memory-heavy mix (conservative).
-                BlockKind::Crossbar => cfg.power.crossbar_power(demand, 0.8).value() * 0.5,
-                kind => cfg.power.fixed_block_power(kind).value(),
-            };
-            let leak = cfg.leakage.block_leakage(blk, leak_t).value();
-            model.add_block_power(&mut p, t, b, Watts::new(dynamic + leak));
-        }
-    }
-    p
+    model.uniform_block_power(stack, |blk| {
+        let dynamic = match blk.kind() {
+            BlockKind::Core => cfg.power.core_power(demand, false).value(),
+            BlockKind::L2Cache => cfg.power.l2_power(demand).value(),
+            // Characterize with a memory-heavy mix (conservative).
+            BlockKind::Crossbar => cfg.power.crossbar_power(demand, 0.8).value() * 0.5,
+            kind => cfg.power.fixed_block_power(kind).value(),
+        };
+        let leak = cfg
+            .leakage
+            .block_leakage(blk, cfg.target_temperature)
+            .value();
+        Watts::new(dynamic + leak)
+    })
 }
 
 /// Background (non-core) power for the TALB balanced-power solve: caches
 /// and crossbars at 50% activity, leakage at 75 °C.
 fn background_power(cfg: &SimConfig, stack: &Stack3d, model: &ThermalModel) -> Vec<f64> {
-    let mut p = model.zero_power();
+    model.uniform_block_power(stack, |blk| {
+        let dynamic = match blk.kind() {
+            BlockKind::Core => return Watts::ZERO,
+            BlockKind::L2Cache => cfg.power.l2_power(0.5).value(),
+            BlockKind::Crossbar => cfg.power.crossbar_power(0.5, 0.5).value() * 0.5,
+            kind => cfg.power.fixed_block_power(kind).value(),
+        };
+        let leak = cfg.leakage.block_leakage(blk, Celsius::new(75.0)).value();
+        Watts::new(dynamic + leak)
+    })
+}
+
+/// The engine's block table: cores in global order, then L2 banks,
+/// crossbars and fixed-power blocks.
+fn block_table(cfg: &SimConfig, stack: &Stack3d) -> Vec<(usize, usize, BlockRole)> {
+    let cores = core_blocks(stack);
+    let mut table: Vec<_> = cores
+        .iter()
+        .enumerate()
+        .map(|(gid, &(t, b))| (t, b, BlockRole::Core(gid)))
+        .collect();
+    for (t, b, served) in map_l2_blocks(stack, &cores) {
+        table.push((t, b, BlockRole::L2(served)));
+    }
+    for (t, b, group, share) in map_crossbars(stack, &cores) {
+        table.push((t, b, BlockRole::Crossbar { group, share }));
+    }
     for (t, tier) in stack.tiers().iter().enumerate() {
         for (b, blk) in tier.floorplan().blocks().iter().enumerate() {
-            let dynamic = match blk.kind() {
-                BlockKind::Core => 0.0,
-                BlockKind::L2Cache => cfg.power.l2_power(0.5).value(),
-                BlockKind::Crossbar => cfg.power.crossbar_power(0.5, 0.5).value() * 0.5,
-                kind => cfg.power.fixed_block_power(kind).value(),
-            };
-            let leak = if blk.is_core() {
-                0.0
-            } else {
-                cfg.leakage.block_leakage(blk, Celsius::new(75.0)).value()
-            };
-            if dynamic + leak > 0.0 {
-                model.add_block_power(&mut p, t, b, Watts::new(dynamic + leak));
+            let w = cfg.power.fixed_block_power(blk.kind()).value();
+            if w > 0.0 {
+                table.push((t, b, BlockRole::Fixed(w)));
             }
         }
     }
-    p
+    table
+}
+
+/// The global core order: `(tier, block)` of every core, tier by tier.
+fn core_blocks(stack: &Stack3d) -> Vec<(usize, usize)> {
+    let mut cores = Vec::new();
+    for (t, tier) in stack.tiers().iter().enumerate() {
+        for (b, blk) in tier.floorplan().blocks().iter().enumerate() {
+            if blk.is_core() {
+                cores.push((t, b));
+            }
+        }
+    }
+    cores
 }
 
 /// Maps each L2 bank to the global ids of the cores it serves: bank
@@ -731,8 +771,6 @@ fn workload_name(cfg: &SimConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vfc_units::Seconds;
-    use vfc_workload::Benchmark;
 
     fn quick(cooling: CoolingKind, policy: PolicyKind, bench: &str) -> SimReport {
         let cfg = SimConfig::new(
@@ -778,16 +816,33 @@ mod tests {
     }
 
     #[test]
+    fn trailing_ticks_after_the_last_sample_still_run() {
+        // 2.05 s is 20 whole samples plus 50 scheduler ticks. The
+        // trailing ticks bill no sample, but the threads they finish
+        // count.
+        let cfg = SimConfig::new(
+            crate::SystemKind::TwoLayer,
+            CoolingKind::Air,
+            PolicyKind::LoadBalancing,
+            Benchmark::by_name("Web-med").unwrap(),
+        )
+        .with_duration(Seconds::new(2.05))
+        .with_grid_cell(vfc_units::Length::from_millimeters(2.0));
+        let r = Simulation::new(cfg).unwrap().run().unwrap();
+        assert_eq!(r.samples, 20);
+        assert_eq!(r.completed_threads, 438);
+    }
+
+    #[test]
+    fn simulations_can_move_between_threads() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Simulation>();
+    }
+
+    #[test]
     fn mapping_helpers() {
         let stack = crate::SystemKind::TwoLayer.stack(true);
-        let mut cores = Vec::new();
-        for (t, tier) in stack.tiers().iter().enumerate() {
-            for (b, blk) in tier.floorplan().blocks().iter().enumerate() {
-                if blk.is_core() {
-                    cores.push((t, b));
-                }
-            }
-        }
+        let cores = core_blocks(&stack);
         let l2s = map_l2_blocks(&stack, &cores);
         assert_eq!(l2s.len(), 4);
         for (_, _, served) in &l2s {

@@ -6,9 +6,9 @@
 //!   scheduling policy (LB / Mig. / TALB) and DPM;
 //! * every 100 ms the engine bills block powers (state-based core power,
 //!   activity-scaled L2/crossbar, temperature-dependent leakage), advances
-//!   the thermal RC network by backward-Euler sub-steps, samples the
-//!   per-core sensors, runs the ARMA forecaster and the flow-rate
-//!   controller, and updates the metrics;
+//!   the thermal RC network by backward-Euler sub-steps, updates the
+//!   metrics, then samples the per-core sensors and runs the ARMA
+//!   forecaster and the flow-rate controller;
 //! * metrics match the paper's figures: % of time above the 85 °C hot-spot
 //!   threshold (Fig. 6), % of samples with spatial gradients > 15 °C and
 //!   thermal cycles > 20 °C (Fig. 7), chip/pump energy and normalized

@@ -67,6 +67,7 @@ mod family;
 pub mod material;
 mod model;
 mod sensors;
+#[cfg(test)]
 mod validate;
 
 pub use self::build::StackThermalBuilder;
@@ -75,4 +76,3 @@ pub use self::error::ThermalError;
 pub use self::family::{FlowPatch, StackSkeleton, ThermalModelFamily};
 pub use self::model::{NodeLayout, ThermalModel};
 pub use self::sensors::BlockTemperatures;
-pub use self::validate::energy_balance_residual;

@@ -803,6 +803,7 @@ impl ThermalModel {
 
     /// Total power crossing the model boundary (into ambient/coolant) for
     /// a given state — equals injected power at steady state.
+    #[cfg(test)]
     pub(crate) fn boundary_outflow(&self, temps: &[f64]) -> Watts {
         let mut q = 0.0;
         for &(node, g, tb) in &self.boundary_links {

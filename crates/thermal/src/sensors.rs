@@ -15,8 +15,6 @@ use crate::ThermalModel;
 pub struct BlockTemperatures {
     /// `max[tier][block]` — hottest cell of each block.
     max: Vec<Vec<f64>>,
-    /// `mean[tier][block]` — area-weighted mean of each block.
-    mean: Vec<Vec<f64>>,
 }
 
 impl BlockTemperatures {
@@ -29,10 +27,7 @@ impl BlockTemperatures {
     ///
     /// Panics if `temps.len()` differs from the model's node count.
     pub fn extract(model: &ThermalModel, temps: &[f64]) -> Self {
-        let mut this = Self {
-            max: Vec::new(),
-            mean: Vec::new(),
-        };
+        let mut this = Self { max: Vec::new() };
         this.extract_into(model, temps);
         this
     }
@@ -50,15 +45,10 @@ impl BlockTemperatures {
         let cells = layout.cells_per_layer();
         let tiers = layout.tier_count();
         self.max.resize(tiers, Vec::new());
-        self.mean.resize(tiers, Vec::new());
         for t in 0..tiers {
-            let blocks = layout.tier_block_cell_counts[t].len();
             let bmax = &mut self.max[t];
-            let bsum = &mut self.mean[t];
             bmax.clear();
-            bmax.resize(blocks, f64::NEG_INFINITY);
-            bsum.clear();
-            bsum.resize(blocks, 0.0);
+            bmax.resize(layout.tier_block_cell_counts[t].len(), f64::NEG_INFINITY);
             let off = layout.tier_offsets[t];
             for flat in 0..cells {
                 let b = layout.tier_cell_block[t][flat];
@@ -66,11 +56,6 @@ impl BlockTemperatures {
                 if v > bmax[b] {
                     bmax[b] = v;
                 }
-                bsum[b] += v;
-            }
-            for b in 0..blocks {
-                let n = layout.tier_block_cell_counts[t][b];
-                bsum[b] = if n > 0 { bsum[b] / n as f64 } else { f64::NAN };
             }
         }
     }
@@ -78,12 +63,6 @@ impl BlockTemperatures {
     /// Hottest cell of a block.
     pub fn block_max(&self, tier: usize, block: usize) -> Celsius {
         Celsius::new(self.max[tier][block])
-    }
-
-    /// Mean temperature of a block.
-    #[cfg(test)]
-    pub(crate) fn block_mean(&self, tier: usize, block: usize) -> Celsius {
-        Celsius::new(self.mean[tier][block])
     }
 
     /// Maximum temperature of the cores across the stack, in
@@ -176,7 +155,6 @@ mod tests {
         // Tier 0 block 0 is core0; tier 1 block 0 is l2_0.
         assert!(bt.block_max(0, 0).value() > bt.block_max(1, 0).value());
         assert!(bt.max_spatial_gradient().value() > 0.1);
-        assert!(bt.block_mean(0, 0).value() <= bt.block_max(0, 0).value());
     }
 
     #[test]

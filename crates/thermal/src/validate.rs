@@ -1,4 +1,4 @@
-//! Model-level physical invariants used by tests and benches.
+//! Model-level physical invariants for the tests.
 
 use crate::{ThermalError, ThermalModel};
 
@@ -13,7 +13,7 @@ use crate::{ThermalError, ThermalModel};
 ///
 /// Returns [`ThermalError::PowerLengthMismatch`] /
 /// [`ThermalError::StateLengthMismatch`] on wrong vector lengths.
-pub fn energy_balance_residual(
+pub(crate) fn energy_balance_residual(
     model: &ThermalModel,
     power: &[f64],
     temps: &[f64],

@@ -56,6 +56,11 @@ fn pump_failure_config() -> SimConfig {
     )
 }
 
+/// How many spans recorded under the stat `name`.
+fn span_count(snap: &obs::Snapshot, name: &str) -> u64 {
+    snap.stat(name).map_or(0, |stat| stat.count)
+}
+
 #[test]
 fn telemetry_level_never_perturbs_results_or_cache_keys() {
     // The cache key is identical at every level (telemetry is not a
@@ -101,6 +106,15 @@ fn telemetry_level_never_perturbs_results_or_cache_keys() {
     assert!(
         snap.counter("solver.iterations").unwrap_or(0) > 0,
         "spans-level run recorded no solver iterations"
+    );
+    // The engine opens one `engine.workload` span per 100 ms sample,
+    // not one per 1 ms scheduler tick.
+    let samples = snap.counter("engine.samples").unwrap_or(0);
+    assert!(samples > 0, "spans-level run recorded no samples");
+    assert_eq!(
+        span_count(&snap, "span.runner.execute/runner.job/engine.workload"),
+        samples,
+        "engine.workload spans per sample"
     );
 
     // The 0.25 mm transient scenario (9,200 nodes, ILU(0)) lands the
@@ -157,6 +171,13 @@ fn telemetry_level_never_perturbs_results_or_cache_keys() {
                     "{level:?}: a derated pump must not trip the recovery ladder"
                 );
                 assert_eq!(delta("solver.escalations"), 0, "{level:?}");
+                if level == TelemetryLevel::Spans {
+                    assert_eq!(
+                        span_count(&after, "span.engine.workload"),
+                        delta("engine.samples"),
+                        "the faulted run's engine.workload spans per sample"
+                    );
+                }
             }
             report
         })

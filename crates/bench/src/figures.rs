@@ -127,8 +127,10 @@ pub fn table2() -> String {
         let mut generator = WorkloadGenerator::new(b, 32, 12345);
         let mut work = 0.0;
         let dt = Seconds::from_millis(1.0);
+        let mut arrivals = Vec::new();
         for _ in 0..60_000 {
-            for t in generator.poll(dt) {
+            generator.poll(dt, &mut arrivals);
+            for t in &arrivals {
                 work += t.total().value();
             }
         }

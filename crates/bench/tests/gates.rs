@@ -1,8 +1,8 @@
 //! Deterministic regression gates on the bench harness: a cold
-//! `all_figures` run against its committed reference output, the
-//! committed transient iteration counts, the sweep CLI's warm second
-//! pass, the sweep service's crash recovery against a real `SIGKILL`,
-//! and `kernel_probe`'s telemetry export.
+//! `all_figures` run and the 100 µm `fine` cell against their committed
+//! reference outputs, the committed transient iteration counts, the
+//! sweep CLI's warm second pass, the sweep service's crash recovery
+//! against a real `SIGKILL`, and `kernel_probe`'s telemetry export.
 //!
 //! Every child process and every wait has a deadline, and server
 //! children are killed and reaped on drop, so a failed assertion can
@@ -14,6 +14,9 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use vfc::serve::{ServeClient, WireSpec};
+use vfc::sim::{CoolingKind, PolicyKind, SimConfig, Simulation, SystemKind};
+use vfc::units::{Length, Seconds};
+use vfc::workload::Benchmark;
 use vfc_bench::perf::read_bench_records;
 use vfc_bench::transient::{self, GATED_GRIDS_MM};
 
@@ -89,6 +92,52 @@ fn cold_all_figures_matches_the_committed_reference() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_fine_cell_matches_the_committed_reference() {
+    // The benchmark's paper-native 100 µm cell, run in-process: TALB
+    // (Var) on Web-med on the 2-layer stack for 3 s. Its controller
+    // switches the pump five times, so the cell takes the 100 µm
+    // flow-patch path. The reference's own rule applies: samples exact,
+    // temperatures within 1e-3 and energies within 1e-2 relative.
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benchmark/reference/fine.txt");
+    let text = std::fs::read_to_string(&path).expect("read the committed reference");
+    let reference = |key: &str| -> f64 {
+        text.lines()
+            .filter(|l| !l.starts_with('#'))
+            .filter_map(|l| l.split_once(' '))
+            .find(|(k, _)| *k == key)
+            .and_then(|(_, v)| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("the reference has no {key}"))
+    };
+    let cfg = SimConfig::new(
+        SystemKind::TwoLayer,
+        CoolingKind::LiquidVariable,
+        PolicyKind::Talb,
+        Benchmark::by_name("Web-med").expect("Table II has Web-med"),
+    )
+    .with_grid_cell(Length::from_millimeters(0.1))
+    .with_duration(Seconds::new(3.0));
+    let r = Simulation::new(cfg)
+        .expect("build the fine cell")
+        .run()
+        .expect("run the fine cell");
+    assert_eq!(r.samples as f64, reference("samples"), "samples");
+    assert_eq!(r.controller_switches, 5, "pump switches");
+    for (key, got, tol) in [
+        ("max_temperature_c", r.max_temperature.value(), 1e-3),
+        ("mean_temperature_c", r.mean_temperature.value(), 1e-3),
+        ("chip_energy_j", r.chip_energy.value(), 1e-2),
+        ("pump_energy_j", r.pump_energy.value(), 1e-2),
+    ] {
+        let want = reference(key);
+        let rel = ((got - want) / want).abs();
+        assert!(
+            rel <= tol,
+            "{key} = {got}, reference {want} (relative error {rel:.2e} > {tol:.0e})"
+        );
+    }
 }
 
 #[test]

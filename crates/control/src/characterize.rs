@@ -57,10 +57,11 @@ pub fn characterize(
 }
 
 /// [`characterize`] against an already-assembled skeleton, so callers
-/// that hold one (e.g. the engine's `ThermalModelFamily`) don't pay
-/// assembly twice. Each setting is a cheap value patch on shared CSR
-/// structure, not a reassembly, and every per-setting model solves with
-/// the skeleton's shared sweep schedules.
+/// that hold one (e.g. the simulation engine, which builds its thermal
+/// model on the same skeleton) don't pay assembly twice. Each setting
+/// is a cheap value patch on shared CSR structure, not a reassembly,
+/// and every per-setting model solves with the skeleton's shared sweep
+/// schedules and is dropped before the next setting's is built.
 ///
 /// # Errors
 ///

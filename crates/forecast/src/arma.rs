@@ -14,7 +14,7 @@ use crate::ForecastError;
 /// paper relies on for its "reconstruct the ARMA predictor at runtime"
 /// step.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ArmaModel {
+pub(crate) struct ArmaModel {
     phi: Vec<f64>,
     theta: Vec<f64>,
     mean: f64,

@@ -6,15 +6,15 @@
 //! policy would over-/under-cool (Sec. IV, "Temperature Monitoring and
 //! Forecasting").
 //!
-//! * [`ArmaModel`] — autoregressive moving-average models fit online with
-//!   the Hannan–Rissanen two-stage least-squares method; no offline
-//!   analysis is needed, exactly as the paper requires.
-//! * [`Sprt`] — the sequential probability ratio test of Gross &
-//!   Humenik (Ref. 10) watching the residuals; when the predictor no longer
-//!   fits the workload the test raises an alarm.
-//! * [`TemperaturePredictor`] — glue: a rolling history window, automatic
-//!   (re)fitting on SPRT alarms, and k-step-ahead forecasts, "using the
-//!   existing model until the new one is ready".
+//! * [`TemperaturePredictor`] — the type callers use: a rolling
+//!   history window, automatic (re)fitting on SPRT alarms, and k-step-ahead
+//!   forecasts, "using the existing model until the new one is ready".
+//! * `ArmaModel` (crate-private) — autoregressive moving-average models
+//!   fit online with the Hannan–Rissanen two-stage least-squares method;
+//!   no offline analysis is needed, exactly as the paper requires.
+//! * `Sprt` (crate-private) — the sequential probability ratio test of
+//!   Gross & Humenik (Ref. 10) watching the residuals; when the predictor
+//!   no longer fits the workload the test raises an alarm.
 //!
 //! # Example
 //!
@@ -39,7 +39,5 @@ mod error;
 mod predictor;
 mod sprt;
 
-pub use self::arma::ArmaModel;
 pub use self::error::ForecastError;
 pub use self::predictor::TemperaturePredictor;
-pub use self::sprt::{Sprt, SprtDecision};

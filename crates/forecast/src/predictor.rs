@@ -5,7 +5,8 @@ use std::collections::VecDeque;
 
 use vfc_units::Celsius;
 
-use crate::{ArmaModel, Sprt, SprtDecision};
+use crate::arma::ArmaModel;
+use crate::sprt::{Sprt, SprtDecision};
 
 /// Online predictor of the maximum temperature signal.
 ///

@@ -3,7 +3,7 @@
 
 /// Outcome of feeding one residual to the test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SprtDecision {
+pub(crate) enum SprtDecision {
     /// Evidence is inconclusive; keep monitoring.
     Continue,
     /// H0 accepted (residuals centered); statistics reset.
@@ -18,7 +18,7 @@ pub enum SprtDecision {
 /// error between the predicted and measured series is diverging from
 /// zero" (paper Sec. IV).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Sprt {
+pub(crate) struct Sprt {
     /// Magnitude of the mean shift hypothesized under H1 (same unit as
     /// the residuals, °C here).
     shift: f64,

@@ -2,10 +2,13 @@
 //!
 //! [`Simulation::run`] settles the stack at its leakage steady state,
 //! then runs each sample as four stages: `workload` (the sample's 1 ms
-//! scheduler ticks), `plant` (power billing, flow faults and the thermal
-//! step), `metrics` (the true temperatures and energies) and `control`
-//! (sensors, ARMA forecast, pump setting and TALB weights). Ticks left
-//! over after the last whole sample run the workload stage only.
+//! scheduler ticks), `plant` (the flow patch, power billing and the
+//! thermal step), `metrics` (the true temperatures and energies) and
+//! `control` (sensors, ARMA forecast, pump setting and TALB weights).
+//! Ticks left over after the last whole sample run the workload stage
+//! only.
+
+use std::sync::Arc;
 
 use vfc_control::{balanced_power_rows, characterize_skeleton, FlowController, FlowLut};
 use vfc_faults::FaultReplay;
@@ -17,9 +20,9 @@ use vfc_sched::{
     CoreQueue, LoadBalancing, ReactiveMigration, SchedContext, SchedulingPolicy,
     TemperatureAwareLb, ThermalWeightTable, DEFAULT_CONTEXTS,
 };
-use vfc_thermal::{BlockTemperatures, StackThermalBuilder, ThermalModel, ThermalModelFamily};
-use vfc_units::{Celsius, Seconds, TemperatureDelta, Watts};
-use vfc_workload::{Benchmark, WorkloadGenerator};
+use vfc_thermal::{BlockTemperatures, StackThermalBuilder, ThermalModel};
+use vfc_units::{Celsius, Seconds, TemperatureDelta, VolumetricFlow, Watts};
+use vfc_workload::{Benchmark, ThreadSpec, WorkloadGenerator};
 
 use crate::{CoolingKind, MetricsCollector, PolicyKind, SimConfig, SimError, SimReport};
 
@@ -44,18 +47,22 @@ enum BlockRole {
 /// Construction performs the paper's pre-processing: steady-state
 /// characterization of the flow settings into the controller LUT (for
 /// variable-flow runs) and the balanced-power solve into TALB's weight
-/// table. [`Simulation::run`] then executes the timed loop and returns a
+/// table, both on the grid's one `StackSkeleton`. The run then holds one
+/// [`ThermalModel`], built at the starting setting and re-patched in
+/// place whenever the pump setting or a flow fault changes the flow it
+/// sees. [`Simulation::run`] executes the timed loop and returns a
 /// [`SimReport`].
 #[derive(Debug)]
 pub struct Simulation {
     cfg: SimConfig,
     stack: Stack3d,
-    /// One structure-sharing model family with a member per *available*
-    /// flow setting (air and fixed-flow runs hold exactly one); all
-    /// members share a single `StackSkeleton` (CSR pattern, conduction
-    /// entries, layout), so per-setting cost is one value array.
-    family: ThermalModelFamily,
-    /// `family.model(active)` is the network currently cooling the stack.
+    /// The thermal network cooling the stack, patched to the active
+    /// setting's (possibly faulted) flow at the start of every plant
+    /// stage. Its solver caches and recovery-ladder escalation serve
+    /// every setting the run visits.
+    model: ThermalModel,
+    /// The pump setting in command (its index; 0 for air and fixed
+    /// flow, where [`pump_setting`] ignores it).
     active: usize,
     temps: Vec<f64>,
     /// Every powered block as `(tier, block, role)`: cores in global
@@ -82,6 +89,8 @@ pub struct Simulation {
     /// The workload phase of the last tick run.
     phase: Benchmark,
     generator: WorkloadGenerator,
+    /// The threads that arrived in the current tick, reused every tick.
+    arrivals: Vec<ThreadSpec>,
     /// `Send + Sync` keeps `Simulation` movable between threads.
     policy: Box<dyn SchedulingPolicy + Send + Sync>,
     queues: Vec<CoreQueue>,
@@ -91,8 +100,7 @@ pub struct Simulation {
     completed: u64,
 
     // Plant stage. Every buffer is reused across samples (the loop does
-    // not allocate); all family members share a node layout, so one
-    // power buffer serves every flow setting.
+    // not allocate).
     util: Vec<f64>,
     sleeping: Vec<f64>,
     power: Vec<f64>,
@@ -135,30 +143,17 @@ impl Simulation {
         }
         let stack = cfg.system.stack(cfg.cooling.is_liquid());
         let grid = GridSpec::from_cell_size(stack.tiers()[0].floorplan(), cfg.grid_cell);
-        let builder = StackThermalBuilder::new(&stack, grid, cfg.thermal);
+        let skeleton = Arc::new(StackThermalBuilder::new(&stack, grid, cfg.thermal).skeleton());
         let cavities = stack.cavity_count();
 
-        // One family member per setting the run can command (every
-        // setting for variable flow), all on one shared skeleton with
-        // one cheap flow patch each.
         let variable = cfg.cooling == CoolingKind::LiquidVariable;
-        let settings: Vec<Option<FlowSetting>> = if variable {
-            cfg.pump.flow_settings().map(Some).collect()
-        } else {
-            vec![pump_setting(&cfg, 0)]
-        };
-        let flows: Vec<_> = settings
-            .into_iter()
-            .map(|s| s.map(|s| cfg.pump.per_cavity_flow(s, cavities)))
-            .collect();
-        let family = ThermalModelFamily::build(&builder, &flows)?;
         let controller = if variable {
             // Characterize heat demand vs flow setting into the LUT, with
             // a safety margin on the target absorbing forecast error and
-            // pump-transition lag. Reuses the family's skeleton so the
-            // grid is assembled exactly once.
+            // pump-transition lag. Runs on the skeleton, so the grid is
+            // assembled exactly once.
             let c = characterize_skeleton(
-                family.skeleton(),
+                &skeleton,
                 &cfg.pump,
                 cavities,
                 cfg.target_temperature - cfg.control_margin,
@@ -175,13 +170,16 @@ impl Simulation {
             .as_ref()
             .map_or(0, |c| c.effective_setting().index());
 
-        // TALB weight table from the balanced-power characterization.
+        // TALB weight table from the balanced-power characterization, on
+        // a model at the middle setting (the commanded one for fixed
+        // flow, none for air), dropped once the rows are solved.
         let n = stack.core_count();
-        let weight_model = family.model(family.len() / 2);
-        let background = background_power(&cfg, &stack, weight_model);
         let weight_table = if cfg.policy == PolicyKind::Talb {
+            let middle = flow_at(&cfg, cfg.pump.setting_count() / 2, cavities);
+            let weight_model = skeleton.model(middle)?;
+            let background = background_power(&cfg, &stack, &weight_model);
             let rows = balanced_power_rows(
-                weight_model,
+                &weight_model,
                 &stack,
                 &background,
                 &[Celsius::new(65.0), Celsius::new(75.0), Celsius::new(85.0)],
@@ -190,9 +188,10 @@ impl Simulation {
         } else {
             ThermalWeightTable::uniform(n)
         };
+        let model = skeleton.model(flow_at(&cfg, active, cavities))?;
 
         let predictor = (variable && cfg.proactive).then(TemperaturePredictor::paper_default);
-        let temps = family.model(active).initial_state();
+        let temps = model.initial_state();
         let replay = (!cfg.faults.is_empty()).then(|| FaultReplay::new(&cfg.faults, cavities));
 
         let policy: Box<dyn SchedulingPolicy + Send + Sync> = match cfg.policy {
@@ -219,13 +218,13 @@ impl Simulation {
         );
         let sample_every =
             (cfg.sampling_interval.value() / cfg.scheduler_tick.value()).round() as usize;
-        let power = family.model(active).zero_power();
-        let block_temps = BlockTemperatures::extract(family.model(active), &temps);
+        let power = model.zero_power();
+        let block_temps = BlockTemperatures::extract(&model, &temps);
         Ok(Self {
             blocks: block_table(&cfg, &stack),
             cfg,
             stack,
-            family,
+            model,
             active,
             temps,
             controller,
@@ -237,6 +236,7 @@ impl Simulation {
             ticks: 0,
             phase,
             generator,
+            arrivals: Vec::new(),
             policy,
             queues: vec![CoreQueue::new(); n],
             dpm,
@@ -287,12 +287,8 @@ impl Simulation {
     fn settle(&mut self) -> Result<(), SimError> {
         for _ in 0..2 {
             self.fill_power();
-            self.temps = self
-                .family
-                .model_mut(self.active)
-                .steady_state(&self.power, Some(&self.temps))?;
-            self.block_temps
-                .extract_into(self.family.model(self.active), &self.temps);
+            self.temps = self.model.steady_state(&self.power, Some(&self.temps))?;
+            self.block_temps.extract_into(&self.model, &self.temps);
         }
         self.block_temps
             .core_max_temperatures_into(&self.stack, &mut self.core_temps);
@@ -331,7 +327,8 @@ impl Simulation {
             if self.phase.name != self.generator.benchmark().name {
                 self.generator.set_benchmark(self.phase);
             }
-            for th in self.generator.poll(tick) {
+            self.generator.poll(tick, &mut self.arrivals);
+            for &th in &self.arrivals {
                 self.policy.place(th, &mut self.queues, &ctx);
             }
             // Work wakes sleeping cores.
@@ -352,11 +349,12 @@ impl Simulation {
         }
     }
 
-    /// Turns the sample's busy ticks into utilizations, applies any flow
-    /// faults and advances the thermal network one sampling interval.
-    /// Returns the billed chip power and the block-level spatial
-    /// gradient.
+    /// Patches the thermal network to the sample's flow, turns the
+    /// sample's busy ticks into utilizations and advances the network
+    /// one sampling interval. Returns the billed chip power and the
+    /// block-level spatial gradient.
     fn plant(&mut self) -> Result<(Watts, TemperatureDelta), SimError> {
+        self.patch_flow()?;
         let contexts = (self.sample_every * DEFAULT_CONTEXTS) as f64;
         for (i, &busy) in self.busy_ticks.iter().enumerate() {
             self.util[i] = busy as f64 / contexts;
@@ -367,19 +365,17 @@ impl Simulation {
             };
         }
         self.busy_ticks.fill(0);
-        self.apply_faulted_flow()?;
 
         let _span = vfc_obs::span("engine.thermal");
         self.fill_power();
         let chip = Watts::new(self.power.iter().sum());
-        self.family.model_mut(self.active).step(
+        self.model.step(
             &mut self.temps,
             &self.power,
             self.cfg.sampling_interval,
             self.cfg.thermal_substeps,
         )?;
-        self.block_temps
-            .extract_into(self.family.model(self.active), &self.temps);
+        self.block_temps.extract_into(&self.model, &self.temps);
         self.block_temps
             .core_max_temperatures_into(&self.stack, &mut self.core_temps);
         Ok((chip, self.block_temps.max_spatial_gradient()))
@@ -457,34 +453,31 @@ impl Simulation {
         Seconds::new(self.cfg.scheduler_tick.value() * self.ticks as f64)
     }
 
-    /// Advances the fault replay to the current time and re-derates the
-    /// active thermal member's flow: pump faults scale the commanded
-    /// flow, clogs derate individual cavities
-    /// ([`ThermalModel::set_flow_derated`]). No-op without a replay, for
-    /// air cooling and for timelines without flow faults; when every
-    /// derating has recovered to 1.0 the patch restores the healthy
-    /// network exactly.
-    fn apply_faulted_flow(&mut self) -> Result<(), SimError> {
+    /// Advances the fault replay to the current time and patches the
+    /// thermal network to the flow it sees: the active setting's
+    /// per-cavity flow, scaled by pump faults and derated per cavity by
+    /// clogs when the timeline has flow faults
+    /// ([`ThermalModel::set_flow_derated`]). An unchanged flow costs
+    /// nothing; a pump switch costs one value patch and one
+    /// backward-Euler refactorization on the next step. Air cooling never
+    /// patches.
+    fn patch_flow(&mut self) -> Result<(), SimError> {
         let t_s = self.clock().value();
-        let Some(replay) = self.replay.as_mut() else {
-            return Ok(());
-        };
-        replay.advance(t_s);
-        let Some(setting) = pump_setting(&self.cfg, self.active) else {
-            return Ok(());
-        };
-        if !replay.has_flow_faults() {
-            return Ok(());
+        if let Some(replay) = self.replay.as_mut() {
+            replay.advance(t_s);
         }
-        let commanded = self
-            .cfg
-            .pump
-            .per_cavity_flow(setting, self.stack.cavity_count());
-        let derated = commanded * replay.pump_derate(t_s);
-        replay.cavity_derates(t_s, &mut self.cavity_derates);
-        self.family
-            .model_mut(self.active)
-            .set_flow_derated(derated, &self.cavity_derates)?;
+        let Some(mut flow) = flow_at(&self.cfg, self.active, self.stack.cavity_count()) else {
+            return Ok(());
+        };
+        let derates: &[f64] = match self.replay.as_ref() {
+            Some(replay) if replay.has_flow_faults() => {
+                flow = flow * replay.pump_derate(t_s);
+                replay.cavity_derates(t_s, &mut self.cavity_derates);
+                &self.cavity_derates
+            }
+            _ => &[],
+        };
+        self.model.set_flow_derated(flow, derates)?;
         Ok(())
     }
 
@@ -494,7 +487,7 @@ impl Simulation {
     /// reused across samples without reallocating.
     fn fill_power(&mut self) {
         let cfg = &self.cfg;
-        let model = self.family.model(self.active);
+        let model = &self.model;
         let memory_intensity = self.phase.memory_intensity();
         self.power.fill(0.0);
         for &(t, b, ref role) in &self.blocks {
@@ -573,9 +566,9 @@ impl Simulation {
     }
 }
 
-/// The pump setting the run commands while family member `active`
-/// cools the stack: the fixed or maximum setting, the controller's
-/// setting for variable flow, and none for air.
+/// The pump setting the run commands: the fixed or maximum setting,
+/// the controller's setting `active` for variable flow, and none for
+/// air.
 fn pump_setting(cfg: &SimConfig, active: usize) -> Option<FlowSetting> {
     match cfg.cooling {
         CoolingKind::Air => None,
@@ -583,6 +576,12 @@ fn pump_setting(cfg: &SimConfig, active: usize) -> Option<FlowSetting> {
         CoolingKind::LiquidMax => Some(cfg.pump.max_setting()),
         CoolingKind::LiquidVariable => Some(FlowSetting::from_index(active)),
     }
+}
+
+/// The healthy per-cavity coolant flow at [`pump_setting`]`(cfg, active)`
+/// (none for air).
+fn flow_at(cfg: &SimConfig, active: usize, cavities: usize) -> Option<VolumetricFlow> {
+    pump_setting(cfg, active).map(|s| cfg.pump.per_cavity_flow(s, cavities))
 }
 
 /// Power map used during characterization: uniform demand on every unit,

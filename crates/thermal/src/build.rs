@@ -7,7 +7,9 @@ use vfc_floorplan::{BlockKind, GridSpec, Interface, Stack3d};
 use vfc_num::CsrBuilder;
 use vfc_units::VolumetricFlow;
 
-use crate::family::{CavityFaces, CoefKind, FlowStamp, LinkPlan};
+#[cfg(test)]
+use crate::family::LinkPlan;
+use crate::family::{CavityFaces, CoefKind, FlowStamp};
 use crate::material::{BEOL, BOND, COPPER, SILICON};
 use crate::{NodeLayout, StackSkeleton, ThermalConfig, ThermalError, ThermalModel};
 
@@ -17,8 +19,9 @@ use crate::{NodeLayout, StackSkeleton, ThermalConfig, ThermalError, ThermalModel
 /// immutable, flow-independent [`StackSkeleton`] (sparsity pattern,
 /// conduction entries, layout, patch recipes) once per grid, and each
 /// flow rate is then a cheap value patch on shared structure. Callers that
-/// need several pump settings should build one
-/// [`ThermalModelFamily`](crate::ThermalModelFamily) instead of repeated
+/// need several pump settings should assemble the skeleton once and
+/// re-patch one model with [`ThermalModel::set_flow`] (or instantiate
+/// models with [`StackSkeleton::model`]) instead of repeated
 /// [`build`](Self::build) calls, which re-assemble the skeleton each time.
 #[derive(Debug, Clone)]
 pub struct StackThermalBuilder<'a> {
@@ -34,6 +37,7 @@ struct Assembly {
     /// Flow-independent boundary injection.
     b0: Vec<f64>,
     /// Boundary-link reconstruction plan, in assembly order.
+    #[cfg(test)]
     links_plan: Vec<LinkPlan>,
     /// Flow-dependent contributions as `(row, col, cavity, kind, sign)`;
     /// resolved to CSR value indices after the pattern is built.
@@ -50,6 +54,7 @@ impl Assembly {
             triplets: CsrBuilder::new(n),
             cap: vec![0.0; n],
             b0: vec![0.0; n],
+            #[cfg(test)]
             links_plan: Vec::new(),
             flow_entries: Vec::new(),
             inlet_rhs: Vec::new(),
@@ -70,19 +75,18 @@ impl Assembly {
     }
 
     /// Conductance from node `i` to a fixed boundary temperature.
-    fn stamp_boundary(&mut self, i: usize, g: f64, t_boundary: f64, record: bool) {
+    fn stamp_boundary(&mut self, i: usize, g: f64, t_boundary: f64) {
         if g == 0.0 {
             return;
         }
         self.triplets.add(i, i, g);
         self.b0[i] += g * t_boundary;
-        if record {
-            self.links_plan.push(LinkPlan::Static {
-                node: i,
-                g,
-                temp: t_boundary,
-            });
-        }
+        #[cfg(test)]
+        self.links_plan.push(LinkPlan::Static {
+            node: i,
+            g,
+            temp: t_boundary,
+        });
     }
 
     /// Flow-dependent symmetric coupling between a fluid node and a tier
@@ -128,9 +132,8 @@ impl<'a> StackThermalBuilder<'a> {
     /// liquid-cooled stacks and must be `None` for air-cooled ones.
     ///
     /// Each call assembles a fresh skeleton; to amortize assembly over
-    /// several flow settings use
-    /// [`ThermalModelFamily`](crate::ThermalModelFamily) or
-    /// [`ThermalModel::set_flow`].
+    /// several flow settings use [`skeleton`](Self::skeleton) with
+    /// [`StackSkeleton::model`], or [`ThermalModel::set_flow`].
     ///
     /// # Errors
     ///
@@ -203,6 +206,7 @@ impl<'a> StackThermalBuilder<'a> {
             schedules,
             cap: asm.cap,
             b0_base: asm.b0,
+            #[cfg(test)]
             links_plan: asm.links_plan,
             flow_stamps,
             inlet_rhs: asm.inlet_rhs,
@@ -437,6 +441,7 @@ impl<'a> StackThermalBuilder<'a> {
                 // carried out (for energy-balance validation).
                 let upstream = (c > 0).then(|| layout.fluid_node(cavity, r, c - 1));
                 asm.stamp_flow_advection(f, upstream, cavity_u16);
+                #[cfg(test)]
                 if c == cols - 1 {
                     asm.links_plan.push(LinkPlan::Outlet { node: f, cavity });
                 }
@@ -527,7 +532,6 @@ impl<'a> StackThermalBuilder<'a> {
             sink,
             pkg.sink_resistance.to_conductance().value(),
             pkg.ambient.value(),
-            true,
         );
     }
 }
@@ -879,7 +883,7 @@ mod tests {
                 "matrix entries must match exactly"
             );
             prop_assert_eq!(patched.boundary_injection(), direct.boundary_injection());
-            prop_assert_eq!(&patched.boundary_links, &direct.boundary_links);
+            prop_assert_eq!(patched.boundary_links(), direct.boundary_links());
         }
     }
 }

@@ -1,5 +1,4 @@
-//! Structure-sharing model families: one CSR skeleton per grid, patched
-//! per pump setting.
+//! One CSR skeleton per grid, patched per pump setting.
 //!
 //! The conduction topology of a stack is fixed by its geometry; only the
 //! cavity convection conductances, the coolant advection terms and the
@@ -10,11 +9,12 @@
 //! per-flow complement: three scalars per cavity plus index lists that
 //! overwrite only the flow-dependent entries of a structure-shared matrix.
 //!
-//! [`ThermalModelFamily`] bundles one skeleton with the per-pump-setting
-//! [`ThermalModel`](crate::ThermalModel) views; all members share the
+//! Every [`ThermalModel`](crate::ThermalModel) of a grid shares the
 //! skeleton through an [`Arc`] (and thereby one copy of the CSR index
-//! arrays), so a five-setting family at a fine grid costs five value
-//! arrays, not five matrices.
+//! arrays). A simulation holds one model and re-patches it on every
+//! pump switch; [`ThermalModelFamily`] holds one model per setting side
+//! by side, each with its own solver state, and the engine no longer
+//! uses it.
 
 use std::sync::Arc;
 
@@ -56,7 +56,9 @@ pub(crate) struct CavityFaces {
     pub below_r_area: Option<f64>,
 }
 
-/// Ordered plan for reconstructing the boundary-link list at any flow.
+/// Ordered plan for reconstructing the boundary-link list at any flow
+/// (the energy-balance tests read it; solves never do).
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum LinkPlan {
     /// Flow-independent link (air-package sink convection).
@@ -82,8 +84,9 @@ pub(crate) enum LinkPlan {
 /// conduction entries, capacitances, layout and patch recipes.
 ///
 /// Built once per `(stack, grid, config)` by
-/// [`StackThermalBuilder::skeleton`]; all pump-setting models derived from
-/// it share this object behind an [`Arc`] — see [`ThermalModelFamily`].
+/// [`StackThermalBuilder::skeleton`]; every model instantiated from it
+/// with [`model`](Self::model) shares this object behind an [`Arc`],
+/// whatever flow it is patched to.
 #[derive(Debug)]
 pub struct StackSkeleton {
     /// Full-pattern matrix holding only the flow-independent values
@@ -104,6 +107,7 @@ pub struct StackSkeleton {
     /// Flow-independent boundary injection `Σ G_b·T_b`.
     pub(crate) b0_base: Vec<f64>,
     /// Boundary-link reconstruction plan, in assembly order.
+    #[cfg(test)]
     pub(crate) links_plan: Vec<LinkPlan>,
     /// Flow-dependent matrix contributions.
     pub(crate) flow_stamps: Vec<FlowStamp>,
@@ -111,7 +115,7 @@ pub struct StackSkeleton {
     pub(crate) inlet_rhs: Vec<(u32, u16)>,
     /// Per-cavity convective face geometry.
     pub(crate) cavity_faces: Vec<CavityFaces>,
-    /// Node layout (shared by every model of the family).
+    /// Node layout (shared by every model of the grid).
     pub(crate) layout: NodeLayout,
     /// Builder configuration (convection model, coolant, solver knobs).
     pub(crate) config: ThermalConfig,
@@ -124,7 +128,7 @@ pub struct StackSkeleton {
 }
 
 impl StackSkeleton {
-    /// Whether models of this family require a coolant flow rate.
+    /// Whether models of this skeleton require a coolant flow rate.
     #[cfg(test)]
     pub(crate) fn is_liquid_cooled(&self) -> bool {
         self.liquid
@@ -157,7 +161,7 @@ impl StackSkeleton {
     }
 
     /// The pattern-derived kernel schedules (level sets, stencil
-    /// decomposition, multigrid hierarchy) every model of this family — and every
+    /// decomposition, multigrid hierarchy) every model of this skeleton — and every
     /// backward-Euler operator derived from one — builds its
     /// preconditioner and operator views with.
     pub fn schedules(&self) -> &Arc<KernelSchedules> {
@@ -172,11 +176,11 @@ impl StackSkeleton {
         self.schedules.stencil()
     }
 
-    /// Instantiates a model of this family at the given flow.
+    /// Instantiates a model on this skeleton at the given flow.
     ///
     /// The returned model shares this skeleton (and the CSR index arrays)
-    /// with every sibling; only the value array, rhs and boundary links
-    /// are owned per model.
+    /// with every other model of the grid; only the value array, rhs and
+    /// solver state are owned per model.
     ///
     /// # Errors
     ///
@@ -194,15 +198,9 @@ impl StackSkeleton {
     }
 
     /// Writes the flow-dependent values of `patch` over the base entries:
-    /// `g` values, rhs and boundary links all come out exactly as a
-    /// from-scratch build at the patch's flow rate.
-    pub(crate) fn apply_patch(
-        &self,
-        patch: &FlowPatch,
-        g: &mut CsrMatrix,
-        b0: &mut [f64],
-        links: &mut Vec<(usize, f64, f64)>,
-    ) {
+    /// the `g` values and the rhs come out exactly as a from-scratch
+    /// build at the patch's flow rate, whatever flow they held before.
+    pub(crate) fn apply_patch(&self, patch: &FlowPatch, g: &mut CsrMatrix, b0: &mut [f64]) {
         debug_assert!(g.shares_structure(&self.g_base), "foreign matrix");
         // Re-point at the shared flow-independent base, then
         // copy-on-write exactly once while stamping the flow slots (an
@@ -218,13 +216,24 @@ impl StackSkeleton {
         for &(node, cavity) in &self.inlet_rhs {
             b0[node as usize] += patch.coefs[cavity as usize].adv * inlet;
         }
-        links.clear();
-        for plan in &self.links_plan {
-            links.push(match *plan {
-                LinkPlan::Static { node, g, temp } => (node, g, temp),
-                LinkPlan::Outlet { node, cavity } => (node, patch.coefs[cavity].adv, inlet),
-            });
-        }
+    }
+
+    /// The `(node, conductance, boundary temperature)` links through
+    /// which heat leaves the network, in assembly order: the static
+    /// ones, plus each channel outlet at `patch`'s flow (none without a
+    /// patch, i.e. air cooling).
+    #[cfg(test)]
+    pub(crate) fn boundary_links(&self, patch: Option<&FlowPatch>) -> Vec<(usize, f64, f64)> {
+        let inlet = self.config.liquid.inlet.value();
+        self.links_plan
+            .iter()
+            .filter_map(|plan| match *plan {
+                LinkPlan::Static { node, g, temp } => Some((node, g, temp)),
+                LinkPlan::Outlet { node, cavity } => {
+                    patch.map(|p| (node, p.coefs[cavity].adv, inlet))
+                }
+            })
+            .collect()
     }
 }
 
@@ -298,6 +307,11 @@ impl FlowPatch {
 
 /// One skeleton, many pump settings: the per-setting
 /// [`ThermalModel`] views of a single grid, sharing CSR structure.
+///
+/// Each member keeps its own operators, preconditioners and Krylov
+/// workspace once it has solved, so a family costs up to one warm model
+/// per setting. A simulation re-patches one model instead
+/// ([`ThermalModel::set_flow_derated`]).
 #[derive(Debug)]
 pub struct ThermalModelFamily {
     skeleton: Arc<StackSkeleton>,
@@ -312,7 +326,7 @@ impl ThermalModelFamily {
     ///
     /// [`ThermalError::MissingFlowRate`] /
     /// [`ThermalError::UnexpectedFlowRate`] on a flow/stack mismatch.
-    pub fn build(
+    pub(crate) fn build(
         builder: &StackThermalBuilder<'_>,
         flows: &[Option<VolumetricFlow>],
     ) -> Result<Self, ThermalError> {
@@ -328,7 +342,7 @@ impl ThermalModelFamily {
     ///
     /// # Errors
     ///
-    /// As [`build`](Self::build).
+    /// [`ThermalError::UnexpectedFlowRate`] on an air-cooled stack.
     pub fn for_flows(
         builder: &StackThermalBuilder<'_>,
         flows: &[VolumetricFlow],

@@ -26,8 +26,10 @@
 //! Because the conduction topology is fixed by the stack geometry and
 //! only cavity conductances/advection vary with flow, assembly is split
 //! into an immutable per-grid [`StackSkeleton`] and a cheap per-flow
-//! [`FlowPatch`]; a [`ThermalModelFamily`] holds one model per pump
-//! setting, all sharing the skeleton's CSR index arrays.
+//! [`FlowPatch`]. A simulation holds one model and re-patches it in
+//! place with [`ThermalModel::set_flow_derated`] on every pump switch
+//! or flow fault; every model of a grid shares the skeleton's CSR
+//! index arrays.
 //!
 //! # Example
 //!
@@ -44,9 +46,8 @@
 //! let builder = StackThermalBuilder::new(&stack, grid, ThermalConfig::default());
 //! let flow = vfc_units::VolumetricFlow::from_ml_per_minute(500.0);
 //! let mut model = builder.build(Some(flow)).unwrap();
-//! // Several pump settings? Build a family instead: one shared skeleton,
-//! // one cheap flow patch per setting.
-//! // let family = ThermalModelFamily::for_flows(&builder, &flows)?;
+//! // Another pump setting is a cheap value patch on the same model.
+//! model.set_flow(vfc_units::VolumetricFlow::from_ml_per_minute(1000.0)).unwrap();
 //!
 //! // 3 W on every core, nothing elsewhere.
 //! let power = model.uniform_block_power(&stack, |b| {

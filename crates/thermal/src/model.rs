@@ -167,16 +167,17 @@ struct BeCache {
 
 /// An assembled thermal RC network for one stack at one coolant flow rate.
 ///
-/// Produced by [`StackThermalBuilder`](crate::StackThermalBuilder) (or as
-/// a member of a [`ThermalModelFamily`](crate::ThermalModelFamily)). Every
-/// model holds an [`Arc`] to its grid's immutable [`StackSkeleton`]; the
-/// conductance matrix shares the skeleton's CSR index arrays and owns only
-/// the patched value array. [`set_flow`](Self::set_flow) re-patches the
-/// flow-dependent entries in place — no reassembly.
+/// Produced by [`StackThermalBuilder`](crate::StackThermalBuilder) or
+/// [`StackSkeleton::model`]. Every model holds an [`Arc`] to its grid's
+/// immutable [`StackSkeleton`]; the conductance matrix shares the
+/// skeleton's CSR index arrays and owns only the patched value array.
+/// [`set_flow`](Self::set_flow) re-patches the flow-dependent entries in
+/// place — no reassembly — so one model serves every pump setting.
 ///
 /// Solver state (preconditioner factorizations, Krylov scratch space, the
 /// backward-Euler operator) is cached inside the model and reused across
-/// solves; it is invalidated only when the flow changes.
+/// solves; it is invalidated only when the flow changes. A
+/// recovery-ladder escalation outlives flow changes.
 #[derive(Debug)]
 pub struct ThermalModel {
     pub(crate) skeleton: Arc<StackSkeleton>,
@@ -184,8 +185,6 @@ pub struct ThermalModel {
     pub(crate) g: CsrMatrix,
     /// Boundary injection `Σ G_b·T_b` per node at the current flow.
     pub(crate) b0: Vec<f64>,
-    /// `(node, conductance, boundary temperature)` links for validation.
-    pub(crate) boundary_links: Vec<(usize, f64, f64)>,
     /// Current flow (`None` for air-cooled).
     flow: Option<VolumetricFlow>,
     /// Per-cavity flow derating currently patched in (empty = healthy,
@@ -211,8 +210,9 @@ pub struct ThermalModel {
     /// Krylov iterations spent by the most recent [`step`](Self::step).
     last_step_iterations: usize,
     /// Recovery-ladder override: once a solve fails and escalates, the
-    /// stronger preconditioner sticks for the model's remaining solves
-    /// (healthy systems never set this, so they are unaffected).
+    /// stronger preconditioner sticks for the model's remaining solves,
+    /// across flow patches too (healthy systems never set this, so they
+    /// are unaffected).
     escalated_precond: Option<PreconditionerKind>,
     /// Pre-attempt state snapshot for transient retry rollback.
     snapshot_buf: Vec<f64>,
@@ -241,7 +241,6 @@ impl Clone for ThermalModel {
             skeleton: Arc::clone(&self.skeleton),
             g: self.g.clone(),
             b0: self.b0.clone(),
-            boundary_links: self.boundary_links.clone(),
             flow: self.flow,
             flow_derates: self.flow_derates.clone(),
             solver: self.solver,
@@ -272,30 +271,17 @@ impl ThermalModel {
         skeleton: Arc<StackSkeleton>,
         flow: Option<VolumetricFlow>,
     ) -> Self {
-        let n = skeleton.layout.node_count;
         let mut g = skeleton.g_base.clone();
-        let mut b0 = vec![0.0; n];
-        let mut boundary_links = Vec::with_capacity(skeleton.links_plan.len());
-        match flow {
-            Some(f) => {
-                let patch = FlowPatch::compute(&skeleton, f, &[]);
-                skeleton.apply_patch(&patch, &mut g, &mut b0, &mut boundary_links);
-            }
-            None => {
-                b0.copy_from_slice(&skeleton.b0_base);
-                for plan in &skeleton.links_plan {
-                    if let crate::family::LinkPlan::Static { node, g, temp } = *plan {
-                        boundary_links.push((node, g, temp));
-                    }
-                }
-            }
+        let mut b0 = skeleton.b0_base.clone();
+        if let Some(f) = flow {
+            let patch = FlowPatch::compute(&skeleton, f, &[]);
+            skeleton.apply_patch(&patch, &mut g, &mut b0);
         }
         let solver = skeleton.config.solver.bicgstab();
         Self {
             skeleton,
             g,
             b0,
-            boundary_links,
             flow,
             flow_derates: Vec::new(),
             solver,
@@ -318,7 +304,7 @@ impl ThermalModel {
         }
     }
 
-    /// The grid skeleton this model shares with its family.
+    /// The grid skeleton this model shares with every model of its grid.
     pub fn skeleton(&self) -> &Arc<StackSkeleton> {
         &self.skeleton
     }
@@ -354,10 +340,11 @@ impl ThermalModel {
     }
 
     /// Re-patches the model to a new flow rate in place: only the cavity
-    /// convection/advection values, the inlet injection and the outlet
-    /// links are rewritten; the CSR structure, conduction entries and node
-    /// layout are untouched. Solver caches are invalidated (this is the
-    /// only operation that invalidates them).
+    /// convection/advection values and the inlet injection are
+    /// rewritten; the CSR structure, conduction entries and node layout
+    /// are untouched. Solver caches are invalidated (this is the only
+    /// operation that invalidates them); a recovery-ladder escalation
+    /// is kept.
     ///
     /// # Errors
     ///
@@ -402,7 +389,7 @@ impl ThermalModel {
         vfc_obs::counter_add("thermal.flow_patches", 1);
         let patch = FlowPatch::compute(&self.skeleton, flow, derates);
         let skeleton = Arc::clone(&self.skeleton);
-        skeleton.apply_patch(&patch, &mut self.g, &mut self.b0, &mut self.boundary_links);
+        skeleton.apply_patch(&patch, &mut self.g, &mut self.b0);
         self.flow = Some(flow);
         self.flow_derates = if healthy {
             Vec::new()
@@ -767,7 +754,7 @@ impl ThermalModel {
     /// multigrid once the recovery ladder has escalated to it.
     /// Escalation is sticky — once a solve on this model failed and
     /// multigrid rescued it, later solves keep multigrid rather than
-    /// re-failing every step.
+    /// re-failing every step, at every flow the model is patched to.
     pub(crate) fn effective_preconditioner(&self) -> PreconditionerKind {
         self.escalated_precond
             .unwrap_or_else(|| self.configured_preconditioner())
@@ -806,10 +793,20 @@ impl ThermalModel {
     #[cfg(test)]
     pub(crate) fn boundary_outflow(&self, temps: &[f64]) -> Watts {
         let mut q = 0.0;
-        for &(node, g, tb) in &self.boundary_links {
+        for (node, g, tb) in self.boundary_links() {
             q += g * (temps[node] - tb);
         }
         Watts::new(q)
+    }
+
+    /// The boundary links at the model's flow and derates, derived from
+    /// the skeleton's link plan.
+    #[cfg(test)]
+    pub(crate) fn boundary_links(&self) -> Vec<(usize, f64, f64)> {
+        let patch = self
+            .flow
+            .map(|f| FlowPatch::compute(&self.skeleton, f, &self.flow_derates));
+        self.skeleton.boundary_links(patch.as_ref())
     }
 
     /// Builds (or reuses) the backward-Euler operator `C/h + G` for the
@@ -1137,6 +1134,63 @@ mod tests {
         assert!(max_dev < 1e-5, "default and ILU(0) disagree by {max_dev} K");
     }
 
+    #[test]
+    fn a_model_patched_away_and_back_steps_like_a_fresh_build() {
+        // A simulation keeps one model and re-patches it on every pump
+        // switch and flow fault. Patched A → B → A, or A → derated A →
+        // A, after a steady solve and a step have built both its solver
+        // caches, the model must land the bits of a fresh model patched
+        // the same way before its first solve: every stale
+        // factorization is rebuilt from the new values.
+        let flow = VolumetricFlow::from_ml_per_minute;
+        let dt = Seconds::from_millis(100.0);
+        let away: [&dyn Fn(&mut ThermalModel); 2] = [&|m| m.set_flow(flow(900.0)).unwrap(), &|m| {
+            m.set_flow_derated(flow(400.0), &[0.5, 1.0, 1.0]).unwrap()
+        }];
+        let back: &dyn Fn(&mut ThermalModel) = &|m| m.set_flow(flow(400.0)).unwrap();
+        for cell_mm in [1.0, 0.25] {
+            for (d, detour) in away.into_iter().enumerate() {
+                let mut patched = liquid_model(cell_mm, 400.0);
+                let p_cold = core_power(&patched, 1.0);
+                let p_hot = core_power(&patched, 3.5);
+                let mut temps = patched.steady_state(&p_cold, None).unwrap();
+                patched.step(&mut temps, &p_hot, dt, 5).unwrap();
+                for (stage, patch) in [("away", detour), ("back", back)] {
+                    let what = format!("{cell_mm} mm, detour {d}, {stage}");
+                    patch(&mut patched);
+                    let mut fresh = patched.skeleton().model(Some(flow(400.0))).unwrap();
+                    patch(&mut fresh);
+                    let mut t_fresh = temps.clone();
+                    for _ in 0..2 {
+                        patched.step(&mut temps, &p_hot, dt, 5).unwrap();
+                        fresh.step(&mut t_fresh, &p_hot, dt, 5).unwrap();
+                        assert_eq!(
+                            patched.last_step_iterations(),
+                            fresh.last_step_iterations(),
+                            "{what}: iterations"
+                        );
+                        assert!(
+                            temps
+                                .iter()
+                                .zip(&t_fresh)
+                                .all(|(x, y)| x.to_bits() == y.to_bits()),
+                            "{what}: step diverged from a fresh model"
+                        );
+                    }
+                    let s_patched = patched.steady_state(&p_cold, None).unwrap();
+                    let s_fresh = fresh.steady_state(&p_cold, None).unwrap();
+                    assert!(
+                        s_patched
+                            .iter()
+                            .zip(&s_fresh)
+                            .all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "{what}: steady state diverged from a fresh model"
+                    );
+                }
+            }
+        }
+    }
+
     /// Builds the same model twice: one solving on the stencil operator
     /// (the grid decomposes), one held to the CSR reference.
     fn operator_pair(cell_mm: f64, flow_ml: f64) -> (ThermalModel, ThermalModel) {
@@ -1386,6 +1440,28 @@ mod recovery_tests {
             .step(&mut temps, &p_hot, Seconds::from_millis(100.0), 5)
             .unwrap();
         assert_eq!(model.last_recovery_retries(), 0);
+    }
+
+    #[test]
+    fn escalation_survives_a_flow_patch() {
+        // A simulation keeps one model across every pump setting, so an
+        // escalation sticks for the rest of the cell: a flow patch drops
+        // the factorizations but not the escalated kind.
+        let mut model = crippled_model(1.0, PreconditionerKind::Ilu0, 4);
+        let p = hot_power(&model, 3.0);
+        let steady = model
+            .steady_state(&p, None)
+            .expect("ladder must rescue the crippled config");
+        assert_eq!(model.last_recovery_escalations(), 1);
+        model
+            .set_flow(VolumetricFlow::from_ml_per_minute(800.0))
+            .unwrap();
+        assert_eq!(
+            model.effective_preconditioner(),
+            PreconditionerKind::Multigrid
+        );
+        model.steady_state(&p, Some(&steady)).unwrap();
+        assert_eq!(model.last_recovery_retries(), 0, "no re-climb");
     }
 
     #[test]

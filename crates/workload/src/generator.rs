@@ -72,20 +72,21 @@ impl WorkloadGenerator {
         self.next_arrival_in = Self::sample_exponential(&mut self.rng, self.rate);
     }
 
-    /// Advances time by `dt` and returns the threads that arrived.
-    pub fn poll(&mut self, dt: Seconds) -> Vec<ThreadSpec> {
-        let mut out = Vec::new();
+    /// Advances time by `dt` and fills `arrivals` (cleared first) with
+    /// the threads that arrived, so a caller polling every tick reuses
+    /// one buffer.
+    pub fn poll(&mut self, dt: Seconds, arrivals: &mut Vec<ThreadSpec>) {
+        arrivals.clear();
         if self.rate <= 0.0 {
-            return out;
+            return;
         }
         let mut budget = dt.value();
         while budget >= self.next_arrival_in {
             budget -= self.next_arrival_in;
-            out.push(self.spawn_thread());
+            arrivals.push(self.spawn_thread());
             self.next_arrival_in = Self::sample_exponential(&mut self.rng, self.rate);
         }
         self.next_arrival_in -= budget;
-        out
     }
 
     fn spawn_thread(&mut self) -> ThreadSpec {
@@ -119,8 +120,10 @@ mod tests {
         let dt = Seconds::from_millis(1.0);
         let steps = (secs * 1000.0) as usize;
         let mut total_work = 0.0;
+        let mut arrivals = Vec::new();
         for _ in 0..steps {
-            for t in generator.poll(dt) {
+            generator.poll(dt, &mut arrivals);
+            for t in &arrivals {
                 total_work += t.total().value();
             }
         }
@@ -150,16 +153,19 @@ mod tests {
         let mut a = WorkloadGenerator::new(bench, 8, 99);
         let mut b = WorkloadGenerator::new(bench, 8, 99);
         let dt = Seconds::from_millis(10.0);
+        let (mut ta, mut tb) = (Vec::new(), Vec::new());
         for _ in 0..200 {
-            let ta = a.poll(dt);
-            let tb = b.poll(dt);
+            a.poll(dt, &mut ta);
+            b.poll(dt, &mut tb);
             assert_eq!(ta, tb);
         }
         let mut c = WorkloadGenerator::new(bench, 8, 100);
         let mut saw_difference = false;
         let mut a2 = WorkloadGenerator::new(bench, 8, 99);
         for _ in 0..200 {
-            if a2.poll(dt) != c.poll(dt) {
+            a2.poll(dt, &mut ta);
+            c.poll(dt, &mut tb);
+            if ta != tb {
                 saw_difference = true;
                 break;
             }
@@ -171,8 +177,10 @@ mod tests {
     fn durations_are_in_range() {
         let mut generator = WorkloadGenerator::new(Benchmark::table_ii()[1], 8, 3);
         let mut count = 0;
+        let mut arrivals = Vec::new();
         for _ in 0..20_000 {
-            for t in generator.poll(Seconds::from_millis(1.0)) {
+            generator.poll(Seconds::from_millis(1.0), &mut arrivals);
+            for t in &arrivals {
                 let ms = t.total().to_millis();
                 assert!((MIN_THREAD_MS..=MAX_THREAD_MS).contains(&ms), "{ms}");
                 count += 1;
@@ -187,14 +195,17 @@ mod tests {
         generator.set_benchmark(Benchmark::by_name("Web-high").unwrap());
         assert_eq!(generator.benchmark().name, "Web-high");
         // Higher-rate benchmark should produce clearly more arrivals.
+        let mut arrivals = Vec::new();
         let mut high = 0;
         for _ in 0..5000 {
-            high += generator.poll(Seconds::from_millis(1.0)).len();
+            generator.poll(Seconds::from_millis(1.0), &mut arrivals);
+            high += arrivals.len();
         }
         let mut low_gen = WorkloadGenerator::new(Benchmark::by_name("gzip").unwrap(), 8, 5);
         let mut low = 0;
         for _ in 0..5000 {
-            low += low_gen.poll(Seconds::from_millis(1.0)).len();
+            low_gen.poll(Seconds::from_millis(1.0), &mut arrivals);
+            low += arrivals.len();
         }
         assert!(high > low * 3, "high {high} vs low {low}");
     }

@@ -16,9 +16,11 @@
 //!
 //! let bench = Benchmark::table_ii()[1]; // Web-high, 92.87% utilization
 //! let mut gen = WorkloadGenerator::new(bench, 8, 42);
+//! let mut threads = Vec::new();
 //! let mut arrived = 0;
 //! for _ in 0..1000 {
-//!     arrived += gen.poll(Seconds::from_millis(1.0)).len();
+//!     gen.poll(Seconds::from_millis(1.0), &mut threads);
+//!     arrived += threads.len();
 //! }
 //! assert!(arrived > 0);
 //! ```

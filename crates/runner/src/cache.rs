@@ -4,7 +4,11 @@
 //!
 //! * an **in-memory** map, always on — repeated cells inside one sweep
 //!   (or across sweeps sharing a [`SweepRunner`](crate::SweepRunner))
-//!   simulate once;
+//!   simulate once. It is also the table concurrent callers meet in:
+//!   a key holds a stored report or a running cell, and the runner
+//!   finds or claims a key under one lock acquisition, so a cell that
+//!   one caller simulates is never simulated by another at the same
+//!   time, nor again once its report is stored;
 //! * an optional **on-disk** store (default `target/vfc-cache/`): one
 //!   JSON file per key, so separate processes — e.g. consecutive
 //!   `all_figures` runs — skip already-simulated cells.
@@ -26,7 +30,7 @@
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use vfc_sim::SimReport;
 
@@ -85,8 +89,50 @@ pub fn default_cache_dir() -> PathBuf {
 /// the executor's workers share one instance.
 #[derive(Debug)]
 pub struct ResultCache {
-    memory: Mutex<HashMap<u64, SimReport>>,
+    memory: Mutex<HashMap<u64, Entry>>,
     disk: Option<DiskStore>,
+}
+
+/// A memory-tier entry: a stored report, or a key whose lead is still
+/// reading the disk or simulating.
+// Unboxed: a box would cost an allocation per stored report.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+enum Entry {
+    Ready(SimReport),
+    Running(Arc<Slot>),
+}
+
+/// Where a lead publishes to its followers: `None` while it runs, then
+/// `Some(Some(report))`, or `Some(None)` after a failure.
+#[derive(Debug, Default)]
+pub(crate) struct Slot {
+    outcome: Mutex<Option<Option<SimReport>>>,
+    done: Condvar,
+}
+
+/// What [`ResultCache::claim`] found.
+// A hit carries its report by value, as `get` returns it.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Claim<'c> {
+    /// The stored report, from either tier.
+    Hit(SimReport),
+    /// The key is in neither tier and this caller now holds it: it
+    /// simulates, stores the report with [`ResultCache::insert`] and
+    /// drops the lead.
+    Lead(Lead<'c>),
+    /// Another caller holds the key: [`Slot::wait`] for its outcome.
+    Follow(Arc<Slot>),
+}
+
+/// A caller's hold on a key that is in neither tier. Dropping it wakes
+/// the followers with the report the lead stored or, when it stored
+/// none (a failed or panicking simulation), with a failure that frees
+/// the key for the next claim.
+pub(crate) struct Lead<'c> {
+    cache: &'c ResultCache,
+    key: u64,
+    slot: Arc<Slot>,
 }
 
 impl Default for ResultCache {
@@ -114,9 +160,11 @@ impl ResultCache {
     }
 
     /// The memory tier, locked. No holder panics while it holds the
-    /// lock: it only reads, clones or inserts.
-    fn memory(&self) -> MutexGuard<'_, HashMap<u64, SimReport>> {
-        self.memory.lock().expect("cache poisoned")
+    /// lock and each leaves the map whole (it only reads, clones,
+    /// inserts or removes), so a poisoned lock is taken as it stands;
+    /// that keeps [`Lead`]'s `Drop` from panicking.
+    fn memory(&self) -> MutexGuard<'_, HashMap<u64, Entry>> {
+        self.memory.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether a disk tier is attached.
@@ -124,26 +172,66 @@ impl ResultCache {
         self.disk.is_some()
     }
 
-    /// Looks `key` up: memory first, then disk (promoting a disk hit
-    /// into memory). Disk corruption is a miss, not an error.
+    /// Looks `key` up: a stored report in memory, else the disk tier
+    /// (promoting a disk hit into memory). Disk corruption is a miss,
+    /// not an error. Counts hits only: a miss is counted by the claim
+    /// that goes on to simulate the cell.
     pub fn get(&self, key: u64) -> Option<SimReport> {
-        let hit = self.memory().get(&key).cloned();
-        if let Some(hit) = hit {
+        let memory = self.memory();
+        if let Some(Entry::Ready(report)) = memory.get(&key) {
+            let report = report.clone();
+            drop(memory);
             vfc_obs::counter_add("runner.cache.hits", 1);
-            return Some(hit);
+            return Some(report);
         }
-        match self.disk.as_ref().and_then(|disk| disk.load(key)) {
-            Some(disk_hit) => {
+        drop(memory);
+        self.load(key)
+    }
+
+    /// Finds or claims `key` under one acquisition of the memory lock,
+    /// so no caller falls between "not stored" and "claimed". A new
+    /// lead reads the disk tier before it returns: a disk hit is
+    /// promoted into the entry and returned as a hit (the dropped lead
+    /// hands it to any follower), and a key in neither tier counts the
+    /// cell's one `runner.cache.misses`.
+    pub(crate) fn claim(&self, key: u64) -> Claim<'_> {
+        let mut memory = self.memory();
+        let lead = match memory.get(&key) {
+            Some(Entry::Ready(report)) => {
+                let report = report.clone();
+                drop(memory);
                 vfc_obs::counter_add("runner.cache.hits", 1);
-                vfc_obs::counter_add("runner.cache.disk_promotions", 1);
-                self.memory().insert(key, disk_hit.clone());
-                Some(disk_hit)
+                return Claim::Hit(report);
             }
+            Some(Entry::Running(slot)) => return Claim::Follow(Arc::clone(slot)),
+            None => {
+                let slot = Arc::<Slot>::default();
+                memory.insert(key, Entry::Running(Arc::clone(&slot)));
+                drop(memory);
+                Lead {
+                    cache: self,
+                    key,
+                    slot,
+                }
+            }
+        };
+        match self.load(key) {
+            Some(report) => Claim::Hit(report),
             None => {
                 vfc_obs::counter_add("runner.cache.misses", 1);
-                None
+                Claim::Lead(lead)
             }
         }
+    }
+
+    /// The disk tier's report for `key`, promoted into memory and
+    /// counted as a hit.
+    fn load(&self, key: u64) -> Option<SimReport> {
+        let report = self.disk.as_ref()?.load(key)?;
+        vfc_obs::counter_add("runner.cache.hits", 1);
+        vfc_obs::counter_add("runner.cache.disk_promotions", 1);
+        self.memory().insert(key, Entry::Ready(report.clone()));
+        Some(report)
     }
 
     /// Stores a freshly simulated report under `key`. Disk failures are
@@ -151,7 +239,7 @@ impl ResultCache {
     /// result, and a read-only filesystem must not fail a sweep.
     pub fn insert(&self, key: u64, report: &SimReport) -> Result<(), RunnerError> {
         vfc_obs::counter_add("runner.cache.stores", 1);
-        self.memory().insert(key, report.clone());
+        self.memory().insert(key, Entry::Ready(report.clone()));
         match &self.disk {
             Some(disk) => disk.store(key, report),
             None => Ok(()),
@@ -173,6 +261,45 @@ impl ResultCache {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.memory().len()
+    }
+}
+
+impl Drop for Lead<'_> {
+    fn drop(&mut self) {
+        let mut memory = self.cache.memory();
+        let outcome = match memory.get(&self.key) {
+            Some(Entry::Ready(report)) => Some(report.clone()),
+            _ => {
+                memory.remove(&self.key);
+                None
+            }
+        };
+        drop(memory);
+        // The entry is settled before any follower wakes: one whose
+        // lead failed claims again and must find the key free, not
+        // follow a dead slot.
+        *self
+            .slot
+            .outcome
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(outcome);
+        self.slot.done.notify_all();
+    }
+}
+
+impl Slot {
+    /// Blocks until the lead publishes: its report, or `None` if it
+    /// failed and the caller should claim the key again.
+    pub(crate) fn wait(&self) -> Option<SimReport> {
+        let outcome = self
+            .done
+            .wait_while(
+                self.outcome.lock().unwrap_or_else(PoisonError::into_inner),
+                |outcome| outcome.is_none(),
+            )
+            .unwrap_or_else(PoisonError::into_inner);
+        // Clone rather than take: every follower gets the outcome.
+        outcome.clone().flatten()
     }
 }
 
@@ -402,6 +529,117 @@ mod tests {
         assert_eq!(fresh.corrupt_evictions(), 1, "and a counted eviction");
         assert!(!entry.exists(), "the torn file is gone");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Stores `label`'s report as `key`'s lead would, then drops the
+    /// lead to publish it.
+    fn lead_publishes(cache: &ResultCache, lead: Lead<'_>, key: u64, label: &str) {
+        cache.insert(key, &report(label)).unwrap();
+        drop(lead);
+    }
+
+    #[test]
+    fn first_claim_leads_concurrent_claims_follow() {
+        let cache = ResultCache::in_memory();
+        let Claim::Lead(lead) = cache.claim(7) else {
+            panic!("first claim must lead");
+        };
+        let Claim::Follow(slot) = cache.claim(7) else {
+            panic!("second claim must follow");
+        };
+        // Distinct keys are independent.
+        assert!(matches!(cache.claim(8), Claim::Lead(_)));
+        lead_publishes(&cache, lead, 7, "led");
+        assert_eq!(slot.wait().unwrap().label, "led");
+    }
+
+    #[test]
+    fn a_lead_that_stores_nothing_frees_the_key() {
+        let cache = ResultCache::in_memory();
+        let Claim::Lead(lead) = cache.claim(1) else {
+            panic!("lead");
+        };
+        drop(lead);
+        assert_eq!(cache.len(), 0, "a failure never stays in the table");
+        assert!(
+            matches!(cache.claim(1), Claim::Lead(_)),
+            "a freed key is claimable again"
+        );
+    }
+
+    #[test]
+    fn a_dropped_lead_wakes_followers_empty_handed() {
+        let cache = ResultCache::in_memory();
+        let Claim::Lead(lead) = cache.claim(2) else {
+            panic!("lead");
+        };
+        let Claim::Follow(slot) = cache.claim(2) else {
+            panic!("follow");
+        };
+        drop(lead); // the simulation panicked
+        assert!(slot.wait().is_none(), "drop publishes a failure");
+        assert!(matches!(cache.claim(2), Claim::Lead(_)));
+    }
+
+    #[test]
+    fn followers_block_until_the_leader_publishes() {
+        let cache = ResultCache::in_memory();
+        let Claim::Lead(lead) = cache.claim(3) else {
+            panic!("lead");
+        };
+        std::thread::scope(|scope| {
+            let waiters: Vec<_> = (0..3)
+                .map(|_| {
+                    let Claim::Follow(slot) = cache.claim(3) else {
+                        panic!("follow");
+                    };
+                    scope.spawn(move || slot.wait())
+                })
+                .collect();
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            assert!(
+                waiters.iter().all(|w| !w.is_finished()),
+                "no follower returns before the lead publishes"
+            );
+            lead_publishes(&cache, lead, 3, "shared");
+            for w in waiters {
+                assert_eq!(w.join().unwrap().unwrap().label, "shared");
+            }
+        });
+    }
+
+    #[test]
+    fn once_a_report_is_published_every_claim_hits() {
+        // Four callers race one claim per round, and each claims again
+        // once it holds the report: that second claim must hit, never
+        // lead a second simulation of a published cell.
+        let cache = ResultCache::in_memory();
+        for key in 0..200u64 {
+            let start = std::sync::Barrier::new(4);
+            let leads = std::sync::atomic::AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| {
+                        start.wait();
+                        let label = match cache.claim(key) {
+                            Claim::Hit(hit) => hit.label,
+                            Claim::Follow(slot) => slot.wait().expect("the lead publishes").label,
+                            Claim::Lead(lead) => {
+                                leads.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                lead_publishes(&cache, lead, key, "once");
+                                "once".into()
+                            }
+                        };
+                        assert_eq!(label, "once");
+                        assert!(
+                            matches!(cache.claim(key), Claim::Hit(_)),
+                            "key {key}: a published report is a hit"
+                        );
+                    });
+                }
+            });
+            assert_eq!(leads.into_inner(), 1, "key {key}: exactly one lead");
+        }
     }
 
     #[test]

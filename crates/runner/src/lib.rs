@@ -16,7 +16,10 @@
 //! * [`ResultCache`] — content-addressed results keyed by
 //!   [`SimConfig::cache_key`], in memory and optionally on disk
 //!   (`target/vfc-cache/`), so re-running `all_figures` or a sweep
-//!   skips every already-simulated cell;
+//!   skips every already-simulated cell. Its memory tier is also the
+//!   one table of running cells: the first caller of a key claims it
+//!   and simulates, and callers racing on the same key wait for that
+//!   report, so a cell simulates once however many ask for it;
 //! * [`SweepRunner`] — the front door combining all three.
 //!
 //! # Example
@@ -45,7 +48,6 @@ mod cache;
 mod codec;
 mod error;
 mod executor;
-mod inflight;
 pub mod json;
 mod spec;
 pub mod telemetry;
@@ -53,6 +55,8 @@ pub mod telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use vfc_sim::{SimConfig, SimReport, Simulation};
+
+use self::cache::Claim;
 
 pub use self::cache::{default_cache_dir, default_target_dir, ResultCache, DISK_FORMAT_VERSION};
 pub use self::error::RunnerError;
@@ -62,12 +66,15 @@ pub use self::spec::SweepSpec;
 /// How [`SweepRunner::run_shared`] obtained its report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunSource {
-    /// Answered from the result cache without touching the executor.
+    /// Answered from the result cache without simulating: a stored
+    /// report, or a disk entry this caller read as the key's lead.
     CacheHit,
     /// This caller led the execution: it simulated the cell itself.
     Executed,
-    /// Another caller was already simulating the identical cell; this
-    /// one joined its in-flight run and shared the result.
+    /// Another caller already held the identical cell — simulating it,
+    /// or reading its disk entry — and this one waited and shared its
+    /// report. Callers racing on a disk-warm key are one `CacheHit`
+    /// (the lead) and `Joined` for the rest.
     Joined,
 }
 
@@ -76,7 +83,9 @@ pub enum RunSource {
 pub struct SweepStats {
     /// Jobs submitted (after spec filtering).
     pub jobs: u64,
-    /// Jobs answered from the cache without simulating.
+    /// Jobs answered from the cache without simulating, each by its own
+    /// read of a stored report or, as the key's lead, of its disk entry.
+    /// Jobs that raced that lead count as [`dedup_joins`](Self::dedup_joins).
     pub cache_hits: u64,
     /// Jobs that actually simulated.
     pub executed: u64,
@@ -86,8 +95,9 @@ pub struct SweepStats {
     /// JSON → treated as a miss, deleted and counted — never an error).
     pub cache_corrupt_evictions: u64,
     /// Jobs — batch cells or [`SweepRunner::run_shared`] calls — that
-    /// joined another job's in-flight execution of the identical cell
-    /// instead of duplicating it.
+    /// waited for another job holding the identical cell and shared its
+    /// report instead of duplicating the work: a simulation, or the
+    /// disk read of a disk-warm key that several jobs asked for at once.
     pub dedup_joins: u64,
 }
 
@@ -116,7 +126,6 @@ pub struct SweepRunner {
     executed: AtomicU64,
     failures: AtomicU64,
     dedup_joins: AtomicU64,
-    inflight: inflight::InFlightTable,
     /// Test seam: queued errors served (front first) in place of the
     /// next simulations, exercising the failure paths without a failing
     /// simulation.
@@ -152,7 +161,6 @@ impl SweepRunner {
             executed: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             dedup_joins: AtomicU64::new(0),
-            inflight: inflight::InFlightTable::new(),
             #[cfg(test)]
             injected_failures: std::sync::Mutex::new(std::collections::VecDeque::new()),
         }
@@ -271,29 +279,32 @@ impl SweepRunner {
         outcome
     }
 
-    /// The one cell path: cache lookup, else run every cell exactly once
-    /// across concurrent callers. The first caller of a key becomes its
-    /// **leader** and simulates; callers arriving while the leader runs
-    /// become **followers** and block on the leader's published result
-    /// instead of duplicating the run. A failed leader wakes its
-    /// followers empty-handed and each retries from the top (cache,
-    /// then a fresh claim) — failures never cascade to cells that could
-    /// have succeeded on their own.
+    /// The one cell path: one claim on the key in the cache, then one of
+    /// three cases. A **hit** (a stored report, or a disk entry this
+    /// caller read as the key's lead) is returned. A **lead** — the key
+    /// is in neither tier — simulates, stores the report and, by
+    /// dropping the lead, hands it to the followers. A **follow** — a
+    /// caller arriving while another holds the key — waits for that
+    /// caller's report instead of duplicating its work; if the lead
+    /// failed, it claims again, so failures never cascade to cells
+    /// that could have succeeded on their own.
     ///
-    /// A failed simulation is not retried by its leader: simulations
-    /// are deterministic, so running the same cell again reproduces the
-    /// same error. Counts cache hits, executions and joins; the callers
-    /// count jobs and failures.
+    /// The claim finds or takes the key under one lock, so once a
+    /// report is stored every later claim hits: a cell never simulates
+    /// twice. A failed simulation is not retried by its lead:
+    /// simulations are deterministic, so running the same cell again
+    /// reproduces the same error. Counts cache hits, executions and
+    /// joins; the callers count jobs and failures.
     fn run_cell(&self, cfg: SimConfig) -> Result<(SimReport, RunSource), RunnerError> {
         let _span = vfc_obs::span("runner.job");
         let key = cfg.cache_key();
         loop {
-            if let Some(report) = self.cache.get(key) {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((report, RunSource::CacheHit));
-            }
-            match self.inflight.claim(key) {
-                inflight::Claim::Leader(guard) => {
+            match self.cache.claim(key) {
+                Claim::Hit(report) => {
+                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok((report, RunSource::CacheHit));
+                }
+                Claim::Lead(lead) => {
                     self.executed.fetch_add(1, Ordering::Relaxed);
                     let outcome = self.simulate(&cfg);
                     if let Ok(report) = &outcome {
@@ -304,17 +315,17 @@ impl SweepRunner {
                             eprintln!("vfc_runner: cache store failed ({e}); continuing uncached");
                         }
                     }
-                    guard.publish(outcome.as_ref().ok().cloned());
+                    // Hands the stored report, or a failure, to the followers.
+                    drop(lead);
                     return outcome.map(|report| (report, RunSource::Executed));
                 }
-                inflight::Claim::Follower(follower) => match follower.wait() {
+                Claim::Follow(slot) => match slot.wait() {
                     Some(report) => {
                         self.dedup_joins.fetch_add(1, Ordering::Relaxed);
                         vfc_obs::counter_add("runner.dedup_joins", 1);
                         return Ok((report, RunSource::Joined));
                     }
-                    // The leader failed; loop and take the lead (or hit
-                    // the cache, if a later store landed meanwhile).
+                    // The lead failed and freed the key: claim it again.
                     None => continue,
                 },
             }

@@ -1,6 +1,7 @@
 //! Stress tests for the runner's concurrent parts: the single-queue
-//! batch executor, the persistent submit executor and the in-flight
-//! table's leader/follower hand-off.
+//! batch executor, the persistent submit executor and the result
+//! cache's claims, through which racing callers of one cell share a
+//! single simulation or disk read.
 //!
 //! Each race is rare in one run, so every test loops many rounds. The
 //! loops run on a spawned thread and the test fails after a deadline
@@ -11,7 +12,7 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 use vfc_runner::{Executor, ResultCache, RunSource, SubmitExecutor, SweepRunner};
-use vfc_sim::{CoolingKind, PolicyKind, SimConfig, SystemKind};
+use vfc_sim::{CoolingKind, PolicyKind, SimConfig, SimReport, SystemKind};
 use vfc_units::{Length, Seconds};
 use vfc_workload::Benchmark;
 
@@ -116,36 +117,50 @@ fn racing_submitters_run_every_accepted_job_once() {
     });
 }
 
+/// A 1 s, 2 mm cell; `seed` makes it distinct.
+fn cell(seed: u64) -> SimConfig {
+    SimConfig::new(
+        SystemKind::TwoLayer,
+        CoolingKind::LiquidMax,
+        PolicyKind::LoadBalancing,
+        Benchmark::by_name("gzip").expect("table II"),
+    )
+    .with_duration(Seconds::new(1.0))
+    .with_grid_cell(Length::from_millimeters(2.0))
+    .with_seed(seed)
+}
+
+/// Four callers racing `run_shared` on `cfg`.
+fn race(runner: &SweepRunner, cfg: &SimConfig) -> Vec<(SimReport, RunSource)> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| scope.spawn(|| runner.run_shared(cfg.clone()).expect("cell runs")))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("caller"))
+            .collect()
+    })
+}
+
 #[test]
-fn inflight_followers_always_wake_with_the_leaders_report() {
+fn racing_callers_share_one_run_per_cell() {
     // Four callers race `run_shared` on one fresh cell per round:
-    // exactly one leads and simulates; the others join the in-flight
-    // run or, arriving after it published, hit the cache — and every
-    // caller gets the same report.
-    within_deadline("in-flight followers stranded", || {
-        let runner = SweepRunner::with_parts(Executor::with_threads(1), ResultCache::in_memory());
+    // exactly one leads and simulates; the others wait for its report
+    // or, arriving after it was stored, hit the cache — and every
+    // caller gets the same report. Odd rounds run on a fresh disk
+    // directory, so the lead's disk read races too. A last round races
+    // four callers of a new runner on a key only the disk holds:
+    // nothing may simulate.
+    within_deadline("racing callers stranded", || {
+        let dir = std::env::temp_dir().join(format!("vfc-stress-claims-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let runners = [
+            SweepRunner::with_parts(Executor::with_threads(1), ResultCache::in_memory()),
+            SweepRunner::with_parts(Executor::with_threads(1), ResultCache::on_disk(&dir)),
+        ];
         for round in 0..100u64 {
-            let cfg = SimConfig::new(
-                SystemKind::TwoLayer,
-                CoolingKind::LiquidMax,
-                PolicyKind::LoadBalancing,
-                Benchmark::by_name("gzip").expect("table II"),
-            )
-            .with_duration(Seconds::new(1.0))
-            .with_grid_cell(Length::from_millimeters(2.0))
-            .with_seed(round);
-            let outcomes: Vec<_> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..4)
-                    .map(|_| {
-                        let (runner, cfg) = (&runner, cfg.clone());
-                        scope.spawn(move || runner.run_shared(cfg).expect("cell runs"))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("caller"))
-                    .collect()
-            });
+            let outcomes = race(&runners[(round % 2) as usize], &cell(round));
             let leaders = outcomes
                 .iter()
                 .filter(|(_, source)| *source == RunSource::Executed)
@@ -158,6 +173,16 @@ fn inflight_followers_always_wake_with_the_leaders_report() {
                 );
             }
         }
-        assert_eq!(runner.stats().executed, 100, "one simulation per round");
+        for runner in &runners {
+            assert_eq!(runner.stats().executed, 50, "one simulation per round");
+        }
+
+        let stored = runners[1].cache().get(cell(1).cache_key());
+        let warm = SweepRunner::with_parts(Executor::with_threads(1), ResultCache::on_disk(&dir));
+        for (report, source) in race(&warm, &cell(1)) {
+            assert_eq!(Some(report), stored, "{source:?} caller got another report");
+        }
+        assert_eq!(warm.stats().executed, 0, "a disk-warm key never simulates");
+        std::fs::remove_dir_all(&dir).expect("the disk rounds' directory");
     });
 }

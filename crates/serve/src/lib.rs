@@ -4,8 +4,9 @@
 //! server: clients submit [`WireSpec`]s over a hand-rolled
 //! length-prefixed framed protocol on std TCP (no dependencies beyond
 //! the workspace), results stream back per cell as jobs finish, and
-//! identical in-flight cells are deduped across clients via the
-//! runner's leader/follower hook.
+//! clients asking for the same cell at once share one simulation: the
+//! runner's result cache lets one caller claim the cell and the rest
+//! wait for its report.
 //!
 //! Robustness-first, every edge typed:
 //!

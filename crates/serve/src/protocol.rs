@@ -182,7 +182,8 @@ pub struct WireStats {
     pub deadline_aborts: u64,
     /// Journaled sweeps replayed at startup.
     pub journal_replays: u64,
-    /// Cells answered by joining another caller's in-flight run.
+    /// Cells that waited for another caller holding the same cell and
+    /// shared its report.
     pub dedup_joins: u64,
     /// Cells that actually simulated.
     pub executed: u64,

@@ -1,8 +1,10 @@
 //! A warm resubmit reads each cell from the cache once: the service
 //! sorts warm cells from cold ones with one `ResultCache::get` per cell
-//! and streams the report that read returned. One `#[test]` in a binary
-//! of its own: `runner.cache.hits` is a process-wide counter, so any
-//! other test in the same process could add to it.
+//! and streams the report that read returned. A cold cell counts one
+//! miss, in the claim that simulates it; the partition's read counts
+//! none. One `#[test]` in a binary of its own: `runner.cache.hits` and
+//! `runner.cache.misses` are process-wide counters, so any other test
+//! in the same process could add to them.
 
 use std::time::Duration;
 
@@ -32,17 +34,17 @@ fn warm_resubmit_reads_each_cell_from_the_cache_once() {
         duration_s: 0.5,
         dpm: false,
     };
-    let hits = || {
-        vfc_obs::snapshot()
-            .counter("runner.cache.hits")
-            .unwrap_or(0)
-    };
+    let counter = |name: &str| vfc_obs::snapshot().counter(name).unwrap_or(0);
+    let hits = || counter("runner.cache.hits");
+    let misses = || counter("runner.cache.misses");
 
+    let before = misses();
     let cold = client.run_sweep(&spec).expect("cold sweep completes");
     assert!(
         cold.cells.iter().all(|c| !c.cached),
         "a fresh cache is cold"
     );
+    assert_eq!(misses() - before, 2, "one cache miss per cold cell");
     let before = hits();
     let warm = client.run_sweep(&spec).expect("warm sweep completes");
     assert_eq!(warm.cells.len(), 2);
